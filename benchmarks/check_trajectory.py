@@ -20,7 +20,7 @@ comparison for hand audits.
 
 An asserted-floor metric is the ``speedup`` of an axis whose label
 contains neither ``"jobs"`` nor ``"threads"`` — that covers the
-engine axes (``cc/ftqs-8/f=N``) and the generated-C kernel axes
+engine axes (``cc/ftqs-8/f=N``) and the C kernel core axes
 (``cc/ftqs-8/f=N/kernel-vs-ref`` and ``.../kernel-vs-batched``).
 The CPU-bound comparison axes (``cc/compare-jobs``,
 ``cc/compare-kernel-threads``, ``table1/jobs4-vs-jobs1``) depend on

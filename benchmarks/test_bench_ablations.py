@@ -1,4 +1,4 @@
-"""Bench: the design-choice ablations of DESIGN.md.
+"""Bench: the FTSS/FTQS design-choice ablations.
 
 Measures what each FTSS/FTQS design choice contributes on a shared
 30-process suite:

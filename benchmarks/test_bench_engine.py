@@ -7,7 +7,7 @@ asserts speedup floors that keep the paper's 20,000-scenario
 ``--full-scale`` runs practical: 5x on the no-fault axis and 3x on
 every mixed-fault axis (k = 1, 2) for the batched engine, where
 faulted soft processes resolve against the compiled §2.2 decision
-tables instead of the reference loop.  The generated-C kernel axes
+tables instead of the reference loop.  The C kernel core axes
 (``cc/.../kernel-vs-*``) time ``engine="kernel"`` against both the
 reference loop and the batched engine with the scenario sets already
 packed — both engines share the packing cost, which the batched axes
@@ -22,10 +22,11 @@ sharding skips fork and shared-memory publication entirely (asserted
 — and recorded in the trajectory — only when the box actually has
 ≥ 4 CPUs, so 1-CPU boxes cannot pollute the history).
 
-Every measured axis is appended to ``BENCH_engine.json`` at the repo
-root — a trajectory artifact: one entry per bench run, each axis row
-carrying the ``cpu_count`` it was measured on, so throughput history
-survives across sessions.
+With ``--record``, every measured axis is appended to
+``BENCH_engine.json`` at the repo root — a trajectory artifact: one
+entry per recorded bench run, each axis row carrying the ``cpu_count``
+it was measured on, so throughput history survives across runs.
+Without it the floors are still asserted and nothing is written.
 
 A tier-1 smoke slice is marked ``bench_smoke``
 (``pytest -m bench_smoke``): seconds-long mixed-fault runs with loose
@@ -33,7 +34,6 @@ floors, so fast-path and kernel regressions fail fast without
 ``--full-scale``.
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -66,31 +66,6 @@ def cc_setup():
     assert root is not None
     tree = ftqs(app, root, FTQSConfig(max_schedules=8))
     return app, root, tree
-
-
-@pytest.fixture(scope="module")
-def trajectory():
-    """Collect per-axis rows; append one run entry to the artifact."""
-    rows = []
-    yield rows
-    if not rows:
-        return
-    history = []
-    if _ARTIFACT.exists():
-        try:
-            history = json.loads(_ARTIFACT.read_text())
-        except (ValueError, OSError):
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(
-        {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "cpu_count": os.cpu_count(),
-            "axes": rows,
-        }
-    )
-    _ARTIFACT.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def _time_engine(evaluator, plan, engine, rounds=3, repack=True):
@@ -225,7 +200,8 @@ def test_engine_speedup_mixed_fault_axes(cc_setup, full_scale, trajectory):
 @pytest.fixture(scope="module")
 def kernel_ready(cc_setup):
     """Skip the kernel axes (with the counted reason) when no kernel
-    can be built on this box; warms the artifact cache otherwise."""
+    can be built on this box; builds the core and lowers the plan
+    otherwise."""
     from repro.runtime.engine.kernel import KernelSimulator
 
     app, _, tree = cc_setup
@@ -240,7 +216,7 @@ def kernel_ready(cc_setup):
 def test_kernel_speedup_single_fault_axes(
     cc_setup, full_scale, trajectory, kernel_ready, faults
 ):
-    """Generated-C kernel on the mixed-fault axes: >= 2x over batched.
+    """C kernel core on the mixed-fault axes: >= 2x over batched.
 
     The kernel walks each scenario once in C instead of stepping
     cohort arrays through NumPy dispatch, so its edge grows with the
@@ -482,8 +458,8 @@ def test_engine_smoke_throughput(cc_setup):
 def test_kernel_smoke_throughput(cc_setup, kernel_ready):
     """Seconds-long tier-1 kernel slice: >= 2x over batched, identical.
 
-    Exists to fail fast when the generated-C path regresses — either
-    its speed (scenarios leaking to the oracle residual, a codegen
+    Exists to fail fast when the C kernel path regresses — either its
+    speed (scenarios leaking to the oracle residual, a core
     pessimization) or its bit identity with the batched engine.
     """
     app, _, tree = cc_setup
@@ -503,5 +479,5 @@ def test_kernel_smoke_throughput(cc_setup, kernel_ready):
     )
     assert t_ker * 2.0 <= t_bat, (
         f"kernel smoke slice only {t_bat / t_ker:.1f}x over batched "
-        "(floor: 2x) — generated-C path regression?"
+        "(floor: 2x) — C kernel path regression?"
     )

@@ -10,15 +10,15 @@ the larger M gets).  A ``jobs=4`` axis exercises the parallel
 candidate layer (equality always asserted; the speed comparison only
 on boxes with >= 4 CPUs, like the engine bench).
 
-Every measured axis is appended to ``BENCH_synthesis.json`` at the
-repo root — a trajectory artifact mirroring ``BENCH_engine.json``.
+With ``--record``, every measured axis is appended to
+``BENCH_synthesis.json`` at the repo root — a trajectory artifact
+mirroring ``BENCH_engine.json``.
 
 A tier-1 smoke slice is marked ``bench_smoke``: a seconds-long cruise
 controller build with a loose 2x floor, so synthesis regressions fail
 fast without ``--synthesis-full``.
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -51,31 +51,6 @@ def table1_app():
         root = ftss(app)
         if root is not None:
             return app, root
-
-
-@pytest.fixture(scope="module")
-def trajectory():
-    """Collect per-axis rows; append one run entry to the artifact."""
-    rows = []
-    yield rows
-    if not rows:
-        return
-    history = []
-    if _ARTIFACT.exists():
-        try:
-            history = json.loads(_ARTIFACT.read_text())
-        except (ValueError, OSError):
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(
-        {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "cpu_count": os.cpu_count(),
-            "axes": rows,
-        }
-    )
-    _ARTIFACT.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def _best_of(builder, rounds=3):

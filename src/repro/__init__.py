@@ -19,8 +19,7 @@ Quick start::
     app = Application(graph, period=300, k=1, mu=10)
     tree = schedule_application(app, max_schedules=8)
 
-See README.md for the architecture overview and DESIGN.md for the
-paper-to-module map.
+See README.md for the architecture overview.
 """
 
 from repro.errors import (

@@ -606,8 +606,9 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         help="Monte-Carlo execution spec ENGINE[@MODE[:WORKERS]] — "
         "engines: reference (pure-Python oracle loop), batched (NumPy "
-        "array engine), kernel (generated-C; needs a C compiler, "
-        "degrades to batched with a counted reason); modes: inline "
+        "array engine), kernel (one C core over per-plan tables; "
+        "needs a C compiler, degrades to batched with a counted "
+        "reason); modes: inline "
         "(default), processes (shard across worker processes), "
         "threads (shard across GIL-free threads; kernel engine only, "
         "other engines fall back to processes with a counted reason). "

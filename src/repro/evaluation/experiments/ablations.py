@@ -1,9 +1,8 @@
 """Ablation experiments for the design choices of FTSS/FTQS.
 
-DESIGN.md calls out four design choices the paper's heuristics make;
-each ablation disables one of them and measures the utility impact on
-a shared application suite (paired scenarios, like every other
-experiment):
+The paper's heuristics rest on four design choices; each ablation
+disables one of them and measures the utility impact on a shared
+application suite (paired scenarios, like every other experiment):
 
 * ``no-dropping``   — FTSS without the S'/S'' dropping heuristic
   (drops only when forced by schedulability);

@@ -17,11 +17,11 @@ Two interchangeable engines execute the replay:
   each scenario set into a :class:`ScenarioBatch` and is bit-identical
   to the oracle (see ``tests/test_engine_differential.py``) while an
   order of magnitude faster;
-* ``engine="kernel"`` — the generated-C
-  :class:`~repro.runtime.engine.kernel.KernelSimulator`, which
-  compiles the plan's decision tables to a cached shared object and is
-  bit-identical to both (falling back to the batched engine, with a
-  counted reason, when no C compiler is available).
+* ``engine="kernel"`` — the
+  :class:`~repro.runtime.engine.kernel.KernelSimulator`, which runs
+  the plan's lowered decision tables through one prebuilt C core and
+  is bit-identical to both (falling back to the batched engine, with
+  a counted reason, when no C compiler is available).
 
 Engine and parallelism are routed by one
 :class:`~repro.execution.ExecutionConfig` (``execution=`` — an
@@ -346,10 +346,11 @@ class MonteCarloEvaluator:
         )
         if config.workers > 1 and config.mode != "inline":
             if config.mode == "processes" and config.engine == "kernel":
-                # Warm the on-disk artifact cache parent-side so every
-                # worker loads the same prebuilt object instead of
-                # racing to compile it.  (The threaded executor builds
-                # its shard simulators in-process itself.)
+                # Build the core and lower the plan parent-side, so
+                # every worker loads both from the artifact cache (or
+                # inherits them) instead of racing to build them.
+                # (The threaded executor builds its shard simulators
+                # in-process itself.)
                 self._simulator_for(config.engine, plan)
             return self.executor(config).evaluate(plan)
         engine = config.engine

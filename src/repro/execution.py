@@ -8,7 +8,7 @@ one :class:`ExecutionConfig` value:
 
 * ``engine`` — which simulator replays the scenarios: ``reference``
   (the oracle event loop), ``batched`` (the NumPy array engine) or
-  ``kernel`` (the generated-C core).  Results are bit-identical;
+  ``kernel`` (the prebuilt C core).  Results are bit-identical;
   only speed differs.
 * ``mode`` — how the scenario range is spread over cores: ``inline``
   (single in-process run), ``processes`` (deterministic sharding
@@ -21,7 +21,7 @@ one :class:`ExecutionConfig` value:
 The compact spec-string grammar is ``ENGINE[@MODE[:WORKERS]]``::
 
     reference             # oracle, inline
-    kernel@threads:8      # generated-C kernel, 8 GIL-free threads
+    kernel@threads:8      # C kernel core, 8 GIL-free threads
     batched@processes:4   # NumPy engine, 4 worker processes
 
 Sharding is outcome-preserving for any mode and worker count, so an

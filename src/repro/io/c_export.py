@@ -26,12 +26,19 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.errors import SerializationError
-from repro.io.ctables import sanitize as _sanitize
 from repro.model.application import Application
 from repro.quasistatic.tree import QSTree
 
 #: Sentinel deadline for soft processes in the generated tables.
 NO_DEADLINE = 0x7FFFFFFF
+
+
+def _sanitize(symbol: str) -> str:
+    """A C identifier fragment from an application/graph name."""
+    cleaned = "".join(c if c.isalnum() else "_" for c in symbol)
+    if not cleaned or cleaned[0].isdigit():
+        cleaned = "g_" + cleaned
+    return cleaned.lower()
 
 
 def export_tree_to_c(

@@ -19,9 +19,9 @@ Python).  The utility-based soft re-execution guard needs the utility
 functions, which are not shipped in the tables, so the reference
 always re-executes up to the static cap; differential scenarios
 therefore place faults only on hard processes or soft processes with
-a zero cap, where both implementations provably agree.  (Compiling
-the guard thresholds into tables is listed as future work in
-DESIGN.md.)
+a zero cap, where both implementations provably agree.  (Shipping
+the kernel engine's table-driven core, which does run the guard, in
+place of this loop is the export follow-up of ROADMAP open item 4.)
 """
 
 from __future__ import annotations

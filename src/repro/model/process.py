@@ -51,7 +51,7 @@ class Process:
     aet:
         Average-case execution time.  Defaults to ``(bcet + wcet) // 2``
         which is the mean of the uniform execution-time distribution the
-        paper's experiments assume (§6; see DESIGN.md note 1).
+        paper's experiments assume (§6).
     recovery_overhead:
         Optional per-process recovery overhead µ override; when ``None``
         the application-wide µ applies (the cruise-controller experiment

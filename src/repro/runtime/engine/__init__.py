@@ -32,8 +32,8 @@ top of it:
   ``multiprocessing`` workers that attach the batch arrays via shared
   memory, and merges the outcomes;
 * :mod:`repro.runtime.engine.threads` — :class:`ThreadedEvaluator`
-  shards the same ranges across a thread pool against the generated-C
-  kernel's GIL-releasing call (``ExecutionConfig`` mode
+  shards the same ranges across a thread pool against the C kernel
+  core's GIL-releasing call (``ExecutionConfig`` mode
   ``"threads"``), merging with the same helper — multi-core scaling
   with no ``multiprocessing`` machinery at all.
 

@@ -24,7 +24,7 @@ unknown subclass falls back to a scalar loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,50 +47,43 @@ UtilityEvaluator = Callable[[np.ndarray], np.ndarray]
 CompiledArc = Tuple[int, int, int, int]
 
 
-def _table_evaluator(
-    thresholds: List[int], values: List[float], side: str
-) -> UtilityEvaluator:
-    """Lookup ``values[searchsorted(thresholds, t, side)]``.
+def utility_steps(
+    utility: UtilityFunction,
+) -> Optional[Tuple[List[int], List[float]]]:
+    """``(breakpoints, values)`` of a piecewise-constant utility.
 
-    With ``side='left'`` the index counts thresholds strictly below
-    ``t`` (the ``t > step`` rule of :class:`StepUtility`); with
-    ``side='right'`` it counts thresholds at or below ``t`` (the
-    ``t >= sample`` rule of :class:`TabulatedUtility`).
+    ``utility.value_at(t) == values[count of breakpoints < t]`` for
+    every integer clock ``t``: the ``t > step`` rule of
+    :class:`StepUtility` as is, the ``t >= sample`` rule of
+    :class:`TabulatedUtility` with each sample lowered by one, no
+    utility as the constant 0.  ``None`` for utilities that are not
+    piecewise constant.
     """
-    bounds = np.asarray(thresholds, dtype=np.int64)
-    table = np.asarray(values, dtype=np.float64)
-
-    def evaluate(times: np.ndarray) -> np.ndarray:
-        return table[np.searchsorted(bounds, times, side=side)]
-
-    return evaluate
+    if utility is None:
+        return [], [0.0]
+    if isinstance(utility, StepUtility):
+        steps = utility.steps
+        return [t for t, _ in steps], [utility.initial] + [v for _, v in steps]
+    if isinstance(utility, ConstantUtility):
+        if utility.cutoff is None:
+            return [], [utility.value]
+        return [utility.cutoff], [utility.value, 0.0]
+    if isinstance(utility, TabulatedUtility):
+        samples = utility.samples
+        return (
+            [t - 1 for t, _ in samples],
+            [samples[0][1]] + [v for _, v in samples],
+        )
+    return None
 
 
 def utility_evaluator(utility: UtilityFunction) -> UtilityEvaluator:
     """A vectorized, bit-identical form of ``utility.value_at``."""
-    if utility is None:
-        return lambda times: np.zeros(len(times), dtype=np.float64)
-    if isinstance(utility, StepUtility):
-        steps = utility.steps
-        return _table_evaluator(
-            [t for t, _ in steps],
-            [utility.initial] + [v for _, v in steps],
-            side="left",
-        )
-    if isinstance(utility, ConstantUtility):
-        if utility.cutoff is None:
-            value = float(utility.value)
-            return lambda times: np.full(len(times), value, dtype=np.float64)
-        return _table_evaluator(
-            [utility.cutoff], [utility.value, 0.0], side="left"
-        )
-    if isinstance(utility, TabulatedUtility):
-        samples = utility.samples
-        return _table_evaluator(
-            [t for t, _ in samples],
-            [samples[0][1]] + [v for _, v in samples],
-            side="right",
-        )
+    steps = utility_steps(utility)
+    if steps is not None:
+        bounds = np.asarray(steps[0], dtype=np.int64)
+        table = np.asarray(steps[1], dtype=np.float64)
+        return lambda times: table[np.searchsorted(bounds, times)]
     if isinstance(utility, LinearUtility):
         u0, slope = utility.u0, utility.slope
 

@@ -1,20 +1,27 @@
-"""Compile and cache generated kernels as ctypes shared objects.
+"""Build the C core once and cache it with every plan's lowered tables.
 
-The artifact cache is content-addressed exactly like the tree store:
-``<fingerprint>.c`` / ``<fingerprint>.so`` under one directory, every
-write going through ``mkstemp`` + ``os.replace`` so concurrent
-processes (the ``jobs=N`` workers all building the same plan) either
-win the atomic rename or reuse the winner's file — never observe a
-torn artifact.  The fingerprint is
-:func:`~repro.runtime.engine.kernel.codegen.plan_fingerprint` (plan
-tables + codegen version), so a warm cache skips code generation and
-compilation entirely, and a codegen bump can never load a stale
-object.
+The artifact cache is content-addressed exactly like the tree store,
+one directory holding two kinds of file:
+
+* ``core-<hash>.so`` (plus its ``.c`` source, for debugging) — the
+  one table-driven core, keyed by :func:`core_fingerprint` over the
+  core source, the compiler and :data:`CFLAGS`, so editing the core,
+  switching compilers or changing flags can never load a stale
+  object;
+* ``<plan fingerprint>.npz`` — one plan's lowered tables, keyed by
+  :func:`~repro.runtime.engine.kernel.lower.plan_fingerprint`, so a
+  fresh process (a CLI rerun, a ``processes`` worker) skips the §2.2
+  threshold probes.
+
+Every write goes through ``mkstemp`` + ``os.replace``, so concurrent
+processes either win the atomic rename or reuse the winner's file —
+never observe a torn artifact.  A table file that cannot be read back
+is treated as absent and rewritten.
 
 Compilation uses the system C compiler — ``$REPRO_CC``, ``$CC`` or
 the first of ``cc``/``gcc``/``clang`` on PATH — with
 ``-O2 -std=c99 -fPIC -shared -ffp-contract=off``: no fused
-multiply-adds, no reassociation, so the kernel's float stream stays
+multiply-adds, no reassociation, so the core's float stream stays
 operation-for-operation identical to the NumPy engine's.  A missing
 compiler or a failed compile raises :class:`KernelBuildError`; the
 dispatcher turns that into a counted fallback to the NumPy engine,
@@ -28,23 +35,32 @@ process, pinning the degradation path in tests and CI.
 from __future__ import annotations
 
 import ctypes
+import hashlib
+import io
 import os
 import shutil
 import subprocess
 import tempfile
+import zipfile
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional
 
-#: Flags that keep the generated code's float semantics exactly IEEE:
-#: no contraction (FMA would change rounding), strict C99.
+import numpy as np
+
+#: Flags that keep the core's float semantics exactly IEEE: no
+#: contraction (FMA would change rounding), strict C99.
 CFLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: The core's source, shipped next to this module.
+CORE_SOURCE = Path(__file__).with_name("core.c")
 
 
 class KernelBuildError(Exception):
-    """Kernel compilation is unavailable or failed.
+    """The core cannot be built or loaded.
 
     ``reason`` is the short counter label the dispatcher surfaces:
-    ``"no-compiler"``, ``"compile-failed"`` or ``"load-failed"``.
+    ``"no-compiler"``, ``"compile-failed"``, ``"load-failed"`` or
+    ``"chaos"``.
     """
 
     def __init__(self, reason: str, message: str):
@@ -126,16 +142,33 @@ def _chaos_compile_hook() -> None:
         raise KernelBuildError("chaos", str(exc)) from exc
 
 
+def generate_kernel_source() -> str:
+    """The core's C source text."""
+    return CORE_SOURCE.read_text(encoding="utf-8")
+
+
+def core_fingerprint(source: str) -> str:
+    """The cache key of the core built from ``source`` here: a hash of
+    the source, the compiler and :data:`CFLAGS`."""
+    compiler = find_compiler()
+    if compiler is None:
+        raise KernelBuildError(
+            "no-compiler",
+            "no C compiler found (set $REPRO_CC/$CC or install cc)",
+        )
+    key = "\0".join((source, compiler, *CFLAGS))
+    return "core-" + hashlib.sha256(key.encode("utf-8")).hexdigest()
+
+
 def compile_kernel(source: str, fingerprint: str) -> Path:
     """Ensure ``<fingerprint>.so`` exists in the cache; return its path.
 
     Returns without compiling when the object is already cached (the
-    caller counts that as a cache hit by checking
-    :func:`cached_object` first).  Writes the generated source next to
-    the object for debuggability, compiles into a temp file and
-    atomically renames — a concurrent builder of the same fingerprint
-    produces a byte-equivalent object, so whichever rename lands last
-    is as good as the first.
+    caller counts a build by checking :func:`cached_object` first).
+    Writes the source next to the object for debuggability, compiles
+    into a temp file and atomically renames — a concurrent build of
+    the same fingerprint produces a byte-equivalent object, so
+    whichever rename lands last is as good as the first.
     """
     root = cache_dir()
     so_path = root / f"{fingerprint}.so"
@@ -149,10 +182,11 @@ def compile_kernel(source: str, fingerprint: str) -> Path:
         )
     _chaos_compile_hook()
     c_path = root / f"{fingerprint}.c"
-    _atomic_write_bytes(c_path, source.encode("utf-8"))
-    fd, tmp = tempfile.mkstemp(dir=str(root), suffix=".so.tmp")
-    os.close(fd)
+    tmp = None
     try:
+        _atomic_write_bytes(c_path, source.encode("utf-8"))
+        fd, tmp = tempfile.mkstemp(dir=str(root), suffix=".so.tmp")
+        os.close(fd)
         proc = subprocess.run(
             [compiler, *CFLAGS, "-o", tmp, str(c_path)],
             capture_output=True,
@@ -173,10 +207,11 @@ def compile_kernel(source: str, fingerprint: str) -> Path:
             "compile-failed", f"compiler invocation failed: {exc}"
         ) from exc
     finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
     return so_path
 
 
@@ -187,10 +222,37 @@ def cached_object(fingerprint: str) -> Optional[Path]:
 
 
 def load_kernel(so_path: Path):
-    """Load a built kernel; returns the ``ctypes`` library handle."""
+    """Load a built core; returns the ``ctypes`` library handle."""
     try:
         return ctypes.CDLL(str(so_path))
     except OSError as exc:
         raise KernelBuildError(
             "load-failed", f"could not load {so_path}: {exc}"
         ) from exc
+
+
+def cached_tables(fingerprint: str) -> Optional[Dict[str, np.ndarray]]:
+    """The ``<fingerprint>.npz`` tables, or ``None`` when absent or
+    unreadable (a truncated or foreign file reads as absent)."""
+    path = cache_dir() / f"{fingerprint}.npz"
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            return {name: data[name] for name in data.files}
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+        return None
+
+
+def store_tables(fingerprint: str, arrays: Dict[str, np.ndarray]) -> None:
+    """Write ``<fingerprint>.npz`` atomically.
+
+    A cache that cannot be written only costs a later process the
+    lowering again, so write errors are swallowed.
+    """
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    try:
+        _atomic_write_bytes(
+            cache_dir() / f"{fingerprint}.npz", buffer.getvalue()
+        )
+    except OSError:
+        pass

@@ -1,34 +1,38 @@
-"""Kernel dispatch: run batches through the compiled ``.so`` or fall back.
+"""Kernel dispatch: run batches through the C core or fall back.
 
 :class:`KernelSimulator` is a drop-in replacement for
 :class:`~repro.runtime.engine.simulator.BatchSimulator`: same
 constructor, same :meth:`run_batch` contract, same
 :class:`~repro.runtime.engine.simulator.BatchResult`.  Construction
-fingerprints the plan, reuses a cached shared object when one exists
-(in-process first, then the on-disk artifact cache) and otherwise
-generates + compiles one.  Anything that prevents that — no compiler,
-a failed compile, a plan the generator cannot express, injected chaos
-— degrades to the wrapped NumPy ``BatchSimulator`` with a counted
-reason; results are identical either way, so degradation is a
-performance event, never a correctness one.
+makes sure the one C core is loaded — built at most once per cache,
+loaded at most once per process — and fetches the plan's lowered
+tables: from the in-process memo, else the on-disk ``.npz`` cache,
+else by lowering the plan (and storing the result), all keyed by
+:func:`~repro.runtime.engine.kernel.lower.plan_fingerprint`.  Anything
+that prevents that — no compiler, a failed build, a plan the core
+cannot express, injected chaos — degrades to the wrapped NumPy
+``BatchSimulator`` with a counted reason; results are identical either
+way, so degradation is a performance event, never a correctness one.
 
-Per batch, the kernel executes every scenario in one C call (the GIL
-is released for its duration); scenarios the C walk flags as outside
-its state model are replayed on the oracle afterwards, exactly like
-the NumPy engine's own fallback — including reproducing the oracle's
+Per batch, the core executes every scenario in one C call (the GIL is
+released for its duration); scenarios the C walk flags as outside its
+state model are replayed on the oracle afterwards, exactly like the
+NumPy engine's own fallback — including reproducing the oracle's
 raises.
 
 The module-global :class:`KernelStats` mirrors the parallel pool's
-``pool_recovery()`` idiom: compiles, cache hits and per-reason
-fallback counts accumulated process-wide, surfaced on the CLI
-``simulate:`` line and the service ``/metrics`` document.
+``pool_recovery()`` idiom: core builds, table cache hits and
+per-reason fallback counts accumulated process-wide, surfaced on the
+CLI ``simulate:`` line and the service ``/metrics`` document.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -38,18 +42,19 @@ from repro.runtime.engine.batch import ScenarioBatch
 from repro.runtime.engine.kernel.build import (
     KernelBuildError,
     cached_object,
+    cached_tables,
     compile_kernel,
-    load_kernel,
-)
-from repro.runtime.engine.kernel.codegen import (
-    LAYOUT_ABI,
-    LAYOUT_CHAIN_CAP,
-    LAYOUT_N_PROCESSES,
-    LAYOUT_SYMBOL,
-    RUN_SYMBOL,
-    CODEGEN_VERSION,
-    KernelUnsupported,
+    core_fingerprint,
     generate_kernel_source,
+    load_kernel,
+    store_tables,
+)
+from repro.runtime.engine.kernel.lower import (
+    KernelUnsupported,
+    LoweredPlan,
+    RkPlan,
+    check_tables,
+    lower_plan,
     plan_fingerprint,
 )
 from repro.runtime.engine.simulator import BatchResult, BatchSimulator
@@ -58,33 +63,47 @@ from repro.scheduling.fschedule import FSchedule
 
 @dataclass
 class KernelStats:
-    """Process-wide counters of kernel builds, cache hits and fallbacks.
+    """Process-wide counters of core builds, table hits and fallbacks.
 
-    ``compiles`` counts actual compiler invocations, ``cache_hits``
-    plans served from the in-process or on-disk artifact cache, and
-    ``fallbacks`` maps a degradation reason (``"no-compiler"``,
-    ``"compile-failed"``, ``"load-failed"``, ``"unsupported-utility"``,
-    ``"unsupported-plan"``, ``"chaos"``) to how many simulator
-    constructions degraded to the NumPy engine for it.
-    ``oracle_scenarios`` counts per-scenario oracle replays out of
-    otherwise kernel-run batches (the same residual the NumPy engine
-    reports as ``n_fallback``).
+    ``compiles`` counts compiler invocations (the core is built once
+    per cache), ``cache_hits`` plans whose lowered tables came from
+    the in-process memo or the on-disk ``.npz`` cache instead of being
+    lowered, and ``fallbacks`` maps a degradation reason
+    (``"no-compiler"``, ``"compile-failed"``, ``"load-failed"``,
+    ``"unsupported-utility"``, ``"unsupported-plan"``, ``"chaos"``)
+    to how many simulator constructions degraded to the NumPy engine
+    for it.  ``oracle_scenarios`` counts per-scenario oracle replays
+    out of otherwise kernel-run batches (the same residual the NumPy
+    engine reports as ``n_fallback``).  Updates take a per-object
+    lock (shard threads and service requests share the global one);
+    reads are plain attribute reads.
     """
 
     compiles: int = 0
     cache_hits: int = 0
     fallbacks: Dict[str, int] = field(default_factory=dict)
     oracle_scenarios: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False,
+        compare=False,
+    )
 
     @property
     def n_fallbacks(self) -> int:
         return sum(self.fallbacks.values())
 
+    def add(self, counter: str, n: int = 1) -> None:
+        """Increment the integer field ``counter`` by ``n``."""
+        with self._lock:
+            setattr(self, counter, getattr(self, counter) + n)
+
     def count_fallback(self, reason: str) -> None:
-        self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
+        with self._lock:
+            self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
 
     def snapshot(self) -> "KernelStats":
-        return replace(self, fallbacks=dict(self.fallbacks))
+        with self._lock:
+            return replace(self, fallbacks=dict(self.fallbacks))
 
     def as_dict(self) -> Dict:
         return {
@@ -109,7 +128,7 @@ class KernelStats:
 
 
 #: Process-wide stats (workers accumulate their own; the parent's
-#: covers its warm-up compile, which is what the CLI line reports).
+#: covers its warm-up, which is what the CLI line reports).
 _GLOBAL_STATS = KernelStats()
 
 
@@ -124,50 +143,87 @@ def reset_kernel_stats() -> None:
     _GLOBAL_STATS = KernelStats()
 
 
-#: Loaded kernels by fingerprint: (library handle, run function,
-#: chain capacity).  Keeps repeated evaluations from re-walking the
-#: artifact cache and re-dlopening the same object.
-_LOADED: Dict[str, Tuple[object, object, int]] = {}
+#: The loaded core's ``rk_run``, once per process.
+_CORE = None
+
+#: Lowered tables by plan fingerprint.
+_TABLES: Dict[str, LoweredPlan] = {}
+
+#: Serializes core loading and table lookups, so concurrent
+#: constructions build and lower once and count deterministically.
+_LOCK = threading.Lock()
 
 
-def _configure(lib, fingerprint: str):
-    """Validate a loaded kernel's ABI and declare its signatures."""
-    layout = getattr(lib, LAYOUT_SYMBOL)
-    layout.restype = ctypes.c_int64
-    layout.argtypes = [ctypes.c_int64]
-    abi = int(layout(LAYOUT_ABI))
-    if abi != CODEGEN_VERSION:
-        raise KernelBuildError(
-            "load-failed",
-            f"kernel {fingerprint} has ABI {abi}, expected "
-            f"{CODEGEN_VERSION}",
+def _reset_locks() -> None:
+    """Give a forked child fresh locks: a lock another parent thread
+    held at the fork would never be released in the child."""
+    global _LOCK
+    _LOCK = threading.Lock()
+    _GLOBAL_STATS._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_locks)
+
+
+def _load_core():
+    """The core's ``rk_run``, building and loading it on first use."""
+    global _CORE
+    if _CORE is None:
+        source = generate_kernel_source()
+        fingerprint = core_fingerprint(source)
+        so_path = cached_object(fingerprint)
+        if so_path is None:
+            so_path = compile_kernel(source, fingerprint)
+            kernel_stats().add("compiles")
+        lib = load_kernel(so_path)
+        size = lib.rk_plan_size
+        size.restype = ctypes.c_int64
+        size.argtypes = []
+        if size() != ctypes.sizeof(RkPlan):
+            raise KernelBuildError(
+                "load-failed",
+                f"core {fingerprint} has a {size()}-byte rk_plan, "
+                f"expected {ctypes.sizeof(RkPlan)}",
+            )
+        run = lib.rk_run
+        run.restype = ctypes.c_int64
+        run.argtypes = [
+            ctypes.POINTER(RkPlan), ctypes.c_int64, ctypes.c_int64
+        ] + [
+            np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
+            for dtype in (np.int64, np.int64, np.float64, np.uint8,
+                          np.int64, np.int64, np.int64, np.uint8)
+        ]
+        _CORE = run
+    return _CORE
+
+
+def _plan_tables(simulator: BatchSimulator) -> LoweredPlan:
+    """The lowered tables of ``simulator``'s plan."""
+    fingerprint = plan_fingerprint(simulator.capp, simulator.ctree)
+    lowered = _TABLES.get(fingerprint)
+    if lowered is not None:
+        kernel_stats().add("cache_hits")
+        return lowered
+    arrays = check_tables(cached_tables(fingerprint))
+    if arrays is not None:
+        kernel_stats().add("cache_hits")
+    else:
+        arrays = lower_plan(
+            simulator.capp, simulator.ctree, simulator._tables
         )
-    run = getattr(lib, RUN_SYMBOL)
-    run.restype = ctypes.c_int64
-    run.argtypes = [
-        ctypes.c_int64,
-        ctypes.c_int64,
-        np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS"),
-    ]
-    chain_cap = int(layout(LAYOUT_CHAIN_CAP))
-    n_proc = int(layout(LAYOUT_N_PROCESSES))
-    return run, chain_cap, n_proc
+        store_tables(fingerprint, arrays)
+    lowered = _TABLES[fingerprint] = LoweredPlan(arrays)
+    return lowered
 
 
 class KernelSimulator:
-    """Generated-C executor of one plan, bit-identical to the oracle.
+    """C-core executor of one plan, bit-identical to the oracle.
 
     Wraps an eagerly-built :class:`BatchSimulator` — sharing its
     compiled application/tree, decision tables and oracle — and routes
-    whole batches through the plan's compiled ``.so`` when one can be
-    produced.  ``engine_used`` reports which core actually runs
+    whole batches through the core over the plan's lowered tables when
+    both can be had.  ``engine_used`` reports which core actually runs
     (``"kernel"`` or ``"batched"`` after a counted degradation).
     """
 
@@ -176,42 +232,17 @@ class KernelSimulator:
         self.app = app
         self.capp = self._batched.capp
         self.ctree = self._batched.ctree
-        self._oracle = self._batched._oracle
-        self._tables = self._batched._tables
         self._run = None
-        self._chain_cap = 0
+        self._lowered: Optional[LoweredPlan] = None
         self.fallback_reason: Optional[str] = None
-        stats = kernel_stats()
         try:
-            fingerprint = plan_fingerprint(self.capp, self.ctree)
-            loaded = _LOADED.get(fingerprint)
-            if loaded is not None:
-                lib, run, chain_cap = loaded
-                stats.cache_hits += 1
-            else:
-                so_path = cached_object(fingerprint)
-                if so_path is not None:
-                    stats.cache_hits += 1
-                else:
-                    source = generate_kernel_source(
-                        self.capp, self.ctree, self._tables
-                    )
-                    so_path = compile_kernel(source, fingerprint)
-                    stats.compiles += 1
-                lib = load_kernel(so_path)
-                run, chain_cap, n_proc = _configure(lib, fingerprint)
-                if n_proc != self.capp.n_processes:
-                    raise KernelBuildError(
-                        "load-failed",
-                        f"kernel {fingerprint} compiled for {n_proc} "
-                        f"processes, plan has {self.capp.n_processes}",
-                    )
-                _LOADED[fingerprint] = (lib, run, chain_cap)
+            with _LOCK:
+                run = _load_core()
+                self._lowered = _plan_tables(self._batched)
             self._run = run
-            self._chain_cap = chain_cap
         except (KernelUnsupported, KernelBuildError) as exc:
             self.fallback_reason = exc.reason
-            stats.count_fallback(exc.reason)
+            kernel_stats().count_fallback(exc.reason)
 
     @property
     def engine_used(self) -> str:
@@ -236,16 +267,16 @@ class KernelSimulator:
             switch_chains=[()] * n,
             fast_path=np.zeros(n, dtype=bool),
         )
-        miss = np.zeros(n, dtype=np.uint8)
-        chains = np.zeros((n, self._chain_cap), dtype=np.int64)
+        chains = np.zeros((n, self._lowered.chain_cap), dtype=np.int64)
         flagged = np.zeros(n, dtype=np.uint8)
         rc = self._run(
+            ctypes.byref(self._lowered.struct),
             n,
             width,
             durations,
             faults,
             result.utilities,
-            miss,
+            result.deadline_miss.view(np.uint8),
             result.switch_counts,
             result.faults_observed,
             chains,
@@ -253,17 +284,13 @@ class KernelSimulator:
         )
         if rc != 0:  # pragma: no cover - guarded by ScenarioBatch
             return self._batched.run_batch(batch)
-        result.deadline_miss[:] = miss.astype(bool)
         result.fast_path[:] = flagged == 0
-        if result.switch_counts.any():
-            for i in np.flatnonzero(result.switch_counts):
-                count = int(result.switch_counts[i])
-                result.switch_chains[i] = tuple(
-                    int(x) for x in chains[i, :count]
-                )
+        counts = result.switch_counts.tolist()
+        for i in np.flatnonzero(result.switch_counts).tolist():
+            result.switch_chains[i] = tuple(chains[i, : counts[i]].tolist())
         residual = np.flatnonzero(flagged)
         if residual.size:
-            kernel_stats().oracle_scenarios += int(residual.size)
+            kernel_stats().add("oracle_scenarios", int(residual.size))
             for i in residual:
                 self._batched._run_oracle(batch, int(i), result)
         return result

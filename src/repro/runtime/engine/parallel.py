@@ -21,9 +21,9 @@ segment indexes — and reuses it across that plan's fault counts
 (``tests/test_parallel_pool.py`` pins both the pool reuse and the
 per-plan compile count).  Workers default to the batched engine but
 honour ``engine="reference"`` for differential measurements and
-``engine="kernel"`` for the generated-C core (the parent warms the
-shared artifact cache before fanning out, so workers load the prebuilt
-object instead of racing to compile it).
+``engine="kernel"`` for the C kernel core (the parent builds the core
+and lowers the plan before fanning out, so workers load both from the
+shared artifact cache instead of racing to build them).
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ def _simulate_slice(task) -> _ShardRaw:
 
         if state["plan_key"] != plan_key:
             if state["engine"] == "kernel":
-                # The parent warmed the on-disk artifact cache before
-                # fanning out, so this is normally a load, not a build.
+                # The parent warmed the core and this plan's tables
+                # before fanning out, so this is normally a load.
                 from repro.runtime.engine.kernel import KernelSimulator
 
                 state["simulator"] = KernelSimulator(app, plan)

@@ -1,4 +1,4 @@
-"""GIL-free threaded sharding against the generated-C kernel.
+"""GIL-free threaded sharding against the C kernel core.
 
 :class:`ThreadedEvaluator` is the ``mode="threads"`` executor behind
 :class:`~repro.execution.ExecutionConfig`: it splits the scenario
@@ -29,23 +29,23 @@ with a counted reason (:func:`thread_stats`):
 * ``chaos`` — an injected ``thread-fail@N`` fault from the chaos DSL
   (:mod:`repro.pipeline.chaos`).
 
-Each shard thread runs its **own** :class:`KernelSimulator` instance:
-the compiled kernel code is re-entrant, but the per-simulator residual
-replay path (scenarios the C core routes through the Python oracle)
-is stateful, so sharing one simulator across threads would be a data
-race.  The instances are built sequentially in the calling thread —
-the first may compile, the rest hit the in-process loaded-kernel memo
-— which keeps the kernel engine's compile/cache-hit counters
-deterministic.
+Every shard thread runs the plan's one :class:`KernelSimulator`: the
+C core is re-entrant and only reads the plan's lowered tables, and the
+oracle replay of residual scenarios keeps its state in locals and
+writes only into the calling shard's own result.  The simulator is
+built once, in the calling thread, which keeps the kernel engine's
+compile/cache-hit counters deterministic.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import RuntimeModelError
 from repro.execution import ExecutionConfig
@@ -65,22 +65,41 @@ class ThreadStats:
     thread pool, ``shards`` the shard tasks they dispatched, and
     ``fallbacks`` maps each fallback reason (``engine-not-kernel``,
     ``kernel-unavailable``, ``chaos``) to how many evaluations it
-    re-routed to process sharding.
+    re-routed to process sharding.  Updates take a per-object lock
+    (concurrent service requests share the global one); reads are
+    plain attribute reads.
     """
 
     evaluations: int = 0
     shards: int = 0
     fallbacks: Dict[str, int] = field(default_factory=dict)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False,
+        compare=False,
+    )
 
     @property
     def n_fallbacks(self) -> int:
         return sum(self.fallbacks.values())
 
+    def count_evaluation(self, shards: int) -> None:
+        with self._lock:
+            self.evaluations += 1
+            self.shards += shards
+
     def count_fallback(self, reason: str) -> None:
-        self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
+        with self._lock:
+            self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
+
+    def reset(self) -> None:
+        with self._lock:
+            self.evaluations = 0
+            self.shards = 0
+            self.fallbacks.clear()
 
     def snapshot(self) -> "ThreadStats":
-        return replace(self, fallbacks=dict(self.fallbacks))
+        with self._lock:
+            return replace(self, fallbacks=dict(self.fallbacks))
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -109,6 +128,15 @@ class ThreadStats:
 _GLOBAL_STATS = ThreadStats()
 
 
+def _reset_lock() -> None:
+    """Give a forked child a fresh lock: one another parent thread held
+    at the fork would never be released in the child."""
+    _GLOBAL_STATS._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_lock)
+
+
 def thread_stats() -> ThreadStats:
     """The process-wide threaded-executor counters (live object)."""
     return _GLOBAL_STATS
@@ -116,9 +144,7 @@ def thread_stats() -> ThreadStats:
 
 def reset_thread_stats() -> None:
     """Zero the process-wide counters (start of a CLI invocation)."""
-    _GLOBAL_STATS.evaluations = 0
-    _GLOBAL_STATS.shards = 0
-    _GLOBAL_STATS.fallbacks.clear()
+    _GLOBAL_STATS.reset()
 
 
 def _chaos_plan():
@@ -184,9 +210,9 @@ class ThreadedEvaluator:
         self._source_ref = weakref.ref(source)
         self._own_source = None
         self._pool: Optional[ThreadPoolExecutor] = None
-        #: plan key → per-shard simulators, or None when the kernel
-        #: could not materialize for that plan (sticky fallback).
-        self._plan_sims: Dict[int, Optional[List]] = {}
+        #: plan key → the plan's kernel simulator, or None when the
+        #: kernel could not materialize for that plan (sticky fallback).
+        self._plan_sims: Dict[int, Optional[object]] = {}
         self._plan_keys: Dict[int, Tuple[object, int]] = {}
         self._plan_counter = 0
 
@@ -219,7 +245,7 @@ class ThreadedEvaluator:
         return self._pool
 
     def close(self) -> None:
-        """Shut the thread pool down and drop the per-plan simulators."""
+        """Shut the thread pool down and drop the plans' simulators."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -247,35 +273,18 @@ class ThreadedEvaluator:
             self._plan_keys[id(plan)] = entry
         return entry[1]
 
-    def _simulators_for(self, plan, shards: int) -> Optional[List]:
-        """One :class:`KernelSimulator` per shard, or ``None`` when the
-        kernel cannot materialize for this plan.
-
-        Built sequentially in the calling thread: the first instance
-        compiles (or loads the cached artifact), the rest hit the
-        in-process memo, so the kernel stats stay deterministic.
-        """
+    def _simulator_for(self, plan):
+        """The plan's :class:`KernelSimulator`, shared by every shard
+        thread, or ``None`` when the kernel cannot materialize for it."""
         key = self._plan_key(plan)
         if key not in self._plan_sims:
             from repro.runtime.engine.kernel import KernelSimulator
 
-            first = KernelSimulator(self.app, plan)
-            if first.engine_used != "kernel":
-                self._plan_sims[key] = None
-            else:
-                self._plan_sims[key] = [first] + [
-                    KernelSimulator(self.app, plan)
-                    for _ in range(shards - 1)
-                ]
-        sims = self._plan_sims[key]
-        if sims is not None and len(sims) < shards:  # pragma: no cover
-            from repro.runtime.engine.kernel import KernelSimulator
-
-            sims += [
-                KernelSimulator(self.app, plan)
-                for _ in range(shards - len(sims))
-            ]
-        return sims
+            simulator = KernelSimulator(self.app, plan)
+            self._plan_sims[key] = (
+                simulator if simulator.engine_used == "kernel" else None
+            )
+        return self._plan_sims[key]
 
     def _process_fallback(self, plan) -> Dict[int, "EvaluationOutcome"]:
         """Re-route one evaluation through process sharding (the
@@ -297,8 +306,8 @@ class ThreadedEvaluator:
             stats.count_fallback("engine-not-kernel")
             return self._process_fallback(plan)
         bounds = shard_bounds(self.n_scenarios, self.workers)
-        simulators = self._simulators_for(plan, len(bounds))
-        if simulators is None:
+        simulator = self._simulator_for(plan)
+        if simulator is None:
             stats.count_fallback("kernel-unavailable")
             return self._process_fallback(plan)
         source = self._source()
@@ -308,12 +317,11 @@ class ThreadedEvaluator:
                 plan, execution=ExecutionConfig(engine=self.engine)
             )
         batches = {f: source._batch_for(f) for f in self.fault_counts}
-        stats.evaluations += 1
-        stats.shards += len(bounds)
+        stats.count_evaluation(len(bounds))
         pool = self._ensure_pool()
         futures = [
-            pool.submit(_run_shard, simulators[i], batches, lo, hi)
-            for i, (lo, hi) in enumerate(bounds)
+            pool.submit(_run_shard, simulator, batches, lo, hi)
+            for lo, hi in bounds
         ]
         shards = [future.result() for future in futures]
         return merge_shard_outcomes(self.fault_counts, shards)

@@ -2,8 +2,7 @@
 
 The paper ranks ready soft processes with the MU priority function of
 Cortes et al. [3], which is not reproduced in the paper itself.  We
-implement MU as *expected utility density with successor lookahead*
-(DESIGN.md note 2):
+implement MU as *expected utility density with successor lookahead*:
 
     MU(P_i) = (α_i · U_i(now + AET_i)
                + w · Σ_{soft succ j} α_j · U_j(now + AET_i + AET_j))

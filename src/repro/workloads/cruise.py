@@ -5,7 +5,7 @@ microcontroller, nine of which — the ones "critically involved with
 the actuators" — are hard; k = 2 transient faults are tolerated and µ
 is 10% of each process's WCET.  The concrete graph is published only
 in the licentiate thesis [8], which is not available to us, so we
-reconstruct a functionally equivalent controller (DESIGN.md note 7):
+reconstruct a functionally equivalent controller:
 a sensor → filtering → control-law → actuation pipeline for the hard
 path, surrounded by soft processes for driver interface, diagnostics,
 adaptation and communication.

@@ -2,8 +2,7 @@
 
 The paper generates applications that are schedulable but loaded
 enough that soft processes compete for slack; deadlines/periods are
-not published, so we derive them from worst-case bounds (DESIGN.md
-note 7):
+not published, so we derive them from worst-case bounds:
 
 * a **hard-only bound** — the completion time of each hard process
   when the hard processes run alone in deadline-agnostic topological

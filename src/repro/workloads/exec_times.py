@@ -3,7 +3,7 @@
 The paper's setup: worst-case execution times uniformly varied between
 10 and 100 ms, best-case execution times between 0 ms and the WCET,
 completion times uniformly distributed in [BCET, WCET] (so the AET is
-their midpoint — see DESIGN.md note 1 on the paper's typo).
+their midpoint).
 """
 
 from __future__ import annotations

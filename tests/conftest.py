@@ -65,20 +65,22 @@ def cc_app():
 def kernel_cache(tmp_path, monkeypatch):
     """An isolated kernel artifact cache with zeroed process state.
 
-    Points ``$REPRO_KERNEL_CACHE`` at a per-test directory and clears
-    the in-process loaded-kernel memo and global stats, so each test
-    observes its own compiles/cache hits; both are restored after.
+    Points ``$REPRO_KERNEL_CACHE`` at a per-test directory and unloads
+    the in-process core, table memo and global stats, so each test
+    observes its own core build, table hits and fallbacks; all are
+    restored after.
     """
     import repro.runtime.engine.kernel.dispatch as dispatch
 
     path = tmp_path / "kernels"
     monkeypatch.setenv("REPRO_KERNEL_CACHE", str(path))
-    saved = dict(dispatch._LOADED)
-    dispatch._LOADED.clear()
+    monkeypatch.setattr(dispatch, "_CORE", None)
+    saved = dict(dispatch._TABLES)
+    dispatch._TABLES.clear()
     dispatch.reset_kernel_stats()
     yield path
-    dispatch._LOADED.clear()
-    dispatch._LOADED.update(saved)
+    dispatch._TABLES.clear()
+    dispatch._TABLES.update(saved)
     dispatch.reset_kernel_stats()
 
 

@@ -124,7 +124,7 @@ def test_differential_corpus(engine_full):
 
 @engine_smoke
 def test_kernel_differential_corpus(engine_full, kernel_cache):
-    """The generated-C kernel matches the batched engine bit for bit.
+    """The C kernel core matches the batched engine bit for bit.
 
     The batched engine is oracle-gated by
     :func:`test_differential_corpus`; chaining the kernel to it over

@@ -1,31 +1,48 @@
-"""The generated-C kernel engine: build, cache, fallback and chaos.
+"""The C kernel engine: build, cache, fallback and chaos.
 
 Bit identity with the oracle is gated by
 ``tests/test_engine_differential.py``; this file covers the machinery
-around the kernel itself — that the emitted C is warning-clean under
-``-Wall -Werror``, that the artifact cache and in-process memo count
-hits, that every way a kernel can fail to materialize (no compiler,
-injected chaos) degrades to the NumPy engine with a counted reason
-and identical results, and that the CLI/service surfaces report it.
+around the kernel itself — that the one C core is warning-clean under
+strict flags, that it is built once and then served from the artifact
+cache while every plan's lowered tables come from the in-process memo
+or the ``.npz`` cache (also in a fresh process, also after a torn
+``.npz``), that every way the kernel can fail to materialize (no
+compiler, injected chaos) degrades to the NumPy engine with a counted
+reason and identical results, and that the stats counters stay exact
+under concurrent updates.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import subprocess
+import sys
+import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.evaluation.montecarlo import MonteCarloEvaluator
+from repro.examples_support import (
+    paper_fig1_application,
+    paper_fig8_application,
+)
 from repro.quasistatic.ftqs import FTQSConfig, ftqs
 from repro.runtime.engine import BatchSimulator, ScenarioBatch
 from repro.runtime.engine.kernel import (
     KernelSimulator,
+    KernelStats,
     find_compiler,
     generate_kernel_source,
     kernel_stats,
     plan_fingerprint,
 )
+from repro.runtime.engine.threads import ThreadStats
 from repro.scheduling.ftss import ftss
+from repro.workloads.cruise import cruise_controller
 
 
 def _tree(app, schedules=6):
@@ -58,42 +75,76 @@ def _assert_same_results(app, plan, simulator):
         assert (actual.fast_path == expected.fast_path).all()
 
 
-# ----------------------------------------------------------------------
-# Generated source
-# ----------------------------------------------------------------------
-def test_generated_source_compiles_warning_clean(
-    fig1_app, fig8_app, tmp_path, kernel_cache
-):
-    """Round trip: the emitted C compiles under -Wall -Werror.
-
-    The production flags don't include -Wall; this pins that the
-    generator never relies on the compiler being lenient (unused
-    statics, implicit conversions, missing braces).
-    """
-    compiler = find_compiler()
-    if compiler is None:
+def _needs_compiler():
+    if find_compiler() is None:
         pytest.skip("no C compiler on this box")
-    for label, app in (("fig1", fig1_app), ("fig8", fig8_app)):
-        tree = _tree(app)
-        simulator = BatchSimulator(app, tree)
-        source = generate_kernel_source(
-            simulator.capp, simulator.ctree, simulator._tables
-        )
-        c_path = tmp_path / f"{label}.c"
-        c_path.write_text(source)
-        proc = subprocess.run(
-            [
-                compiler, "-std=c99", "-Wall", "-Werror", "-fPIC",
-                "-shared", "-ffp-contract=off",
-                "-o", str(tmp_path / f"{label}.so"), str(c_path),
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, (
-            f"{label}: generated source not warning-clean:\n{proc.stderr}"
-        )
+
+
+def _three_plans():
+    """The fig1, fig8 and cruise-controller FTQS plans."""
+    return [
+        (paper_fig1_application(), 6),
+        (paper_fig8_application(), 6),
+        (cruise_controller(), 4),
+    ]
+
+
+def _serve_plans() -> dict:
+    """Construct a kernel simulator per plan; stats plus a digest of
+    every result, for comparison across processes."""
+    digest = hashlib.sha256()
+    engines = []
+    for app, schedules in _three_plans():
+        simulator = KernelSimulator(app, _tree(app, schedules))
+        engines.append(simulator.engine_used)
+        for _, batch in sorted(_batch(app).items()):
+            result = simulator.run_batch(batch)
+            digest.update(result.utilities.tobytes())
+            digest.update(repr(result.switch_chains).encode())
+    stats = kernel_stats()
+    return {
+        "engines": engines,
+        "compiles": stats.compiles,
+        "cache_hits": stats.cache_hits,
+        "fallbacks": stats.fallbacks,
+        "digest": digest.hexdigest(),
+    }
+
+
+def _serve_plans_without_lowering() -> None:
+    """Entry point of the second process: lowering is forbidden."""
+    import repro.runtime.engine.kernel.dispatch as dispatch
+
+    def refuse(*args):
+        raise AssertionError("a warm table cache must not re-lower")
+
+    dispatch.lower_plan = refuse
+    print(json.dumps(_serve_plans()))
+
+
+# ----------------------------------------------------------------------
+# The core
+# ----------------------------------------------------------------------
+def test_core_compiles_warning_clean(tmp_path):
+    """The core compiles under strict C99 with every warning an error.
+
+    The production flags don't include warnings; this pins that the
+    core never relies on the compiler being lenient.
+    """
+    _needs_compiler()
+    c_path = tmp_path / "core.c"
+    c_path.write_text(generate_kernel_source())
+    proc = subprocess.run(
+        [
+            find_compiler(), "-std=c99", "-Wall", "-Wextra", "-Werror",
+            "-pedantic", "-O2", "-fPIC", "-shared", "-ffp-contract=off",
+            "-o", str(tmp_path / "core.so"), str(c_path),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, f"core not warning-clean:\n{proc.stderr}"
 
 
 def test_fingerprint_is_structural(fig1_app):
@@ -109,13 +160,66 @@ def test_fingerprint_is_structural(fig1_app):
     assert fp_a != plan_fingerprint(sim_root.capp, sim_root.ctree)
 
 
+def _mixed_utility_app():
+    """A hard chain feeding soft processes of every utility kind."""
+    from repro.model.application import Application
+    from repro.model.graph import ProcessGraph
+    from repro.model.process import hard_process, soft_process
+    from repro.utility.functions import (
+        ConstantUtility,
+        LinearUtility,
+        StepUtility,
+        TabulatedUtility,
+    )
+
+    utilities = {
+        "S": StepUtility(40, [(90, 25), (160, 5)]),
+        "C": ConstantUtility(12.5),
+        "K": ConstantUtility(30, cutoff=140),
+        "T": TabulatedUtility([(60, 35.5), (120, 20.25), (180, 0.0)]),
+        "L": LinearUtility(50.0, 0.3),
+    }
+    processes = [hard_process("H", bcet=10, wcet=30, deadline=120)] + [
+        soft_process(name, 10, 40, utility)
+        for name, utility in utilities.items()
+    ]
+    edges = [("H", "S"), ("H", "T"), ("S", "C"), ("T", "L"), ("C", "K")]
+    graph = ProcessGraph(processes, edges, name="mixed", period=260)
+    return Application(graph, period=260, k=2, mu=5), utilities
+
+
+def test_every_utility_kind_matches_the_oracle(kernel_cache):
+    """Step, constant (with and without cutoff), tabulated and linear
+    utilities give the oracle's values bit for bit, in the NumPy
+    evaluators and through the core."""
+    from repro.runtime.engine.compile import utility_evaluator
+    from repro.runtime.online import OnlineScheduler
+
+    app, utilities = _mixed_utility_app()
+    times = np.arange(-5, 300, dtype=np.int64)
+    for utility in utilities.values():
+        expected = [float(utility.value_at(int(t))) for t in times]
+        assert utility_evaluator(utility)(times).tolist() == expected
+
+    _needs_compiler()
+    tree = _tree(app, schedules=6)
+    kernel = KernelSimulator(app, tree)
+    assert kernel.engine_used == "kernel"
+    oracle = OnlineScheduler(app, tree, record_events=False)
+    for _, batch in _batch(app, n=200, seed=7).items():
+        result = kernel.run_batch(batch)
+        for i in range(batch.n_scenarios):
+            outcome = oracle.run(batch.scenario(i))
+            assert result.utilities[i] == outcome.utility
+            assert result.switch_chains[i] == outcome.switches
+    _assert_same_results(app, tree, kernel)
+
+
 # ----------------------------------------------------------------------
 # Cache accounting
 # ----------------------------------------------------------------------
 def test_cache_counts_compile_then_hits(fig1_app, kernel_cache):
-    compiler = find_compiler()
-    if compiler is None:
-        pytest.skip("no C compiler on this box")
+    _needs_compiler()
     import repro.runtime.engine.kernel.dispatch as dispatch
 
     tree = _tree(fig1_app)
@@ -123,21 +227,80 @@ def test_cache_counts_compile_then_hits(fig1_app, kernel_cache):
     assert first.engine_used == "kernel"
     assert kernel_stats().compiles == 1
     assert kernel_stats().cache_hits == 0
-    # Second construction: served from the in-process memo.
+    # Second construction: tables served from the in-process memo.
     second = KernelSimulator(fig1_app, tree)
     assert second.engine_used == "kernel"
     assert kernel_stats().compiles == 1
     assert kernel_stats().cache_hits == 1
-    # Cold process, warm disk: clearing the memo must fall through to
-    # the on-disk artifact cache, not recompile.
-    dispatch._LOADED.clear()
+    # Memo cleared, disk warm: the tables come from the .npz, not
+    # from lowering again.
+    dispatch._TABLES.clear()
     third = KernelSimulator(fig1_app, tree)
     assert third.engine_used == "kernel"
     assert kernel_stats().compiles == 1
     assert kernel_stats().cache_hits == 2
-    # The artifact cache holds the object and its source for debugging.
-    assert any(kernel_cache.glob("*.so"))
-    assert any(kernel_cache.glob("*.c"))
+    # The cache holds the core (and its source, for debugging) and
+    # the plan's tables.
+    assert len(list(kernel_cache.glob("*.so"))) == 1
+    assert len(list(kernel_cache.glob("*.c"))) == 1
+    assert len(list(kernel_cache.glob("*.npz"))) == 1
+
+
+def test_one_core_serves_every_plan_across_processes(kernel_cache):
+    """One build for three plans; a second process builds and lowers
+    nothing and reproduces every result."""
+    _needs_compiler()
+    first = _serve_plans()
+    assert first["engines"] == ["kernel"] * 3
+    assert first["compiles"] == 1
+    assert first["cache_hits"] == 0
+    assert len(list(kernel_cache.glob("*.so"))) == 1
+    assert len(list(kernel_cache.glob("*.npz"))) == 3
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; "
+        f"sys.path[:0] = [{str(src)!r}, {str(Path(__file__).parent)!r}]; "
+        "import test_kernel_engine as t; "
+        "t._serve_plans_without_lowering()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "REPRO_KERNEL_CACHE": str(kernel_cache)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    second = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert second["engines"] == ["kernel"] * 3
+    assert second["compiles"] == 0
+    assert second["cache_hits"] == 3
+    assert second["fallbacks"] == {}
+    assert second["digest"] == first["digest"]
+
+
+def test_truncated_tables_are_relowered(fig1_app, kernel_cache):
+    """A torn ``.npz`` reads as absent: the plan is lowered again, the
+    file rewritten, and the results are unchanged."""
+    _needs_compiler()
+    import repro.runtime.engine.kernel.dispatch as dispatch
+
+    tree = _tree(fig1_app)
+    KernelSimulator(fig1_app, tree)
+    (npz,) = kernel_cache.glob("*.npz")
+    whole = npz.read_bytes()
+    npz.write_bytes(whole[: len(whole) // 2])
+    dispatch._TABLES.clear()
+    simulator = KernelSimulator(fig1_app, tree)
+    assert simulator.engine_used == "kernel"
+    assert kernel_stats().cache_hits == 0
+    assert kernel_stats().fallbacks == {}
+    assert len(npz.read_bytes()) == len(whole)
+    dispatch._TABLES.clear()
+    assert KernelSimulator(fig1_app, tree).engine_used == "kernel"
+    assert kernel_stats().cache_hits == 1
+    _assert_same_results(fig1_app, tree, simulator)
 
 
 # ----------------------------------------------------------------------
@@ -182,9 +345,7 @@ def test_chaos_forces_compile_failure_deterministically(
     fig1_app, kernel_cache
 ):
     """kernel-fail@1 degrades the first build; the second succeeds."""
-    compiler = find_compiler()
-    if compiler is None:
-        pytest.skip("no C compiler on this box")
+    _needs_compiler()
     from repro.pipeline import chaos
 
     tree = _tree(fig1_app)
@@ -196,12 +357,13 @@ def test_chaos_forces_compile_failure_deterministically(
         assert plan.kernel_compiles_seen == 1
         assert plan.kernel_failures_injected == 1
         _assert_same_results(fig1_app, tree, degraded)
-        # Attempt 2 is not scheduled to fail: the engine recovers.
+        # Attempt 2 is not scheduled to fail: the core gets built.
         recovered = KernelSimulator(fig1_app, tree)
         assert recovered.engine_used == "kernel"
         assert plan.kernel_compiles_seen == 2
         assert plan.kernel_failures_injected == 1
     assert kernel_stats().fallbacks == {"chaos": 1}
+    assert kernel_stats().compiles == 1
 
 
 def test_chaos_parse_kernel_fail_tokens():
@@ -219,8 +381,6 @@ def test_chaos_parse_kernel_fail_tokens():
 # Stats surface
 # ----------------------------------------------------------------------
 def test_stats_summary_and_dict_shapes():
-    from repro.runtime.engine.kernel import KernelStats
-
     stats = KernelStats()
     assert stats.summary() == "0 compile(s), 0 cache hit(s)"
     stats.compiles = 2
@@ -239,6 +399,75 @@ def test_stats_summary_and_dict_shapes():
     snapshot = stats.snapshot()
     stats.count_fallback("chaos")
     assert snapshot.fallbacks == {"no-compiler": 2, "chaos": 1}
+
+
+@pytest.mark.parametrize(
+    "stats, bump",
+    [
+        (KernelStats(), lambda stats: stats.add("oracle_scenarios")),
+        (ThreadStats(), lambda stats: stats.count_evaluation(1)),
+    ],
+    ids=["kernel", "threads"],
+)
+def test_stats_counters_are_thread_safe(stats, bump):
+    """8 threads x 20k updates, switching threads as often as the
+    interpreter allows, lose no update."""
+    threads, updates = 8, 20_000
+
+    def work():
+        for _ in range(updates):
+            stats.count_fallback("chaos")
+            bump(stats)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    total = threads * updates
+    assert stats.fallbacks == {"chaos": total}
+    if isinstance(stats, KernelStats):
+        assert stats.oracle_scenarios == total
+    else:
+        assert (stats.evaluations, stats.shards) == (total, total)
+
+
+def test_forked_child_gets_free_locks():
+    """A fork while another thread holds the table lock (a service
+    request lowering a plan) must not deadlock the child."""
+    import repro.runtime.engine.kernel.dispatch as dispatch
+    import repro.runtime.engine.threads as threads
+
+    locks = [
+        dispatch._LOCK,
+        dispatch.kernel_stats()._lock,
+        threads.thread_stats()._lock,
+    ]
+    for lock in locks:
+        lock.acquire()
+    try:
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child exits right away
+            free = all(
+                lock.acquire(timeout=5)
+                for lock in (
+                    dispatch._LOCK,
+                    dispatch.kernel_stats()._lock,
+                    threads.thread_stats()._lock,
+                )
+            )
+            os._exit(0 if free else 1)
+    finally:
+        for lock in locks:
+            lock.release()
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 def test_evaluator_engine_validation():

@@ -1,4 +1,4 @@
-"""Property-based tests of the library-wide invariants (DESIGN.md §5).
+"""Property-based tests of the library-wide invariants.
 
 These use hypothesis to generate random applications/scenarios and
 check the guarantees the schedulers advertise, most importantly the
