@@ -53,9 +53,9 @@ from repro.evaluation.experiments import (
 def _positive_int(text: str) -> int:
     """argparse type for worker counts: an integer >= 1.
 
-    Rejects ``--jobs 0`` / ``--synthesis-jobs -2`` at parse time with
-    a one-line usage error instead of a deep traceback out of the
-    pool machinery.
+    Rejects ``--synthesis-jobs 0`` / ``--max-inflight -2`` at parse
+    time with a one-line usage error instead of a deep traceback out
+    of the pool machinery.
     """
     try:
         value = int(text)
@@ -84,40 +84,6 @@ def _executor_spec(text: str):
         return ExecutionConfig.parse(text)
     except RuntimeModelError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _engine_name(text: str) -> str:
-    """argparse type for the deprecated ``--engine``: same one-line
-    enumeration as a bad ``--executor`` spec."""
-    from repro.execution import ENGINES, choices_line
-
-    if text not in ENGINES:
-        raise argparse.ArgumentTypeError(
-            f"unknown engine {text!r}; {choices_line()}"
-        )
-    return text
-
-
-def _resolve_execution(args: argparse.Namespace):
-    """The :class:`ExecutionConfig` the flags mean.
-
-    ``--executor`` wins; the deprecated ``--engine``/``--jobs`` map
-    onto it (``E``/``N`` → ``E@processes:N``) and cannot be combined
-    with it.
-    """
-    from repro.execution import ExecutionConfig
-
-    executor = getattr(args, "executor", None)
-    engine = getattr(args, "engine", None)
-    jobs = getattr(args, "jobs", None)
-    if executor is not None:
-        if engine is not None or jobs is not None:
-            raise SystemExit(
-                "error: --executor supersedes --engine/--jobs; pass "
-                "one or the other"
-            )
-        return executor
-    return ExecutionConfig.from_legacy(engine=engine, jobs=jobs)
 
 
 def _open_store(args: argparse.Namespace):
@@ -207,9 +173,10 @@ def _print_synthesis_line(stats, store=None) -> None:
 def _open_checkpoint(args: argparse.Namespace, name: str, config=None):
     """The resume journal for ``--checkpoint``/``--resume`` (or None).
 
-    The workload fingerprint masks the routing knobs, so the routed
+    The workload fingerprint masks the routing knob, so the routed
     config can be passed directly: a sweep checkpointed with
-    ``--jobs 4`` resumes fine under ``--jobs 1``.  Manifest mismatches
+    ``--executor batched@processes:4`` resumes fine under
+    ``--executor reference``.  Manifest mismatches
     (wrong experiment, different workload) die with the checkpoint
     module's one-line explanation instead of a traceback.
     """
@@ -271,7 +238,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             "error: --resume needs --checkpoint DIR (the journal to "
             "resume from)"
         )
-    routing = {"execution": _resolve_execution(args).spec()}
+    routing = {"execution": args.executor.spec()}
     synthesis, stats = _synthesis_routing(args)
     reset_pool_recovery()
     store = _open_store(args)
@@ -399,7 +366,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        execution=_resolve_execution(args),
+        execution=args.executor,
         synthesis_jobs=args.synthesis_jobs,
         synthesis=args.synthesis,
         max_inflight=args.max_inflight,
@@ -466,7 +433,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     app = application_from_dict(load_json(args.application))
     tree = tree_from_dict(app, load_json(args.tree))
-    execution = _resolve_execution(args)
+    execution = args.executor
     if execution.engine == "kernel":
         from repro.runtime.engine.kernel import reset_kernel_stats
 
@@ -536,7 +503,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         max_schedules=args.schedules,
         n_scenarios=args.scenarios,
         seed=args.seed,
-        execution=_resolve_execution(args),
+        execution=args.executor,
         synthesis=args.synthesis,
         synthesis_jobs=args.synthesis_jobs,
         stats=stats,
@@ -597,12 +564,12 @@ def _add_chaos_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    """Simulation-execution routing flags shared by the sub-commands."""
+def _add_executor_option(parser: argparse.ArgumentParser) -> None:
+    """The Monte-Carlo routing flag shared by the sub-commands."""
     parser.add_argument(
         "--executor",
         type=_executor_spec,
-        default=None,
+        default="batched",
         metavar="SPEC",
         help="Monte-Carlo execution spec ENGINE[@MODE[:WORKERS]] — "
         "engines: reference (pure-Python oracle loop), batched (NumPy "
@@ -615,19 +582,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "Results are bit-identical for every spec, only speed "
         "differs; e.g. 'kernel@threads:8', 'batched@processes:4', "
         "'reference' (default: batched)",
-    )
-    parser.add_argument(
-        "--engine",
-        type=_engine_name,
-        default=None,
-        metavar="ENGINE",
-        help="deprecated alias for --executor ENGINE",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help="deprecated alias for --executor ENGINE@processes:N",
     )
 
 
@@ -693,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
         "not match)",
     )
     _add_chaos_option(exp)
-    _add_engine_options(exp)
+    _add_executor_option(exp)
     _add_synthesis_options(exp)
     exp.set_defaults(func=_cmd_experiment)
 
@@ -744,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_options(srv)
     _add_chaos_option(srv)
-    _add_engine_options(srv)
+    _add_executor_option(srv)
     _add_synthesis_options(srv)
     srv.set_defaults(func=_cmd_serve)
 
@@ -767,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenarios", type=int, default=200)
     sim.add_argument("--seed", type=int, default=1)
     _add_chaos_option(sim)
-    _add_engine_options(sim)
+    _add_executor_option(sim)
     sim.set_defaults(func=_cmd_simulate)
 
     export = sub.add_parser("export", help="render a tree as C tables")
@@ -782,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--schedules", type=int, default=8)
     report.add_argument("--scenarios", type=int, default=200)
     report.add_argument("--seed", type=int, default=1)
-    _add_engine_options(report)
+    _add_executor_option(report)
     _add_synthesis_options(report)
     report.set_defaults(func=_cmd_report)
     return parser

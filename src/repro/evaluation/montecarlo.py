@@ -7,17 +7,17 @@ replayed against every approach — the comparison is paired — which is
 what :class:`MonteCarloEvaluator` implements: scenarios are generated
 once per (application, fault count) and each plan runs them all.
 
-Two interchangeable engines execute the replay:
+Three interchangeable engines execute the replay:
 
-* ``engine="reference"`` — the pure-Python
+* ``reference`` — the pure-Python
   :class:`~repro.runtime.online.OnlineScheduler` event loop, one
   scenario at a time (the behavioral oracle);
-* ``engine="batched"`` — the array-based
+* ``batched`` — the array-based
   :class:`~repro.runtime.engine.simulator.BatchSimulator`, which packs
   each scenario set into a :class:`ScenarioBatch` and is bit-identical
   to the oracle (see ``tests/test_engine_differential.py``) while an
   order of magnitude faster;
-* ``engine="kernel"`` — the
+* ``kernel`` — the
   :class:`~repro.runtime.engine.kernel.KernelSimulator`, which runs
   the plan's lowered decision tables through one prebuilt C core and
   is bit-identical to both (falling back to the batched engine, with
@@ -32,8 +32,6 @@ instance or a spec string like ``"kernel@threads:8"``):
 ``mode="threads"`` across a GIL-free thread pool via
 :class:`~repro.runtime.engine.threads.ThreadedEvaluator`.  Sharding is
 deterministic and outcome-preserving for any mode and worker count.
-The pre-:class:`ExecutionConfig` keywords ``engine=``/``jobs=`` remain
-as deprecated aliases.
 """
 
 from __future__ import annotations
@@ -44,12 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import RuntimeModelError
-from repro.execution import (
-    ENGINES,
-    ExecutionConfig,
-    choices_line,
-    resolve_execution,
-)
+from repro.execution import ExecutionConfig
 from repro.faults.injection import ExecutionScenario, ScenarioSampler
 from repro.model.application import Application
 from repro.quasistatic.tree import QSTree
@@ -66,12 +59,18 @@ Plan = Union[QSTree, FSchedule]
 #: the reference loop (the whole set, for ``engine="reference"``).
 RawOutcome = Tuple[List[float], int, int, int, int]
 
-def _check_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise RuntimeModelError(
-            f"unknown engine {engine!r}; {choices_line()}"
-        )
-    return engine
+
+def simulator_for(engine: str, app: Application, plan: Plan):
+    """The simulator replaying ``plan`` on ``engine``: the oracle
+    :class:`OnlineScheduler` for ``reference``, else a ``run_batch``
+    engine (the kernel simulator degrades to batched on its own)."""
+    if engine == "reference":
+        return OnlineScheduler(app, plan, record_events=False)
+    if engine == "kernel":
+        from repro.runtime.engine.kernel import KernelSimulator
+
+        return KernelSimulator(app, plan)
+    return BatchSimulator(app, plan)
 
 
 @dataclass
@@ -149,7 +148,7 @@ class MonteCarloEvaluator:
         ``--full-scale`` restores the paper's number).
     fault_counts:
         Which fault counts to evaluate (default 0..k); must be
-        non-empty.
+        non-empty and free of duplicates.
     seed:
         Seed of the scenario sampler.
     execution:
@@ -158,11 +157,6 @@ class MonteCarloEvaluator:
         ``"batched@processes:4"``) routing engine and parallelism;
         defaults to the inline reference engine.  Results are
         identical for every config, only speed differs.
-    engine, jobs:
-        Deprecated aliases (``engine=E, jobs=N`` ≡
-        ``execution=f"{E}@processes:{N}"``, inline for ``N == 1``);
-        they emit a :class:`DeprecationWarning` and cannot be combined
-        with ``execution=``.
     resources:
         An optional :class:`repro.pipeline.resources.ResourceManager`.
         When set, sharded evaluation borrows the manager's shared
@@ -181,8 +175,6 @@ class MonteCarloEvaluator:
         fault_counts: Optional[Sequence[int]] = None,
         seed: int = 1,
         execution: Union[None, str, ExecutionConfig] = None,
-        engine: Optional[str] = None,
-        jobs: Optional[int] = None,
         resources=None,
     ):
         if n_scenarios < 1:
@@ -190,16 +182,11 @@ class MonteCarloEvaluator:
         self.app = app
         self.n_scenarios = int(n_scenarios)
         self.seed = seed
-        self.execution = resolve_execution(
-            execution,
-            engine,
-            jobs,
-            base=self.DEFAULT_EXECUTION,
-            owner="MonteCarloEvaluator",
+        self.execution = (
+            self.DEFAULT_EXECUTION
+            if execution is None
+            else ExecutionConfig.coerce(execution)
         )
-        # Read-only legacy mirrors of the resolved routing.
-        self.engine = self.execution.engine
-        self.jobs = self.execution.workers
         self.resources = resources
         self.fault_counts = (
             list(fault_counts)
@@ -209,6 +196,12 @@ class MonteCarloEvaluator:
         if not self.fault_counts:
             raise RuntimeModelError(
                 "need at least one fault count to evaluate"
+            )
+        if len(set(self.fault_counts)) != len(self.fault_counts):
+            # A repeated count would be sampled twice, the second draw
+            # silently replacing the first under the same key.
+            raise RuntimeModelError(
+                f"duplicate fault counts in {self.fault_counts}"
             )
         # Couple the fault-count axes: the i-th scenario of every fault
         # count shares the same execution-time draws, differing only in
@@ -276,49 +269,6 @@ class MonteCarloEvaluator:
             observed += result.faults_observed
         return utilities, misses, switches, observed, len(utilities)
 
-    @staticmethod
-    def _batched_raw(
-        simulator: BatchSimulator, batch: ScenarioBatch
-    ) -> RawOutcome:
-        result = simulator.run_batch(batch)
-        return (
-            [float(u) for u in result.utilities],
-            int(result.deadline_miss.sum()),
-            int(result.switch_counts.sum()),
-            int(result.faults_observed.sum()),
-            result.n_fallback,
-        )
-
-    def simulate_raw(
-        self,
-        plan: Plan,
-        scenarios: Sequence[ExecutionScenario],
-        engine: Optional[str] = None,
-    ) -> RawOutcome:
-        """Simulate an explicit scenario list; returns raw counts.
-
-        The building block :class:`ParallelEvaluator` workers call on
-        their shard slices.
-        """
-        engine = self.engine if engine is None else _check_engine(engine)
-        if engine in ("batched", "kernel"):
-            return self._batched_raw(
-                self._simulator_for(engine, plan),
-                ScenarioBatch.from_scenarios(self.app, scenarios),
-            )
-        return self._reference_raw(
-            OnlineScheduler(self.app, plan, record_events=False), scenarios
-        )
-
-    def _simulator_for(self, engine: str, plan: Plan) -> BatchSimulator:
-        """The array-engine simulator for ``engine`` (``run_batch`` duck
-        type; the kernel simulator degrades to batched on its own)."""
-        if engine == "kernel":
-            from repro.runtime.engine.kernel import KernelSimulator
-
-            return KernelSimulator(self.app, plan)
-        return BatchSimulator(self.app, plan)
-
     # ------------------------------------------------------------------
     # Public evaluation API
     # ------------------------------------------------------------------
@@ -326,23 +276,18 @@ class MonteCarloEvaluator:
         self,
         plan: Plan,
         execution: Union[None, str, ExecutionConfig] = None,
-        engine: Optional[str] = None,
-        jobs: Optional[int] = None,
     ) -> Dict[int, EvaluationOutcome]:
         """Run all scenario sets against ``plan``.
 
         Returns one :class:`EvaluationOutcome` per fault count.
         ``execution`` overrides the evaluator-wide routing for this
         call (the benches use this to time several engines on the same
-        scenario sets); the deprecated ``engine``/``jobs`` keywords
-        override their respective halves of it.
+        scenario sets).
         """
-        config = resolve_execution(
-            execution,
-            engine,
-            jobs,
-            base=self.execution,
-            owner="MonteCarloEvaluator.evaluate",
+        config = (
+            self.execution
+            if execution is None
+            else ExecutionConfig.coerce(execution)
         )
         if config.workers > 1 and config.mode != "inline":
             if config.mode == "processes" and config.engine == "kernel":
@@ -351,20 +296,17 @@ class MonteCarloEvaluator:
                 # inherits them) instead of racing to build them.
                 # (The threaded executor builds its shard simulators
                 # in-process itself.)
-                self._simulator_for(config.engine, plan)
+                simulator_for(config.engine, self.app, plan)
             return self.executor(config).evaluate(plan)
-        engine = config.engine
+        simulator = simulator_for(config.engine, self.app, plan)
         outcomes: Dict[int, EvaluationOutcome] = {}
-        if engine in ("batched", "kernel"):
-            simulator = self._simulator_for(engine, plan)
-            for faults in self.fault_counts:
-                raw = self._batched_raw(simulator, self._batch_for(faults))
-                outcomes[faults] = EvaluationOutcome.aggregate(*raw)
-        else:
-            scheduler = OnlineScheduler(self.app, plan, record_events=False)
-            for faults in self.fault_counts:
-                raw = self._reference_raw(scheduler, self.scenarios[faults])
-                outcomes[faults] = EvaluationOutcome.aggregate(*raw)
+        for faults in self.fault_counts:
+            if config.engine == "reference":
+                raw = self._reference_raw(simulator, self.scenarios[faults])
+            else:
+                batch = self._batch_for(faults)
+                raw = simulator.run_batch(batch).raw_outcome()
+            outcomes[faults] = EvaluationOutcome.aggregate(*raw)
         return outcomes
 
     def compare(
@@ -372,8 +314,9 @@ class MonteCarloEvaluator:
     ) -> Dict[str, Dict[int, EvaluationOutcome]]:
         """Evaluate several named plans on the same scenario sets.
 
-        With ``jobs > 1`` every plan reuses one persistent worker pool
-        and one set of shared-memory scenario segments.
+        With a sharded routing every plan reuses one persistent worker
+        (or thread) pool and, for processes, one set of shared-memory
+        scenario segments.
         """
         return {name: self.evaluate(plan) for name, plan in plans.items()}
 
@@ -404,37 +347,9 @@ class MonteCarloEvaluator:
                 pool = None
                 if self.resources is not None and config.workers > 1:
                     pool = self.resources.evaluation_pool(config.workers)
-                executor = ParallelEvaluator(
-                    self.app,
-                    n_scenarios=self.n_scenarios,
-                    fault_counts=self.fault_counts,
-                    seed=self.seed,
-                    execution=config,
-                    source=self,
-                    pool=pool,
-                )
+                executor = ParallelEvaluator(self, config, pool=pool)
             self._executors[config] = executor
         return executor
-
-    def parallel(self, engine: str, jobs: int) -> "ParallelEvaluator":
-        """Deprecated: the process-sharding executor for (engine, jobs).
-
-        Alias for ``executor(f"{engine}@processes:{jobs}")``.
-        """
-        import warnings
-
-        warnings.warn(
-            "MonteCarloEvaluator.parallel(engine, jobs) is deprecated; "
-            "use executor('ENGINE@processes:N') / "
-            "executor(ExecutionConfig(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.executor(
-            ExecutionConfig(
-                engine=engine, mode="processes", workers=int(jobs)
-            )
-        )
 
     def close(self) -> None:
         """Release any worker/thread pools and shared-memory segments."""

@@ -1,10 +1,11 @@
 """The unified execution surface: which engine runs a Monte-Carlo
 evaluation, and how it is spread over cores.
 
-Every layer that used to grow its own ``engine=``/``jobs=`` knobs —
-:class:`~repro.evaluation.montecarlo.MonteCarloEvaluator`, the
-experiment configs, the ``repro`` CLI, the HTTP service — now consumes
-one :class:`ExecutionConfig` value:
+Every layer that routes a Monte-Carlo evaluation —
+:class:`~repro.evaluation.montecarlo.MonteCarloEvaluator`
+(``execution=``), the experiment configs, the ``repro`` CLI
+(``--executor``), the HTTP service (the ``executor`` request field) —
+consumes one :class:`ExecutionConfig` value:
 
 * ``engine`` — which simulator replays the scenarios: ``reference``
   (the oracle event loop), ``batched`` (the NumPy array engine) or
@@ -29,9 +30,6 @@ Sharding is outcome-preserving for any mode and worker count, so an
 which is why checkpoint fingerprints mask it (see
 ``pipeline/checkpoint.py``).
 
-The legacy keywords remain as deprecated aliases — ``engine=E,
-jobs=N`` maps onto ``E@processes:N`` (or inline for ``N == 1``) via
-:func:`resolve_execution`, which emits a :class:`DeprecationWarning`.
 This module deliberately imports nothing heavier than the error type,
 so the CLI and service layers can parse specs without dragging in
 NumPy.
@@ -39,9 +37,8 @@ NumPy.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 from repro.errors import RuntimeModelError
 
@@ -160,75 +157,3 @@ class ExecutionConfig:
             f"an ExecutionConfig or a spec string like "
             f"'kernel@threads:8'"
         )
-
-    @classmethod
-    def from_legacy(
-        cls, engine: Optional[str] = None, jobs: Optional[int] = None
-    ) -> "ExecutionConfig":
-        """The config the deprecated ``engine=``/``jobs=`` pair meant:
-        process sharding for ``jobs > 1``, inline otherwise."""
-        jobs = 1 if jobs is None else int(jobs)
-        if jobs < 1:
-            raise RuntimeModelError(f"jobs must be positive, got {jobs}")
-        return cls(
-            engine="batched" if engine is None else engine,
-            mode="inline" if jobs == 1 else "processes",
-            workers=jobs,
-        )
-
-
-def resolve_execution(
-    execution: Union[None, str, ExecutionConfig] = None,
-    engine: Optional[str] = None,
-    jobs: Optional[int] = None,
-    *,
-    base: Optional[ExecutionConfig] = None,
-    owner: str = "MonteCarloEvaluator",
-    stacklevel: int = 3,
-) -> ExecutionConfig:
-    """One :class:`ExecutionConfig` from the new keyword and/or the
-    deprecated ``engine=``/``jobs=`` pair.
-
-    ``base`` is the config a per-call override starts from (the
-    evaluator-wide setting): a legacy ``engine=`` swaps the engine but
-    keeps the base routing, a legacy ``jobs=`` re-routes onto the base
-    parallel mode (or ``processes`` when the base was inline).  The
-    legacy keywords emit a :class:`DeprecationWarning` and may not be
-    combined with ``execution=``.
-    """
-    legacy = engine is not None or jobs is not None
-    if legacy:
-        warnings.warn(
-            f"{owner}: engine=/jobs= are deprecated; pass "
-            f"execution='ENGINE[@MODE[:WORKERS]]' (e.g. "
-            f"'kernel@threads:8') instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        if execution is not None:
-            raise RuntimeModelError(
-                f"{owner}: pass either execution= or the deprecated "
-                f"engine=/jobs=, not both"
-            )
-        if base is None:
-            return ExecutionConfig.from_legacy(engine=engine, jobs=jobs)
-        config = base
-        if jobs is not None:
-            jobs = int(jobs)
-            if jobs < 1:
-                raise RuntimeModelError(
-                    f"jobs must be positive, got {jobs}"
-                )
-            if jobs == 1:
-                config = replace(config, mode="inline", workers=1)
-            else:
-                mode = (
-                    config.mode if config.mode != "inline" else "processes"
-                )
-                config = replace(config, mode=mode, workers=jobs)
-        if engine is not None:
-            config = replace(config, engine=engine)
-        return config
-    if execution is None:
-        return base if base is not None else ExecutionConfig()
-    return ExecutionConfig.coerce(execution)

@@ -12,8 +12,8 @@ Layout under the checkpoint directory:
 
 * ``manifest.json`` — the experiment's name plus a workload
   **fingerprint** (SHA-256 over the canonical JSON of the config with
-  the result-neutral routing knobs ``engine``/``jobs`` masked — both
-  engines and any worker count produce bit-identical rows, which the
+  the result-neutral ``execution`` routing knob masked — every engine
+  and worker count produces bit-identical rows, which the
   differential suites pin).  ``--resume`` refuses a directory whose
   manifest does not match, so rows of different workloads can never be
   mixed;
@@ -52,7 +52,7 @@ FORMAT_VERSION = 1
 
 #: Config knobs masked out of the workload fingerprint: pure routing,
 #: proven result-neutral by the differential suites.
-_ROUTING_KNOBS = ("engine", "jobs", "execution")
+_ROUTING_KNOBS = ("execution",)
 
 
 def _canonical(data: Dict[str, Any]) -> str:
@@ -75,7 +75,8 @@ def checkpoint_fingerprint(experiment: str, config=None) -> str:
 
     ``config`` may be a config dataclass or a plain dict; the routing
     knobs (:data:`_ROUTING_KNOBS`) are masked so a sweep checkpointed
-    with ``--jobs 4`` resumes fine under ``--jobs 1``.
+    with ``--executor batched@processes:4`` resumes fine under
+    ``--executor reference``.
     """
     payload: Dict[str, Any] = {"experiment": experiment}
     workload = masked_workload(config)

@@ -9,16 +9,17 @@ applications) re-spawned workers hundreds of times for no reason —
 the workers' code never changes, only the application context they
 hold.
 
-:class:`ResourceManager` closes that gap (the ROADMAP's pool-sharing
-open item): it owns **one** generic synthesis
-:class:`~repro.runtime.engine.parallel.TaskPool` and **one** generic
-evaluation pool for the whole experiment run.  Generic pools are
-spawned without an initializer; tasks carry their own context (the
-application, config, and — for evaluation — the names of the published
-shared-memory scenario segments), and workers re-initialize in place
-when the context token changes.  Results are unchanged: the contextual
-worker paths funnel into the exact same evaluation code as the
-initializer-based ones.
+:class:`ResourceManager` closes that gap: it owns **one** synthesis
+:class:`~repro.runtime.engine.parallel.TaskPool` and **one**
+evaluation pool for the whole experiment run.  Pool workers hold no
+application state of their own: each map ships a
+:class:`~repro.runtime.engine.parallel.WorkerContext` (the
+application, the config, and — for evaluation — the names of the
+published shared-memory scenario segments) that a worker builds once
+per context token, so the next application simply arrives with a new
+token.  A borrowed pool runs exactly the code a pool the synthesis
+engine or the evaluator spawns for itself runs, so results are
+unchanged.
 
 Pools are keyed by worker count, created lazily, and live until
 :meth:`ResourceManager.close` (or context-manager exit).  A manager
@@ -45,10 +46,12 @@ class ResourceManager:
     Use as a context manager::
 
         with ResourceManager(store=store) as resources:
-            for app in applications:
+            for app, root in applications:
                 tree = ftqs(app, root, config, jobs=4,
                             pool=resources.synthesis_pool(4))
-                with resources.evaluator(app, jobs=4) as evaluator:
+                with resources.evaluator(
+                    app, execution="batched@processes:4"
+                ) as evaluator:
                     evaluator.evaluate(tree)
 
     Exactly one synthesis pool and one evaluation pool (per worker
@@ -80,7 +83,7 @@ class ResourceManager:
     # ------------------------------------------------------------------
     # Pool acquisition
     # ------------------------------------------------------------------
-    def _generic_pool(self, cache: Dict[int, "TaskPool"], jobs: int):
+    def _shared_pool(self, cache: Dict[int, "TaskPool"], jobs: int):
         if jobs < 1:
             raise RuntimeModelError(f"jobs must be positive, got {jobs}")
         with self._lock:
@@ -91,7 +94,7 @@ class ResourceManager:
             return pool
 
     def _spawn_pool(self, jobs: int):
-        """Spawn one generic pool (separate for spawn-count tests)."""
+        """Spawn one shared pool (separate for spawn-count tests)."""
         from repro.runtime.engine.parallel import TaskPool
 
         return TaskPool(
@@ -105,11 +108,11 @@ class ResourceManager:
         ``jobs == 1`` — single-job synthesis never needs workers)."""
         if jobs == 1:
             return None
-        return self._generic_pool(self._synthesis_pools, jobs)
+        return self._shared_pool(self._synthesis_pools, jobs)
 
     def evaluation_pool(self, jobs: int) -> "TaskPool":
         """The shared Monte-Carlo scenario-sharding pool."""
-        return self._generic_pool(self._evaluation_pools, jobs)
+        return self._shared_pool(self._evaluation_pools, jobs)
 
     # ------------------------------------------------------------------
     # Evaluator construction

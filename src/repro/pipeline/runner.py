@@ -40,7 +40,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.execution import ExecutionConfig, resolve_execution
+from repro.execution import ExecutionConfig
 from repro.pipeline.resources import ResourceManager
 from repro.pipeline.store import TreeStore
 from repro.quasistatic.ftqs import FTQSConfig, ftqs
@@ -100,8 +100,7 @@ class ExperimentRunner:
     execution:
         Monte-Carlo routing — an
         :class:`~repro.execution.ExecutionConfig` or spec string like
-        ``"kernel@threads:8"`` (per driver config before; now shared).
-        ``engine=``/``jobs=`` remain as deprecated aliases.
+        ``"kernel@threads:8"``; defaults to inline ``batched``.
     synthesis, synthesis_jobs, stats:
         FTQS engine routing, as accepted by :func:`ftqs`.
     resources:
@@ -134,8 +133,6 @@ class ExperimentRunner:
         self,
         *,
         execution=None,
-        engine: Optional[str] = None,
-        jobs: Optional[int] = None,
         synthesis: str = "fast",
         synthesis_jobs: int = 1,
         stats=None,
@@ -143,16 +140,11 @@ class ExperimentRunner:
         store: Optional[TreeStore] = None,
         checkpoint=None,
     ):
-        self.execution = resolve_execution(
-            execution,
-            engine,
-            jobs,
-            base=self.DEFAULT_EXECUTION,
-            owner="ExperimentRunner",
+        self.execution = (
+            self.DEFAULT_EXECUTION
+            if execution is None
+            else ExecutionConfig.coerce(execution)
         )
-        # Read-only legacy mirrors of the resolved routing.
-        self.engine = self.execution.engine
-        self.jobs = self.execution.workers
         self.synthesis = synthesis
         self.synthesis_jobs = synthesis_jobs
         self.stats = stats

@@ -351,7 +351,7 @@ def ftqs(
       any job count).  ``stats`` may be a
       :class:`~repro.quasistatic.synthesis.SynthesisStats` to
       accumulate construction counters across calls, and ``pool`` a
-      shared generic :class:`~repro.runtime.engine.parallel.TaskPool`
+      shared :class:`~repro.runtime.engine.parallel.TaskPool`
       borrowed from a
       :class:`repro.pipeline.resources.ResourceManager` (used only by
       the fast engine with ``jobs > 1``).

@@ -35,9 +35,10 @@ count):
 * **Parallel candidate layer** — the candidates of one FTQS expansion
   are independent; with ``jobs > 1`` they are sharded across a
   persistent :class:`~repro.runtime.engine.parallel.TaskPool` whose
-  workers hold their own engine context, and merged in generation
-  order, so the admitted children (and therefore node ids, arcs and
-  the final tree) are identical for any job count.
+  workers each build a ``jobs=1`` engine once from the pool's
+  :class:`~repro.runtime.engine.parallel.WorkerContext`, and merged in
+  generation order, so the admitted children (and therefore node ids,
+  arcs and the final tree) are identical for any job count.
 """
 
 from __future__ import annotations
@@ -984,23 +985,15 @@ class _CandidateResult:
     improvement: float
 
 
-#: Worker-process engine installed by :func:`_synthesis_worker_init`.
-_SYNTH_WORKER: Optional["SynthesisEngine"] = None
-
-
-def _synthesis_worker_init(app, config: FTQSConfig) -> None:
-    global _SYNTH_WORKER
-    _SYNTH_WORKER = SynthesisEngine(app, config, jobs=1)
-
-
-def _synthesis_worker_eval(task):
+def _synthesis_worker_eval(engine: "SynthesisEngine", task):
     """Evaluate one (position, faults) candidate in a worker.
 
+    ``engine`` is the worker's ``jobs=1`` engine for the application
+    (its :class:`~repro.runtime.engine.parallel.WorkerContext` state).
     Returns a picklable reduction of :class:`_CandidateResult` (the
     tail's entries; the parent rebuilds the schedule from its own
     context) or ``None`` for non-admissible candidates.
     """
-    engine = _SYNTH_WORKER
     (
         spec,
         position,
@@ -1031,32 +1024,6 @@ def _synthesis_worker_eval(task):
     )
 
 
-#: Worker engine for *contextual* tasks on a shared generic pool:
-#: ``(token, engine)`` of the most recently seen context.
-_SYNTH_CTX: Optional[Tuple[int, "SynthesisEngine"]] = None
-
-
-def _synthesis_worker_eval_ctx(task):
-    """Contextual twin of :func:`_synthesis_worker_eval`.
-
-    ``task`` is ``(token, app, config, inner)``.  Workers of a generic
-    pool (one pool per experiment run, spawned without an initializer
-    — see :class:`repro.pipeline.resources.ResourceManager`) build
-    their engine on first sight of a token and replace it when a new
-    token arrives, so one pool serves every application of a sweep.
-    The engine itself is the same ``jobs=1`` engine the initializer
-    path installs, hence identical candidate evaluations.
-    """
-    global _SYNTH_WORKER, _SYNTH_CTX
-    token, app, config, inner = task
-    if _SYNTH_CTX is None or _SYNTH_CTX[0] != token:
-        _SYNTH_CTX = (token, SynthesisEngine(app, config, jobs=1))
-    # _synthesis_worker_eval reads the module global; point it at the
-    # current context so both task forms share one evaluation path.
-    _SYNTH_WORKER = _SYNTH_CTX[1]
-    return _synthesis_worker_eval(inner)
-
-
 class SynthesisEngine:
     """The fast FTQS tree builder (see the module docstring).
 
@@ -1067,13 +1034,13 @@ class SynthesisEngine:
     :meth:`close`) when ``jobs > 1`` so the pool is released
     deterministically.
 
-    ``pool`` may be a *borrowed* generic
-    :class:`~repro.runtime.engine.parallel.TaskPool` (owned by a
-    :class:`repro.pipeline.resources.ResourceManager`): candidate tasks
-    then carry their own (app, config) context instead of relying on a
-    pool initializer, so one pool spawned once serves every
-    application of an experiment sweep; :meth:`close` leaves it
-    running.
+    ``pool`` may be a :class:`~repro.runtime.engine.parallel.TaskPool`
+    borrowed from a :class:`repro.pipeline.resources.ResourceManager`,
+    so one pool spawned once serves every application of an
+    experiment sweep; without one the engine spawns its own on first
+    use.  Either way the workers receive the (app, config) context
+    once each; :meth:`close` terminates only a pool the engine
+    spawned.
     """
 
     def __init__(
@@ -1092,9 +1059,9 @@ class SynthesisEngine:
         self._tail_memo: Dict[Tuple, Optional[FSchedule]] = {}
         self._profile_cache: Dict[Tuple[int, int], TailProfile] = {}
         self._spec_cache: Dict[Tuple, FSchedule] = {}
-        self._pool = None
         self._borrowed_pool = pool
-        self._ctx_token = None
+        self._pool = pool
+        self._context = None
         self._finalizer = None
         self._best_similarity: Dict[int, float] = {}
         self._expected_utility: Dict[int, float] = {}
@@ -1104,22 +1071,16 @@ class SynthesisEngine:
     # Pool lifecycle
     # ------------------------------------------------------------------
     def _ensure_pool(self):
-        if self._borrowed_pool is not None:
-            if self._ctx_token is None:
-                from repro.runtime.engine.parallel import next_context_token
+        from repro.runtime.engine.parallel import TaskPool, WorkerContext
 
-                self._ctx_token = next_context_token()
-            return self._borrowed_pool
         if self._pool is None:
-            from repro.runtime.engine.parallel import TaskPool
-
-            self._pool = TaskPool(
-                self.jobs,
-                initializer=_synthesis_worker_init,
-                initargs=(self.app, self.config),
-            )
+            self._pool = TaskPool(self.jobs)
             self._finalizer = weakref.finalize(
                 self, TaskPool.close, self._pool
+            )
+        if self._context is None:
+            self._context = WorkerContext.of(
+                SynthesisEngine, self.app, self.config
             )
         return self._pool
 
@@ -1129,8 +1090,8 @@ class SynthesisEngine:
         if self._finalizer is not None:
             self._finalizer()
             self._finalizer = None
-        self._pool = None
-        self._ctx_token = None
+        self._pool = self._borrowed_pool
+        self._context = None
 
     def __enter__(self) -> "SynthesisEngine":
         return self
@@ -1437,24 +1398,7 @@ class SynthesisEngine:
             ]
             self.stats.candidates_evaluated += len(tasks)
             pool = self._ensure_pool()
-            if self._borrowed_pool is not None:
-                # Every task carries (app, config): Pool has no way to
-                # target specific workers, so a one-shot "prime"
-                # broadcast cannot be made reliable, and the parent
-                # never knows which workers already hold the token.
-                # The cost is bounded, not per-task: Pool.map pickles
-                # tasks in chunks and pickle memoizes repeated object
-                # references within a chunk, so the app serializes
-                # once per chunk (~4 per worker per map call).
-                raw = pool.map(
-                    _synthesis_worker_eval_ctx,
-                    [
-                        (self._ctx_token, self.app, self.config, task)
-                        for task in tasks
-                    ],
-                )
-            else:
-                raw = pool.map(_synthesis_worker_eval, tasks)
+            raw = pool.map(_synthesis_worker_eval, tasks, self._context)
             prior_dropped = frozenset(schedule.prior_dropped)
             for item, outcome in zip(jobs_plan, raw):
                 if outcome is None:
@@ -1612,8 +1556,8 @@ def ftqs_fast(
 
     Byte-identical to :func:`repro.quasistatic.ftqs.ftqs` with
     ``synthesis="reference"`` for any ``jobs`` count.  ``pool`` may be
-    a shared generic :class:`~repro.runtime.engine.parallel.TaskPool`
-    (see :class:`repro.pipeline.resources.ResourceManager`); it is
+    a shared :class:`~repro.runtime.engine.parallel.TaskPool` (see
+    :class:`repro.pipeline.resources.ResourceManager`); it is
     borrowed, not closed.
     """
     with SynthesisEngine(

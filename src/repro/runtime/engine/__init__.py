@@ -28,9 +28,10 @@ top of it:
   fallback remains only for plans outside the fast path's state
   model;
 * :mod:`repro.runtime.engine.parallel` — :class:`ParallelEvaluator`
-  shards scenario sets across a persistent pool of
+  shards an evaluator's scenario sets across a persistent pool of
   ``multiprocessing`` workers that attach the batch arrays via shared
-  memory, and merges the outcomes;
+  memory (shipped once per worker as a :class:`WorkerContext` of the
+  general-purpose :class:`TaskPool`), and merges the outcomes;
 * :mod:`repro.runtime.engine.threads` — :class:`ThreadedEvaluator`
   shards the same ranges across a thread pool against the C kernel
   core's GIL-releasing call (``ExecutionConfig`` mode

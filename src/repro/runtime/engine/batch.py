@@ -241,3 +241,15 @@ class ScenarioBatch:
     def scenarios(self) -> List[ExecutionScenario]:
         """All scenarios of the batch (see :meth:`scenario`)."""
         return [self.scenario(i) for i in range(self.n_scenarios)]
+
+    def rows(self, lo: int, hi: int) -> "ScenarioBatch":
+        """Scenarios ``[lo, hi)`` as a batch of array views (no copies)
+        — one shard of a sharded evaluation."""
+        return ScenarioBatch(
+            self.names,
+            self.durations[lo:hi],
+            self.fault_counts[lo:hi],
+            _scenarios=(
+                None if self._scenarios is None else self._scenarios[lo:hi]
+            ),
+        )

@@ -1,29 +1,30 @@
 """Sharded Monte-Carlo evaluation across ``multiprocessing`` workers.
 
-:class:`ParallelEvaluator` splits the scenario index range of a
-Monte-Carlo evaluation into contiguous shards, one per job.  The
-scenario sets are packed once into :class:`ScenarioBatch` arrays and
-published to the workers through ``multiprocessing.shared_memory`` —
-workers attach to the segments in their initializer and never copy or
-re-derive the scenario data.  Shard boundaries select which slice a
-worker simulates; per-scenario results are independent of the slicing,
-so the merged :class:`~repro.evaluation.montecarlo.EvaluationOutcome`
-per fault count is identical to a single-process run, for any job
-count.
+:class:`ParallelEvaluator` is the ``mode="processes"`` executor of a
+:class:`~repro.evaluation.montecarlo.MonteCarloEvaluator`: it splits
+the scenario index range into contiguous shards, one per worker.  The
+evaluator's packed :class:`ScenarioBatch` arrays are published once
+through ``multiprocessing.shared_memory`` and reach the workers as a
+:class:`WorkerContext` — each worker attaches the segments the first
+time it sees the context and never copies or re-derives the scenario
+data.  Shard boundaries select which slice a worker simulates;
+per-scenario results are independent of the slicing, so the merged
+:class:`~repro.evaluation.montecarlo.EvaluationOutcome` per fault
+count is identical to a single-process run, for any worker count.
 
-The pool is *persistent*: it is created lazily on the first
+The pool is *persistent*: it is acquired lazily on the first
 ``evaluate()`` and reused across ``evaluate()``/``compare()`` calls
-for the evaluator's lifetime (also reachable via ``with``), so
-comparing many plans pays the fork/attach cost once.  Each worker
-compiles a plan once per ``evaluate()`` call — the segment-stepped
-``BatchSimulator`` core with its §2.2 decision tables and per-node
-segment indexes — and reuses it across that plan's fault counts
-(``tests/test_parallel_pool.py`` pins both the pool reuse and the
-per-plan compile count).  Workers default to the batched engine but
-honour ``engine="reference"`` for differential measurements and
-``engine="kernel"`` for the C kernel core (the parent builds the core
-and lowers the plan before fanning out, so workers load both from the
-shared artifact cache instead of racing to build them).
+for the executor's lifetime, so comparing many plans pays the
+fork/attach cost once.  It is either spawned by the executor or
+borrowed from a :class:`~repro.pipeline.resources.ResourceManager`;
+both run the same context-carrying tasks.  Each worker compiles a
+plan's simulator once — the segment-stepped ``BatchSimulator`` core
+with its §2.2 decision tables, the reference ``OnlineScheduler`` or
+the C kernel core — and reuses it across that plan's fault counts
+(``tests/test_parallel_pool.py`` pins the pool reuse).  For the
+kernel engine the parent builds the core and lowers the plan before
+fanning out, so workers load both from the shared artifact cache
+instead of racing to build them.
 """
 
 from __future__ import annotations
@@ -38,25 +39,48 @@ import time
 import warnings
 import weakref
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import connection, shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import RuntimeModelError
+from repro.execution import ExecutionConfig
 
-#: Parent-side unique tokens for worker-context switching (see
-#: :func:`_simulate_slice_ctx` and the synthesis counterpart).  A token
-#: names one published evaluation context; workers re-initialize
-#: themselves when they see a token they do not hold yet, which is what
-#: makes a generic pool reusable across applications.
+#: Parent-side source of unique :class:`WorkerContext` tokens.
 _CONTEXT_TOKENS = itertools.count(1)
 
 
-def next_context_token() -> int:
-    """A fresh parent-process-unique worker-context token."""
-    return next(_CONTEXT_TOKENS)
+class WorkerContext(NamedTuple):
+    """Per-worker state for the tasks of one :meth:`TaskPool.map`.
+
+    ``factory(*args)`` builds the state a worker hands to the task
+    function as ``fn(state, task)``; ``token`` names it.  The pool
+    ships a context to a worker only the first time that worker sees
+    its token (and again after a respawn).  A worker keeps only its
+    latest context: a new token releases the previous state (through
+    its ``close()``, when it has one) before building the new one.
+    """
+
+    token: int
+    factory: Callable
+    args: Tuple
+
+    @classmethod
+    def of(cls, factory: Callable, *args) -> "WorkerContext":
+        """A context with a fresh parent-process-unique token."""
+        return cls(next(_CONTEXT_TOKENS), factory, args)
+
+    def build(self):
+        return self.factory(*self.args)
+
+
+def _release_state(held: Optional[Tuple[int, object]]) -> None:
+    """Close the state of a held ``(token, state)`` pair, if any."""
+    close = getattr(held[1], "close", None) if held is not None else None
+    if close is not None:
+        close()
 
 
 def shard_bounds(n_scenarios: int, workers: int) -> List[Tuple[int, int]]:
@@ -75,6 +99,34 @@ def shard_bounds(n_scenarios: int, workers: int) -> List[Tuple[int, int]]:
         bounds.append((lo, hi))
         lo = hi
     return bounds
+
+
+#: One shard's raw result per fault count: (utilities, misses, total
+#: switches, total observed faults, oracle fallbacks).
+_ShardRaw = Dict[int, Tuple[List[float], int, int, int, int]]
+
+
+def simulate_rows(simulator, batches, lo: int, hi: int) -> _ShardRaw:
+    """Simulate scenarios ``[lo, hi)`` of every scenario set — the
+    shard task of both executors.
+
+    ``simulator`` is a ``run_batch`` engine (batched or kernel) or,
+    for the reference engine, an
+    :class:`~repro.runtime.online.OnlineScheduler`.
+    """
+    if hasattr(simulator, "run_batch"):
+        return {
+            faults: simulator.run_batch(batch.rows(lo, hi)).raw_outcome()
+            for faults, batch in batches.items()
+        }
+    from repro.evaluation.montecarlo import MonteCarloEvaluator
+
+    return {
+        faults: MonteCarloEvaluator._reference_raw(
+            simulator, batch.rows(lo, hi).scenarios()
+        )
+        for faults, batch in batches.items()
+    }
 
 
 def merge_shard_outcomes(
@@ -111,145 +163,64 @@ def merge_shard_outcomes(
         )
     return outcomes
 
-#: One shard's raw result per fault count: (utilities, misses, total
-#: switches, total observed faults, oracle fallbacks).
-_ShardRaw = Dict[int, Tuple[List[float], int, int, int, int]]
 
 #: (shm name of durations, durations shape, shm name of fault counts)
 _BatchSpec = Tuple[str, Tuple[int, int, int], str]
 
-#: Worker-process state installed by :func:`_worker_init`.
-_WORKER: Optional[Dict] = None
+
+class _EvaluationWorker:
+    """A pool worker's state for one evaluator (its
+    :class:`WorkerContext`): the attached shared-memory scenario sets
+    plus the simulator of the plan it saw last."""
+
+    def __init__(self, app, names, specs: Dict[int, _BatchSpec], engine):
+        from repro.runtime.engine.batch import ScenarioBatch
+
+        self.app = app
+        self.engine = engine
+        self.batches: Dict[int, ScenarioBatch] = {}
+        self._segments: List[shared_memory.SharedMemory] = []
+        for faults, (durations_name, shape, fault_name) in specs.items():
+            durations_shm = shared_memory.SharedMemory(name=durations_name)
+            fault_shm = shared_memory.SharedMemory(name=fault_name)
+            self._segments += [durations_shm, fault_shm]
+            self.batches[faults] = ScenarioBatch(
+                tuple(names),
+                np.ndarray(shape, dtype=np.int64, buffer=durations_shm.buf),
+                np.ndarray(shape[:2], dtype=np.int64, buffer=fault_shm.buf),
+            )
+        self._plan_key = None
+        self._simulator = None
+
+    def simulator(self, plan_key: int, plan):
+        """The plan's simulator, built on first sight and reused for
+        every fault count of the same plan."""
+        if plan_key != self._plan_key:
+            from repro.evaluation.montecarlo import simulator_for
+
+            self._simulator = simulator_for(self.engine, self.app, plan)
+            self._plan_key = plan_key
+        return self._simulator
+
+    def close(self) -> None:
+        """Drop the segment attachments (the parent owns the unlink)."""
+        self.batches = {}
+        for segment in self._segments:
+            segment.close()
+        self._segments = []
 
 
-def _attach_batches(
-    names: Tuple[str, ...], specs: Dict[int, _BatchSpec]
-) -> Tuple[Dict[int, "ScenarioBatch"], List[shared_memory.SharedMemory]]:
-    """Attach the published scenario arrays (no copies)."""
-    from repro.runtime.engine.batch import ScenarioBatch
-
-    batches: Dict[int, ScenarioBatch] = {}
-    segments: List[shared_memory.SharedMemory] = []
-    for faults, (durations_name, shape, fault_name) in specs.items():
-        durations_shm = shared_memory.SharedMemory(name=durations_name)
-        fault_shm = shared_memory.SharedMemory(name=fault_name)
-        segments += [durations_shm, fault_shm]
-        durations = np.ndarray(shape, dtype=np.int64, buffer=durations_shm.buf)
-        fault_counts = np.ndarray(
-            shape[:2], dtype=np.int64, buffer=fault_shm.buf
-        )
-        batches[faults] = ScenarioBatch(names, durations, fault_counts)
-    return batches, segments
-
-
-def _worker_init(app, names, specs, engine) -> None:
-    """Pool initializer: attach shared batches, prime per-plan caches."""
-    global _WORKER
-    batches, segments = _attach_batches(tuple(names), specs)
-    _WORKER = {
-        "app": app,
-        "engine": engine,
-        "batches": batches,
-        "segments": segments,  # keep attached for the worker's lifetime
-        "plan_key": None,
-        "simulator": None,
-    }
-
-
-def _simulate_slice(task) -> _ShardRaw:
+def _simulate_slice(state: _EvaluationWorker, task) -> _ShardRaw:
     """Worker entry point: simulate scenarios ``[lo, hi)`` of each set.
 
-    ``plan_key`` identifies the plan across a fan-out: the compiled
-    ``BatchSimulator`` (decision tables included) is built on first
-    sight and reused for every fault count of the same plan.
+    ``plan_key`` identifies the plan across a fan-out, so the compiled
+    simulator (decision tables included) is reused for every fault
+    count of the same plan.
     """
     plan_key, plan, lo, hi = task
-    state = _WORKER
-    app = state["app"]
-    out: _ShardRaw = {}
-    if state["engine"] in ("batched", "kernel"):
-        from repro.runtime.engine.batch import ScenarioBatch
-        from repro.runtime.engine.simulator import BatchSimulator
-
-        if state["plan_key"] != plan_key:
-            if state["engine"] == "kernel":
-                # The parent warmed the core and this plan's tables
-                # before fanning out, so this is normally a load.
-                from repro.runtime.engine.kernel import KernelSimulator
-
-                state["simulator"] = KernelSimulator(app, plan)
-            else:
-                state["simulator"] = BatchSimulator(app, plan)
-            state["plan_key"] = plan_key
-        simulator = state["simulator"]
-        for faults, batch in state["batches"].items():
-            piece = ScenarioBatch(
-                batch.names,
-                batch.durations[lo:hi],
-                batch.fault_counts[lo:hi],
-            )
-            result = simulator.run_batch(piece)
-            out[faults] = (
-                [float(u) for u in result.utilities],
-                int(result.deadline_miss.sum()),
-                int(result.switch_counts.sum()),
-                int(result.faults_observed.sum()),
-                result.n_fallback,
-            )
-    else:
-        from repro.evaluation.montecarlo import MonteCarloEvaluator
-        from repro.runtime.online import OnlineScheduler
-
-        scheduler = OnlineScheduler(app, plan, record_events=False)
-        for faults, batch in state["batches"].items():
-            out[faults] = MonteCarloEvaluator._reference_raw(
-                scheduler, [batch.scenario(i) for i in range(lo, hi)]
-            )
-    return out
-
-
-#: Worker-process state for *contextual* tasks (shared generic pools).
-#: Holds only the most recent context: experiment sweeps move from one
-#: application to the next, never back.
-_CTX_WORKER: Optional[Dict] = None
-
-
-def _simulate_slice_ctx(task):
-    """Worker entry point for tasks carrying their own context.
-
-    ``task`` is ``(context, inner)`` where ``context`` is
-    ``(token, app, names, specs, engine)`` and ``inner`` is the
-    ``(plan_key, plan, lo, hi)`` tuple of :func:`_simulate_slice`.  A
-    worker of a *generic* pool (spawned once per experiment run, no
-    initializer) installs the context on first sight of its token —
-    attaching the published shared-memory batches, no copies — and
-    reuses it for every later task with the same token.  A new token
-    replaces the previous context, closing its segment attachments, so
-    one pool serves any number of applications in sequence.
-    """
-    global _WORKER, _CTX_WORKER
-    context, inner = task
-    token, app, names, specs, engine = context
-    state = _CTX_WORKER
-    if state is None or state["token"] != token:
-        if state is not None:
-            for segment in state["segments"]:
-                segment.close()
-        batches, segments = _attach_batches(tuple(names), specs)
-        state = {
-            "token": token,
-            "app": app,
-            "engine": engine,
-            "batches": batches,
-            "segments": segments,
-            "plan_key": None,
-            "simulator": None,
-        }
-        _CTX_WORKER = state
-    # _simulate_slice reads the module global; point it at the current
-    # context so both task forms share one execution path.
-    _WORKER = state
-    return _simulate_slice(inner)
+    return simulate_rows(
+        state.simulator(plan_key, plan), state.batches, lo, hi
+    )
 
 
 def _release(pool, segments) -> None:
@@ -276,7 +247,7 @@ class PoolRecovery:
     ``degraded_tasks`` tasks that exhausted their retry budget and ran
     in-process instead, and ``pool_degradations`` pools that spent
     their whole respawn budget and finished the run in-process
-    (``jobs=N`` → ``jobs=1`` with a warning, never an abort).
+    (N workers → none, with a warning, never an abort).
     """
 
     worker_deaths: int = 0
@@ -295,17 +266,6 @@ class PoolRecovery:
             or self.degraded_tasks
             or self.pool_degradations
         )
-
-    def snapshot(self) -> "PoolRecovery":
-        return replace(self)
-
-    def merge(self, other: "PoolRecovery") -> None:
-        self.worker_deaths += other.worker_deaths
-        self.timeouts += other.timeouts
-        self.respawns += other.respawns
-        self.task_retries += other.task_retries
-        self.degraded_tasks += other.degraded_tasks
-        self.pool_degradations += other.pool_degradations
 
     def summary(self) -> str:
         parts = [
@@ -376,16 +336,18 @@ def _portable_exception(exc: BaseException) -> BaseException:
         return RuntimeModelError(f"worker task failed: {exc!r}")
 
 
-def _pool_worker_main(task_r, result_w, initializer, initargs) -> None:
-    """Worker process body: init once, then a recv→run→send loop.
+def _pool_worker_main(task_r, result_w) -> None:
+    """Worker process body: a recv→run→send loop.
 
-    Messages are ``(gen, seq, fn, task, chaos_action)``; replies are
-    ``(gen, seq, ok, result_or_exception)``.  ``gen`` identifies the
-    :meth:`TaskPool.map` call, so the parent can discard results of an
-    aborted map instead of mistaking them for the current one's.
+    Messages are ``(gen, seq, fn, task, chaos_action, token,
+    context)``; replies are ``(gen, seq, ok, result_or_exception)``.
+    ``gen`` identifies the :meth:`TaskPool.map` call, so the parent can
+    discard results of an aborted map instead of mistaking them for the
+    current one's.  ``token`` is None for context-free maps; otherwise
+    the task runs against the state of that token, rebuilt from
+    ``context`` whenever the parent ships one.
     """
-    if initializer is not None:
-        initializer(*initargs)
+    held: Optional[Tuple[int, object]] = None
     while True:
         try:
             item = task_r.recv()
@@ -393,11 +355,23 @@ def _pool_worker_main(task_r, result_w, initializer, initargs) -> None:
             return
         if item is None:
             return
-        gen, seq, fn, task, action = item
+        gen, seq, fn, task, action, token, context = item
         if action is not None:
             _apply_chaos_action(action)
         try:
-            payload = (gen, seq, True, fn(task))
+            if context is not None:
+                _release_state(held)
+                held = None  # a failed build must not leave it in use
+                held = (context.token, context.build())
+            if token is None:
+                result = fn(task)
+            elif held is not None and held[0] == token:
+                result = fn(held[1], task)
+            else:
+                raise RuntimeModelError(
+                    f"worker holds no context for token {token}"
+                )
+            payload = (gen, seq, True, result)
         except BaseException as exc:
             payload = (gen, seq, False, _portable_exception(exc))
         try:
@@ -427,7 +401,7 @@ class _Worker:
     worker.
     """
 
-    __slots__ = ("process", "task_w", "result_r", "current")
+    __slots__ = ("process", "task_w", "result_r", "current", "token")
 
     def __init__(self, process, task_w, result_r):
         self.process = process
@@ -435,6 +409,8 @@ class _Worker:
         self.result_r = result_r
         #: (gen, seq, dispatched_at) of the in-flight task, or None.
         self.current: Optional[Tuple[int, int, float]] = None
+        #: Token of the context this worker holds, or None.
+        self.token: Optional[int] = None
 
 
 #: Parent poll interval while waiting on results/sentinels.
@@ -444,25 +420,21 @@ _POLL_SECONDS = 0.05
 class TaskPool:
     """Small task-sharding facade over a persistent worker pool.
 
-    Generalizes the scenario-sharding pool of :class:`ParallelEvaluator`
-    to arbitrary picklable tasks: workers are spawned once (running
-    ``initializer(*initargs)`` to install whatever per-process context
-    the task function needs) and reused for every :meth:`map` call.
-    ``map`` preserves task order, so a caller that merges results
-    positionally is deterministic for any worker count.  Users:
+    Runs arbitrary picklable tasks on workers spawned once and reused
+    for every :meth:`map` call.  ``map`` preserves task order, so a
+    caller that merges results positionally is deterministic for any
+    worker count.  Workers hold no application state of their own:
+    whatever a task function needs beyond its task (an application,
+    published scenario segments) travels as a :class:`WorkerContext`
+    that each worker builds once per context token.  One pool can
+    therefore serve any number of applications in sequence — which is
+    how :class:`repro.pipeline.resources.ResourceManager` shares one
+    pool across an experiment run.  Users:
 
     * :class:`ParallelEvaluator` — scenario-slice tasks over shared
       scenario batches;
     * :class:`repro.quasistatic.synthesis.SynthesisEngine` — FTQS
       candidate-evaluation tasks of one expansion layer.
-
-    A pool spawned with *no* initializer is a **generic** pool: its
-    workers carry no application state and are (re-)initialized by the
-    tasks themselves (contextual tasks, see
-    :func:`_simulate_slice_ctx`).  That is how
-    :class:`repro.pipeline.resources.ResourceManager` shares one pool
-    across every application of an experiment run instead of paying a
-    spawn per application.
 
     **Fault tolerance.**  The pool runs its own workers over private
     pipes and supervises them through their process sentinels, so a
@@ -484,8 +456,6 @@ class TaskPool:
     def __init__(
         self,
         processes: int,
-        initializer=None,
-        initargs=(),
         task_timeout: Optional[float] = None,
         task_retries: int = 2,
     ):
@@ -502,7 +472,7 @@ class TaskPool:
                 f"task_retries must be >= 0, got {task_retries}"
             )
         # Start the shared-memory resource tracker *before* forking
-        # workers.  A generic pool is often spawned before the first
+        # workers.  A pool is often spawned before the first
         # SharedMemory segment exists; workers forked without a running
         # tracker would each lazily start their own on attach, and those
         # private trackers double-unlink the parent's segments at
@@ -515,9 +485,8 @@ class TaskPool:
         self.task_retries = task_retries
         self.recovery = PoolRecovery()
         self._ctx = multiprocessing.get_context()
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
-        self._inline_ready = initializer is None
+        #: (token, state) of the context degraded tasks run against.
+        self._inline: Optional[Tuple[int, object]] = None
         self._closed = False
         self._degraded = False
         self._respawn_budget = max(4, 2 * processes)
@@ -534,7 +503,7 @@ class TaskPool:
         result_r, result_w = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_pool_worker_main,
-            args=(task_r, result_w, self._initializer, self._initargs),
+            args=(task_r, result_w),
             daemon=True,
         )
         process.start()
@@ -571,12 +540,16 @@ class TaskPool:
             getattr(_GLOBAL_RECOVERY, counter) + amount,
         )
 
-    def _run_inline(self, fn, task):
-        """In-process degraded execution (bit-identical by purity)."""
-        if not self._inline_ready:
-            self._initializer(*self._initargs)
-            self._inline_ready = True
-        return fn(task)
+    def _run_inline(self, fn, task, context):
+        """In-process degraded execution (bit-identical by purity),
+        building the context once per token like a worker would."""
+        if context is None:
+            return fn(task)
+        if self._inline is None or self._inline[0] != context.token:
+            _release_state(self._inline)
+            self._inline = None  # a failed build must not leave it in use
+            self._inline = (context.token, context.build())
+        return fn(self._inline[1], task)
 
     def _degrade(self, pending: deque) -> None:
         """Give up on worker processes for the rest of this pool's life."""
@@ -598,12 +571,15 @@ class TaskPool:
     # ------------------------------------------------------------------
     # map
     # ------------------------------------------------------------------
-    def map(self, fn, tasks):
+    def map(self, fn, tasks, context: Optional[WorkerContext] = None):
         """Run ``fn`` over ``tasks``; results in task order.
 
-        Worker crashes, injected chaos kills and task timeouts are
-        recovered internally (see the class docstring); the only
-        exceptions that propagate are the task function's own.
+        Without a ``context`` each task runs as ``fn(task)``; with one,
+        as ``fn(state, task)`` against the worker's state built from
+        it (see :class:`WorkerContext`).  Worker crashes, injected
+        chaos kills and task timeouts are recovered internally (see the
+        class docstring); the only exceptions that propagate are the
+        task function's own.
         """
         if self._closed:
             raise RuntimeModelError("cannot map on a closed TaskPool")
@@ -631,18 +607,24 @@ class TaskPool:
                 seq = inline.popleft()
                 if done[seq]:
                     continue
-                results[seq] = self._run_inline(fn, tasks[seq])
+                results[seq] = self._run_inline(fn, tasks[seq], context)
                 done[seq] = True
                 remaining -= 1
             if not remaining:
                 break
-            self._dispatch(fn, tasks, gen, pending, done, attempts, plan)
+            self._dispatch(
+                fn, tasks, context, gen, pending, done, attempts, plan
+            )
             remaining -= self._collect(gen, results, done)
             self._reap(gen, pending, inline, done, attempts)
         return results
 
-    def _dispatch(self, fn, tasks, gen, pending, done, attempts, plan):
-        """Hand pending tasks to idle live workers."""
+    def _dispatch(
+        self, fn, tasks, context, gen, pending, done, attempts, plan
+    ):
+        """Hand pending tasks to idle live workers, shipping the context
+        to any worker that does not hold its token yet."""
+        token = None if context is None else context.token
         for worker in self._workers:
             if not pending:
                 return
@@ -658,12 +640,21 @@ class TaskPool:
                 if plan is not None
                 else None
             )
+            ship = (
+                context
+                if context is not None and worker.token != token
+                else None
+            )
             try:
-                worker.task_w.send((gen, seq, fn, tasks[seq], action))
+                worker.task_w.send(
+                    (gen, seq, fn, tasks[seq], action, token, ship)
+                )
             except (BrokenPipeError, OSError):
                 # Died since the last reap; the next reap respawns it.
                 pending.appendleft(seq)
                 continue
+            if ship is not None:
+                worker.token = token
             worker.current = (gen, seq, time.monotonic())
 
     def _collect(self, gen, results, done) -> int:
@@ -692,6 +683,10 @@ class TaskPool:
                 continue  # torn mid-send: reaped as a crash
             # One in-flight task per worker, FIFO: any reply frees it.
             worker.current = None
+            if not ok:
+                # The failure may have been the context build: ship the
+                # context again with this worker's next task.
+                worker.token = None
             if rgen != gen or done[seq]:
                 continue  # stale reply from an aborted or retried map
             if not ok:
@@ -756,6 +751,8 @@ class TaskPool:
         for worker in self._workers:
             self._stop_worker(worker)
         self._workers = []
+        _release_state(self._inline)
+        self._inline = None
         self._closed = True
 
     def close(self) -> None:
@@ -770,105 +767,103 @@ class TaskPool:
         self.close()
 
 
-class ParallelEvaluator:
-    """Deterministic sharded version of the Monte-Carlo evaluation.
+class ShardedExecutor:
+    """What the process and the thread executors share.
 
-    Parameters mirror :class:`MonteCarloEvaluator`, plus ``jobs`` (the
-    worker count), ``engine`` (which simulator each worker runs) and
-    ``source`` (an optional :class:`MonteCarloEvaluator` whose packed
-    scenario batches are shared instead of re-derived).  ``evaluate``
-    returns the same ``{fault count: EvaluationOutcome}`` mapping a
-    single-process evaluator produces.
-
-    ``pool`` may be a *borrowed* generic :class:`TaskPool` (owned by a
-    :class:`repro.pipeline.resources.ResourceManager`): the evaluator
-    then publishes its scenario segments as a worker context and ships
-    context-carrying tasks instead of spawning its own pool;
-    :meth:`close` releases the segments but leaves the pool running for
-    the next application.
+    An executor belongs to one
+    :class:`~repro.evaluation.montecarlo.MonteCarloEvaluator` (its
+    *source*), which builds it through
+    :meth:`~repro.evaluation.montecarlo.MonteCarloEvaluator.executor`,
+    caches it per :class:`~repro.execution.ExecutionConfig` and
+    supplies the packed scenario sets.  The source owns the executor,
+    so the executor holds it weakly: a strong back-reference would form
+    a cycle that delays pool/segment release until a cyclic GC pass
+    instead of freeing promptly by refcount.  ``evaluate`` returns the
+    same ``{fault count: EvaluationOutcome}`` mapping an inline run
+    produces.
     """
 
-    def __init__(
-        self,
-        app,
-        n_scenarios: int = 200,
-        fault_counts: Optional[Sequence[int]] = None,
-        seed: int = 1,
-        engine: str = "batched",
-        jobs: int = 2,
-        source=None,
-        pool: Optional[TaskPool] = None,
-        execution=None,
-    ):
-        from repro.execution import ExecutionConfig
-
-        if execution is not None:
-            execution = ExecutionConfig.coerce(execution)
-            engine = execution.engine
-            jobs = execution.workers
-        if jobs < 1:
-            raise RuntimeModelError(f"jobs must be positive, got {jobs}")
-        self.app = app
-        self.n_scenarios = n_scenarios
-        self.fault_counts = (
-            list(fault_counts)
-            if fault_counts is not None
-            else list(range(app.k + 1))
-        )
-        self.seed = seed
-        self.engine = engine
-        self.jobs = jobs
-        self.execution = execution or ExecutionConfig(
-            engine=engine,
-            mode="inline" if jobs == 1 else "processes",
-            workers=jobs,
-        )
-        # A provided source (the owning MonteCarloEvaluator) is held
-        # weakly: it owns *us*, and a strong back-reference would form
-        # a cycle that delays pool/segment release until a cyclic GC
-        # pass instead of freeing promptly by refcount.
-        self._source_ref = weakref.ref(source) if source is not None else None
-        self._own_source = None
-        self._pool = None
-        self._borrowed_pool = pool
-        self._context = None
-        self._segments: List[shared_memory.SharedMemory] = []
-        self._plan_counter = 0
+    def __init__(self, source, execution) -> None:
+        self.execution = ExecutionConfig.coerce(execution)
+        self.app = source.app
+        self.n_scenarios = source.n_scenarios
+        self.fault_counts = list(source.fault_counts)
+        self._source_ref = weakref.ref(source)
         self._plan_keys: Dict[int, Tuple[object, int]] = {}
+        self._plan_counter = 0
+
+    def _source(self):
+        source = self._source_ref()
+        if source is None:
+            raise RuntimeModelError(
+                "executor used after its MonteCarloEvaluator was "
+                "garbage-collected; keep the evaluator alive while "
+                "using its executors"
+            )
+        return source
+
+    def _batches(self) -> Dict[int, "ScenarioBatch"]:
+        """The source's packed scenario sets (cached there)."""
+        source = self._source()
+        return {f: source._batch_for(f) for f in self.fault_counts}
+
+    def _inline(self, plan) -> Dict[int, "EvaluationOutcome"]:
+        """One shard: simulate in-process over the source's batches."""
+        return self._source().evaluate(
+            plan, execution=self.execution.engine
+        )
+
+    def _plan_key(self, plan) -> int:
+        """A stable identity for ``plan``, so re-evaluating the same
+        plan object reuses the compiled simulators.
+
+        The plan is held strongly alongside its key: ``id()`` alone
+        could be recycled after a plan is garbage-collected.
+        """
+        entry = self._plan_keys.get(id(plan))
+        if entry is None or entry[0] is not plan:
+            self._plan_counter += 1
+            entry = (plan, self._plan_counter)
+            self._plan_keys[id(plan)] = entry
+        return entry[1]
+
+    def compare(self, plans) -> Dict[str, Dict[int, "EvaluationOutcome"]]:
+        """Evaluate several named plans over the persistent pool."""
+        return {name: self.evaluate(plan) for name, plan in plans.items()}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class ParallelEvaluator(ShardedExecutor):
+    """Deterministic process-sharded Monte-Carlo evaluation (the
+    ``mode="processes"`` executor; see the module docstring).
+
+    ``pool`` may be a :class:`TaskPool` borrowed from a
+    :class:`repro.pipeline.resources.ResourceManager`; without one the
+    executor spawns its own on first use.  Either way the published
+    scenario segments reach the workers as a :class:`WorkerContext`.
+    :meth:`close` unlinks the segments and terminates the pool only if
+    the executor spawned it.
+    """
+
+    def __init__(self, source, execution, pool: Optional[TaskPool] = None):
+        super().__init__(source, execution)
+        self._borrowed_pool = pool
+        self._pool = pool
+        self._context: Optional[WorkerContext] = None
+        self._segments: List[shared_memory.SharedMemory] = []
         self._finalizer = None
 
     # ------------------------------------------------------------------
     # Pool / shared-memory lifecycle
     # ------------------------------------------------------------------
-    def _source(self) -> "MonteCarloEvaluator":
-        """The evaluator supplying scenario sets (derived if absent)."""
-        if self._source_ref is not None:
-            source = self._source_ref()
-            if source is not None:
-                return source
-        if self._own_source is None:
-            from repro.evaluation.montecarlo import MonteCarloEvaluator
-
-            self._own_source = MonteCarloEvaluator(
-                self.app,
-                n_scenarios=self.n_scenarios,
-                fault_counts=self.fault_counts,
-                seed=self.seed,
-            )
-        return self._own_source
-
-    def _batches(self) -> Dict[int, "ScenarioBatch"]:
-        """Packed scenario sets, from the source (cached there)."""
-        source = self._source()
-        return {f: source._batch_for(f) for f in self.fault_counts}
-
-    def _spawn_pool(self, processes: int, names, specs):
+    def _spawn_pool(self, processes: int) -> TaskPool:
         """Create the worker pool (separate for spawn-count tests)."""
-        return TaskPool(
-            processes,
-            initializer=_worker_init,
-            initargs=(self.app, names, specs, self.engine),
-        )
+        return TaskPool(processes)
 
     def _publish(self, batches) -> Tuple[Tuple[str, ...], Dict[int, _BatchSpec]]:
         """Copy the batch arrays into shared-memory segments."""
@@ -896,111 +891,57 @@ class ParallelEvaluator:
             specs[faults] = (durations_shm.name, durations.shape, fault_shm.name)
         return names, specs
 
-    def _ensure_pool(self, processes: int) -> None:
-        if self._borrowed_pool is not None:
-            if self._context is None:
-                try:
-                    names, specs = self._publish(self._batches())
-                except BaseException:
-                    _release(None, self._segments)
-                    self._segments = []
-                    raise
-                self._context = (
-                    next_context_token(),
-                    self.app,
-                    names,
-                    specs,
-                    self.engine,
-                )
-                # The borrowed pool outlives us; only the segments need
-                # a safety net.
-                self._finalizer = weakref.finalize(
-                    self, _release, None, list(self._segments)
-                )
+    def _ensure_context(self, processes: int) -> None:
+        """Publish the scenario sets and acquire the pool, once until
+        the next :meth:`close`."""
+        if self._context is not None:
             return
-        if self._pool is not None:
-            return
+        spawned = None
         try:
             names, specs = self._publish(self._batches())
-            self._pool = self._spawn_pool(processes, names, specs)
+            if self._pool is None:
+                self._pool = spawned = self._spawn_pool(processes)
         except BaseException:
             # Publish or spawn failed partway: unlink whatever was
             # created now, or it survives in /dev/shm until exit.
-            _release(self._pool, self._segments)
-            self._pool = None
+            _release(None, self._segments)
             self._segments = []
             raise
+        self._context = WorkerContext.of(
+            _EvaluationWorker, self.app, names, specs, self.execution.engine
+        )
         self._finalizer = weakref.finalize(
-            self, _release, self._pool, list(self._segments)
+            self, _release, spawned, list(self._segments)
         )
 
     def close(self) -> None:
-        """Release the segments; terminate the pool if it is ours.
+        """Unlink the segments; terminate the pool if we spawned it.
 
-        With a borrowed pool only the published scenario segments are
-        unlinked (workers drop their attachments when the next context
-        arrives); the pool itself belongs to the resource manager.
+        Workers of a borrowed pool drop their attachments when the next
+        context arrives; the pool itself belongs to the resource
+        manager.
         """
         if self._finalizer is not None:
             self._finalizer()
             self._finalizer = None
-        elif self._segments:  # published but never pooled
-            _release(self._pool, self._segments)
-        self._pool = None
+        self._pool = self._borrowed_pool
         self._context = None
         self._segments = []
         self._plan_keys.clear()
 
-    def __enter__(self) -> "ParallelEvaluator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _plan_key(self, plan) -> int:
-        """A stable identity for ``plan``, so re-evaluating the same
-        plan object reuses the workers' compiled simulators.
-
-        The plan is held strongly alongside its key: ``id()`` alone
-        could be recycled after a plan is garbage-collected.
-        """
-        entry = self._plan_keys.get(id(plan))
-        if entry is None or entry[0] is not plan:
-            self._plan_counter += 1
-            entry = (plan, self._plan_counter)
-            self._plan_keys[id(plan)] = entry
-        return entry[1]
-
-    def _shard_bounds(self) -> List[Tuple[int, int]]:
-        """Contiguous, near-equal scenario ranges, one per shard."""
-        return shard_bounds(self.n_scenarios, self.jobs)
-
     def evaluate(self, plan) -> Dict[int, "EvaluationOutcome"]:
         """Run all scenario sets against ``plan`` across the workers."""
-        from repro.execution import ExecutionConfig
-
-        bounds = self._shard_bounds()
+        bounds = shard_bounds(self.n_scenarios, self.execution.workers)
         if len(bounds) == 1:
-            # One shard: simulate in-process over the cached packed
-            # batches — no pool, no re-packing.
-            return self._source().evaluate(
-                plan, execution=ExecutionConfig(engine=self.engine)
-            )
+            return self._inline(plan)
+        self._ensure_context(len(bounds))
         plan_key = self._plan_key(plan)
-        tasks = [(plan_key, plan, lo, hi) for lo, hi in bounds]
-        self._ensure_pool(len(tasks))
-        if self._borrowed_pool is not None:
-            shards = self._borrowed_pool.map(
-                _simulate_slice_ctx,
-                [(self._context, task) for task in tasks],
-            )
-        else:
-            shards = self._pool.map(_simulate_slice, tasks)
+        shards = self._pool.map(
+            _simulate_slice,
+            [(plan_key, plan, lo, hi) for lo, hi in bounds],
+            self._context,
+        )
         return merge_shard_outcomes(self.fault_counts, shards)
-
-    def compare(self, plans) -> Dict[str, Dict[int, "EvaluationOutcome"]]:
-        """Evaluate several named plans over one persistent pool."""
-        return {name: self.evaluate(plan) for name, plan in plans.items()}

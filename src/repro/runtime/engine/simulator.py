@@ -89,6 +89,18 @@ class BatchResult:
     def n_fallback(self) -> int:
         return self.n_scenarios - self.n_fast
 
+    def raw_outcome(self) -> Tuple[List[float], int, int, int, int]:
+        """The evaluation layer's raw tuple: (per-scenario utilities,
+        deadline misses, total switches, total observed faults, oracle
+        fallbacks)."""
+        return (
+            [float(u) for u in self.utilities],
+            int(self.deadline_miss.sum()),
+            int(self.switch_counts.sum()),
+            int(self.faults_observed.sum()),
+            self.n_fallback,
+        )
+
 
 @dataclass
 class _Cohort:

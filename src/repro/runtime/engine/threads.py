@@ -11,11 +11,12 @@ none of the ``multiprocessing`` machinery (no fork, no shared-memory
 publication, no pickling): threads slice the parent's packed
 :class:`ScenarioBatch` arrays as views.
 
-Shard results are merged in range order by the same
-:func:`~repro.runtime.engine.parallel.merge_shard_outcomes` helper the
-process executor uses, so outcomes are **bit-identical** to an inline
-``workers=1`` run for any thread count
-(``tests/test_threaded_executor.py`` gates this differentially).
+Shard tasks and the range-order merge are the process executor's own
+(:func:`~repro.runtime.engine.parallel.simulate_rows`,
+:func:`~repro.runtime.engine.parallel.merge_shard_outcomes`), so
+outcomes are **bit-identical** to an inline ``workers=1`` run for any
+thread count (``tests/test_threaded_executor.py`` gates this
+differentially).
 
 Threading only pays off when the GIL is actually released, so every
 evaluation that cannot run threaded **falls back to process sharding**
@@ -40,20 +41,18 @@ compile/cache-hit counters deterministic.
 from __future__ import annotations
 
 import os
-import sys
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import RuntimeModelError
-from repro.execution import ExecutionConfig
-from repro.runtime.engine.batch import ScenarioBatch
 from repro.runtime.engine.parallel import (
-    _ShardRaw,
+    ShardedExecutor,
+    _chaos_plan,
     merge_shard_outcomes,
     shard_bounds,
+    simulate_rows,
 )
 
 
@@ -147,99 +146,34 @@ def reset_thread_stats() -> None:
     _GLOBAL_STATS.reset()
 
 
-def _chaos_plan():
-    """The active chaos plan, without importing the chaos module (the
-    same no-cycle idiom as the process pool's)."""
-    module = sys.modules.get("repro.pipeline.chaos")
-    return module.current() if module is not None else None
-
-
-def _run_shard(
-    simulator, batches: Dict[int, ScenarioBatch], lo: int, hi: int
-) -> _ShardRaw:
-    """Thread task: simulate scenarios ``[lo, hi)`` of every set.
-
-    Slices are NumPy views into the parent's packed arrays — no
-    copies.  Runs entirely off the GIL while the kernel call is in
-    flight; the raw result shape matches the process workers', so the
-    shared merge helper applies.
-    """
-    out: _ShardRaw = {}
-    for faults, batch in batches.items():
-        piece = ScenarioBatch(
-            batch.names,
-            batch.durations[lo:hi],
-            batch.fault_counts[lo:hi],
-        )
-        result = simulator.run_batch(piece)
-        out[faults] = (
-            [float(u) for u in result.utilities],
-            int(result.deadline_miss.sum()),
-            int(result.switch_counts.sum()),
-            int(result.faults_observed.sum()),
-            result.n_fallback,
-        )
-    return out
-
-
-class ThreadedEvaluator:
+class ThreadedEvaluator(ShardedExecutor):
     """Deterministic thread-sharded Monte-Carlo evaluation.
 
     Constructed by :meth:`MonteCarloEvaluator.executor` for
-    ``mode="threads"`` configs; ``source`` supplies the packed
-    scenario batches (shared, never re-derived) and — like the process
-    executor — is held weakly to avoid an ownership cycle.
-    ``evaluate`` returns the same ``{fault count: EvaluationOutcome}``
-    mapping an inline evaluator produces.
+    ``mode="threads"`` configs; threads slice the source's packed
+    scenario batches as views (see
+    :class:`~repro.runtime.engine.parallel.ShardedExecutor`).
     """
 
     def __init__(self, source, execution) -> None:
-        config = ExecutionConfig.coerce(execution)
-        if config.mode != "threads":
+        super().__init__(source, execution)
+        if self.execution.mode != "threads":
             raise RuntimeModelError(
                 f"ThreadedEvaluator needs mode='threads', got "
-                f"{config.spec()!r}"
+                f"{self.execution.spec()!r}"
             )
-        self.execution = config
-        self.engine = config.engine
-        self.workers = config.workers
-        self.app = source.app
-        self.n_scenarios = source.n_scenarios
-        self.fault_counts = list(source.fault_counts)
-        self.seed = source.seed
-        self._source_ref = weakref.ref(source)
-        self._own_source = None
         self._pool: Optional[ThreadPoolExecutor] = None
         #: plan key → the plan's kernel simulator, or None when the
         #: kernel could not materialize for that plan (sticky fallback).
         self._plan_sims: Dict[int, Optional[object]] = {}
-        self._plan_keys: Dict[int, Tuple[object, int]] = {}
-        self._plan_counter = 0
 
     # ------------------------------------------------------------------
-    # Sources and lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------
-    def _source(self):
-        """The evaluator supplying scenario sets (derived if absent)."""
-        if self._source_ref is not None:
-            source = self._source_ref()
-            if source is not None:
-                return source
-        if self._own_source is None:
-            from repro.evaluation.montecarlo import MonteCarloEvaluator
-
-            self._own_source = MonteCarloEvaluator(
-                self.app,
-                n_scenarios=self.n_scenarios,
-                fault_counts=self.fault_counts,
-                seed=self.seed,
-            )
-        return self._own_source
-
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
+                max_workers=self.execution.workers,
                 thread_name_prefix="repro-shard",
             )
         return self._pool
@@ -251,28 +185,10 @@ class ThreadedEvaluator:
             self._pool = None
         self._plan_sims.clear()
         self._plan_keys.clear()
-        if self._own_source is not None:
-            self._own_source.close()
-            self._own_source = None
-
-    def __enter__(self) -> "ThreadedEvaluator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _plan_key(self, plan) -> int:
-        """Stable plan identity (same idiom as the process executor)."""
-        entry = self._plan_keys.get(id(plan))
-        if entry is None or entry[0] is not plan:
-            self._plan_counter += 1
-            entry = (plan, self._plan_counter)
-            self._plan_keys[id(plan)] = entry
-        return entry[1]
-
     def _simulator_for(self, plan):
         """The plan's :class:`KernelSimulator`, shared by every shard
         thread, or ``None`` when the kernel cannot materialize for it."""
@@ -302,36 +218,25 @@ class ThreadedEvaluator:
             except RuntimeError:
                 stats.count_fallback("chaos")
                 return self._process_fallback(plan)
-        if self.engine != "kernel":
+        if self.execution.engine != "kernel":
             stats.count_fallback("engine-not-kernel")
             return self._process_fallback(plan)
-        bounds = shard_bounds(self.n_scenarios, self.workers)
+        bounds = shard_bounds(self.n_scenarios, self.execution.workers)
         simulator = self._simulator_for(plan)
         if simulator is None:
             stats.count_fallback("kernel-unavailable")
             return self._process_fallback(plan)
-        source = self._source()
         if len(bounds) == 1:
-            # One shard: inline over the cached packed batches.
-            return source.evaluate(
-                plan, execution=ExecutionConfig(engine=self.engine)
-            )
-        batches = {f: source._batch_for(f) for f in self.fault_counts}
+            return self._inline(plan)
+        batches = self._batches()
         stats.count_evaluation(len(bounds))
         pool = self._ensure_pool()
         futures = [
-            pool.submit(_run_shard, simulator, batches, lo, hi)
+            pool.submit(simulate_rows, simulator, batches, lo, hi)
             for lo, hi in bounds
         ]
         shards = [future.result() for future in futures]
         return merge_shard_outcomes(self.fault_counts, shards)
-
-    def compare(
-        self, plans
-    ) -> Dict[str, Dict[int, "EvaluationOutcome"]]:
-        """Evaluate several named plans over one persistent thread
-        pool."""
-        return {name: self.evaluate(plan) for name, plan in plans.items()}
 
 
 __all__ = [

@@ -118,6 +118,10 @@ class _LockedStore:
 class ServiceState:
     """Everything one service process shares across requests."""
 
+    #: Upper bound on a request's scenarios per fault count: the
+    #: paper's evaluation scale (§6).
+    MAX_SCENARIOS = 20_000
+
     def __init__(self, config: ServiceConfig) -> None:
         from repro.pipeline.resources import ResourceManager
         from repro.quasistatic.synthesis import SynthesisStats
@@ -249,38 +253,42 @@ class ServiceState:
         """The request's Monte-Carlo routing.
 
         ``executor`` (a spec string like ``"kernel@threads:8"``)
-        replaces the server's configured routing for this request;
-        ``engine`` (deprecated) overrides just the engine of it.  A
+        replaces the server's configured routing for this request.  A
         malformed spec fails with the library's one-line enumeration
         of valid engines and modes.
         """
         from repro.errors import RuntimeModelError
         from repro.execution import ExecutionConfig
 
-        if "executor" in payload:
-            if "engine" in payload:
-                raise ValidationFailed(
-                    "pass either 'executor' or the deprecated "
-                    "'engine', not both"
-                )
-            spec = payload["executor"]
-            if not isinstance(spec, str):
-                raise ValidationFailed(
-                    "'executor' must be a spec string like "
-                    "'kernel@threads:8'"
-                )
-            try:
-                return ExecutionConfig.parse(spec)
-            except RuntimeModelError as exc:
-                raise ValidationFailed(str(exc))
-        if "engine" in payload:
-            try:
-                return dataclasses.replace(
-                    self.execution, engine=payload["engine"]
-                )
-            except RuntimeModelError as exc:
-                raise ValidationFailed(str(exc))
-        return self.execution
+        if "executor" not in payload:
+            return self.execution
+        spec = payload["executor"]
+        if not isinstance(spec, str):
+            raise ValidationFailed(
+                "'executor' must be a spec string like "
+                "'kernel@threads:8'"
+            )
+        try:
+            return ExecutionConfig.parse(spec)
+        except RuntimeModelError as exc:
+            raise ValidationFailed(str(exc))
+
+    @staticmethod
+    def _integer(value: Any, name: str, low: int, high: Optional[int]):
+        """``value`` if it is a JSON integer (not a boolean) within
+        ``[low, high]``; else a 400 naming the field."""
+        if (
+            not isinstance(value, int)
+            or isinstance(value, bool)
+            or value < low
+            or (high is not None and value > high)
+        ):
+            bounds = f">= {low}" if high is None else f"in {low}..{high:,}"
+            raise ValidationFailed(
+                f"'{name}' must be a JSON integer {bounds}, got "
+                f"{json.dumps(value)}"
+            )
+        return value
 
     # ------------------------------------------------------------------
     # Chaos
@@ -376,21 +384,34 @@ class ServiceState:
         app = self._decode_application(payload)
         known = {
             "application", "tree", "config", "max_schedules",
-            "scenarios", "seed", "fault_counts", "engine", "executor",
+            "scenarios", "seed", "fault_counts", "executor",
         }
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValidationFailed(
                 f"unknown field(s) {unknown}; known: {sorted(known)}"
             )
+        scenarios = self._integer(
+            payload.get("scenarios", 200), "scenarios", 1,
+            self.MAX_SCENARIOS,
+        )
+        seed = self._integer(payload.get("seed", 1), "seed", 0, None)
+        fault_counts = payload.get("fault_counts")
+        if fault_counts is not None:
+            if not isinstance(fault_counts, list):
+                raise ValidationFailed(
+                    f"'fault_counts' must be a JSON list of integers, "
+                    f"got {json.dumps(fault_counts)}"
+                )
+            for count in fault_counts:
+                self._integer(count, "fault_counts", 0, None)
+        execution = self._execution_from(payload)
         if "tree" in payload:
             if not isinstance(payload["tree"], dict):
                 raise ValidationFailed("'tree' must be a JSON object")
             tree = tree_from_dict(app, payload["tree"])
         else:
             tree, _ = self._build_tree(app, self._config_from(payload))
-        execution = self._execution_from(payload)
-        fault_counts = payload.get("fault_counts")
         pool_guard = (
             self._pool_lock
             if execution.workers > 1
@@ -399,9 +420,9 @@ class ServiceState:
         with pool_guard:
             evaluator = self.resources.evaluator(
                 app,
-                n_scenarios=payload.get("scenarios", 200),
+                n_scenarios=scenarios,
                 fault_counts=fault_counts,
-                seed=payload.get("seed", 1),
+                seed=seed,
                 execution=execution,
             )
             with evaluator:
@@ -409,7 +430,7 @@ class ServiceState:
         body = {
             "engine": execution.engine,
             "executor": execution.spec(),
-            "scenarios": payload.get("scenarios", 200),
+            "scenarios": scenarios,
             "outcomes": {
                 str(faults): {
                     "mean_utility": outcome.mean_utility,

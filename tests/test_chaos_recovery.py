@@ -182,18 +182,18 @@ class TestCheckpoint:
             )
 
     def test_fingerprint_masks_routing_knobs(self, tmp_path):
-        # jobs/engine are result-neutral: a checkpoint from --jobs 4
-        # resumes under --jobs 1.
+        # The executor is result-neutral: a checkpoint written under
+        # batched@processes:4 resumes under the inline reference.
         directory = str(tmp_path / "ckpt")
         ExperimentCheckpoint(
             directory,
             experiment="cc",
-            config={"seed": 1, "jobs": 4, "engine": "batched"},
+            config={"seed": 1, "execution": "batched@processes:4"},
         ).close()
         ExperimentCheckpoint(
             directory,
             experiment="cc",
-            config={"seed": 1, "jobs": 1, "engine": "reference"},
+            config={"seed": 1, "execution": "reference"},
             resume=True,
         ).close()
 
@@ -290,7 +290,7 @@ class TestCLI:
         assert main(["experiment", "cc"]) == 0
         clean = capsys.readouterr().out
         assert main([
-            "experiment", "cc", "--jobs", "2",
+            "experiment", "cc", "--executor", "batched@processes:2",
             "--chaos", "kill-worker@0,budget@1",
         ]) == 0
         out = capsys.readouterr().out
@@ -415,18 +415,19 @@ class TestCLI:
         assert "run once with --checkpoint first" in message
 
     def test_resume_routing_knob_change_is_accepted(self, tmp_path, capsys):
-        """engine/jobs are masked out of the fingerprint: a checkpoint
-        written under --jobs 2 resumes under --jobs 1 and reuses every
-        journaled unit."""
+        """The executor is masked out of the fingerprint: a checkpoint
+        written under batched@processes:2 resumes under the inline
+        reference engine and reuses every journaled unit."""
         from repro.cli import main
 
         directory = str(tmp_path / "ckpt")
         assert main([
-            "experiment", "cc", "--checkpoint", directory, "--jobs", "2",
+            "experiment", "cc", "--checkpoint", directory,
+            "--executor", "batched@processes:2",
         ]) == 0
         capsys.readouterr()
         assert main([
             "experiment", "cc", "--checkpoint", directory, "--resume",
-            "--engine", "reference",
+            "--executor", "reference",
         ]) == 0
         assert "1 reused" in capsys.readouterr().out

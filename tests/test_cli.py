@@ -74,6 +74,9 @@ class TestArgumentValidation:
     """Bad worker counts and cache paths die with a clear one-liner,
     not a traceback out of the pool or filesystem machinery."""
 
+    # ``--jobs`` is no longer a flag (``--executor ENGINE@MODE:N`` sets
+    # the evaluation workers); its cases pin that the retired spelling
+    # still dies at parse time.
     @pytest.mark.parametrize("flag", ["--jobs", "--synthesis-jobs"])
     @pytest.mark.parametrize("value", ["0", "-2", "two"])
     def test_non_positive_jobs_rejected(self, capsys, flag, value):
@@ -84,9 +87,14 @@ class TestArgumentValidation:
         assert flag in err
 
     def test_simulate_jobs_validated_too(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["simulate", "a.json", "t.json", "--jobs", "0"])
-        assert "--jobs" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "simulate", "a.json", "t.json",
+                "--executor", "batched@processes:0",
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--executor" in err and "workers must be positive" in err
 
     def test_missing_cache_dir_parent_rejected(self, tmp_path, capsys):
         missing = str(tmp_path / "no" / "such" / "cache")

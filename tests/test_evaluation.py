@@ -138,8 +138,6 @@ class TestMonteCarloEvaluator:
         evaluator = MonteCarloEvaluator(fig1_app, n_scenarios=5)
         with pytest.raises(RuntimeModelError):
             evaluator.evaluate(ftss(fig1_app), execution="warp")
-        with pytest.raises(RuntimeModelError), pytest.deprecated_call():
-            evaluator.evaluate(ftss(fig1_app), engine="warp")
 
     def test_non_positive_jobs_rejected(self, fig1_app):
         with pytest.raises(RuntimeModelError):
@@ -147,8 +145,23 @@ class TestMonteCarloEvaluator:
                 fig1_app, n_scenarios=5, execution="batched@processes:0"
             )
         evaluator = MonteCarloEvaluator(fig1_app, n_scenarios=5)
-        with pytest.raises(RuntimeModelError), pytest.deprecated_call():
-            evaluator.evaluate(ftss(fig1_app), jobs=0)
+        with pytest.raises(RuntimeModelError):
+            evaluator.evaluate(
+                ftss(fig1_app), execution="batched@threads:0"
+            )
+
+    def test_duplicate_fault_counts_rejected(self, fig1_app):
+        """A repeated fault count used to be sampled twice, the second
+        draw replacing the first, so ``[1, 1]`` reported a different
+        f=1 outcome than ``[1]``."""
+        with pytest.raises(RuntimeModelError, match="duplicate"):
+            MonteCarloEvaluator(
+                fig1_app, n_scenarios=50, fault_counts=[1, 1], seed=3
+            )
+        with pytest.raises(RuntimeModelError, match="duplicate"):
+            MonteCarloEvaluator(
+                fig1_app, n_scenarios=5, fault_counts=[0, 1, 0]
+            )
 
     def test_seed_determinism(self, fig1_app):
         a = MonteCarloEvaluator(fig1_app, n_scenarios=10, seed=5)

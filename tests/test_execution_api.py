@@ -1,11 +1,11 @@
-"""The unified ExecutionConfig API (spec grammar, legacy aliases).
+"""The unified ExecutionConfig API: the one way to route evaluation.
 
 Pins the contract of :mod:`repro.execution`: the
 ``ENGINE[@MODE[:WORKERS]]`` spec grammar round-trips, every malformed
 spec fails with the one-line enumeration of valid engines *and* modes,
-and the deprecated ``engine=``/``jobs=`` keywords keep working — same
-results, plus a :class:`DeprecationWarning` — across the evaluator,
-the experiment runner and the CLI.
+and the retired ``engine=``/``jobs=`` keywords and ``--engine``/
+``--jobs`` flags fail loudly — a :class:`TypeError` in the evaluator
+and the experiment runner, a usage error (exit 2) in the CLI.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ import pytest
 
 from repro.errors import RuntimeModelError
 from repro.evaluation.montecarlo import MonteCarloEvaluator
-from repro.execution import (
-    ENGINES,
-    MODES,
-    ExecutionConfig,
-    choices_line,
-    resolve_execution,
-)
+from repro.execution import ENGINES, MODES, ExecutionConfig, choices_line
 from repro.scheduling.ftss import ftss
 
 CHOICES = (
@@ -109,100 +103,49 @@ class TestSpecGrammar:
 
 
 # ----------------------------------------------------------------------
-# Legacy keyword resolution
-# ----------------------------------------------------------------------
-class TestLegacyResolution:
-    def test_from_legacy_maps_jobs_onto_processes(self):
-        assert ExecutionConfig.from_legacy("kernel", 4).spec() == (
-            "kernel@processes:4"
-        )
-        assert ExecutionConfig.from_legacy("kernel", 1).spec() == "kernel"
-        assert ExecutionConfig.from_legacy(None, None).spec() == "batched"
-        with pytest.raises(RuntimeModelError):
-            ExecutionConfig.from_legacy("batched", 0)
-
-    def test_resolve_warns_on_legacy_keywords(self):
-        with pytest.deprecated_call():
-            config = resolve_execution(engine="kernel", jobs=4)
-        assert config.spec() == "kernel@processes:4"
-
-    def test_resolve_rejects_mixing_new_and_legacy(self):
-        with pytest.raises(RuntimeModelError), pytest.deprecated_call():
-            resolve_execution("kernel@threads:2", engine="batched")
-
-    def test_legacy_jobs_override_keeps_base_mode(self):
-        base = ExecutionConfig.parse("kernel@threads:8")
-        with pytest.deprecated_call():
-            config = resolve_execution(jobs=2, base=base)
-        assert config.spec() == "kernel@threads:2"
-        with pytest.deprecated_call():
-            config = resolve_execution(jobs=1, base=base)
-        assert config.spec() == "kernel"
-
-    def test_legacy_engine_override_keeps_base_routing(self):
-        base = ExecutionConfig.parse("batched@processes:4")
-        with pytest.deprecated_call():
-            config = resolve_execution(engine="kernel", base=base)
-        assert config.spec() == "kernel@processes:4"
-
-    def test_resolve_defaults_to_base(self):
-        base = ExecutionConfig.parse("kernel@threads:8")
-        assert resolve_execution(base=base) is base
-        assert resolve_execution() == ExecutionConfig()
-
-
-# ----------------------------------------------------------------------
 # Evaluator integration
 # ----------------------------------------------------------------------
 class TestEvaluatorIntegration:
     def test_default_execution_is_reference_inline(self, fig1_app):
         evaluator = MonteCarloEvaluator(fig1_app, n_scenarios=5)
         assert evaluator.execution.spec() == "reference"
-        assert (evaluator.engine, evaluator.jobs) == ("reference", 1)
+        assert not hasattr(evaluator, "engine")
+        assert not hasattr(evaluator, "jobs")
 
-    def test_constructor_legacy_keywords_warn_but_match(self, fig1_app):
-        plan = ftss(fig1_app)
-        with MonteCarloEvaluator(
-            fig1_app, n_scenarios=15, fault_counts=[0, 1], seed=3,
-            execution="batched@processes:2",
-        ) as modern:
-            expected = modern.evaluate(plan)
-        with pytest.deprecated_call():
-            legacy = MonteCarloEvaluator(
-                fig1_app, n_scenarios=15, fault_counts=[0, 1], seed=3,
-                engine="batched", jobs=2,
-            )
-        with legacy:
-            assert legacy.execution.spec() == "batched@processes:2"
-            assert legacy.evaluate(plan) == expected
+    def test_constructor_rejects_removed_keywords(self, fig1_app):
+        with pytest.raises(TypeError, match="engine"):
+            MonteCarloEvaluator(fig1_app, n_scenarios=5, engine="batched")
+        with pytest.raises(TypeError, match="jobs"):
+            MonteCarloEvaluator(fig1_app, n_scenarios=5, jobs=2)
 
-    def test_evaluate_legacy_keywords_warn_but_match(self, fig1_app):
-        plan = ftss(fig1_app)
+    def test_evaluate_rejects_removed_keywords(self, fig1_app):
         with MonteCarloEvaluator(
-            fig1_app, n_scenarios=15, fault_counts=[0], seed=3
+            fig1_app, n_scenarios=5, fault_counts=[0]
         ) as evaluator:
-            expected = evaluator.evaluate(plan, execution="batched")
-            with pytest.deprecated_call():
-                assert (
-                    evaluator.evaluate(plan, engine="batched") == expected
-                )
+            with pytest.raises(TypeError, match="jobs"):
+                evaluator.evaluate(ftss(fig1_app), jobs=2)
+            with pytest.raises(TypeError, match="engine"):
+                evaluator.evaluate(ftss(fig1_app), engine="batched")
+            assert not hasattr(evaluator, "parallel")
 
     def test_evaluate_rejects_mixing_new_and_legacy(self, fig1_app):
         with MonteCarloEvaluator(
             fig1_app, n_scenarios=5, fault_counts=[0]
         ) as evaluator:
-            with pytest.raises(RuntimeModelError), pytest.deprecated_call():
+            with pytest.raises(TypeError):
                 evaluator.evaluate(
                     ftss(fig1_app), execution="batched", jobs=2
                 )
 
-    def test_runner_legacy_keywords_warn(self, fig1_app):
+    def test_runner_rejects_removed_keywords(self):
         from repro.pipeline.runner import ExperimentRunner
 
         assert ExperimentRunner().execution.spec() == "batched"
-        with pytest.deprecated_call():
-            runner = ExperimentRunner(engine="kernel", jobs=2)
-        assert runner.execution.spec() == "kernel@processes:2"
+        assert ExperimentRunner(
+            execution="kernel@processes:2"
+        ).execution.spec() == "kernel@processes:2"
+        with pytest.raises(TypeError):
+            ExperimentRunner(engine="kernel", jobs=2)
 
 
 # ----------------------------------------------------------------------
@@ -249,36 +192,28 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert CHOICES in capsys.readouterr().err
 
-    def test_bad_engine_alias_exits_2_with_choices(
-        self, app_and_tree, capsys
-    ):
-        from repro.cli import main
-
-        app_path, tree_path = app_and_tree
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["simulate", app_path, tree_path, "--engine", "warp"]
-            )
-        assert excinfo.value.code == 2
-        assert CHOICES in capsys.readouterr().err
-
-    def test_engine_jobs_aliases_still_route(self, app_and_tree, capsys):
+    @pytest.mark.parametrize(
+        "flags",
+        [["--engine", "batched"], ["--jobs", "2"]],
+        ids=["engine", "jobs"],
+    )
+    def test_removed_flags_exit_2(self, app_and_tree, capsys, flags):
         from repro.cli import main
 
         app_path, tree_path = app_and_tree
         capsys.readouterr()
-        assert main(
-            [
-                "simulate", app_path, tree_path, "--scenarios", "20",
-                "--engine", "batched", "--jobs", "2",
-            ]
-        ) == 0
-        assert "0 faults" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", app_path, tree_path, *flags])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in (
+            capsys.readouterr().err
+        )
 
-    def test_executor_conflicts_with_aliases(self, app_and_tree):
+    def test_executor_conflicts_with_aliases(self, app_and_tree, capsys):
         from repro.cli import main
 
         app_path, tree_path = app_and_tree
+        capsys.readouterr()
         with pytest.raises(SystemExit) as excinfo:
             main(
                 [
@@ -287,4 +222,6 @@ class TestCLI:
                     "--jobs", "4",
                 ]
             )
-        assert "--executor supersedes" in str(excinfo.value)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --jobs 4" in err

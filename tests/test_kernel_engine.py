@@ -470,10 +470,17 @@ def test_forked_child_gets_free_locks():
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
-def test_evaluator_engine_validation():
+def test_evaluator_engine_validation(fig1_app):
+    """The evaluator takes ``kernel`` as an engine and rejects unknown
+    engine names, all through its one ``execution=`` spelling."""
     from repro.errors import RuntimeModelError
-    from repro.evaluation.montecarlo import ENGINES, _check_engine
+    from repro.evaluation.montecarlo import MonteCarloEvaluator
+    from repro.execution import ENGINES
 
     assert "kernel" in ENGINES
+    evaluator = MonteCarloEvaluator(
+        fig1_app, n_scenarios=2, execution="kernel@threads:2"
+    )
+    assert evaluator.execution.engine == "kernel"
     with pytest.raises(RuntimeModelError, match="unknown engine"):
-        _check_engine("compiled")
+        MonteCarloEvaluator(fig1_app, n_scenarios=2, execution="compiled")

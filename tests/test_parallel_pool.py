@@ -2,16 +2,26 @@
 
 The whole point of the persistent pool is that comparing many plans
 pays the fork + shared-memory publication cost once — these tests pin
-that down by counting pool spawns, and check that teardown releases
-the shared segments and that a closed evaluator can be used again.
+that down by counting pool spawns and per-worker context builds, and
+check that teardown releases the shared segments and that a closed
+evaluator can be used again.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
+
 import pytest
 
 from repro.evaluation.montecarlo import MonteCarloEvaluator
-from repro.runtime.engine.parallel import ParallelEvaluator
+from repro.pipeline.chaos import ChaosPlan, active
+from repro.runtime.engine import parallel
+from repro.runtime.engine.parallel import (
+    ParallelEvaluator,
+    TaskPool,
+    WorkerContext,
+)
 from repro.scheduling.ftss import ftss
 
 
@@ -21,9 +31,9 @@ def counted_spawns(monkeypatch):
     spawns = []
     original = ParallelEvaluator._spawn_pool
 
-    def counting(self, processes, names, specs):
+    def counting(self, processes):
         spawns.append(processes)
-        return original(self, processes, names, specs)
+        return original(self, processes)
 
     monkeypatch.setattr(ParallelEvaluator, "_spawn_pool", counting)
     return spawns
@@ -48,8 +58,7 @@ def test_pool_spawned_once_across_evaluates(fig1_app, counted_spawns):
 
 
 def test_montecarlo_caches_executors(fig1_app):
-    """Executors are cached per ExecutionConfig; the deprecated
-    ``parallel()`` alias resolves to the same cached object."""
+    """Executors are cached per ExecutionConfig."""
     evaluator = MonteCarloEvaluator(
         fig1_app, n_scenarios=5, fault_counts=[0], seed=3
     )
@@ -63,42 +72,52 @@ def test_montecarlo_caches_executors(fig1_app):
         assert evaluator.executor("kernel@threads:2") is not (
             evaluator.executor("batched@processes:2")
         )
-        with pytest.deprecated_call():
-            assert evaluator.parallel("batched", 2) is (
-                evaluator.executor("batched@processes:2")
-            )
     finally:
         evaluator.close()
 
 
 def test_single_shard_runs_in_process(fig1_app, counted_spawns):
-    """jobs=1 (or one scenario) never pays for a pool."""
+    """One worker (or one scenario) never pays for a pool."""
     plan = ftss(fig1_app)
-    with ParallelEvaluator(
-        fig1_app, n_scenarios=8, fault_counts=[0], seed=5,
-        execution="batched",
+    with MonteCarloEvaluator(
+        fig1_app, n_scenarios=8, fault_counts=[0], seed=5
     ) as evaluator:
-        evaluator.evaluate(plan)
+        evaluator.executor("batched@processes:1").evaluate(plan)
+    with MonteCarloEvaluator(
+        fig1_app, n_scenarios=1, fault_counts=[0], seed=5
+    ) as evaluator:
+        evaluator.executor("batched@processes:2").evaluate(plan)
     assert counted_spawns == []
 
 
 def test_close_releases_and_respawns(fig1_app, counted_spawns):
     """close() tears the pool down; the next evaluate() respawns."""
     plan = ftss(fig1_app)
-    evaluator = ParallelEvaluator(
-        fig1_app, n_scenarios=16, fault_counts=[0], seed=7,
-        execution="batched@processes:2",
-    )
-    try:
-        before = evaluator.evaluate(plan)
+    with MonteCarloEvaluator(
+        fig1_app, n_scenarios=16, fault_counts=[0], seed=7
+    ) as source:
+        executor = source.executor("batched@processes:2")
+        before = executor.evaluate(plan)
         assert counted_spawns == [2]
-        evaluator.close()
-        assert evaluator._segments == []
-        after = evaluator.evaluate(plan)
+        executor.close()
+        assert executor._segments == []
+        after = executor.evaluate(plan)
         assert counted_spawns == [2, 2]
         assert before[0].utilities == after[0].utilities
-    finally:
-        evaluator.close()
+
+
+def test_executor_needs_its_evaluator(fig1_app):
+    """An executor only serves the evaluator that built it: once that
+    evaluator is gone it fails loudly instead of re-sampling a private
+    copy of the scenarios."""
+    from repro.errors import RuntimeModelError
+
+    executor = MonteCarloEvaluator(
+        fig1_app, n_scenarios=8, fault_counts=[0], seed=5
+    ).executor("batched@processes:2")
+    with pytest.raises(RuntimeModelError, match="garbage-collected"):
+        executor.evaluate(ftss(fig1_app))
+    executor.close()
 
 
 @pytest.fixture
@@ -224,3 +243,97 @@ def test_outcomes_carry_fallback_counts(fig1_app):
         assert batched[faults].fast_path_share == 1.0
         assert reference[faults].fallbacks == 12
         assert reference[faults].fast_path_share == 0.0
+
+
+# ----------------------------------------------------------------------
+# Worker contexts
+# ----------------------------------------------------------------------
+def _logged_builds(path):
+    """The pids that built a context, one line per build."""
+    if not os.path.exists(path):
+        return []
+    with open(path) as handle:
+        return handle.read().split()
+
+
+@pytest.mark.parametrize("borrowed", [False, True], ids=["owned", "borrowed"])
+def test_workers_build_each_context_once_per_token(
+    fig1_app, tmp_path, monkeypatch, borrowed
+):
+    """Every worker builds an evaluator's context once — across
+    evaluate() and compare() calls — and a worker respawned after a
+    kill-worker chaos fault builds it again, whether the executor
+    spawned its own pool or borrowed a ResourceManager's."""
+    from repro.pipeline.resources import ResourceManager
+
+    log = str(tmp_path / "builds.log")
+    original = parallel._EvaluationWorker.__init__
+
+    def logging_init(self, *args):
+        original(self, *args)
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+
+    monkeypatch.setattr(parallel._EvaluationWorker, "__init__", logging_init)
+    plan = ftss(fig1_app)
+    with ResourceManager() as resources:
+        make = resources.evaluator if borrowed else MonteCarloEvaluator
+        with make(
+            fig1_app, n_scenarios=20, fault_counts=[0, 1], seed=3,
+            execution="batched@processes:2",
+        ) as evaluator:
+            first = evaluator.evaluate(plan)
+            evaluator.compare({"a": plan, "b": plan})
+            builds = _logged_builds(log)
+            assert len(builds) == 2 and len(set(builds)) == 2
+            assert os.getpid() not in map(int, builds)
+            with active(ChaosPlan(kill_worker={0: 1}, kill_budget=1)):
+                assert evaluator.evaluate(plan) == first
+            # Both workers get a shard of the next map, so the
+            # respawned one has built the context by now at the latest.
+            assert evaluator.evaluate(plan) == first
+            rebuilt = _logged_builds(log)
+            assert len(rebuilt) == 3 and rebuilt[:2] == builds
+            assert rebuilt[2] not in builds
+
+
+class _Tagged:
+    """Context state that logs which process built it."""
+
+    def __init__(self, path, label):
+        self.label = label
+        with open(path, "a") as handle:
+            handle.write(f"{os.getpid()}:{label}\n")
+
+
+def _tag(state, task):
+    return state.label, task
+
+
+def test_taskpool_context_per_token_and_in_process_degradation(tmp_path):
+    """A new token is built once per worker; a task degraded to
+    in-process execution builds the context once in the parent."""
+    log = str(tmp_path / "builds.log")
+    first = WorkerContext.of(_Tagged, log, "a")
+    second = WorkerContext.of(_Tagged, log, "b")
+    assert first.token != second.token
+    with TaskPool(2) as pool:
+        assert pool.map(_tag, [1, 2], first) == [("a", 1), ("a", 2)]
+        assert pool.map(_tag, [3, 4], first) == [("a", 3), ("a", 4)]
+        assert pool.map(_tag, [5, 6], second) == [("b", 5), ("b", 6)]
+        builds = _logged_builds(log)
+        labels = sorted(build.split(":")[1] for build in builds)
+        assert labels == ["a", "a", "b", "b"]
+        assert len(set(builds)) == 4  # two workers, one build per token
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            # Task 0 loses its worker past the retry budget.
+            with active(ChaosPlan(kill_worker={0: 99})):
+                degraded = pool.map(_tag, [7, 8], first)
+        assert degraded == [("a", 7), ("a", 8)]
+        assert pool.recovery.degraded_tasks == 1
+        assert pool.map(_tag, [9, 10], first) == [("a", 9), ("a", 10)]
+    in_process = [
+        b for b in _logged_builds(log)[4:] if b.startswith(f"{os.getpid()}:")
+    ]
+    assert in_process == [f"{os.getpid()}:a"]

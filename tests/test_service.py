@@ -279,26 +279,83 @@ def test_evaluate_executor_field_routes_request(fig1_payload):
         assert sharded["engine"] == "batched"
         assert sharded["outcomes"] == default["outcomes"]
 
-        # The deprecated bare 'engine' field still swaps the engine.
-        status, body, _ = http_post(
-            handle.url + "/v1/evaluate", dict(request, engine="reference")
-        )
-        assert status == 200
-        assert json.loads(body)["executor"] == "reference"
-
-        # Malformed specs and field conflicts fail with the library's
-        # enumerating one-liner, not a traceback.
+        # Malformed specs fail with the library's enumerating
+        # one-liner, not a traceback.
         status, body, _ = http_post(
             handle.url + "/v1/evaluate",
             dict(request, executor="warp@fibers:2"),
         )
         assert (status, error_code(body)) == (400, "invalid-request")
         assert "valid engines:" in json.loads(body)["error"]["message"]
-        status, body, _ = http_post(
-            handle.url + "/v1/evaluate",
-            dict(request, executor="batched", engine="kernel"),
+
+
+# ----------------------------------------------------------------------
+# /v1/evaluate parameter checks, socket-free through handlers.dispatch
+# ----------------------------------------------------------------------
+@pytest.fixture
+def dispatch_evaluate(fig1_payload):
+    """POST a /v1/evaluate body (the fig1 app plus ``fields``) through
+    the socket-free dispatcher; returns (status, decoded body)."""
+    from repro.service import handlers
+    from repro.service.state import ServiceState
+
+    state = ServiceState(
+        ServiceConfig(store=TreeStore(backend=MemoryBackend()))
+    )
+
+    def post(**fields):
+        body = json.dumps(
+            {"application": fig1_payload["application"], **fields}
+        ).encode()
+        response = handlers.dispatch(
+            state, "POST", "/v1/evaluate", len(body), lambda n: body
         )
-        assert (status, error_code(body)) == (400, "invalid-request")
+        return response.status, json.loads(response.body)
+
+    yield post
+    state.close()
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"scenarios": True}, "'scenarios'"),
+        ({"scenarios": "7"}, "'scenarios'"),
+        ({"scenarios": 0}, "'scenarios'"),
+        ({"scenarios": 20_001}, "'scenarios'"),
+        ({"scenarios": 7.0}, "'scenarios'"),
+        ({"seed": True}, "'seed'"),
+        ({"seed": "3"}, "'seed'"),
+        ({"seed": -1}, "'seed'"),
+        ({"fault_counts": 1}, "'fault_counts'"),
+        ({"fault_counts": [0, True]}, "'fault_counts'"),
+        ({"fault_counts": ["1"]}, "'fault_counts'"),
+        ({"fault_counts": [-1]}, "'fault_counts'"),
+        ({"fault_counts": [1, 1]}, "duplicate fault counts"),
+        ({"engine": "batched"}, "unknown field(s) ['engine']; known:"),
+    ],
+)
+def test_evaluate_rejects_malformed_parameters(
+    dispatch_evaluate, fields, named
+):
+    """Every malformed evaluation parameter is a 400 invalid-request
+    naming the field — never a silent coercion (``true`` as one
+    scenario) or a Python-internal message; the retired ``engine``
+    field is rejected with the list of known fields."""
+    status, body = dispatch_evaluate(max_schedules=2, **fields)
+    assert (status, body["error"]["code"]) == (400, "invalid-request")
+    assert named in body["error"]["message"]
+    if "engine" in fields:
+        assert "'executor'" in body["error"]["message"]
+
+
+def test_evaluate_accepts_well_formed_parameters(dispatch_evaluate):
+    status, body = dispatch_evaluate(
+        max_schedules=2, scenarios=20, seed=0, fault_counts=[1]
+    )
+    assert status == 200
+    assert body["scenarios"] == 20
+    assert sorted(body["outcomes"]) == ["1"]
 
 
 # ----------------------------------------------------------------------
