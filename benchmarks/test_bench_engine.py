@@ -9,11 +9,9 @@ every mixed-fault axis (k = 1, 2) for the batched engine, where
 faulted soft processes resolve against the compiled §2.2 decision
 tables instead of the reference loop.  The C kernel core axes
 (``cc/.../kernel-vs-*``) time ``engine="kernel"`` against both the
-reference loop and the batched engine with the scenario sets already
-packed — both engines share the packing cost, which the batched axes
-already measure end-to-end — and assert ≥ 2x over batched on the
-mixed-fault axes (they are skipped, with the counted reason, on boxes
-without a C compiler).  A persistent-pool ``compare()`` benchmark
+reference loop and the batched engine on the same sampled scenario
+arrays and assert ≥ 2x over batched on the mixed-fault axes (they are
+skipped, with the counted reason, on boxes without a C compiler).  A persistent-pool ``compare()`` benchmark
 checks that ``batched@processes:4`` beats an inline run on a
 multi-plan workload, and a ``kernel-threads`` axis
 (``cc/compare-kernel-threads``) that ``kernel@threads:4`` beats
@@ -68,19 +66,15 @@ def cc_setup():
     return app, root, tree
 
 
-def _time_engine(evaluator, plan, engine, rounds=3, repack=True):
+def _time_engine(evaluator, plan, engine, rounds=3):
     """Best-of-``rounds`` wall time (min damps scheduler noise on
     loaded boxes; three rounds because a single descheduling spike on
     a 1-CPU box routinely survives two and trips the ±20% trajectory
-    gate).  With ``repack`` (the default) the batch cache is cleared
-    before every round so each one pays the full end-to-end cost,
-    packing included; the kernel axes pass ``repack=False`` to time
-    the engines on already-packed scenario sets."""
+    gate).  Every engine reads the evaluator's scenario arrays as
+    sampled, so no round pays a packing step."""
     best = None
     outcomes = None
     for _ in range(rounds):
-        if repack:
-            evaluator._batches.clear()
         start = time.perf_counter()
         outcomes = evaluator.evaluate(plan, execution=engine)
         elapsed = time.perf_counter() - start
@@ -228,12 +222,10 @@ def test_kernel_speedup_single_fault_axes(
     evaluator = MonteCarloEvaluator(
         app, n_scenarios=n, fault_counts=[faults], seed=11
     )
-    evaluator.evaluate(tree, execution="batched")  # pack once, warm caches
-    by_reference, t_ref = _time_engine(
-        evaluator, tree, "reference", repack=False
-    )
-    by_batch, t_bat = _time_engine(evaluator, tree, "batched", repack=False)
-    by_kernel, t_ker = _time_engine(evaluator, tree, "kernel", repack=False)
+    evaluator.evaluate(tree, execution="batched")  # warm caches
+    by_reference, t_ref = _time_engine(evaluator, tree, "reference")
+    by_batch, t_bat = _time_engine(evaluator, tree, "batched")
+    by_kernel, t_ker = _time_engine(evaluator, tree, "kernel")
     assert by_reference[faults].utilities == by_kernel[faults].utilities
     assert by_batch[faults].utilities == by_kernel[faults].utilities
     assert by_kernel[faults].fallbacks == 0
@@ -264,9 +256,9 @@ def test_kernel_speedup_mixed_fault_axes(
     evaluator = MonteCarloEvaluator(
         app, n_scenarios=n, fault_counts=[0, 1, 2], seed=11
     )
-    evaluator.evaluate(tree, execution="batched")  # pack once, warm caches
-    by_batch, t_bat = _time_engine(evaluator, tree, "batched", repack=False)
-    by_kernel, t_ker = _time_engine(evaluator, tree, "kernel", repack=False)
+    evaluator.evaluate(tree, execution="batched")  # warm caches
+    by_batch, t_bat = _time_engine(evaluator, tree, "batched")
+    by_kernel, t_ker = _time_engine(evaluator, tree, "kernel")
     for faults in (0, 1, 2):
         assert by_batch[faults].utilities == by_kernel[faults].utilities
         assert by_kernel[faults].fallbacks == 0
@@ -466,9 +458,9 @@ def test_kernel_smoke_throughput(cc_setup, kernel_ready):
     evaluator = MonteCarloEvaluator(
         app, n_scenarios=400, fault_counts=[0, 1, 2], seed=23
     )
-    evaluator.evaluate(tree, execution="batched")  # pack once, warm caches
-    by_batch, t_bat = _time_engine(evaluator, tree, "batched", repack=False)
-    by_kernel, t_ker = _time_engine(evaluator, tree, "kernel", repack=False)
+    evaluator.evaluate(tree, execution="batched")  # warm caches
+    by_batch, t_bat = _time_engine(evaluator, tree, "batched")
+    by_kernel, t_ker = _time_engine(evaluator, tree, "kernel")
     for faults in (0, 1, 2):
         assert by_batch[faults].utilities == by_kernel[faults].utilities
         assert by_kernel[faults].fallbacks == 0

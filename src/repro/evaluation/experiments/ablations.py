@@ -156,9 +156,9 @@ class AblationRunner(ExperimentRunner):
                 if config.include_replanner:
                     utils = []
                     seconds = []
-                    for scenario in evaluator.scenarios[0][
-                        : config.replanner_scenarios
-                    ]:
+                    for scenario in evaluator.scenarios[0].rows(
+                        0, config.replanner_scenarios
+                    ):
                         outcome = run_replanning(app, scenario)
                         utils.append(outcome.result.utility)
                         seconds.append(outcome.scheduling_seconds)

@@ -5,18 +5,22 @@ fault count (0, 1, 2, 3 faults), with actual execution times drawn
 uniformly from [BCET, WCET].  Crucially, the *same* scenarios are
 replayed against every approach — the comparison is paired — which is
 what :class:`MonteCarloEvaluator` implements: scenarios are generated
-once per (application, fault count) and each plan runs them all.
+once per (application, fault count) and each plan runs them all.  The
+sets are sampled straight into arrays, one
+:class:`~repro.runtime.engine.batch.ScenarioBatch` per fault count,
+all sharing one execution-time array.
 
 Three interchangeable engines execute the replay:
 
 * ``reference`` — the pure-Python
   :class:`~repro.runtime.online.OnlineScheduler` event loop, one
-  scenario at a time (the behavioral oracle);
+  scenario at a time (the behavioral oracle), each scenario built from
+  the batch arrays on access;
 * ``batched`` — the array-based
-  :class:`~repro.runtime.engine.simulator.BatchSimulator`, which packs
-  each scenario set into a :class:`ScenarioBatch` and is bit-identical
-  to the oracle (see ``tests/test_engine_differential.py``) while an
-  order of magnitude faster;
+  :class:`~repro.runtime.engine.simulator.BatchSimulator`, which runs
+  whole batches and is bit-identical to the oracle (see
+  ``tests/test_engine_differential.py``) while an order of magnitude
+  faster;
 * ``kernel`` — the
   :class:`~repro.runtime.engine.kernel.KernelSimulator`, which runs
   the plan's lowered decision tables through one prebuilt C core and
@@ -41,9 +45,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import RuntimeModelError
+from repro.errors import ModelError, RuntimeModelError
 from repro.execution import ExecutionConfig
-from repro.faults.injection import ExecutionScenario, ScenarioSampler
+from repro.faults.injection import ExecutionScenario
 from repro.model.application import Application
 from repro.quasistatic.tree import QSTree
 from repro.runtime.engine.batch import ScenarioBatch
@@ -148,7 +152,7 @@ class MonteCarloEvaluator:
         ``--full-scale`` restores the paper's number).
     fault_counts:
         Which fault counts to evaluate (default 0..k); must be
-        non-empty and free of duplicates.
+        non-empty, non-negative and free of duplicates.
     seed:
         Seed of the scenario sampler.
     execution:
@@ -203,36 +207,23 @@ class MonteCarloEvaluator:
             raise RuntimeModelError(
                 f"duplicate fault counts in {self.fault_counts}"
             )
+        negative = [f for f in self.fault_counts if f < 0]
+        if negative:
+            raise ModelError(
+                f"fault count must be non-negative, got {negative[0]}"
+            )
         # Couple the fault-count axes: the i-th scenario of every fault
         # count shares the same execution-time draws, differing only in
         # the fault pattern.  Cross-fault-count comparisons ("utility
         # drops by x% under one fault") are then paired rather than
-        # independent, which removes most of the sampling noise.
-        from repro.faults.scenarios import sample_scenario
-
-        sampler = ScenarioSampler(app, seed=seed)
-        max_attempts = max(self.fault_counts, default=0) + 1
-        names = [p.name for p in app.processes]
-        duration_sets = [
-            {
-                name: tuple(values)
-                for name, values in sampler.sample_durations(
-                    max_attempts
-                ).items()
-            }
-            for _ in range(n_scenarios)
-        ]
-        self.scenarios: Dict[int, List[ExecutionScenario]] = {}
-        for f in self.fault_counts:
-            patterns = [
-                sample_scenario(names, f, sampler.rng)
-                for _ in range(n_scenarios)
-            ]
-            self.scenarios[f] = [
-                ExecutionScenario(durations, pattern)
-                for durations, pattern in zip(duration_sets, patterns)
-            ]
-        self._batches: Dict[int, ScenarioBatch] = {}
+        # independent, which removes most of the sampling noise.  The
+        # batches are the only store of the scenario sets: every engine
+        # reads their arrays, the reference loop builds scenarios from
+        # them on access.
+        self.scenarios: Dict[int, ScenarioBatch] = ScenarioBatch.draw(
+            app, self.n_scenarios, self.fault_counts,
+            np.random.default_rng(seed),
+        )
         # Persistent sharded executors, one per ExecutionConfig: the
         # worker pool / thread pool and shared-memory scenario
         # segments survive across evaluate()/compare() calls (see
@@ -242,16 +233,6 @@ class MonteCarloEvaluator:
     # ------------------------------------------------------------------
     # Simulation primitives (shared by in-process and sharded paths)
     # ------------------------------------------------------------------
-    def _batch_for(self, faults: int) -> ScenarioBatch:
-        """The packed form of one scenario set (cached per fault count)."""
-        batch = self._batches.get(faults)
-        if batch is None:
-            batch = ScenarioBatch.from_scenarios(
-                self.app, self.scenarios[faults]
-            )
-            self._batches[faults] = batch
-        return batch
-
     @staticmethod
     def _reference_raw(
         scheduler: OnlineScheduler, scenarios: Sequence[ExecutionScenario]
@@ -301,10 +282,10 @@ class MonteCarloEvaluator:
         simulator = simulator_for(config.engine, self.app, plan)
         outcomes: Dict[int, EvaluationOutcome] = {}
         for faults in self.fault_counts:
+            batch = self.scenarios[faults]
             if config.engine == "reference":
-                raw = self._reference_raw(simulator, self.scenarios[faults])
+                raw = self._reference_raw(simulator, batch)
             else:
-                batch = self._batch_for(faults)
                 raw = simulator.run_batch(batch).raw_outcome()
             outcomes[faults] = EvaluationOutcome.aggregate(*raw)
         return outcomes

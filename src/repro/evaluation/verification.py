@@ -28,7 +28,7 @@ from itertools import product
 from typing import Iterator, List, Optional, Union
 
 from repro.errors import ModelError
-from repro.faults.injection import ExecutionScenario
+from repro.faults.injection import ExecutionScenario, scenario_with_times
 from repro.faults.model import FaultScenario
 from repro.faults.scenarios import count_scenarios, enumerate_scenarios
 from repro.model.application import Application
@@ -109,11 +109,8 @@ def verify_deadline_guarantee(
     )
     checked = 0
     for times in corner_time_vectors(app):
-        durations = {
-            name: (value,) * (app.k + 1) for name, value in times.items()
-        }
         for pattern in fault_patterns:
-            scenario = ExecutionScenario(durations, pattern)
+            scenario = scenario_with_times(app, times, pattern)
             result = scheduler.run(scenario)
             checked += 1
             if result.hard_misses or result.makespan > app.period:

@@ -141,8 +141,10 @@ class ScenarioSampler:
     def sample(self, faults: int = 0) -> ExecutionScenario:
         """One scenario with exactly ``faults`` faults.
 
-        Fault locations are uniform over processes (multiset), matching
-        the simulation setup in §6 where scenarios for 0..3 faults are
+        Each fault hits a process picked uniformly and independently,
+        with replacement (see
+        :func:`~repro.faults.scenarios.sample_scenario`), matching the
+        simulation setup in §6 where scenarios for 0..3 faults are
         evaluated separately.
         """
         from repro.faults.scenarios import sample_scenario
@@ -161,15 +163,3 @@ class ScenarioSampler:
     def sample_many(self, count: int, faults: int = 0) -> List[ExecutionScenario]:
         """``count`` independent scenarios with exactly ``faults`` faults."""
         return [self.sample(faults) for _ in range(count)]
-
-    def sample_batch(self, count: int, faults: int = 0) -> "ScenarioBatch":
-        """``count`` scenarios packed into arrays for the batched engine.
-
-        Makes the same RNG calls in the same order as
-        :meth:`sample_many`, so the arrays are byte-identical to the
-        packed form of the per-scenario draws (see
-        :class:`repro.runtime.engine.batch.ScenarioBatch`).
-        """
-        from repro.runtime.engine.batch import ScenarioBatch
-
-        return ScenarioBatch.sample(self, count, faults)

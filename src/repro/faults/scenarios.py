@@ -71,8 +71,13 @@ def sample_scenario(
     faults: int,
     rng: np.random.Generator,
 ) -> FaultScenario:
-    """Sample a scenario with exactly ``faults`` faults, uniformly over
-    process multisets."""
+    """Sample a scenario with exactly ``faults`` faults.
+
+    Makes ``faults`` independent uniform picks of a process, with
+    replacement; a process picked ``c`` times fails its first ``c``
+    attempts.  The resulting multisets are *not* uniform: with ``P``
+    processes, {A, A} has probability 1/P² and {A, B} 2/P².
+    """
     if faults < 0:
         raise ModelError(f"fault count must be non-negative, got {faults}")
     if faults == 0:

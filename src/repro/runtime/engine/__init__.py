@@ -7,10 +7,11 @@ slow for the paper's 20,000-scenario evaluations.  This package keeps
 that scheduler as the *behavioral oracle* and adds a batched engine on
 top of it:
 
-* :mod:`repro.runtime.engine.batch` — :class:`ScenarioBatch` packs the
-  durations and fault patterns of a whole scenario set into NumPy
-  arrays (and :meth:`ScenarioSampler.sample_batch` draws one directly,
-  byte-identical to the per-scenario sampler);
+* :mod:`repro.runtime.engine.batch` — :class:`ScenarioBatch` holds the
+  durations and fault patterns of a whole scenario set as NumPy arrays
+  (:meth:`ScenarioBatch.draw` samples an evaluator's paired sets
+  straight into them, on the per-scenario sampler's RNG stream) and
+  builds the oracle's scenario objects on access;
 * :mod:`repro.runtime.engine.compile` — a :class:`QSTree` or
   :class:`FSchedule` is compiled into integer-indexed process tables
   and per-node arc tables;

@@ -1,41 +1,39 @@
-"""Array-packed scenario batches for the batched simulation engine.
+"""Scenario sets as NumPy arrays, the input of every simulation engine.
 
-A :class:`ScenarioBatch` is the structure-of-arrays form of a list of
-:class:`~repro.faults.injection.ExecutionScenario` objects: one
-``(scenarios, processes, attempts)`` integer array of execution times
-and one ``(scenarios, processes)`` array of per-process fault counts.
-Process columns follow ``app.processes`` order, so a compiled plan can
-address them by integer id.
+A :class:`ScenarioBatch` is a scenario set in structure-of-arrays
+form: one ``(scenarios, processes, attempts)`` integer array of
+execution times and one ``(scenarios, processes)`` array of
+per-process fault counts.  Process columns follow ``app.processes``
+order, so a compiled plan can address them by integer id.  The batch
+is also a read-only sequence of
+:class:`~repro.faults.injection.ExecutionScenario` objects, built on
+access, which is how the reference engine reads it.
 
-Batches can be packed from existing scenarios (the paired sets a
-:class:`~repro.evaluation.montecarlo.MonteCarloEvaluator` generates)
-or sampled directly via :meth:`ScenarioBatch.sample` /
-:meth:`ScenarioSampler.sample_batch`.  Direct sampling makes exactly
-the same RNG calls, in the same order, as the per-scenario
-:meth:`ScenarioSampler.sample` loop, so a batch sampled from seed ``s``
-is byte-identical to the packed form of ``sample_many`` under seed
-``s`` — the property tests in ``tests/test_engine_batch.py`` pin this
-down.
+:meth:`ScenarioBatch.draw` samples the paired sets of a
+:class:`~repro.evaluation.montecarlo.MonteCarloEvaluator` straight
+into arrays, making the same RNG draws, in the same order, as the
+per-scenario :class:`~repro.faults.injection.ScenarioSampler` calls —
+the property tests in ``tests/test_engine_batch.py`` pin this down.
+:meth:`ScenarioBatch.from_scenarios` packs hand-built scenarios.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ModelError, RuntimeModelError
+from repro.errors import RuntimeModelError
 from repro.faults.injection import ExecutionScenario
 from repro.faults.model import FaultScenario
 from repro.model.application import Application
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults.injection import ScenarioSampler
-
 
 @dataclass
-class ScenarioBatch:
+class ScenarioBatch(Sequence):
     """A scenario set packed into NumPy arrays.
 
     Attributes
@@ -56,9 +54,6 @@ class ScenarioBatch:
     names: Tuple[str, ...]
     durations: np.ndarray
     fault_counts: np.ndarray
-    _scenarios: Optional[List[ExecutionScenario]] = field(
-        default=None, repr=False
-    )
     _attempt_cumsum: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False
     )
@@ -90,10 +85,6 @@ class ScenarioBatch:
         return self.durations.shape[0]
 
     @property
-    def n_processes(self) -> int:
-        return self.durations.shape[1]
-
-    @property
     def max_attempts(self) -> int:
         return self.durations.shape[2]
 
@@ -120,12 +111,67 @@ class ScenarioBatch:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
+    def draw(
+        cls,
+        app: Application,
+        n_scenarios: int,
+        fault_counts: List[int],
+        rng: np.random.Generator,
+    ) -> Dict[int, "ScenarioBatch"]:
+        """One scenario set per fault count, drawn in one pass.
+
+        The sets are paired: the ``i``-th scenario of every fault
+        count has the same execution times and differs only in its
+        fault pattern.  Every set shares one read-only ``durations``
+        array with ``max(fault_counts) + 1`` attempt columns, and their
+        ``fault_counts`` are read-only views of one stacked
+        ``(len(fault_counts), n_scenarios, n_processes)`` array.
+        ``fault_counts`` must be distinct and non-negative; counts
+        above ``app.k`` are drawn like any other.
+
+        The RNG stream is that of the per-scenario sampler: first
+        ``ScenarioSampler.sample_durations(max(fault_counts) + 1)``
+        for every scenario, then, per fault count in the given order,
+        ``sample_scenario`` for every scenario.  NumPy consumes its bit
+        stream element by element in C order, so one broadcast
+        ``integers`` call and one ``choice`` call per fault count
+        reproduce those loops draw for draw.
+        """
+        names = tuple(p.name for p in app.processes)
+        n_processes = len(names)
+        lo = np.array([p.bcet for p in app.processes], dtype=np.int64)
+        hi = np.array([p.wcet for p in app.processes], dtype=np.int64)
+        durations = rng.integers(
+            lo[None, :, None],
+            hi[None, :, None] + 1,
+            size=(n_scenarios, n_processes, max(fault_counts) + 1),
+        )
+        counts = np.zeros(
+            (len(fault_counts), n_scenarios, n_processes), dtype=np.int64
+        )
+        # Flat (scenario, process) cell of every pick, for one bincount.
+        row_offsets = np.arange(n_scenarios)[:, None] * n_processes
+        for i, faults in enumerate(fault_counts):
+            if faults > 0:
+                picks = rng.choice(n_processes, size=(n_scenarios, faults))
+                counts[i] = np.bincount(
+                    (row_offsets + picks).ravel(),
+                    minlength=n_scenarios * n_processes,
+                ).reshape(n_scenarios, n_processes)
+        durations.flags.writeable = False
+        counts.flags.writeable = False
+        return {
+            faults: cls(names, durations, counts[i])
+            for i, faults in enumerate(fault_counts)
+        }
+
+    @classmethod
     def from_scenarios(
         cls,
         app: Application,
         scenarios: Sequence[ExecutionScenario],
     ) -> "ScenarioBatch":
-        """Pack existing scenarios into arrays (no RNG involved).
+        """Pack hand-built scenarios into arrays (no RNG involved).
 
         Every scenario must carry a non-empty duration list for every
         process of ``app``; fault patterns naming processes outside the
@@ -150,106 +196,45 @@ class ScenarioBatch:
                 row.append(attempts)
                 widths.add(len(attempts))
             rows.append(row)
-        width = max(widths)
-        if len(widths) == 1:
-            # Uniform attempt counts (the evaluator's sampled sets):
-            # one C-level conversion instead of per-cell assignments.
-            durations = np.array(rows, dtype=np.int64)
-        else:
-            durations = np.empty(
-                (len(scenario_list), len(names), width), dtype=np.int64
-            )
-            for s, row in enumerate(rows):
-                for p, attempts in enumerate(row):
-                    n = len(attempts)
-                    durations[s, p, :n] = attempts
-                    if n < width:
-                        durations[s, p, n:] = attempts[-1]
+        durations = np.empty(
+            (len(scenario_list), len(names), max(widths)), dtype=np.int64
+        )
+        for s, row in enumerate(rows):
+            for p, attempts in enumerate(row):
+                durations[s, p, : len(attempts)] = attempts
+                durations[s, p, len(attempts):] = attempts[-1]
         faults = np.zeros((len(scenario_list), len(names)), dtype=np.int64)
         for s, scenario in enumerate(scenario_list):
             for name, hits in scenario.faults.hits:
                 p = index.get(name)
                 if p is not None:
                     faults[s, p] = hits
-        return cls(names, durations, faults, _scenarios=scenario_list)
-
-    @classmethod
-    def sample(
-        cls,
-        sampler: "ScenarioSampler",
-        count: int,
-        faults: int = 0,
-    ) -> "ScenarioBatch":
-        """Draw ``count`` scenarios with exactly ``faults`` faults each.
-
-        Replays :meth:`ScenarioSampler.sample_many` draw for draw —
-        per scenario: the fault pattern first, then one broadcast
-        ``integers`` call covering all processes and attempts (NumPy
-        consumes the bit stream element-by-element in C order, so the
-        broadcast call is byte-identical to the per-process loop of
-        :meth:`ScenarioSampler.sample_durations`).
-        """
-        from repro.faults.scenarios import sample_scenario
-
-        app = sampler.app
-        if count < 1:
-            raise RuntimeModelError("need at least one scenario")
-        if faults > app.k:
-            raise ModelError(
-                f"{faults} faults exceed the application's budget k={app.k}"
-            )
-        names = tuple(p.name for p in app.processes)
-        index = {name: p for p, name in enumerate(names)}
-        lo = np.array([p.bcet for p in app.processes], dtype=np.int64)
-        hi = np.array([p.wcet for p in app.processes], dtype=np.int64)
-        width = faults + 1
-        durations = np.empty((count, len(names), width), dtype=np.int64)
-        fault_counts = np.zeros((count, len(names)), dtype=np.int64)
-        for s in range(count):
-            pattern = sample_scenario(list(names), faults, sampler.rng)
-            for name, hits in pattern.hits:
-                fault_counts[s, index[name]] = hits
-            durations[s] = sampler.rng.integers(
-                lo[:, None], hi[:, None] + 1, size=(len(names), width)
-            )
-        return cls(names, durations, fault_counts)
+        return cls(names, durations, faults)
 
     # ------------------------------------------------------------------
     # Unpacking
     # ------------------------------------------------------------------
     def scenario(self, i: int) -> ExecutionScenario:
-        """The ``i``-th scenario as an :class:`ExecutionScenario`.
-
-        Returns the original object when the batch was packed from
-        scenarios; otherwise reconstructs an equivalent one from the
-        arrays.
-        """
-        if self._scenarios is not None:
-            return self._scenarios[i]
-        durations: Dict[str, Tuple[int, ...]] = {
-            name: tuple(int(x) for x in self.durations[i, p])
-            for p, name in enumerate(self.names)
-        }
+        """Scenario ``i`` (any integer, negative counting from the
+        end) as an :class:`ExecutionScenario` rebuilt from the arrays:
+        one attempt tuple per process and its fault pattern."""
+        i = operator.index(i)  # NumPy raises IndexError out of range
+        durations = dict(
+            zip(self.names, map(tuple, self.durations[i].tolist()))
+        )
         hits = {
-            name: int(self.fault_counts[i, p])
-            for p, name in enumerate(self.names)
-            if self.fault_counts[i, p] > 0
+            name: count
+            for name, count in zip(self.names, self.fault_counts[i].tolist())
+            if count
         }
-        pattern = FaultScenario.of(hits) if hits else FaultScenario.none()
-        return ExecutionScenario(durations, pattern)
+        return ExecutionScenario(durations, FaultScenario.of(hits))
 
-    def scenarios(self) -> List[ExecutionScenario]:
-        """All scenarios of the batch (see :meth:`scenario`)."""
-        return [self.scenario(i) for i in range(self.n_scenarios)]
+    def __getitem__(self, i: int) -> ExecutionScenario:
+        return self.scenario(i)
 
     def rows(self, lo: int, hi: int) -> "ScenarioBatch":
         """Scenarios ``[lo, hi)`` as a batch of array views (no copies)
         — one shard of a sharded evaluation."""
         return ScenarioBatch(
-            self.names,
-            self.durations[lo:hi],
-            self.fault_counts[lo:hi],
-            _scenarios=(
-                None if self._scenarios is None else self._scenarios[lo:hi]
-            ),
+            self.names, self.durations[lo:hi], self.fault_counts[lo:hi]
         )

@@ -3,11 +3,12 @@
 :class:`ParallelEvaluator` is the ``mode="processes"`` executor of a
 :class:`~repro.evaluation.montecarlo.MonteCarloEvaluator`: it splits
 the scenario index range into contiguous shards, one per worker.  The
-evaluator's packed :class:`ScenarioBatch` arrays are published once
-through ``multiprocessing.shared_memory`` and reach the workers as a
-:class:`WorkerContext` — each worker attaches the segments the first
-time it sees the context and never copies or re-derives the scenario
-data.  Shard boundaries select which slice a worker simulates;
+evaluator's :class:`ScenarioBatch` arrays are published once as two
+``multiprocessing.shared_memory`` segments — the execution times all
+fault-count sets share and their stacked fault counts — and reach the
+workers as a :class:`WorkerContext`: each worker attaches the segments
+the first time it sees the context and never copies or re-derives the
+scenario data.  Shard boundaries select which slice a worker simulates;
 per-scenario results are independent of the slicing, so the merged
 :class:`~repro.evaluation.montecarlo.EvaluationOutcome` per fault
 count is identical to a single-process run, for any worker count.
@@ -123,7 +124,7 @@ def simulate_rows(simulator, batches, lo: int, hi: int) -> _ShardRaw:
 
     return {
         faults: MonteCarloEvaluator._reference_raw(
-            simulator, batch.rows(lo, hi).scenarios()
+            simulator, batch.rows(lo, hi)
         )
         for faults, batch in batches.items()
     }
@@ -164,8 +165,17 @@ def merge_shard_outcomes(
     return outcomes
 
 
-#: (shm name of durations, durations shape, shm name of fault counts)
-_BatchSpec = Tuple[str, Tuple[int, int, int], str]
+#: The published scenario sets: (process names, fault counts in set
+#: order, shm name of the shared durations, durations shape, shm name
+#: of the stacked ``(fault counts, scenarios, processes)`` fault counts).
+_ScenarioSpec = Tuple[
+    Tuple[str, ...], Tuple[int, ...], str, Tuple[int, int, int], str
+]
+
+
+def _shared_array(segment: shared_memory.SharedMemory, shape) -> np.ndarray:
+    """An int64 array of ``shape`` over ``segment``'s buffer."""
+    return np.ndarray(shape, dtype=np.int64, buffer=segment.buf)
 
 
 class _EvaluationWorker:
@@ -173,22 +183,26 @@ class _EvaluationWorker:
     :class:`WorkerContext`): the attached shared-memory scenario sets
     plus the simulator of the plan it saw last."""
 
-    def __init__(self, app, names, specs: Dict[int, _BatchSpec], engine):
+    def __init__(self, app, spec: _ScenarioSpec, engine):
         from repro.runtime.engine.batch import ScenarioBatch
 
         self.app = app
         self.engine = engine
-        self.batches: Dict[int, ScenarioBatch] = {}
-        self._segments: List[shared_memory.SharedMemory] = []
-        for faults, (durations_name, shape, fault_name) in specs.items():
-            durations_shm = shared_memory.SharedMemory(name=durations_name)
-            fault_shm = shared_memory.SharedMemory(name=fault_name)
-            self._segments += [durations_shm, fault_shm]
-            self.batches[faults] = ScenarioBatch(
-                tuple(names),
-                np.ndarray(shape, dtype=np.int64, buffer=durations_shm.buf),
-                np.ndarray(shape[:2], dtype=np.int64, buffer=fault_shm.buf),
-            )
+        names, fault_counts, durations_name, shape, counts_name = spec
+        self._segments = [
+            shared_memory.SharedMemory(name=durations_name),
+            shared_memory.SharedMemory(name=counts_name),
+        ]
+        durations = _shared_array(self._segments[0], shape)
+        counts = _shared_array(
+            self._segments[1], (len(fault_counts),) + shape[:2]
+        )
+        durations.flags.writeable = False
+        counts.flags.writeable = False
+        self.batches: Dict[int, ScenarioBatch] = {
+            faults: ScenarioBatch(names, durations, counts[i])
+            for i, faults in enumerate(fault_counts)
+        }
         self._plan_key = None
         self._simulator = None
 
@@ -775,12 +789,12 @@ class ShardedExecutor:
     *source*), which builds it through
     :meth:`~repro.evaluation.montecarlo.MonteCarloEvaluator.executor`,
     caches it per :class:`~repro.execution.ExecutionConfig` and
-    supplies the packed scenario sets.  The source owns the executor,
-    so the executor holds it weakly: a strong back-reference would form
-    a cycle that delays pool/segment release until a cyclic GC pass
-    instead of freeing promptly by refcount.  ``evaluate`` returns the
-    same ``{fault count: EvaluationOutcome}`` mapping an inline run
-    produces.
+    supplies the scenario sets (its ``scenarios``).  The source owns
+    the executor, so the executor holds it weakly: a strong
+    back-reference would form a cycle that delays pool/segment release
+    until a cyclic GC pass instead of freeing promptly by refcount.
+    ``evaluate`` returns the same ``{fault count: EvaluationOutcome}``
+    mapping an inline run produces.
     """
 
     def __init__(self, source, execution) -> None:
@@ -801,11 +815,6 @@ class ShardedExecutor:
                 "using its executors"
             )
         return source
-
-    def _batches(self) -> Dict[int, "ScenarioBatch"]:
-        """The source's packed scenario sets (cached there)."""
-        source = self._source()
-        return {f: source._batch_for(f) for f in self.fault_counts}
 
     def _inline(self, plan) -> Dict[int, "EvaluationOutcome"]:
         """One shard: simulate in-process over the source's batches."""
@@ -865,31 +874,29 @@ class ParallelEvaluator(ShardedExecutor):
         """Create the worker pool (separate for spawn-count tests)."""
         return TaskPool(processes)
 
-    def _publish(self, batches) -> Tuple[Tuple[str, ...], Dict[int, _BatchSpec]]:
-        """Copy the batch arrays into shared-memory segments."""
-        specs: Dict[int, _BatchSpec] = {}
-        names: Tuple[str, ...] = ()
-        for faults, batch in batches.items():
-            names = batch.names
-            durations = np.ascontiguousarray(batch.durations, dtype=np.int64)
-            fault_counts = np.ascontiguousarray(
-                batch.fault_counts, dtype=np.int64
-            )
-            durations_shm = shared_memory.SharedMemory(
-                create=True, size=durations.nbytes
-            )
-            fault_shm = shared_memory.SharedMemory(
-                create=True, size=fault_counts.nbytes
-            )
-            np.ndarray(
-                durations.shape, dtype=np.int64, buffer=durations_shm.buf
-            )[:] = durations
-            np.ndarray(
-                fault_counts.shape, dtype=np.int64, buffer=fault_shm.buf
-            )[:] = fault_counts
-            self._segments += [durations_shm, fault_shm]
-            specs[faults] = (durations_shm.name, durations.shape, fault_shm.name)
-        return names, specs
+    def _publish(self, batches) -> _ScenarioSpec:
+        """Copy an evaluator's scenario sets into two shared-memory
+        segments: the ``durations`` array every set shares, and the
+        sets' fault counts stacked in set order."""
+        first = next(iter(batches.values()))
+        shape = first.durations.shape
+        segment = shared_memory.SharedMemory(
+            create=True, size=first.durations.nbytes
+        )
+        self._segments.append(segment)
+        _shared_array(segment, shape)[:] = first.durations
+        counts_shape = (len(batches),) + shape[:2]
+        counts_segment = shared_memory.SharedMemory(
+            create=True, size=len(batches) * first.fault_counts.nbytes
+        )
+        self._segments.append(counts_segment)
+        counts = _shared_array(counts_segment, counts_shape)
+        for i, batch in enumerate(batches.values()):
+            counts[i] = batch.fault_counts
+        return (
+            first.names, tuple(batches), segment.name, shape,
+            counts_segment.name,
+        )
 
     def _ensure_context(self, processes: int) -> None:
         """Publish the scenario sets and acquire the pool, once until
@@ -898,7 +905,7 @@ class ParallelEvaluator(ShardedExecutor):
             return
         spawned = None
         try:
-            names, specs = self._publish(self._batches())
+            spec = self._publish(self._source().scenarios)
             if self._pool is None:
                 self._pool = spawned = self._spawn_pool(processes)
         except BaseException:
@@ -908,7 +915,7 @@ class ParallelEvaluator(ShardedExecutor):
             self._segments = []
             raise
         self._context = WorkerContext.of(
-            _EvaluationWorker, self.app, names, specs, self.execution.engine
+            _EvaluationWorker, self.app, spec, self.execution.engine
         )
         self._finalizer = weakref.finalize(
             self, _release, spawned, list(self._segments)

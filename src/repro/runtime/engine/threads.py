@@ -228,7 +228,7 @@ class ThreadedEvaluator(ShardedExecutor):
             return self._process_fallback(plan)
         if len(bounds) == 1:
             return self._inline(plan)
-        batches = self._batches()
+        batches = self._source().scenarios
         stats.count_evaluation(len(bounds))
         pool = self._ensure_pool()
         futures = [

@@ -121,6 +121,10 @@ class ServiceState:
     #: Upper bound on a request's scenarios per fault count: the
     #: paper's evaluation scale (§6).
     MAX_SCENARIOS = 20_000
+    #: Upper bound on an evaluated fault count, explicit or the default
+    #: ``0..k``: the sampler draws ``scenarios x processes x (max + 1)``
+    #: execution times, and no experiment sweeps a budget above 4.
+    MAX_FAULT_COUNT = 16
 
     def __init__(self, config: ServiceConfig) -> None:
         from repro.pipeline.resources import ResourceManager
@@ -404,7 +408,15 @@ class ServiceState:
                     f"got {json.dumps(fault_counts)}"
                 )
             for count in fault_counts:
-                self._integer(count, "fault_counts", 0, None)
+                self._integer(
+                    count, "fault_counts", 0, self.MAX_FAULT_COUNT
+                )
+        elif app.k > self.MAX_FAULT_COUNT:
+            raise ValidationFailed(
+                f"'fault_counts' defaults to 0..k, and k={app.k} exceeds "
+                f"the largest evaluated fault count "
+                f"{self.MAX_FAULT_COUNT}; pass an explicit 'fault_counts'"
+            )
         execution = self._execution_from(payload)
         if "tree" in payload:
             if not isinstance(payload["tree"], dict):

@@ -1,9 +1,13 @@
-"""Property tests for :class:`ScenarioBatch` and ``sample_batch``.
+"""Property tests for :class:`ScenarioBatch` and its sampler.
 
-The batched engine's inputs must be *exactly* the reference sampler's
-outputs: same seed ⇒ byte-identical arrays.  Uses hypothesis when it
-is installed; otherwise the same properties run over a seeded grid of
-randomized cases.
+The engines' inputs must be *exactly* the per-scenario sampler's
+outputs: :meth:`ScenarioBatch.draw` under seed ``s`` must yield the
+arrays, and leave the RNG in the state, that the evaluator's original
+per-scenario stream produces under ``s`` — every scenario's
+``ScenarioSampler.sample_durations`` first, then ``sample_scenario``
+per fault count in the caller's order.  The test rebuilds that stream
+as its oracle.  Uses hypothesis when it is installed; otherwise the
+same properties run over a seeded grid of randomized cases.
 """
 
 from __future__ import annotations
@@ -11,10 +15,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ModelError, RuntimeModelError
+from repro.errors import RuntimeModelError
 from repro.evaluation.montecarlo import MonteCarloEvaluator
-from repro.faults.injection import ScenarioSampler, scenario_with_times
+from repro.faults.injection import (
+    ExecutionScenario,
+    ScenarioSampler,
+    scenario_with_times,
+)
+from repro.faults.scenarios import sample_scenario
 from repro.runtime.engine import ScenarioBatch
+from repro.workloads.exec_times import TimingSpec
 from repro.workloads.suite import WorkloadSpec, generate_application
 
 try:
@@ -26,92 +36,171 @@ except ImportError:  # pragma: no cover - depends on the environment
     HAVE_HYPOTHESIS = False
 
 
-def _app(n_processes: int = 10, seed: int = 21):
-    return generate_application(
-        WorkloadSpec(n_processes=n_processes), seed=seed
+#: BCET fraction floors: the paper's U[0, WCET], a mix in which some
+#: processes have BCET == WCET (their draws consume no randomness), and
+#: every process fixed.
+BCET_FLOORS = (0.0, 0.9, 1.0)
+
+
+def _app(n_processes: int, app_seed: int, bcet_floor: float):
+    spec = WorkloadSpec(
+        n_processes=n_processes,
+        timing=TimingSpec(bcet_fraction_min=bcet_floor),
     )
+    return generate_application(spec, seed=app_seed)
 
 
-def _check_byte_identical(app, seed: int, count: int, faults: int) -> None:
-    """sample_batch ≡ the packed form of sample_many, bit for bit."""
-    reference = ScenarioSampler(app, seed=seed)
-    vectorized = ScenarioSampler(app, seed=seed)
-    scenarios = reference.sample_many(count, faults=faults)
-    packed = ScenarioBatch.from_scenarios(app, scenarios)
-    batch = vectorized.sample_batch(count, faults=faults)
-    assert batch.names == packed.names
-    assert batch.durations.dtype == packed.durations.dtype == np.int64
-    assert batch.durations.shape == packed.durations.shape
-    assert np.array_equal(batch.durations, packed.durations)
-    assert np.array_equal(batch.fault_counts, packed.fault_counts)
+def _per_scenario_stream(app, count, fault_counts, seed):
+    """The evaluator's scenario sets drawn one scenario at a time, and
+    the sampler that drew them."""
+    sampler = ScenarioSampler(app, seed=seed)
+    names = [p.name for p in app.processes]
+    durations = [
+        {
+            name: tuple(values)
+            for name, values in sampler.sample_durations(
+                max(fault_counts) + 1
+            ).items()
+        }
+        for _ in range(count)
+    ]
+    sets = {}
+    for faults in fault_counts:
+        sets[faults] = [
+            ExecutionScenario(d, sample_scenario(names, faults, sampler.rng))
+            for d in durations
+        ]
+    return sets, sampler
+
+
+def _check_draw_matches_stream(app, seed, count, fault_counts) -> None:
+    reference, sampler = _per_scenario_stream(app, count, fault_counts, seed)
+    rng = np.random.default_rng(seed)
+    batches = ScenarioBatch.draw(app, count, fault_counts, rng)
+    assert list(batches) == list(fault_counts)
+    names = tuple(p.name for p in app.processes)
+    width = max(fault_counts) + 1
+    for faults, batch in batches.items():
+        scenarios = reference[faults]
+        assert batch.names == names
+        assert batch.durations.dtype == batch.fault_counts.dtype == np.int64
+        assert batch.durations.shape == (count, len(names), width)
+        assert np.array_equal(
+            batch.durations,
+            [[s.durations[name] for name in names] for s in scenarios],
+        )
+        assert np.array_equal(
+            batch.fault_counts,
+            [[s.faults.failures_of(name) for name in names] for s in scenarios],
+        )
+        assert np.all(batch.total_faults() == faults)
+        # The reference engine's view: the same scenario objects.
+        assert list(batch) == scenarios
     # The RNG must land in the same state: the next draw agrees too.
-    assert reference.sample(0) == vectorized.sample(0)
-    # Unpacking reconstructs scenarios equal to the reference objects.
-    for i, scenario in enumerate(scenarios):
-        assert batch.scenario(i) == scenario
+    assert rng.integers(2**62) == sampler.rng.integers(2**62)
 
 
 if HAVE_HYPOTHESIS:
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        count=st.integers(min_value=1, max_value=12),
-        faults=st.integers(min_value=0, max_value=3),
-    )
-    def test_sample_batch_byte_identical(seed, count, faults):
-        app = _app()
-        _check_byte_identical(app, seed, count, min(faults, app.k))
+    @st.composite
+    def _cases(draw):
+        app = _app(
+            n_processes=draw(st.integers(min_value=1, max_value=14)),
+            app_seed=draw(st.integers(min_value=0, max_value=10_000)),
+            bcet_floor=draw(st.sampled_from(BCET_FLOORS)),
+        )
+        # Unsorted, single and above-budget counts all occur.
+        fault_counts = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=app.k + 2),
+                min_size=1,
+                max_size=4,
+                unique=True,
+            )
+        )
+        return (
+            app,
+            draw(st.integers(min_value=0, max_value=2**31 - 1)),
+            draw(st.integers(min_value=1, max_value=12)),
+            fault_counts,
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_cases())
+    def test_sample_batch_byte_identical(case):
+        _check_draw_matches_stream(*case)
 
 else:  # seeded randomized fallback, same property
 
-    @pytest.mark.parametrize("case", range(25))
+    @pytest.mark.parametrize("case", range(40))
     def test_sample_batch_byte_identical(case):
         rng = np.random.default_rng(1000 + case)
-        app = _app()
-        _check_byte_identical(
+        app = _app(
+            n_processes=int(rng.integers(1, 15)),
+            app_seed=int(rng.integers(0, 10_001)),
+            bcet_floor=BCET_FLOORS[case % len(BCET_FLOORS)],
+        )
+        n_counts = int(rng.integers(1, 5))
+        fault_counts = [
+            int(f) for f in rng.permutation(app.k + 3)[:n_counts]
+        ]
+        _check_draw_matches_stream(
             app,
             seed=int(rng.integers(0, 2**31 - 1)),
             count=int(rng.integers(1, 13)),
-            faults=int(rng.integers(0, min(3, app.k) + 1)),
+            fault_counts=fault_counts,
         )
 
 
 def test_paired_fault_axes_share_duration_draws(fig1_app):
     """The i-th scenario of every fault count has identical durations
-    (the evaluator's paired-axes coupling), so the packed duration
-    arrays per fault count are equal element for element."""
+    (the evaluator's paired-axes coupling): every set reads one shared,
+    read-only ``durations`` array."""
     evaluator = MonteCarloEvaluator(fig1_app, n_scenarios=15, seed=6)
-    batches = {
-        faults: ScenarioBatch.from_scenarios(fig1_app, scenarios)
-        for faults, scenarios in evaluator.scenarios.items()
-    }
+    batches = evaluator.scenarios
     assert len(batches) >= 2
-    reference = batches[0]
+    shared = batches[0].durations
+    assert shared.flags.writeable is False
     for faults, batch in batches.items():
-        assert np.array_equal(batch.durations, reference.durations)
+        assert np.shares_memory(batch.durations, shared)
+        assert batch.durations.shape == shared.shape
+        assert batch.fault_counts.flags.writeable is False
         assert np.all(batch.total_faults() == faults)
+    with pytest.raises(ValueError):
+        shared[0, 0, 0] = 0
 
 
 def test_sample_batch_total_faults(fig1_app):
-    sampler = ScenarioSampler(fig1_app, seed=3)
-    batch = sampler.sample_batch(20, faults=1)
-    assert batch.n_scenarios == 20
-    assert batch.n_processes == len(fig1_app.processes)
+    """A drawn batch has one row per scenario, one column per process,
+    ``max(fault_counts) + 1`` attempt columns, and exactly ``f`` faults
+    in every scenario of the set for fault count ``f``."""
+    batches = ScenarioBatch.draw(
+        fig1_app, 20, [1], np.random.default_rng(3)
+    )
+    batch = batches[1]
+    assert batch.n_scenarios == len(batch) == 20
+    assert batch.durations.shape[1] == len(fig1_app.processes)
     assert batch.max_attempts == 2
     assert np.all(batch.total_faults() == 1)
 
 
-def test_sample_batch_rejects_over_budget(fig1_app):
-    sampler = ScenarioSampler(fig1_app, seed=3)
-    with pytest.raises(ModelError):
-        sampler.sample_batch(5, faults=fig1_app.k + 1)
-
-
-def test_sample_batch_rejects_empty(fig1_app):
-    sampler = ScenarioSampler(fig1_app, seed=3)
-    with pytest.raises(RuntimeModelError):
-        sampler.sample_batch(0)
+def test_batch_is_a_sequence_of_scenarios(fig1_app):
+    """``len``, integer indexing (NumPy integers and negative indices
+    included) and iteration all build the same scenario objects."""
+    batch = MonteCarloEvaluator(
+        fig1_app, n_scenarios=6, fault_counts=[1], seed=2
+    ).scenarios[1]
+    scenarios = list(batch)
+    assert len(batch) == len(scenarios) == 6
+    assert scenarios == [batch.scenario(i) for i in range(6)]
+    assert batch[np.int64(3)] == scenarios[3]
+    assert batch[-1] == scenarios[5]
+    assert list(batch.rows(2, 4)) == scenarios[2:4]
+    for index in (6, -7):
+        with pytest.raises(IndexError):
+            batch[index]
+    with pytest.raises(TypeError):
+        batch[1.0]
 
 
 def test_from_scenarios_rejects_empty_list(fig1_app):

@@ -151,8 +151,7 @@ def test_kernel_differential_corpus(engine_full, kernel_cache):
                     f"kernel engine unavailable "
                     f"({kernel.fallback_reason})"
                 )
-            for faults, scenarios in evaluator.scenarios.items():
-                batch = ScenarioBatch.from_scenarios(app, scenarios)
+            for faults, batch in evaluator.scenarios.items():
                 expected = batched.run_batch(batch)
                 actual = kernel.run_batch(batch)
                 label = f"{app_label}/{plan_label}/f={faults}"
@@ -658,12 +657,9 @@ def test_batch_rejects_mismatched_process_columns(fig1_app, fig8_app):
     """A batch packed for one application cannot run another's plan."""
     from repro.errors import RuntimeModelError
 
-    evaluator = MonteCarloEvaluator(
+    batch = MonteCarloEvaluator(
         fig8_app, n_scenarios=2, fault_counts=[0], seed=1
-    )
-    batch = ScenarioBatch.from_scenarios(
-        fig8_app, evaluator.scenarios[0]
-    )
+    ).scenarios[0]
     simulator = BatchSimulator(fig1_app, ftss(fig1_app))
     with pytest.raises(RuntimeModelError):
         simulator.run_batch(batch)
@@ -672,10 +668,9 @@ def test_batch_rejects_mismatched_process_columns(fig1_app, fig8_app):
 def test_simulate_batch_convenience_wrapper(fig1_app):
     from repro.runtime.engine.simulator import simulate_batch
 
-    sampler_scenarios = MonteCarloEvaluator(
+    batch = MonteCarloEvaluator(
         fig1_app, n_scenarios=5, fault_counts=[0], seed=2
     ).scenarios[0]
-    batch = ScenarioBatch.from_scenarios(fig1_app, sampler_scenarios)
     result = simulate_batch(fig1_app, ftss(fig1_app), batch)
     assert result.n_scenarios == 5
     assert np.all(result.utilities >= 0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import RuntimeModelError
+from repro.errors import ModelError, RuntimeModelError
 from repro.evaluation.metrics import CellStats, NormalizedTable, format_table
 from repro.evaluation.montecarlo import (
     EvaluationOutcome,
@@ -18,13 +18,22 @@ from repro.scheduling.ftss import ftss
 
 class TestMonteCarloEvaluator:
     def test_paired_scenarios_shared(self, fig1_app):
+        """Every fault count's set reads one shared, read-only
+        durations array, which evaluation leaves unchanged on every
+        engine."""
         evaluator = MonteCarloEvaluator(fig1_app, n_scenarios=20, seed=3)
-        # Every plan sees exactly the same scenario objects.
-        scenarios_before = {
-            f: list(s) for f, s in evaluator.scenarios.items()
-        }
-        evaluator.evaluate(ftss(fig1_app))
-        assert evaluator.scenarios == scenarios_before
+        batches = evaluator.scenarios
+        shared = batches[0].durations
+        durations = shared.copy()
+        fault_counts = {f: b.fault_counts.copy() for f, b in batches.items()}
+        for engine in ("reference", "batched", "kernel"):
+            evaluator.evaluate(ftss(fig1_app), execution=engine)
+            assert evaluator.scenarios is batches
+            assert shared.flags.writeable is False
+            assert np.array_equal(shared, durations)
+            for faults, batch in batches.items():
+                assert np.shares_memory(batch.durations, shared)
+                assert np.array_equal(batch.fault_counts, fault_counts[faults])
 
     def test_outcomes_per_fault_count(self, fig1_app):
         evaluator = MonteCarloEvaluator(
@@ -129,6 +138,12 @@ class TestMonteCarloEvaluator:
     def test_empty_fault_counts_rejected(self, fig1_app):
         with pytest.raises(RuntimeModelError):
             MonteCarloEvaluator(fig1_app, n_scenarios=5, fault_counts=[])
+
+    def test_negative_fault_counts_rejected(self, fig1_app):
+        with pytest.raises(ModelError, match="non-negative, got -1"):
+            MonteCarloEvaluator(
+                fig1_app, n_scenarios=5, fault_counts=[0, -1]
+            )
 
     def test_unknown_engine_rejected(self, fig1_app):
         with pytest.raises(RuntimeModelError):

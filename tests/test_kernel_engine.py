@@ -31,7 +31,7 @@ from repro.examples_support import (
     paper_fig8_application,
 )
 from repro.quasistatic.ftqs import FTQSConfig, ftqs
-from repro.runtime.engine import BatchSimulator, ScenarioBatch
+from repro.runtime.engine import BatchSimulator
 from repro.runtime.engine.kernel import (
     KernelSimulator,
     KernelStats,
@@ -52,13 +52,9 @@ def _tree(app, schedules=6):
 
 
 def _batch(app, n=40, fault_counts=None, seed=3):
-    evaluator = MonteCarloEvaluator(
+    return MonteCarloEvaluator(
         app, n_scenarios=n, fault_counts=fault_counts, seed=seed
-    )
-    return {
-        faults: ScenarioBatch.from_scenarios(app, scenarios)
-        for faults, scenarios in evaluator.scenarios.items()
-    }
+    ).scenarios
 
 
 def _assert_same_results(app, plan, simulator):

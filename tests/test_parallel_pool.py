@@ -49,6 +49,10 @@ def test_pool_spawned_once_across_evaluates(fig1_app, counted_spawns):
         first = evaluator.evaluate(plan)
         second = evaluator.evaluate(plan)
         compared = evaluator.compare({"a": plan, "b": plan})
+        # One segment for the durations every fault count shares, one
+        # for the stacked fault counts — not two per fault count.
+        segments = evaluator.executor("batched@processes:2")._segments
+        assert len(segments) == 2
     assert counted_spawns == [2], (
         f"expected exactly one 2-worker pool spawn, saw {counted_spawns}"
     )

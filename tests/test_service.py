@@ -316,6 +316,17 @@ def dispatch_evaluate(fig1_payload):
     state.close()
 
 
+def _soft_fig1(k):
+    """The fig1 application with its hard process made soft (so any
+    ``k`` validates) and fault budget ``k``."""
+    spec = application_to_dict(paper_fig1_application())
+    p1, p2 = spec["graph"]["processes"][:2]
+    del p1["deadline"]
+    p1.update(kind="soft", utility=p2["utility"])
+    spec["k"] = k
+    return spec
+
+
 @pytest.mark.parametrize(
     "fields, named",
     [
@@ -333,6 +344,8 @@ def dispatch_evaluate(fig1_payload):
         ({"fault_counts": [-1]}, "'fault_counts'"),
         ({"fault_counts": [1, 1]}, "duplicate fault counts"),
         ({"engine": "batched"}, "unknown field(s) ['engine']; known:"),
+        ({"fault_counts": [0, 200_000]}, "'fault_counts'"),
+        ({"application": _soft_fig1(1_000_000)}, "'fault_counts'"),
     ],
 )
 def test_evaluate_rejects_malformed_parameters(
