@@ -20,10 +20,14 @@ comparison for hand audits.
 
 An asserted-floor metric is the ``speedup`` of an axis whose label
 contains neither ``"jobs"`` nor ``"threads"`` — that covers the
-engine axes (``cc/ftqs-8/f=N``) and the C kernel core axes
-(``cc/ftqs-8/f=N/kernel-vs-ref`` and ``.../kernel-vs-batched``).
-The CPU-bound comparison axes (``cc/compare-jobs``,
-``cc/compare-kernel-threads``, ``table1/jobs4-vs-jobs1``) depend on
+kernel-vs-reference engine axes (``cc/ftss/f=0/kernel-vs-ref``,
+``cc/ftqs-8/f=N/kernel-vs-ref``, ``cc/ftqs-8/f=0,1,2/kernel-vs-ref``)
+and the rows that retired axes left in the history (the NumPy
+engine's ``cc/ftss/f=0`` and ``cc/ftqs-8/f=N`` batched-vs-reference
+axes and ``cc/ftqs-8/f=N/kernel-vs-batched``), which stay gated as
+recorded.  The CPU-bound comparison axes (``cc/compare-kernel-jobs``,
+the retired ``cc/compare-jobs``, ``cc/compare-kernel-threads``,
+``table1/jobs4-vs-jobs1``) depend on
 how many CPUs the box has and are gated inside the benches
 themselves, so a trajectory comparison across heterogeneous machines
 would be noise, not signal: they are *skipped*, never gated, and any

@@ -1,4 +1,4 @@
-"""Repo-wide pytest options.
+"""Repo-wide pytest options and fixtures.
 
 ``--synthesis-full`` is registered here (rather than in
 ``tests/conftest.py`` or ``benchmarks/conftest.py``) because both
@@ -7,7 +7,14 @@ suites consume it: the synthesis differential corpus
 smoke slice to the full randomized corpus, and the synthesis bench
 (``benchmarks/test_bench_synthesis.py``) extends the measured Table 1
 tree-size axis to the paper's full M sweep.
+
+Every default evaluation runs the kernel engine, which writes its
+core and one ``.npz`` of tables per plan to ``$REPRO_KERNEL_CACHE``;
+one session-wide temporary directory keeps a test run out of the
+user's ``~/.cache``.
 """
+
+import os
 
 import pytest
 
@@ -26,3 +33,16 @@ def pytest_addoption(parser):
 def synthesis_full(request):
     """True when ``--synthesis-full`` was passed (full corpus opt-in)."""
     return request.config.getoption("--synthesis-full")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_kernel_cache(tmp_path_factory):
+    """Point ``$REPRO_KERNEL_CACHE`` at a temporary directory for the
+    whole session (subprocesses and workers inherit it)."""
+    saved = os.environ.get("REPRO_KERNEL_CACHE")
+    os.environ["REPRO_KERNEL_CACHE"] = str(tmp_path_factory.mktemp("kernels"))
+    yield
+    if saved is None:
+        os.environ.pop("REPRO_KERNEL_CACHE", None)
+    else:
+        os.environ["REPRO_KERNEL_CACHE"] = saved

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import UnschedulableError
 from repro.evaluation.montecarlo import MonteCarloEvaluator, normalized_to
+from repro.execution import DEFAULT_ENGINE
 from repro.model.application import Application
 from repro.pipeline.runner import synthesize_tree
 from repro.quasistatic.ftqs import FTQSConfig
@@ -119,7 +120,7 @@ def synthesis_report(
     max_schedules: int = 8,
     n_scenarios: int = 200,
     seed: int = 1,
-    execution="batched",
+    execution=DEFAULT_ENGINE,
     synthesis: str = "fast",
     synthesis_jobs: int = 1,
     stats=None,

@@ -48,6 +48,7 @@ from repro.evaluation.experiments import (
     run_fig9,
     run_table1,
 )
+from repro.execution import DEFAULT_ENGINE
 
 
 def _positive_int(text: str) -> int:
@@ -175,7 +176,7 @@ def _open_checkpoint(args: argparse.Namespace, name: str, config=None):
 
     The workload fingerprint masks the routing knob, so the routed
     config can be passed directly: a sweep checkpointed with
-    ``--executor batched@processes:4`` resumes fine under
+    ``--executor kernel@processes:4`` resumes fine under
     ``--executor reference``.  Manifest mismatches
     (wrong experiment, different workload) die with the checkpoint
     module's one-line explanation instead of a traceback.
@@ -456,7 +457,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         fast_path = (
             f", fast path {100.0 * outcome.fast_path_share:.1f}% "
             f"({outcome.fallbacks} oracle fallbacks)"
-            if execution.engine in ("batched", "kernel")
+            if execution.engine == "kernel"
             else ""
         )
         print(
@@ -557,7 +558,7 @@ def _add_chaos_option(parser: argparse.ArgumentParser) -> None:
         "for S seconds, default 30), kill-run@N (die after N "
         "journaled units; exit code 75), kernel-fail@N / "
         "kernel-fail@A-B (fail the Nth / every A..Bth kernel compile "
-        "attempt, degrading to the batched engine), thread-fail@N / "
+        "attempt, degrading to the reference oracle), thread-fail@N / "
         "thread-fail@A-B (fail the Nth / every A..Bth threaded "
         "evaluation, falling back to process sharding), budget@N, "
         "seed@S; a bad token fails at parse time",
@@ -569,19 +570,20 @@ def _add_executor_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor",
         type=_executor_spec,
-        default="batched",
+        default=DEFAULT_ENGINE,
         metavar="SPEC",
         help="Monte-Carlo execution spec ENGINE[@MODE[:WORKERS]] — "
-        "engines: reference (pure-Python oracle loop), batched (NumPy "
-        "array engine), kernel (one C core over per-plan tables; "
-        "needs a C compiler, degrades to batched with a counted "
+        "engines: reference (pure-Python oracle loop), kernel (one C "
+        "core over per-plan tables; needs a C compiler and a writable "
+        "kernel cache, else replays on the oracle with a counted "
         "reason); modes: inline "
         "(default), processes (shard across worker processes), "
         "threads (shard across GIL-free threads; kernel engine only, "
-        "other engines fall back to processes with a counted reason). "
-        "Results are bit-identical for every spec, only speed "
-        "differs; e.g. 'kernel@threads:8', 'batched@processes:4', "
-        "'reference' (default: batched)",
+        "the reference engine falls back to processes with a counted "
+        "reason). Results are bit-identical for every spec, only "
+        "speed differs; e.g. 'kernel@threads:8', "
+        "'kernel@processes:4', 'reference' "
+        f"(default: {DEFAULT_ENGINE})",
     )
 
 

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.evaluation.metrics import NormalizedTable, format_table
+from repro.execution import DEFAULT_ENGINE
 from repro.pipeline.runner import ExperimentRunner
 from repro.quasistatic.ftqs import FTQSConfig
 from repro.runtime.replanner import run_replanning
@@ -45,7 +46,7 @@ class AblationConfig:
     seed: int = 2008
     include_replanner: bool = True
     replanner_scenarios: int = 10
-    execution: str = "batched"
+    execution: str = DEFAULT_ENGINE
 
 
 #: Configurations attempted per application; used to report how often

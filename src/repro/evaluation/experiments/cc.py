@@ -17,6 +17,7 @@ from typing import Dict
 from repro.errors import UnschedulableError
 from repro.evaluation.metrics import format_table
 from repro.evaluation.montecarlo import normalized_to
+from repro.execution import DEFAULT_ENGINE
 from repro.pipeline.runner import ExperimentRunner
 from repro.quasistatic.ftqs import FTQSConfig
 from repro.scheduling.ftsf import ftsf
@@ -31,7 +32,7 @@ class CCConfig:
     max_schedules: int = 39
     n_scenarios: int = 300
     seed: int = 2008
-    execution: str = "batched"
+    execution: str = DEFAULT_ENGINE
 
     @classmethod
     def paper_scale(cls) -> "CCConfig":

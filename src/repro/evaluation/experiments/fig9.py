@@ -10,10 +10,10 @@ The paper's full scale — 50 applications per size and 20,000 scenarios
 per fault count — takes hours in the pure-Python reference loop;
 :class:`Fig9Config` scales it down by default and the benches/CLI
 expose flags to restore the full numbers (shapes are stable well below
-full scale).  The batched engine (``execution="batched"``, the
-default) cuts the simulation share of that time by about an order of
+full scale).  The C kernel engine (``execution="kernel"``, the
+default) cuts the simulation share of that time by orders of
 magnitude with bit-identical results, and a sharded spec
-(``"kernel@threads:8"``, ``"batched@processes:4"``) cuts it further.
+(``"kernel@threads:8"``, ``"kernel@processes:4"``) cuts it further.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Dict, List, Tuple
 
 from repro.evaluation.metrics import NormalizedTable, format_table
 from repro.evaluation.montecarlo import normalized_to
+from repro.execution import DEFAULT_ENGINE
 from repro.pipeline.runner import ExperimentRunner
 from repro.quasistatic.ftqs import FTQSConfig
 from repro.scheduling.ftsf import ftsf
@@ -42,7 +43,7 @@ class Fig9Config:
     k: int = 3
     mu: int = 15
     seed: int = 2008
-    execution: str = "batched"
+    execution: str = DEFAULT_ENGINE
 
     @classmethod
     def paper_scale(cls) -> "Fig9Config":

@@ -24,6 +24,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.evaluation.metrics import format_table
+from repro.execution import DEFAULT_ENGINE
 from repro.pipeline.runner import ExperimentRunner
 from repro.quasistatic.ftqs import FTQSConfig
 from repro.workloads.suite import WorkloadSpec
@@ -40,7 +41,7 @@ class SweepConfig:
     mu: int = 15
     seed: int = 2008
     period_pressure: Tuple[float, float] = (0.75, 0.95)
-    execution: str = "batched"
+    execution: str = DEFAULT_ENGINE
 
 
 @dataclass

@@ -19,6 +19,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.evaluation.metrics import NormalizedTable, format_table
+from repro.execution import DEFAULT_ENGINE
 from repro.pipeline.runner import ExperimentRunner
 from repro.quasistatic.ftqs import FTQSConfig
 from repro.workloads.suite import WorkloadSpec
@@ -35,7 +36,7 @@ class Table1Config:
     k: int = 3
     mu: int = 15
     seed: int = 2008
-    execution: str = "batched"
+    execution: str = DEFAULT_ENGINE
 
     @classmethod
     def paper_scale(cls) -> "Table1Config":

@@ -10,22 +10,19 @@ sets are sampled straight into arrays, one
 :class:`~repro.runtime.engine.batch.ScenarioBatch` per fault count,
 all sharing one execution-time array.
 
-Three interchangeable engines execute the replay:
+Two interchangeable engines execute the replay:
 
 * ``reference`` — the pure-Python
   :class:`~repro.runtime.online.OnlineScheduler` event loop, one
   scenario at a time (the behavioral oracle), each scenario built from
   the batch arrays on access;
-* ``batched`` — the array-based
-  :class:`~repro.runtime.engine.simulator.BatchSimulator`, which runs
-  whole batches and is bit-identical to the oracle (see
-  ``tests/test_engine_differential.py``) while an order of magnitude
-  faster;
 * ``kernel`` — the
   :class:`~repro.runtime.engine.kernel.KernelSimulator`, which runs
-  the plan's lowered decision tables through one prebuilt C core and
-  is bit-identical to both (falling back to the batched engine, with
-  a counted reason, when no C compiler is available).
+  the plan's lowered decision tables through one prebuilt C core over
+  whole batches and is bit-identical to the oracle (see
+  ``tests/test_engine_differential.py``) while orders of magnitude
+  faster; without a C compiler or a usable artifact cache it replays
+  on the oracle, with a counted reason.
 
 Engine and parallelism are routed by one
 :class:`~repro.execution.ExecutionConfig` (``execution=`` — an
@@ -51,7 +48,6 @@ from repro.faults.injection import ExecutionScenario
 from repro.model.application import Application
 from repro.quasistatic.tree import QSTree
 from repro.runtime.engine.batch import ScenarioBatch
-from repro.runtime.engine.simulator import BatchSimulator
 from repro.runtime.online import OnlineScheduler
 from repro.scheduling.fschedule import FSchedule
 
@@ -59,22 +55,20 @@ Plan = Union[QSTree, FSchedule]
 
 #: Raw simulation of one scenario set: (per-scenario utilities,
 #: deadline misses, total switches, total faults, oracle fallbacks).
-#: ``fallbacks`` counts scenarios the batched engine routed through
+#: ``fallbacks`` counts scenarios the kernel engine routed through
 #: the reference loop (the whole set, for ``engine="reference"``).
 RawOutcome = Tuple[List[float], int, int, int, int]
 
 
 def simulator_for(engine: str, app: Application, plan: Plan):
     """The simulator replaying ``plan`` on ``engine``: the oracle
-    :class:`OnlineScheduler` for ``reference``, else a ``run_batch``
-    engine (the kernel simulator degrades to batched on its own)."""
+    :class:`OnlineScheduler` for ``reference``, else the kernel's
+    ``run_batch`` engine (which degrades to the oracle on its own)."""
     if engine == "reference":
         return OnlineScheduler(app, plan, record_events=False)
-    if engine == "kernel":
-        from repro.runtime.engine.kernel import KernelSimulator
+    from repro.runtime.engine.kernel import KernelSimulator
 
-        return KernelSimulator(app, plan)
-    return BatchSimulator(app, plan)
+    return KernelSimulator(app, plan)
 
 
 @dataclass
@@ -101,8 +95,9 @@ class EvaluationOutcome:
     def fast_path_share(self) -> float:
         """Fraction of scenarios resolved without the reference loop.
 
-        1.0 for a fully vectorized batched run, 0.0 for the reference
-        engine; drops in between flag fast-path coverage regressions.
+        1.0 for a run the C core resolved entirely, 0.0 for the
+        reference engine or a degraded kernel; drops in between flag
+        fast-path coverage regressions.
         """
         if not self.utilities:
             return 0.0
@@ -158,7 +153,7 @@ class MonteCarloEvaluator:
     execution:
         An :class:`~repro.execution.ExecutionConfig` or spec string
         (``"reference"``, ``"kernel@threads:8"``,
-        ``"batched@processes:4"``) routing engine and parallelism;
+        ``"kernel@processes:4"``) routing engine and parallelism;
         defaults to the inline reference engine.  Results are
         identical for every config, only speed differs.
     resources:

@@ -8,14 +8,14 @@ Every layer that routes a Monte-Carlo evaluation —
 consumes one :class:`ExecutionConfig` value:
 
 * ``engine`` — which simulator replays the scenarios: ``reference``
-  (the oracle event loop), ``batched`` (the NumPy array engine) or
-  ``kernel`` (the prebuilt C core).  Results are bit-identical;
-  only speed differs.
+  (the oracle event loop) or ``kernel`` (the prebuilt C core, the
+  default; it degrades to the oracle, with a counted reason, where no
+  core can be built).  Results are bit-identical; only speed differs.
 * ``mode`` — how the scenario range is spread over cores: ``inline``
   (single in-process run), ``processes`` (deterministic sharding
   across ``multiprocessing`` workers) or ``threads`` (deterministic
   sharding across a thread pool against the kernel's GIL-releasing
-  call; non-kernel engines fall back to process sharding with a
+  call; the reference engine falls back to process sharding with a
   counted reason — see :mod:`repro.runtime.engine.threads`).
 * ``workers`` — the shard/worker count (1 for ``inline``).
 
@@ -23,7 +23,7 @@ The compact spec-string grammar is ``ENGINE[@MODE[:WORKERS]]``::
 
     reference             # oracle, inline
     kernel@threads:8      # C kernel core, 8 GIL-free threads
-    batched@processes:4   # NumPy engine, 4 worker processes
+    kernel@processes:4    # C kernel core, 4 worker processes
 
 Sharding is outcome-preserving for any mode and worker count, so an
 :class:`ExecutionConfig` is pure routing: it never changes results,
@@ -42,8 +42,11 @@ from typing import Union
 
 from repro.errors import RuntimeModelError
 
-ENGINES = ("reference", "batched", "kernel")
+ENGINES = ("reference", "kernel")
 MODES = ("inline", "processes", "threads")
+
+#: The engine every entry point routes to unless told otherwise.
+DEFAULT_ENGINE = "kernel"
 
 
 def choices_line() -> str:
@@ -61,7 +64,7 @@ class ExecutionConfig:
     Frozen and hashable, so it keys executor caches directly.
     """
 
-    engine: str = "batched"
+    engine: str = DEFAULT_ENGINE
     mode: str = "inline"
     workers: int = 1
 

@@ -21,7 +21,7 @@ always re-executes up to the static cap; differential scenarios
 therefore place faults only on hard processes or soft processes with
 a zero cap, where both implementations provably agree.  (Shipping
 the kernel engine's table-driven core, which does run the guard, in
-place of this loop is the export follow-up of ROADMAP open item 4.)
+place of this loop is the export follow-up of ROADMAP open item 6.)
 """
 
 from __future__ import annotations

@@ -79,8 +79,9 @@ class ChaosPlan:
     kernel_fail:
         1-based indices into the process's sequence of kernel compile
         attempts (``repro.runtime.engine.kernel.build``) that fail
-        deterministically — the simulator then degrades to the NumPy
-        engine with a counted ``"chaos"`` reason, results unchanged.
+        deterministically — the simulator then degrades to the
+        reference oracle with a counted ``"chaos"`` reason, results
+        unchanged.
     thread_fail:
         1-based indices into the process's sequence of threaded
         evaluations (``repro.runtime.engine.threads``) that fail
@@ -181,7 +182,7 @@ class ChaosPlan:
         """Called before every kernel compiler invocation; raises
         :class:`RuntimeError` on the scheduled attempts, which the
         build layer surfaces as a counted ``"chaos"`` degradation to
-        the NumPy engine (results unchanged, speed lost)."""
+        the reference oracle (results unchanged, speed lost)."""
         self.kernel_compiles_seen += 1
         if self.kernel_compiles_seen in self.kernel_fail:
             self.kernel_failures_injected += 1

@@ -75,7 +75,7 @@ def checkpoint_fingerprint(experiment: str, config=None) -> str:
 
     ``config`` may be a config dataclass or a plain dict; the routing
     knobs (:data:`_ROUTING_KNOBS`) are masked so a sweep checkpointed
-    with ``--executor batched@processes:4`` resumes fine under
+    with ``--executor kernel@processes:4`` resumes fine under
     ``--executor reference``.
     """
     payload: Dict[str, Any] = {"experiment": experiment}

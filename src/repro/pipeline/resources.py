@@ -50,7 +50,7 @@ class ResourceManager:
                 tree = ftqs(app, root, config, jobs=4,
                             pool=resources.synthesis_pool(4))
                 with resources.evaluator(
-                    app, execution="batched@processes:4"
+                    app, execution="kernel@processes:4"
                 ) as evaluator:
                     evaluator.evaluate(tree)
 

@@ -40,7 +40,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.execution import ExecutionConfig
+from repro.execution import DEFAULT_ENGINE, ExecutionConfig
 from repro.pipeline.resources import ResourceManager
 from repro.pipeline.store import TreeStore
 from repro.quasistatic.ftqs import FTQSConfig, ftqs
@@ -100,7 +100,7 @@ class ExperimentRunner:
     execution:
         Monte-Carlo routing — an
         :class:`~repro.execution.ExecutionConfig` or spec string like
-        ``"kernel@threads:8"``; defaults to inline ``batched``.
+        ``"kernel@threads:8"``; defaults to inline ``kernel``.
     synthesis, synthesis_jobs, stats:
         FTQS engine routing, as accepted by :func:`ftqs`.
     resources:
@@ -125,9 +125,8 @@ class ExperimentRunner:
         can share one).
     """
 
-    #: The drivers' historical default routing (the NumPy engine,
-    #: inline).
-    DEFAULT_EXECUTION = ExecutionConfig(engine="batched")
+    #: The drivers' default routing (the C kernel core, inline).
+    DEFAULT_EXECUTION = ExecutionConfig(engine=DEFAULT_ENGINE)
 
     def __init__(
         self,

@@ -56,7 +56,7 @@ from repro.quasistatic.ftqs import DEFAULT_FTQS_CONFIG, FTQSConfig
 from repro.quasistatic.intervals import PartitionResult, TailProfile, TailTerm
 from repro.quasistatic.similarity import schedule_similarity
 from repro.quasistatic.tree import QSNode, QSTree, SwitchArc
-from repro.scheduling.feasibility import TopNeeds
+from repro.scheduling.feasibility import TopNeeds, latest_start
 from repro.scheduling.fschedule import FSchedule, ScheduledEntry
 from repro.scheduling.ftss import ftss
 from repro.scheduling.priority import SUCCESSOR_WEIGHT
@@ -832,9 +832,9 @@ def fast_latest_safe_start(
     """Closed-form :func:`repro.quasistatic.intervals.latest_safe_start`.
 
     Every worst-case completion of a rebased schedule is ``start +
-    const`` with the constant independent of the start time, so the
-    schedule is feasible exactly for ``start <= min_i(deadline_i -
-    const_i, period - const_last)`` — no bisection needed.
+    const`` with the constant independent of the start time, so
+    :func:`~repro.scheduling.feasibility.latest_start` gives the bound
+    directly — no bisection needed.
     """
     app = schedule.app
     scheduled = {e.name for e in schedule.entries}
@@ -853,30 +853,20 @@ def fast_latest_safe_start(
             ctx.deadline,
             ctx.hard_set,
         )
-    budget = schedule.fault_budget
-    clock = 0
-    total = 0
-    top = TopNeeds(budget)
-    private = 0
-    limit: Optional[int] = None
-    for entry in schedule.entries:
-        clock += wcet[entry.name]
-        if entry.reexecutions > 0:
-            if schedule.slack_sharing:
-                top.add(need[entry.name], entry.reexecutions)
-            else:
-                private += need[entry.name] * min(
-                    entry.reexecutions, budget
-                )
-        demand = top.demand() if schedule.slack_sharing else private
-        total = clock + demand
-        if entry.name in hard_set:
-            slack = deadline[entry.name] - total
-            if limit is None or slack < limit:
-                limit = slack
-    period_slack = app.period - total
-    if limit is None or period_slack < limit:
-        limit = period_slack
+    limit = latest_start(
+        (
+            (
+                wcet[e.name],
+                need[e.name],
+                e.reexecutions,
+                deadline[e.name] if e.name in hard_set else None,
+            )
+            for e in schedule.entries
+        ),
+        schedule.fault_budget,
+        schedule.slack_sharing,
+        app.period,
+    )
     if lo > limit:
         return None
     return min(hi, limit)

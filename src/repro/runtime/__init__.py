@@ -1,5 +1,5 @@
 """Runtime substrate: online scheduler, traces, re-planning comparator,
-and the batched simulation engine."""
+and the C-kernel simulation engine."""
 
 from repro.runtime.online import OnlineScheduler, simulate
 from repro.runtime.replanner import ReplanningResult, run_replanning

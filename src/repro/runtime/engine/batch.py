@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class ScenarioBatch(Sequence):
     names: Tuple[str, ...]
     durations: np.ndarray
     fault_counts: np.ndarray
-    _attempt_cumsum: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.durations.ndim != 3:
@@ -94,18 +91,6 @@ class ScenarioBatch(Sequence):
     def total_faults(self) -> np.ndarray:
         """Total fault count of every scenario, ``(n_scenarios,)``."""
         return self.fault_counts.sum(axis=1)
-
-    def attempt_cumsum(self) -> np.ndarray:
-        """``durations`` cumulated over the attempt axis (cached).
-
-        ``attempt_cumsum()[s, p, a]`` is the total execution time of
-        attempts ``0..a``; evaluators replay one batch against many
-        plans, so the simulator reuses this instead of recomputing it
-        per run.
-        """
-        if self._attempt_cumsum is None:
-            self._attempt_cumsum = np.cumsum(self.durations, axis=2)
-        return self._attempt_cumsum
 
     # ------------------------------------------------------------------
     # Construction

@@ -22,10 +22,11 @@ Compilation uses the system C compiler — ``$REPRO_CC``, ``$CC`` or
 the first of ``cc``/``gcc``/``clang`` on PATH — with
 ``-O2 -std=c99 -fPIC -shared -ffp-contract=off``: no fused
 multiply-adds, no reassociation, so the core's float stream stays
-operation-for-operation identical to the NumPy engine's.  A missing
-compiler or a failed compile raises :class:`KernelBuildError`; the
-dispatcher turns that into a counted fallback to the NumPy engine,
-never an error for the caller.
+operation-for-operation identical to the oracle's.  A missing
+compiler, a failed compile or a cache directory that cannot be
+created raises :class:`KernelBuildError`; the dispatcher turns that
+into a counted degradation to the reference oracle, never an error
+for the caller.
 
 The deterministic chaos hook ``kernel-fail@N`` (see
 :mod:`repro.pipeline.chaos`) fails the Nth compile attempt of the
@@ -59,8 +60,8 @@ class KernelBuildError(Exception):
     """The core cannot be built or loaded.
 
     ``reason`` is the short counter label the dispatcher surfaces:
-    ``"no-compiler"``, ``"compile-failed"``, ``"load-failed"`` or
-    ``"chaos"``.
+    ``"no-compiler"``, ``"compile-failed"``, ``"load-failed"``,
+    ``"cache-unavailable"`` or ``"chaos"``.
     """
 
     def __init__(self, reason: str, message: str):
@@ -95,7 +96,9 @@ def cache_dir() -> Path:
     """The on-disk artifact cache directory (created on demand).
 
     ``$REPRO_KERNEL_CACHE`` overrides the default
-    ``~/.cache/repro-kernels``.
+    ``~/.cache/repro-kernels``.  A directory that cannot be created
+    (a read-only home, a path below a regular file) raises
+    :class:`KernelBuildError` with reason ``"cache-unavailable"``.
     """
     override = os.environ.get("REPRO_KERNEL_CACHE")
     if override:
@@ -105,7 +108,12 @@ def cache_dir() -> Path:
             os.path.expanduser("~"), ".cache"
         )
         root = Path(base) / "repro-kernels"
-    root.mkdir(parents=True, exist_ok=True)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise KernelBuildError(
+            "cache-unavailable", f"cannot create kernel cache {root}: {exc}"
+        ) from exc
     return root
 
 
@@ -254,5 +262,5 @@ def store_tables(fingerprint: str, arrays: Dict[str, np.ndarray]) -> None:
         _atomic_write_bytes(
             cache_dir() / f"{fingerprint}.npz", buffer.getvalue()
         )
-    except OSError:
+    except (OSError, KernelBuildError):
         pass

@@ -7,8 +7,8 @@
  * structure, checked against rk_plan_size() at load time).  rk_run
  * walks each scenario exactly the way the oracle does:
  *
- * - segment advancement is the closed form of the batched engine
- *   (duration prefix sums, hard-fault re-execution and recovery terms);
+ * - an entry advances the clock in closed form (its attempts'
+ *   durations plus one recovery overhead per fault);
  * - arc matching scans each position's arcs in the pre-sorted
  *   (-required_faults, target) order, so the first hit reproduces the
  *   oracle's most-fault-specific tie-break;

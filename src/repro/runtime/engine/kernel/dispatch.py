@@ -1,24 +1,23 @@
-"""Kernel dispatch: run batches through the C core or fall back.
+"""Kernel dispatch: run batches through the C core or the oracle.
 
-:class:`KernelSimulator` is a drop-in replacement for
-:class:`~repro.runtime.engine.simulator.BatchSimulator`: same
-constructor, same :meth:`run_batch` contract, same
+:class:`KernelSimulator` runs one plan over whole
+:class:`~repro.runtime.engine.batch.ScenarioBatch` sets and returns a
 :class:`~repro.runtime.engine.simulator.BatchResult`.  Construction
 makes sure the one C core is loaded — built at most once per cache,
 loaded at most once per process — and fetches the plan's lowered
 tables: from the in-process memo, else the on-disk ``.npz`` cache,
 else by lowering the plan (and storing the result), all keyed by
 :func:`~repro.runtime.engine.kernel.lower.plan_fingerprint`.  Anything
-that prevents that — no compiler, a failed build, a plan the core
-cannot express, injected chaos — degrades to the wrapped NumPy
-``BatchSimulator`` with a counted reason; results are identical either
-way, so degradation is a performance event, never a correctness one.
+that prevents that — no compiler, a failed build, an unusable cache
+directory, a plan the core cannot express, injected chaos — degrades
+to replaying every scenario on the reference oracle, with a counted
+reason; results are identical either way, so degradation is a
+performance event, never a correctness one.
 
 Per batch, the core executes every scenario in one C call (the GIL is
 released for its duration); scenarios the C walk flags as outside its
-state model are replayed on the oracle afterwards, exactly like the
-NumPy engine's own fallback — including reproducing the oracle's
-raises.
+state model are replayed on the oracle afterwards — including
+reproducing the oracle's raises.
 
 The module-global :class:`KernelStats` mirrors the parallel pool's
 ``pool_recovery()`` idiom: core builds, table cache hits and
@@ -70,13 +69,14 @@ class KernelStats:
     the in-process memo or the on-disk ``.npz`` cache instead of being
     lowered, and ``fallbacks`` maps a degradation reason
     (``"no-compiler"``, ``"compile-failed"``, ``"load-failed"``,
-    ``"unsupported-utility"``, ``"unsupported-plan"``, ``"chaos"``)
-    to how many simulator constructions degraded to the NumPy engine
-    for it.  ``oracle_scenarios`` counts per-scenario oracle replays
-    out of otherwise kernel-run batches (the same residual the NumPy
-    engine reports as ``n_fallback``).  Updates take a per-object
-    lock (shard threads and service requests share the global one);
-    reads are plain attribute reads.
+    ``"cache-unavailable"``, ``"unsupported-utility"``,
+    ``"unsupported-plan"``, ``"chaos"``) to how many simulator
+    constructions degraded to the reference oracle for it.
+    ``oracle_scenarios`` counts per-scenario oracle replays out of
+    otherwise kernel-run batches (the residual a batch reports as
+    ``n_fallback``).  Updates take a per-object lock (shard threads
+    and service requests share the global one); reads are plain
+    attribute reads.
     """
 
     compiles: int = 0
@@ -209,9 +209,7 @@ def _plan_tables(simulator: BatchSimulator) -> LoweredPlan:
     if arrays is not None:
         kernel_stats().add("cache_hits")
     else:
-        arrays = lower_plan(
-            simulator.capp, simulator.ctree, simulator._tables
-        )
+        arrays = lower_plan(simulator.capp, simulator.ctree)
         store_tables(fingerprint, arrays)
     lowered = _TABLES[fingerprint] = LoweredPlan(arrays)
     return lowered
@@ -220,25 +218,26 @@ def _plan_tables(simulator: BatchSimulator) -> LoweredPlan:
 class KernelSimulator:
     """C-core executor of one plan, bit-identical to the oracle.
 
-    Wraps an eagerly-built :class:`BatchSimulator` — sharing its
-    compiled application/tree, decision tables and oracle — and routes
-    whole batches through the core over the plan's lowered tables when
-    both can be had.  ``engine_used`` reports which core actually runs
-    (``"kernel"`` or ``"batched"`` after a counted degradation).
+    Wraps an eagerly-built :class:`BatchSimulator` — the compiled
+    application and tree the tables are lowered from, and the oracle —
+    and routes whole batches through the core over the plan's lowered
+    tables when both can be had, else replays them on the oracle.
+    ``engine_used`` reports which runs: ``"kernel"``, or
+    ``"reference"`` after a counted degradation.
     """
 
     def __init__(self, app: Application, plan: Union[QSTree, FSchedule]):
-        self._batched = BatchSimulator(app, plan)
+        self._compiled = BatchSimulator(app, plan)
         self.app = app
-        self.capp = self._batched.capp
-        self.ctree = self._batched.ctree
+        self.capp = self._compiled.capp
+        self.ctree = self._compiled.ctree
         self._run = None
         self._lowered: Optional[LoweredPlan] = None
         self.fallback_reason: Optional[str] = None
         try:
             with _LOCK:
                 run = _load_core()
-                self._lowered = _plan_tables(self._batched)
+                self._lowered = _plan_tables(self._compiled)
             self._run = run
         except (KernelUnsupported, KernelBuildError) as exc:
             self.fallback_reason = exc.reason
@@ -246,27 +245,18 @@ class KernelSimulator:
 
     @property
     def engine_used(self) -> str:
-        return "batched" if self._run is None else "kernel"
+        return "reference" if self._run is None else "kernel"
 
     def run_batch(self, batch: ScenarioBatch) -> BatchResult:
         """Execute every scenario of ``batch``; see :class:`BatchResult`."""
         if self._run is None:
-            return self._batched.run_batch(batch)
-        if batch.names != self.capp.names:
-            # Delegate for the NumPy engine's exact validation error.
-            return self._batched.run_batch(batch)
+            return self._compiled.run_batch(batch)
+        self._compiled.check_columns(batch)
         n = batch.n_scenarios
         width = batch.max_attempts
         durations = np.ascontiguousarray(batch.durations, dtype=np.int64)
         faults = np.ascontiguousarray(batch.fault_counts, dtype=np.int64)
-        result = BatchResult(
-            utilities=np.zeros(n, dtype=np.float64),
-            deadline_miss=np.zeros(n, dtype=bool),
-            switch_counts=np.zeros(n, dtype=np.int64),
-            faults_observed=np.zeros(n, dtype=np.int64),
-            switch_chains=[()] * n,
-            fast_path=np.zeros(n, dtype=bool),
-        )
+        result = BatchResult.empty(n)
         chains = np.zeros((n, self._lowered.chain_cap), dtype=np.int64)
         flagged = np.zeros(n, dtype=np.uint8)
         rc = self._run(
@@ -283,7 +273,7 @@ class KernelSimulator:
             flagged,
         )
         if rc != 0:  # pragma: no cover - guarded by ScenarioBatch
-            return self._batched.run_batch(batch)
+            return self._compiled.run_batch(batch)
         result.fast_path[:] = flagged == 0
         counts = result.switch_counts.tolist()
         for i in np.flatnonzero(result.switch_counts).tolist():
@@ -292,5 +282,5 @@ class KernelSimulator:
         if residual.size:
             kernel_stats().add("oracle_scenarios", int(residual.size))
             for i in residual:
-                self._batched._run_oracle(batch, int(i), result)
+                self._compiled._run_oracle(batch, int(i), result)
         return result

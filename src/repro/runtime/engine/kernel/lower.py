@@ -2,38 +2,43 @@
 
 :func:`lower_plan` turns a
 :class:`~repro.runtime.engine.compile.CompiledApplication` /
-:class:`~repro.runtime.engine.compile.CompiledTree` pair plus its
-:class:`~repro.runtime.engine.decisions.DecisionTables` into NumPy
+:class:`~repro.runtime.engine.compile.CompiledTree` pair into NumPy
 arrays: one record per process, graph vertex, tree node and schedule
 entry, flat arc/threshold/benefit-term tables and the bit masks of
-process sets.  :class:`RkPlan` mirrors ``core.c``'s ``rk_plan`` and
-:class:`LoweredPlan` points one at a set of arrays.  Nothing here
-emits C: floats travel as float64 array elements, so every constant
-reaches the core bit for bit.  Plans outside what the core expresses
-raise :class:`KernelUnsupported` (the dispatcher falls back to the
-NumPy engine).
+process sets.  The §2.2 schedulability thresholds come out in closed
+form (:func:`node_thresholds`).  :class:`RkPlan` mirrors ``core.c``'s
+``rk_plan`` and :class:`LoweredPlan` points one at a set of arrays.
+Nothing here emits C: floats travel as float64 array elements, so
+every constant reaches the core bit for bit.  Plans outside what the
+core expresses raise :class:`KernelUnsupported` (the dispatcher then
+degrades to the reference oracle).
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.runtime.engine.compile import (
     CompiledApplication,
+    CompiledNode,
     CompiledTree,
     utility_steps,
 )
-from repro.runtime.engine.decisions import DecisionTables
+from repro.scheduling.feasibility import latest_start
 from repro.utility.functions import LinearUtility
 
 #: Bumped whenever the meaning or layout of any lowered table changes;
 #: part of the plan fingerprint, so stale ``.npz`` tables can never be
 #: read by a newer core.
 TABLES_VERSION = 2
+
+#: The start bound of a probe the oracle would reject: any real clock
+#: is non-negative, so every comparison against it fails.
+NEVER = -(2**62)
 
 #: Ends every utility's breakpoint table in ``core.c``.
 _SENTINEL = np.iinfo(np.int64).max
@@ -118,9 +123,8 @@ def _utility_spec(utility) -> Tuple:
     linear decay, or the step table of
     :func:`~repro.runtime.engine.compile.utility_steps`.
 
-    An unknown subclass raises — the dispatcher then falls back to the
-    NumPy engine for the whole plan (which itself handles unknown
-    subclasses via a scalar loop).
+    An unknown subclass raises — the dispatcher then degrades to the
+    reference oracle for the whole plan.
     """
     if isinstance(utility, LinearUtility):
         return (1, (), (0.0,), float(utility.u0), float(utility.slope))
@@ -190,6 +194,116 @@ def plan_fingerprint(capp: CompiledApplication, ctree: CompiledTree) -> str:
 
 
 # ----------------------------------------------------------------------
+# §2.2 check (b): the S_iH probe
+# ----------------------------------------------------------------------
+def node_thresholds(
+    capp: CompiledApplication, node: CompiledNode
+) -> List[List[List[int]]]:
+    """The clock thresholds of check (b), ``[position][attempt][budget]``.
+
+    When a soft entry faults on attempt ``a`` with ``b`` faults left,
+    the oracle re-executes it only if its probe stays schedulable when
+    started at ``clock + µ``: the entry with ``min(cap - a - 1, b)``
+    re-executions, then the rest of the schedule with hard caps set to
+    ``b`` and soft caps clamped to it.  The probe's worst-case
+    completions are ``start + const``, so the check is ``clock <=
+    latest_start(probe) - µ`` — one integer per cell, the probe's own
+    arithmetic.  A probe whose construction the oracle would reject
+    gives ``NEVER - µ``.  Hard positions (always re-executed) and soft
+    positions with no re-execution have no attempts.
+    """
+    app = capp.app
+    k = int(app.k)
+    graph = app.graph
+    schedule = node.schedule
+    names = [e.name for e in schedule.entries]
+    procs = [app.process(name) for name in names]
+    caps = node.entry_caps.tolist()
+    length = len(names)
+    # bad[q]: the probe's validation fails at entry q — it repeats a
+    # later entry, or a predecessor runs at or after it.  A probe from
+    # position p is rejected iff some bad[q] holds for q >= p.
+    bad = [False] * (length + 1)
+    later = set()
+    for q in range(length - 1, -1, -1):
+        repeated = names[q] in later
+        later.add(names[q])
+        bad[q] = (
+            bad[q + 1]
+            or repeated
+            or any(pred in later for pred in graph.predecessors(names[q]))
+        )
+    needs = [app.recovery_need(name) for name in names]
+    # rows[b][q]: entry q as a probe row under budget b.
+    rows = [
+        [
+            (
+                proc.wcet,
+                need,
+                b if proc.is_hard else min(cap, b),
+                proc.deadline if proc.is_hard else None,
+            )
+            for proc, need, cap in zip(procs, needs, caps)
+        ]
+        for b in range(k + 1)
+    ]
+    thresholds: List[List[List[int]]] = []
+    for p in range(length):
+        natt = 0 if procs[p].is_hard else min(caps[p], k)
+        mu = int(node.entry_mu[p])
+        if bad[p]:
+            thresholds.append([[NEVER - mu] * (k + 1) for _ in range(natt)])
+            continue
+        wcet, need = procs[p].wcet, needs[p]
+        starts: Dict[Tuple[int, int], int] = {}
+        cells = []
+        for attempt in range(natt):
+            cell = []
+            for b in range(k + 1):
+                head = min(caps[p] - attempt - 1, b)
+                start = starts.get((b, head))
+                if start is None:
+                    start = starts[(b, head)] = latest_start(
+                        [(wcet, need, head, None)] + rows[b][p + 1 :],
+                        b,
+                        schedule.slack_sharing,
+                        app.period,
+                    )
+                cell.append(start - mu)
+            cells.append(cell)
+        thresholds.append(cells)
+    return thresholds
+
+
+def probe_info(
+    capp: CompiledApplication, node: CompiledNode, position: int
+) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+    """What the S_iH probe at one position needs of the completed set.
+
+    Returns ``(hard_in_probe, external_hard_preds)``: the hard process
+    ids the probe schedules itself — any other hard id must already be
+    completed, or the probe is unschedulable — and the hard ids some
+    probe entry directly depends on without the probe scheduling them
+    first; if one of those is not completed, the oracle's probe
+    constructor raises, so the core flags the scenario for the oracle.
+    """
+    graph = capp.app.graph
+    names = [e.name for e in node.schedule.entries[position:]]
+    hard_in_probe = frozenset(
+        capp.index[n] for n in names if capp.is_hard[capp.index[n]]
+    )
+    external = set()
+    earlier = set()
+    for name in names:
+        for pred in graph.predecessors(name):
+            pid = capp.index.get(pred)
+            if pid is not None and capp.is_hard[pid] and pred not in earlier:
+                external.add(int(pid))
+        earlier.add(name)
+    return hard_in_probe, frozenset(external)
+
+
+# ----------------------------------------------------------------------
 # Lowering
 # ----------------------------------------------------------------------
 def _mask_words(pids: Iterable[int], n_words: int) -> List[int]:
@@ -200,17 +314,14 @@ def _mask_words(pids: Iterable[int], n_words: int) -> List[int]:
 
 
 def lower_plan(
-    capp: CompiledApplication,
-    ctree: CompiledTree,
-    tables: DecisionTables,
+    capp: CompiledApplication, ctree: CompiledTree
 ) -> Dict[str, np.ndarray]:
     """The ``rk_plan`` tables of one plan, by field name.
 
-    Forces every schedulability threshold the core can consult
+    Includes every schedulability threshold the core can consult
     (attempts ``0..min(cap, k)-1`` per soft position, budgets
-    ``0..k``) out of ``tables`` — the expensive part of lowering,
-    which the table caches amortize across constructions, runs and
-    workers.
+    ``0..k``; see :func:`node_thresholds`).  The table caches
+    amortize lowering across constructions, runs and workers.
     """
     app = capp.app
     n_words = (capp.n_processes + 63) // 64
@@ -250,16 +361,16 @@ def lower_plan(
         col["node_sdrop"] += _mask_words(
             (capp.index[n] for n in schedule.all_dropped), n_words
         )
+        thresholds = node_thresholds(capp, node)
         for pos in range(node.n_entries):
             pid = int(node.entry_ids[pos])
             cap = int(node.entry_caps[pos])
             soft = not bool(capp.is_hard[pid])
-            natt = min(cap, k) if soft else 0
+            natt = len(thresholds[pos])
             thr_lo, arc_lo = len(col["thr"]), len(col["arcs"])
             keep_lo, drop_lo = len(col["keep"]), len(col["drop"])
-            for attempt in range(natt):
-                thresholds = tables.sched_thresholds(nid, pos, attempt)
-                col["thr"] += thresholds.tolist()
+            for cell in thresholds[pos]:
+                col["thr"] += cell
             for lo, hi, required, target in node.arcs_at[pos]:
                 if target not in dense:
                     raise KernelUnsupported(
@@ -267,13 +378,11 @@ def lower_plan(
                         f"arc targets node {target} outside the tree",
                     )
                 col["arcs"].append((lo, hi, required, dense[target]))
-            probe = tables.probe_info(nid, pos) if soft else None
-            col["ent_hardprobe"] += _mask_words(
-                probe.hard_in_probe if soft else (), n_words
+            hard_in_probe, external = (
+                probe_info(capp, node, pos) if soft else ((), ())
             )
-            col["ent_ext"] += _mask_words(
-                probe.external_hard_preds if soft else (), n_words
-            )
+            col["ent_hardprobe"] += _mask_words(hard_in_probe, n_words)
+            col["ent_ext"] += _mask_words(external, n_words)
             if soft:
                 name = schedule.entries[pos].name
                 first = app.recovery_overhead(name) + app.process(name).aet

@@ -19,9 +19,9 @@ for the executor's lifetime, so comparing many plans pays the
 fork/attach cost once.  It is either spawned by the executor or
 borrowed from a :class:`~repro.pipeline.resources.ResourceManager`;
 both run the same context-carrying tasks.  Each worker compiles a
-plan's simulator once — the segment-stepped ``BatchSimulator`` core
-with its §2.2 decision tables, the reference ``OnlineScheduler`` or
-the C kernel core — and reuses it across that plan's fault counts
+plan's simulator once — the reference ``OnlineScheduler`` or the C
+kernel core over the plan's lowered tables — and reuses it across
+that plan's fault counts
 (``tests/test_parallel_pool.py`` pins the pool reuse).  For the
 kernel engine the parent builds the core and lowers the plan before
 fanning out, so workers load both from the shared artifact cache
@@ -111,8 +111,8 @@ def simulate_rows(simulator, batches, lo: int, hi: int) -> _ShardRaw:
     """Simulate scenarios ``[lo, hi)`` of every scenario set — the
     shard task of both executors.
 
-    ``simulator`` is a ``run_batch`` engine (batched or kernel) or,
-    for the reference engine, an
+    ``simulator`` is the kernel's ``run_batch`` engine or, for the
+    reference engine, an
     :class:`~repro.runtime.online.OnlineScheduler`.
     """
     if hasattr(simulator, "run_batch"):

@@ -22,11 +22,11 @@ Threading only pays off when the GIL is actually released, so every
 evaluation that cannot run threaded **falls back to process sharding**
 with a counted reason (:func:`thread_stats`):
 
-* ``engine-not-kernel`` — the NumPy and reference engines hold the
-  GIL; process sharding is the right tool for them;
+* ``engine-not-kernel`` — the reference engine holds the GIL;
+  process sharding is the right tool for it;
 * ``kernel-unavailable`` — no C compiler / kernel build failure; the
-  kernel simulator itself would degrade to the (GIL-bound) NumPy
-  engine, annulling the point of threads;
+  kernel simulator itself would degrade to the (GIL-bound) oracle,
+  annulling the point of threads;
 * ``chaos`` — an injected ``thread-fail@N`` fault from the chaos DSL
   (:mod:`repro.pipeline.chaos`).
 

@@ -25,7 +25,7 @@ Key facts exploited:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.model.application import Application
 from repro.scheduling.schedulability import edf_hard_order
@@ -93,6 +93,41 @@ class TopNeeds:
             take = min(extra_cap, remaining)
             total += take * extra_cost
         return total
+
+
+def latest_start(
+    entries: Iterable[Tuple[int, int, int, Optional[int]]],
+    budget: int,
+    slack_sharing: bool,
+    period: int,
+) -> int:
+    """Latest start time at which a run of entries stays schedulable.
+
+    ``entries`` are ``(WCET, recovery cost, re-execution cap, hard
+    deadline or None)`` in schedule order, with ``budget`` faults to
+    tolerate.  Every worst-case completion of
+    :meth:`~repro.scheduling.fschedule.FSchedule.worst_case_completions`
+    is ``start + const_i``, so the run meets every hard deadline and
+    the period exactly for ``start <= min(deadline_i - const_i,
+    period - const_last)``, which is returned.
+    """
+    clock = 0
+    total = 0
+    top = TopNeeds(budget)
+    private = 0
+    slacks = []
+    for wcet, need, cap, deadline in entries:
+        clock += wcet
+        if cap > 0:
+            if slack_sharing:
+                top.add(need, cap)
+            else:
+                private += need * min(cap, budget)
+        total = clock + (top.demand() if slack_sharing else private)
+        if deadline is not None:
+            slacks.append(deadline - total)
+    slacks.append(period - total)
+    return min(slacks)
 
 
 class FeasibilityOracle:

@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from repro.execution import DEFAULT_ENGINE
 from repro.service.errors import (
     PayloadTooLarge,
     ServiceError,
@@ -60,7 +61,7 @@ class ServiceConfig:
     port: int = 8080
     #: Monte-Carlo routing: an ExecutionConfig or a spec string like
     #: "kernel@threads:8" (see repro.execution).
-    execution: Any = "batched"
+    execution: Any = DEFAULT_ENGINE
     synthesis_jobs: int = 1
     synthesis: str = "fast"
     max_inflight: int = 4

@@ -17,7 +17,7 @@ from repro.workloads.suite import WorkloadSpec, generate_application
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "engine_smoke: tier-1-safe slice of the batched-engine "
+        "engine_smoke: tier-1-safe slice of the kernel-vs-oracle "
         "differential corpus (full corpus via --engine-full)",
     )
 
@@ -27,7 +27,7 @@ def pytest_addoption(parser):
         "--engine-full",
         action="store_true",
         default=False,
-        help="run the full differential corpus of the batched engine "
+        help="run the full kernel-vs-oracle differential corpus "
         "(slow); the default is a tier-1-safe smoke slice",
     )
 

@@ -113,7 +113,7 @@ class TestPoolRecovery:
 # ----------------------------------------------------------------------
 class TestEvaluationBitIdentity:
     def _evaluate(self, app, plan_obj, jobs):
-        spec = "batched" if jobs == 1 else f"batched@processes:{jobs}"
+        spec = "kernel" if jobs == 1 else f"kernel@processes:{jobs}"
         with MonteCarloEvaluator(
             app, n_scenarios=24, fault_counts=[0, 1], seed=3,
             execution=spec,
@@ -183,12 +183,12 @@ class TestCheckpoint:
 
     def test_fingerprint_masks_routing_knobs(self, tmp_path):
         # The executor is result-neutral: a checkpoint written under
-        # batched@processes:4 resumes under the inline reference.
+        # kernel@processes:4 resumes under the inline reference.
         directory = str(tmp_path / "ckpt")
         ExperimentCheckpoint(
             directory,
             experiment="cc",
-            config={"seed": 1, "execution": "batched@processes:4"},
+            config={"seed": 1, "execution": "kernel@processes:4"},
         ).close()
         ExperimentCheckpoint(
             directory,
@@ -290,7 +290,7 @@ class TestCLI:
         assert main(["experiment", "cc"]) == 0
         clean = capsys.readouterr().out
         assert main([
-            "experiment", "cc", "--executor", "batched@processes:2",
+            "experiment", "cc", "--executor", "kernel@processes:2",
             "--chaos", "kill-worker@0,budget@1",
         ]) == 0
         out = capsys.readouterr().out
@@ -416,14 +416,14 @@ class TestCLI:
 
     def test_resume_routing_knob_change_is_accepted(self, tmp_path, capsys):
         """The executor is masked out of the fingerprint: a checkpoint
-        written under batched@processes:2 resumes under the inline
+        written under kernel@processes:2 resumes under the inline
         reference engine and reuses every journaled unit."""
         from repro.cli import main
 
         directory = str(tmp_path / "ckpt")
         assert main([
             "experiment", "cc", "--checkpoint", directory,
-            "--executor", "batched@processes:2",
+            "--executor", "kernel@processes:2",
         ]) == 0
         capsys.readouterr()
         assert main([

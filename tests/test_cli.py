@@ -90,7 +90,7 @@ class TestArgumentValidation:
         with pytest.raises(SystemExit) as excinfo:
             main([
                 "simulate", "a.json", "t.json",
-                "--executor", "batched@processes:0",
+                "--executor", "kernel@processes:0",
             ])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err

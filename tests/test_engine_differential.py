@@ -1,17 +1,21 @@
-"""Differential harness: batched engine vs the reference scheduler.
+"""Differential harness: the C kernel engine vs the reference scheduler.
 
-The batched engine is only trustworthy because every scenario it
+The kernel engine is only trustworthy because every scenario it
 simulates can be checked against :class:`OnlineScheduler`, the
 behavioral oracle.  For a corpus of applications (the paper's worked
 examples, the cruise controller, and seeded random DAGs), plans
 (static FTSS schedules and FTQS trees of several sizes) and all fault
 counts, these tests assert that the per-scenario utility, deadline-
 miss flag, switch chain and observed fault count are *bit-identical* —
-not approximately equal — between both engines.
+not approximately equal — between both engines.  The §2.2
+schedulability thresholds the kernel's tables carry are checked cell
+by cell against the oracle's own ``FSchedule`` probe.
 
 By default a tier-1-safe smoke slice runs (small scenario counts, the
 ``engine_smoke`` marker); ``pytest --engine-full`` opts into the full
-corpus (more scenarios, bigger trees and applications).
+corpus (more scenarios, bigger trees and applications).  On a box
+without a C compiler the tests that need the core skip with
+``kernel engine unavailable``.
 """
 
 from __future__ import annotations
@@ -19,14 +23,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import SchedulingError
 from repro.evaluation.montecarlo import MonteCarloEvaluator
+from repro.execution import ExecutionConfig
 from repro.examples_support import (
     paper_fig1_application,
     paper_fig8_application,
 )
 from repro.quasistatic.ftqs import FTQSConfig, ftqs
-from repro.runtime.engine import BatchSimulator, ScenarioBatch
+from repro.runtime.engine import ScenarioBatch
+from repro.runtime.engine.compile import compile_application, compile_tree
+from repro.runtime.engine.kernel import KernelSimulator, kernel_stats
+from repro.runtime.engine.kernel.lower import NEVER, node_thresholds
 from repro.runtime.online import OnlineScheduler
+from repro.scheduling.fschedule import FSchedule, ScheduledEntry
 from repro.scheduling.ftss import ftss
 from repro.workloads.cruise import cruise_controller
 from repro.workloads.suite import WorkloadSpec, generate_application
@@ -80,43 +90,118 @@ def _plans(app, full: bool):
     return plans
 
 
-def _assert_identical(app, plan, scenarios):
-    """Batched results must be bit-identical to the oracle's."""
+def _fault_heavy_apps():
+    """Soft-dense applications with k >= 2 (the fault-heavy corpus)."""
+    return [
+        ("fig8", paper_fig8_application()),  # k = 2, the paper's §5 example
+        ("cc", cruise_controller()),         # k = 2, 32 processes
+        (
+            "rand-soft-k3",
+            generate_application(
+                WorkloadSpec(n_processes=12, soft_ratio=0.8, k=3), seed=31
+            ),
+        ),
+        (
+            "rand-soft-k2",
+            generate_application(
+                WorkloadSpec(n_processes=16, soft_ratio=0.7, k=2), seed=44
+            ),
+        ),
+    ]
+
+
+def _dense_apps(full: bool):
+    """All-soft applications (the decision-point-dense corpus)."""
+    specs = [
+        ("all-soft-8", WorkloadSpec(n_processes=8, soft_ratio=1.0, k=3), 7),
+        ("all-soft-12", WorkloadSpec(n_processes=12, soft_ratio=1.0, k=2), 19),
+    ]
+    if full:
+        specs.append(
+            (
+                "all-soft-16",
+                WorkloadSpec(n_processes=16, soft_ratio=1.0, k=3),
+                11,
+            )
+        )
+    return [
+        (label, generate_application(spec, seed=seed))
+        for label, spec, seed in specs
+    ]
+
+
+def _kernel(app, plan):
+    """The plan's kernel simulator; skips when no core can be had."""
+    simulator = KernelSimulator(app, plan)
+    if simulator.engine_used != "kernel":
+        pytest.skip(
+            f"kernel engine unavailable ({simulator.fallback_reason})"
+        )
+    return simulator
+
+
+def _assert_identical(app, plan, scenarios, label=""):
+    """Kernel results must be bit-identical to the oracle's, per
+    scenario: utility bits, miss flag, switch chain and count, and
+    observed faults."""
     oracle = OnlineScheduler(app, plan, record_events=False)
-    batch = ScenarioBatch.from_scenarios(app, scenarios)
-    result = BatchSimulator(app, plan).run_batch(batch)
+    if not isinstance(scenarios, ScenarioBatch):
+        scenarios = ScenarioBatch.from_scenarios(app, scenarios)
+    result = _kernel(app, plan).run_batch(scenarios)
     for i, scenario in enumerate(scenarios):
         reference = oracle.run(scenario)
-        assert result.utilities[i] == reference.utility
+        where = f"{label} scenario {i}"
+        assert (
+            np.float64(reference.utility).tobytes()
+            == result.utilities[i].tobytes()
+        ), where
         assert bool(result.deadline_miss[i]) == (
             not reference.met_all_hard_deadlines
-        )
-        assert result.switch_chains[i] == reference.switches
-        assert result.switch_counts[i] == len(reference.switches)
-        assert result.faults_observed[i] == reference.faults_observed
+        ), where
+        assert result.switch_chains[i] == reference.switches, where
+        assert result.switch_counts[i] == len(reference.switches), where
+        assert result.faults_observed[i] == reference.faults_observed, where
     return result
 
 
 @engine_smoke
-def test_differential_corpus(engine_full):
-    """Every (app, plan, fault count) cell matches the oracle exactly."""
+def test_differential_corpus(engine_full, kernel_cache):
+    """The default evaluator route aggregates to the oracle's outcomes.
+
+    Every (app, plan, fault count) cell of the corpus, evaluated the
+    way the experiments do — ``MonteCarloEvaluator.evaluate`` on the
+    default engine — must match the reference engine field for field,
+    with no no-fault scenario leaving the core (otherwise the speedup
+    claim is vacuous).
+    """
+    from repro.execution import DEFAULT_ENGINE
+
     n_scenarios = 200 if engine_full else 30
     checked = 0
     for app_label, app in _corpus_apps(engine_full):
         plans = _plans(app, engine_full)
         assert plans, f"{app_label}: FTSS failed to schedule the corpus app"
         evaluator = MonteCarloEvaluator(
-            app, n_scenarios=n_scenarios, seed=17
+            app, n_scenarios=n_scenarios, seed=17, execution=DEFAULT_ENGINE
         )
         for plan_label, plan in plans:
-            for faults, scenarios in evaluator.scenarios.items():
-                result = _assert_identical(app, plan, scenarios)
+            _kernel(app, plan)
+            expected = evaluator.evaluate(plan, execution="reference")
+            actual = evaluator.evaluate(plan)
+            for faults, outcome in actual.items():
+                label = f"{app_label}/{plan_label}/f={faults}"
+                reference = expected[faults]
+                assert outcome.utilities == reference.utilities, label
+                assert outcome.mean_utility == reference.mean_utility, label
+                assert (
+                    outcome.deadline_misses == reference.deadline_misses
+                ), label
+                assert outcome.mean_switches == reference.mean_switches, label
+                assert outcome.mean_faults == reference.mean_faults, label
                 if faults == 0:
-                    # No-fault scenarios must never need the oracle —
-                    # otherwise the speedup claim is vacuous.
-                    assert result.n_fallback == 0, (
-                        f"{app_label}/{plan_label}: no-fault scenarios "
-                        "fell back to the reference loop"
+                    assert outcome.fast_path_share == 1.0, (
+                        f"{label}: no-fault scenarios fell back to the "
+                        "reference loop"
                     )
                 checked += 1
     assert checked > 0
@@ -124,17 +209,12 @@ def test_differential_corpus(engine_full):
 
 @engine_smoke
 def test_kernel_differential_corpus(engine_full, kernel_cache):
-    """The C kernel core matches the batched engine bit for bit.
+    """The C kernel core matches the oracle per scenario, bit for bit.
 
-    The batched engine is oracle-gated by
-    :func:`test_differential_corpus`; chaining the kernel to it over
-    the same corpus extends the bit-identity guarantee (utility,
-    deadline miss, switch chain, observed faults, fast-path mask) to
-    the compiled path.  Skipped, with the counted reason, on boxes
-    without a C compiler — where the kernel *is* the batched engine.
+    Utility bits, deadline miss, switch chain and count, and observed
+    faults, over every (app, plan, fault count) cell of the corpus.
+    Skipped, with the counted reason, on boxes without a C compiler.
     """
-    from repro.runtime.engine.kernel import KernelSimulator
-
     n_scenarios = 120 if engine_full else 25
     checked = 0
     for app_label, app in _corpus_apps(engine_full):
@@ -144,34 +224,11 @@ def test_kernel_differential_corpus(engine_full, kernel_cache):
             app, n_scenarios=n_scenarios, seed=17
         )
         for plan_label, plan in plans:
-            batched = BatchSimulator(app, plan)
-            kernel = KernelSimulator(app, plan)
-            if kernel.engine_used != "kernel":
-                pytest.skip(
-                    f"kernel engine unavailable "
-                    f"({kernel.fallback_reason})"
-                )
             for faults, batch in evaluator.scenarios.items():
-                expected = batched.run_batch(batch)
-                actual = kernel.run_batch(batch)
                 label = f"{app_label}/{plan_label}/f={faults}"
-                assert (
-                    actual.utilities.tobytes()
-                    == expected.utilities.tobytes()
-                ), label
-                assert (
-                    actual.deadline_miss == expected.deadline_miss
-                ).all(), label
-                assert actual.switch_chains == expected.switch_chains, label
-                assert (
-                    actual.switch_counts == expected.switch_counts
-                ).all(), label
-                assert (
-                    actual.faults_observed == expected.faults_observed
-                ).all(), label
-                assert (
-                    actual.fast_path == expected.fast_path
-                ).all(), label
+                result = _assert_identical(app, plan, batch, label)
+                if faults == 0:
+                    assert result.n_fallback == 0, label
                 checked += 1
     assert checked > 0
 
@@ -179,73 +236,45 @@ def test_kernel_differential_corpus(engine_full, kernel_cache):
 def test_kernel_malformed_tree_replays_oracle_residual(kernel_cache):
     """Scenarios outside the C walk's state model take the oracle.
 
-    The malformed tree of :func:`test_malformed_tree_counts_fallback`
-    re-executes a completed process; the kernel must flag those
-    scenarios out of its fast path and replay them on the oracle with
-    identical results and the same fallback count.
+    The malformed tree of :func:`_malformed_tree` re-executes a
+    completed process; the kernel must flag those scenarios out of its
+    fast path and replay them on the oracle with identical results,
+    counting each replay.
     """
     from repro.faults.injection import average_case_scenario
     from repro.faults.model import FaultScenario
-    from repro.quasistatic.tree import QSTree, SwitchArc
-    from repro.runtime.engine.kernel import KernelSimulator
-    from repro.scheduling.fschedule import FSchedule, ScheduledEntry
 
-    app = _hard_pred_app()
-    root = FSchedule(
-        app,
-        [
-            ScheduledEntry("A", 1),
-            ScheduledEntry("H", 1),
-            ScheduledEntry("S", 1),
-        ],
-        fault_budget=1,
-    )
-    child = FSchedule(
-        app,
-        [ScheduledEntry("A", 1), ScheduledEntry("H", 1)],
-        fault_budget=1,
-    )
-    tree = QSTree(root)
-    node = tree.add_child(tree.root_id, child, "A", 0, layer=1)
-    tree.add_arc(
-        tree.root_id,
-        SwitchArc(
-            process="A", lo=0, hi=10**9, required_faults=0, target=node.node_id
-        ),
-    )
-    kernel = KernelSimulator(app, tree)
-    if kernel.engine_used != "kernel":
-        pytest.skip(f"kernel engine unavailable ({kernel.fallback_reason})")
+    app, tree = _malformed_tree()
     scenarios = [
         average_case_scenario(app, FaultScenario.none()),
         average_case_scenario(app, FaultScenario.of({"H": 1})),
     ]
-    batch = ScenarioBatch.from_scenarios(app, scenarios)
-    expected = BatchSimulator(app, tree).run_batch(batch)
-    actual = kernel.run_batch(batch)
+    actual = _assert_identical(app, tree, scenarios)
     assert actual.n_fallback == len(scenarios)
-    assert actual.utilities.tobytes() == expected.utilities.tobytes()
-    assert actual.switch_chains == expected.switch_chains
-    from repro.runtime.engine.kernel import kernel_stats
-
     assert kernel_stats().oracle_scenarios == len(scenarios)
 
 
 @engine_smoke
-def test_kernel_evaluator_outcomes_identical(fig1_app, kernel_cache):
-    """engine="kernel" aggregates to the same outcomes, field for field."""
-    evaluator = MonteCarloEvaluator(fig1_app, n_scenarios=60, seed=9)
-    plan = ftqs(fig1_app, ftss(fig1_app), FTQSConfig(max_schedules=6))
-    by_batch = evaluator.evaluate(plan, execution="batched")
-    by_kernel = evaluator.evaluate(plan, execution="kernel")
-    assert set(by_batch) == set(by_kernel)
-    for faults in by_batch:
-        bat, ker = by_batch[faults], by_kernel[faults]
-        assert bat.utilities == ker.utilities
-        assert bat.mean_utility == ker.mean_utility
-        assert bat.deadline_misses == ker.deadline_misses
-        assert bat.mean_switches == ker.mean_switches
-        assert bat.mean_faults == ker.mean_faults
+def test_kernel_evaluator_outcomes_identical(fig8_app, kernel_cache):
+    """An evaluator on the default routing runs the kernel and
+    aggregates to the reference engine's outcomes, field for field."""
+    evaluator = MonteCarloEvaluator(
+        fig8_app, n_scenarios=60, seed=9, execution=ExecutionConfig()
+    )
+    assert evaluator.execution.engine == "kernel"
+    plan = ftqs(fig8_app, ftss(fig8_app), FTQSConfig(max_schedules=6))
+    _kernel(fig8_app, plan)
+    by_reference = evaluator.evaluate(plan, execution="reference")
+    by_kernel = evaluator.evaluate(plan)
+    assert set(by_reference) == set(by_kernel)
+    for faults in by_reference:
+        ref, ker = by_reference[faults], by_kernel[faults]
+        assert ref.utilities == ker.utilities
+        assert ref.mean_utility == ker.mean_utility
+        assert ref.deadline_misses == ker.deadline_misses
+        assert ref.mean_switches == ker.mean_switches
+        assert ref.mean_faults == ker.mean_faults
+        assert ker.fallbacks == 0
 
 
 @engine_smoke
@@ -267,8 +296,10 @@ def test_kernel_parallel_sharding_is_outcome_preserving(
 
 
 @engine_smoke
-def test_faulted_scenarios_use_fast_path_when_hard_only(fig1_app):
-    """Fault patterns touching only hard processes stay vectorized."""
+def test_faulted_scenarios_use_fast_path_when_hard_only(
+    fig1_app, kernel_cache
+):
+    """Fault patterns touching only hard processes stay in the core."""
     from repro.faults.injection import average_case_scenario
     from repro.faults.model import FaultScenario
 
@@ -282,8 +313,9 @@ def test_faulted_scenarios_use_fast_path_when_hard_only(fig1_app):
 
 
 @engine_smoke
-def test_soft_faulted_scenarios_stay_vectorized(fig1_app):
-    """Faulted soft processes resolve via the compiled §2.2 tables."""
+def test_soft_faulted_scenarios_stay_vectorized(fig1_app, kernel_cache):
+    """Faulted soft processes resolve in the core via the lowered §2.2
+    tables."""
     from repro.faults.injection import average_case_scenario
     from repro.faults.model import FaultScenario
 
@@ -302,34 +334,17 @@ def test_soft_faulted_scenarios_stay_vectorized(fig1_app):
 
 
 @engine_smoke
-def test_fault_heavy_corpus_stays_on_tables(engine_full):
+def test_fault_heavy_corpus_stays_on_tables(engine_full, kernel_cache):
     """Fault-heavy, soft-dense corpus: bit-identical with zero fallback.
 
-    Fault counts ≥ 2 on soft-dense plans hammer the compiled §2.2
+    Fault counts ≥ 2 on soft-dense plans hammer the lowered §2.2
     decision tables (re-execution chains, drops, post-drop benefit
-    tables).  Every fault pattern here is re-execution-reachable — the
-    plans are well-formed trees — so *no* scenario may leave the
-    vectorized path.
+    terms).  Every fault pattern here is re-execution-reachable — the
+    plans are well-formed trees — so *no* scenario may leave the core.
     """
     n_scenarios = 120 if engine_full else 25
-    apps = [
-        ("fig8", paper_fig8_application()),  # k = 2, the paper's §5 example
-        ("cc", cruise_controller()),         # k = 2, 32 processes
-        (
-            "rand-soft-k3",
-            generate_application(
-                WorkloadSpec(n_processes=12, soft_ratio=0.8, k=3), seed=31
-            ),
-        ),
-        (
-            "rand-soft-k2",
-            generate_application(
-                WorkloadSpec(n_processes=16, soft_ratio=0.7, k=2), seed=44
-            ),
-        ),
-    ]
     checked = 0
-    for app_label, app in apps:
+    for app_label, app in _fault_heavy_apps():
         root = ftss(app)
         assert root is not None, f"{app_label}: unschedulable corpus app"
         heavy_counts = [f for f in range(2, app.k + 1)]
@@ -343,43 +358,49 @@ def test_fault_heavy_corpus_stays_on_tables(engine_full):
         ]
         for plan_label, plan in plans:
             for faults, scenarios in evaluator.scenarios.items():
-                result = _assert_identical(app, plan, scenarios)
+                label = f"{app_label}/{plan_label}/f={faults}"
+                result = _assert_identical(app, plan, scenarios, label)
                 assert result.n_fallback == 0, (
-                    f"{app_label}/{plan_label}/f={faults}: "
-                    f"{result.n_fallback} scenarios left the table path"
+                    f"{label}: {result.n_fallback} scenarios left the "
+                    "table path"
                 )
                 checked += 1
     assert checked > 0
 
 
 @engine_smoke
-def test_evaluator_outcomes_identical_across_engines(fig1_app):
+def test_evaluator_outcomes_identical_across_engines(fig1_app, kernel_cache):
     """Aggregated outcomes match engine-for-engine, field for field."""
+    from repro.execution import ENGINES
+
     evaluator = MonteCarloEvaluator(fig1_app, n_scenarios=60, seed=9)
     plan = ftqs(fig1_app, ftss(fig1_app), FTQSConfig(max_schedules=6))
-    by_reference = evaluator.evaluate(plan, execution="reference")
-    by_batch = evaluator.evaluate(plan, execution="batched")
-    assert set(by_reference) == set(by_batch)
-    for faults in by_reference:
-        ref, bat = by_reference[faults], by_batch[faults]
-        assert ref.utilities == bat.utilities
-        assert ref.mean_utility == bat.mean_utility
-        assert ref.deadline_misses == bat.deadline_misses
-        assert ref.mean_switches == bat.mean_switches
-        assert ref.mean_faults == bat.mean_faults
+    by_engine = {
+        engine: evaluator.evaluate(plan, execution=engine)
+        for engine in ENGINES
+    }
+    ref = by_engine["reference"]
+    for engine, outcomes in by_engine.items():
+        assert set(outcomes) == set(ref), engine
+        for faults, outcome in outcomes.items():
+            assert outcome.utilities == ref[faults].utilities, engine
+            assert outcome.mean_utility == ref[faults].mean_utility
+            assert outcome.deadline_misses == ref[faults].deadline_misses
+            assert outcome.mean_switches == ref[faults].mean_switches
+            assert outcome.mean_faults == ref[faults].mean_faults
 
 
 @engine_smoke
-def test_parallel_sharding_is_outcome_preserving(fig1_app):
-    """jobs=2 (and a jobs=3 odd split) merge to the jobs=1 outcomes."""
+def test_parallel_sharding_is_outcome_preserving(fig1_app, kernel_cache):
+    """jobs=2 (and a jobs=3 odd split) merge to the oracle's outcomes."""
     evaluator = MonteCarloEvaluator(
         fig1_app, n_scenarios=25, fault_counts=[0, 1], seed=4
     )
     plan = ftss(fig1_app)
-    serial = evaluator.evaluate(plan, execution="batched")
+    serial = evaluator.evaluate(plan, execution="reference")
     for jobs in (2, 3):
         sharded = evaluator.evaluate(
-            plan, execution=f"batched@processes:{jobs}"
+            plan, execution=f"kernel@processes:{jobs}"
         )
         for faults in serial:
             assert sharded[faults].utilities == serial[faults].utilities
@@ -407,36 +428,22 @@ def test_parallel_reference_engine_matches_too(fig1_app):
 
 
 @engine_smoke
-def test_decision_point_dense_corpus(engine_full):
+def test_decision_point_dense_corpus(engine_full, kernel_cache):
     """Every scheduled position a decision point: still zero fallback.
 
     All-soft applications make every scheduled entry a candidate
     decision point; crafting one fault on *every* scheduled process
-    turns all of them into actual decision points, so the fused core
-    degenerates to pure position stepping (zero-length segments).
-    Results must stay bit-identical with no scenario leaving the
-    vectorized path.  Sampled fault patterns (which on an all-soft
-    application always land on soft processes) ride along for breadth.
+    turns all of them into actual §2.2 decisions.  Results must stay
+    bit-identical with no scenario leaving the core.  Sampled fault
+    patterns (which on an all-soft application always land on soft
+    processes) ride along for breadth.
     """
     from repro.faults.injection import average_case_scenario
     from repro.faults.model import FaultScenario
 
-    specs = [
-        ("all-soft-8", WorkloadSpec(n_processes=8, soft_ratio=1.0, k=3), 7),
-        ("all-soft-12", WorkloadSpec(n_processes=12, soft_ratio=1.0, k=2), 19),
-    ]
-    if engine_full:
-        specs.append(
-            (
-                "all-soft-16",
-                WorkloadSpec(n_processes=16, soft_ratio=1.0, k=3),
-                11,
-            )
-        )
     n_scenarios = 60 if engine_full else 15
     checked = 0
-    for label, spec, seed in specs:
-        app = generate_application(spec, seed=seed)
+    for label, app in _dense_apps(engine_full):
         assert not app.hard, f"{label}: expected an all-soft application"
         root = ftss(app)
         assert root is not None, f"{label}: unschedulable corpus app"
@@ -460,13 +467,13 @@ def test_decision_point_dense_corpus(engine_full):
             result = _assert_identical(app, plan, [dense])
             assert result.n_fallback == 0, (
                 f"{label}/{plan_label}: the all-decision-point scenario "
-                "left the vectorized path"
+                "left the core"
             )
             for faults, scenarios in evaluator.scenarios.items():
                 result = _assert_identical(app, plan, scenarios)
                 assert result.n_fallback == 0, (
                     f"{label}/{plan_label}/f={faults}: "
-                    f"{result.n_fallback} scenarios left the fused path"
+                    f"{result.n_fallback} scenarios left the core"
                 )
                 checked += 1
     assert checked > 0
@@ -492,20 +499,10 @@ def _hard_pred_app():
     return Application(graph, period=300, k=1, mu=10)
 
 
-def test_malformed_tree_counts_fallback():
-    """Arcs revisiting an executed process stay on (and count) the oracle.
-
-    A child schedule that re-runs an already-completed process is
-    outside the fused core's state model; such scenarios must be
-    routed to the reference loop — with identical results — and be
-    visible in ``BatchResult.n_fallback``.
-    """
-    from repro.faults.injection import average_case_scenario
-    from repro.faults.model import FaultScenario
+def _tree_switching_after_a(app, child):
+    """Root A, H, S; after A, always switch into ``child``."""
     from repro.quasistatic.tree import QSTree, SwitchArc
-    from repro.scheduling.fschedule import FSchedule, ScheduledEntry
 
-    app = _hard_pred_app()
     root = FSchedule(
         app,
         [
@@ -515,162 +512,243 @@ def test_malformed_tree_counts_fallback():
         ],
         fault_budget=1,
     )
-    # The child re-executes A, which completed under the parent.
+    tree = QSTree(root)
+    node = tree.add_child(tree.root_id, child, "A", 0, layer=1)
+    tree.add_arc(
+        tree.root_id,
+        SwitchArc(
+            process="A", lo=0, hi=10**9, required_faults=0, target=node.node_id
+        ),
+    )
+    return tree
+
+
+def _malformed_tree():
+    """A tree whose child re-executes A, which completed under the
+    parent — outside the core's state model."""
+    app = _hard_pred_app()
     child = FSchedule(
         app,
         [ScheduledEntry("A", 1), ScheduledEntry("H", 1)],
         fault_budget=1,
     )
-    tree = QSTree(root)
-    node = tree.add_child(tree.root_id, child, "A", 0, layer=1)
-    tree.add_arc(
-        tree.root_id,
-        SwitchArc(
-            process="A", lo=0, hi=10**9, required_faults=0, target=node.node_id
-        ),
-    )
-    scenarios = [
-        average_case_scenario(app, FaultScenario.none()),
-        average_case_scenario(app, FaultScenario.of({"H": 1})),
-    ]
-    result = _assert_identical(app, tree, scenarios)
-    assert result.n_fallback == len(scenarios), (
-        "every scenario switches into the malformed child and must be "
-        f"counted as fallback, got {result.n_fallback}"
-    )
+    return app, _tree_switching_after_a(app, child)
 
 
-def test_probe_raise_routes_to_oracle_and_counts_fallback():
-    """§2.2 probes the oracle would reject leave the fused path.
-
-    The child schedule claims H completed before it starts, but its
+def _probe_raise_tree():
+    """A tree whose child claims H completed before it starts, but its
     arc fires after A only — so when S faults, the oracle's probe
     constructor raises (hard predecessor missing from both the
-    completed set and the probe).  The fused core must route exactly
-    the faulted scenarios to the oracle (counted in the fast-path
-    mask) and ``run_batch`` must then reproduce the oracle's raise.
-    """
-    from repro.errors import SchedulingError
-    from repro.faults.injection import average_case_scenario
-    from repro.faults.model import FaultScenario
-    from repro.quasistatic.tree import QSTree, SwitchArc
-    from repro.runtime.engine.simulator import BatchResult
-    from repro.scheduling.fschedule import FSchedule, ScheduledEntry
-
+    completed set and the probe)."""
     app = _hard_pred_app()
-    root = FSchedule(
-        app,
-        [
-            ScheduledEntry("A", 1),
-            ScheduledEntry("H", 1),
-            ScheduledEntry("S", 1),
-        ],
-        fault_budget=1,
-    )
     child = FSchedule(
         app,
         [ScheduledEntry("S", 1)],
         fault_budget=1,
         prior_completed=frozenset({"A", "H"}),
     )
-    tree = QSTree(root)
-    node = tree.add_child(tree.root_id, child, "A", 0, layer=1)
-    tree.add_arc(
-        tree.root_id,
-        SwitchArc(
-            process="A", lo=0, hi=10**9, required_faults=0, target=node.node_id
-        ),
+    return app, _tree_switching_after_a(app, child)
+
+
+def test_malformed_tree_counts_fallback(kernel_cache):
+    """Arcs revisiting an executed process stay on (and count) the oracle.
+
+    Every no-fault scenario of the malformed tree switches into the
+    child that re-runs A; the evaluator must report each one as an oracle
+    fallback — identical results, ``fast_path_share`` 0 — so coverage
+    regressions stay visible.
+    """
+    app, tree = _malformed_tree()
+    _kernel(app, tree)
+    evaluator = MonteCarloEvaluator(
+        app, n_scenarios=20, fault_counts=[0], seed=3
     )
+    expected = evaluator.evaluate(tree, execution="reference")
+    actual = evaluator.evaluate(tree, execution="kernel")
+    for faults, outcome in actual.items():
+        assert outcome.utilities == expected[faults].utilities
+        assert outcome.fallbacks == outcome.n_scenarios, (
+            "every scenario switches into the malformed child and must be "
+            f"counted as fallback, got {outcome.fallbacks}"
+        )
+        assert outcome.fast_path_share == 0.0
+
+
+def test_probe_raise_routes_to_oracle_and_counts_fallback(kernel_cache):
+    """§2.2 probes the oracle would reject leave the core.
+
+    Only the scenario that faults S needs the probe, so only it may be
+    routed to the oracle — where replaying it reproduces the oracle's
+    raise; the clean scenario alone stays in the core.
+    """
+    from repro.faults.injection import average_case_scenario
+    from repro.faults.model import FaultScenario
+
+    app, tree = _probe_raise_tree()
     clean = average_case_scenario(app, FaultScenario.none())
     faulted = average_case_scenario(app, FaultScenario.of({"S": 1}))
-    batch = ScenarioBatch.from_scenarios(app, [clean, faulted])
-    simulator = BatchSimulator(app, tree)
+    result = _assert_identical(app, tree, [clean])
+    assert result.n_fallback == 0
+    assert kernel_stats().oracle_scenarios == 0
 
-    # Accounting: only the faulted scenario needs the §2.2 probe, so
-    # only it may leave the fused path (checked on the cohort pass
-    # alone — replaying it on the oracle reproduces the raise below).
-    result = BatchResult(
-        utilities=np.zeros(2, dtype=np.float64),
-        deadline_miss=np.zeros(2, dtype=bool),
-        switch_counts=np.zeros(2, dtype=np.int64),
-        faults_observed=np.zeros(2, dtype=np.int64),
-        switch_chains=[()] * 2,
-        fast_path=np.ones(2, dtype=bool),
-    )
-    simulator._run_cohorts(batch, np.arange(2, dtype=np.int64), result)
-    assert result.fast_path[0]
-    assert not result.fast_path[1]
-    assert result.n_fallback == 1
-
-    # Behaviour: the batched engine reproduces the oracle's exception.
     with pytest.raises(SchedulingError):
         OnlineScheduler(app, tree, record_events=False).run(faulted)
+    batch = ScenarioBatch.from_scenarios(app, [clean, faulted])
     with pytest.raises(SchedulingError):
-        simulator.run_batch(batch)
+        _kernel(app, tree).run_batch(batch)
+    assert kernel_stats().oracle_scenarios == 1
 
 
 def test_kernel_reproduces_probe_raise(kernel_cache):
     """The kernel replays probe-rejected scenarios on the oracle —
-    including reproducing its raise, exactly like the batched engine
-    in :func:`test_probe_raise_routes_to_oracle_and_counts_fallback`."""
-    from repro.errors import SchedulingError
+    including reproducing its raise."""
     from repro.faults.injection import average_case_scenario
     from repro.faults.model import FaultScenario
-    from repro.quasistatic.tree import QSTree, SwitchArc
-    from repro.runtime.engine.kernel import KernelSimulator
-    from repro.scheduling.fschedule import FSchedule, ScheduledEntry
 
-    app = _hard_pred_app()
-    root = FSchedule(
-        app,
-        [
-            ScheduledEntry("A", 1),
-            ScheduledEntry("H", 1),
-            ScheduledEntry("S", 1),
-        ],
-        fault_budget=1,
-    )
-    child = FSchedule(
-        app,
-        [ScheduledEntry("S", 1)],
-        fault_budget=1,
-        prior_completed=frozenset({"A", "H"}),
-    )
-    tree = QSTree(root)
-    node = tree.add_child(tree.root_id, child, "A", 0, layer=1)
-    tree.add_arc(
-        tree.root_id,
-        SwitchArc(
-            process="A", lo=0, hi=10**9, required_faults=0, target=node.node_id
-        ),
-    )
-    kernel = KernelSimulator(app, tree)
-    if kernel.engine_used != "kernel":
-        pytest.skip(f"kernel engine unavailable ({kernel.fallback_reason})")
+    app, tree = _probe_raise_tree()
+    kernel = _kernel(app, tree)
     faulted = average_case_scenario(app, FaultScenario.of({"S": 1}))
     batch = ScenarioBatch.from_scenarios(app, [faulted])
     with pytest.raises(SchedulingError):
         kernel.run_batch(batch)
 
 
-def test_batch_rejects_mismatched_process_columns(fig1_app, fig8_app):
-    """A batch packed for one application cannot run another's plan."""
+def test_batch_rejects_mismatched_process_columns(
+    fig1_app, fig8_app, kernel_cache
+):
+    """A batch packed for one application cannot run another's plan —
+    on the core and on its oracle degradation path alike."""
     from repro.errors import RuntimeModelError
+    from repro.runtime.engine import BatchSimulator
 
     batch = MonteCarloEvaluator(
         fig8_app, n_scenarios=2, fault_counts=[0], seed=1
     ).scenarios[0]
-    simulator = BatchSimulator(fig1_app, ftss(fig1_app))
-    with pytest.raises(RuntimeModelError):
-        simulator.run_batch(batch)
+    plan = ftss(fig1_app)
+    for simulator in (_kernel(fig1_app, plan), BatchSimulator(fig1_app, plan)):
+        with pytest.raises(RuntimeModelError, match="columns"):
+            simulator.run_batch(batch)
 
 
-def test_simulate_batch_convenience_wrapper(fig1_app):
-    from repro.runtime.engine.simulator import simulate_batch
+# ----------------------------------------------------------------------
+# §2.2 thresholds: closed form vs the oracle's probe
+# ----------------------------------------------------------------------
+def _max_start(app, schedule, position, attempt, budget):
+    """Latest probe start passing the S_iH deadline test, from the
+    oracle's own ``FSchedule`` probe (the reference the closed form in
+    :func:`node_thresholds` must match).
 
-    batch = MonteCarloEvaluator(
-        fig1_app, n_scenarios=5, fault_counts=[0], seed=2
-    ).scenarios[0]
-    result = simulate_batch(fig1_app, ftss(fig1_app), batch)
-    assert result.n_scenarios == 5
-    assert np.all(result.utilities >= 0)
+    The probe is the faulted entry with its remaining re-executions,
+    then the rest of the schedule with hard caps at ``budget`` and soft
+    caps clamped to it, built in a canonical "everything else already
+    completed" context (the worst-case constants do not depend on it).
+    """
+    entry = schedule.entries[position]
+    entries = [
+        ScheduledEntry(
+            entry.name, min(entry.reexecutions - attempt - 1, budget)
+        )
+    ]
+    for later in schedule.entries[position + 1 :]:
+        cap = (
+            budget
+            if app.process(later.name).is_hard
+            else min(later.reexecutions, budget)
+        )
+        entries.append(ScheduledEntry(later.name, cap))
+    probe_names = {e.name for e in entries}
+    try:
+        probe = FSchedule(
+            app,
+            entries,
+            start_time=0,
+            fault_budget=budget,
+            prior_completed=frozenset(
+                p.name for p in app.processes if p.name not in probe_names
+            ),
+            slack_sharing=schedule.slack_sharing,
+        )
+    except SchedulingError:
+        return NEVER
+    completions = probe.worst_case_completions()
+    bounds = [app.period - probe.worst_case_makespan()]
+    for e in entries:
+        proc = app.process(e.name)
+        if proc.is_hard:
+            bounds.append(proc.deadline - completions[e.name])
+    return min(bounds)
+
+
+def _assert_thresholds_match_probe(app, plan):
+    """Every cell of every node's thresholds equals the probe's; returns
+    the number of cells checked."""
+    capp = compile_application(app)
+    ctree = compile_tree(capp, plan)
+    cells = 0
+    for node in ctree.nodes.values():
+        thresholds = node_thresholds(capp, node)
+        assert len(thresholds) == node.n_entries
+        for position, per_attempt in enumerate(thresholds):
+            proc = app.process(node.schedule.entries[position].name)
+            natt = 0 if proc.is_hard else min(int(node.entry_caps[position]), app.k)
+            assert len(per_attempt) == natt
+            mu = app.recovery_overhead(proc.name)
+            for attempt, per_budget in enumerate(per_attempt):
+                assert per_budget == [
+                    _max_start(app, node.schedule, position, attempt, b) - mu
+                    for b in range(app.k + 1)
+                ], (node.node_id, position, attempt)
+                cells += len(per_budget)
+    return cells
+
+
+@engine_smoke
+def test_thresholds_match_the_probe_on_the_corpus(engine_full):
+    """The closed-form §2.2 thresholds equal the oracle's ``FSchedule``
+    probe on every soft cell of the engine corpus: the differential,
+    fault-heavy and decision-point-dense applications, under every
+    plan those tests run."""
+    apps = (
+        _corpus_apps(engine_full)
+        + _fault_heavy_apps()
+        + _dense_apps(engine_full)
+    )
+    cells = 0
+    for label, app in apps:
+        plans = _plans(app, engine_full)
+        assert plans, label
+        plans.append(
+            ("ftqs-6", ftqs(app, plans[0][1], FTQSConfig(max_schedules=6)))
+        )
+        for _, plan in plans:
+            cells += _assert_thresholds_match_probe(app, plan)
+    assert cells > 0
+
+
+def test_malformed_schedule_threshold_is_never():
+    """A probe the oracle would reject gives ``NEVER`` (minus µ).
+
+    S scheduled before its predecessor H: every probe that contains
+    both is rejected, while the probe from A on, after the violation,
+    keeps its bound — both exactly as the ``FSchedule`` probe says.
+    """
+    app = _hard_pred_app()
+    schedule = FSchedule(
+        app,
+        [ScheduledEntry("A", 1), ScheduledEntry("H", 1), ScheduledEntry("S", 1)],
+        fault_budget=1,
+    )
+    # Bypass validation to reorder the entries: S, H, A.
+    schedule.entries = tuple(schedule.entries[i] for i in (2, 1, 0))
+    capp = compile_application(app)
+    node = compile_tree(capp, schedule).nodes[0]
+    thresholds = node_thresholds(capp, node)
+    mu = app.recovery_overhead("S")
+    assert thresholds[0] == [[NEVER - mu] * (app.k + 1)]
+    assert thresholds[1] == []
+    assert min(thresholds[2][0]) > 0
+    for position in (0, 2):
+        assert thresholds[position][0] == [
+            _max_start(app, schedule, position, 0, b) - mu
+            for b in range(app.k + 1)
+        ]

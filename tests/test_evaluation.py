@@ -10,6 +10,7 @@ from repro.evaluation.montecarlo import (
     MonteCarloEvaluator,
     normalized_to,
 )
+from repro.execution import ENGINES
 from repro.quasistatic.ftqs import FTQSConfig, ftqs
 from repro.runtime.replanner import run_replanning
 from repro.scheduling.ftsf import ftsf
@@ -26,7 +27,7 @@ class TestMonteCarloEvaluator:
         shared = batches[0].durations
         durations = shared.copy()
         fault_counts = {f: b.fault_counts.copy() for f, b in batches.items()}
-        for engine in ("reference", "batched", "kernel"):
+        for engine in ENGINES:
             evaluator.evaluate(ftss(fig1_app), execution=engine)
             assert evaluator.scenarios is batches
             assert shared.flags.writeable is False
@@ -91,7 +92,7 @@ class TestMonteCarloEvaluator:
         with pytest.raises(RuntimeModelError):
             EvaluationOutcome.aggregate([], 0, 0, 0)
 
-    @pytest.mark.parametrize("engine", ["reference", "batched"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_compare_deterministic_and_non_mutating(self, fig1_app, engine):
         """Repeated compare() calls see pristine scenarios and return
         identical outcomes — evaluation must not mutate its inputs."""
@@ -157,12 +158,12 @@ class TestMonteCarloEvaluator:
     def test_non_positive_jobs_rejected(self, fig1_app):
         with pytest.raises(RuntimeModelError):
             MonteCarloEvaluator(
-                fig1_app, n_scenarios=5, execution="batched@processes:0"
+                fig1_app, n_scenarios=5, execution="kernel@processes:0"
             )
         evaluator = MonteCarloEvaluator(fig1_app, n_scenarios=5)
         with pytest.raises(RuntimeModelError):
             evaluator.evaluate(
-                ftss(fig1_app), execution="batched@threads:0"
+                ftss(fig1_app), execution="kernel@threads:0"
             )
 
     def test_duplicate_fault_counts_rejected(self, fig1_app):

@@ -3,9 +3,11 @@
 Pins the contract of :mod:`repro.execution`: the
 ``ENGINE[@MODE[:WORKERS]]`` spec grammar round-trips, every malformed
 spec fails with the one-line enumeration of valid engines *and* modes,
-and the retired ``engine=``/``jobs=`` keywords and ``--engine``/
-``--jobs`` flags fail loudly — a :class:`TypeError` in the evaluator
-and the experiment runner, a usage error (exit 2) in the CLI.
+every entry point defaults to the one :data:`DEFAULT_ENGINE`, the
+retired ``batched`` engine fails like any unknown engine, and the
+retired ``engine=``/``jobs=`` keywords and ``--engine``/``--jobs``
+flags fail loudly — a :class:`TypeError` in the evaluator and the
+experiment runner, a usage error (exit 2) in the CLI.
 """
 
 from __future__ import annotations
@@ -14,11 +16,17 @@ import pytest
 
 from repro.errors import RuntimeModelError
 from repro.evaluation.montecarlo import MonteCarloEvaluator
-from repro.execution import ENGINES, MODES, ExecutionConfig, choices_line
+from repro.execution import (
+    DEFAULT_ENGINE,
+    ENGINES,
+    MODES,
+    ExecutionConfig,
+    choices_line,
+)
 from repro.scheduling.ftss import ftss
 
 CHOICES = (
-    "valid engines: reference, batched, kernel; "
+    "valid engines: reference, kernel; "
     "valid modes: inline, processes, threads"
 )
 
@@ -31,10 +39,9 @@ class TestSpecGrammar:
         "spec, engine, mode, workers",
         [
             ("reference", "reference", "inline", 1),
-            ("batched", "batched", "inline", 1),
             ("kernel", "kernel", "inline", 1),
             ("kernel@threads:8", "kernel", "threads", 8),
-            ("batched@processes:4", "batched", "processes", 4),
+            ("kernel@processes:4", "kernel", "processes", 4),
             ("reference@processes", "reference", "processes", 1),
             ("  kernel@threads:2  ", "kernel", "threads", 2),
         ],
@@ -46,10 +53,19 @@ class TestSpecGrammar:
         )
 
     @pytest.mark.parametrize(
-        "spec", ["reference", "kernel@threads:8", "batched@processes:4"]
+        "spec", ["reference", "kernel@threads:8", "kernel@processes:4"]
     )
     def test_spec_round_trips(self, spec):
         assert ExecutionConfig.parse(spec).spec() == spec
+
+    @pytest.mark.parametrize("spec", ["batched", "batched@processes:2"])
+    def test_retired_batched_engine_rejected(self, spec):
+        assert ENGINES == ("reference", "kernel")
+        with pytest.raises(RuntimeModelError, match="unknown engine") as exc:
+            ExecutionConfig.parse(spec)
+        assert CHOICES in str(exc.value)
+        with pytest.raises(RuntimeModelError, match="unknown engine"):
+            ExecutionConfig(engine="batched")
 
     def test_choices_line_matches_tuples(self):
         assert choices_line() == CHOICES
@@ -114,7 +130,7 @@ class TestEvaluatorIntegration:
 
     def test_constructor_rejects_removed_keywords(self, fig1_app):
         with pytest.raises(TypeError, match="engine"):
-            MonteCarloEvaluator(fig1_app, n_scenarios=5, engine="batched")
+            MonteCarloEvaluator(fig1_app, n_scenarios=5, engine="kernel")
         with pytest.raises(TypeError, match="jobs"):
             MonteCarloEvaluator(fig1_app, n_scenarios=5, jobs=2)
 
@@ -125,7 +141,7 @@ class TestEvaluatorIntegration:
             with pytest.raises(TypeError, match="jobs"):
                 evaluator.evaluate(ftss(fig1_app), jobs=2)
             with pytest.raises(TypeError, match="engine"):
-                evaluator.evaluate(ftss(fig1_app), engine="batched")
+                evaluator.evaluate(ftss(fig1_app), engine="kernel")
             assert not hasattr(evaluator, "parallel")
 
     def test_evaluate_rejects_mixing_new_and_legacy(self, fig1_app):
@@ -134,18 +150,63 @@ class TestEvaluatorIntegration:
         ) as evaluator:
             with pytest.raises(TypeError):
                 evaluator.evaluate(
-                    ftss(fig1_app), execution="batched", jobs=2
+                    ftss(fig1_app), execution="kernel", jobs=2
                 )
 
     def test_runner_rejects_removed_keywords(self):
         from repro.pipeline.runner import ExperimentRunner
 
-        assert ExperimentRunner().execution.spec() == "batched"
+        assert ExperimentRunner().execution.spec() == DEFAULT_ENGINE
         assert ExperimentRunner(
             execution="kernel@processes:2"
         ).execution.spec() == "kernel@processes:2"
         with pytest.raises(TypeError):
             ExperimentRunner(engine="kernel", jobs=2)
+
+    def test_every_entry_point_defaults_to_one_engine(self):
+        """``ExecutionConfig``, the runner, the five experiment
+        configs, ``synthesis_report``, the CLI and the service config
+        all resolve to :data:`DEFAULT_ENGINE`, inline."""
+        import inspect
+
+        from repro.analysis.report import synthesis_report
+        from repro.cli import build_parser
+        from repro.evaluation.experiments import (
+            AblationConfig,
+            CCConfig,
+            Fig9Config,
+            SweepConfig,
+            Table1Config,
+        )
+        from repro.pipeline.runner import ExperimentRunner
+        from repro.service import ServiceConfig
+
+        assert DEFAULT_ENGINE == "kernel"
+        default = ExecutionConfig(engine=DEFAULT_ENGINE)
+        routed = [
+            ExecutionConfig(),
+            ExperimentRunner.DEFAULT_EXECUTION,
+            ServiceConfig().execution,
+            inspect.signature(synthesis_report)
+            .parameters["execution"].default,
+        ]
+        routed += [
+            config().execution
+            for config in (
+                AblationConfig, CCConfig, Fig9Config, SweepConfig,
+                Table1Config,
+            )
+        ]
+        parser = build_parser()
+        for argv in (
+            ["experiment", "cc"],
+            ["serve"],
+            ["simulate", "app.json", "tree.json"],
+            ["report", "app.json"],
+        ):
+            routed.append(parser.parse_args(argv).executor)
+        for value in routed:
+            assert ExecutionConfig.coerce(value) == default, value
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +232,7 @@ class TestCLI:
         assert main(
             [
                 "simulate", app_path, tree_path, "--scenarios", "20",
-                "--executor", "batched@processes:2",
+                "--executor", "kernel@processes:2",
             ]
         ) == 0
         assert "0 faults" in capsys.readouterr().out
@@ -191,6 +252,18 @@ class TestCLI:
             )
         assert excinfo.value.code == 2
         assert CHOICES in capsys.readouterr().err
+
+    def test_batched_executor_exits_2(self, app_and_tree, capsys):
+        from repro.cli import main
+
+        app_path, tree_path = app_and_tree
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", app_path, tree_path, "--executor", "batched"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown engine 'batched'" in err
+        assert CHOICES in err
 
     @pytest.mark.parametrize(
         "flags",

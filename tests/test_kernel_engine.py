@@ -7,9 +7,9 @@ strict flags, that it is built once and then served from the artifact
 cache while every plan's lowered tables come from the in-process memo
 or the ``.npz`` cache (also in a fresh process, also after a torn
 ``.npz``), that every way the kernel can fail to materialize (no
-compiler, injected chaos) degrades to the NumPy engine with a counted
-reason and identical results, and that the stats counters stay exact
-under concurrent updates.
+compiler, an unusable cache directory, injected chaos) degrades to
+the reference oracle with a counted reason and identical results, and
+that the stats counters stay exact under concurrent updates.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import sys
 import threading
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.evaluation.montecarlo import MonteCarloEvaluator
@@ -58,17 +57,16 @@ def _batch(app, n=40, fault_counts=None, seed=3):
 
 
 def _assert_same_results(app, plan, simulator):
-    """``simulator`` must reproduce the NumPy engine bit for bit."""
-    batched = BatchSimulator(app, plan)
+    """``simulator`` must reproduce the oracle's replay bit for bit."""
+    oracle = BatchSimulator(app, plan)
     for faults, batch in _batch(app).items():
-        expected = batched.run_batch(batch)
+        expected = oracle.run_batch(batch)
         actual = simulator.run_batch(batch)
         assert actual.utilities.tobytes() == expected.utilities.tobytes()
         assert (actual.deadline_miss == expected.deadline_miss).all()
         assert (actual.switch_counts == expected.switch_counts).all()
         assert (actual.faults_observed == expected.faults_observed).all()
         assert actual.switch_chains == expected.switch_chains
-        assert (actual.fast_path == expected.fast_path).all()
 
 
 def _needs_compiler():
@@ -181,23 +179,16 @@ def _mixed_utility_app():
     ]
     edges = [("H", "S"), ("H", "T"), ("S", "C"), ("T", "L"), ("C", "K")]
     graph = ProcessGraph(processes, edges, name="mixed", period=260)
-    return Application(graph, period=260, k=2, mu=5), utilities
+    return Application(graph, period=260, k=2, mu=5)
 
 
 def test_every_utility_kind_matches_the_oracle(kernel_cache):
     """Step, constant (with and without cutoff), tabulated and linear
-    utilities give the oracle's values bit for bit, in the NumPy
-    evaluators and through the core."""
-    from repro.runtime.engine.compile import utility_evaluator
+    utilities give the oracle's values bit for bit through the core."""
     from repro.runtime.online import OnlineScheduler
 
-    app, utilities = _mixed_utility_app()
-    times = np.arange(-5, 300, dtype=np.int64)
-    for utility in utilities.values():
-        expected = [float(utility.value_at(int(t))) for t in times]
-        assert utility_evaluator(utility)(times).tolist() == expected
-
     _needs_compiler()
+    app = _mixed_utility_app()
     tree = _tree(app, schedules=6)
     kernel = KernelSimulator(app, tree)
     assert kernel.engine_used == "kernel"
@@ -309,11 +300,12 @@ def test_no_compiler_falls_back_with_identical_results(
     monkeypatch.setenv("REPRO_CC", "definitely-not-a-compiler")
     tree = _tree(fig1_app)
     simulator = KernelSimulator(fig1_app, tree)
-    assert simulator.engine_used == "batched"
+    assert simulator.engine_used == "reference"
     assert simulator.fallback_reason == "no-compiler"
     assert kernel_stats().fallbacks == {"no-compiler": 1}
     assert kernel_stats().compiles == 0
     _assert_same_results(fig1_app, tree, simulator)
+    assert not list(kernel_cache.glob("*"))
 
 
 def test_no_compiler_evaluator_and_jobs_still_complete(
@@ -326,15 +318,41 @@ def test_no_compiler_evaluator_and_jobs_still_complete(
         fig1_app, n_scenarios=20, fault_counts=[0, 1], seed=5
     )
     with evaluator:
-        by_batch = evaluator.evaluate(tree, execution="batched")
+        by_reference = evaluator.evaluate(tree, execution="reference")
         by_kernel = evaluator.evaluate(tree, execution="kernel")
         sharded = evaluator.evaluate(
             tree, execution="kernel@processes:2"
         )
-    for faults in by_batch:
-        assert by_kernel[faults].utilities == by_batch[faults].utilities
-        assert sharded[faults].utilities == by_batch[faults].utilities
+    for faults in by_reference:
+        expected = by_reference[faults]
+        assert by_kernel[faults].utilities == expected.utilities
+        assert sharded[faults].utilities == expected.utilities
+        assert by_kernel[faults].fallbacks == expected.n_scenarios
     assert kernel_stats().fallbacks.get("no-compiler", 0) >= 1
+
+
+def test_unusable_cache_degrades_to_the_oracle(
+    fig1_app, kernel_cache, monkeypatch, tmp_path
+):
+    """A kernel cache directory that cannot be created (here: below a
+    regular file, which fails for root too) is a counted degradation,
+    not a crash — the evaluation answers with the oracle's outcomes."""
+    _needs_compiler()
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(blocker / "kernels"))
+    root = ftss(fig1_app)
+    evaluator = MonteCarloEvaluator(fig1_app, n_scenarios=20, seed=5)
+    by_kernel = evaluator.evaluate(root, execution="kernel")
+    by_reference = evaluator.evaluate(root, execution="reference")
+    for faults in by_reference:
+        assert by_kernel[faults].utilities == by_reference[faults].utilities
+    assert kernel_stats().fallbacks == {"cache-unavailable": 1}
+    assert kernel_stats().compiles == 0
+    simulator = KernelSimulator(fig1_app, root)
+    assert simulator.engine_used == "reference"
+    assert simulator.fallback_reason == "cache-unavailable"
+    _assert_same_results(fig1_app, root, simulator)
 
 
 def test_chaos_forces_compile_failure_deterministically(
@@ -348,7 +366,7 @@ def test_chaos_forces_compile_failure_deterministically(
     plan = chaos.ChaosPlan.parse("kernel-fail@1")
     with chaos.active(plan):
         degraded = KernelSimulator(fig1_app, tree)
-        assert degraded.engine_used == "batched"
+        assert degraded.engine_used == "reference"
         assert degraded.fallback_reason == "chaos"
         assert plan.kernel_compiles_seen == 1
         assert plan.kernel_failures_injected == 1

@@ -44,14 +44,14 @@ def test_pool_spawned_once_across_evaluates(fig1_app, counted_spawns):
     plan = ftss(fig1_app)
     with MonteCarloEvaluator(
         fig1_app, n_scenarios=20, fault_counts=[0, 1], seed=3,
-        execution="batched@processes:2",
+        execution="kernel@processes:2",
     ) as evaluator:
         first = evaluator.evaluate(plan)
         second = evaluator.evaluate(plan)
         compared = evaluator.compare({"a": plan, "b": plan})
         # One segment for the durations every fault count shares, one
         # for the stacked fault counts — not two per fault count.
-        segments = evaluator.executor("batched@processes:2")._segments
+        segments = evaluator.executor("kernel@processes:2")._segments
         assert len(segments) == 2
     assert counted_spawns == [2], (
         f"expected exactly one 2-worker pool spawn, saw {counted_spawns}"
@@ -67,14 +67,14 @@ def test_montecarlo_caches_executors(fig1_app):
         fig1_app, n_scenarios=5, fault_counts=[0], seed=3
     )
     try:
-        assert evaluator.executor("batched@processes:2") is (
-            evaluator.executor("batched@processes:2")
+        assert evaluator.executor("kernel@processes:2") is (
+            evaluator.executor("kernel@processes:2")
         )
-        assert evaluator.executor("batched@processes:2") is not (
-            evaluator.executor("batched@processes:3")
+        assert evaluator.executor("kernel@processes:2") is not (
+            evaluator.executor("kernel@processes:3")
         )
         assert evaluator.executor("kernel@threads:2") is not (
-            evaluator.executor("batched@processes:2")
+            evaluator.executor("kernel@processes:2")
         )
     finally:
         evaluator.close()
@@ -86,11 +86,11 @@ def test_single_shard_runs_in_process(fig1_app, counted_spawns):
     with MonteCarloEvaluator(
         fig1_app, n_scenarios=8, fault_counts=[0], seed=5
     ) as evaluator:
-        evaluator.executor("batched@processes:1").evaluate(plan)
+        evaluator.executor("kernel@processes:1").evaluate(plan)
     with MonteCarloEvaluator(
         fig1_app, n_scenarios=1, fault_counts=[0], seed=5
     ) as evaluator:
-        evaluator.executor("batched@processes:2").evaluate(plan)
+        evaluator.executor("kernel@processes:2").evaluate(plan)
     assert counted_spawns == []
 
 
@@ -100,7 +100,7 @@ def test_close_releases_and_respawns(fig1_app, counted_spawns):
     with MonteCarloEvaluator(
         fig1_app, n_scenarios=16, fault_counts=[0], seed=7
     ) as source:
-        executor = source.executor("batched@processes:2")
+        executor = source.executor("kernel@processes:2")
         before = executor.evaluate(plan)
         assert counted_spawns == [2]
         executor.close()
@@ -118,7 +118,7 @@ def test_executor_needs_its_evaluator(fig1_app):
 
     executor = MonteCarloEvaluator(
         fig1_app, n_scenarios=8, fault_counts=[0], seed=5
-    ).executor("batched@processes:2")
+    ).executor("kernel@processes:2")
     with pytest.raises(RuntimeModelError, match="garbage-collected"):
         executor.evaluate(ftss(fig1_app))
     executor.close()
@@ -190,12 +190,12 @@ def test_one_evaluation_pool_across_applications(counted_manager_spawns):
         for app, root in _schedulable_apps(3):
             with resources.evaluator(
                 app, n_scenarios=12, fault_counts=[0, 1], seed=3,
-                execution="batched@processes:2",
+                execution="kernel@processes:2",
             ) as evaluator:
                 shared = evaluator.evaluate(root)
             with MonteCarloEvaluator(
                 app, n_scenarios=12, fault_counts=[0, 1], seed=3,
-                execution="batched",
+                execution="kernel",
             ) as evaluator:
                 single = evaluator.evaluate(root)
             for faults in (0, 1):
@@ -219,7 +219,7 @@ def test_driver_sweep_spawns_one_pool_per_kind(counted_manager_spawns):
 
     config = Table1Config(
         tree_sizes=(1, 2, 4), n_apps=2, n_processes=10,
-        n_scenarios=16, seed=5, execution="batched@processes:2",
+        n_scenarios=16, seed=5, execution="kernel@processes:2",
     )
     with ResourceManager() as resources:
         rows = run_table1(
@@ -234,17 +234,24 @@ def test_driver_sweep_spawns_one_pool_per_kind(counted_manager_spawns):
 
 def test_outcomes_carry_fallback_counts(fig1_app):
     """Fallback counts merge across shards and engines coherently."""
+    from repro.runtime.engine.kernel import KernelSimulator
+
     plan = ftss(fig1_app)
+    simulator = KernelSimulator(fig1_app, plan)
+    if simulator.engine_used != "kernel":
+        pytest.skip(
+            f"kernel engine unavailable ({simulator.fallback_reason})"
+        )
     with MonteCarloEvaluator(
         fig1_app, n_scenarios=12, fault_counts=[0, 1], seed=9
     ) as evaluator:
-        batched = evaluator.evaluate(plan, execution="batched@processes:2")
+        kernel = evaluator.evaluate(plan, execution="kernel@processes:2")
         reference = evaluator.evaluate(
             plan, execution="reference@processes:2"
         )
     for faults in (0, 1):
-        assert batched[faults].fallbacks == 0
-        assert batched[faults].fast_path_share == 1.0
+        assert kernel[faults].fallbacks == 0
+        assert kernel[faults].fast_path_share == 1.0
         assert reference[faults].fallbacks == 12
         assert reference[faults].fast_path_share == 0.0
 
@@ -284,7 +291,7 @@ def test_workers_build_each_context_once_per_token(
         make = resources.evaluator if borrowed else MonteCarloEvaluator
         with make(
             fig1_app, n_scenarios=20, fault_counts=[0, 1], seed=3,
-            execution="batched@processes:2",
+            execution="kernel@processes:2",
         ) as evaluator:
             first = evaluator.evaluate(plan)
             evaluator.compare({"a": plan, "b": plan})

@@ -265,7 +265,7 @@ class TestBackendConformance:
             n_scenarios=40,
             fault_counts=[0, 1],
             seed=11,
-            execution="batched",
+            execution="kernel",
         ) as evaluator:
             results = evaluator.compare({"fresh": fresh, "cached": cached})
         for faults in (0, 1):

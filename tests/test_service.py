@@ -110,7 +110,7 @@ def test_probes_and_metrics(fig1_payload):
         }
         # So are the execution-routing counters: the configured
         # executor spec plus the threaded executor's activity.
-        assert metrics["execution"]["executor"] == "batched"
+        assert metrics["execution"]["executor"] == "kernel"
         assert set(metrics["execution"]["threads"]) == {
             "evaluations", "shards", "fallbacks",
         }
@@ -267,17 +267,23 @@ def test_evaluate_executor_field_routes_request(fig1_payload):
         )
         assert status == 200
         default = json.loads(default_body)
-        assert default["executor"] == "batched"
+        assert default["executor"] == "kernel"
 
         status, body, _ = http_post(
             handle.url + "/v1/evaluate",
-            dict(request, executor="batched@processes:2"),
+            dict(request, executor="kernel@processes:2"),
         )
         assert status == 200
         sharded = json.loads(body)
-        assert sharded["executor"] == "batched@processes:2"
-        assert sharded["engine"] == "batched"
+        assert sharded["executor"] == "kernel@processes:2"
+        assert sharded["engine"] == "kernel"
         assert sharded["outcomes"] == default["outcomes"]
+
+        status, body, _ = http_post(
+            handle.url + "/v1/evaluate", dict(request, executor="reference")
+        )
+        assert status == 200
+        assert json.loads(body)["outcomes"] == default["outcomes"]
 
         # Malformed specs fail with the library's enumerating
         # one-liner, not a traceback.
@@ -287,6 +293,15 @@ def test_evaluate_executor_field_routes_request(fig1_payload):
         )
         assert (status, error_code(body)) == (400, "invalid-request")
         assert "valid engines:" in json.loads(body)["error"]["message"]
+
+        # The retired NumPy engine fails like any unknown engine.
+        status, body, _ = http_post(
+            handle.url + "/v1/evaluate", dict(request, executor="batched")
+        )
+        assert (status, error_code(body)) == (400, "invalid-request")
+        message = json.loads(body)["error"]["message"]
+        assert "unknown engine 'batched'" in message
+        assert "valid engines: reference, kernel" in message
 
 
 # ----------------------------------------------------------------------

@@ -92,13 +92,13 @@ def test_threaded_compare_reuses_one_pool(fig1_app, kernel_cache):
 # ----------------------------------------------------------------------
 @engine_smoke
 def test_non_kernel_engine_falls_back_to_processes(fig1_app):
-    """batched@threads re-routes (the NumPy engine holds the GIL)."""
+    """reference@threads re-routes (the oracle loop holds the GIL)."""
     plan = ftss(fig1_app)
     with MonteCarloEvaluator(
         fig1_app, n_scenarios=16, fault_counts=[0, 1], seed=3
     ) as evaluator:
-        inline = evaluator.evaluate(plan, execution="batched")
-        threaded = evaluator.evaluate(plan, execution="batched@threads:2")
+        inline = evaluator.evaluate(plan, execution="reference")
+        threaded = evaluator.evaluate(plan, execution="reference@threads:2")
     assert_outcomes_identical(threaded, inline)
     assert thread_stats().evaluations == 0
     assert thread_stats().fallbacks == {"engine-not-kernel": 1}
@@ -115,7 +115,7 @@ def test_kernel_unavailable_falls_back_counted(
     with MonteCarloEvaluator(
         fig1_app, n_scenarios=16, fault_counts=[0, 1], seed=3
     ) as evaluator:
-        inline = evaluator.evaluate(plan, execution="batched")
+        inline = evaluator.evaluate(plan, execution="reference")
         threaded = evaluator.evaluate(plan, execution="kernel@threads:2")
     assert_outcomes_identical(threaded, inline)
     assert thread_stats().evaluations == 0
