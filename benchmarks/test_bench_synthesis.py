@@ -16,7 +16,10 @@ mirroring ``BENCH_engine.json``.
 
 A tier-1 smoke slice is marked ``bench_smoke``: a seconds-long cruise
 controller build with a loose 2x floor, so synthesis regressions fail
-fast without ``--synthesis-full``.
+fast without ``--synthesis-full``, and the ``scheduling/ftss/smoke``
+axis — root and NFT schedules of fixed generated applications, the
+routed ``ftss`` against ``ftss_reference``, also with a 2x floor
+(neither is recorded).
 """
 
 import os
@@ -28,12 +31,14 @@ import pytest
 
 from repro.quasistatic.ftqs import FTQSConfig, ftqs_reference
 from repro.quasistatic.synthesis import SynthesisEngine, ftqs_fast
-from repro.scheduling.ftss import ftss
+from repro.scheduling.ftss import FTSSConfig, ftss, ftss_reference
 from repro.workloads.cruise import cruise_controller
 from repro.workloads.suite import WorkloadSpec, generate_application
 
-# One tree-identity definition for the whole repo: the differential
-# suite owns it (the repo root is on sys.path via the root conftest).
+# One tree- and schedule-identity definition for the whole repo: the
+# differential suites own them (the repo root is on sys.path via the
+# root conftest).
+from tests.test_ftss_differential import schedule_fingerprint
 from tests.test_synthesis_differential import assert_trees_identical
 
 bench_smoke = pytest.mark.bench_smoke
@@ -188,5 +193,39 @@ def test_synthesis_smoke_throughput():
     )
     assert t_fast * 2.0 <= t_ref, (
         f"smoke slice speedup collapsed to {t_ref / t_fast:.1f}x "
+        "(floor: 2x) — fast-path regression?"
+    )
+
+
+@bench_smoke
+def test_ftss_smoke_throughput():
+    """Seconds-long tier-1 slice: the routed FTSS >= 2x its oracle.
+
+    Root schedules and NFT schedules (FTSF's first stage:
+    ``fault_budget=0``, soft re-execution off) of fixed generated
+    applications, identical on both engines.  Each call builds its
+    own compiled context, as every ``ftss`` call does.
+    """
+    nft = dict(fault_budget=0, config=FTSSConfig(soft_reexecution=False))
+    calls = []
+    for n_processes in (10, 20, 30, 40):
+        app = generate_application(
+            WorkloadSpec(n_processes=n_processes, k=3, mu=15), seed=n_processes
+        )
+        calls += [(app, {}), (app, nft)]
+
+    def run_all(engine):
+        return [schedule_fingerprint(engine(app, **kw)) for app, kw in calls]
+
+    reference, t_ref = _best_of(lambda: run_all(ftss_reference))
+    fast, t_fast = _best_of(lambda: run_all(ftss))
+    assert fast == reference
+    assert any(result is not None for result in reference)
+    print(
+        f"\n[scheduling/ftss/smoke] reference {t_ref:.3f}s  "
+        f"fast {t_fast:.3f}s  speedup {t_ref / t_fast:.1f}x"
+    )
+    assert t_fast * 2.0 <= t_ref, (
+        f"routed FTSS only {t_ref / t_fast:.1f}x over the reference "
         "(floor: 2x) — fast-path regression?"
     )

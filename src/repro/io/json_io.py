@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
-from repro.errors import SerializationError
+from repro.errors import SchedulingError, SerializationError
 from repro.model.application import Application
 from repro.model.graph import ProcessGraph
 from repro.model.hypergraph import ShiftedUtility
@@ -146,6 +146,8 @@ def schedule_from_dict(app: Application, data: Dict[str, Any]) -> FSchedule:
         )
     except KeyError as exc:
         raise SerializationError(f"schedule record missing field {exc}") from exc
+    except SchedulingError as exc:
+        raise SerializationError(f"invalid schedule record: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +218,8 @@ def tree_from_dict(app: Application, data: Dict[str, Any]) -> QSTree:
         return tree
     except KeyError as exc:
         raise SerializationError(f"tree record missing field {exc}") from exc
+    except SchedulingError as exc:
+        raise SerializationError(f"invalid tree record: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,8 @@ The services guarantee the resource behaviour the drivers used to
 implement by hand, and add what they could not:
 
 * :meth:`candidates` — the generate-workloads loop (shared RNG
-  discipline, FTSS admission, attempt caps);
+  discipline, FTSS admission on the compiled list scheduler of
+  :func:`~repro.scheduling.ftss.ftss`, attempt caps);
 * :meth:`synthesize` — FTQS construction through the optional
   content-addressed :class:`~repro.pipeline.store.TreeStore`
   (identical inputs skip the build) and the shared synthesis pool of
@@ -166,6 +167,10 @@ class ExperimentRunner:
         max_attempts: Optional[int] = None,
     ) -> Iterator[Tuple[object, object]]:
         """Generate ``(app, FTSS root)`` pairs from the workload grid.
+
+        The root is :func:`~repro.scheduling.ftss.ftss` of the
+        application (the compiled list scheduler); an application
+        without one is rejected and the next one drawn.
 
         Draws applications from ``rng`` until the consumer stops
         iterating (or ``max_attempts`` total draws, counting the ones

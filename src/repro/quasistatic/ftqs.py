@@ -40,7 +40,7 @@ from repro.quasistatic.intervals import (
 from repro.quasistatic.similarity import find_most_similar_unexpanded
 from repro.quasistatic.tree import QSNode, QSTree, SwitchArc
 from repro.scheduling.fschedule import FSchedule, shared_recovery_demand
-from repro.scheduling.ftss import FTSSConfig, ftss
+from repro.scheduling.ftss import FTSSConfig, ftss, ftss_reference
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def _generate_candidates(
             start = best_case_completion(app, schedule, position, faults)
             if start > hi:
                 continue
-            tail = ftss(
+            tail = ftss_reference(
                 app,
                 fault_budget=budget - faults,
                 start_time=start,

@@ -8,19 +8,15 @@ trees** (``tests/test_synthesis_differential.py`` asserts node, arc,
 interval and schedule equality over a randomized corpus, for any job
 count):
 
-* **Memoized tail scheduling** — one :class:`_Ctx` per build compiles
-  the application into lookup tables (execution times, recovery needs,
-  soft successor lists, the global modified-deadline EDF order) and
-  memoizes every pure evaluation the FTSS heuristics repeat:
-  stale-value coefficient maps per dropped set, greedy soft orders and
-  hypothetical utilities per (pool, clock, dropped set), and whole
-  tail schedules per (budget, start, completed, dropped).  The
-  feasibility probes run against :class:`_FastOracle`, which shares
-  the app tables, filters the prefix's hard order out of the global
-  EDF sort (a subsequence of a static sort is the sort of the subset)
-  and collapses the per-probe hard-tail walk using the fact that hard
-  processes carry full-budget re-execution caps, so only the running
-  maximum of their recovery costs can contribute to the shared demand.
+* **Memoized tail scheduling** — one
+  :class:`~repro.scheduling.compiled.SchedulingContext` per build
+  holds the application's integer tables (pid-indexed lists, bitmask
+  sets) and the memos of the FTSS heuristics, and every tail is a
+  :class:`~repro.scheduling.compiled.TailRun` on it — the compiled
+  list scheduler :func:`~repro.scheduling.ftss.ftss` itself runs, so
+  tails never go through ``ftss``.  Whole tails are memoized per
+  ``(budget, start, completed mask, dropped mask)``; interval
+  partitioning reads the same tables.
 
 * **Vectorized interval partitioning** — the safety bound t_ic falls
   out of a closed form (worst-case completions are ``start + const``,
@@ -46,9 +42,8 @@ from __future__ import annotations
 import math
 import time
 import weakref
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -56,65 +51,10 @@ from repro.quasistatic.ftqs import DEFAULT_FTQS_CONFIG, FTQSConfig
 from repro.quasistatic.intervals import PartitionResult, TailProfile, TailTerm
 from repro.quasistatic.similarity import schedule_similarity
 from repro.quasistatic.tree import QSNode, QSTree, SwitchArc
-from repro.scheduling.feasibility import TopNeeds, latest_start
-from repro.scheduling.fschedule import FSchedule, ScheduledEntry
-from repro.scheduling.ftss import ftss
-from repro.scheduling.priority import SUCCESSOR_WEIGHT
-from repro.scheduling.schedulability import edf_hard_order
-from repro.utility.functions import StepUtility, TabulatedUtility
-from repro.utility.stale import stale_coefficients
-
-def _compile_utility(process) -> Callable[[int], float]:
-    """A fast evaluator for ``process.utility_at``.
-
-    Step-shaped functions (the paper's canonical shape) compile into a
-    bisect over their breakpoint times with the *stored* step values,
-    so every returned float is the exact object the interpreted scan
-    would return.  Other shapes keep the bound method.
-    """
-    fn = getattr(process, "utility", None)
-    if isinstance(fn, StepUtility):
-        times = [t for t, _ in fn.steps]
-        values = [v for _, v in fn.steps]
-        initial = fn.initial
-
-        def step_value(t: int) -> float:
-            # value_at applies every step with step_t < t.
-            taken = bisect_left(times, t)
-            return initial if taken == 0 else values[taken - 1]
-
-        return step_value
-    if isinstance(fn, TabulatedUtility):
-        times = [t for t, _ in fn.samples]
-        values = [v for _, v in fn.samples]
-
-        def tabulated_value(t: int) -> float:
-            # value_at applies every sample with sample_t <= t.
-            taken = bisect_right(times, t)
-            return values[0] if taken == 0 else values[taken - 1]
-
-        return tabulated_value
-    return process.utility_at
-
-
-def _demand(items: List[Tuple[int, int]], faults: int) -> int:
-    """:func:`shared_recovery_demand` with tuple-order sorting.
-
-    Sorting ``(cost, cap)`` tuples descending instead of by ``-cost``
-    only reorders equal-cost entries, which cannot change the greedy
-    total (equal-cost takes commute), and skips the per-call lambda.
-    """
-    if faults <= 0:
-        return 0
-    remaining = faults
-    total = 0
-    for cost, cap in sorted(items, reverse=True):
-        if remaining <= 0:
-            break
-        take = cap if cap < remaining else remaining
-        total += take * cost
-        remaining -= take
-    return total
+from repro.scheduling.compiled import SchedulingContext, TailRun
+from repro.scheduling.feasibility import TopNeeds
+from repro.scheduling.fschedule import FSchedule
+from repro.scheduling.ftss import ftss_reference
 
 
 @dataclass
@@ -207,668 +147,23 @@ class SynthesisStats:
         )
 
 
-class _Ctx:
-    """Compiled per-application tables plus the evaluation memos."""
-
-    def __init__(self, app, config: FTQSConfig):
-        self.app = app
-        self.config = config
-        graph = app.graph
-        self.period = app.period
-        self.names: List[str] = list(graph.process_names)
-        self.wcet = {p.name: p.wcet for p in app.processes}
-        self.bcet = {p.name: p.bcet for p in app.processes}
-        self.aet = {p.name: p.aet for p in app.processes}
-        self.deadline = {p.name: p.deadline for p in app.processes}
-        self.need = {p.name: app.recovery_need(p.name) for p in app.processes}
-        self.mu = {
-            p.name: app.recovery_overhead(p.name) for p in app.processes
-        }
-        self.hard_set: Set[str] = {p.name for p in app.hard}
-        self.soft_set: Set[str] = {p.name for p in app.soft}
-        self.soft_names: List[str] = [p.name for p in app.soft]
-        self.preds = {n: graph.predecessors(n) for n in self.names}
-        self.succs = {n: graph.successors(n) for n in self.names}
-        self.utility_at = {
-            n: _compile_utility(graph[n]) for n in self.names
-        }
-        # Soft successors only: the lookahead term of the MU priority
-        # skips hard successors unconditionally, so prefiltering them
-        # does not change which terms enter the sum.
-        self.soft_succ = {
-            n: [
-                (s, self.aet[s], self.utility_at[s])
-                for s in self.succs[n]
-                if s in self.soft_set
-            ]
-            for n in self.names
-        }
-        # Global modified-deadline EDF order of every hard process: the
-        # order is a static sort, so the remaining-hard order of any
-        # prefix is this list filtered (see schedulability.py).
-        self.edf_hard_full: List[str] = edf_hard_order(
-            app, [p.name for p in app.hard]
-        )
-        self.decision_time = (
-            self.aet if config.ftss.optimize_for == "aet" else self.wcet
-        )
-        self._alphas: Dict[FrozenSet[str], Dict[str, float]] = {}
-        self._greedy: Dict[Tuple, List[str]] = {}
-        self._hyp: Dict[Tuple, float] = {}
-
-    # ------------------------------------------------------------------
-    # Memoized pure evaluations
-    # ------------------------------------------------------------------
-    def alphas(self, dropped: FrozenSet[str]) -> Dict[str, float]:
-        """Stale coefficients per dropped set (delegates on miss)."""
-        hit = self._alphas.get(dropped)
-        if hit is None:
-            hit = stale_coefficients(self.app.graph, dropped)
-            self._alphas[dropped] = hit
-        return hit
-
-    def priorities(
-        self,
-        ready: Sequence[str],
-        clock: int,
-        dropped: FrozenSet[str],
-        alphas: Dict[str, float],
-        weight: float,
-    ) -> Dict[str, float]:
-        """Exact clone of :func:`repro.scheduling.priority.soft_priorities`."""
-        period = self.period
-        aet = self.aet
-        utility_at = self.utility_at
-        soft_succ = self.soft_succ
-        out: Dict[str, float] = {}
-        for name in ready:
-            duration = aet[name]
-            completion = clock + duration
-            if completion > period:
-                own = 0.0
-            else:
-                own = alphas[name] * utility_at[name](completion)
-            lookahead = 0.0
-            for succ, succ_aet, succ_utility in soft_succ[name]:
-                if succ in dropped:
-                    continue
-                succ_completion = completion + succ_aet
-                if succ_completion > period:
-                    continue
-                lookahead += alphas[succ] * succ_utility(succ_completion)
-            out[name] = (own + weight * lookahead) / max(duration, 1)
-        return out
-
-    @staticmethod
-    def best_of(priorities: Dict[str, float]) -> str:
-        """``max(sorted(names), key=priorities.get)`` without sorting:
-        the smallest name among the argmax set (same pick for any
-        iteration order)."""
-        pick = None
-        best = None
-        for name, value in priorities.items():
-            if (
-                best is None
-                or value > best
-                or (value == best and name < pick)
-            ):
-                best = value
-                pick = name
-        return pick
-
-    def greedy_order(
-        self, pool: Sequence[str], now: int, dropped: FrozenSet[str]
-    ) -> List[str]:
-        """Memoized clone of :func:`repro.scheduling.dropping.greedy_soft_order`.
-
-        Maintains in-pool predecessor counts instead of rescanning the
-        remaining set, which turns the ready-list maintenance from
-        O(s²·deg) into O(s + edges) per call.  Callers must not mutate
-        the returned list.
-        """
-        key = (frozenset(pool), now, dropped)
-        hit = self._greedy.get(key)
-        if hit is not None:
-            return hit
-        alphas = self.alphas(dropped)
-        remaining = set(key[0])
-        preds = self.preds
-        indegree = {
-            n: sum(1 for p in preds[n] if p in remaining) for n in remaining
-        }
-        order: List[str] = []
-        clock = now
-        while remaining:
-            ready = [n for n in remaining if indegree[n] == 0]
-            if not ready:
-                # Mirror the reference's cycle fallback.
-                ready = sorted(remaining)
-            priorities = self.priorities(
-                ready, clock, dropped, alphas, SUCCESSOR_WEIGHT
-            )
-            pick = self.best_of(priorities)
-            order.append(pick)
-            remaining.remove(pick)
-            for succ in self.succs[pick]:
-                if succ in remaining:
-                    indegree[succ] -= 1
-            clock += self.aet[pick]
-        self._greedy[key] = order
-        return order
-
-    def hyp_utility(
-        self, order: Sequence[str], now: int, dropped: FrozenSet[str]
-    ) -> float:
-        """Memoized clone of :func:`repro.scheduling.dropping.hypothetical_utility`."""
-        key = (tuple(order), now, dropped)
-        hit = self._hyp.get(key)
-        if hit is not None:
-            return hit
-        executed = set(order)
-        dropped_all = set(dropped)
-        for name in self.soft_names:
-            if name not in executed and name not in dropped_all:
-                dropped_all.add(name)
-        alphas = self.alphas(frozenset(dropped_all))
-        clock = now
-        total = 0.0
-        period = self.period
-        for name in order:
-            clock += self.aet[name]
-            if clock > period:
-                continue
-            total += alphas[name] * self.utility_at[name](clock)
-        self._hyp[key] = total
-        return total
-
-
-class _FastOracle:
-    """Drop-in for :class:`~repro.scheduling.feasibility.FeasibilityOracle`
-    over the compiled app tables.
-
-    Exactness argument for the collapsed hard-tail walk: the reference
-    probe appends each remaining hard process with a full-budget
-    re-execution cap to the demand top-list and re-evaluates the shared
-    demand.  A cap ≥ budget entry absorbs every fault not claimed by a
-    strictly more expensive entry, so of all hard entries appended so
-    far only the one with the maximal recovery cost can contribute —
-    the demand equals ``shared_recovery_demand(prefix items + candidate
-    item + (running max hard cost, budget))``, which only needs
-    recomputing when the running maximum changes.  All quantities are
-    integers, so equality is exact
-    (``tests/test_synthesis_differential.py::
-    test_fast_oracle_matches_reference_oracle`` cross-checks against
-    the reference oracle on randomized prefixes and probes).
-    """
-
-    __slots__ = (
-        "ctx",
-        "budget",
-        "slack_sharing",
-        "_start",
-        "_prefix_wcet",
-        "_top",
-        "_private_demand",
-        "_prefix_infeasible",
-        "_hard_scheduled",
-        "_hard_order",
-        "_rem",
-        "_soft_limit",
-    )
-
-    def __init__(
-        self,
-        ctx: _Ctx,
-        fault_budget: int,
-        start_time: int,
-        prior_completed: FrozenSet[str],
-        slack_sharing: bool,
-    ):
-        self.ctx = ctx
-        self.budget = fault_budget
-        self.slack_sharing = slack_sharing
-        self._start = start_time
-        self._prefix_wcet = 0
-        self._top = TopNeeds(fault_budget)
-        self._private_demand = 0
-        self._prefix_infeasible = False
-        self._hard_scheduled: Set[str] = set()
-        self._hard_order = [
-            n for n in ctx.edf_hard_full if n not in prior_completed
-        ]
-        self._rem: Optional[List[Tuple[str, int, int, int]]] = None
-        self._soft_limit: Optional[int] = None
-
-    def on_schedule(self, name: str, reexecutions: int) -> None:
-        ctx = self.ctx
-        self._prefix_wcet += ctx.wcet[name]
-        if reexecutions > 0:
-            # The soft-probe limit depends only on the demand state and
-            # the remaining hard order — invalidate it exactly when one
-            # of those changes (below for the hard order).
-            self._soft_limit = None
-            if self.slack_sharing:
-                self._top.add(ctx.need[name], reexecutions)
-            else:
-                self._private_demand += ctx.need[name] * min(
-                    reexecutions, self.budget
-                )
-        if name in ctx.hard_set:
-            self._hard_scheduled.add(name)
-            self._rem = None
-            self._soft_limit = None
-            demand = (
-                self._top.demand()
-                if self.slack_sharing
-                else self._private_demand
-            )
-            if self._start + self._prefix_wcet + demand > ctx.deadline[name]:
-                self._prefix_infeasible = True
-
-    def _remaining(self) -> List[Tuple[str, int, int, int]]:
-        if self._rem is None:
-            ctx = self.ctx
-            scheduled = self._hard_scheduled
-            self._rem = [
-                (n, ctx.wcet[n], ctx.need[n], ctx.deadline[n])
-                for n in self._hard_order
-                if n not in scheduled
-            ]
-        return self._rem
-
-    def _soft_probe_limit(self) -> int:
-        """Largest pre-hard-tail clock a zero-re-execution soft probe
-        may reach and stay feasible.
-
-        The hard-tail walk for ``extra=None`` depends only on the
-        prefix state: its demand sequence is fixed, so the per-step
-        deadline tests collapse to one precomputed bound —
-        ``min_j(deadline_j - Σwcet_j - demand_j)`` plus the period
-        test — and each probe is a single integer comparison.
-        """
-        if self._soft_limit is None:
-            budget = self.budget
-            cum_wcet = 0
-            limit: Optional[int] = None
-            if self.slack_sharing:
-                base_items = self._top._items
-                demand = self._top.demand()
-                running_max = -1
-                for _, wcet, need, deadline in self._remaining():
-                    cum_wcet += wcet
-                    if need > running_max:
-                        running_max = need
-                        demand = _demand(
-                            base_items + [(running_max, budget)], budget
-                        )
-                    slack = deadline - cum_wcet - demand
-                    if limit is None or slack < limit:
-                        limit = slack
-            else:
-                demand = self._private_demand
-                for _, wcet, need, deadline in self._remaining():
-                    cum_wcet += wcet
-                    demand += need * budget
-                    slack = deadline - cum_wcet - demand
-                    if limit is None or slack < limit:
-                        limit = slack
-            period_slack = self.ctx.period - cum_wcet - demand
-            if limit is None or period_slack < limit:
-                limit = period_slack
-            self._soft_limit = limit
-        return self._soft_limit
-
-    def check(
-        self, candidate: str, reexecutions: Optional[int] = None
-    ) -> bool:
-        if self._prefix_infeasible:
-            return False
-        ctx = self.ctx
-        budget = self.budget
-        hard_candidate = candidate in ctx.hard_set
-        if reexecutions is None:
-            reexecutions = budget if hard_candidate else 0
-        clock = self._start + self._prefix_wcet + ctx.wcet[candidate]
-        if not hard_candidate and reexecutions == 0:
-            return clock <= self._soft_probe_limit()
-        if self.slack_sharing:
-            extra = (
-                (ctx.need[candidate], reexecutions)
-                if reexecutions > 0
-                else None
-            )
-            demand = self._top.demand(extra)
-        else:
-            demand = self._private_demand + ctx.need[candidate] * min(
-                reexecutions, budget
-            )
-        if hard_candidate and clock + demand > ctx.deadline[candidate]:
-            return False
-
-        if self.slack_sharing:
-            base_items = list(self._top._items)
-            if extra is not None:
-                base_items.append((extra[0], min(extra[1], budget)))
-            running_max = -1
-            for name, wcet, need, deadline in self._remaining():
-                if name == candidate:
-                    continue
-                clock += wcet
-                if need > running_max:
-                    running_max = need
-                    demand = _demand(
-                        base_items + [(running_max, budget)], budget
-                    )
-                if clock + demand > deadline:
-                    return False
-        else:
-            for name, wcet, need, deadline in self._remaining():
-                if name == candidate:
-                    continue
-                clock += wcet
-                demand += need * budget
-                if clock + demand > deadline:
-                    return False
-        return clock + demand <= ctx.period
-
-    def schedulable_subset(self, candidates: Sequence[str]) -> List[str]:
-        return [name for name in candidates if self.check(name)]
-
-    def extended(self, name: str, reexecutions: int) -> "_FastOracle":
-        clone = _FastOracle.__new__(_FastOracle)
-        clone.ctx = self.ctx
-        clone.budget = self.budget
-        clone.slack_sharing = self.slack_sharing
-        clone._start = self._start
-        clone._prefix_wcet = self._prefix_wcet
-        clone._top = self._top.copy()
-        clone._private_demand = self._private_demand
-        clone._prefix_infeasible = self._prefix_infeasible
-        clone._hard_scheduled = set(self._hard_scheduled)
-        clone._hard_order = self._hard_order
-        clone._rem = self._rem  # rebuilt lists are never mutated
-        clone._soft_limit = self._soft_limit
-        clone.on_schedule(name, reexecutions)
-        return clone
-
-
-class _TailRun:
-    """One fast FTSS run — an exact clone of :func:`repro.scheduling.ftss.ftss`
-    over the compiled tables and memos (``fast_paths=True`` semantics;
-    runs with ``fast_paths=False`` are delegated to the reference)."""
-
-    def __init__(
-        self,
-        ctx: _Ctx,
-        fault_budget: int,
-        start_time: int,
-        prior_completed: FrozenSet[str],
-        prior_dropped: FrozenSet[str],
-    ):
-        self.ctx = ctx
-        self.config = ctx.config.ftss
-        self.budget = fault_budget
-        self.start_time = start_time
-        self.prior_completed = prior_completed
-        self.prior_dropped = prior_dropped
-        self.entries: List[ScheduledEntry] = []
-        self.dropped: Set[str] = set()
-        self.clock = start_time
-        self._scheduled: Set[str] = set()
-        self._settled: Set[str] = set(prior_completed) | set(prior_dropped)
-        self._all_dropped: FrozenSet[str] = frozenset(prior_dropped)
-        self.ready: Set[str] = set()
-        for name in ctx.names:
-            if name in self._settled:
-                continue
-            if all(p in self._settled for p in ctx.preds[name]):
-                self.ready.add(name)
-        self.oracle = _FastOracle(
-            ctx,
-            fault_budget,
-            start_time,
-            prior_completed,
-            self.config.slack_sharing,
-        )
-
-    # -- state transitions ---------------------------------------------
-    def _settle(self, name: str) -> None:
-        self._settled.add(name)
-        self.ready.discard(name)
-        for succ in self.ctx.succs[name]:
-            if succ not in self._settled and all(
-                p in self._settled for p in self.ctx.preds[succ]
-            ):
-                self.ready.add(succ)
-
-    def _drop(self, name: str) -> None:
-        self.dropped.add(name)
-        self._all_dropped = frozenset(self.dropped | self.prior_dropped)
-        self._settle(name)
-
-    def _schedule(self, name: str, reexecutions: int) -> None:
-        self.entries.append(ScheduledEntry(name, reexecutions))
-        self.clock += self.ctx.decision_time[name]
-        self.oracle.on_schedule(name, reexecutions)
-        self._scheduled.add(name)
-        self._settle(name)
-
-    def _unscheduled_soft(self) -> List[str]:
-        return [
-            n
-            for n in self.ctx.soft_names
-            if n not in self._scheduled
-            and n not in self._all_dropped
-            and n not in self.prior_completed
-        ]
-
-    # -- heuristic steps ------------------------------------------------
-    def _determine_dropping(self, ready: Sequence[str]) -> List[str]:
-        ctx = self.ctx
-        dropped = self._all_dropped
-        pool = self._unscheduled_soft()
-        keep_order = ctx.greedy_order(pool, self.clock, dropped)
-        keep_utility = ctx.hyp_utility(keep_order, self.clock, dropped)
-        to_drop: List[str] = []
-        for name in ready:
-            if name not in ctx.soft_set:
-                continue
-            rest = [n for n in keep_order if n != name]
-            drop_utility = ctx.hyp_utility(
-                rest, self.clock, dropped | {name}
-            )
-            if keep_utility <= drop_utility:
-                to_drop.append(name)
-        return to_drop
-
-    def _forced_choice(self, ready_soft: Sequence[str]) -> Optional[str]:
-        if not ready_soft:
-            return None
-        ctx = self.ctx
-        dropped = self._all_dropped
-        pool = self._unscheduled_soft()
-        keep_order = ctx.greedy_order(pool, self.clock, dropped)
-        keep_utility = ctx.hyp_utility(keep_order, self.clock, dropped)
-        losses: Dict[str, float] = {}
-        for name in ready_soft:
-            rest = [n for n in keep_order if n != name]
-            drop_utility = ctx.hyp_utility(
-                rest, self.clock, dropped | {name}
-            )
-            losses[name] = keep_utility - drop_utility
-        return min(sorted(losses), key=lambda n: losses[n])
-
-    def _best_process(self, candidates: Sequence[str]) -> str:
-        ctx = self.ctx
-        soft_candidates = [n for n in candidates if n in ctx.soft_set]
-        if soft_candidates:
-            dropped = self._all_dropped
-            priorities = ctx.priorities(
-                soft_candidates,
-                self.clock,
-                dropped,
-                ctx.alphas(dropped),
-                self.config.successor_weight,
-            )
-            return ctx.best_of(priorities)
-        hard_candidates = [n for n in candidates if n in ctx.hard_set]
-        return min(
-            sorted(hard_candidates), key=lambda n: (ctx.deadline[n], n)
-        )
-
-    def _allotment(self, name: str) -> int:
-        ctx = self.ctx
-        config = self.config
-        if not config.soft_reexecution or self.budget == 0:
-            return 0
-        rest = [n for n in self._unscheduled_soft() if n != name]
-        without: Optional[_FastOracle] = None
-        without_checks: Dict[str, bool] = {}
-        granted = 0
-        for r in range(1, self.budget + 1):
-            if not self.oracle.check(name, reexecutions=r):
-                break
-            if rest:
-                # Second-order probe: would the reserved slack push
-                # other soft processes out of schedulability?  The
-                # no-grant side does not depend on r — probe it once.
-                if without is None:
-                    without = self.oracle.extended(name, 0)
-                with_grant = self.oracle.extended(name, r)
-                squeezed = False
-                for other in rest:
-                    ok_without = without_checks.get(other)
-                    if ok_without is None:
-                        ok_without = without.check(other)
-                        without_checks[other] = ok_without
-                    if ok_without and not with_grant.check(other):
-                        squeezed = True
-                        break
-                if squeezed:
-                    break
-            if not self._beneficial(name, r, rest):
-                break
-            granted = r
-        return granted
-
-    def _beneficial(self, name: str, r: int, rest: Sequence[str]) -> bool:
-        ctx = self.ctx
-        t = ctx.decision_time[name]
-        mu = ctx.mu[name]
-        dropped = self._all_dropped
-
-        completion = self.clock + (r + 1) * t + r * mu
-        keep_order = ctx.greedy_order(rest, completion, dropped)
-        keep_utility = ctx.hyp_utility(
-            [name] + keep_order, self.clock + r * (t + mu), dropped
-        )
-
-        giveup_time = self.clock + r * t + (r - 1) * mu if r > 0 else self.clock
-        drop_dropped = dropped | {name}
-        drop_order = ctx.greedy_order(rest, giveup_time, drop_dropped)
-        drop_utility = ctx.hyp_utility(drop_order, giveup_time, drop_dropped)
-        return keep_utility > drop_utility
-
-    # -- the list-scheduling loop ---------------------------------------
-    def run(self) -> Optional[FSchedule]:
-        ctx = self.ctx
-        config = self.config
-        while self.ready:
-            ready_sorted = sorted(self.ready)
-            if config.drop_heuristic:
-                for name in self._determine_dropping(ready_sorted):
-                    self._drop(name)
-                if not self.ready:
-                    break
-                ready_sorted = sorted(self.ready)
-
-            schedulable = self.oracle.schedulable_subset(ready_sorted)
-
-            while not schedulable:
-                ready_soft = [
-                    n for n in sorted(self.ready) if n in ctx.soft_set
-                ]
-                victim = self._forced_choice(ready_soft)
-                if victim is None:
-                    break
-                self._drop(victim)
-                if not self.ready:
-                    break
-                schedulable = self.oracle.schedulable_subset(
-                    sorted(self.ready)
-                )
-            if not self.ready:
-                break
-            if not schedulable:
-                return None
-
-            best = self._best_process(schedulable)
-            if best in ctx.hard_set:
-                reexecutions = self.budget
-            else:
-                reexecutions = self._allotment(best)
-            self._schedule(best, reexecutions)
-
-        schedule = FSchedule(
-            ctx.app,
-            self.entries,
-            start_time=self.start_time,
-            fault_budget=self.budget,
-            prior_completed=self.prior_completed,
-            prior_dropped=self.prior_dropped,
-            slack_sharing=config.slack_sharing,
-        )
-        if not schedule.is_schedulable():
-            return None
-        return schedule
-
-
 # ----------------------------------------------------------------------
 # Vectorized interval partitioning
 # ----------------------------------------------------------------------
 def fast_latest_safe_start(
-    schedule: FSchedule, lo: int, hi: int, ctx: Optional[_Ctx] = None
+    schedule: FSchedule, lo: int, hi: int, ctx: SchedulingContext
 ) -> Optional[int]:
     """Closed-form :func:`repro.quasistatic.intervals.latest_safe_start`.
 
     Every worst-case completion of a rebased schedule is ``start +
     const`` with the constant independent of the start time, so
     :func:`~repro.scheduling.feasibility.latest_start` gives the bound
-    directly — no bisection needed.
+    directly — no bisection needed.  ``ctx`` holds the application's
+    tables.
     """
-    app = schedule.app
-    scheduled = {e.name for e in schedule.entries}
-    for proc in app.hard:
-        if proc.name not in scheduled and proc.name not in schedule.prior_completed:
-            return None  # a missing hard process is infeasible at any start
-    if ctx is None:
-        wcet = {p.name: p.wcet for p in app.processes}
-        need = {p.name: app.recovery_need(p.name) for p in app.processes}
-        deadline = {p.name: p.deadline for p in app.processes}
-        hard_set = {p.name for p in app.hard}
-    else:
-        wcet, need, deadline, hard_set = (
-            ctx.wcet,
-            ctx.need,
-            ctx.deadline,
-            ctx.hard_set,
-        )
-    limit = latest_start(
-        (
-            (
-                wcet[e.name],
-                need[e.name],
-                e.reexecutions,
-                deadline[e.name] if e.name in hard_set else None,
-            )
-            for e in schedule.entries
-        ),
-        schedule.fault_budget,
-        schedule.slack_sharing,
-        app.period,
-    )
-    if lo > limit:
-        return None
+    limit = ctx.latest_start(schedule)
+    if limit is None or lo > limit:
+        return None  # (a missing hard process is infeasible at any start)
     return min(hi, limit)
 
 
@@ -1044,7 +339,7 @@ class SynthesisEngine:
         self.app = app
         self.config = config
         self.jobs = max(1, int(jobs))
-        self.ctx = _Ctx(app, config)
+        self.ctx = SchedulingContext(app)
         self.stats = stats if stats is not None else SynthesisStats()
         self._tail_memo: Dict[Tuple, Optional[FSchedule]] = {}
         self._profile_cache: Dict[Tuple[int, int], TailProfile] = {}
@@ -1096,8 +391,8 @@ class SynthesisEngine:
         self,
         fault_budget: int,
         start: int,
-        prior_completed: FrozenSet[str],
-        prior_dropped: FrozenSet[str],
+        prior_completed: int,
+        prior_dropped: int,
     ) -> Optional[FSchedule]:
         key = (fault_budget, start, prior_completed, prior_dropped)
         if key in self._tail_memo:
@@ -1108,17 +403,18 @@ class SynthesisEngine:
             # The reference slow probes differ from the fast ones in
             # second-order greedy effects; honour the ablation by
             # delegating (memoization still applies).
-            tail = ftss(
+            tail = ftss_reference(
                 self.app,
                 fault_budget=fault_budget,
                 start_time=start,
-                prior_completed=prior_completed,
-                prior_dropped=prior_dropped,
+                prior_completed=self.ctx.names_of(prior_completed),
+                prior_dropped=self.ctx.names_of(prior_dropped),
                 config=self.config.ftss,
             )
         else:
-            tail = _TailRun(
-                self.ctx, fault_budget, start, prior_completed, prior_dropped
+            tail = TailRun(
+                self.ctx, self.config.ftss, fault_budget, start,
+                prior_completed, prior_dropped,
             ).run()
         self._tail_memo[key] = tail
         return tail
@@ -1144,26 +440,34 @@ class SynthesisEngine:
         if hit is not None:
             return hit
         ctx = self.ctx
-        alphas = ctx.alphas(frozenset(schedule.all_dropped))
+        entry_pids = [ctx.pid[e.name] for e in schedule.entries]
+        settled = ctx.mask(schedule.prior_completed)
+        for p in entry_pids:
+            settled |= 1 << p
+        prior_dropped = ctx.mask(schedule.prior_dropped)
+        # schedule.all_dropped: the soft processes it leaves out, plus
+        # the ones dropped before its start.
+        alphas = ctx.alphas(
+            ctx.soft_mask & ~(settled | prior_dropped) | prior_dropped
+        )
         terms = []
         mean = 0.0
         variance = 0.0
         lo_sum = 0
         hi_sum = 0
         count = 0
-        for entry in schedule.entries[from_position:]:
-            name = entry.name
-            mean += ctx.aet[name]
-            span = ctx.wcet[name] - ctx.bcet[name]
+        for p in entry_pids[from_position:]:
+            mean += ctx.aet[p]
+            span = ctx.wcet[p] - ctx.bcet[p]
             variance += (span * span) / 12.0
-            lo_sum += ctx.bcet[name]
-            hi_sum += ctx.wcet[name]
+            lo_sum += ctx.bcet[p]
+            hi_sum += ctx.wcet[p]
             count += 1
-            if name in ctx.soft_set:
+            if not ctx.is_hard[p]:
                 terms.append(
                     TailTerm(
-                        alpha=alphas[name],
-                        fn=self.app.process(name).utility,
+                        alpha=alphas[p],
+                        fn=ctx.utilities[p],
                         mean=mean,
                         variance=variance,
                         lo_sum=lo_sum,
@@ -1237,17 +541,19 @@ class SynthesisEngine:
         faults: int,
         start: int,
         hi: int,
-        prefix_completed: FrozenSet[str],
+        prefix_completed: int,
         parent_signature: Tuple,
     ) -> Optional[_CandidateResult]:
-        """Tail + partition of one (position, faults) candidate."""
+        """Tail + partition of one (position, faults) candidate;
+        ``prefix_completed`` is the mask of the processes done before
+        the tail starts."""
         config = self.config
         self.stats.candidates_evaluated += 1
         tail = self._tail(
             schedule.fault_budget - faults,
             start,
             prefix_completed,
-            frozenset(schedule.prior_dropped),
+            self.ctx.mask(schedule.prior_dropped),
         )
         if tail is None or len(tail) == 0:
             return None
@@ -1278,34 +584,34 @@ class SynthesisEngine:
     # ------------------------------------------------------------------
     def _node_prefix_data(self, schedule: FSchedule):
         """Cumulative best/worst-case data per position, computed once
-        per node instead of O(n) per candidate."""
+        per node instead of O(n) per candidate; the prefix sets are
+        masks."""
         ctx = self.ctx
-        app = self.app
-        k = app.k
-        entries = schedule.entries
-        best_clock = sum(ctx.bcet[n] for n in schedule.prior_completed)
-        worst_clock = sum(ctx.wcet[n] for n in schedule.prior_completed)
+        k = self.app.k
+        completed = [ctx.pid[n] for n in schedule.prior_completed]
+        best_clock = sum(ctx.bcet[p] for p in completed)
+        worst_clock = sum(ctx.wcet[p] for p in completed)
         top = TopNeeds(k)
-        for n in schedule.prior_completed:
-            top.add(ctx.need[n], k)
+        done = 0
+        for p in completed:
+            top.add(ctx.need[p], k)
+            done |= 1 << p
         prefix_best: List[int] = []
         worst_completion: List[int] = []
-        prefix_sets: List[FrozenSet[str]] = []
-        done = set(schedule.prior_completed)
-        for entry in entries:
+        prefix_sets: List[int] = []
+        for entry in schedule.entries:
+            p = ctx.pid[entry.name]
             prefix_best.append(best_clock)
-            best_clock += ctx.bcet[entry.name]
-            worst_clock += ctx.wcet[entry.name]
-            cap = (
-                entry.reexecutions if entry.name in ctx.soft_set else k
-            )
+            best_clock += ctx.bcet[p]
+            worst_clock += ctx.wcet[p]
+            cap = k if ctx.is_hard[p] else entry.reexecutions
             if cap > 0:
-                top.add(ctx.need[entry.name], cap)
+                top.add(ctx.need[p], cap)
             worst_completion.append(
                 min(worst_clock + top.demand(), ctx.period)
             )
-            done.add(entry.name)
-            prefix_sets.append(frozenset(done))
+            done |= 1 << p
+            prefix_sets.append(done)
         return prefix_best, worst_completion, prefix_sets
 
     def _schedule_spec(self, schedule: FSchedule) -> Tuple:
@@ -1358,11 +664,12 @@ class SynthesisEngine:
             parent_signature = tuple(
                 (e.name, e.reexecutions) for e in entries[position + 1 :]
             )
+            p = ctx.pid[entry.name]
             for faults in fault_range:
                 start = (
                     prefix_best[position]
-                    + (faults + 1) * ctx.bcet[entry.name]
-                    + faults * ctx.mu[entry.name]
+                    + (faults + 1) * ctx.bcet[p]
+                    + faults * ctx.mu[p]
                 )
                 if start > hi:
                     continue
@@ -1400,7 +707,7 @@ class SynthesisEngine:
                     list(tail_entries),
                     start_time=start,
                     fault_budget=budget - faults,
-                    prior_completed=prefix,
+                    prior_completed=ctx.names_of(prefix),
                     prior_dropped=prior_dropped,
                     slack_sharing=config.ftss.slack_sharing,
                 )

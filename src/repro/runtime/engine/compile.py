@@ -14,14 +14,15 @@ evaluated at one completion are stored sorted by
 ``(-required_faults, target)``, so taking the *first* match equals
 ``OnlineScheduler._matching_arc``'s ``min`` over all matches.
 
-:func:`utility_steps` gives a piecewise-constant utility as the
-breakpoint/value table the C core evaluates.
+:func:`~repro.utility.functions.utility_steps` gives a
+piecewise-constant utility as the breakpoint/value table the C core
+evaluates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -29,45 +30,10 @@ from repro.errors import RuntimeModelError
 from repro.model.application import Application
 from repro.quasistatic.tree import QSTree
 from repro.scheduling.fschedule import FSchedule
-from repro.utility.functions import (
-    ConstantUtility,
-    StepUtility,
-    TabulatedUtility,
-    UtilityFunction,
-)
+from repro.utility.functions import utility_steps
 
 #: One compiled switch arc: (lo, hi, required_faults, target node id).
 CompiledArc = Tuple[int, int, int, int]
-
-
-def utility_steps(
-    utility: UtilityFunction,
-) -> Optional[Tuple[List[int], List[float]]]:
-    """``(breakpoints, values)`` of a piecewise-constant utility.
-
-    ``utility.value_at(t) == values[count of breakpoints < t]`` for
-    every integer clock ``t``: the ``t > step`` rule of
-    :class:`StepUtility` as is, the ``t >= sample`` rule of
-    :class:`TabulatedUtility` with each sample lowered by one, no
-    utility as the constant 0.  ``None`` for utilities that are not
-    piecewise constant.
-    """
-    if utility is None:
-        return [], [0.0]
-    if isinstance(utility, StepUtility):
-        steps = utility.steps
-        return [t for t, _ in steps], [utility.initial] + [v for _, v in steps]
-    if isinstance(utility, ConstantUtility):
-        if utility.cutoff is None:
-            return [], [utility.value]
-        return [utility.cutoff], [utility.value, 0.0]
-    if isinstance(utility, TabulatedUtility):
-        samples = utility.samples
-        return (
-            [t - 1 for t, _ in samples],
-            [samples[0][1]] + [v for _, v in samples],
-        )
-    return None
 
 
 @dataclass(frozen=True)

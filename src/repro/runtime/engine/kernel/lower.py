@@ -26,10 +26,9 @@ from repro.runtime.engine.compile import (
     CompiledApplication,
     CompiledNode,
     CompiledTree,
-    utility_steps,
 )
 from repro.scheduling.feasibility import latest_start
-from repro.utility.functions import LinearUtility
+from repro.utility.functions import LinearUtility, utility_steps
 
 #: Bumped whenever the meaning or layout of any lowered table changes;
 #: part of the plan fingerprint, so stale ``.npz`` tables can never be
@@ -121,7 +120,7 @@ class KernelUnsupported(Exception):
 def _utility_spec(utility) -> Tuple:
     """``(linear, breakpoints, values, u0, slope)`` for one utility:
     linear decay, or the step table of
-    :func:`~repro.runtime.engine.compile.utility_steps`.
+    :func:`~repro.utility.functions.utility_steps`.
 
     An unknown subclass raises — the dispatcher then degrades to the
     reference oracle for the whole plan.

@@ -13,7 +13,10 @@ every decision uses the true current time — but each decision costs a
 full FTSS run.  :class:`ReplanningResult` therefore also reports the
 number of scheduler invocations and the host-measured scheduling time,
 which the ``ablation`` benches compare against the (constant-time)
-arc lookups of the quasi-static online scheduler.
+arc lookups of the quasi-static online scheduler.  Each run is an
+:func:`~repro.scheduling.ftss.ftss` call — the compiled list scheduler,
+with a context compiled per call — so the measured overhead is that
+of the fast FTSS, not of its reference oracle.
 """
 
 from __future__ import annotations

@@ -128,6 +128,10 @@ class FSchedule:
     # ------------------------------------------------------------------
     def _validate(self) -> None:
         graph = self.app.graph
+        for label in ("prior_completed", "prior_dropped"):
+            unknown = sorted(n for n in getattr(self, label) if n not in graph)
+            if unknown:
+                raise SchedulingError(f"unknown process(es) {unknown} in {label}")
         seen = set(self.prior_completed)
         overlap = self.prior_completed & self.prior_dropped
         if overlap:

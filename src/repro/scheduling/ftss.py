@@ -22,6 +22,13 @@ FTSS is a list-scheduling heuristic over the set of *ready* processes
 The resulting f-schedule guarantees the hard deadlines for worst-case
 execution times while its utility is maximized for average execution
 times (the decisions in steps 1, 4 and 5 all use AETs).
+
+:func:`ftss`, which every caller uses, runs ``fast_paths=True``
+configurations (the default) on the compiled list scheduler of
+:mod:`repro.scheduling.compiled`.  :func:`ftss_reference` is the loop
+below, followed literally: the oracle, which also serves
+``fast_paths=False``.  Both return identical f-schedules
+(``tests/test_ftss_differential.py``).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.model.application import Application
+from repro.scheduling.compiled import SchedulingContext, TailRun
 from repro.scheduling.dropping import (
     determine_dropping,
     determine_dropping_fast,
@@ -75,7 +83,8 @@ class FTSSConfig:
         Use the incremental feasibility oracle and the removal-scored
         dropping evaluation (exact re-implementations of the slow
         probes up to greedy-order second-order effects; the test suite
-        cross-checks them).  Off = reference implementation.
+        cross-checks them), which :func:`ftss` runs compiled.  Off =
+        :func:`ftss_reference` with the slow probes.
     """
 
     drop_heuristic: bool = True
@@ -189,11 +198,35 @@ def ftss(
     """Run FTSS; returns the f-schedule or ``None`` when unschedulable.
 
     The default arguments produce the root schedule S_root of the
-    paper's scheduling strategy (Fig. 6).  FTQS re-invokes this
-    function with ``start_time``/``prior_completed``/``fault_budget``
-    describing an intermediate execution state to generate tail
-    sub-schedules.
+    paper's scheduling strategy (Fig. 6); ``start_time``,
+    ``prior_completed``, ``prior_dropped`` and ``fault_budget``
+    describe an intermediate execution state instead (the online
+    re-planner's).  ``fast_paths=True`` configurations run the
+    compiled list scheduler on a context built for this call;
+    ``fast_paths=False`` ones run :func:`ftss_reference`.  Both return
+    the same f-schedule (``tests/test_ftss_differential.py``).
     """
+    if not config.fast_paths:
+        return ftss_reference(
+            app, fault_budget, start_time, prior_completed, prior_dropped, config
+        )
+    budget = app.k if fault_budget is None else int(fault_budget)
+    ctx = SchedulingContext(app)
+    completed, dropped = ctx.prior_masks(prior_completed, prior_dropped)
+    return TailRun(ctx, config, budget, start_time, completed, dropped).run()
+
+
+def ftss_reference(
+    app: Application,
+    fault_budget: Optional[int] = None,
+    start_time: int = 0,
+    prior_completed: Iterable[str] = (),
+    prior_dropped: Iterable[str] = (),
+    config: FTSSConfig = DEFAULT_CONFIG,
+) -> Optional[FSchedule]:
+    """The behavioral oracle of :func:`ftss`: Fig. 8 over names and
+    sets, with the probes of :mod:`repro.scheduling.feasibility` (or,
+    with ``fast_paths=False``, :mod:`repro.scheduling.schedulability`)."""
     budget = app.k if fault_budget is None else int(fault_budget)
     state = _FTSSState(
         app, budget, start_time, prior_completed, prior_dropped, config

@@ -8,7 +8,9 @@ reserved, schedulability is checked against plain WCETs, and no soft
 re-executions are allotted.  Soft processes are still picked by the MU
 priority and dropped when beneficial or forced, so the schedule
 maximizes average-case utility exactly like FTSS does — just without
-tolerance to any fault.
+tolerance to any fault.  It is one :func:`~repro.scheduling.ftss.ftss`
+call, so it runs on the compiled list scheduler like every other FTSS
+caller.
 """
 
 from __future__ import annotations

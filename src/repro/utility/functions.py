@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import UtilityError
 
@@ -341,3 +341,34 @@ def utility_from_dict(data: Dict) -> UtilityFunction:
     if kind == "tabulated":
         return TabulatedUtility([tuple(p) for p in data["samples"]])
     raise UtilityError(f"unknown utility function type: {kind!r}")
+
+
+def utility_steps(
+    utility: Optional[UtilityFunction],
+) -> Optional[Tuple[List[int], List[float]]]:
+    """``(breakpoints, values)`` of a piecewise-constant utility.
+
+    ``utility.value_at(t) == values[count of breakpoints < t]`` for
+    every integer clock ``t``: the ``t > step`` rule of
+    :class:`StepUtility` as is, the ``t >= sample`` rule of
+    :class:`TabulatedUtility` with each sample lowered by one, no
+    utility as the constant 0.  ``None`` for utilities that are not
+    piecewise constant.  The C core and the compiled list scheduler
+    both evaluate utilities from these tables.
+    """
+    if utility is None:
+        return [], [0.0]
+    if isinstance(utility, StepUtility):
+        steps = utility.steps
+        return [t for t, _ in steps], [utility.initial] + [v for _, v in steps]
+    if isinstance(utility, ConstantUtility):
+        if utility.cutoff is None:
+            return [], [utility.value]
+        return [utility.cutoff], [utility.value, 0.0]
+    if isinstance(utility, TabulatedUtility):
+        samples = utility.samples
+        return (
+            [t - 1 for t, _ in samples],
+            [samples[0][1]] + [v for _, v in samples],
+        )
+    return None

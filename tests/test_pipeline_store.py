@@ -196,6 +196,33 @@ class TestBackendConformance:
         assert store.get(fig1_app, root, CONFIG) is None
         assert store.metrics.corrupted == 1
 
+    def test_invalid_schedule_entry_is_rebuilt(self, store, fig1_app):
+        """An entry that decodes into an invalid f-schedule (a hard
+        process with the wrong re-execution cap) is a corrupted miss,
+        and the pipeline rebuilds and overwrites it."""
+        from repro.io.json_io import tree_to_dict
+        from repro.pipeline.runner import synthesize_tree
+
+        root = ftss(fig1_app)
+        tree = ftqs(fig1_app, root, CONFIG)
+        record = tree_to_dict(tree)
+        for entry in record["nodes"][0]["schedule"]["entries"]:
+            if entry["name"] == "P1":
+                entry["reexecutions"] += 1
+        key = fingerprint(fig1_app, root, CONFIG)
+        store.backend.put(key, json.dumps(record).encode())
+        stats = SynthesisStats()
+        rebuilt = synthesize_tree(
+            fig1_app, root, CONFIG, stats=stats, store=store
+        )
+        assert store.metrics.corrupted == 1
+        assert (stats.store_hits, stats.store_misses) == (0, 1)
+        assert stats.trees_built == 1
+        assert_trees_identical(tree, rebuilt)
+        cached = store.get(fig1_app, root, CONFIG)
+        assert cached is not None
+        assert_trees_identical(tree, cached)
+
     def test_read_error_degrades_to_counted_miss(
         self, store, fig1_app, monkeypatch
     ):

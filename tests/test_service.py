@@ -386,6 +386,68 @@ def test_evaluate_accepts_well_formed_parameters(dispatch_evaluate):
     assert sorted(body["outcomes"]) == ["1"]
 
 
+def _valid_tree(app_spec):
+    """A valid FTQS tree document for the application record."""
+    from repro.io.json_io import application_from_dict, tree_to_dict
+    from repro.quasistatic.ftqs import FTQSConfig, ftqs
+    from repro.scheduling.ftss import ftss
+
+    app = application_from_dict(app_spec)
+    return tree_to_dict(ftqs(app, ftss(app), FTQSConfig(max_schedules=4)))
+
+
+def _hard_cap_plus_one(schedule):
+    entry = next(e for e in schedule["entries"] if e["name"] == "P1")
+    entry["reexecutions"] += 1
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_hard_cap_plus_one, "hard process 'P1' must be allotted exactly"),
+        (
+            lambda schedule: schedule["entries"].append(
+                dict(schedule["entries"][0])
+            ),
+            "duplicate process in schedule",
+        ),
+        (
+            lambda schedule: schedule["entries"].append(
+                {"name": "NOPE", "reexecutions": 0}
+            ),
+            "unknown process 'NOPE'",
+        ),
+        (
+            lambda schedule: schedule["prior_dropped"].append("NOPE"),
+            "unknown process(es) ['NOPE'] in prior_dropped",
+        ),
+        (
+            lambda schedule: schedule["prior_completed"].append("NOPE"),
+            "unknown process(es) ['NOPE'] in prior_completed",
+        ),
+    ],
+    ids=[
+        "hard-cap",
+        "duplicate-entry",
+        "unknown-entry",
+        "unknown-prior-dropped",
+        "unknown-prior-completed",
+    ],
+)
+def test_evaluate_rejects_malformed_trees(
+    dispatch_evaluate, fig1_payload, edit, named
+):
+    """A client tree whose schedule breaks an f-schedule invariant is a
+    400 invalid-request naming the problem — not a 500, a bare
+    ``'NOPE'``, or (for an unknown completed name) an evaluation."""
+    tree = _valid_tree(fig1_payload["application"])
+    assert dispatch_evaluate(tree=tree, scenarios=5)[0] == 200
+    edit(tree["nodes"][0]["schedule"])
+    status, body = dispatch_evaluate(tree=tree, scenarios=5)
+    assert (status, body["error"]["code"]) == (400, "invalid-request")
+    assert named in body["error"]["message"]
+
+
 # ----------------------------------------------------------------------
 # Backpressure and deadlines
 # ----------------------------------------------------------------------

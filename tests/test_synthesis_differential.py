@@ -259,10 +259,11 @@ def test_engine_reuse_across_builds_is_stable():
 @pytest.mark.parametrize("seed", [11, 22, 33, 44])
 @pytest.mark.parametrize("slack_sharing", [True, False])
 def test_fast_oracle_matches_reference_oracle(seed, slack_sharing):
-    """The collapsed hard-tail demand walk (running-max shortcut plus
-    the O(1) soft-probe limit) must answer exactly like the reference
-    incremental oracle on random prefixes and probes."""
-    from repro.quasistatic.synthesis import _Ctx, _FastOracle
+    """The compiled oracle's collapsed hard-tail demand walk
+    (running-max shortcut plus the O(1) soft-probe limit) must answer
+    exactly like the reference incremental oracle on random prefixes
+    and probes."""
+    from repro.scheduling.compiled import FastOracle, SchedulingContext
     from repro.scheduling.feasibility import FeasibilityOracle
 
     rng = np.random.default_rng(seed)
@@ -272,22 +273,26 @@ def test_fast_oracle_matches_reference_oracle(seed, slack_sharing):
         ),
         rng=np.random.default_rng(seed + 7),
     )
-    ctx = _Ctx(app, FTQSConfig())
+    ctx = SchedulingContext(app)
+    pid = ctx.pid
     order = app.graph.topological_order()
     budget = app.k
     start = int(rng.integers(0, 30))
     reference = FeasibilityOracle(
         app, budget, start_time=start, slack_sharing=slack_sharing
     )
-    fast = _FastOracle(ctx, budget, start, frozenset(), slack_sharing)
+    fast = FastOracle(ctx, budget, start, 0, slack_sharing)
     scheduled = set()
     for name in order:
         probes = [n for n in order if n not in scheduled]
         for candidate in probes:
             for rex in (None, 0, 1, budget):
-                assert fast.check(candidate, rex) == reference.check(
+                assert fast.check(pid[candidate], rex) == reference.check(
                     candidate, rex
                 ), f"seed={seed} prefix={sorted(scheduled)} {candidate}/{rex}"
+        assert fast.schedulable(ctx.mask(probes)) == ctx.mask(
+            reference.schedulable_subset(probes)
+        )
         if len(scheduled) >= len(order) - 1:
             break
         rex = (
@@ -296,7 +301,7 @@ def test_fast_oracle_matches_reference_oracle(seed, slack_sharing):
             else int(rng.integers(0, budget + 1))
         )
         reference.on_schedule(name, rex)
-        fast.on_schedule(name, rex)
+        fast.on_schedule(pid[name], rex)
         scheduled.add(name)
 
 
