@@ -20,16 +20,21 @@ Sub-commands:
   application stored as JSON and write it next to it;
 * ``simulate APP.json TREE.json`` — replay random scenarios against a
   stored tree and report utilities;
-* ``export APP.json TREE.json DIR`` — render the tree as embedded C
-  tables (header + source) into ``DIR``;
+* ``export APP.json TREE.json DIR`` — write the C core
+  ``rk_core.{h,c}`` and the tree's tables ``<symbol>_plan.{h,c}``
+  into ``DIR`` (created when missing);
 * ``report APP.json`` — run the full pipeline and print a markdown
   synthesis report.
+
+Unreadable input files end a command with one ``repro: error:`` line
+and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import sys
 from dataclasses import replace
@@ -223,6 +228,31 @@ def _chaos_context(args: argparse.Namespace):
     return chaos.active(plan)
 
 
+@contextlib.contextmanager
+def _input_errors():
+    """Bad input: one line on stderr and exit status 2, no traceback."""
+    from repro.errors import ReproError
+
+    try:
+        yield
+    except (OSError, json.JSONDecodeError, ReproError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _load_inputs(args: argparse.Namespace):
+    """``(application, tree)`` of the command's input files; the tree
+    is ``None`` for a command that takes none."""
+    from repro.io.json_io import application_from_dict, load_json
+    from repro.io.json_io import tree_from_dict
+
+    with _input_errors():
+        app = application_from_dict(load_json(args.application))
+        if getattr(args, "tree", None) is None:
+            return app, None
+        return app, tree_from_dict(app, load_json(args.tree))
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.pipeline.chaos import ChaosKill
     from repro.pipeline.resources import ResourceManager
@@ -400,15 +430,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    from repro.io.json_io import (
-        application_from_dict,
-        load_json,
-        save_json,
-        tree_to_dict,
-    )
+    from repro.io.json_io import save_json, tree_to_dict
     from repro.quasistatic.ftqs import schedule_application
 
-    app = application_from_dict(load_json(args.application))
+    app, _ = _load_inputs(args)
     synthesis, stats = _synthesis_routing(args)
     result = schedule_application(
         app,
@@ -426,14 +451,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.evaluation.montecarlo import MonteCarloEvaluator
-    from repro.io.json_io import (
-        application_from_dict,
-        load_json,
-        tree_from_dict,
-    )
 
-    app = application_from_dict(load_json(args.application))
-    tree = tree_from_dict(app, load_json(args.tree))
+    app, tree = _load_inputs(args)
     execution = args.executor
     if execution.engine == "kernel":
         from repro.runtime.engine.kernel import reset_kernel_stats
@@ -478,26 +497,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     from repro.io.c_export import write_c_tables
-    from repro.io.json_io import (
-        application_from_dict,
-        load_json,
-        tree_from_dict,
-    )
 
-    app = application_from_dict(load_json(args.application))
-    tree = tree_from_dict(app, load_json(args.tree))
-    header_path, source_path = write_c_tables(
-        app, tree, args.directory, symbol=args.symbol
-    )
-    print(f"wrote {header_path}\nwrote {source_path}")
+    app, tree = _load_inputs(args)
+    with _input_errors():
+        paths = write_c_tables(app, tree, args.directory, symbol=args.symbol)
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.report import synthesis_report
-    from repro.io.json_io import application_from_dict, load_json
 
-    app = application_from_dict(load_json(args.application))
+    app, _ = _load_inputs(args)
     _, stats = _synthesis_routing(args)
     report = synthesis_report(
         app,
@@ -726,7 +738,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_executor_option(sim)
     sim.set_defaults(func=_cmd_simulate)
 
-    export = sub.add_parser("export", help="render a tree as C tables")
+    export = sub.add_parser(
+        "export",
+        help="write the C core (rk_core.h/.c) and a tree's tables "
+        "(SYMBOL_plan.h/.c) into DIRECTORY; C99, build with "
+        "-ffp-contract=off",
+    )
     export.add_argument("application")
     export.add_argument("tree")
     export.add_argument("directory")

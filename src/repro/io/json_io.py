@@ -191,11 +191,18 @@ def tree_from_dict(app: Application, data: Dict[str, Any]) -> QSTree:
             )
         # Rebuild children in id order so tree-assigned ids line up.
         id_map = {data["root"]: tree.root_id}
+
+        def mapped(record: Dict[str, Any], role: str, old_id: Any) -> int:
+            if not isinstance(old_id, int) or old_id not in id_map:
+                raise SerializationError(f"tree node {record['id']}: "
+                                         f"unknown {role} node {old_id!r}")
+            return id_map[old_id]
+
         for record in sorted(data["nodes"], key=lambda n: n["id"]):
             if record["id"] == data["root"]:
                 continue
             node = tree.add_child(
-                id_map[record["parent"]],
+                mapped(record, "parent", record["parent"]),
                 schedule_from_dict(app, record["schedule"]),
                 switch_process=record["switch_process"],
                 assumed_faults=record["assumed_faults"],
@@ -211,7 +218,7 @@ def tree_from_dict(app: Application, data: Dict[str, Any]) -> QSTree:
                         lo=arc["lo"],
                         hi=arc["hi"],
                         required_faults=arc["required_faults"],
-                        target=id_map[arc["target"]],
+                        target=mapped(record, "target", arc["target"]),
                     ),
                 )
         tree.validate()

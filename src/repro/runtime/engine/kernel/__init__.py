@@ -1,8 +1,8 @@
 """The compiled C simulator core (``engine="kernel"``, the default).
 
 One static C99 core replays whole scenario batches against a plan's
-lowered tables.  ``core.c`` is plan-independent: it reads every plan
-through one ``rk_plan`` struct of pointers and lengths, reproducing
+lowered tables.  ``rk_core.c`` is plan-independent: it reads every
+plan through one ``rk_plan`` struct (``rk_core.h``), reproducing
 the oracle's integer arithmetic and IEEE-754 accumulation order
 exactly.  :mod:`~repro.runtime.engine.kernel.lower` lowers each plan
 into the NumPy tables behind that struct, §2.2 thresholds in closed

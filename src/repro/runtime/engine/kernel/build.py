@@ -5,9 +5,9 @@ one directory holding two kinds of file:
 
 * ``core-<hash>.so`` (plus its ``.c`` source, for debugging) — the
   one table-driven core, keyed by :func:`core_fingerprint` over the
-  core source, the compiler and :data:`CFLAGS`, so editing the core,
-  switching compilers or changing flags can never load a stale
-  object;
+  core source with its header inlined, the compiler and
+  :data:`CFLAGS`, so editing either file, switching compilers or
+  changing flags can never load a stale object;
 * ``<plan fingerprint>.npz`` — one plan's lowered tables, keyed by
   :func:`~repro.runtime.engine.kernel.lower.plan_fingerprint`, so a
   fresh process (a CLI rerun, a ``processes`` worker) skips the §2.2
@@ -52,8 +52,10 @@ import numpy as np
 #: contraction (FMA would change rounding), strict C99.
 CFLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
 
-#: The core's source, shipped next to this module.
-CORE_SOURCE = Path(__file__).with_name("core.c")
+#: The core's source and header, shipped next to this module (and,
+#: byte for byte, by ``repro export``).
+CORE_SOURCE = Path(__file__).with_name("rk_core.c")
+CORE_HEADER = Path(__file__).with_name("rk_core.h")
 
 
 class KernelBuildError(Exception):
@@ -151,8 +153,13 @@ def _chaos_compile_hook() -> None:
 
 
 def generate_kernel_source() -> str:
-    """The core's C source text."""
-    return CORE_SOURCE.read_text(encoding="utf-8")
+    """The core as one self-contained translation unit: ``rk_core.c``
+    with its ``#include "rk_core.h"`` replaced by the header."""
+    return CORE_SOURCE.read_text(encoding="utf-8").replace(
+        f'#include "{CORE_HEADER.name}"\n',
+        CORE_HEADER.read_text(encoding="utf-8"),
+        1,
+    )
 
 
 def core_fingerprint(source: str) -> str:

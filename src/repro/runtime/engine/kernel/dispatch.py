@@ -14,10 +14,10 @@ to replaying every scenario on the reference oracle, with a counted
 reason; results are identical either way, so degradation is a
 performance event, never a correctness one.
 
-Per batch, the core executes every scenario in one C call (the GIL is
-released for its duration); scenarios the C walk flags as outside its
-state model are replayed on the oracle afterwards — including
-reproducing the oracle's raises.
+Per batch, the core executes every scenario in one C call
+(:func:`run_core`; the GIL is released for its duration); scenarios
+the C walk flags as outside its state model are replayed on the oracle
+afterwards — including reproducing the oracle's raises.
 
 The module-global :class:`KernelStats` mirrors the parallel pool's
 ``pool_recovery()`` idiom: core builds, table cache hits and
@@ -165,6 +165,65 @@ def _reset_locks() -> None:
 os.register_at_fork(after_in_child=_reset_locks)
 
 
+def bind_core(lib: ctypes.CDLL):
+    """``lib``'s ``rk_run`` with its ctypes signature, once the
+    library's ``rk_plan`` is checked to be :class:`RkPlan`'s size."""
+    size = lib.rk_plan_size
+    size.restype = ctypes.c_int64
+    size.argtypes = []
+    if size() != ctypes.sizeof(RkPlan):
+        raise KernelBuildError(
+            "load-failed",
+            f"core {lib._name} has a {size()}-byte rk_plan, "
+            f"expected {ctypes.sizeof(RkPlan)}",
+        )
+    run = lib.rk_run
+    run.restype = ctypes.c_int64
+    run.argtypes = [ctypes.POINTER(RkPlan)] + [
+        np.ctypeslib.ndpointer(dtype=t, flags="C_CONTIGUOUS")
+        if t else ctypes.c_int64  # n, width
+        for t in (np.int64, np.float64, np.uint64, None, None, np.int64,
+                  np.int64, np.float64, np.uint8, np.int64, np.int64,
+                  np.int64, np.uint8)
+    ]
+    return run
+
+
+def run_core(run, plan: RkPlan, batch: ScenarioBatch) -> BatchResult:
+    """Every scenario of ``batch`` through one ``rk_run`` call; the
+    scenarios the core flags have ``fast_path`` unset, for the caller
+    to replay (a rejected call flags them all)."""
+    n = batch.n_scenarios
+    result = BatchResult.empty(n)
+    chains = np.zeros((n, plan.n_nodes + 1), dtype=np.int64)
+    flagged = np.zeros(n, dtype=np.uint8)
+    rc = run(
+        ctypes.byref(plan),
+        # Work buffers of the RK_*_LEN sizes, per call: threads shards
+        # run one plan concurrently.
+        np.empty(2 * plan.n_proc, dtype=np.int64),
+        np.empty(2 * plan.n_proc, dtype=np.float64),
+        np.empty(5 * plan.nw, dtype=np.uint64),
+        n,
+        batch.max_attempts,
+        np.ascontiguousarray(batch.durations, dtype=np.int64),
+        np.ascontiguousarray(batch.fault_counts, dtype=np.int64),
+        result.utilities,
+        result.deadline_miss.view(np.uint8),
+        result.switch_counts,
+        result.faults_observed,
+        chains,
+        flagged,
+    )
+    if rc != 0:  # pragma: no cover - guarded by ScenarioBatch
+        flagged[:] = 1
+    result.fast_path[:] = flagged == 0
+    counts = result.switch_counts.tolist()
+    for i in np.flatnonzero(result.switch_counts).tolist():
+        result.switch_chains[i] = tuple(chains[i, : counts[i]].tolist())
+    return result
+
+
 def _load_core():
     """The core's ``rk_run``, building and loading it on first use."""
     global _CORE
@@ -175,26 +234,7 @@ def _load_core():
         if so_path is None:
             so_path = compile_kernel(source, fingerprint)
             kernel_stats().add("compiles")
-        lib = load_kernel(so_path)
-        size = lib.rk_plan_size
-        size.restype = ctypes.c_int64
-        size.argtypes = []
-        if size() != ctypes.sizeof(RkPlan):
-            raise KernelBuildError(
-                "load-failed",
-                f"core {fingerprint} has a {size()}-byte rk_plan, "
-                f"expected {ctypes.sizeof(RkPlan)}",
-            )
-        run = lib.rk_run
-        run.restype = ctypes.c_int64
-        run.argtypes = [
-            ctypes.POINTER(RkPlan), ctypes.c_int64, ctypes.c_int64
-        ] + [
-            np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
-            for dtype in (np.int64, np.int64, np.float64, np.uint8,
-                          np.int64, np.int64, np.int64, np.uint8)
-        ]
-        _CORE = run
+        _CORE = bind_core(load_kernel(so_path))
     return _CORE
 
 
@@ -252,33 +292,8 @@ class KernelSimulator:
         if self._run is None:
             return self._compiled.run_batch(batch)
         self._compiled.check_columns(batch)
-        n = batch.n_scenarios
-        width = batch.max_attempts
-        durations = np.ascontiguousarray(batch.durations, dtype=np.int64)
-        faults = np.ascontiguousarray(batch.fault_counts, dtype=np.int64)
-        result = BatchResult.empty(n)
-        chains = np.zeros((n, self._lowered.chain_cap), dtype=np.int64)
-        flagged = np.zeros(n, dtype=np.uint8)
-        rc = self._run(
-            ctypes.byref(self._lowered.struct),
-            n,
-            width,
-            durations,
-            faults,
-            result.utilities,
-            result.deadline_miss.view(np.uint8),
-            result.switch_counts,
-            result.faults_observed,
-            chains,
-            flagged,
-        )
-        if rc != 0:  # pragma: no cover - guarded by ScenarioBatch
-            return self._compiled.run_batch(batch)
-        result.fast_path[:] = flagged == 0
-        counts = result.switch_counts.tolist()
-        for i in np.flatnonzero(result.switch_counts).tolist():
-            result.switch_chains[i] = tuple(chains[i, : counts[i]].tolist())
-        residual = np.flatnonzero(flagged)
+        result = run_core(self._run, self._lowered.struct, batch)
+        residual = np.flatnonzero(~result.fast_path)
         if residual.size:
             kernel_stats().add("oracle_scenarios", int(residual.size))
             for i in residual:

@@ -6,12 +6,13 @@
 arrays: one record per process, graph vertex, tree node and schedule
 entry, flat arc/threshold/benefit-term tables and the bit masks of
 process sets.  The §2.2 schedulability thresholds come out in closed
-form (:func:`node_thresholds`).  :class:`RkPlan` mirrors ``core.c``'s
-``rk_plan`` and :class:`LoweredPlan` points one at a set of arrays.
-Nothing here emits C: floats travel as float64 array elements, so
-every constant reaches the core bit for bit.  Plans outside what the
+form (:func:`node_thresholds`).  The record dtypes and :class:`RkPlan`
+mirror the structs of ``rk_core.h``, and :class:`LoweredPlan` points
+one ``rk_plan`` at a set of arrays.  The kernel engine hands the core
+these arrays as they are; :mod:`repro.io.c_export` writes them as C
+arrays of the C types :data:`ARRAYS` names.  Plans outside what the
 core expresses raise :class:`KernelUnsupported` (the dispatcher then
-degrades to the reference oracle).
+degrades to the reference oracle, the export refuses them).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ TABLES_VERSION = 2
 #: is non-negative, so every comparison against it fails.
 NEVER = -(2**62)
 
-#: Ends every utility's breakpoint table in ``core.c``.
+#: Ends every utility's breakpoint table in ``rk_core.c``.
 _SENTINEL = np.iinfo(np.int64).max
 
 _I8 = np.dtype("<i8")
@@ -53,7 +54,7 @@ def _record(*fields: str, floats: Sequence[str] = ()) -> np.dtype:
     )
 
 
-#: Record dtypes, field for field the structs of ``core.c`` (all
+#: Record dtypes, field for field the structs of ``rk_core.h`` (all
 #: fields are 8 bytes wide, so neither side pads).
 PROC = _record(
     "is_hard", "deadline", "linear", "ulo", "u0", "slope",
@@ -71,34 +72,35 @@ TERM = _record("pid", "delay")
 #: ``rk_plan``'s scalar fields, in struct order (the ``header`` array).
 SCALARS = ("n_proc", "n_nodes", "nw", "k", "period", "root")
 
-#: ``rk_plan``'s table pointers, in struct order, with their dtypes.
-ARRAYS: Tuple[Tuple[str, np.dtype], ...] = (
-    ("procs", PROC),
-    ("graph", VERTEX),
-    ("pred", _I8),
-    ("ubound", _I8),
-    ("uval", _F8),
-    ("hard_mask", _U8),
-    ("soft_mask", _U8),
-    ("nodes", NODE),
-    ("node_mask", _U8),
-    ("node_sdrop", _U8),
-    ("entries", ENTRY),
-    ("decisions", DECISION),
-    ("ent_hardprobe", _U8),
-    ("ent_ext", _U8),
-    ("thr", _I8),
-    ("arcs", ARC),
-    ("keep", TERM),
-    ("drop", TERM),
+#: ``rk_plan``'s table pointers, in struct order, with their dtypes
+#: and C element types.
+ARRAYS: Tuple[Tuple[str, np.dtype, str], ...] = (
+    ("procs", PROC, "rk_proc"),
+    ("graph", VERTEX, "rk_vertex"),
+    ("pred", _I8, "int64_t"),
+    ("ubound", _I8, "int64_t"),
+    ("uval", _F8, "double"),
+    ("hard_mask", _U8, "uint64_t"),
+    ("soft_mask", _U8, "uint64_t"),
+    ("nodes", NODE, "rk_node"),
+    ("node_mask", _U8, "uint64_t"),
+    ("node_sdrop", _U8, "uint64_t"),
+    ("entries", ENTRY, "rk_entry"),
+    ("decisions", DECISION, "rk_decision"),
+    ("ent_hardprobe", _U8, "uint64_t"),
+    ("ent_ext", _U8, "uint64_t"),
+    ("thr", _I8, "int64_t"),
+    ("arcs", ARC, "rk_arc"),
+    ("keep", TERM, "rk_term"),
+    ("drop", TERM, "rk_term"),
 )
 
 
 class RkPlan(ctypes.Structure):
-    """``rk_plan`` of ``core.c``: scalars, then one pointer per table."""
+    """``rk_plan`` of ``rk_core.h``: scalars, then one pointer per table."""
 
     _fields_ = [(name, ctypes.c_int64) for name in SCALARS] + [
-        (name, ctypes.c_void_p) for name, _ in ARRAYS
+        (name, ctypes.c_void_p) for name, *_ in ARRAYS
     ]
 
 
@@ -327,7 +329,7 @@ def lower_plan(
     k = int(app.k)
     node_ids = sorted(ctree.nodes)
     dense = {nid: i for i, nid in enumerate(node_ids)}
-    col: Dict[str, list] = {name: [] for name, _ in ARRAYS}
+    col: Dict[str, list] = {name: [] for name, *_ in ARRAYS}
 
     # ---- per-process records: utilities and the dependence graph ----
     for pid, name in enumerate(capp.names):
@@ -405,7 +407,7 @@ def lower_plan(
     header = (capp.n_processes, len(node_ids), n_words, k, int(app.period),
               dense[ctree.root_id])
     arrays = {"header": np.array(header, dtype=_I8)}
-    for name, dtype in ARRAYS:
+    for name, dtype, _ in ARRAYS:
         arrays[name] = np.array(col[name], dtype=dtype)
     return arrays
 
@@ -415,7 +417,7 @@ def check_tables(
 ) -> Optional[Dict[str, np.ndarray]]:
     """Loaded ``arrays`` as the core reads them, or ``None`` when they
     are absent or have the wrong fields or dtypes."""
-    expected = dict((("header", _I8),) + ARRAYS)
+    expected = {"header": _I8, **{name: t for name, t, _ in ARRAYS}}
     if (
         arrays is None
         or {name: array.dtype for name, array in arrays.items()} != expected
@@ -439,6 +441,5 @@ class LoweredPlan:
         self.arrays = arrays
         self.struct = RkPlan(
             *(int(v) for v in arrays["header"]),
-            *(arrays[name].ctypes.data for name, _ in ARRAYS),
+            *(arrays[name].ctypes.data for name, *_ in ARRAYS),
         )
-        self.chain_cap = self.struct.n_nodes + 1

@@ -1,11 +1,11 @@
 /*
- * The table-driven simulator core of the kernel engine.
+ * The table-driven scheduler core: the one C implementation of the
+ * online step, run by the kernel engine and shipped by `repro export`.
  *
  * One translation unit serves every plan.  A plan reaches the core as
- * data: one rk_plan of pointers and lengths into the tables that
- * repro.runtime.engine.kernel.lower builds (and mirrors as a ctypes
- * structure, checked against rk_plan_size() at load time).  rk_run
- * walks each scenario exactly the way the oracle does:
+ * data: one rk_plan (rk_core.h) of pointers and lengths into the
+ * tables that repro.runtime.engine.kernel.lower builds.  rk_run walks
+ * each scenario exactly the way the oracle does:
  *
  * - an entry advances the clock in closed form (its attempts'
  *   durations plus one recovery overhead per fault);
@@ -21,9 +21,10 @@
  * OnlineScheduler as long as the build keeps -ffp-contract=off.
  * Scenarios outside the fast path's state model set a per-scenario
  * fallback flag instead of computing a wrong answer; the dispatcher
- * replays exactly those on the oracle.
+ * replays exactly those on the oracle.  The caller owns every buffer,
+ * so the core is C99 without variable-length arrays or allocation.
  */
-#include <stdint.h>
+#include "rk_core.h"
 
 /* The walk is written once for any mask width nw and inlined twice by
  * rk_run: for nw == 1 (up to 64 processes) and for the general case,
@@ -33,95 +34,6 @@
 #else
 #define RK_INLINE static inline
 #endif
-
-/* One record per process id.  A utility is either linear,
- * max(0, u0 - slope * t), or a step table: uval[ulo + i] for the
- * count i of breakpoints ubound[ulo ..] strictly below t, the table
- * ending in an INT64_MAX sentinel. */
-typedef struct rk_proc {
-    int64_t is_hard;
-    int64_t deadline;
-    int64_t linear;
-    int64_t ulo;
-    double u0;
-    double slope;
-} rk_proc;
-
-/* One record per process, in the dependence graph's order. */
-typedef struct rk_vertex {
-    int64_t pid;
-    int64_t pred_lo;  /* predecessors: pred[pred_lo .. pred_hi) */
-    int64_t pred_hi;
-    double pred_div;  /* 1 + number of predecessors */
-} rk_vertex;
-
-/* One record per tree node, dense ids 0 .. n_nodes - 1. */
-typedef struct rk_node {
-    int64_t orig;     /* the tree's own node id, for switch chains */
-    int64_t ent_lo;   /* schedule entries: entries[ent_lo .. ent_hi) */
-    int64_t ent_hi;
-} rk_node;
-
-/* One record per schedule entry (node position): what every walk
- * reads ... */
-typedef struct rk_entry {
-    int64_t pid;
-    int64_t mu;       /* recovery overhead */
-    int64_t arc_lo;   /* arcs[arc_lo .. arc_hi) */
-    int64_t arc_hi;
-} rk_entry;
-
-/* ... and, at the same index, what a section 2.2 decision reads. */
-typedef struct rk_decision {
-    int64_t cap;      /* re-execution allotment */
-    int64_t natt;     /* attempts with compiled thresholds */
-    int64_t thr_lo;   /* thr[thr_lo + attempt * (k + 1) + budget] */
-    int64_t keep_lo;  /* keep[keep_lo .. keep_hi) */
-    int64_t keep_hi;
-    int64_t drop_lo;  /* drop[drop_lo .. drop_hi) */
-    int64_t drop_hi;
-} rk_decision;
-
-typedef struct rk_arc {
-    int64_t lo;
-    int64_t hi;
-    int64_t required;
-    int64_t target;   /* dense node id */
-} rk_arc;
-
-/* A benefit term: utility of pid at the fault clock plus delay. */
-typedef struct rk_term {
-    int64_t pid;
-    int64_t delay;
-} rk_term;
-
-/* Bit masks are nw words per set, process pid at bit pid of the set. */
-typedef struct rk_plan {
-    int64_t n_proc;
-    int64_t n_nodes;
-    int64_t nw;
-    int64_t k;
-    int64_t period;
-    int64_t root;
-    const rk_proc *procs;
-    const rk_vertex *graph;
-    const int64_t *pred;
-    const int64_t *ubound;
-    const double *uval;
-    const uint64_t *hard_mask;
-    const uint64_t *soft_mask;
-    const rk_node *nodes;
-    const uint64_t *node_mask;      /* per node: scheduled processes */
-    const uint64_t *node_sdrop;     /* per node: statically dropped */
-    const rk_entry *entries;
-    const rk_decision *decisions;
-    const uint64_t *ent_hardprobe;  /* per entry: hard processes probed */
-    const uint64_t *ent_ext;        /* per entry: external hard preds */
-    const int64_t *thr;
-    const rk_arc *arcs;
-    const rk_term *keep;
-    const rk_term *drop;
-} rk_plan;
 
 #define RK_BIT(pid) ((uint64_t)1 << ((pid) & 63))
 #define RK_HAS(mask, pid) (((mask)[(pid) >> 6] >> ((pid) & 63)) & 1u)
@@ -199,8 +111,7 @@ static int rk_benefit(const rk_plan *p, const rk_decision *dec,
     return keep_total > drop_total;
 }
 
-/* One scenario.  comp (2 * n_proc), alpha (2 * n_proc) and masks
- * (5 * nw) are work buffers owned by the caller. */
+/* One scenario, on the caller's work buffers (RK_*_LEN). */
 RK_INLINE void rk_run_one(const rk_plan *p, const int64_t nw,
                           int64_t *comp, double *alpha, uint64_t *masks,
                           const int64_t *dur, const int64_t *faults,
@@ -225,6 +136,7 @@ RK_INLINE void rk_run_one(const rk_plan *p, const int64_t nw,
     int64_t node = p->root;
     int64_t chain_len = 0;
     int64_t w;
+    *fb = 0;
     for (w = 0; w < nw; w++) {
         completed[w] = 0;
         dropped[w] = 0;
@@ -394,7 +306,8 @@ int64_t rk_plan_size(void)
     return (int64_t)sizeof(rk_plan);
 }
 
-int64_t rk_run(const rk_plan *plan, int64_t n, int64_t width,
+int64_t rk_run(const rk_plan *plan, int64_t *comp, double *alpha,
+               uint64_t *masks, int64_t n, int64_t width,
                const int64_t *durations, const int64_t *fault_counts,
                double *utilities, uint8_t *deadline_miss,
                int64_t *switch_counts, int64_t *faults_observed,
@@ -406,25 +319,20 @@ int64_t rk_run(const rk_plan *plan, int64_t n, int64_t width,
     if (n < 0 || width < 1 || n_proc < 1 || nw < 1) {
         return -1;
     }
-    {
-        int64_t comp[2 * n_proc];
-        double alpha[2 * n_proc];
-        uint64_t masks[5 * nw];
-        for (s = 0; s < n; s++) {
-            const int64_t *dur = durations + s * n_proc * width;
-            const int64_t *faults = fault_counts + s * n_proc;
-            int64_t *chain = chains + s * (plan->n_nodes + 1);
-            if (nw == 1) {
-                rk_run_one(plan, 1, comp, alpha, masks, dur, faults, width,
-                           utilities + s, deadline_miss + s,
-                           switch_counts + s, faults_observed + s, chain,
-                           fallback + s);
-            } else {
-                rk_run_one(plan, nw, comp, alpha, masks, dur, faults, width,
-                           utilities + s, deadline_miss + s,
-                           switch_counts + s, faults_observed + s, chain,
-                           fallback + s);
-            }
+    for (s = 0; s < n; s++) {
+        const int64_t *dur = durations + s * n_proc * width;
+        const int64_t *faults = fault_counts + s * n_proc;
+        int64_t *chain = chains + s * (plan->n_nodes + 1);
+        if (nw == 1) {
+            rk_run_one(plan, 1, comp, alpha, masks, dur, faults, width,
+                       utilities + s, deadline_miss + s,
+                       switch_counts + s, faults_observed + s, chain,
+                       fallback + s);
+        } else {
+            rk_run_one(plan, nw, comp, alpha, masks, dur, faults, width,
+                       utilities + s, deadline_miss + s,
+                       switch_counts + s, faults_observed + s, chain,
+                       fallback + s);
         }
     }
     return 0;

@@ -32,9 +32,10 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.execution import DEFAULT_ENGINE
@@ -45,6 +46,15 @@ from repro.service.errors import (
     from_exception,
 )
 from repro.service.queue import WorkQueue
+
+#: Type checks of the non-integer config fields, by annotation.
+_JSON_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), "a JSON boolean"),
+    "float": (
+        lambda v: type(v) in (int, float) and math.isfinite(v),
+        "a finite JSON number",
+    ),
+}
 
 #: Canonical JSON bytes of ``repro schedule``'s output file — the
 #: byte-identity contract of ``/v1/schedule`` hangs on using exactly
@@ -207,14 +217,14 @@ class ServiceState:
         validate_application(app)  # ModelError → 400 invalid-application
         return app
 
-    @staticmethod
-    def _config_from(payload: Dict[str, Any]):
+    @classmethod
+    def _config_from(cls, payload: Dict[str, Any]):
         """A validated :class:`FTQSConfig` from the request payload.
 
         ``max_schedules`` may ride at the top level (mirroring the
         CLI's ``--schedules``) or inside ``config``; unknown fields are
         rejected by name so typos fail loudly instead of silently
-        running defaults.
+        running defaults, and so are values of the wrong JSON type.
         """
         from repro.quasistatic.ftqs import FTQSConfig
         from repro.scheduling.ftss import FTSSConfig
@@ -235,6 +245,7 @@ class ServiceState:
             )
         if "max_schedules" in payload:
             data.setdefault("max_schedules", payload["max_schedules"])
+        cls._check_types(FTQSConfig, data, "config.")
         kwargs: Dict[str, Any] = data
         if ftss_data is not None:
             if not isinstance(ftss_data, dict):
@@ -248,6 +259,7 @@ class ServiceState:
                     f"unknown ftss config field(s) {funknown}; known: "
                     f"{sorted(fknown)}"
                 )
+            cls._check_types(FTSSConfig, ftss_data, "config.ftss.")
             kwargs["ftss"] = FTSSConfig(**ftss_data)
         try:
             return FTQSConfig(**kwargs)
@@ -277,6 +289,23 @@ class ServiceState:
             return ExecutionConfig.parse(spec)
         except RuntimeModelError as exc:
             raise ValidationFailed(str(exc))
+
+    @classmethod
+    def _check_types(cls, config_cls, data: Dict[str, Any], where: str):
+        """A 400 naming the field for a ``data`` value of the wrong JSON
+        type for its ``config_cls`` field (ranges are the class's)."""
+        for spec in dataclasses.fields(config_cls):
+            if spec.name not in data:
+                continue
+            value, name = data[spec.name], where + spec.name
+            kind = getattr(spec.type, "__name__", spec.type)
+            if kind == "int":
+                cls._integer(value, name, 0, None)
+            elif kind in _JSON_TYPES and not _JSON_TYPES[kind][0](value):
+                raise ValidationFailed(
+                    f"'{name}' must be {_JSON_TYPES[kind][1]}, got "
+                    f"{json.dumps(value)}"
+                )
 
     @staticmethod
     def _integer(value: Any, name: str, low: int, high: Optional[int]):

@@ -44,6 +44,27 @@ def fig1_app():
     return paper_fig1_application()
 
 @pytest.fixture
+def fig1_soft_utility_app(fig1_app):
+    """Builds Fig. 1's application with ``utility`` on every soft
+    process (utilities the C core or a C literal cannot express)."""
+    from repro.model.application import Application
+    from repro.model.graph import ProcessGraph
+    from repro.model.process import soft_process
+
+    def build(utility):
+        processes = [
+            soft_process(p.name, p.bcet, p.wcet, utility) if p.is_soft else p
+            for p in fig1_app.processes
+        ]
+        graph = ProcessGraph(processes, list(fig1_app.graph.edges),
+                             period=fig1_app.period)
+        return Application(graph, period=fig1_app.period, k=fig1_app.k,
+                           mu=fig1_app.mu)
+
+    return build
+
+
+@pytest.fixture
 def fig1_overload_app():
     """Fig. 4c variant: period reduced to 250."""
     return paper_fig1_application(period=250)

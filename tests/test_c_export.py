@@ -1,13 +1,23 @@
-"""Tests for the embedded C table exporter."""
+"""Tests for the embedded C export: the files, their text and their
+strict compilation (the behaviour of the exported code is checked
+against the oracle in ``tests/test_c_runtime.py``)."""
 
-import shutil
 import subprocess
 
 import pytest
 
+from repro.errors import SerializationError
 from repro.io.c_export import export_tree_to_c, write_c_tables
 from repro.quasistatic.ftqs import FTQSConfig, ftqs
+from repro.runtime.engine.kernel.build import (
+    CORE_HEADER,
+    CORE_SOURCE,
+    find_compiler,
+)
 from repro.scheduling.ftss import ftss
+
+#: What the export promises: C99, no VLAs, clean under every warning.
+STRICT = ("-std=c99", "-pedantic", "-Wall", "-Wextra", "-Wvla", "-Werror")
 
 
 @pytest.fixture
@@ -19,67 +29,111 @@ def fig1_tree(fig1_app):
 class TestGeneration:
     def test_header_declares_everything(self, fig1_app, fig1_tree):
         header, source = export_tree_to_c(fig1_app, fig1_tree, symbol="figone")
-        assert "RT_FIGONE_H" in header
-        assert "FIGONE_N_PROCESSES 3" in header
-        assert f"FIGONE_PERIOD {fig1_app.period}" in header
-        assert "rt_process" in header and "rt_arc" in header
-        assert "figone_root_schedule" in source
+        assert "#ifndef FIGONE_PLAN_H" in header
+        assert '#include "rk_core.h"' in header
+        assert "extern const rk_plan figone_plan;" in header
+        assert "#define FIGONE_N_PROC 3" in header
+        assert "#define FIGONE_NW 1" in header
+        for buffer, size in (("COMP", "N_PROC"), ("ALPHA", "N_PROC"),
+                             ("MASKS", "NW")):
+            assert (
+                f"#define FIGONE_{buffer}_LEN RK_{buffer}_LEN(FIGONE_{size})"
+                in header
+            )
+        assert '#include "figone_plan.h"' in source
+        assert "const rk_plan figone_plan = {" in source
+        assert f".period = INT64_C({fig1_app.period})," in source
 
     def test_counts_match_tree(self, fig1_app, fig1_tree):
         header, source = export_tree_to_c(fig1_app, fig1_tree)
-        n_schedules = len(fig1_tree.nodes())
-        assert f"APP_N_SCHEDULES {n_schedules}" in header
+        n_nodes = len(fig1_tree.nodes())
+        assert f"#define APP_CHAIN_CAP {n_nodes + 1}" in header
+        assert f"static const rk_node app_nodes[{n_nodes}]" in source
         total_entries = sum(
             len(n.schedule.entries) for n in fig1_tree.nodes()
         )
-        assert f"APP_N_ENTRIES {total_entries}" in header
+        assert f"static const rk_entry app_entries[{total_entries}]" in source
         total_arcs = sum(len(n.arcs) for n in fig1_tree.nodes())
-        assert f"APP_N_ARCS {total_arcs}" in header
+        assert f"static const rk_arc app_arcs[{total_arcs}]" in source
 
     def test_soft_processes_marked(self, fig1_app, fig1_tree):
-        _, source = export_tree_to_c(fig1_app, fig1_tree)
-        # P1 is hard (flag 1 + deadline), P2/P3 soft (RT_NO_DEADLINE).
-        assert "/* P1 */" in source
-        assert "RT_NO_DEADLINE" in source
+        header, source = export_tree_to_c(fig1_app, fig1_tree)
+        # The header lists the process ids; P1 is hard, P2/P3 soft,
+        # and the per-process records carry the same flag first.
+        assert " *      0  P1 (hard)\n" in header
+        assert " *      1  P2\n" in header
+        assert " *      2  P3\n" in header
+        procs = source.split("static const rk_proc app_procs[3] = {\n")[1]
+        flags = [row.split(",")[0] for row in procs.split("\n")[:3]]
+        assert flags == ["    {INT64_C(1)", "    {INT64_C(0)", "    {INT64_C(0)"]
 
     def test_symbol_sanitization(self, fig1_app, fig1_tree):
         header, _ = export_tree_to_c(fig1_app, fig1_tree, symbol="9 bad-name!")
-        assert "RT_G_9_BAD_NAME__H" in header
+        assert "G_9_BAD_NAME__PLAN_H" in header
+        assert "extern const rk_plan g_9_bad_name__plan;" in header
+        with pytest.raises(SerializationError, match="reserved"):
+            export_tree_to_c(fig1_app, fig1_tree, symbol="RK")
+
+    def test_non_finite_constant_rejected(
+        self, fig1_tree, fig1_soft_utility_app
+    ):
+        from repro.utility.functions import ConstantUtility
+
+        app = fig1_soft_utility_app(ConstantUtility(float("inf")))
+        with pytest.raises(SerializationError, match="no C literal"):
+            export_tree_to_c(app, fig1_tree)
 
     def test_write_files(self, tmp_path, fig1_app, fig1_tree):
-        header_path, source_path = write_c_tables(
-            fig1_app, fig1_tree, str(tmp_path), symbol="demo"
+        directory = tmp_path / "new" / "out"
+        paths = write_c_tables(
+            fig1_app, fig1_tree, str(directory), symbol="demo"
         )
-        assert header_path.endswith("demo_schedule.h")
-        assert source_path.endswith("demo_schedule.c")
-        assert (tmp_path / "demo_schedule.h").exists()
-        assert (tmp_path / "demo_schedule.c").exists()
+        names = ["rk_core.h", "rk_core.c", "demo_plan.h", "demo_plan.c"]
+        assert [p.rsplit("/", 1)[1] for p in paths] == names
+        assert sorted(f.name for f in directory.iterdir()) == sorted(names)
+        # The core ships byte for byte.
+        assert (directory / "rk_core.h").read_bytes() == (
+            CORE_HEADER.read_bytes()
+        )
+        assert (directory / "rk_core.c").read_bytes() == (
+            CORE_SOURCE.read_bytes()
+        )
 
 
 class TestCompilation:
     def test_compiles_with_cc(self, tmp_path, cc_app):
-        """The generated tables must compile standalone (when a C
-        compiler is available in the environment)."""
-        compiler = shutil.which("gcc") or shutil.which("cc")
+        """Every exported file, and a target that sizes its static
+        scratch from the plan header's macros, compiles under strict
+        C99 with every warning an error."""
+        compiler = find_compiler()
         if compiler is None:
             pytest.skip("no C compiler available")
         root = ftss(cc_app)
         tree = ftqs(cc_app, root, FTQSConfig(max_schedules=8))
-        _, source_path = write_c_tables(
-            cc_app, tree, str(tmp_path), symbol="cruise"
+        write_c_tables(cc_app, tree, str(tmp_path), symbol="cruise")
+        (tmp_path / "target.c").write_text(
+            '#include "cruise_plan.h"\n'
+            "static int64_t comp[CRUISE_COMP_LEN];\n"
+            "static double alpha[CRUISE_ALPHA_LEN];\n"
+            "static uint64_t masks[CRUISE_MASKS_LEN];\n"
+            "static int64_t durations[CRUISE_N_PROC];\n"
+            "static int64_t faults[CRUISE_N_PROC];\n"
+            "static int64_t chain[CRUISE_CHAIN_CAP];\n"
+            "int64_t cruise_step(double *utility, uint8_t *miss,\n"
+            "                    int64_t *switches, int64_t *observed,\n"
+            "                    uint8_t *fallback)\n"
+            "{\n"
+            "    return rk_run(&cruise_plan, comp, alpha, masks, 1, 1,\n"
+            "                  durations, faults, utility, miss,\n"
+            "                  switches, observed, chain, fallback);\n"
+            "}\n"
         )
-        result = subprocess.run(
-            [
-                compiler,
-                "-std=c99",
-                "-Wall",
-                "-Werror",
-                "-c",
-                source_path,
-                "-o",
-                str(tmp_path / "cruise.o"),
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
+        for name in ("rk_core.c", "cruise_plan.c", "target.c"):
+            result = subprocess.run(
+                [compiler, *STRICT, "-c", str(tmp_path / name),
+                 "-o", str(tmp_path / f"{name}.o")],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, f"{name}:\n{result.stderr}"

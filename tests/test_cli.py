@@ -1,5 +1,6 @@
 """CLI smoke tests via the main() entry point."""
 
+import json
 
 import pytest
 
@@ -45,8 +46,9 @@ def test_export_c_tables(tmp_path, capsys, fig1_app):
         ["export", app_path, tree_path, str(tmp_path), "--symbol", "demo"]
     ) == 0
     out = capsys.readouterr().out
-    assert "demo_schedule.h" in out
-    assert (tmp_path / "demo_schedule.c").exists()
+    for name in ("rk_core.h", "rk_core.c", "demo_plan.h", "demo_plan.c"):
+        assert f"wrote {tmp_path / name}" in out
+        assert (tmp_path / name).exists()
 
 
 def test_report_command(tmp_path, capsys, fig1_app):
@@ -250,3 +252,74 @@ def test_experiment_corrupted_cache_entry_degrades_to_error_miss(
     assert first.split("synthesis:")[0].strip().splitlines()[:12] == (
         second.split("synthesis:")[0].strip().splitlines()[:12]
     )
+
+
+class TestInputErrors:
+    """A file-taking command fails on bad input with one
+    ``repro: error:`` line on stderr and exit status 2."""
+
+    @staticmethod
+    def _files(tmp_path, app):
+        app_path = str(tmp_path / "app.json")
+        save_json(application_to_dict(app), app_path)
+        assert main(["schedule", app_path, "--schedules", "4"]) == 0
+        return app_path, app_path.replace(".json", ".tree.json")
+
+    @staticmethod
+    def _fails(capsys, argv, *needles):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1, err
+        for needle in needles:
+            assert needle in err, err
+
+    @pytest.mark.parametrize(
+        "command", ["schedule", "simulate", "report", "export"]
+    )
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_unreadable_application(self, tmp_path, capsys, command, content):
+        app_path = tmp_path / "app.json"
+        if content is not None:
+            app_path.write_text(content)
+        argv = [command, str(app_path)]
+        if command in ("simulate", "export"):
+            argv.append(str(tmp_path / "app.tree.json"))
+        if command == "export":
+            argv.append(str(tmp_path / "out"))
+        self._fails(capsys, argv, "app.json" if content is None else "line 1")
+
+    @pytest.mark.parametrize("command", ["simulate", "export"])
+    def test_arc_to_an_unknown_node(self, tmp_path, capsys, fig1_app, command):
+        app_path, tree_path = self._files(tmp_path, fig1_app)
+        capsys.readouterr()
+        with open(tree_path) as handle:
+            tree = json.load(handle)
+        next(n for n in tree["nodes"] if n["arcs"])["arcs"][0]["target"] = 999
+        save_json(tree, tree_path)
+        argv = [command, app_path, tree_path]
+        if command == "export":
+            argv.append(str(tmp_path / "out"))
+        self._fails(capsys, argv, "unknown target node 999")
+
+    def test_export_creates_its_directory(self, tmp_path, capsys, fig1_app):
+        app_path, tree_path = self._files(tmp_path, fig1_app)
+        out = tmp_path / "no" / "such" / "dir"
+        assert main(["export", app_path, tree_path, str(out)]) == 0
+        assert (out / "app_plan.c").exists()
+
+    def test_export_of_a_plan_the_core_cannot_run(
+        self, tmp_path, capsys, fig1_soft_utility_app
+    ):
+        from repro.model.hypergraph import ShiftedUtility
+        from repro.utility.functions import ConstantUtility
+
+        app = fig1_soft_utility_app(ShiftedUtility(ConstantUtility(10.0), 5))
+        app_path, tree_path = self._files(tmp_path, app)
+        capsys.readouterr()
+        self._fails(
+            capsys,
+            ["export", app_path, tree_path, str(tmp_path / "out")],
+            "unsupported-utility",
+        )

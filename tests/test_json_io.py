@@ -133,6 +133,23 @@ class TestTreeRoundTrip:
         back = tree_from_dict(fig1_app, load_json(path))
         assert len(back) == len(tree)
 
+    @pytest.mark.parametrize("role", ["parent", "target"])
+    @pytest.mark.parametrize("bad", [999, [1]])
+    def test_unknown_node_reference_named(self, fig1_app, role, bad):
+        tree = ftqs(fig1_app, ftss(fig1_app), FTQSConfig(max_schedules=6))
+        data = tree_to_dict(tree)
+        if role == "parent":
+            next(n for n in data["nodes"] if n["parent"] is not None)[
+                "parent"
+            ] = bad
+        else:
+            next(n for n in data["nodes"] if n["arcs"])["arcs"][0][
+                "target"
+            ] = bad
+        with pytest.raises(SerializationError) as excinfo:
+            tree_from_dict(fig1_app, data)
+        assert f"unknown {role} node {bad!r}" in str(excinfo.value)
+
     def test_load_non_object_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2, 3]")

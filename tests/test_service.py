@@ -10,6 +10,7 @@ guarantees that make the service the CLI's pipeline behind a socket.
 """
 
 import copy
+import functools
 import json
 import os
 import re
@@ -308,8 +309,8 @@ def test_evaluate_executor_field_routes_request(fig1_payload):
 # /v1/evaluate parameter checks, socket-free through handlers.dispatch
 # ----------------------------------------------------------------------
 @pytest.fixture
-def dispatch_evaluate(fig1_payload):
-    """POST a /v1/evaluate body (the fig1 app plus ``fields``) through
+def dispatch_post(fig1_payload):
+    """POST a body (the fig1 app plus ``fields``) to ``path`` through
     the socket-free dispatcher; returns (status, decoded body)."""
     from repro.service import handlers
     from repro.service.state import ServiceState
@@ -318,17 +319,22 @@ def dispatch_evaluate(fig1_payload):
         ServiceConfig(store=TreeStore(backend=MemoryBackend()))
     )
 
-    def post(**fields):
+    def post(path, **fields):
         body = json.dumps(
             {"application": fig1_payload["application"], **fields}
         ).encode()
         response = handlers.dispatch(
-            state, "POST", "/v1/evaluate", len(body), lambda n: body
+            state, "POST", path, len(body), lambda n: body
         )
         return response.status, json.loads(response.body)
 
     yield post
     state.close()
+
+
+@pytest.fixture
+def dispatch_evaluate(dispatch_post):
+    return functools.partial(dispatch_post, "/v1/evaluate")
 
 
 def _soft_fig1(k):
@@ -384,6 +390,35 @@ def test_evaluate_accepts_well_formed_parameters(dispatch_evaluate):
     assert status == 200
     assert body["scenarios"] == 20
     assert sorted(body["outcomes"]) == ["1"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ftss.drop_heuristic", "no"),
+        ("ftss.soft_reexecution", 1),
+        ("ftss.slack_sharing", None),
+        ("ftss.fast_paths", "true"),
+        ("fault_children", 0),
+        ("use_interval_partitioning", None),
+        ("ftss.successor_weight", "x"),
+        ("ftss.successor_weight", True),
+        ("ftss.successor_weight", float("nan")),
+        ("max_schedules", "7"),
+        ("max_schedules", 2.0),
+        ("max_fault_variants", -1),
+        ("interval_stride", False),
+    ],
+)
+def test_schedule_type_checks_config_fields(dispatch_post, field, value):
+    """A config value of the wrong JSON type is a 400 invalid-request
+    naming the field — never run with a coerced value or answered with
+    a Python-internal message."""
+    group, _, name = field.rpartition(".")
+    config = {group: {name: value}} if group else {name: value}
+    status, body = dispatch_post("/v1/schedule", config=config)
+    assert (status, body["error"]["code"]) == (400, "invalid-request")
+    assert f"'config.{field}'" in body["error"]["message"]
 
 
 def _valid_tree(app_spec):
