@@ -429,6 +429,15 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _tree_path(application: str) -> str:
+    """Where ``repro schedule`` writes the tree of ``application``
+    without ``--output``: a trailing ``.json`` becomes ``.tree.json``,
+    and any other path gets ``.tree.json`` appended."""
+    if application.endswith(".json"):
+        application = application[: -len(".json")]
+    return application + ".tree.json"
+
+
 def _cmd_schedule(args: argparse.Namespace) -> int:
     from repro.io.json_io import save_json, tree_to_dict
     from repro.quasistatic.ftqs import schedule_application
@@ -442,7 +451,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         jobs=args.synthesis_jobs,
         stats=stats,
     )
-    output = args.output or args.application.replace(".json", ".tree.json")
+    output = args.output or _tree_path(args.application)
     save_json(tree_to_dict(result.tree), output)
     print(f"{result.summary()}\nwritten to {output}")
     _print_synthesis_line(stats)

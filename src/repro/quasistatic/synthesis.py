@@ -8,25 +8,26 @@ trees** (``tests/test_synthesis_differential.py`` asserts node, arc,
 interval and schedule equality over a randomized corpus, for any job
 count):
 
-* **Memoized tail scheduling** — one
+* **Tails in the C core** — one
   :class:`~repro.scheduling.compiled.SchedulingContext` per build
   holds the application's integer tables (pid-indexed lists, bitmask
-  sets) and the memos of the FTSS heuristics, and every tail is a
-  :class:`~repro.scheduling.compiled.TailRun` on it — the compiled
-  list scheduler :func:`~repro.scheduling.ftss.ftss` itself runs, so
-  tails never go through ``ftss``.  Whole tails are memoized per
-  ``(budget, start, completed mask, dropped mask)``; interval
-  partitioning reads the same tables.
+  sets), lowered once for the C core, and every tail is one
+  ``rk_ftss`` call through
+  :func:`~repro.scheduling.ftss.ftss_compiled` — never through
+  ``ftss``.  Whole tails are memoized per ``(budget, start, completed
+  mask, dropped mask)``.
 
-* **Vectorized interval partitioning** — the safety bound t_ic falls
-  out of a closed form (worst-case completions are ``start + const``,
-  so feasibility flips at ``min(deadline_i - const_i, period -
-  const_last)``; no bisection), and the expected-utility profiles are
-  evaluated over *all* critical points at once with NumPy, keeping the
-  scalar path's accumulation order per point so every float is
-  bit-identical.  Schedule similarity is maintained incrementally (a
-  per-node running maximum updated on insertion) instead of O(tree)
-  per query.
+* **Interval partitioning in the C core** — the safety bound t_ic
+  falls out of a closed form (worst-case completions are ``start +
+  const``, so feasibility flips at ``min(deadline_i - const_i, period
+  - const_last)``; no bisection), and each side's expected-utility
+  profile is evaluated at *all* critical points in one
+  ``rk_expected`` call, the scalar path's float operations per point,
+  so every float is bit-identical.  Where the C path cannot run, the
+  oracles run instead (see
+  :mod:`repro.runtime.engine.kernel.design`).  Schedule similarity is
+  maintained incrementally (a per-node running maximum updated on
+  insertion) instead of O(tree) per query.
 
 * **Parallel candidate layer** — the candidates of one FTQS expansion
   are independent; with ``jobs > 1`` they are sharded across a
@@ -39,11 +40,10 @@ count):
 
 from __future__ import annotations
 
-import math
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -51,10 +51,10 @@ from repro.quasistatic.ftqs import DEFAULT_FTQS_CONFIG, FTQSConfig
 from repro.quasistatic.intervals import PartitionResult, TailProfile, TailTerm
 from repro.quasistatic.similarity import schedule_similarity
 from repro.quasistatic.tree import QSNode, QSTree, SwitchArc
-from repro.scheduling.compiled import SchedulingContext, TailRun
+from repro.scheduling.compiled import SchedulingContext
 from repro.scheduling.feasibility import TopNeeds
 from repro.scheduling.fschedule import FSchedule
-from repro.scheduling.ftss import ftss_reference
+from repro.scheduling.ftss import ftss_compiled, ftss_reference
 
 
 @dataclass
@@ -148,7 +148,7 @@ class SynthesisStats:
 
 
 # ----------------------------------------------------------------------
-# Vectorized interval partitioning
+# Interval partitioning
 # ----------------------------------------------------------------------
 def fast_latest_safe_start(
     schedule: FSchedule, lo: int, hi: int, ctx: SchedulingContext
@@ -165,97 +165,6 @@ def fast_latest_safe_start(
     if limit is None or lo > limit:
         return None  # (a missing hard process is infeasible at any start)
     return min(hi, limit)
-
-
-def _survival_batch(term: TailTerm, x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`repro.quasistatic.intervals._survival` — the
-    same IEEE operations per element, branch dispatch via masks."""
-    out = np.zeros(x.shape[0], dtype=np.float64)
-    below = x < term.lo_sum
-    out[below] = 1.0
-    mid = ~below & (x < term.hi_sum)
-    if not np.any(mid):
-        return out
-    x_mid = x[mid]
-    if term.count == 1 or term.variance <= 0:
-        span = term.hi_sum - term.lo_sum
-        if span <= 0:
-            out[mid] = 0.0
-        else:
-            out[mid] = np.minimum(
-                1.0, np.maximum(0.0, (term.hi_sum - x_mid) / span)
-            )
-    else:
-        sigma = math.sqrt(term.variance)
-        sqrt2 = math.sqrt(2.0)
-        # math.erf elementwise: SciPy's erf is not guaranteed to round
-        # identically, and bit-equality with the scalar path is the
-        # whole contract here.
-        out[mid] = [
-            0.5 * (1.0 - math.erf(((value - term.mean) / sigma) / sqrt2))
-            for value in x_mid.tolist()
-        ]
-    return out
-
-
-def _expected_piecewise_batch(
-    term: TailTerm, points: np.ndarray, period: int
-) -> np.ndarray:
-    """Vectorized ``TailProfile._expected_piecewise`` over all points."""
-    boundaries = [b for b in term.fn.breakpoints() if b < period]
-    boundaries.append(period)
-    expected = np.zeros(points.shape[0], dtype=np.float64)
-    prev_survival = np.ones(points.shape[0], dtype=np.float64)
-    prev_bound: Optional[int] = None
-    for bound in boundaries:
-        survival = _survival_batch(term, bound - points)
-        mass = prev_survival - survival
-        probe = bound if prev_bound is None else prev_bound + 1
-        value = term.fn.value_at(max(0, probe))
-        expected = expected + np.where(mass > 0, mass * value, 0.0)
-        prev_survival = survival
-        prev_bound = bound
-    return expected
-
-
-def _expected_quantiles(term: TailTerm, tc: int, period: int) -> float:
-    """Scalar ``TailProfile._expected_quantiles`` (non-PC utilities are
-    rare; the scalar path keeps them exact without compiling them)."""
-    sigma = math.sqrt(max(term.variance, 0.0))
-    expected = 0.0
-    for z in (-1.2816, -0.5244, 0.0, 0.5244, 1.2816):
-        s = term.mean + z * sigma
-        s = min(max(s, term.lo_sum), term.hi_sum)
-        t = tc + s
-        value = 0.0 if t > period or t < 0 else term.fn.value_at(int(t))
-        expected += value / 5.0
-    return expected
-
-
-def expected_batch(
-    profile: TailProfile, points: Sequence[int]
-) -> np.ndarray:
-    """``profile.expected(tc)`` for every ``tc`` in ``points`` at once.
-
-    Accumulates per-term contributions in term order with the same
-    float operations as the scalar method, so each element is
-    bit-identical to the scalar evaluation at that point.
-    """
-    pts = np.asarray(points, dtype=np.int64)
-    total = np.zeros(pts.shape[0], dtype=np.float64)
-    for term in profile.terms:
-        if term.fn.is_piecewise_constant():
-            values = _expected_piecewise_batch(term, pts, profile.period)
-        else:
-            values = np.array(
-                [
-                    _expected_quantiles(term, int(tc), profile.period)
-                    for tc in pts
-                ],
-                dtype=np.float64,
-            )
-        total = total + term.alpha * values
-    return total
 
 
 @dataclass
@@ -342,7 +251,7 @@ class SynthesisEngine:
         self.ctx = SchedulingContext(app)
         self.stats = stats if stats is not None else SynthesisStats()
         self._tail_memo: Dict[Tuple, Optional[FSchedule]] = {}
-        self._profile_cache: Dict[Tuple[int, int], TailProfile] = {}
+        self._profile_cache: Dict[Tuple, Tuple[TailProfile, object]] = {}
         self._spec_cache: Dict[Tuple, FSchedule] = {}
         self._borrowed_pool = pool
         self._pool = pool
@@ -412,19 +321,23 @@ class SynthesisEngine:
                 config=self.config.ftss,
             )
         else:
-            tail = TailRun(
+            tail = ftss_compiled(
                 self.ctx, self.config.ftss, fault_budget, start,
                 prior_completed, prior_dropped,
-            ).run()
+            )
         self._tail_memo[key] = tail
         return tail
 
     # ------------------------------------------------------------------
     # Candidate evaluation
     # ------------------------------------------------------------------
-    def _profile(self, schedule: FSchedule, from_position: int) -> TailProfile:
+    def _profile(
+        self, schedule: FSchedule, from_position: int
+    ) -> Tuple[TailProfile, object]:
         """Clone of :func:`repro.quasistatic.intervals.tail_profile`
-        with memoized stale coefficients, cached by schedule value.
+        with memoized stale coefficients, cached by schedule value, and
+        its terms as the C core reads them (``None`` when a term's
+        utility is not piecewise constant).
 
         The profile reads only the entry list, the dropped sets derived
         from it and the priors — not the start time — so the key is the
@@ -451,6 +364,7 @@ class SynthesisEngine:
             ctx.soft_mask & ~(settled | prior_dropped) | prior_dropped
         )
         terms = []
+        rows = []
         mean = 0.0
         variance = 0.0
         lo_sum = 0
@@ -475,9 +389,30 @@ class SynthesisEngine:
                         count=count,
                     )
                 )
+                rows.append(
+                    (p, count, lo_sum, hi_sum, alphas[p], mean, variance)
+                )
         profile = TailProfile(terms=tuple(terms), period=ctx.period)
-        self._profile_cache[key] = profile
-        return profile
+        c_terms = (
+            ctx.core.tail_terms(rows)
+            if all(term.fn.is_piecewise_constant() for term in terms)
+            else None
+        )
+        self._profile_cache[key] = (profile, c_terms)
+        return profile, c_terms
+
+    def _expectations(
+        self, profile: TailProfile, c_terms, points: List[int]
+    ) -> np.ndarray:
+        """``profile.expected`` at every one of ``points``: one
+        ``rk_expected`` call, or the oracle point by point where the C
+        path cannot run."""
+        values = self.ctx.core.expected(c_terms, points)
+        if values is None:
+            values = np.array(
+                [profile.expected(tc) for tc in points], dtype=np.float64
+            )
+        return values
 
     def _partition(
         self,
@@ -488,7 +423,8 @@ class SynthesisEngine:
         hi: int,
     ) -> PartitionResult:
         """Clone of :func:`repro.quasistatic.intervals.partition` with
-        the closed-form safety bound and batched expectations."""
+        the closed-form safety bound and one expectation call per
+        profile."""
         stride = self.config.interval_stride
         if lo > hi:
             return PartitionResult(intervals=(), improvement=0.0)
@@ -499,15 +435,18 @@ class SynthesisEngine:
         hi = min(hi, safe_hi)
         if lo > hi:
             return PartitionResult(intervals=(), improvement=0.0)
-        parent_profile = self._profile(parent, parent_position + 1)
-        child_profile = self._profile(child, 0)
+        parent_profile, parent_terms = self._profile(
+            parent, parent_position + 1
+        )
+        child_profile, child_terms = self._profile(child, 0)
         points = sorted(
             set(parent_profile.critical_points(lo, hi, stride))
             | set(child_profile.critical_points(lo, hi, stride))
         )
-        gains = expected_batch(child_profile, points) - expected_batch(
-            parent_profile, points
-        )
+        gains = (
+            self._expectations(child_profile, child_terms, points)
+            - self._expectations(parent_profile, parent_terms, points)
+        ).tolist()
         margin = 1e-6
         intervals: List[Tuple[int, int]] = []
         gain_integral = 0.0
@@ -529,8 +468,7 @@ class SynthesisEngine:
                 current_start = None
         valid = tuple((a, b) for a, b in intervals if a <= b)
         return PartitionResult(
-            intervals=valid,
-            improvement=float(gain_integral) / trace_span,
+            intervals=valid, improvement=gain_integral / trace_span
         )
 
     def _evaluate(

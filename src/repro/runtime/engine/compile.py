@@ -13,10 +13,6 @@ Arc tables preserve the online scheduler's selection rule: arcs
 evaluated at one completion are stored sorted by
 ``(-required_faults, target)``, so taking the *first* match equals
 ``OnlineScheduler._matching_arc``'s ``min`` over all matches.
-
-:func:`~repro.utility.functions.utility_steps` gives a
-piecewise-constant utility as the breakpoint/value table the C core
-evaluates.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from repro.errors import RuntimeModelError
 from repro.model.application import Application
 from repro.quasistatic.tree import QSTree
 from repro.scheduling.fschedule import FSchedule
-from repro.utility.functions import utility_steps
 
 #: One compiled switch arc: (lo, hi, required_faults, target node id).
 CompiledArc = Tuple[int, int, int, int]

@@ -14,6 +14,12 @@ process with ``ctypes`` — degrading to the reference oracle, with a
 counted reason, whenever the core or a plan's tables cannot be had.
 Results are bit-identical to the oracle (asserted per scenario by
 ``tests/test_engine_differential.py``); only speed differs.
+
+The same shared object carries the design-time entry points of
+``rk_ftss.c`` — one FTSS run per ``rk_ftss`` call, expected-utility
+profiles per ``rk_expected`` call — which
+:mod:`~repro.runtime.engine.kernel.design` runs for
+:mod:`repro.scheduling` and :mod:`repro.quasistatic`.
 """
 
 from repro.runtime.engine.kernel.build import (

@@ -5,9 +5,10 @@ one directory holding two kinds of file:
 
 * ``core-<hash>.so`` (plus its ``.c`` source, for debugging) — the
   one table-driven core, keyed by :func:`core_fingerprint` over the
-  core source with its header inlined, the compiler and
-  :data:`CFLAGS`, so editing either file, switching compilers or
-  changing flags can never load a stale object;
+  core source with its header inlined and the design-time entry points
+  appended, the compiler, :data:`CFLAGS` and :data:`LDLIBS`, so
+  editing any of those files, switching compilers or changing flags
+  can never load a stale object;
 * ``<plan fingerprint>.npz`` — one plan's lowered tables, keyed by
   :func:`~repro.runtime.engine.kernel.lower.plan_fingerprint`, so a
   fresh process (a CLI rerun, a ``processes`` worker) skips the §2.2
@@ -20,9 +21,12 @@ is treated as absent and rewritten.
 
 Compilation uses the system C compiler — ``$REPRO_CC``, ``$CC`` or
 the first of ``cc``/``gcc``/``clang`` on PATH — with
-``-O2 -std=c99 -fPIC -shared -ffp-contract=off``: no fused
+``-Og -std=c99 -fPIC -shared -ffp-contract=off``: no fused
 multiply-adds, no reassociation, so the core's float stream stays
-operation-for-operation identical to the oracle's.  A missing
+operation-for-operation identical to the oracle's.  ``-Og`` rather
+than ``-O2``: every first run pays the build, which ``-Og`` keeps
+under half of ``-O2``'s for the same speed of the core (its loops are
+bound by memory and branches, not by instruction selection).  A missing
 compiler, a failed compile or a cache directory that cannot be
 created raises :class:`KernelBuildError`; the dispatcher turns that
 into a counted degradation to the reference oracle, never an error
@@ -50,12 +54,19 @@ import numpy as np
 
 #: Flags that keep the core's float semantics exactly IEEE: no
 #: contraction (FMA would change rounding), strict C99.
-CFLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+CFLAGS = ("-Og", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: Libraries the core links after its source: libm, for ``erf``.
+LDLIBS = ("-lm",)
 
 #: The core's source and header, shipped next to this module (and,
 #: byte for byte, by ``repro export``).
 CORE_SOURCE = Path(__file__).with_name("rk_core.c")
 CORE_HEADER = Path(__file__).with_name("rk_core.h")
+
+#: The design-time entry points (``rk_ftss``, ``rk_expected``),
+#: compiled appended to the core; ``repro export`` leaves them out.
+DESIGN_SOURCE = Path(__file__).with_name("rk_ftss.c")
 
 
 class KernelBuildError(Exception):
@@ -154,24 +165,26 @@ def _chaos_compile_hook() -> None:
 
 def generate_kernel_source() -> str:
     """The core as one self-contained translation unit: ``rk_core.c``
-    with its ``#include "rk_core.h"`` replaced by the header."""
-    return CORE_SOURCE.read_text(encoding="utf-8").replace(
+    with its ``#include "rk_core.h"`` replaced by the header, then
+    ``rk_ftss.c``, which uses the core's static helpers."""
+    core = CORE_SOURCE.read_text(encoding="utf-8").replace(
         f'#include "{CORE_HEADER.name}"\n',
         CORE_HEADER.read_text(encoding="utf-8"),
         1,
     )
+    return core + "\n" + DESIGN_SOURCE.read_text(encoding="utf-8")
 
 
 def core_fingerprint(source: str) -> str:
     """The cache key of the core built from ``source`` here: a hash of
-    the source, the compiler and :data:`CFLAGS`."""
+    the source, the compiler, :data:`CFLAGS` and :data:`LDLIBS`."""
     compiler = find_compiler()
     if compiler is None:
         raise KernelBuildError(
             "no-compiler",
             "no C compiler found (set $REPRO_CC/$CC or install cc)",
         )
-    key = "\0".join((source, compiler, *CFLAGS))
+    key = "\0".join((source, compiler, *CFLAGS, *LDLIBS))
     return "core-" + hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 
@@ -203,7 +216,7 @@ def compile_kernel(source: str, fingerprint: str) -> Path:
         fd, tmp = tempfile.mkstemp(dir=str(root), suffix=".so.tmp")
         os.close(fd)
         proc = subprocess.run(
-            [compiler, *CFLAGS, "-o", tmp, str(c_path)],
+            [compiler, *CFLAGS, "-o", tmp, str(c_path), *LDLIBS],
             capture_output=True,
             text=True,
             timeout=120,

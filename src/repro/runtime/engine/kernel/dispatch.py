@@ -31,7 +31,7 @@ import ctypes
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from repro.runtime.engine.kernel.lower import (
     KernelUnsupported,
     LoweredPlan,
     RkPlan,
+    RkSched,
     check_tables,
     lower_plan,
     plan_fingerprint,
@@ -70,8 +71,11 @@ class KernelStats:
     lowered, and ``fallbacks`` maps a degradation reason
     (``"no-compiler"``, ``"compile-failed"``, ``"load-failed"``,
     ``"cache-unavailable"``, ``"unsupported-utility"``,
-    ``"unsupported-plan"``, ``"chaos"``) to how many simulator
-    constructions degraded to the reference oracle for it.
+    ``"unsupported-plan"``, ``"chaos"``, and for the design-time entry
+    points ``"negative-start"``, ``"hard-dropped"`` and
+    ``"nonconstant-utility"``) to how many simulator constructions,
+    FTSS runs and expected-utility profiles degraded to their oracle
+    for it (see :mod:`~repro.runtime.engine.kernel.design`).
     ``oracle_scenarios`` counts per-scenario oracle replays out of
     otherwise kernel-run batches (the residual a batch reports as
     ``n_fallback``).  Updates take a per-object lock (shard threads
@@ -143,8 +147,17 @@ def reset_kernel_stats() -> None:
     _GLOBAL_STATS = KernelStats()
 
 
-#: The loaded core's ``rk_run``, once per process.
-_CORE = None
+@dataclass(frozen=True)
+class Core:
+    """The loaded core's entry points, with their ctypes signatures."""
+
+    run: Any
+    ftss: Any
+    expected: Any
+
+
+#: The loaded :class:`Core`, once per process.
+_CORE: Optional[Core] = None
 
 #: Lowered tables by plan fingerprint.
 _TABLES: Dict[str, LoweredPlan] = {}
@@ -165,6 +178,27 @@ def _reset_locks() -> None:
 os.register_at_fork(after_in_child=_reset_locks)
 
 
+#: Arrays reach the core as plain addresses (:func:`c_address`).
+_PTR, _I64 = ctypes.c_void_p, ctypes.c_int64
+
+
+def c_address(array: np.ndarray, dtype) -> int:
+    """The data address of ``array``, which a C entry point reads as a
+    C-contiguous buffer of ``dtype``.
+
+    The entry points take addresses rather than ``ndpointer``
+    arguments because ctypes converts those in Python code inside the
+    call, where an exception — a Ctrl-C's ``KeyboardInterrupt`` —
+    would surface as a ``ctypes.ArgumentError``.
+    """
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise TypeError(
+            f"expected a C-contiguous {np.dtype(dtype)} array, "
+            f"got {array.dtype}"
+        )
+    return array.ctypes.data
+
+
 def bind_core(lib: ctypes.CDLL):
     """``lib``'s ``rk_run`` with its ctypes signature, once the
     library's ``rk_plan`` is checked to be :class:`RkPlan`'s size."""
@@ -179,14 +213,32 @@ def bind_core(lib: ctypes.CDLL):
         )
     run = lib.rk_run
     run.restype = ctypes.c_int64
-    run.argtypes = [ctypes.POINTER(RkPlan)] + [
-        np.ctypeslib.ndpointer(dtype=t, flags="C_CONTIGUOUS")
-        if t else ctypes.c_int64  # n, width
-        for t in (np.int64, np.float64, np.uint64, None, None, np.int64,
-                  np.int64, np.float64, np.uint8, np.int64, np.int64,
-                  np.int64, np.uint8)
-    ]
+    run.argtypes = [ctypes.POINTER(RkPlan)] + [_PTR] * 3 + [_I64] * 2 + [
+        _PTR
+    ] * 8
     return run
+
+
+def bind_design(lib: ctypes.CDLL):
+    """``lib``'s ``rk_ftss`` and ``rk_expected`` with their ctypes
+    signatures."""
+    ftss = lib.rk_ftss
+    ftss.restype = _I64
+    ftss.argtypes = [
+        ctypes.POINTER(RkPlan), ctypes.POINTER(RkSched),
+        _PTR,  # flags
+        ctypes.c_double, ctypes.c_double,  # weights
+        _I64, _I64,  # budget, start
+        _PTR, _PTR,  # completed, dropped
+        _PTR, _PTR, _PTR,  # work buffers
+        _PTR, _PTR, _PTR,  # pids, caps, count
+    ]
+    expected = lib.rk_expected
+    expected.restype = _I64
+    expected.argtypes = [
+        ctypes.POINTER(RkPlan), _PTR, _I64, _PTR, _I64, _PTR,
+    ]
+    return ftss, expected
 
 
 def run_core(run, plan: RkPlan, batch: ScenarioBatch) -> BatchResult:
@@ -197,23 +249,30 @@ def run_core(run, plan: RkPlan, batch: ScenarioBatch) -> BatchResult:
     result = BatchResult.empty(n)
     chains = np.zeros((n, plan.n_nodes + 1), dtype=np.int64)
     flagged = np.zeros(n, dtype=np.uint8)
+    # Work buffers of the RK_*_LEN sizes, per call: threads shards run
+    # one plan concurrently.  The tuples keep every array alive while
+    # the core holds its address.
+    buffers = (
+        (np.empty(2 * plan.n_proc, dtype=np.int64), np.int64),
+        (np.empty(2 * plan.n_proc, dtype=np.float64), np.float64),
+        (np.empty(5 * plan.nw, dtype=np.uint64), np.uint64),
+    )
+    arrays = (
+        (np.ascontiguousarray(batch.durations, dtype=np.int64), np.int64),
+        (np.ascontiguousarray(batch.fault_counts, dtype=np.int64), np.int64),
+        (result.utilities, np.float64),
+        (result.deadline_miss.view(np.uint8), np.uint8),
+        (result.switch_counts, np.int64),
+        (result.faults_observed, np.int64),
+        (chains, np.int64),
+        (flagged, np.uint8),
+    )
     rc = run(
         ctypes.byref(plan),
-        # Work buffers of the RK_*_LEN sizes, per call: threads shards
-        # run one plan concurrently.
-        np.empty(2 * plan.n_proc, dtype=np.int64),
-        np.empty(2 * plan.n_proc, dtype=np.float64),
-        np.empty(5 * plan.nw, dtype=np.uint64),
+        *(c_address(array, dtype) for array, dtype in buffers),
         n,
         batch.max_attempts,
-        np.ascontiguousarray(batch.durations, dtype=np.int64),
-        np.ascontiguousarray(batch.fault_counts, dtype=np.int64),
-        result.utilities,
-        result.deadline_miss.view(np.uint8),
-        result.switch_counts,
-        result.faults_observed,
-        chains,
-        flagged,
+        *(c_address(array, dtype) for array, dtype in arrays),
     )
     if rc != 0:  # pragma: no cover - guarded by ScenarioBatch
         flagged[:] = 1
@@ -224,8 +283,8 @@ def run_core(run, plan: RkPlan, batch: ScenarioBatch) -> BatchResult:
     return result
 
 
-def _load_core():
-    """The core's ``rk_run``, building and loading it on first use."""
+def _load_core() -> Core:
+    """The core's entry points, building and loading it on first use."""
     global _CORE
     if _CORE is None:
         source = generate_kernel_source()
@@ -234,8 +293,16 @@ def _load_core():
         if so_path is None:
             so_path = compile_kernel(source, fingerprint)
             kernel_stats().add("compiles")
-        _CORE = bind_core(load_kernel(so_path))
+        lib = load_kernel(so_path)
+        _CORE = Core(bind_core(lib), *bind_design(lib))
     return _CORE
+
+
+def load_core() -> Core:
+    """:func:`_load_core` under the module lock (looked up per call: a
+    forked child replaces the lock)."""
+    with _LOCK:
+        return _load_core()
 
 
 def _plan_tables(simulator: BatchSimulator) -> LoweredPlan:
@@ -276,7 +343,7 @@ class KernelSimulator:
         self.fallback_reason: Optional[str] = None
         try:
             with _LOCK:
-                run = _load_core()
+                run = _load_core().run
                 self._lowered = _plan_tables(self._compiled)
             self._run = run
         except (KernelUnsupported, KernelBuildError) as exc:

@@ -1,4 +1,5 @@
-"""Lower one compiled plan into the tables the C core reads.
+"""Lower one compiled plan, or one application, into the tables the C
+core reads.
 
 :func:`lower_plan` turns a
 :class:`~repro.runtime.engine.compile.CompiledApplication` /
@@ -13,6 +14,13 @@ these arrays as they are; :mod:`repro.io.c_export` writes them as C
 arrays of the C types :data:`ARRAYS` names.  Plans outside what the
 core expresses raise :class:`KernelUnsupported` (the dispatcher then
 degrades to the reference oracle, the export refuses them).
+
+:func:`lower_application` is the application part of a plan — process,
+graph and utility records in a given process order — which
+:func:`lower_plan` numbers like the compiled application and
+:func:`lower_scheduling` like a
+:class:`~repro.scheduling.compiled.SchedulingContext`, adding the
+columns the design-time entry points of ``rk_ftss.c`` read.
 """
 
 from __future__ import annotations
@@ -69,6 +77,14 @@ DECISION = _record(
 ARC = _record("lo", "hi", "required", "target")
 TERM = _record("pid", "delay")
 
+#: The design-time records of ``rk_ftss.c``: per-process FTSS columns
+#: and one soft term of a schedule tail's utility profile.
+SPROC = _record("aet", "wcet", "need", "mu", "succ_lo", "succ_hi")
+TTERM = _record(
+    "pid", "count", "lo_sum", "hi_sum", "alpha", "mean", "variance",
+    floats=("alpha", "mean", "variance"),
+)
+
 #: ``rk_plan``'s scalar fields, in struct order (the ``header`` array).
 SCALARS = ("n_proc", "n_nodes", "nw", "k", "period", "root")
 
@@ -96,11 +112,30 @@ ARRAYS: Tuple[Tuple[str, np.dtype, str], ...] = (
 )
 
 
+#: The application part of an ``rk_plan``: the tables
+#: :func:`lower_application` fills.
+APP_ARRAYS = ("procs", "graph", "pred", "ubound", "uval", "hard_mask",
+              "soft_mask")
+
+#: ``rk_sched``'s tables, in struct order, with their dtypes.
+SCHED_ARRAYS = (("sprocs", SPROC), ("succ", _I8), ("pred_mask", _U8),
+                ("edf", _I8))
+
+
 class RkPlan(ctypes.Structure):
     """``rk_plan`` of ``rk_core.h``: scalars, then one pointer per table."""
 
     _fields_ = [(name, ctypes.c_int64) for name in SCALARS] + [
         (name, ctypes.c_void_p) for name, *_ in ARRAYS
+    ]
+
+
+class RkSched(ctypes.Structure):
+    """``rk_sched`` of ``rk_ftss.c``: one pointer per table, then the
+    length of the EDF order."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name, _ in SCHED_ARRAYS] + [
+        ("n_edf", ctypes.c_int64)
     ]
 
 
@@ -314,6 +349,40 @@ def _mask_words(pids: Iterable[int], n_words: int) -> List[int]:
     return words
 
 
+def lower_application(app, names: Sequence[str]) -> Dict[str, list]:
+    """The :data:`APP_ARRAYS` columns of ``app`` with process ``i``
+    named ``names[i]``: utility records, the dependence graph in its
+    topological order with predecessors in graph order, and the hard
+    and soft masks.  An unknown utility subclass raises
+    :class:`KernelUnsupported`."""
+    index = {name: i for i, name in enumerate(names)}
+    n_words = (len(names) + 63) // 64
+    col: Dict[str, list] = {name: [] for name in APP_ARRAYS}
+    hard: List[int] = []
+    soft: List[int] = []
+    for pid, name in enumerate(names):
+        proc = app.process(name)
+        linear, bounds, values, u0, slope = _utility_spec(proc.utility)
+        col["procs"].append(
+            (int(proc.is_hard),
+             int(proc.deadline if proc.is_hard else app.period), linear,
+             len(col["ubound"]), u0, slope)
+        )
+        col["ubound"] += bounds + (_SENTINEL,)
+        col["uval"] += values
+        (hard if proc.is_hard else soft).append(pid)
+    for name in app.graph.topological_order():
+        preds = [index[p] for p in app.graph.predecessors(name)]
+        lo = len(col["pred"])
+        col["graph"].append(
+            (index[name], lo, lo + len(preds), float(1 + len(preds)))
+        )
+        col["pred"] += preds
+    col["hard_mask"] = _mask_words(hard, n_words)
+    col["soft_mask"] = _mask_words(soft, n_words)
+    return col
+
+
 def lower_plan(
     capp: CompiledApplication, ctree: CompiledTree
 ) -> Dict[str, np.ndarray]:
@@ -330,27 +399,7 @@ def lower_plan(
     node_ids = sorted(ctree.nodes)
     dense = {nid: i for i, nid in enumerate(node_ids)}
     col: Dict[str, list] = {name: [] for name, *_ in ARRAYS}
-
-    # ---- per-process records: utilities and the dependence graph ----
-    for pid, name in enumerate(capp.names):
-        linear, bounds, values, u0, slope = _utility_spec(
-            app.process(name).utility
-        )
-        col["procs"].append(
-            (int(capp.is_hard[pid]), int(capp.deadline[pid]), linear,
-             len(col["ubound"]), u0, slope)
-        )
-        col["ubound"] += bounds + (_SENTINEL,)
-        col["uval"] += values
-    for name in app.graph.topological_order():
-        preds = [capp.index[p] for p in app.graph.predecessors(name)]
-        lo = len(col["pred"])
-        col["graph"].append(
-            (capp.index[name], lo, lo + len(preds), float(1 + len(preds)))
-        )
-        col["pred"] += preds
-    col["hard_mask"] = _mask_words(capp.hard_ids, n_words)
-    col["soft_mask"] = _mask_words(capp.soft_ids, n_words)
+    col.update(lower_application(app, capp.names))
 
     # ---- per-node / per-entry records ----
     for nid in node_ids:
@@ -443,3 +492,26 @@ class LoweredPlan:
             *(int(v) for v in arrays["header"]),
             *(arrays[name].ctypes.data for name, *_ in ARRAYS),
         )
+
+
+def lower_scheduling(ctx) -> Dict[str, np.ndarray]:
+    """The tables ``rk_ftss`` and ``rk_expected`` read for one
+    :class:`~repro.scheduling.compiled.SchedulingContext`, by field
+    name: the :data:`APP_ARRAYS` of an ``rk_plan`` in the context's
+    pid order, then the :data:`SCHED_ARRAYS` — per-process FTSS
+    columns, successors in graph order, predecessor masks and the
+    modified-deadline EDF order of the hard processes."""
+    n_words = (len(ctx.names) + 63) // 64
+    col: Dict[str, list] = lower_application(ctx.app, ctx.names)
+    col.update(sprocs=[], succ=[], pred_mask=[], edf=list(ctx.edf_hard))
+    for p, successors in enumerate(ctx.succs):
+        lo = len(col["succ"])
+        col["succ"] += successors
+        col["sprocs"].append(
+            (ctx.aet[p], ctx.wcet[p], ctx.need[p], ctx.mu[p], lo,
+             len(col["succ"]))
+        )
+        col["pred_mask"] += _mask_words(ctx.pred_list[p], n_words)
+    dtypes = dict((name, t) for name, t, _ in ARRAYS)
+    dtypes.update(SCHED_ARRAYS)
+    return {name: np.array(col[name], dtype=dtypes[name]) for name in col}

@@ -24,11 +24,16 @@ execution times while its utility is maximized for average execution
 times (the decisions in steps 1, 4 and 5 all use AETs).
 
 :func:`ftss`, which every caller uses, runs ``fast_paths=True``
-configurations (the default) on the compiled list scheduler of
-:mod:`repro.scheduling.compiled`.  :func:`ftss_reference` is the loop
+configurations (the default) in the C core: :func:`ftss_compiled`
+makes one ``rk_ftss`` call per run over a
+:class:`~repro.scheduling.compiled.SchedulingContext`'s lowered tables
+(see :mod:`repro.runtime.engine.kernel.design`), and the FTQS engine
+runs its tails through it too.  :func:`ftss_reference` is the loop
 below, followed literally: the oracle, which also serves
-``fast_paths=False``.  Both return identical f-schedules
-(``tests/test_ftss_differential.py``).
+``fast_paths=False`` and runs, with a counted reason, wherever the C
+path cannot (no usable core, a negative start time, a utility without
+a kernel lowering, a hard process among the prior drops).  Both return
+identical f-schedules (``tests/test_ftss_differential.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.model.application import Application
-from repro.scheduling.compiled import SchedulingContext, TailRun
+from repro.scheduling.compiled import SchedulingContext
 from repro.scheduling.dropping import (
     determine_dropping,
     determine_dropping_fast,
@@ -83,8 +88,8 @@ class FTSSConfig:
         Use the incremental feasibility oracle and the removal-scored
         dropping evaluation (exact re-implementations of the slow
         probes up to greedy-order second-order effects; the test suite
-        cross-checks them), which :func:`ftss` runs compiled.  Off =
-        :func:`ftss_reference` with the slow probes.
+        cross-checks them), which :func:`ftss` runs in the C core.
+        Off = :func:`ftss_reference` with the slow probes.
     """
 
     drop_heuristic: bool = True
@@ -201,8 +206,8 @@ def ftss(
     paper's scheduling strategy (Fig. 6); ``start_time``,
     ``prior_completed``, ``prior_dropped`` and ``fault_budget``
     describe an intermediate execution state instead (the online
-    re-planner's).  ``fast_paths=True`` configurations run the
-    compiled list scheduler on a context built for this call;
+    re-planner's).  ``fast_paths=True`` configurations run
+    :func:`ftss_compiled` on a context built for this call;
     ``fast_paths=False`` ones run :func:`ftss_reference`.  Both return
     the same f-schedule (``tests/test_ftss_differential.py``).
     """
@@ -213,7 +218,34 @@ def ftss(
     budget = app.k if fault_budget is None else int(fault_budget)
     ctx = SchedulingContext(app)
     completed, dropped = ctx.prior_masks(prior_completed, prior_dropped)
-    return TailRun(ctx, config, budget, start_time, completed, dropped).run()
+    return ftss_compiled(ctx, config, budget, start_time, completed, dropped)
+
+
+def ftss_compiled(
+    ctx: SchedulingContext,
+    config: FTSSConfig,
+    fault_budget: int,
+    start_time: int,
+    prior_completed: int,
+    prior_dropped: int,
+) -> Optional[FSchedule]:
+    """One ``fast_paths`` FTSS run on ``ctx``'s tables, the prior sets
+    as masks: one ``rk_ftss`` call of the C core, or
+    :func:`ftss_reference` where the C path cannot run (the reason is
+    counted in ``kernel_stats()``)."""
+    core = ctx.core
+    if core.ftss_fallback(start_time, prior_dropped):
+        return ftss_reference(
+            ctx.app,
+            fault_budget,
+            start_time,
+            ctx.names_of(prior_completed),
+            ctx.names_of(prior_dropped),
+            config,
+        )
+    return core.ftss(
+        config, fault_budget, start_time, prior_completed, prior_dropped
+    )
 
 
 def ftss_reference(
@@ -420,7 +452,6 @@ def _reexecution_beneficial(state: _FTSSState, name: str, r: int) -> bool:
     process's utility (and degrades its consumers) but frees the time.
     """
     app = state.app
-    proc = app.process(name)
     t = state.config.decision_time(app, name)
     mu = app.recovery_overhead(name)
     rest = [n for n in state.unscheduled_soft() if n != name]

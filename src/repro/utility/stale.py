@@ -57,7 +57,12 @@ def stale_coefficients(
         if not preds:
             alphas[name] = 1.0
             continue
-        alphas[name] = (1.0 + sum(alphas[p] for p in preds)) / (1.0 + len(preds))
+        # Left to right, as Python 3.11's sum() and the C core add:
+        # 3.12's sum() of floats is compensated and rounds differently.
+        total = 0.0
+        for pred in preds:
+            total += alphas[pred]
+        alphas[name] = (1.0 + total) / (1.0 + len(preds))
     return alphas
 
 

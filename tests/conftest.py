@@ -106,6 +106,31 @@ def kernel_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def c_path():
+    """The design-time C path must run: skip the test with ``kernel
+    engine unavailable`` when no core loads here, and after it fail
+    unless the fallbacks counted during it are exactly those it put in
+    the yielded dict (reason -> count) — a fallback would compare an
+    oracle with itself."""
+    from repro.runtime.engine.kernel import kernel_stats
+    from repro.scheduling.compiled import SchedulingContext
+
+    reason = SchedulingContext(cruise_controller()).core.reason
+    if reason is not None:
+        pytest.skip(f"kernel engine unavailable ({reason})")
+    before = kernel_stats().snapshot().fallbacks
+    expected = {}
+    yield expected
+    after = kernel_stats().snapshot().fallbacks
+    counted = {
+        reason: count - before.get(reason, 0)
+        for reason, count in after.items()
+        if count != before.get(reason, 0)
+    }
+    assert counted == expected, "the C path fell back"
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 

@@ -36,6 +36,28 @@ def test_schedule_and_simulate_round_trip(tmp_path, capsys, fig1_app):
     assert "ok" in out
 
 
+@pytest.mark.parametrize(
+    "application,tree",
+    [("myapp", "myapp.tree.json"),
+     ("runs.json.d/app.json", "runs.json.d/app.tree.json")],
+)
+def test_schedule_writes_the_tree_beside_the_application(
+    tmp_path, capsys, fig1_app, application, tree
+):
+    """Only a trailing ``.json`` is replaced: an application without
+    the suffix is never overwritten, and ``.json`` inside a directory
+    name stays."""
+    app_path = tmp_path / application
+    app_path.parent.mkdir(parents=True, exist_ok=True)
+    save_json(application_to_dict(fig1_app), str(app_path))
+    before = app_path.read_bytes()
+    for _ in range(2):  # a rerun still reads the application
+        assert main(["schedule", str(app_path), "--schedules", "4"]) == 0
+        assert f"written to {tmp_path / tree}" in capsys.readouterr().out
+    assert app_path.read_bytes() == before
+    assert "nodes" in json.loads((tmp_path / tree).read_text())
+
+
 def test_export_c_tables(tmp_path, capsys, fig1_app):
     app_path = str(tmp_path / "app.json")
     save_json(application_to_dict(fig1_app), app_path)

@@ -1,14 +1,22 @@
 """Differential corpus: the routed ``ftss`` vs the FTSS oracle.
 
 ``repro.scheduling.ftss.ftss`` runs ``fast_paths=True`` configurations
-on the compiled list scheduler (:mod:`repro.scheduling.compiled`);
-``ftss_reference`` is the oracle.  Every result must be *identical* —
-entries and re-execution caps, start time, fault budget, prior sets
-and slack sharing, or ``None`` on both — over generated applications ×
-fault budgets × start times × prior sets × ablation configs, and every
-malformed input must raise the same exception type on both.
+in the C core, one ``rk_ftss`` call per run; ``ftss_reference`` is the
+oracle.  Every result must be *identical* — entries and re-execution
+caps, start time, fault budget, prior sets and slack sharing, or
+``None`` on both — over generated applications × fault budgets × start
+times × prior sets × ablation configs, and every malformed input must
+raise the same exception type on both.
 
-A tier-1-safe smoke slice runs by default;
+The comparisons must run the C path: the ``c_path`` fixture skips a
+test with ``kernel engine unavailable`` when no core loads here, and
+fails it when a fallback it does not expect is counted — otherwise a
+fallback would compare the oracle with itself.  Without a compiler,
+``test_no_compiler_runs_the_oracles`` pins the counted fallback.
+
+A tier-1-safe smoke slice runs by default (it includes an application
+of more than 64 processes, whose sets take two mask words, and one
+with linear, constant and tabulated utilities);
 ``pytest tests/test_ftss_differential.py --synthesis-full`` runs the
 full corpus (10-50 processes, k = 0..4, the cruise controller).
 """
@@ -21,8 +29,24 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError, SchedulingError, UtilityError
-from repro.scheduling.compiled import SchedulingContext, TailRun
-from repro.scheduling.ftss import FTSSConfig, ftss, ftss_reference
+from repro.io.json_io import tree_to_dict
+from repro.model.application import Application
+from repro.model.graph import ProcessGraph
+from repro.model.process import soft_process
+from repro.quasistatic.ftqs import FTQSConfig, ftqs, ftqs_reference
+from repro.runtime.engine.kernel import kernel_stats
+from repro.scheduling.compiled import SchedulingContext
+from repro.scheduling.ftss import (
+    FTSSConfig,
+    ftss,
+    ftss_compiled,
+    ftss_reference,
+)
+from repro.utility.functions import (
+    ConstantUtility,
+    LinearUtility,
+    TabulatedUtility,
+)
 from repro.workloads.cruise import cruise_controller
 from repro.workloads.suite import WorkloadSpec, generate_application
 
@@ -112,14 +136,45 @@ def cases(app, config_name, rng):
             )
 
 
-def check_application(app, seed, label):
+def check_application(app, seed, label, configs=tuple(CONFIGS)):
     rng = np.random.default_rng(seed)
     compared = 0
-    for config_name in CONFIGS:
+    for config_name in configs:
         for kwargs in cases(app, config_name, rng):
             assert_same(app, f"{label} [{config_name}]", **kwargs)
             compared += 1
     return compared
+
+
+def mixed_utility_app(seed):
+    """A generated application whose soft utilities become linear,
+    constant with a cutoff and tabulated (with a sample at 0) in turn,
+    at their original levels and horizons."""
+    app = generate_application(
+        WorkloadSpec(n_processes=14, k=2, mu=15),
+        rng=np.random.default_rng(seed),
+    )
+    processes = []
+    for index, proc in enumerate(app.processes):
+        if proc.is_hard:
+            processes.append(proc)
+            continue
+        top = proc.utility.max_value()
+        horizon = max(proc.utility.horizon(), 4)
+        utility = (
+            LinearUtility(top, top / (2 * horizon)),
+            ConstantUtility(top, cutoff=horizon),
+            TabulatedUtility(
+                [(0, top), (horizon // 2, top / 2), (horizon, top / 4)]
+            ),
+        )[index % 3]
+        processes.append(
+            soft_process(proc.name, proc.bcet, proc.wcet, utility,
+                         aet=proc.aet,
+                         recovery_overhead=proc.recovery_overhead)
+        )
+    graph = ProcessGraph(processes, list(app.graph.edges), period=app.period)
+    return Application(graph, period=app.period, k=app.k, mu=app.mu)
 
 
 #: (n_processes, k, seed, part of the tier-1 smoke slice)
@@ -135,7 +190,9 @@ CORPUS = [(10, 1, 11, True), (14, 2, 12, True), (12, 0, 13, True)] + [
     CORPUS,
     ids=[f"n{n}k{k}s{s}" for n, k, s, _ in CORPUS],
 )
-def test_corpus_schedules_identical(n_processes, k, seed, smoke, synthesis_full):
+def test_corpus_schedules_identical(
+    n_processes, k, seed, smoke, synthesis_full, c_path
+):
     if not smoke and not synthesis_full:
         pytest.skip("full corpus runs with --synthesis-full")
     rng = np.random.default_rng(seed)
@@ -149,7 +206,25 @@ def test_corpus_schedules_identical(n_processes, k, seed, smoke, synthesis_full)
     assert check_application(app, seed, f"n={n_processes} k={k}") > 0
 
 
-def test_cruise_controller_identical(synthesis_full):
+def test_two_mask_words_identical(synthesis_full, c_path):
+    """More than 64 processes: every set takes two mask words."""
+    app = generate_application(
+        WorkloadSpec(n_processes=70, k=2, mu=15),
+        rng=np.random.default_rng(70),
+    )
+    assert len(app.processes) > 64
+    configs = tuple(CONFIGS) if synthesis_full else ("default",)
+    assert check_application(app, 70, "n=70 k=2", configs) > 0
+
+
+def test_every_utility_kind_identical(c_path):
+    """Linear, constant-with-cutoff and tabulated soft utilities."""
+    app = mixed_utility_app(2026)
+    assert ftss_reference(app) is not None
+    assert check_application(app, 2026, "mixed utilities") > 0
+
+
+def test_cruise_controller_identical(synthesis_full, c_path):
     app = cruise_controller()
     if synthesis_full:
         check_application(app, 2008, "cruise controller")
@@ -163,7 +238,7 @@ def test_cruise_controller_identical(synthesis_full):
         )
 
 
-def test_paper_examples_identical(fig1_app, fig8_app):
+def test_paper_examples_identical(fig1_app, fig8_app, c_path):
     for seed, app in enumerate((fig1_app, fig8_app)):
         check_application(app, seed, app.graph.name)
 
@@ -171,6 +246,14 @@ def test_paper_examples_identical(fig1_app, fig8_app):
 # ----------------------------------------------------------------------
 # Malformed inputs: the same result or exception type on both engines
 # ----------------------------------------------------------------------
+#: The C path's fallback reason of each case that has one: there the
+#: routed ``ftss`` runs the oracle.
+FALLBACKS = {
+    "hard dropped name": "hard-dropped",
+    "negative start": "negative-start",
+    "negative completions": "negative-start",
+}
+
 EDGE_CASES = [
     ("unknown dropped name", dict(prior_dropped=["NOPE"]), ModelError),
     ("hard dropped name", dict(prior_dropped=["P1"]), ModelError),
@@ -196,7 +279,9 @@ EDGE_CASES = [
 @pytest.mark.parametrize(
     "label,kwargs,expected", EDGE_CASES, ids=[c[0] for c in EDGE_CASES]
 )
-def test_edge_cases_match(fig8_app, label, kwargs, expected):
+def test_edge_cases_match(fig8_app, label, kwargs, expected, c_path):
+    if label in FALLBACKS:
+        c_path[FALLBACKS[label]] = 1
     kind, value = assert_same(fig8_app, label, **kwargs)
     if isinstance(expected, type):
         assert (kind, value) == ("raise", expected)
@@ -207,7 +292,7 @@ def test_edge_cases_match(fig8_app, label, kwargs, expected):
         assert (len(value[0]) == 0) == (expected == "empty")
 
 
-def test_budget_as_string_is_accepted(fig8_app):
+def test_budget_as_string_is_accepted(fig8_app, c_path):
     """``int(fault_budget)`` on both engines: ``"2"`` is budget 2."""
     expected = schedule_fingerprint(ftss_reference(fig8_app, fault_budget=2))
     assert expected is not None
@@ -216,7 +301,7 @@ def test_budget_as_string_is_accepted(fig8_app):
 
 
 @pytest.mark.parametrize("engine", [ftss, ftss_reference])
-def test_unknown_prior_name_raises_scheduling_error(fig8_app, engine):
+def test_unknown_prior_name_raises_scheduling_error(fig8_app, engine, c_path):
     with pytest.raises(SchedulingError, match="NOPE"):
         engine(fig8_app, prior_completed=["P1", "NOPE"])
 
@@ -240,12 +325,12 @@ def test_slow_paths_route_to_the_reference(fig8_app, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The compiled pieces
+# The compiled context
 # ----------------------------------------------------------------------
-def test_one_context_serves_every_config():
-    """The context's memos do not depend on the FTSS config: runs of
-    different configs on one context, in any order, give what a fresh
-    context per run gives."""
+def test_one_context_serves_every_config(c_path):
+    """A context holds nothing of the FTSS config: runs of different
+    configs on one context, in any order, give what a fresh context
+    per run gives."""
     rng = np.random.default_rng(77)
     app = generate_application(
         WorkloadSpec(n_processes=16, k=2, mu=15), rng=rng
@@ -266,12 +351,12 @@ def test_one_context_serves_every_config():
     ]
     for config, budget, start, completed in runs + runs[::-1]:
         fresh = SchedulingContext(app)
-        expected = TailRun(
+        expected = ftss_compiled(
             fresh, config, budget, start, fresh.mask(completed), 0
-        ).run()
-        got = TailRun(
+        )
+        got = ftss_compiled(
             shared, config, budget, start, shared.mask(completed), 0
-        ).run()
+        )
         assert schedule_fingerprint(got) == schedule_fingerprint(expected)
         assert schedule_fingerprint(got) == schedule_fingerprint(
             ftss_reference(
@@ -282,3 +367,30 @@ def test_one_context_serves_every_config():
                 config=config,
             )
         )
+
+
+# ----------------------------------------------------------------------
+# Without a compiler
+# ----------------------------------------------------------------------
+def test_no_compiler_runs_the_oracles(fig1_app, kernel_cache, monkeypatch):
+    """No compiler anywhere: ``ftss`` and the fast FTQS build answer
+    exactly like the oracles, and every run and profile that fell back
+    is counted under ``no-compiler``."""
+    monkeypatch.setenv("REPRO_CC", "definitely-not-a-compiler")
+    for app in (fig1_app, mixed_utility_app(2026)):
+        for budget in range(app.k + 1):
+            assert schedule_fingerprint(
+                ftss(app, fault_budget=budget)
+            ) == schedule_fingerprint(ftss_reference(app, fault_budget=budget))
+    runs = kernel_stats().snapshot().fallbacks
+    assert set(runs) == {"no-compiler"} and runs["no-compiler"] >= 4
+    root = ftss_reference(fig1_app)
+    config = FTQSConfig(max_schedules=6)
+    assert tree_to_dict(ftqs(fig1_app, root, config)) == tree_to_dict(
+        ftqs_reference(fig1_app, root, config)
+    )
+    builds = kernel_stats().snapshot().fallbacks
+    assert set(builds) == {"no-compiler"}
+    assert builds["no-compiler"] > runs["no-compiler"]
+    assert kernel_stats().compiles == 0
+    assert not list(kernel_cache.glob("*"))

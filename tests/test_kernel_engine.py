@@ -29,7 +29,7 @@ from repro.examples_support import (
     paper_fig1_application,
     paper_fig8_application,
 )
-from repro.quasistatic.ftqs import FTQSConfig, ftqs
+from repro.quasistatic.ftqs import FTQSConfig, ftqs_reference
 from repro.runtime.engine import BatchSimulator
 from repro.runtime.engine.kernel import (
     KernelSimulator,
@@ -40,14 +40,17 @@ from repro.runtime.engine.kernel import (
     plan_fingerprint,
 )
 from repro.runtime.engine.threads import ThreadStats
-from repro.scheduling.ftss import ftss
+from repro.scheduling.ftss import ftss, ftss_reference
 from repro.workloads.cruise import cruise_controller
 
 
 def _tree(app, schedules=6):
-    root = ftss(app)
+    """An FTQS plan built on the oracles, which never touch the core:
+    the build, cache and fallback counters these tests read are the
+    simulator's alone."""
+    root = ftss_reference(app)
     assert root is not None
-    return ftqs(app, root, FTQSConfig(max_schedules=schedules))
+    return ftqs_reference(app, root, FTQSConfig(max_schedules=schedules))
 
 
 def _batch(app, n=40, fault_counts=None, seed=3):
@@ -344,7 +347,7 @@ def test_unusable_cache_degrades_to_the_oracle(
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
     monkeypatch.setenv("REPRO_KERNEL_CACHE", str(blocker / "kernels"))
-    root = ftss(fig1_app)
+    root = ftss_reference(fig1_app)
     evaluator = MonteCarloEvaluator(fig1_app, n_scenarios=20, seed=5)
     by_kernel = evaluator.evaluate(root, execution="kernel")
     by_reference = evaluator.evaluate(root, execution="reference")
@@ -483,6 +486,27 @@ def test_forked_child_gets_free_locks():
     finally:
         for lock in locks:
             lock.release()
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+def test_forked_child_loads_the_core_for_synthesis(fig1_app):
+    """The design-time entry points look the core lock up per call: a
+    child forked while another thread held it (a service request
+    loading the core) still gets the core for its FTSS runs."""
+    import signal
+
+    import repro.runtime.engine.kernel.dispatch as dispatch
+    from repro.scheduling.compiled import SchedulingContext
+
+    _needs_compiler()
+    assert SchedulingContext(fig1_app).core.reason is None
+    with dispatch._LOCK:
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child exits right away
+            signal.alarm(10)
+            core = SchedulingContext(fig1_app).core
+            os._exit(0 if core.reason is None else 1)
     _, status = os.waitpid(pid, 0)
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 

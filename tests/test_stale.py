@@ -1,6 +1,8 @@
 """Stale-value coefficient tests — the §2.1 formula and its worked
 examples."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -136,3 +138,27 @@ def test_alpha_propagation_monotone(n, seed):
     a_large = stale_coefficients(graph, larger)
     for name in names:
         assert a_large[name] <= a_small[name] + 1e-12
+
+
+def test_predecessor_alphas_add_left_to_right():
+    """Y's predecessor alphas 1, 1/3, 1 add up to 2.333333333333333
+    left to right but to 2.3333333333333335 exactly rounded, which is
+    what Python 3.12's compensated ``sum()`` returns; the oracle and
+    the compiled context both add left to right, like the C core, on
+    every Python version."""
+    from repro.model.application import Application
+    from repro.scheduling.compiled import SchedulingContext
+
+    graph = ProcessGraph(
+        [hard_process("A", 1, 2, 100), hard_process("B", 1, 2, 100),
+         _soft("S1"), _soft("S2"), _soft("X"), _soft("Y")],
+        [("S1", "X"), ("S2", "X"), ("A", "Y"), ("X", "Y"), ("B", "Y")],
+    )
+    assert graph.predecessors("Y") == ["A", "X", "B"]
+    assert (1.0 + 1.0 / 3.0) + 1.0 == 2.333333333333333
+    assert math.fsum([1.0, 1.0 / 3.0, 1.0]) == 2.3333333333333335
+    alpha_y = (1.0 + 2.333333333333333) / 4.0
+    dropped = ["S1", "S2"]
+    assert stale_coefficients(graph, dropped)["Y"] == alpha_y
+    ctx = SchedulingContext(Application(graph, period=100, k=1, mu=1))
+    assert ctx.alphas(ctx.mask(dropped))[ctx.pid["Y"]] == alpha_y

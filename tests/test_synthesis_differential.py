@@ -7,6 +7,14 @@ and fault requirements) and schedules (order, re-execution caps, start
 times, contexts) — over randomized applications × tree sizes × fault
 budgets, and for any candidate-worker count.
 
+The fast engine schedules its tails with ``rk_ftss`` and evaluates its
+interval partitioning with ``rk_expected`` in the C core; the
+comparisons take the ``c_path`` fixture, so a test skips with ``kernel
+engine unavailable`` when no core loads and fails when the C path
+falls back.  ``rk_expected`` is also compared with
+``TailProfile.expected`` directly, bit for bit, at every critical point
+the corpus evaluates and on every branch of the survival model.
+
 A tier-1-safe smoke slice runs by default;
 ``pytest tests/test_synthesis_differential.py --synthesis-full`` runs
 the full corpus (larger applications, more seeds, the cruise
@@ -18,13 +26,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.model.application import Application
+from repro.model.graph import ProcessGraph
+from repro.model.process import soft_process
 from repro.quasistatic.ftqs import FTQSConfig, ftqs, ftqs_reference
+from repro.quasistatic.intervals import TailProfile, TailTerm
 from repro.quasistatic.synthesis import (
     SynthesisEngine,
     SynthesisStats,
     ftqs_fast,
 )
+from repro.scheduling.compiled import SchedulingContext
 from repro.scheduling.ftss import FTSSConfig, ftss
+from repro.utility.functions import (
+    ConstantUtility,
+    StepUtility,
+    TabulatedUtility,
+)
 from repro.workloads.cruise import cruise_controller
 from repro.workloads.suite import WorkloadSpec, generate_application
 
@@ -104,7 +122,7 @@ CORPUS = [
     ids=[f"n{n}k{k}M{m}s{s}" for n, k, m, s, _ in CORPUS],
 )
 def test_corpus_trees_identical(
-    n_processes, k, max_schedules, seed, smoke, synthesis_full
+    n_processes, k, max_schedules, seed, smoke, synthesis_full, c_path
 ):
     if not smoke and not synthesis_full:
         pytest.skip("full corpus runs with --synthesis-full")
@@ -122,7 +140,7 @@ def test_corpus_trees_identical(
     )
 
 
-def test_ftqs_dispatch_routes_both_engines(fig1_app):
+def test_ftqs_dispatch_routes_both_engines(fig1_app, c_path):
     root = ftss(fig1_app)
     config = FTQSConfig(max_schedules=4)
     assert_trees_identical(
@@ -134,7 +152,7 @@ def test_ftqs_dispatch_routes_both_engines(fig1_app):
         ftqs(fig1_app, root, config, synthesis="banana")
 
 
-def test_paper_fig8_tree_identical(fig8_app):
+def test_paper_fig8_tree_identical(fig8_app, c_path):
     root = ftss(fig8_app)
     config = FTQSConfig(max_schedules=8)
     assert_trees_identical(
@@ -144,7 +162,7 @@ def test_paper_fig8_tree_identical(fig8_app):
     )
 
 
-def test_cruise_controller_tree_identical(synthesis_full):
+def test_cruise_controller_tree_identical(synthesis_full, c_path):
     app = cruise_controller()
     root = ftss(app)
     max_schedules = 39 if synthesis_full else 8
@@ -195,7 +213,7 @@ def test_cruise_controller_tree_identical(synthesis_full):
         ),
     ],
 )
-def test_ablation_configs_identical(label, config):
+def test_ablation_configs_identical(label, config, c_path):
     # Some configurations cannot schedule every generated application —
     # private slack in particular only fits lightly loaded, k=1 apps
     # (reserving per-process recovery time is exactly what the paper's
@@ -227,7 +245,7 @@ def test_ablation_configs_identical(label, config):
     )
 
 
-def test_jobs_do_not_change_the_tree(synthesis_full):
+def test_jobs_do_not_change_the_tree(synthesis_full, c_path):
     """The parallel candidate layer is byte-identical for any job count."""
     produced = scheduled_app(WorkloadSpec(n_processes=14, k=2, mu=15), 1717)
     assert produced is not None
@@ -240,7 +258,7 @@ def test_jobs_do_not_change_the_tree(synthesis_full):
         assert_trees_identical(reference, fast, f"jobs={jobs}")
 
 
-def test_engine_reuse_across_builds_is_stable():
+def test_engine_reuse_across_builds_is_stable(c_path):
     """A persistent engine (memos warm) still emits identical trees."""
     produced = scheduled_app(WorkloadSpec(n_processes=14, k=2, mu=15), 2024)
     assert produced is not None
@@ -256,53 +274,32 @@ def test_engine_reuse_across_builds_is_stable():
     )
 
 
-@pytest.mark.parametrize("seed", [11, 22, 33, 44])
-@pytest.mark.parametrize("slack_sharing", [True, False])
-def test_fast_oracle_matches_reference_oracle(seed, slack_sharing):
-    """The compiled oracle's collapsed hard-tail demand walk
-    (running-max shortcut plus the O(1) soft-probe limit) must answer
-    exactly like the reference incremental oracle on random prefixes
-    and probes."""
-    from repro.scheduling.compiled import FastOracle, SchedulingContext
-    from repro.scheduling.feasibility import FeasibilityOracle
+def test_profiles_with_linear_utilities_run_the_oracle(c_path):
+    """A profile with a term that is not piecewise constant runs
+    ``TailProfile.expected`` instead of ``rk_expected``, counted as
+    ``nonconstant-utility``; the tails still run in C, and the tree
+    equals the reference one."""
+    from repro.runtime.engine.kernel import kernel_stats
+    from test_ftss_differential import mixed_utility_app
 
-    rng = np.random.default_rng(seed)
-    app = generate_application(
-        WorkloadSpec(
-            n_processes=int(rng.integers(8, 20)), k=int(rng.integers(0, 4))
-        ),
-        rng=np.random.default_rng(seed + 7),
+    app = mixed_utility_app(2026)
+    root = ftss(app)
+    assert root is not None
+    before = kernel_stats().snapshot().fallbacks
+    config = FTQSConfig(max_schedules=8)
+    assert_trees_identical(
+        ftqs_reference(app, root, config),
+        ftqs_fast(app, root, config),
+        "linear, constant and tabulated utilities",
     )
-    ctx = SchedulingContext(app)
-    pid = ctx.pid
-    order = app.graph.topological_order()
-    budget = app.k
-    start = int(rng.integers(0, 30))
-    reference = FeasibilityOracle(
-        app, budget, start_time=start, slack_sharing=slack_sharing
-    )
-    fast = FastOracle(ctx, budget, start, 0, slack_sharing)
-    scheduled = set()
-    for name in order:
-        probes = [n for n in order if n not in scheduled]
-        for candidate in probes:
-            for rex in (None, 0, 1, budget):
-                assert fast.check(pid[candidate], rex) == reference.check(
-                    candidate, rex
-                ), f"seed={seed} prefix={sorted(scheduled)} {candidate}/{rex}"
-        assert fast.schedulable(ctx.mask(probes)) == ctx.mask(
-            reference.schedulable_subset(probes)
-        )
-        if len(scheduled) >= len(order) - 1:
-            break
-        rex = (
-            budget
-            if app.process(name).is_hard
-            else int(rng.integers(0, budget + 1))
-        )
-        reference.on_schedule(name, rex)
-        fast.on_schedule(pid[name], rex)
-        scheduled.add(name)
+    after = kernel_stats().snapshot().fallbacks
+    counted = {
+        reason: count - before.get(reason, 0)
+        for reason, count in after.items()
+        if count != before.get(reason, 0)
+    }
+    assert set(counted) == {"nonconstant-utility"}
+    c_path.update(counted)
 
 
 def test_stats_counters_accumulate():
@@ -324,3 +321,96 @@ def test_stats_counters_accumulate():
     merged.merge(stats)
     assert merged.trees_built == 2
     assert "tree(s)" in merged.summary_line()
+
+
+# ----------------------------------------------------------------------
+# rk_expected against TailProfile.expected
+# ----------------------------------------------------------------------
+def assert_expected_bits(core, profile, rows, points, label):
+    """``rk_expected`` over ``rows`` equals ``profile.expected`` at
+    every one of ``points``, bit for bit."""
+    got = core.expected(core.tail_terms(rows), points)
+    want = np.array([profile.expected(tc) for tc in points])
+    assert got.tobytes() == want.tobytes(), label
+
+
+def test_rk_expected_on_every_corpus_profile(synthesis_full, c_path,
+                                            monkeypatch):
+    """Every profile the fast engine evaluates across the corpus and
+    the cruise controller, at every critical point it evaluates."""
+    checked = []
+
+    def compare(engine, profile, c_terms, points):
+        values = engine.ctx.core.expected(c_terms, points)
+        want = np.array([profile.expected(tc) for tc in points])
+        assert values.tobytes() == want.tobytes(), points
+        checked.append(len(points))
+        return values
+
+    monkeypatch.setattr(SynthesisEngine, "_expectations", compare)
+    builds = [
+        (scheduled_app(WorkloadSpec(n_processes=n, k=k, mu=15), seed),
+         max_schedules)
+        for n, k, max_schedules, seed, smoke in CORPUS
+        if smoke or synthesis_full
+    ]
+    app = cruise_controller()
+    builds.append(((app, ftss(app)), 39 if synthesis_full else 8))
+    for produced, max_schedules in builds:
+        if produced is not None:
+            app, root = produced
+            ftqs_fast(app, root, FTQSConfig(max_schedules=max_schedules))
+    assert len(checked) > 10 and sum(checked) > 100
+
+
+def test_rk_expected_on_every_branch(c_path):
+    """One survival model branch after another — one process, zero
+    variance, an empty or inverted span, the normal approximation —
+    for each piecewise-constant utility kind, with breakpoints before,
+    at and after the period, from switch times on both sides of every
+    boundary; then all terms of a profile at once."""
+    period = 150
+    utilities = [
+        StepUtility(40, [(30, 25), (90, 10), (150, 5), (400, 1)]),
+        ConstantUtility(12.5),
+        ConstantUtility(30, cutoff=150),
+        ConstantUtility(30, cutoff=200),
+        TabulatedUtility([(0, 35.5), (60, 20.25), (150, 3.0), (170, 0.0)]),
+    ]
+    processes = [
+        soft_process(f"S{i}", 10, 40, utility)
+        for i, utility in enumerate(utilities)
+    ]
+    app = Application(
+        ProcessGraph(processes, [], period=period),
+        period=period, k=1, mu=5,
+    )
+    ctx = SchedulingContext(app)
+    points = list(range(-60, 2 * period, 7)) + [0, 30, 31, period]
+    shapes = [
+        (count, variance, lo, hi)
+        for count in (1, 2, 5)
+        for variance in (0.0, 40.5)
+        for lo, hi in ((10, 60), (35, 35), (60, 10), (0, 200))
+    ]
+    rows = []
+    for pid in range(len(ctx.names)):
+        for count, variance, lo, hi in shapes:
+            term = TailTerm(
+                alpha=0.37 + pid / 8, fn=ctx.utilities[pid],
+                mean=(lo + hi) / 2 + 0.25, variance=variance,
+                lo_sum=lo, hi_sum=hi, count=count,
+            )
+            row = (pid, count, lo, hi, term.alpha, term.mean, variance)
+            rows.append((term, row))
+            assert_expected_bits(
+                ctx.core, TailProfile((term,), period), [row], points,
+                f"{ctx.names[pid]} {count} {variance} {lo} {hi}",
+            )
+    terms, c_rows = zip(*rows)
+    assert_expected_bits(
+        ctx.core, TailProfile(terms, period), list(c_rows), points,
+        "every term",
+    )
+    assert_expected_bits(ctx.core, TailProfile((), period), [], points,
+                         "no term")
