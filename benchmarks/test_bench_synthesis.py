@@ -4,11 +4,9 @@ synthesis engine.
 Measures tree-construction wall time on the Table 1 synthesis axis —
 a 30-process, k = 3 application swept over the paper's tree sizes M —
 asserting the trees are identical and that the fast engine clears a
-**3x single-job floor** on the sweep aggregate (measured ~4-6x: the
+**3x floor** on the sweep aggregate (measured ~4-6x: the
 memoized tail scheduler and the incremental similarity pay off more
-the larger M gets).  A ``jobs=4`` axis exercises the parallel
-candidate layer (equality always asserted; the speed comparison only
-on boxes with >= 4 CPUs, like the engine bench).
+the larger M gets).
 
 With ``--record``, every measured axis is appended to
 ``BENCH_synthesis.json`` at the repo root — a trajectory artifact
@@ -22,15 +20,13 @@ routed ``ftss`` against ``ftss_reference``, also with a 2x floor
 (neither is recorded).
 """
 
-import os
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.quasistatic.ftqs import FTQSConfig, ftqs_reference
-from repro.quasistatic.synthesis import SynthesisEngine, ftqs_fast
+from repro.quasistatic.ftqs import FTQSConfig, ftqs, ftqs_reference
 from repro.scheduling.ftss import FTSSConfig, ftss, ftss_reference
 from repro.workloads.cruise import cruise_controller
 from repro.workloads.suite import WorkloadSpec, generate_application
@@ -75,7 +71,7 @@ def _best_of(builder, rounds=3):
 
 
 def test_synthesis_speedup_table1_axis(table1_app, synthesis_full, trajectory):
-    """Table 1 M sweep: identical trees, >= 3x aggregate single-job."""
+    """Table 1 M sweep: identical trees, >= 3x aggregate."""
     app, root = table1_app
     tree_sizes = (2, 8, 13, 23, 34, 79, 89) if synthesis_full else (2, 8, 34, 89)
     t_ref_total = 0.0
@@ -83,7 +79,7 @@ def test_synthesis_speedup_table1_axis(table1_app, synthesis_full, trajectory):
     for m in tree_sizes:
         config = FTQSConfig(max_schedules=m)
         reference, t_ref = _best_of(lambda: ftqs_reference(app, root, config))
-        fast, t_fast = _best_of(lambda: ftqs_fast(app, root, config))
+        fast, t_fast = _best_of(lambda: ftqs(app, root, config))
         assert_trees_identical(reference, fast, f"bench M={m}")
         t_ref_total += t_ref
         t_fast_total += t_fast
@@ -118,60 +114,6 @@ def test_synthesis_speedup_table1_axis(table1_app, synthesis_full, trajectory):
     )
 
 
-def test_synthesis_parallel_candidate_layer(table1_app, trajectory):
-    """jobs=4 candidate sharding: identical tree; faster on >= 4 CPUs.
-
-    The pool is spawned outside the timed window (the persistent-pool
-    amortization a sweep enjoys); each round still builds with cold
-    memos via a fresh engine.
-    """
-    app, root = table1_app
-    config = FTQSConfig(max_schedules=34)
-
-    def build_jobs4():
-        with SynthesisEngine(app, config, jobs=4) as engine:
-            engine._ensure_pool()  # spawn outside the timed build
-            start = time.perf_counter()
-            tree = engine.build(root)
-            return tree, time.perf_counter() - start
-
-    t_serial = None
-    t_sharded = None
-    serial = sharded = None
-    for _ in range(2):
-        serial, elapsed = _best_of(
-            lambda: ftqs_fast(app, root, config), rounds=1
-        )
-        t_serial = elapsed if t_serial is None else min(t_serial, elapsed)
-        sharded, elapsed = build_jobs4()
-        t_sharded = elapsed if t_sharded is None else min(t_sharded, elapsed)
-    assert_trees_identical(serial, sharded, "bench jobs=4")
-    print(
-        f"\n[synthesis/table1/jobs] jobs=1 {t_serial:.3f}s  "
-        f"jobs=4 {t_sharded:.3f}s"
-    )
-    # sched_getaffinity respects cgroup/affinity limits; cpu_count()
-    # reports the host and would assert on throttled containers.
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    trajectory.append(
-        {
-            "label": "table1/jobs4-vs-jobs1",
-            "jobs1_seconds": t_serial,
-            "jobs4_seconds": t_sharded,
-            "cpu_count": cpus,
-            "speedup": t_serial / t_sharded,
-        }
-    )
-    if cpus >= 4:
-        assert t_sharded < t_serial, (
-            f"jobs=4 ({t_sharded:.3f}s) did not beat jobs=1 "
-            f"({t_serial:.3f}s) on a {cpus}-CPU box"
-        )
-
-
 @bench_smoke
 def test_synthesis_smoke_throughput():
     """Seconds-long tier-1 slice: cruise-controller build >= 2x.
@@ -185,7 +127,7 @@ def test_synthesis_smoke_throughput():
     assert root is not None
     config = FTQSConfig(max_schedules=8)
     reference, t_ref = _best_of(lambda: ftqs_reference(app, root, config))
-    fast, t_fast = _best_of(lambda: ftqs_fast(app, root, config))
+    fast, t_fast = _best_of(lambda: ftqs(app, root, config))
     assert_trees_identical(reference, fast, "smoke cc M=8")
     print(
         f"\n[synthesis/cc/smoke] reference {t_ref:.3f}s  fast {t_fast:.3f}s  "

@@ -121,17 +121,15 @@ def synthesis_report(
     n_scenarios: int = 200,
     seed: int = 1,
     execution=DEFAULT_ENGINE,
-    synthesis: str = "fast",
-    synthesis_jobs: int = 1,
     stats=None,
     resources=None,
     store=None,
 ) -> SynthesisReport:
     """Run the full pipeline on ``app`` and assemble the report.
 
-    ``resources``/``store`` route synthesis and evaluation through the
-    shared worker pools and the content-addressed tree cache of
-    :mod:`repro.pipeline` when provided.
+    ``resources`` routes the evaluation through the shared worker
+    pools and ``store`` the synthesis through the content-addressed
+    tree cache of :mod:`repro.pipeline`, when provided.
     """
     root = ftss(app)
     if root is None:
@@ -142,10 +140,7 @@ def synthesis_report(
         app,
         root,
         FTQSConfig(max_schedules=max_schedules),
-        synthesis=synthesis,
-        synthesis_jobs=synthesis_jobs,
         stats=stats,
-        resources=resources,
         store=store,
     )
     baseline = ftsf(app)

@@ -57,11 +57,11 @@ from repro.execution import DEFAULT_ENGINE
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for worker counts: an integer >= 1.
+    """argparse type for counts: an integer >= 1.
 
-    Rejects ``--synthesis-jobs 0`` / ``--max-inflight -2`` at parse
-    time with a one-line usage error instead of a deep traceback out
-    of the pool machinery.
+    Rejects ``--schedules 0`` / ``--max-inflight -2`` at parse time
+    with a one-line usage error instead of a deep traceback (or, for
+    ``--apps``, an empty table).
     """
     try:
         value = int(text)
@@ -71,7 +71,7 @@ def _positive_int(text: str) -> int:
         ) from None
     if value < 1:
         raise argparse.ArgumentTypeError(
-            f"worker count must be at least 1, got {value}"
+            f"must be at least 1, got {value}"
         )
     return value
 
@@ -140,40 +140,30 @@ def _open_store(args: argparse.Namespace):
     return TreeStore(backend=backend)
 
 
-def _wants_store(args: argparse.Namespace) -> bool:
-    return bool(
-        getattr(args, "cache_dir", None)
-        or getattr(args, "cache_backend", "fs") not in (None, "fs")
-    )
-
-
-def _synthesis_routing(args: argparse.Namespace):
-    """(kwargs for run_*, stats collector or None) from the CLI flags."""
+def _synthesis_stats():
+    """A fresh FTQS construction collector, with the kernel counters
+    zeroed so :func:`_print_synthesis_line` reports this command's
+    fallbacks only."""
     from repro.quasistatic.synthesis import SynthesisStats
+    from repro.runtime.engine.kernel import reset_kernel_stats
 
-    stats = (
-        SynthesisStats()
-        if args.synthesis == "fast" or _wants_store(args)
-        else None
-    )
-    return (
-        {
-            "synthesis": args.synthesis,
-            "synthesis_jobs": args.synthesis_jobs,
-            "stats": stats,
-        },
-        stats,
-    )
+    reset_kernel_stats()
+    return SynthesisStats()
 
 
 def _print_synthesis_line(stats, store=None) -> None:
-    """Construction summary mirroring the simulate fast-path line."""
-    if stats is None:
-        return
+    """Construction summary mirroring the simulate fast-path line,
+    then, when a C-core call fell back to its oracle, the kernel
+    counters."""
+    from repro.runtime.engine.kernel import kernel_stats
+
     if store is not None:
         stats.absorb_store(store)
     if stats.trees_built or stats.store_hits or stats.store_misses:
         print(stats.summary_line())
+    kernel = kernel_stats()
+    if kernel.fallbacks or kernel.oracle_scenarios:
+        print(f"kernel: {kernel.summary()}")
 
 
 def _open_checkpoint(args: argparse.Namespace, name: str, config=None):
@@ -270,10 +260,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             "resume from)"
         )
     routing = {"execution": args.executor.spec()}
-    synthesis, stats = _synthesis_routing(args)
+    stats = _synthesis_stats()
     reset_pool_recovery()
     store = _open_store(args)
-    synthesis["store"] = store
+    pipeline = {"stats": stats, "store": store}
     checkpoint = None
     try:
         # The chaos plan (if any) is active for the whole run; the
@@ -283,19 +273,19 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         with _chaos_context(args), ResourceManager(
             store=store
         ) as resources:
-            synthesis["resources"] = resources
+            pipeline["resources"] = resources
             if name in ("fig9a", "fig9b"):
                 config = (
                     Fig9Config.paper_scale()
                     if args.paper_scale
                     else Fig9Config()
                 )
-                if args.apps:
+                if args.apps is not None:
                     config = replace(config, apps_per_size=args.apps)
                 config = replace(config, **routing)
                 checkpoint = _open_checkpoint(args, name, config)
-                synthesis["checkpoint"] = checkpoint
-                rows = run_fig9(config, **synthesis)
+                pipeline["checkpoint"] = checkpoint
+                rows = run_fig9(config, **pipeline)
                 print(
                     format_fig9(rows, panel="a" if name == "fig9a" else "b")
                 )
@@ -307,21 +297,21 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 )
                 config = replace(config, **routing)
                 checkpoint = _open_checkpoint(args, name, config)
-                synthesis["checkpoint"] = checkpoint
-                print(format_table1(run_table1(config, **synthesis)))
+                pipeline["checkpoint"] = checkpoint
+                print(format_table1(run_table1(config, **pipeline)))
             elif name == "cc":
                 config = (
                     CCConfig.paper_scale() if args.paper_scale else CCConfig()
                 )
                 config = replace(config, **routing)
                 checkpoint = _open_checkpoint(args, name, config)
-                synthesis["checkpoint"] = checkpoint
-                print(run_cc(config, **synthesis).format())
+                pipeline["checkpoint"] = checkpoint
+                print(run_cc(config, **pipeline).format())
             elif name == "ablations":
                 config = AblationConfig(**routing)
                 checkpoint = _open_checkpoint(args, name, config)
-                synthesis["checkpoint"] = checkpoint
-                print(format_ablations(run_ablations(config, **synthesis)))
+                pipeline["checkpoint"] = checkpoint
+                print(format_ablations(run_ablations(config, **pipeline)))
             elif name == "sweeps":
                 from repro.evaluation.experiments import (
                     SweepConfig,
@@ -332,17 +322,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
                 config = SweepConfig(**routing)
                 checkpoint = _open_checkpoint(args, name, config)
-                synthesis["checkpoint"] = checkpoint
+                pipeline["checkpoint"] = checkpoint
                 print(
                     format_sweep(
-                        run_soft_ratio_sweep(config=config, **synthesis),
+                        run_soft_ratio_sweep(config=config, **pipeline),
                         "soft ratio",
                     )
                 )
                 print()
                 print(
                     format_sweep(
-                        run_fault_budget_sweep(config=config, **synthesis),
+                        run_fault_budget_sweep(config=config, **pipeline),
                         "fault budget k",
                     )
                 )
@@ -398,8 +388,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         execution=args.executor,
-        synthesis_jobs=args.synthesis_jobs,
-        synthesis=args.synthesis,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
         request_timeout=(
@@ -420,12 +408,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.runtime.online import simulate
 
     app = paper_fig1_application()
-    result = schedule_application(app, max_schedules=args.schedules)
+    with _input_errors():
+        result = schedule_application(app, max_schedules=args.schedules)
+        scenario = ScenarioSampler(app, seed=args.seed).sample(
+            faults=args.faults
+        )
     print(f"quasi-static tree: {result.summary()}")
-    sampler = ScenarioSampler(app, seed=args.seed)
-    scenario = sampler.sample(faults=args.faults)
-    outcome = simulate(app, result.tree, scenario)
-    print(render_gantt(app, outcome))
+    print(render_gantt(app, simulate(app, result.tree, scenario)))
     return 0
 
 
@@ -443,13 +432,9 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     from repro.quasistatic.ftqs import schedule_application
 
     app, _ = _load_inputs(args)
-    synthesis, stats = _synthesis_routing(args)
+    stats = _synthesis_stats()
     result = schedule_application(
-        app,
-        max_schedules=args.schedules,
-        synthesis=args.synthesis,
-        jobs=args.synthesis_jobs,
-        stats=stats,
+        app, max_schedules=args.schedules, stats=stats
     )
     output = args.output or _tree_path(args.application)
     save_json(tree_to_dict(result.tree), output)
@@ -519,15 +504,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.report import synthesis_report
 
     app, _ = _load_inputs(args)
-    _, stats = _synthesis_routing(args)
+    stats = _synthesis_stats()
     report = synthesis_report(
         app,
         max_schedules=args.schedules,
         n_scenarios=args.scenarios,
         seed=args.seed,
         execution=args.executor,
-        synthesis=args.synthesis,
-        synthesis_jobs=args.synthesis_jobs,
         stats=stats,
     )
     print(report.to_markdown())
@@ -608,27 +591,6 @@ def _add_executor_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_synthesis_options(parser: argparse.ArgumentParser) -> None:
-    """Synthesis-engine routing flags shared by the sub-commands."""
-    from repro.quasistatic.ftqs import SYNTHESIS_ENGINES
-
-    parser.add_argument(
-        "--synthesis",
-        choices=list(SYNTHESIS_ENGINES),
-        default="fast",
-        help="FTQS synthesis engine: the reference construction or the "
-        "memoized/vectorized engine (identical trees, several times "
-        "faster)",
-    )
-    parser.add_argument(
-        "--synthesis-jobs",
-        type=_positive_int,
-        default=1,
-        help="worker processes for FTQS candidate evaluation "
-        "(identical trees for any count)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -650,7 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="full §6 sizes (50 apps/size, 20k scenarios) — slow",
     )
-    exp.add_argument("--apps", type=int, default=0, help="apps per size")
+    exp.add_argument(
+        "--apps", type=_positive_int, default=None, help="apps per size"
+    )
     _add_cache_options(exp)
     exp.add_argument(
         "--checkpoint",
@@ -671,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_chaos_option(exp)
     _add_executor_option(exp)
-    _add_synthesis_options(exp)
     exp.set_defaults(func=_cmd_experiment)
 
     srv = sub.add_parser(
@@ -722,26 +685,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_options(srv)
     _add_chaos_option(srv)
     _add_executor_option(srv)
-    _add_synthesis_options(srv)
     srv.set_defaults(func=_cmd_serve)
 
     demo = sub.add_parser("demo", help="run the Fig. 1 example")
-    demo.add_argument("--schedules", type=int, default=8)
+    demo.add_argument("--schedules", type=_positive_int, default=8)
     demo.add_argument("--faults", type=int, default=1)
     demo.add_argument("--seed", type=int, default=1)
     demo.set_defaults(func=_cmd_demo)
 
     sched = sub.add_parser("schedule", help="synthesize a tree for an app")
     sched.add_argument("application", help="application JSON file")
-    sched.add_argument("--schedules", type=int, default=16)
+    sched.add_argument("--schedules", type=_positive_int, default=16)
     sched.add_argument("--output", default=None)
-    _add_synthesis_options(sched)
     sched.set_defaults(func=_cmd_schedule)
 
     sim = sub.add_parser("simulate", help="replay scenarios against a tree")
     sim.add_argument("application")
     sim.add_argument("tree")
-    sim.add_argument("--scenarios", type=int, default=200)
+    sim.add_argument("--scenarios", type=_positive_int, default=200)
     sim.add_argument("--seed", type=int, default=1)
     _add_chaos_option(sim)
     _add_executor_option(sim)
@@ -761,11 +722,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="print a synthesis report")
     report.add_argument("application")
-    report.add_argument("--schedules", type=int, default=8)
-    report.add_argument("--scenarios", type=int, default=200)
+    report.add_argument("--schedules", type=_positive_int, default=8)
+    report.add_argument("--scenarios", type=_positive_int, default=200)
     report.add_argument("--seed", type=int, default=1)
     _add_executor_option(report)
-    _add_synthesis_options(report)
     report.set_defaults(func=_cmd_report)
     return parser
 

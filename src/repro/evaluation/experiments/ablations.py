@@ -205,8 +205,6 @@ class AblationRunner(ExperimentRunner):
 def run_ablations(
     config: AblationConfig = AblationConfig(),
     *,
-    synthesis: str = "fast",
-    synthesis_jobs: int = 1,
     stats=None,
     resources=None,
     store=None,
@@ -223,8 +221,6 @@ def run_ablations(
     """
     return AblationRunner(
         config,
-        synthesis=synthesis,
-        synthesis_jobs=synthesis_jobs,
         stats=stats,
         resources=resources,
         store=store,

@@ -127,8 +127,6 @@ class CCRunner(ExperimentRunner):
 def run_cc(
     config: CCConfig = CCConfig(),
     *,
-    synthesis: str = "fast",
-    synthesis_jobs: int = 1,
     stats=None,
     resources=None,
     store=None,
@@ -142,8 +140,6 @@ def run_cc(
     """
     return CCRunner(
         config,
-        synthesis=synthesis,
-        synthesis_jobs=synthesis_jobs,
         stats=stats,
         resources=resources,
         store=store,

@@ -164,8 +164,6 @@ def run_fig9(
     config: Fig9Config = Fig9Config(),
     faults_for_statics: Tuple[int, ...] = (0, 3),
     *,
-    synthesis: str = "fast",
-    synthesis_jobs: int = 1,
     stats=None,
     resources=None,
     store=None,
@@ -181,8 +179,6 @@ def run_fig9(
     return Fig9Runner(
         config,
         faults_for_statics,
-        synthesis=synthesis,
-        synthesis_jobs=synthesis_jobs,
         stats=stats,
         resources=resources,
         store=store,

@@ -136,8 +136,6 @@ class SweepRunner(ExperimentRunner):
 def _run_sweep(
     points: List[Tuple[float, WorkloadSpec]],
     config: SweepConfig,
-    synthesis: str,
-    synthesis_jobs: int,
     stats,
     resources,
     store,
@@ -146,8 +144,6 @@ def _run_sweep(
     return SweepRunner(
         points,
         config,
-        synthesis=synthesis,
-        synthesis_jobs=synthesis_jobs,
         stats=stats,
         resources=resources,
         store=store,
@@ -160,8 +156,6 @@ def run_soft_ratio_sweep(
     config: SweepConfig = SweepConfig(),
     k: int = 3,
     *,
-    synthesis: str = "fast",
-    synthesis_jobs: int = 1,
     stats=None,
     resources=None,
     store=None,
@@ -184,8 +178,6 @@ def run_soft_ratio_sweep(
     return _run_sweep(
         points,
         config,
-        synthesis,
-        synthesis_jobs,
         stats,
         resources,
         store,
@@ -198,8 +190,6 @@ def run_fault_budget_sweep(
     config: SweepConfig = SweepConfig(),
     soft_ratio: float = 0.5,
     *,
-    synthesis: str = "fast",
-    synthesis_jobs: int = 1,
     stats=None,
     resources=None,
     store=None,
@@ -222,8 +212,6 @@ def run_fault_budget_sweep(
     return _run_sweep(
         points,
         config,
-        synthesis,
-        synthesis_jobs,
         stats,
         resources,
         store,

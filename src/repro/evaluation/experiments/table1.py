@@ -149,8 +149,6 @@ class Table1Runner(ExperimentRunner):
 def run_table1(
     config: Table1Config = Table1Config(),
     *,
-    synthesis: str = "fast",
-    synthesis_jobs: int = 1,
     stats=None,
     resources=None,
     store=None,
@@ -164,8 +162,6 @@ def run_table1(
     """
     return Table1Runner(
         config,
-        synthesis=synthesis,
-        synthesis_jobs=synthesis_jobs,
         stats=stats,
         resources=resources,
         store=store,

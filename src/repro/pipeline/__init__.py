@@ -13,9 +13,9 @@ The pieces (see the module docstrings for the full story):
   :class:`~repro.pipeline.store.ResilientBackend` retry/circuit-
   breaker wrapper around the networked backend;
 * :class:`~repro.pipeline.resources.ResourceManager` — experiment-
-  scoped ownership of the synthesis and evaluation worker pools (one
-  spawn per run instead of one per application) and of the run's
-  optional tree store;
+  scoped ownership of the evaluation worker pools (one spawn per run
+  instead of one per application) and of the run's optional tree
+  store;
 * :class:`~repro.pipeline.checkpoint.ExperimentCheckpoint` — the
   durable journal behind ``repro experiment --checkpoint/--resume``:
   a killed sweep resumes, skips finished evaluation units and emits

@@ -22,8 +22,7 @@ implement by hand, and add what they could not:
   :func:`~repro.scheduling.ftss.ftss`, attempt caps);
 * :meth:`synthesize` — FTQS construction through the optional
   content-addressed :class:`~repro.pipeline.store.TreeStore`
-  (identical inputs skip the build) and the shared synthesis pool of
-  the run's :class:`~repro.pipeline.resources.ResourceManager`;
+  (identical inputs skip the build);
 * :meth:`evaluator` — paired Monte-Carlo evaluators wired to the
   manager's shared evaluation pool, scoped with ``with`` so scenario
   segments are released per application while worker processes
@@ -54,19 +53,15 @@ def synthesize_tree(
     root,
     config: FTQSConfig,
     *,
-    synthesis: str = "fast",
-    synthesis_jobs: int = 1,
     stats=None,
-    resources: Optional[ResourceManager] = None,
     store: Optional[TreeStore] = None,
 ):
-    """Store- and pool-aware FTQS construction (the pipeline's core).
+    """Store-aware FTQS construction (the pipeline's core).
 
     A store hit returns the cached tree without building (counted on
     ``stats.store_hits``; ``trees_built`` stays untouched, which is
-    how a fully-cached run reports zero builds).  A miss builds
-    through the shared synthesis pool when ``resources`` is set and
-    ``synthesis_jobs > 1``, then persists the result.
+    how a fully-cached run reports zero builds).  A miss builds the
+    tree with :func:`~repro.quasistatic.ftqs.ftqs`, then persists it.
     """
     if store is not None:
         cached = store.get(app, root, config)
@@ -76,18 +71,7 @@ def synthesize_tree(
             return cached
         if stats is not None:
             stats.store_misses += 1
-    pool = None
-    if resources is not None and synthesis == "fast" and synthesis_jobs > 1:
-        pool = resources.synthesis_pool(synthesis_jobs)
-    tree = ftqs(
-        app,
-        root,
-        config,
-        synthesis=synthesis,
-        jobs=synthesis_jobs,
-        stats=stats,
-        pool=pool,
-    )
+    tree = ftqs(app, root, config, stats=stats)
     if store is not None:
         store.put(app, root, config, tree)
     return tree
@@ -102,8 +86,9 @@ class ExperimentRunner:
         Monte-Carlo routing — an
         :class:`~repro.execution.ExecutionConfig` or spec string like
         ``"kernel@threads:8"``; defaults to inline ``kernel``.
-    synthesis, synthesis_jobs, stats:
-        FTQS engine routing, as accepted by :func:`ftqs`.
+    stats:
+        Optional :class:`~repro.quasistatic.synthesis.SynthesisStats`
+        collecting the run's FTQS construction and store counters.
     resources:
         The run's :class:`ResourceManager`.  ``None`` (the default)
         creates an owned manager that is closed when :meth:`run`
@@ -133,8 +118,6 @@ class ExperimentRunner:
         self,
         *,
         execution=None,
-        synthesis: str = "fast",
-        synthesis_jobs: int = 1,
         stats=None,
         resources: Optional[ResourceManager] = None,
         store: Optional[TreeStore] = None,
@@ -145,8 +128,6 @@ class ExperimentRunner:
             if execution is None
             else ExecutionConfig.coerce(execution)
         )
-        self.synthesis = synthesis
-        self.synthesis_jobs = synthesis_jobs
         self.stats = stats
         if store is None and resources is not None:
             store = resources.store
@@ -193,10 +174,7 @@ class ExperimentRunner:
             app,
             root,
             config,
-            synthesis=self.synthesis,
-            synthesis_jobs=self.synthesis_jobs,
             stats=self.stats,
-            resources=self.resources,
             store=self.store,
         )
 

@@ -3,7 +3,6 @@
 from repro.quasistatic.ftqs import (
     DEFAULT_FTQS_CONFIG,
     FTQSConfig,
-    SYNTHESIS_ENGINES,
     SchedulingStrategyResult,
     best_case_completion,
     create_subschedules,
@@ -13,11 +12,7 @@ from repro.quasistatic.ftqs import (
     schedule_application,
     worst_case_completion,
 )
-from repro.quasistatic.synthesis import (
-    SynthesisEngine,
-    SynthesisStats,
-    ftqs_fast,
-)
+from repro.quasistatic.synthesis import SynthesisEngine, SynthesisStats
 from repro.quasistatic.intervals import (
     TailProfile,
     beneficial_intervals,
@@ -35,7 +30,6 @@ from repro.quasistatic.tree import QSNode, QSTree, SwitchArc
 __all__ = [
     "DEFAULT_FTQS_CONFIG",
     "FTQSConfig",
-    "SYNTHESIS_ENGINES",
     "QSNode",
     "QSTree",
     "SchedulingStrategyResult",
@@ -46,7 +40,6 @@ __all__ = [
     "create_subschedules",
     "find_most_similar_unexpanded",
     "ftqs",
-    "ftqs_fast",
     "ftqs_reference",
     "SynthesisEngine",
     "SynthesisStats",

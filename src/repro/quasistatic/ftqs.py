@@ -89,9 +89,6 @@ class FTQSConfig:
 
 DEFAULT_FTQS_CONFIG = FTQSConfig()
 
-#: The interchangeable tree-construction engines of :func:`ftqs`.
-SYNTHESIS_ENGINES = ("reference", "fast")
-
 
 def best_case_completion(
     app: Application, node_schedule: FSchedule, position: int, faults: int
@@ -332,42 +329,19 @@ def ftqs(
     root_schedule: FSchedule,
     config: FTQSConfig = DEFAULT_FTQS_CONFIG,
     *,
-    synthesis: str = "fast",
-    jobs: int = 1,
     stats=None,
-    pool=None,
 ) -> QSTree:
     """Build the fault-tolerant quasi-static tree Φ (paper Fig. 7).
 
-    Two interchangeable synthesis engines construct the tree:
-
-    * ``synthesis="reference"`` — the oracle below: one full FTSS run
-      per candidate, point-by-point interval partitioning;
-    * ``synthesis="fast"`` (default) — the memoized/vectorized engine
-      of :mod:`repro.quasistatic.synthesis`, byte-identical trees
-      (asserted by ``tests/test_synthesis_differential.py``) several
-      times faster; ``jobs > 1`` additionally shards each expansion
-      layer's candidates across worker processes (also identical for
-      any job count).  ``stats`` may be a
-      :class:`~repro.quasistatic.synthesis.SynthesisStats` to
-      accumulate construction counters across calls, and ``pool`` a
-      shared :class:`~repro.runtime.engine.parallel.TaskPool`
-      borrowed from a
-      :class:`repro.pipeline.resources.ResourceManager` (used only by
-      the fast engine with ``jobs > 1``).
+    Runs the fast engine of :mod:`repro.quasistatic.synthesis`, whose
+    trees are identical to :func:`ftqs_reference`'s (asserted by
+    ``tests/test_synthesis_differential.py``).  ``stats`` may be a
+    :class:`~repro.quasistatic.synthesis.SynthesisStats` that
+    accumulates construction counters across calls.
     """
-    if synthesis == "fast":
-        from repro.quasistatic.synthesis import ftqs_fast
+    from repro.quasistatic.synthesis import SynthesisEngine
 
-        return ftqs_fast(
-            app, root_schedule, config, jobs=jobs, stats=stats, pool=pool
-        )
-    if synthesis != "reference":
-        raise ValueError(
-            f"unknown synthesis engine {synthesis!r}; expected one of "
-            f"{SYNTHESIS_ENGINES}"
-        )
-    return ftqs_reference(app, root_schedule, config)
+    return SynthesisEngine(app, config, stats=stats).build(root_schedule)
 
 
 def ftqs_reference(
@@ -429,17 +403,14 @@ def schedule_application(
     max_schedules: int = 16,
     config: Optional[FTQSConfig] = None,
     *,
-    synthesis: str = "fast",
-    jobs: int = 1,
     stats=None,
-    pool=None,
 ) -> SchedulingStrategyResult:
     """The paper's ``SchedulingStrategy`` (Fig. 6).
 
     Generates the root f-schedule with FTSS; raises
     :class:`~repro.errors.UnschedulableError` when no fault-tolerant
     schedule exists; otherwise grows the quasi-static tree with FTQS
-    (``synthesis``/``jobs``/``stats``/``pool`` route to :func:`ftqs`).
+    (``stats`` goes to :func:`ftqs`).
     """
     if config is None:
         config = FTQSConfig(max_schedules=max_schedules)
@@ -449,15 +420,7 @@ def schedule_application(
             "no f-schedule meets all hard deadlines under the fault "
             "hypothesis"
         )
-    tree = ftqs(
-        app,
-        root,
-        config,
-        synthesis=synthesis,
-        jobs=jobs,
-        stats=stats,
-        pool=pool,
-    )
+    tree = ftqs(app, root, config, stats=stats)
     return SchedulingStrategyResult(
         app=app, root_schedule=root, tree=tree, stats=stats
     )

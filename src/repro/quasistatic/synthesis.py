@@ -1,12 +1,12 @@
-"""Fast FTQS synthesis engine (the design-time counterpart of PR 1/2).
+"""The fast FTQS synthesis engine: the tree builder behind ``ftqs``.
 
-:mod:`repro.quasistatic.ftqs` remains the *behavioral oracle* of tree
-construction — deliberately simple, one full FTSS run per candidate,
-interval partitioning evaluated point by point.  This module rebuilds
-that hot path for paper-scale sweeps while producing **byte-identical
-trees** (``tests/test_synthesis_differential.py`` asserts node, arc,
-interval and schedule equality over a randomized corpus, for any job
-count):
+:func:`repro.quasistatic.ftqs.ftqs_reference` remains the *behavioral
+oracle* of tree construction — deliberately simple, one full FTSS run
+per candidate, interval partitioning evaluated point by point.  This
+module rebuilds that hot path for paper-scale sweeps while producing
+**byte-identical trees** (``tests/test_synthesis_differential.py``
+asserts node, arc, interval and schedule equality over a randomized
+corpus):
 
 * **Tails in the C core** — one
   :class:`~repro.scheduling.compiled.SchedulingContext` per build
@@ -28,20 +28,11 @@ count):
   :mod:`repro.runtime.engine.kernel.design`).  Schedule similarity is
   maintained incrementally (a per-node running maximum updated on
   insertion) instead of O(tree) per query.
-
-* **Parallel candidate layer** — the candidates of one FTQS expansion
-  are independent; with ``jobs > 1`` they are sharded across a
-  persistent :class:`~repro.runtime.engine.parallel.TaskPool` whose
-  workers each build a ``jobs=1`` engine once from the pool's
-  :class:`~repro.runtime.engine.parallel.WorkerContext`, and merged in
-  generation order, so the admitted children (and therefore node ids,
-  arcs and the final tree) are identical for any job count.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -62,10 +53,8 @@ class SynthesisStats:
     """Counters of one (or several, merged) fast tree constructions.
 
     ``memo_hits`` counts candidates whose tail schedule came out of the
-    memo instead of a fresh FTSS run; with ``jobs > 1`` the workers'
-    memos are process-local, so the counters reflect only parent-side
-    work.  ``store_hits``/``store_misses`` count tree-store lookups
-    when the caller synthesizes through a
+    memo instead of a fresh FTSS run.  ``store_hits``/``store_misses``
+    count tree-store lookups when the caller synthesizes through a
     :class:`repro.pipeline.store.TreeStore` (a hit skips the build
     entirely, so ``trees_built`` stays untouched); a corrupted or
     error-raising entry counts as a miss.  :meth:`absorb_store` folds
@@ -179,119 +168,29 @@ class _CandidateResult:
     improvement: float
 
 
-def _synthesis_worker_eval(engine: "SynthesisEngine", task):
-    """Evaluate one (position, faults) candidate in a worker.
-
-    ``engine`` is the worker's ``jobs=1`` engine for the application
-    (its :class:`~repro.runtime.engine.parallel.WorkerContext` state).
-    Returns a picklable reduction of :class:`_CandidateResult` (the
-    tail's entries; the parent rebuilds the schedule from its own
-    context) or ``None`` for non-admissible candidates.
-    """
-    (
-        spec,
-        position,
-        switch_process,
-        faults,
-        start,
-        hi,
-        prefix_completed,
-        parent_signature,
-    ) = task
-    schedule = engine._schedule_from_spec(spec)
-    candidate = engine._evaluate(
-        schedule,
-        position,
-        switch_process,
-        faults,
-        start,
-        hi,
-        prefix_completed,
-        parent_signature,
-    )
-    if candidate is None:
-        return None
-    return (
-        tuple(candidate.tail.entries),
-        candidate.intervals,
-        candidate.improvement,
-    )
-
-
 class SynthesisEngine:
     """The fast FTQS tree builder (see the module docstring).
 
-    One engine instance holds the compiled tables, memos and (for
-    ``jobs > 1``) the persistent worker pool; ``build()`` may be called
-    repeatedly — e.g. once per M of a Table 1 sweep — and later builds
-    reuse every memoized tail.  Use as a context manager (or call
-    :meth:`close`) when ``jobs > 1`` so the pool is released
-    deterministically.
-
-    ``pool`` may be a :class:`~repro.runtime.engine.parallel.TaskPool`
-    borrowed from a :class:`repro.pipeline.resources.ResourceManager`,
-    so one pool spawned once serves every application of an
-    experiment sweep; without one the engine spawns its own on first
-    use.  Either way the workers receive the (app, config) context
-    once each; :meth:`close` terminates only a pool the engine
-    spawned.
+    One engine instance holds the compiled tables and memos;
+    ``build()`` may be called repeatedly — e.g. once per M of a Table 1
+    sweep — and later builds reuse every memoized tail.
     """
 
     def __init__(
         self,
         app,
         config: FTQSConfig = DEFAULT_FTQS_CONFIG,
-        jobs: int = 1,
         stats: Optional[SynthesisStats] = None,
-        pool=None,
     ):
         self.app = app
         self.config = config
-        self.jobs = max(1, int(jobs))
         self.ctx = SchedulingContext(app)
         self.stats = stats if stats is not None else SynthesisStats()
         self._tail_memo: Dict[Tuple, Optional[FSchedule]] = {}
         self._profile_cache: Dict[Tuple, Tuple[TailProfile, object]] = {}
-        self._spec_cache: Dict[Tuple, FSchedule] = {}
-        self._borrowed_pool = pool
-        self._pool = pool
-        self._context = None
-        self._finalizer = None
         self._best_similarity: Dict[int, float] = {}
         self._expected_utility: Dict[int, float] = {}
         self._signatures: Set[Tuple] = set()
-
-    # ------------------------------------------------------------------
-    # Pool lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_pool(self):
-        from repro.runtime.engine.parallel import TaskPool, WorkerContext
-
-        if self._pool is None:
-            self._pool = TaskPool(self.jobs)
-            self._finalizer = weakref.finalize(
-                self, TaskPool.close, self._pool
-            )
-        if self._context is None:
-            self._context = WorkerContext.of(
-                SynthesisEngine, self.app, self.config
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Terminate the candidate worker pool (no-op when jobs == 1
-        or when the pool is borrowed from a resource manager)."""
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        self._pool = self._borrowed_pool
-        self._context = None
-
-    def __enter__(self) -> "SynthesisEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Memoized tail scheduling
@@ -552,32 +451,6 @@ class SynthesisEngine:
             prefix_sets.append(done)
         return prefix_best, worst_completion, prefix_sets
 
-    def _schedule_spec(self, schedule: FSchedule) -> Tuple:
-        return (
-            schedule.entries,
-            schedule.start_time,
-            schedule.fault_budget,
-            tuple(sorted(schedule.prior_completed)),
-            tuple(sorted(schedule.prior_dropped)),
-            schedule.slack_sharing,
-        )
-
-    def _schedule_from_spec(self, spec: Tuple) -> FSchedule:
-        hit = self._spec_cache.get(spec)
-        if hit is None:
-            entries, start, budget, completed, dropped, sharing = spec
-            hit = FSchedule(
-                self.app,
-                list(entries),
-                start_time=start,
-                fault_budget=budget,
-                prior_completed=completed,
-                prior_dropped=dropped,
-                slack_sharing=sharing,
-            )
-            self._spec_cache[spec] = hit
-        return hit
-
     def _candidates(self, node: QSNode) -> List[_CandidateResult]:
         ctx = self.ctx
         config = self.config
@@ -589,7 +462,7 @@ class SynthesisEngine:
         prefix_best, worst_completion, prefix_sets = self._node_prefix_data(
             schedule
         )
-        jobs_plan: List[Tuple] = []
+        results: List[_CandidateResult] = []
         for position in range(len(entries) - 1):
             entry = entries[position]
             fault_range = [0]
@@ -611,58 +484,15 @@ class SynthesisEngine:
                 )
                 if start > hi:
                     continue
-                jobs_plan.append(
-                    (
-                        position,
-                        entry.name,
-                        faults,
-                        start,
-                        hi,
-                        prefix_sets[position],
-                        parent_signature,
-                    )
-                )
-
-        results: List[_CandidateResult] = []
-        if self.jobs > 1 and len(jobs_plan) > 1:
-            spec = self._schedule_spec(schedule)
-            tasks = [
-                (spec, position, name, faults, start, hi, prefix, signature)
-                for position, name, faults, start, hi, prefix, signature
-                in jobs_plan
-            ]
-            self.stats.candidates_evaluated += len(tasks)
-            pool = self._ensure_pool()
-            raw = pool.map(_synthesis_worker_eval, tasks, self._context)
-            prior_dropped = frozenset(schedule.prior_dropped)
-            for item, outcome in zip(jobs_plan, raw):
-                if outcome is None:
-                    continue
-                position, name, faults, start, hi, prefix, _ = item
-                tail_entries, intervals, improvement = outcome
-                tail = FSchedule(
-                    self.app,
-                    list(tail_entries),
-                    start_time=start,
-                    fault_budget=budget - faults,
-                    prior_completed=ctx.names_of(prefix),
-                    prior_dropped=prior_dropped,
-                    slack_sharing=config.ftss.slack_sharing,
-                )
-                results.append(
-                    _CandidateResult(
-                        position=position,
-                        assumed_faults=faults,
-                        switch_process=name,
-                        tail=tail,
-                        intervals=intervals,
-                        improvement=improvement,
-                    )
-                )
-        else:
-            for position, name, faults, start, hi, prefix, sig in jobs_plan:
                 candidate = self._evaluate(
-                    schedule, position, name, faults, start, hi, prefix, sig
+                    schedule,
+                    position,
+                    entry.name,
+                    faults,
+                    start,
+                    hi,
+                    prefix_sets[position],
+                    parent_signature,
                 )
                 if candidate is not None:
                     results.append(candidate)
@@ -747,7 +577,7 @@ class SynthesisEngine:
 
     def build(self, root_schedule: FSchedule) -> QSTree:
         """Grow the quasi-static tree Φ — fast twin of
-        :func:`repro.quasistatic.ftqs.ftqs`."""
+        :func:`repro.quasistatic.ftqs.ftqs_reference`."""
         started = time.perf_counter()
         config = self.config
         self._best_similarity = {}
@@ -778,24 +608,3 @@ class SynthesisEngine:
             self.stats.trees_built += 1
             self.stats.wall_seconds += time.perf_counter() - started
 
-
-def ftqs_fast(
-    app,
-    root_schedule: FSchedule,
-    config: FTQSConfig = DEFAULT_FTQS_CONFIG,
-    jobs: int = 1,
-    stats: Optional[SynthesisStats] = None,
-    pool=None,
-) -> QSTree:
-    """Build the quasi-static tree with the fast synthesis engine.
-
-    Byte-identical to :func:`repro.quasistatic.ftqs.ftqs` with
-    ``synthesis="reference"`` for any ``jobs`` count.  ``pool`` may be
-    a shared :class:`~repro.runtime.engine.parallel.TaskPool` (see
-    :class:`repro.pipeline.resources.ResourceManager`); it is
-    borrowed, not closed.
-    """
-    with SynthesisEngine(
-        app, config, jobs=jobs, stats=stats, pool=pool
-    ) as engine:
-        return engine.build(root_schedule)

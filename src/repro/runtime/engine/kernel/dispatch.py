@@ -128,6 +128,8 @@ class KernelStats:
                 for reason, count in sorted(self.fallbacks.items())
             )
             parts.append(f"{self.n_fallbacks} fallback(s) [{reasons}]")
+        if self.oracle_scenarios:
+            parts.append(f"{self.oracle_scenarios} oracle scenario(s)")
         return ", ".join(parts)
 
 

@@ -443,12 +443,9 @@ class TaskPool:
     that each worker builds once per context token.  One pool can
     therefore serve any number of applications in sequence — which is
     how :class:`repro.pipeline.resources.ResourceManager` shares one
-    pool across an experiment run.  Users:
-
-    * :class:`ParallelEvaluator` — scenario-slice tasks over shared
-      scenario batches;
-    * :class:`repro.quasistatic.synthesis.SynthesisEngine` — FTQS
-      candidate-evaluation tasks of one expansion layer.
+    pool across an experiment run.  Its user is
+    :class:`ParallelEvaluator`: scenario-slice tasks over shared
+    scenario batches.
 
     **Fault tolerance.**  The pool runs its own workers over private
     pipes and supervises them through their process sentinels, so a

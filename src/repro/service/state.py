@@ -72,8 +72,6 @@ class ServiceConfig:
     #: Monte-Carlo routing: an ExecutionConfig or a spec string like
     #: "kernel@threads:8" (see repro.execution).
     execution: Any = DEFAULT_ENGINE
-    synthesis_jobs: int = 1
-    synthesis: str = "fast"
     max_inflight: int = 4
     max_queue: int = 16
     #: Per-request wall-clock deadline in seconds (``None`` = none).
@@ -157,10 +155,9 @@ class ServiceState:
         self._close_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._store_lock = threading.Lock()
-        # The shared TaskPools expect one map() at a time; compute
-        # requests that actually route sharded execution (workers > 1)
-        # take this lock, so the parallel engines and the threaded
-        # service compose safely.
+        # The shared TaskPools expect one map() at a time; evaluations
+        # that actually shard (workers > 1) take this lock, so the
+        # parallel executors and the threaded service compose safely.
         self._pool_lock = threading.Lock()
         self._locked_store = (
             _LockedStore(self.store, self._store_lock)
@@ -385,22 +382,9 @@ class ServiceState:
                 )
             )
         local = SynthesisStats()
-        pool_guard = (
-            self._pool_lock
-            if self.config.synthesis_jobs > 1
-            else contextlib.nullcontext()
+        tree = synthesize_tree(
+            app, root, config, stats=local, store=self._locked_store
         )
-        with pool_guard:
-            tree = synthesize_tree(
-                app,
-                root,
-                config,
-                synthesis=self.config.synthesis,
-                synthesis_jobs=self.config.synthesis_jobs,
-                stats=local,
-                resources=self.resources,
-                store=self._locked_store,
-            )
         with self._stats_lock:
             self.stats.merge(local)
         served_from = (

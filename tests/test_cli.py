@@ -110,6 +110,55 @@ class TestArgumentValidation:
         err = capsys.readouterr().err
         assert flag in err
 
+    # The FTQS engine and worker-count flags are gone too: ``ftqs``
+    # always builds in-process with the fast engine.
+    @pytest.mark.parametrize(
+        "command",
+        [["experiment", "cc"], ["schedule", "app.json"],
+         ["report", "app.json"], ["serve"]],
+        ids=lambda command: command[0],
+    )
+    @pytest.mark.parametrize(
+        "flag,value", [("--synthesis", "reference"), ("--synthesis-jobs", "2")]
+    )
+    def test_retired_synthesis_flags_rejected(
+        self, capsys, command, flag, value
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + [flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule", "app.json", "--schedules", "0"],
+            ["report", "app.json", "--schedules", "-1"],
+            ["demo", "--schedules", "0"],
+            ["simulate", "a.json", "t.json", "--scenarios", "0"],
+            ["report", "app.json", "--scenarios", "0"],
+            ["experiment", "fig9a", "--apps", "-1"],
+            ["experiment", "fig9a", "--apps", "0"],
+        ],
+        ids=lambda argv: "-".join(argv[:1] + argv[-2:]),
+    )
+    def test_non_positive_counts_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be at least 1" in err
+
+    def test_demo_fault_count_beyond_k_is_one_line(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["demo", "--faults", "9"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "repro: error: 9 faults exceed the application's budget k=1\n"
+        )
+        assert captured.out == ""
+
     def test_simulate_jobs_validated_too(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([
@@ -160,6 +209,39 @@ class TestArgumentValidation:
                 "--cache-url", "redis://localhost:6379/0",
             ])
         assert "--cache-url only applies" in str(excinfo.value)
+
+
+def test_schedule_reports_kernel_fallbacks(
+    tmp_path, capsys, fig1_app, kernel_cache, monkeypatch
+):
+    """A run whose C-core calls fell back to the oracles says so on a
+    ``kernel:`` line after the ``synthesis:`` line; a run without
+    fallbacks prints what it always printed."""
+    import re
+
+    from repro.scheduling.compiled import SchedulingContext
+
+    app_path = str(tmp_path / "app.json")
+    save_json(application_to_dict(fig1_app), app_path)
+    argv = ["schedule", app_path, "--schedules", "4"]
+    with monkeypatch.context() as patched:
+        patched.setenv("REPRO_CC", "definitely-not-a-compiler")
+        assert main(argv) == 0
+    degraded = capsys.readouterr().out.splitlines()
+    assert degraded[-2].startswith("synthesis: ")
+    assert degraded[-1].startswith("kernel: 0 compile(s), 0 cache hit(s), ")
+    assert "[no-compiler x" in degraded[-1]
+
+    reason = SchedulingContext(fig1_app).core.reason
+    if reason is not None:
+        pytest.skip(f"kernel engine unavailable ({reason})")
+    assert main(argv) == 0
+    normal = capsys.readouterr().out.splitlines()
+
+    def masked(lines):
+        return [re.sub(r"[0-9.]+s$", "-s", line) for line in lines]
+
+    assert masked(normal) == masked(degraded[:-1])
 
 
 def test_sigint_exits_130_with_partial_progress_line(tmp_path):

@@ -208,17 +208,13 @@ class TestFastEngineTreeRoundTrip:
     def test_structural_identity(self, fixture, schedules, request):
         app = request.getfixturevalue(fixture)
         root = ftss(app)
-        tree = ftqs(
-            app, root, FTQSConfig(max_schedules=schedules), synthesis="fast"
-        )
+        tree = ftqs(app, root, FTQSConfig(max_schedules=schedules))
         back = tree_from_dict(app, tree_to_dict(tree))
         assert_trees_identical(tree, back)
 
     def test_identity_survives_the_file_system(self, tmp_path, small_app):
         root = ftss(small_app)
-        tree = ftqs(
-            small_app, root, FTQSConfig(max_schedules=8), synthesis="fast"
-        )
+        tree = ftqs(small_app, root, FTQSConfig(max_schedules=8))
         path = str(tmp_path / "fast_tree.json")
         save_json(tree_to_dict(tree), path)
         back = tree_from_dict(small_app, load_json(path))
@@ -231,7 +227,6 @@ class TestFastEngineTreeRoundTrip:
             fig8_app,
             root,
             FTQSConfig(max_schedules=8, max_fault_variants=2),
-            synthesis="fast",
         )
         back = tree_from_dict(fig8_app, tree_to_dict(tree))
         assert_trees_identical(tree, back)

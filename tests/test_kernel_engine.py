@@ -413,6 +413,10 @@ def test_stats_summary_and_dict_shapes():
         "2 compile(s), 3 cache hit(s), 3 fallback(s) "
         "[chaos x1, no-compiler x2]"
     )
+    stats.add("oracle_scenarios", 7)
+    assert stats.summary().endswith(
+        "[chaos x1, no-compiler x2], 7 oracle scenario(s)"
+    )
     as_dict = stats.as_dict()
     assert as_dict["compiles"] == 2
     assert as_dict["fallbacks"] == {"no-compiler": 2, "chaos": 1}

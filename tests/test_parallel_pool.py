@@ -157,30 +157,6 @@ def _schedulable_apps(n, n_processes=10, start_seed=1):
     return apps
 
 
-def test_one_synthesis_pool_across_applications(counted_manager_spawns):
-    """A multi-application sweep with synthesis jobs N spawns exactly
-    one synthesis TaskPool for the whole run — the ROADMAP open item
-    this pipeline closes — and the trees stay identical."""
-    from repro.io.json_io import tree_to_dict
-    from repro.pipeline.resources import ResourceManager
-    from repro.quasistatic.ftqs import FTQSConfig, ftqs
-
-    config = FTQSConfig(max_schedules=6)
-    with ResourceManager() as resources:
-        for app, root in _schedulable_apps(3):
-            shared = ftqs(
-                app, root, config, jobs=2,
-                pool=resources.synthesis_pool(2),
-            )
-            assert tree_to_dict(shared) == tree_to_dict(
-                ftqs(app, root, config)
-            )
-    assert counted_manager_spawns == [2], (
-        f"expected one 2-worker synthesis pool for the whole sweep, "
-        f"saw {counted_manager_spawns}"
-    )
-
-
 def test_one_evaluation_pool_across_applications(counted_manager_spawns):
     """Evaluators of successive applications borrow one shared pool;
     closing an evaluator releases only its scenario segments."""
@@ -209,8 +185,9 @@ def test_one_evaluation_pool_across_applications(counted_manager_spawns):
 
 
 def test_driver_sweep_spawns_one_pool_per_kind(counted_manager_spawns):
-    """End-to-end: a Table 1 run with evaluation and synthesis jobs
-    spawns one pool of each kind, not one per application or per M."""
+    """End-to-end: a Table 1 run with evaluation workers spawns one
+    evaluation pool, not one per application or per M, and synthesis
+    spawns none."""
     from repro.evaluation.experiments.table1 import (
         Table1Config,
         run_table1,
@@ -222,12 +199,10 @@ def test_driver_sweep_spawns_one_pool_per_kind(counted_manager_spawns):
         n_scenarios=16, seed=5, execution="kernel@processes:2",
     )
     with ResourceManager() as resources:
-        rows = run_table1(
-            config, synthesis_jobs=2, resources=resources
-        )
+        rows = run_table1(config, resources=resources)
     assert [r.nodes for r in rows] == [1, 2, 4]
-    assert sorted(counted_manager_spawns) == [2, 2], (
-        f"expected exactly one evaluation + one synthesis pool, saw "
+    assert counted_manager_spawns == [2], (
+        f"expected exactly one evaluation pool, saw "
         f"{counted_manager_spawns}"
     )
 

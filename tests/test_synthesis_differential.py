@@ -1,11 +1,12 @@
 """Differential corpus: fast synthesis engine vs the FTQS oracle.
 
-The fast engine (:mod:`repro.quasistatic.synthesis`) must emit trees
-*identical* to the reference construction — same node ids, parents,
-layers, switch conditions (arcs with their completion-time intervals
-and fault requirements) and schedules (order, re-execution caps, start
-times, contexts) — over randomized applications × tree sizes × fault
-budgets, and for any candidate-worker count.
+The fast engine (:mod:`repro.quasistatic.synthesis`, what
+:func:`~repro.quasistatic.ftqs.ftqs` runs) must emit trees *identical*
+to the reference construction — same node ids, parents, layers, switch
+conditions (arcs with their completion-time intervals and fault
+requirements) and schedules (order, re-execution caps, start times,
+contexts) — over randomized applications × tree sizes × fault
+budgets.
 
 The fast engine schedules its tails with ``rk_ftss`` and evaluates its
 interval partitioning with ``rk_expected`` in the C core; the
@@ -29,13 +30,14 @@ import pytest
 from repro.model.application import Application
 from repro.model.graph import ProcessGraph
 from repro.model.process import soft_process
-from repro.quasistatic.ftqs import FTQSConfig, ftqs, ftqs_reference
-from repro.quasistatic.intervals import TailProfile, TailTerm
-from repro.quasistatic.synthesis import (
-    SynthesisEngine,
-    SynthesisStats,
-    ftqs_fast,
+from repro.quasistatic.ftqs import (
+    FTQSConfig,
+    ftqs,
+    ftqs_reference,
+    schedule_application,
 )
+from repro.quasistatic.intervals import TailProfile, TailTerm
+from repro.quasistatic.synthesis import SynthesisEngine, SynthesisStats
 from repro.scheduling.compiled import SchedulingContext
 from repro.scheduling.ftss import FTSSConfig, ftss
 from repro.utility.functions import (
@@ -134,22 +136,50 @@ def test_corpus_trees_identical(
     app, root = produced
     config = FTQSConfig(max_schedules=max_schedules)
     reference = ftqs_reference(app, root, config)
-    fast = ftqs_fast(app, root, config)
+    fast = ftqs(app, root, config)
     assert_trees_identical(
         reference, fast, f"n={n_processes} k={k} M={max_schedules}"
     )
 
 
-def test_ftqs_dispatch_routes_both_engines(fig1_app, c_path):
+def test_ftqs_builds_the_reference_tree(fig1_app, c_path):
+    """``ftqs`` is the one FTQS entry point: the fast engine, building
+    the oracle's tree.  The engine and worker selections it used to
+    take are gone, so passing one is a ``TypeError``."""
     root = ftss(fig1_app)
     config = FTQSConfig(max_schedules=4)
     assert_trees_identical(
-        ftqs(fig1_app, root, config, synthesis="reference"),
-        ftqs(fig1_app, root, config, synthesis="fast"),
-        "fig1 dispatch",
+        ftqs_reference(fig1_app, root, config),
+        ftqs(fig1_app, root, config),
+        "fig1",
     )
-    with pytest.raises(ValueError):
-        ftqs(fig1_app, root, config, synthesis="banana")
+    for retired in ({"synthesis": "reference"}, {"jobs": 2}, {"pool": None}):
+        with pytest.raises(TypeError, match=next(iter(retired))):
+            ftqs(fig1_app, root, config, **retired)
+        with pytest.raises(TypeError, match=next(iter(retired))):
+            schedule_application(fig1_app, 4, **retired)
+
+
+def test_pipeline_rejects_retired_synthesis_keywords():
+    """No driver, runner, report or service config takes a synthesis
+    engine or a synthesis worker count any more."""
+    from repro.analysis.report import synthesis_report
+    from repro.evaluation.experiments import Table1Config, run_table1
+    from repro.pipeline.runner import ExperimentRunner, synthesize_tree
+    from repro.service import ServiceConfig
+
+    with pytest.raises(TypeError, match="synthesis_jobs"):
+        run_table1(Table1Config(), synthesis_jobs=2)
+    with pytest.raises(TypeError, match="synthesis_jobs"):
+        ServiceConfig(synthesis_jobs=2)
+    with pytest.raises(TypeError, match="synthesis"):
+        ServiceConfig(synthesis="reference")
+    with pytest.raises(TypeError, match="synthesis"):
+        ExperimentRunner(synthesis="reference")
+    with pytest.raises(TypeError, match="resources"):
+        synthesize_tree(None, None, FTQSConfig(), resources=None)
+    with pytest.raises(TypeError, match="synthesis_jobs"):
+        synthesis_report(None, synthesis_jobs=2)
 
 
 def test_paper_fig8_tree_identical(fig8_app, c_path):
@@ -157,7 +187,7 @@ def test_paper_fig8_tree_identical(fig8_app, c_path):
     config = FTQSConfig(max_schedules=8)
     assert_trees_identical(
         ftqs_reference(fig8_app, root, config),
-        ftqs_fast(fig8_app, root, config),
+        ftqs(fig8_app, root, config),
         "fig8",
     )
 
@@ -169,7 +199,7 @@ def test_cruise_controller_tree_identical(synthesis_full, c_path):
     config = FTQSConfig(max_schedules=max_schedules)
     assert_trees_identical(
         ftqs_reference(app, root, config),
-        ftqs_fast(app, root, config),
+        ftqs(app, root, config),
         "cruise controller",
     )
 
@@ -240,22 +270,9 @@ def test_ablation_configs_identical(label, config, c_path):
     )
     assert_trees_identical(
         ftqs_reference(app, root, config),
-        ftqs_fast(app, root, config),
+        ftqs(app, root, config),
         label,
     )
-
-
-def test_jobs_do_not_change_the_tree(synthesis_full, c_path):
-    """The parallel candidate layer is byte-identical for any job count."""
-    produced = scheduled_app(WorkloadSpec(n_processes=14, k=2, mu=15), 1717)
-    assert produced is not None
-    app, root = produced
-    config = FTQSConfig(max_schedules=10)
-    reference = ftqs_reference(app, root, config)
-    job_counts = (2, 3, 5) if synthesis_full else (2,)
-    for jobs in job_counts:
-        fast = ftqs_fast(app, root, config, jobs=jobs)
-        assert_trees_identical(reference, fast, f"jobs={jobs}")
 
 
 def test_engine_reuse_across_builds_is_stable(c_path):
@@ -263,9 +280,9 @@ def test_engine_reuse_across_builds_is_stable(c_path):
     produced = scheduled_app(WorkloadSpec(n_processes=14, k=2, mu=15), 2024)
     assert produced is not None
     app, root = produced
-    with SynthesisEngine(app, FTQSConfig(max_schedules=12)) as engine:
-        first = engine.build(root)
-        second = engine.build(root)
+    engine = SynthesisEngine(app, FTQSConfig(max_schedules=12))
+    first = engine.build(root)
+    second = engine.build(root)
     assert_trees_identical(first, second, "persistent engine rebuild")
     assert_trees_identical(
         ftqs_reference(app, root, FTQSConfig(max_schedules=12)),
@@ -289,7 +306,7 @@ def test_profiles_with_linear_utilities_run_the_oracle(c_path):
     config = FTQSConfig(max_schedules=8)
     assert_trees_identical(
         ftqs_reference(app, root, config),
-        ftqs_fast(app, root, config),
+        ftqs(app, root, config),
         "linear, constant and tabulated utilities",
     )
     after = kernel_stats().snapshot().fallbacks
@@ -307,11 +324,11 @@ def test_stats_counters_accumulate():
     assert produced is not None
     app, root = produced
     stats = SynthesisStats()
-    ftqs_fast(app, root, FTQSConfig(max_schedules=6), stats=stats)
+    ftqs(app, root, FTQSConfig(max_schedules=6), stats=stats)
     assert stats.trees_built == 1
     assert stats.nodes_expanded >= 1
     assert stats.candidates_evaluated > 0
-    # Serial builds schedule exactly one tail per evaluated candidate.
+    # A build schedules exactly one tail per evaluated candidate.
     assert (
         stats.tails_scheduled + stats.memo_hits == stats.candidates_evaluated
     )
@@ -359,7 +376,7 @@ def test_rk_expected_on_every_corpus_profile(synthesis_full, c_path,
     for produced, max_schedules in builds:
         if produced is not None:
             app, root = produced
-            ftqs_fast(app, root, FTQSConfig(max_schedules=max_schedules))
+            ftqs(app, root, FTQSConfig(max_schedules=max_schedules))
     assert len(checked) > 10 and sum(checked) > 100
 
 
