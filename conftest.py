@@ -9,9 +9,8 @@ smoke slice to the full randomized corpus, and the synthesis bench
 tree-size axis to the paper's full M sweep.
 
 Every default evaluation runs the kernel engine, which writes its
-core and one ``.npz`` of tables per plan to ``$REPRO_KERNEL_CACHE``;
-one session-wide temporary directory keeps a test run out of the
-user's ``~/.cache``.
+core to ``$REPRO_KERNEL_CACHE``; one temporary directory for the whole
+test run keeps it out of the user's ``~/.cache``.
 """
 
 import os

@@ -267,12 +267,16 @@ class MonteCarloEvaluator:
         )
         if config.workers > 1 and config.mode != "inline":
             if config.mode == "processes" and config.engine == "kernel":
-                # Build the core and lower the plan parent-side, so
-                # every worker loads both from the artifact cache (or
-                # inherits them) instead of racing to build them.
-                # (The threaded executor builds its shard simulators
-                # in-process itself.)
-                simulator_for(config.engine, self.app, plan)
+                # Build the core parent-side, so every worker inherits
+                # it (or loads it from the artifact cache) instead of
+                # racing to build it; each worker lowers the plan
+                # itself.  (The threaded executor builds its shard
+                # simulators in-process itself.)
+                from repro.runtime.engine.kernel.dispatch import (
+                    prepare_core,
+                )
+
+                prepare_core()
             return self.executor(config).evaluate(plan)
         simulator = simulator_for(config.engine, self.app, plan)
         outcomes: Dict[int, EvaluationOutcome] = {}

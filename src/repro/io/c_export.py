@@ -25,7 +25,6 @@ import numpy as np
 from repro.errors import SerializationError
 from repro.model.application import Application
 from repro.quasistatic.tree import QSTree
-from repro.runtime.engine.compile import compile_application, compile_tree
 from repro.runtime.engine.kernel import lower
 from repro.runtime.engine.kernel.build import CORE_HEADER, CORE_SOURCE
 
@@ -78,9 +77,8 @@ def export_tree_to_c(
     express raises :class:`~repro.errors.SerializationError`."""
     prefix = _sanitize(symbol)
     macro = prefix.upper()
-    capp = compile_application(app)
     try:
-        arrays = lower.lower_plan(capp, compile_tree(capp, tree))
+        arrays = lower.lower_plan(app, tree)
     except lower.KernelUnsupported as exc:
         raise SerializationError(
             f"the C core cannot run this plan ({exc.reason}): {exc}"

@@ -9,6 +9,7 @@ by property tests (``tests/test_json_io.py``).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Any, Dict, List
 
@@ -230,8 +231,16 @@ def tree_from_dict(app: Application, data: Dict[str, Any]) -> QSTree:
 
 
 # ----------------------------------------------------------------------
-# File helpers
+# Content addresses and file helpers
 # ----------------------------------------------------------------------
+def content_digest(data: Any) -> str:
+    """SHA-256 hex digest of ``data``'s canonical JSON (sorted keys,
+    compact separators): one address per document content, whatever
+    the dict order or object identity behind it."""
+    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def save_json(data: Dict[str, Any], path: str) -> None:
     with open(path, "w") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)

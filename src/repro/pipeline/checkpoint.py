@@ -38,13 +38,13 @@ golden differential suite relies on).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import asdict, is_dataclass
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.errors import RuntimeModelError
+from repro.io.json_io import content_digest
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
@@ -53,10 +53,6 @@ FORMAT_VERSION = 1
 #: Config knobs masked out of the workload fingerprint: pure routing,
 #: proven result-neutral by the differential suites.
 _ROUTING_KNOBS = ("execution",)
-
-
-def _canonical(data: Dict[str, Any]) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def masked_workload(config) -> Optional[Dict[str, Any]]:
@@ -82,9 +78,7 @@ def checkpoint_fingerprint(experiment: str, config=None) -> str:
     workload = masked_workload(config)
     if workload is not None:
         payload["workload"] = workload
-    return hashlib.sha256(
-        _canonical(payload).encode("utf-8")
-    ).hexdigest()
+    return content_digest(payload)
 
 
 def _workload_diff(
@@ -386,9 +380,7 @@ class JournalingEvaluator:
         payload["plans"] = {
             name: _plan_payload(plan) for name, plan in plans.items()
         }
-        return hashlib.sha256(
-            _canonical(payload).encode("utf-8")
-        ).hexdigest()
+        return content_digest(payload)
 
     # ------------------------------------------------------------------
     # Evaluator surface

@@ -10,11 +10,11 @@ the build entirely and reload the tree bit-identically from JSON
 
 :class:`TreeStore` keys each tree by a SHA-256 **fingerprint** of the
 canonical JSON forms of the application, the root schedule and the
-config (:mod:`repro.io.json_io` provides the dict forms; canonical =
-sorted keys, compact separators), so any change to timing constants,
-utility shapes, the fault hypothesis, the root schedule or a config
-knob — including the embedded FTSS config — addresses a different
-entry.
+config (:func:`repro.io.json_io.content_digest` of the dict forms;
+canonical = sorted keys, compact separators), so any change to timing
+constants, utility shapes, the fault hypothesis, the root schedule or
+a config knob — including the embedded FTSS config — addresses a
+different entry.
 
 Where the bytes live is a pluggable
 :class:`~repro.pipeline.store.base.StoreBackend` — the local
@@ -29,14 +29,14 @@ never allowed to poison a run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.errors import RuntimeModelError, SerializationError
 from repro.io.json_io import (
     application_to_dict,
+    content_digest,
     schedule_to_dict,
     tree_from_dict,
     tree_to_dict,
@@ -49,10 +49,6 @@ from repro.quasistatic.tree import QSTree
 from repro.scheduling.fschedule import FSchedule
 
 
-def _canonical(data: Dict[str, Any]) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 def fingerprint(app, root_schedule: FSchedule, config: FTQSConfig) -> str:
     """Stable content address of one synthesis problem.
 
@@ -61,14 +57,13 @@ def fingerprint(app, root_schedule: FSchedule, config: FTQSConfig) -> str:
     (same processes, edges, period, k, µ, utilities) share cache
     entries regardless of object identity.
     """
-    payload = _canonical(
+    return content_digest(
         {
             "application": application_to_dict(app),
             "root": schedule_to_dict(root_schedule),
             "config": asdict(config),
         }
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def application_tag(app) -> str:
@@ -78,8 +73,7 @@ def application_tag(app) -> str:
     shares this tag, so retiring an application from a shared store is
     one :meth:`TreeStore.purge_application` call.
     """
-    payload = _canonical(application_to_dict(app))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return content_digest(application_to_dict(app))[:16]
 
 
 def open_backend(

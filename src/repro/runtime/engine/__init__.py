@@ -12,15 +12,12 @@ sets through one C core on top of it:
   (:meth:`ScenarioBatch.draw` samples an evaluator's paired sets
   straight into them, on the per-scenario sampler's RNG stream) and
   builds the oracle's scenario objects on access;
-* :mod:`repro.runtime.engine.compile` — a :class:`QSTree` or
-  :class:`FSchedule` is compiled into integer-indexed process tables
-  and per-node arc tables;
 * :mod:`repro.runtime.engine.simulator` — :class:`BatchResult`, the
-  per-scenario outcome arrays, and :class:`BatchSimulator`, a compiled
-  plan with its oracle, whose per-scenario replay is the kernel's
+  per-scenario outcome arrays, and :class:`BatchSimulator`, a plan
+  with its oracle, whose per-scenario replay is the kernel's
   degradation path;
 * :mod:`repro.runtime.engine.kernel` — :class:`KernelSimulator`
-  lowers the compiled plan into tables and runs whole batches through
+  lowers the plan's tree into tables and runs whole batches through
   one prebuilt C core;
 * :mod:`repro.runtime.engine.parallel` — :class:`ParallelEvaluator`
   shards an evaluator's scenario sets across a persistent pool of
@@ -40,13 +37,6 @@ execution routing changes run time, never results.
 """
 
 from repro.runtime.engine.batch import ScenarioBatch
-from repro.runtime.engine.compile import (
-    CompiledApplication,
-    CompiledNode,
-    CompiledTree,
-    compile_application,
-    compile_tree,
-)
 from repro.runtime.engine.parallel import ParallelEvaluator
 from repro.runtime.engine.simulator import BatchResult, BatchSimulator
 from repro.runtime.engine.threads import ThreadedEvaluator
@@ -54,12 +44,7 @@ from repro.runtime.engine.threads import ThreadedEvaluator
 __all__ = [
     "BatchResult",
     "BatchSimulator",
-    "CompiledApplication",
-    "CompiledNode",
-    "CompiledTree",
     "ParallelEvaluator",
     "ScenarioBatch",
     "ThreadedEvaluator",
-    "compile_application",
-    "compile_tree",
 ]

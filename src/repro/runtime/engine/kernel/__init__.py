@@ -5,13 +5,16 @@ lowered tables.  ``rk_core.c`` is plan-independent: it reads every
 plan through one ``rk_plan`` struct (``rk_core.h``), reproducing
 the oracle's integer arithmetic and IEEE-754 accumulation order
 exactly.  :mod:`~repro.runtime.engine.kernel.lower` lowers each plan
-into the NumPy tables behind that struct, §2.2 thresholds in closed
-form; :mod:`~repro.runtime.engine.kernel.build` builds the core once
-per (source, compiler, flags) and caches it next to every plan's
-lowered tables (``.npz``) in a content-addressed artifact cache; and
+straight from its tree into the NumPy tables behind that struct,
+§2.2 thresholds in closed form;
+:mod:`~repro.runtime.engine.kernel.build` builds the core once per
+(source, compiler, flags) into a content-addressed artifact cache
+that holds nothing else; and
 :mod:`~repro.runtime.engine.kernel.dispatch` loads the core once per
-process with ``ctypes`` — degrading to the reference oracle, with a
-counted reason, whenever the core or a plan's tables cannot be had.
+process with ``ctypes`` and keeps recently used plans' tables in an
+in-process memo keyed by the plan's content — degrading to the
+reference oracle, with a counted reason, whenever the core or a
+plan's tables cannot be had.
 Results are bit-identical to the oracle (asserted per scenario by
 ``tests/test_engine_differential.py``); only speed differs.
 
@@ -35,23 +38,17 @@ from repro.runtime.engine.kernel.dispatch import (
     kernel_stats,
     reset_kernel_stats,
 )
-from repro.runtime.engine.kernel.lower import (
-    TABLES_VERSION,
-    KernelUnsupported,
-    plan_fingerprint,
-)
+from repro.runtime.engine.kernel.lower import KernelUnsupported
 
 __all__ = [
     "KernelBuildError",
     "KernelSimulator",
     "KernelStats",
     "KernelUnsupported",
-    "TABLES_VERSION",
     "cache_dir",
     "compile_kernel",
     "find_compiler",
     "generate_kernel_source",
     "kernel_stats",
-    "plan_fingerprint",
     "reset_kernel_stats",
 ]

@@ -1,23 +1,18 @@
-"""Build the C core once and cache it with every plan's lowered tables.
+"""Build the C core once and cache it.
 
-The artifact cache is content-addressed exactly like the tree store,
-one directory holding two kinds of file:
-
-* ``core-<hash>.so`` (plus its ``.c`` source, for debugging) — the
-  one table-driven core, keyed by :func:`core_fingerprint` over the
-  core source with its header inlined and the design-time entry points
-  appended, the compiler, :data:`CFLAGS` and :data:`LDLIBS`, so
-  editing any of those files, switching compilers or changing flags
-  can never load a stale object;
-* ``<plan fingerprint>.npz`` — one plan's lowered tables, keyed by
-  :func:`~repro.runtime.engine.kernel.lower.plan_fingerprint`, so a
-  fresh process (a CLI rerun, a ``processes`` worker) skips the §2.2
-  threshold probes.
+The artifact cache is content-addressed exactly like the tree store:
+one ``core-<hash>.so`` (plus its ``.c`` source, for debugging) — the
+one table-driven core, keyed by :func:`core_fingerprint` over the
+core source with its header inlined and the design-time entry points
+appended, the compiler, :data:`CFLAGS` and :data:`LDLIBS`, so editing
+any of those files, switching compilers or changing flags can never
+load a stale object.  Plans' lowered tables are not cached here: each
+process lowers its own (see
+:mod:`~repro.runtime.engine.kernel.dispatch`).
 
 Every write goes through ``mkstemp`` + ``os.replace``, so concurrent
 processes either win the atomic rename or reuse the winner's file —
-never observe a torn artifact.  A table file that cannot be read back
-is treated as absent and rewritten.
+never observe a torn artifact.
 
 Compilation uses the system C compiler — ``$REPRO_CC``, ``$CC`` or
 the first of ``cc``/``gcc``/``clang`` on PATH — with
@@ -30,7 +25,8 @@ bound by memory and branches, not by instruction selection).  A missing
 compiler, a failed compile or a cache directory that cannot be
 created raises :class:`KernelBuildError`; the dispatcher turns that
 into a counted degradation to the reference oracle, never an error
-for the caller.
+for the caller, and does not run the compiler again in that process
+after a failed build or load.
 
 The deterministic chaos hook ``kernel-fail@N`` (see
 :mod:`repro.pipeline.chaos`) fails the Nth compile attempt of the
@@ -41,16 +37,12 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import io
 import os
 import shutil
 import subprocess
 import tempfile
-import zipfile
 from pathlib import Path
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Optional
 
 #: Flags that keep the core's float semantics exactly IEEE: no
 #: contraction (FMA would change rounding), strict C99.
@@ -257,30 +249,3 @@ def load_kernel(so_path: Path):
         raise KernelBuildError(
             "load-failed", f"could not load {so_path}: {exc}"
         ) from exc
-
-
-def cached_tables(fingerprint: str) -> Optional[Dict[str, np.ndarray]]:
-    """The ``<fingerprint>.npz`` tables, or ``None`` when absent or
-    unreadable (a truncated or foreign file reads as absent)."""
-    path = cache_dir() / f"{fingerprint}.npz"
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            return {name: data[name] for name in data.files}
-    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
-        return None
-
-
-def store_tables(fingerprint: str, arrays: Dict[str, np.ndarray]) -> None:
-    """Write ``<fingerprint>.npz`` atomically.
-
-    A cache that cannot be written only costs a later process the
-    lowering again, so write errors are swallowed.
-    """
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    try:
-        _atomic_write_bytes(
-            cache_dir() / f"{fingerprint}.npz", buffer.getvalue()
-        )
-    except (OSError, KernelBuildError):
-        pass

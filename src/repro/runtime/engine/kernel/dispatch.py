@@ -4,15 +4,16 @@
 :class:`~repro.runtime.engine.batch.ScenarioBatch` sets and returns a
 :class:`~repro.runtime.engine.simulator.BatchResult`.  Construction
 makes sure the one C core is loaded — built at most once per cache,
-loaded at most once per process — and fetches the plan's lowered
-tables: from the in-process memo, else the on-disk ``.npz`` cache,
-else by lowering the plan (and storing the result), all keyed by
-:func:`~repro.runtime.engine.kernel.lower.plan_fingerprint`.  Anything
-that prevents that — no compiler, a failed build, an unusable cache
-directory, a plan the core cannot express, injected chaos — degrades
-to replaying every scenario on the reference oracle, with a counted
-reason; results are identical either way, so degradation is a
-performance event, never a correctness one.
+loaded at most once per process, and a failed build is not retried
+for the life of the process — and fetches the plan's lowered tables:
+from the in-process memo, a least-recently-used map of at most
+:data:`TABLES_CAPACITY` plans keyed by :func:`plan_key` (the content
+of the application and plan documents), else by lowering the plan.
+Anything that prevents that — no compiler, a failed build, an
+unusable cache directory, a plan the core cannot express, injected
+chaos — degrades to replaying every scenario on the reference oracle,
+with a counted reason; results are identical either way, so
+degradation is a performance event, never a correctness one.
 
 Per batch, the core executes every scenario in one C call
 (:func:`run_core`; the GIL is released for its duration); scenarios
@@ -20,7 +21,7 @@ the C walk flags as outside its state model are replayed on the oracle
 afterwards — including reproducing the oracle's raises.
 
 The module-global :class:`KernelStats` mirrors the parallel pool's
-``pool_recovery()`` idiom: core builds, table cache hits and
+``pool_recovery()`` idiom: core builds, table memo hits and
 per-reason fallback counts accumulated process-wide, surfaced on the
 CLI ``simulate:`` line and the service ``/metrics`` document.
 """
@@ -30,8 +31,9 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -41,24 +43,19 @@ from repro.runtime.engine.batch import ScenarioBatch
 from repro.runtime.engine.kernel.build import (
     KernelBuildError,
     cached_object,
-    cached_tables,
     compile_kernel,
     core_fingerprint,
     generate_kernel_source,
     load_kernel,
-    store_tables,
 )
 from repro.runtime.engine.kernel.lower import (
     KernelUnsupported,
     LoweredPlan,
     RkPlan,
     RkSched,
-    check_tables,
     lower_plan,
-    plan_fingerprint,
 )
 from repro.runtime.engine.simulator import BatchResult, BatchSimulator
-from repro.scheduling.fschedule import FSchedule
 
 
 @dataclass
@@ -67,8 +64,8 @@ class KernelStats:
 
     ``compiles`` counts compiler invocations (the core is built once
     per cache), ``cache_hits`` plans whose lowered tables came from
-    the in-process memo or the on-disk ``.npz`` cache instead of being
-    lowered, and ``fallbacks`` maps a degradation reason
+    the in-process memo instead of being lowered, and ``fallbacks``
+    maps a degradation reason
     (``"no-compiler"``, ``"compile-failed"``, ``"load-failed"``,
     ``"cache-unavailable"``, ``"unsupported-utility"``,
     ``"unsupported-plan"``, ``"chaos"``, and for the design-time entry
@@ -161,8 +158,18 @@ class Core:
 #: The loaded :class:`Core`, once per process.
 _CORE: Optional[Core] = None
 
-#: Lowered tables by plan fingerprint.
-_TABLES: Dict[str, LoweredPlan] = {}
+#: ``(reason, message)`` of a core build or load that failed, by core
+#: fingerprint: the compiler is not run again for the life of the
+#: process, and every later attempt counts the same reason.
+_FAILED: Dict[str, Tuple[str, str]] = {}
+
+#: How many plans' tables the memo keeps.  A Monte-Carlo comparison
+#: re-uses a handful of plans; a long-lived server sees a new plan per
+#: distinct request, and a large tree's tables take hundreds of KB.
+TABLES_CAPACITY = 16
+
+#: Lowered tables by :func:`plan_key`, least recently used first.
+_TABLES: "OrderedDict[str, LoweredPlan]" = OrderedDict()
 
 #: Serializes core loading and table lookups, so concurrent
 #: constructions build and lower once and count deterministically.
@@ -291,12 +298,20 @@ def _load_core() -> Core:
     if _CORE is None:
         source = generate_kernel_source()
         fingerprint = core_fingerprint(source)
+        if fingerprint in _FAILED:
+            raise KernelBuildError(*_FAILED[fingerprint])
         so_path = cached_object(fingerprint)
-        if so_path is None:
-            so_path = compile_kernel(source, fingerprint)
-            kernel_stats().add("compiles")
-        lib = load_kernel(so_path)
-        _CORE = Core(bind_core(lib), *bind_design(lib))
+        try:
+            if so_path is None:
+                so_path = compile_kernel(source, fingerprint)
+                kernel_stats().add("compiles")
+            lib = load_kernel(so_path)
+            core = Core(bind_core(lib), *bind_design(lib))
+        except KernelBuildError as exc:
+            if exc.reason in ("compile-failed", "load-failed"):
+                _FAILED[fingerprint] = (exc.reason, str(exc))
+            raise
+        _CORE = core
     return _CORE
 
 
@@ -307,46 +322,69 @@ def load_core() -> Core:
         return _load_core()
 
 
-def _plan_tables(simulator: BatchSimulator) -> LoweredPlan:
-    """The lowered tables of ``simulator``'s plan."""
-    fingerprint = plan_fingerprint(simulator.capp, simulator.ctree)
-    lowered = _TABLES.get(fingerprint)
+def prepare_core() -> None:
+    """Load the core ahead of a fan-out, so forked workers inherit it;
+    a core that cannot be had is counted as a fallback here, once."""
+    try:
+        load_core()
+    except KernelBuildError as exc:
+        kernel_stats().count_fallback(exc.reason)
+
+
+def plan_key(app: Application, tree: QSTree) -> str:
+    """The memo key of ``tree``'s tables: the content digest of the
+    application and plan documents plus each process's predecessor
+    order, which the stale-coefficient sums follow and the
+    source-major edge list does not pin."""
+    from repro.io.json_io import (
+        application_to_dict,
+        content_digest,
+        tree_to_dict,
+    )
+
+    return content_digest(
+        {
+            "application": application_to_dict(app),
+            "predecessors": [
+                app.graph.predecessors(p.name) for p in app.processes
+            ],
+            "plan": tree_to_dict(tree),
+        }
+    )
+
+
+def _plan_tables(app: Application, tree: QSTree) -> LoweredPlan:
+    """The lowered tables of ``tree``, from the memo or lowered now."""
+    key = plan_key(app, tree)
+    lowered = _TABLES.get(key)
     if lowered is not None:
+        _TABLES.move_to_end(key)
         kernel_stats().add("cache_hits")
         return lowered
-    arrays = check_tables(cached_tables(fingerprint))
-    if arrays is not None:
-        kernel_stats().add("cache_hits")
-    else:
-        arrays = lower_plan(simulator.capp, simulator.ctree)
-        store_tables(fingerprint, arrays)
-    lowered = _TABLES[fingerprint] = LoweredPlan(arrays)
+    lowered = _TABLES[key] = LoweredPlan(lower_plan(app, tree))
+    while len(_TABLES) > TABLES_CAPACITY:
+        _TABLES.popitem(last=False)
     return lowered
 
 
-class KernelSimulator:
+class KernelSimulator(BatchSimulator):
     """C-core executor of one plan, bit-identical to the oracle.
 
-    Wraps an eagerly-built :class:`BatchSimulator` — the compiled
-    application and tree the tables are lowered from, and the oracle —
-    and routes whole batches through the core over the plan's lowered
-    tables when both can be had, else replays them on the oracle.
-    ``engine_used`` reports which runs: ``"kernel"``, or
+    A :class:`BatchSimulator` whose :meth:`prepare` loads the core and
+    fetches the plan's lowered tables, and which routes whole batches
+    through the core when both can be had, else replays them on the
+    oracle.  ``engine_used`` reports which runs: ``"kernel"``, or
     ``"reference"`` after a counted degradation.
     """
 
-    def __init__(self, app: Application, plan: Union[QSTree, FSchedule]):
-        self._compiled = BatchSimulator(app, plan)
-        self.app = app
-        self.capp = self._compiled.capp
-        self.ctree = self._compiled.ctree
+    def prepare(self) -> None:
         self._run = None
         self._lowered: Optional[LoweredPlan] = None
         self.fallback_reason: Optional[str] = None
         try:
             with _LOCK:
                 run = _load_core().run
-                self._lowered = _plan_tables(self._compiled)
+                self._lowered = _plan_tables(self.app, self.tree)
             self._run = run
         except (KernelUnsupported, KernelBuildError) as exc:
             self.fallback_reason = exc.reason
@@ -359,12 +397,12 @@ class KernelSimulator:
     def run_batch(self, batch: ScenarioBatch) -> BatchResult:
         """Execute every scenario of ``batch``; see :class:`BatchResult`."""
         if self._run is None:
-            return self._compiled.run_batch(batch)
-        self._compiled.check_columns(batch)
+            return super().run_batch(batch)
+        self.check_columns(batch)
         result = run_core(self._run, self._lowered.struct, batch)
         residual = np.flatnonzero(~result.fast_path)
         if residual.size:
             kernel_stats().add("oracle_scenarios", int(residual.size))
             for i in residual:
-                self._compiled._run_oracle(batch, int(i), result)
+                self._run_oracle(batch, int(i), result)
         return result

@@ -1,13 +1,17 @@
-"""Lower one compiled plan, or one application, into the tables the C
-core reads.
+"""Lower one plan, or one application, into the tables the C core
+reads.
 
-:func:`lower_plan` turns a
-:class:`~repro.runtime.engine.compile.CompiledApplication` /
-:class:`~repro.runtime.engine.compile.CompiledTree` pair into NumPy
-arrays: one record per process, graph vertex, tree node and schedule
-entry, flat arc/threshold/benefit-term tables and the bit masks of
-process sets.  The §2.2 schedulability thresholds come out in closed
-form (:func:`node_thresholds`).  The record dtypes and :class:`RkPlan`
+:func:`lower_plan` turns an application and a
+:class:`~repro.quasistatic.tree.QSTree` (or a single
+:class:`~repro.scheduling.fschedule.FSchedule`, a one-node tree as the
+oracle treats it) into NumPy arrays: one record per process, graph
+vertex, tree node and schedule entry, flat arc/threshold/benefit-term
+tables and the bit masks of process sets.  Processes are numbered in
+application order; arcs evaluated at one completion are stored sorted
+by ``(-required_faults, target)``, so the core's first match is
+``OnlineScheduler._matching_arc``'s ``min`` over all matches.  The
+§2.2 schedulability thresholds come out in closed form
+(:func:`node_thresholds`).  The record dtypes and :class:`RkPlan`
 mirror the structs of ``rk_core.h``, and :class:`LoweredPlan` points
 one ``rk_plan`` at a set of arrays.  The kernel engine hands the core
 these arrays as they are; :mod:`repro.io.c_export` writes them as C
@@ -17,7 +21,7 @@ degrades to the reference oracle, the export refuses them).
 
 :func:`lower_application` is the application part of a plan — process,
 graph and utility records in a given process order — which
-:func:`lower_plan` numbers like the compiled application and
+:func:`lower_plan` numbers in application order and
 :func:`lower_scheduling` like a
 :class:`~repro.scheduling.compiled.SchedulingContext`, adding the
 columns the design-time entry points of ``rk_ftss.c`` read.
@@ -26,23 +30,15 @@ columns the design-time entry points of ``rk_ftss.c`` read.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.runtime.engine.compile import (
-    CompiledApplication,
-    CompiledNode,
-    CompiledTree,
-)
+from repro.model.application import Application
+from repro.quasistatic.tree import QSTree
 from repro.scheduling.feasibility import latest_start
+from repro.scheduling.fschedule import FSchedule
 from repro.utility.functions import LinearUtility, utility_steps
-
-#: Bumped whenever the meaning or layout of any lowered table changes;
-#: part of the plan fingerprint, so stale ``.npz`` tables can never be
-#: read by a newer core.
-TABLES_VERSION = 2
 
 #: The start bound of a probe the oracle would reject: any real clock
 #: is non-negative, so every comparison against it fails.
@@ -175,67 +171,13 @@ def _utility_spec(utility) -> Tuple:
 
 
 # ----------------------------------------------------------------------
-# Structural fingerprint
-# ----------------------------------------------------------------------
-def plan_fingerprint(capp: CompiledApplication, ctree: CompiledTree) -> str:
-    """SHA-256 over everything the lowered tables depend on.
-
-    Cheap by construction — no schedulability probes are forced — so a
-    warm table cache skips lowering entirely.  Covers the tables
-    version, the application tables (timing, utility parameters —
-    float ``repr`` round-trips exactly — and the dependence graph in
-    its deterministic iteration order) and every node's
-    schedule/arc/static-drop state; two plans with equal fingerprints
-    lower to identical tables.
-    """
-    app = capp.app
-    processes = tuple(
-        (
-            name,
-            int(capp.mu[i]),
-            bool(capp.is_hard[i]),
-            int(capp.deadline[i]),
-            int(app.process(name).aet),
-            _utility_spec(app.process(name).utility),
-        )
-        for i, name in enumerate(capp.names)
-    )
-    graph = tuple(
-        (name, tuple(app.graph.predecessors(name)))
-        for name in app.graph.topological_order()
-    )
-    nodes = tuple(
-        (
-            nid,
-            tuple(
-                (e.name, int(e.reexecutions))
-                for e in ctree.nodes[nid].schedule.entries
-            ),
-            ctree.nodes[nid].arcs_at,
-            tuple(sorted(ctree.nodes[nid].schedule.all_dropped)),
-            repr(ctree.nodes[nid].schedule.slack_sharing),
-        )
-        for nid in sorted(ctree.nodes)
-    )
-    spec = (
-        TABLES_VERSION,
-        int(app.period),
-        int(app.k),
-        processes,
-        graph,
-        int(ctree.root_id),
-        nodes,
-    )
-    return hashlib.sha256(repr(spec).encode("utf-8")).hexdigest()
-
-
-# ----------------------------------------------------------------------
 # §2.2 check (b): the S_iH probe
 # ----------------------------------------------------------------------
 def node_thresholds(
-    capp: CompiledApplication, node: CompiledNode
+    app: Application, schedule: FSchedule
 ) -> List[List[List[int]]]:
-    """The clock thresholds of check (b), ``[position][attempt][budget]``.
+    """The clock thresholds of check (b) for one tree node's schedule,
+    ``[position][attempt][budget]``.
 
     When a soft entry faults on attempt ``a`` with ``b`` faults left,
     the oracle re-executes it only if its probe stays schedulable when
@@ -248,13 +190,11 @@ def node_thresholds(
     gives ``NEVER - µ``.  Hard positions (always re-executed) and soft
     positions with no re-execution have no attempts.
     """
-    app = capp.app
     k = int(app.k)
     graph = app.graph
-    schedule = node.schedule
     names = [e.name for e in schedule.entries]
     procs = [app.process(name) for name in names]
-    caps = node.entry_caps.tolist()
+    caps = [e.reexecutions for e in schedule.entries]
     length = len(names)
     # bad[q]: the probe's validation fails at entry q — it repeats a
     # later entry, or a predecessor runs at or after it.  A probe from
@@ -286,7 +226,7 @@ def node_thresholds(
     thresholds: List[List[List[int]]] = []
     for p in range(length):
         natt = 0 if procs[p].is_hard else min(caps[p], k)
-        mu = int(node.entry_mu[p])
+        mu = app.recovery_overhead(names[p])
         if bad[p]:
             thresholds.append([[NEVER - mu] * (k + 1) for _ in range(natt)])
             continue
@@ -312,31 +252,34 @@ def node_thresholds(
 
 
 def probe_info(
-    capp: CompiledApplication, node: CompiledNode, position: int
-) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-    """What the S_iH probe at one position needs of the completed set.
+    app: Application, schedule: FSchedule
+) -> List[Tuple[FrozenSet[str], FrozenSet[str]]]:
+    """What the S_iH probe at each position needs of the completed set.
 
-    Returns ``(hard_in_probe, external_hard_preds)``: the hard process
-    ids the probe schedules itself — any other hard id must already be
-    completed, or the probe is unschedulable — and the hard ids some
-    probe entry directly depends on without the probe scheduling them
-    first; if one of those is not completed, the oracle's probe
-    constructor raises, so the core flags the scenario for the oracle.
+    Per position, ``(hard_in_probe, external_hard_preds)``: the hard
+    processes the probe schedules itself — any other hard process must
+    already be completed, or the probe is unschedulable — and the hard
+    processes some probe entry directly depends on without the probe
+    scheduling them first; if one of those is not completed, the
+    oracle's probe constructor raises, so the core flags the scenario
+    for the oracle.  One backward pass: a probe from position ``p`` is
+    the one from ``p + 1`` with entry ``p`` in front.
     """
-    graph = capp.app.graph
-    names = [e.name for e in node.schedule.entries[position:]]
-    hard_in_probe = frozenset(
-        capp.index[n] for n in names if capp.is_hard[capp.index[n]]
-    )
-    external = set()
-    earlier = set()
-    for name in names:
-        for pred in graph.predecessors(name):
-            pid = capp.index.get(pred)
-            if pid is not None and capp.is_hard[pid] and pred not in earlier:
-                external.add(int(pid))
-        earlier.add(name)
-    return hard_in_probe, frozenset(external)
+    graph = app.graph
+    hard_in_probe: FrozenSet[str] = frozenset()
+    external: FrozenSet[str] = frozenset()
+    info = []
+    for entry in reversed(schedule.entries):
+        name = entry.name
+        if app.process(name).is_hard:
+            hard_in_probe |= {name}
+        external = (external - {name}) | {
+            pred for pred in graph.predecessors(name)
+            if app.process(pred).is_hard
+        }
+        info.append((hard_in_probe, external))
+    info.reverse()
+    return info
 
 
 # ----------------------------------------------------------------------
@@ -384,99 +327,89 @@ def lower_application(app, names: Sequence[str]) -> Dict[str, list]:
 
 
 def lower_plan(
-    capp: CompiledApplication, ctree: CompiledTree
+    app: Application, plan: Union[QSTree, FSchedule]
 ) -> Dict[str, np.ndarray]:
     """The ``rk_plan`` tables of one plan, by field name.
 
     Includes every schedulability threshold the core can consult
     (attempts ``0..min(cap, k)-1`` per soft position, budgets
-    ``0..k``; see :func:`node_thresholds`).  The table caches
-    amortize lowering across constructions, runs and workers.
+    ``0..k``; see :func:`node_thresholds`).  The dispatcher's memo
+    amortizes lowering across constructions and runs of one process.
     """
-    app = capp.app
-    n_words = (capp.n_processes + 63) // 64
+    tree = QSTree(plan) if isinstance(plan, FSchedule) else plan
+    names = [p.name for p in app.processes]
+    index = {name: pid for pid, name in enumerate(names)}
+    hard = [p.is_hard for p in app.processes]
+    aet = [p.aet for p in app.processes]
+    mu = [app.recovery_overhead(name) for name in names]
+    n_words = (len(names) + 63) // 64
     k = int(app.k)
-    node_ids = sorted(ctree.nodes)
-    dense = {nid: i for i, nid in enumerate(node_ids)}
+    nodes = sorted(tree, key=lambda node: node.node_id)
+    dense = {node.node_id: i for i, node in enumerate(nodes)}
     col: Dict[str, list] = {name: [] for name, *_ in ARRAYS}
-    col.update(lower_application(app, capp.names))
+    col.update(lower_application(app, names))
 
     # ---- per-node / per-entry records ----
-    for nid in node_ids:
-        node = ctree.nodes[nid]
+    for node in nodes:
         schedule = node.schedule
+        entries = schedule.entries
+        pids = [index[e.name] for e in entries]
         lo = len(col["entries"])
-        col["nodes"].append((nid, lo, lo + node.n_entries))
-        col["node_mask"] += _mask_words(node.entry_ids, n_words)
+        col["nodes"].append((node.node_id, lo, lo + len(entries)))
+        col["node_mask"] += _mask_words(pids, n_words)
         col["node_sdrop"] += _mask_words(
-            (capp.index[n] for n in schedule.all_dropped), n_words
+            (index[n] for n in schedule.all_dropped), n_words
         )
-        thresholds = node_thresholds(capp, node)
-        for pos in range(node.n_entries):
-            pid = int(node.entry_ids[pos])
-            cap = int(node.entry_caps[pos])
-            soft = not bool(capp.is_hard[pid])
+        thresholds = node_thresholds(app, schedule)
+        probes = probe_info(app, schedule)
+        for pos, (entry, pid) in enumerate(zip(entries, pids)):
+            soft = not hard[pid]
             natt = len(thresholds[pos])
             thr_lo, arc_lo = len(col["thr"]), len(col["arcs"])
             keep_lo, drop_lo = len(col["keep"]), len(col["drop"])
             for cell in thresholds[pos]:
                 col["thr"] += cell
-            for lo, hi, required, target in node.arcs_at[pos]:
-                if target not in dense:
+            arcs = sorted(
+                (a for a in node.arcs if a.process == entry.name),
+                key=lambda a: (-a.required_faults, a.target),
+            )
+            for arc in arcs:
+                if arc.target not in dense:
                     raise KernelUnsupported(
                         "unsupported-plan",
-                        f"arc targets node {target} outside the tree",
+                        f"arc targets node {arc.target} outside the tree",
                     )
-                col["arcs"].append((lo, hi, required, dense[target]))
-            hard_in_probe, external = (
-                probe_info(capp, node, pos) if soft else ((), ())
+                col["arcs"].append(
+                    (arc.lo, arc.hi, arc.required_faults, dense[arc.target])
+                )
+            hard_in_probe, external = probes[pos] if soft else ((), ())
+            col["ent_hardprobe"] += _mask_words(
+                (index[n] for n in hard_in_probe), n_words
             )
-            col["ent_hardprobe"] += _mask_words(hard_in_probe, n_words)
-            col["ent_ext"] += _mask_words(external, n_words)
+            col["ent_ext"] += _mask_words(
+                (index[n] for n in external), n_words
+            )
             if soft:
-                name = schedule.entries[pos].name
-                first = app.recovery_overhead(name) + app.process(name).aet
+                first = mu[pid] + aet[pid]
                 col["keep"].append((pid, first))
                 tail = 0
-                for later in schedule.entries[pos + 1 :]:
-                    later_proc = app.process(later.name)
-                    tail += later_proc.aet
-                    if later_proc.is_soft:
-                        lpid = capp.index[later.name]
-                        col["keep"].append((lpid, first + tail))
-                        col["drop"].append((lpid, tail))
-            col["entries"].append(
-                (pid, int(node.entry_mu[pos]), arc_lo, len(col["arcs"]))
-            )
+                for later in pids[pos + 1 :]:
+                    tail += aet[later]
+                    if not hard[later]:
+                        col["keep"].append((later, first + tail))
+                        col["drop"].append((later, tail))
+            col["entries"].append((pid, mu[pid], arc_lo, len(col["arcs"])))
             col["decisions"].append(
-                (cap, natt, thr_lo, keep_lo, len(col["keep"]), drop_lo,
-                 len(col["drop"]))
+                (entry.reexecutions, natt, thr_lo, keep_lo, len(col["keep"]),
+                 drop_lo, len(col["drop"]))
             )
 
-    header = (capp.n_processes, len(node_ids), n_words, k, int(app.period),
-              dense[ctree.root_id])
+    header = (len(names), len(nodes), n_words, k, int(app.period),
+              dense[tree.root_id])
     arrays = {"header": np.array(header, dtype=_I8)}
     for name, dtype, _ in ARRAYS:
         arrays[name] = np.array(col[name], dtype=dtype)
     return arrays
-
-
-def check_tables(
-    arrays: Optional[Dict[str, np.ndarray]],
-) -> Optional[Dict[str, np.ndarray]]:
-    """Loaded ``arrays`` as the core reads them, or ``None`` when they
-    are absent or have the wrong fields or dtypes."""
-    expected = {"header": _I8, **{name: t for name, t, _ in ARRAYS}}
-    if (
-        arrays is None
-        or {name: array.dtype for name, array in arrays.items()} != expected
-        or arrays["header"].shape != (len(SCALARS),)
-    ):
-        return None
-    return {
-        name: np.require(array, requirements=["C", "A"])
-        for name, array in arrays.items()
-    }
 
 
 class LoweredPlan:

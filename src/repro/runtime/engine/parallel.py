@@ -23,9 +23,10 @@ plan's simulator once — the reference ``OnlineScheduler`` or the C
 kernel core over the plan's lowered tables — and reuses it across
 that plan's fault counts
 (``tests/test_parallel_pool.py`` pins the pool reuse).  For the
-kernel engine the parent builds the core and lowers the plan before
-fanning out, so workers load both from the shared artifact cache
-instead of racing to build them.
+kernel engine the parent builds the core before fanning out, so
+workers inherit it (or load it from the shared artifact cache)
+instead of racing to build it, and each worker lowers the plan
+itself.
 """
 
 from __future__ import annotations

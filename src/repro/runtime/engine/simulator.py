@@ -1,18 +1,19 @@
-"""Per-scenario batch results and the compiled plan the C core wraps.
+"""Per-scenario batch results and the plan the C core wraps.
 
 :class:`BatchResult` holds the per-scenario outcomes of one batch run
 in array form — what the evaluation layer aggregates and what the
 differential suite compares against the oracle.
 
-:class:`BatchSimulator` compiles one plan for execution: the
-integer-indexed application and tree
-(:mod:`~repro.runtime.engine.compile`) that the kernel lowers into its
-tables, plus the behavioral oracle
-(:class:`~repro.runtime.online.OnlineScheduler`).  Its
-:meth:`~BatchSimulator.run_batch` replays every scenario of a batch on
-that oracle.  That replay is the kernel engine's degradation path —
-when no core or no tables can be had — and, per scenario, its residual
-path for scenarios the C walk flags as outside its state model.
+:class:`BatchSimulator` prepares one plan for execution: the plan as
+a tree, its behavioral oracle
+(:class:`~repro.runtime.online.OnlineScheduler`) and whatever fast
+path a subclass readies in :meth:`~BatchSimulator.prepare` — the
+kernel engine fetches or lowers the plan's tables there, so they are
+part of construction.  Its :meth:`~BatchSimulator.run_batch` replays
+every scenario of a batch on the oracle.  That replay is the kernel
+engine's degradation path — when no core or no tables can be had —
+and, per scenario, its residual path for scenarios the C walk flags as
+outside its state model.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.errors import RuntimeModelError
 from repro.model.application import Application
 from repro.quasistatic.tree import QSTree
 from repro.runtime.engine.batch import ScenarioBatch
-from repro.runtime.engine.compile import compile_application, compile_tree
 from repro.runtime.online import OnlineScheduler
 from repro.scheduling.fschedule import FSchedule
 
@@ -85,7 +85,7 @@ class BatchResult:
 
 
 class BatchSimulator:
-    """One plan compiled for execution, with its oracle.
+    """One plan prepared for execution, with its oracle.
 
     Parameters
     ----------
@@ -98,16 +98,21 @@ class BatchSimulator:
 
     def __init__(self, app: Application, plan: Union[QSTree, FSchedule]):
         self.app = app
-        self.capp = compile_application(app)
-        self.ctree = compile_tree(self.capp, plan)
         self._oracle = OnlineScheduler(app, plan, record_events=False)
+        self.tree = self._oracle.tree
+        self.names = tuple(p.name for p in app.processes)
+        self.prepare()
+
+    def prepare(self) -> None:
+        """Ready a fast path at the end of construction; the oracle
+        replay needs none."""
 
     def check_columns(self, batch: ScenarioBatch) -> None:
         """Reject a batch packed for another application."""
-        if batch.names != self.capp.names:
+        if batch.names != self.names:
             raise RuntimeModelError(
                 "batch process columns do not match the application "
-                f"({batch.names!r} vs {self.capp.names!r})"
+                f"({batch.names!r} vs {self.names!r})"
             )
 
     def run_batch(self, batch: ScenarioBatch) -> BatchResult:

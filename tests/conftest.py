@@ -87,15 +87,16 @@ def kernel_cache(tmp_path, monkeypatch):
     """An isolated kernel artifact cache with zeroed process state.
 
     Points ``$REPRO_KERNEL_CACHE`` at a per-test directory and unloads
-    the in-process core, table memo and global stats, so each test
-    observes its own core build, table hits and fallbacks; all are
-    restored after.
+    the in-process core, remembered build failures, table memo and
+    global stats, so each test observes its own core build, table hits
+    and fallbacks; all are restored after.
     """
     import repro.runtime.engine.kernel.dispatch as dispatch
 
     path = tmp_path / "kernels"
     monkeypatch.setenv("REPRO_KERNEL_CACHE", str(path))
     monkeypatch.setattr(dispatch, "_CORE", None)
+    monkeypatch.setattr(dispatch, "_FAILED", {})
     saved = dict(dispatch._TABLES)
     dispatch._TABLES.clear()
     dispatch.reset_kernel_stats()

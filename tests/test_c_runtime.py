@@ -33,7 +33,6 @@ from repro.model.process import hard_process
 from repro.quasistatic.ftqs import FTQSConfig, ftqs
 from repro.quasistatic.tree import QSTree
 from repro.runtime.engine import BatchSimulator, ScenarioBatch
-from repro.runtime.engine.compile import compile_application, compile_tree
 from repro.runtime.engine.kernel.build import CFLAGS, find_compiler
 from repro.runtime.engine.kernel.dispatch import bind_core, run_core
 from repro.runtime.engine.kernel.lower import (
@@ -83,10 +82,10 @@ def _build(tmp_path, plans):
 
 def _soft_with_allotment(app, plan):
     """Process ids of soft processes some node may re-execute."""
-    capp = compile_application(app)
+    index = {p.name: pid for pid, p in enumerate(app.processes)}
     return sorted(
         {
-            capp.index[entry.name]
+            index[entry.name]
             for node in plan
             for entry in node.schedule.entries
             if app.process(entry.name).is_soft and entry.reexecutions > 0
@@ -192,16 +191,11 @@ def test_corpus_matches_oracle(tmp_path, engine_full):
     assert RkPlan.in_dll(lib, "wide_plan").nw == 2
 
 
-def _lowered(app, plan):
-    capp = compile_application(app)
-    return lower_plan(capp, compile_tree(capp, plan))
-
-
 def test_one_node_tree(tmp_path, fig1_app):
     """A static schedule has no switch arcs: the empty ``arcs`` table
     becomes a placeholder that is never read."""
     plan = QSTree(ftss(fig1_app))
-    assert len(_lowered(fig1_app, plan)["arcs"]) == 0
+    assert len(lower_plan(fig1_app, plan)["arcs"]) == 0
     lib, run = _build(tmp_path, [("single", fig1_app, plan)])
     _assert_matches_oracle(lib, run, "single", fig1_app, plan, 100, 1)
 
@@ -220,7 +214,7 @@ def _all_hard_app():
 def test_all_hard_application(tmp_path):
     app = _all_hard_app()
     plan = QSTree(ftss(app))
-    arrays = _lowered(app, plan)
+    arrays = lower_plan(app, plan)
     for name in ("thr", "keep", "drop", "pred"):
         assert len(arrays[name]) == 0, name
     lib, run = _build(tmp_path, [("hard", app, plan)])
@@ -246,7 +240,7 @@ def test_exported_tables_equal_lower_plan(tmp_path, cc_app):
     """The tables read back through ``<symbol>_plan`` are
     ``lower_plan``'s arrays byte for byte."""
     plan = _tree(cc_app, 8)
-    arrays = _lowered(cc_app, plan)
+    arrays = lower_plan(cc_app, plan)
     lib, _ = _build(tmp_path, [("cruise", cc_app, plan)])
     exported = RkPlan.in_dll(lib, "cruise_plan")
     assert [getattr(exported, name) for name in SCALARS] == (

@@ -31,8 +31,8 @@ from repro.examples_support import (
     paper_fig8_application,
 )
 from repro.quasistatic.ftqs import FTQSConfig, ftqs
+from repro.quasistatic.tree import QSTree
 from repro.runtime.engine import ScenarioBatch
-from repro.runtime.engine.compile import compile_application, compile_tree
 from repro.runtime.engine.kernel import KernelSimulator, kernel_stats
 from repro.runtime.engine.kernel.lower import NEVER, node_thresholds
 from repro.runtime.online import OnlineScheduler
@@ -207,19 +207,65 @@ def test_differential_corpus(engine_full, kernel_cache):
     assert checked > 0
 
 
+def _wcet_twin(app, plans, widen=3):
+    """The cruise controller ``app`` with every WCET widened by
+    ``widen``, every AET pinned and its graph built from the same edge
+    list (so predecessor orders match), and ``plans`` re-bound to it
+    through their JSON documents: the same schedules and arcs, while
+    the §2.2 thresholds, computed from WCETs, differ."""
+    from dataclasses import replace
+
+    from repro.io.json_io import (
+        schedule_from_dict,
+        schedule_to_dict,
+        tree_from_dict,
+        tree_to_dict,
+    )
+    from repro.model.application import Application
+    from repro.model.graph import ProcessGraph
+    from repro.workloads.cruise import CC_EDGES
+
+    graph = ProcessGraph(
+        [replace(p, wcet=p.wcet + widen, aet=p.aet) for p in app.processes],
+        CC_EDGES,
+        name=app.graph.name,
+        period=app.period,
+    )
+    twin = Application(graph, period=app.period, k=app.k, mu=app.mu)
+    rebound = [
+        (
+            label,
+            tree_from_dict(twin, tree_to_dict(plan))
+            if isinstance(plan, QSTree)
+            else schedule_from_dict(twin, schedule_to_dict(plan)),
+        )
+        for label, plan in plans
+    ]
+    return twin, rebound
+
+
 @engine_smoke
 def test_kernel_differential_corpus(engine_full, kernel_cache):
     """The C kernel core matches the oracle per scenario, bit for bit.
 
     Utility bits, deadline miss, switch chain and count, and observed
     faults, over every (app, plan, fault count) cell of the corpus.
-    Skipped, with the counted reason, on boxes without a C compiler.
+    Right after the cruise controller, in the same process, a twin of
+    it with every WCET widened runs the original's plans re-bound to
+    it: its tables must be lowered afresh, not served from the
+    original's.  Skipped, with the counted reason, on boxes without a
+    C compiler.
     """
     n_scenarios = 120 if engine_full else 25
     checked = 0
+    cases = []
     for app_label, app in _corpus_apps(engine_full):
         plans = _plans(app, engine_full)
         assert plans, f"{app_label}: FTSS failed to schedule the corpus app"
+        cases.append((app_label, app, plans))
+        if app_label == "cc":
+            cases.append(("cc-wcet+3", *_wcet_twin(app, plans)))
+    for app_label, app, plans in cases:
         evaluator = MonteCarloEvaluator(
             app, n_scenarios=n_scenarios, seed=17
         )
@@ -479,8 +525,9 @@ def test_decision_point_dense_corpus(engine_full, kernel_cache):
     assert checked > 0
 
 
-def _hard_pred_app():
-    """A (soft) ∥ H (hard) → S (soft), for hand-built malformed trees."""
+def _hard_pred_app(predecessors=("H",)):
+    """A (soft) ∥ H (hard) → S (soft), for hand-built malformed trees;
+    ``predecessors`` are S's, added in that order."""
     from repro.model.application import Application
     from repro.model.graph import ProcessGraph
     from repro.model.process import hard_process, soft_process
@@ -494,7 +541,10 @@ def _hard_pred_app():
         "S", bcet=20, wcet=40, utility=StepUtility(40, [(200, 20)]), aet=30
     )
     graph = ProcessGraph(
-        [a, h, s], [("H", "S")], name="hard-pred", period=300
+        [a, h, s],
+        [(pred, "S") for pred in predecessors],
+        name="hard-pred",
+        period=300,
     )
     return Application(graph, period=300, k=1, mu=10)
 
@@ -682,15 +732,16 @@ def _max_start(app, schedule, position, attempt, budget):
 def _assert_thresholds_match_probe(app, plan):
     """Every cell of every node's thresholds equals the probe's; returns
     the number of cells checked."""
-    capp = compile_application(app)
-    ctree = compile_tree(capp, plan)
+    tree = QSTree(plan) if isinstance(plan, FSchedule) else plan
     cells = 0
-    for node in ctree.nodes.values():
-        thresholds = node_thresholds(capp, node)
-        assert len(thresholds) == node.n_entries
+    for node in tree:
+        entries = node.schedule.entries
+        thresholds = node_thresholds(app, node.schedule)
+        assert len(thresholds) == len(entries)
         for position, per_attempt in enumerate(thresholds):
-            proc = app.process(node.schedule.entries[position].name)
-            natt = 0 if proc.is_hard else min(int(node.entry_caps[position]), app.k)
+            proc = app.process(entries[position].name)
+            cap = entries[position].reexecutions
+            natt = 0 if proc.is_hard else min(cap, app.k)
             assert len(per_attempt) == natt
             mu = app.recovery_overhead(proc.name)
             for attempt, per_budget in enumerate(per_attempt):
@@ -740,9 +791,7 @@ def test_malformed_schedule_threshold_is_never():
     )
     # Bypass validation to reorder the entries: S, H, A.
     schedule.entries = tuple(schedule.entries[i] for i in (2, 1, 0))
-    capp = compile_application(app)
-    node = compile_tree(capp, schedule).nodes[0]
-    thresholds = node_thresholds(capp, node)
+    thresholds = node_thresholds(app, schedule)
     mu = app.recovery_overhead("S")
     assert thresholds[0] == [[NEVER - mu] * (app.k + 1)]
     assert thresholds[1] == []

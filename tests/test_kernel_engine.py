@@ -4,12 +4,15 @@ Bit identity with the oracle is gated by
 ``tests/test_engine_differential.py``; this file covers the machinery
 around the kernel itself — that the one C core is warning-clean under
 strict flags, that it is built once and then served from the artifact
-cache while every plan's lowered tables come from the in-process memo
-or the ``.npz`` cache (also in a fresh process, also after a torn
-``.npz``), that every way the kernel can fail to materialize (no
-compiler, an unusable cache directory, injected chaos) degrades to
-the reference oracle with a counted reason and identical results, and
-that the stats counters stay exact under concurrent updates.
+cache (also to a fresh process, which lowers its own plans), that a
+failed build is not retried, that plans' lowered tables come from an
+in-process memo keyed by the plan's content and bounded
+least-recently-used, that the content digests of the tree store and
+the checkpoint journal stay put, that every way the kernel can fail to
+materialize (no compiler, an unusable cache directory, injected chaos)
+degrades to the reference oracle with a counted reason and identical
+results, and that the stats counters stay exact under concurrent
+updates.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ from repro.runtime.engine.kernel import (
     find_compiler,
     generate_kernel_source,
     kernel_stats,
-    plan_fingerprint,
 )
 from repro.runtime.engine.threads import ThreadStats
 from repro.scheduling.ftss import ftss, ftss_reference
 from repro.workloads.cruise import cruise_controller
+from test_engine_differential import _hard_pred_app
 
 
 def _tree(app, schedules=6):
@@ -74,7 +77,7 @@ def _assert_same_results(app, plan, simulator):
 
 def _needs_compiler():
     if find_compiler() is None:
-        pytest.skip("no C compiler on this box")
+        pytest.skip("no C compiler available")
 
 
 def _three_plans():
@@ -108,15 +111,20 @@ def _serve_plans() -> dict:
     }
 
 
-def _serve_plans_without_lowering() -> None:
-    """Entry point of the second process: lowering is forbidden."""
+def _serve_plans_in_fresh_process() -> None:
+    """Entry point of the second process: counts its lowerings."""
     import repro.runtime.engine.kernel.dispatch as dispatch
 
-    def refuse(*args):
-        raise AssertionError("a warm table cache must not re-lower")
+    lowered = []
+    lower_plan = dispatch.lower_plan
 
-    dispatch.lower_plan = refuse
-    print(json.dumps(_serve_plans()))
+    def counting(*args):
+        lowered.append(1)
+        return lower_plan(*args)
+
+    dispatch.lower_plan = counting
+    served = _serve_plans()
+    print(json.dumps({**served, "lowered": len(lowered)}))
 
 
 # ----------------------------------------------------------------------
@@ -147,17 +155,89 @@ def test_core_compiles_warning_clean(tmp_path):
     assert proc.returncode == 0, f"core not warning-clean:\n{proc.stderr}"
 
 
-def test_fingerprint_is_structural(fig1_app):
-    """Same plan → same fingerprint; different plan → different."""
-    tree_a = _tree(fig1_app, schedules=6)
-    tree_b = _tree(fig1_app, schedules=6)
-    root = ftss(fig1_app)
-    sim_a = BatchSimulator(fig1_app, tree_a)
-    sim_b = BatchSimulator(fig1_app, tree_b)
-    sim_root = BatchSimulator(fig1_app, root)
-    fp_a = plan_fingerprint(sim_a.capp, sim_a.ctree)
-    assert fp_a == plan_fingerprint(sim_b.capp, sim_b.ctree)
-    assert fp_a != plan_fingerprint(sim_root.capp, sim_root.ctree)
+def _hard_pred_root(app):
+    from repro.scheduling.fschedule import FSchedule, ScheduledEntry
+
+    return FSchedule(
+        app,
+        [ScheduledEntry("A", 1), ScheduledEntry("H", 1),
+         ScheduledEntry("S", 1)],
+        fault_budget=1,
+    )
+
+
+def test_plan_key_is_the_plan_content(fig1_app):
+    """Equal content → equal key, whatever the objects; a different
+    plan or a different WCET → a different key."""
+    from repro.io.json_io import (
+        application_from_dict,
+        application_to_dict,
+        tree_from_dict,
+        tree_to_dict,
+    )
+    from repro.quasistatic.tree import QSTree
+    from repro.runtime.engine.kernel.dispatch import plan_key
+
+    tree = _tree(fig1_app)
+    twin_app = application_from_dict(application_to_dict(fig1_app))
+    twin_tree = tree_from_dict(twin_app, tree_to_dict(tree))
+    key = plan_key(fig1_app, tree)
+    assert plan_key(twin_app, twin_tree) == key
+    assert plan_key(fig1_app, QSTree(tree.root.schedule)) != key
+    document = application_to_dict(fig1_app)
+    document["graph"]["processes"][0]["wcet"] += 1
+    widened = application_from_dict(document)
+    rebound = tree_from_dict(widened, tree_to_dict(tree))
+    assert plan_key(widened, rebound) != key
+
+
+def test_plan_key_follows_predecessor_order():
+    """Two applications that serialize identically but list one
+    process's predecessors in another order lower to different
+    ``pred`` tables, so they get different memo keys."""
+    from repro.io.json_io import application_to_dict
+    from repro.quasistatic.tree import QSTree
+    from repro.runtime.engine.kernel.dispatch import plan_key
+    from repro.runtime.engine.kernel.lower import lower_plan
+
+    first, second = _hard_pred_app(("A", "H")), _hard_pred_app(("H", "A"))
+    assert application_to_dict(first) == application_to_dict(second)
+    assert first.graph.predecessors("S") != second.graph.predecessors("S")
+    trees = [QSTree(_hard_pred_root(app)) for app in (first, second)]
+    assert (
+        lower_plan(first, trees[0])["pred"].tobytes()
+        != lower_plan(second, trees[1])["pred"].tobytes()
+    )
+    assert plan_key(first, trees[0]) != plan_key(second, trees[1])
+
+
+def test_content_digests_are_pinned():
+    """The tree store's fingerprint and application tag and the
+    checkpoint's workload and unit keys of one fixed input keep their
+    digests, so existing ``--cache-dir`` stores and checkpoints still
+    hit."""
+    from repro.pipeline.checkpoint import (
+        JournalingEvaluator,
+        checkpoint_fingerprint,
+    )
+    from repro.pipeline.store.core import application_tag, fingerprint
+    from repro.quasistatic.tree import QSTree
+
+    app = _hard_pred_app()
+    root = _hard_pred_root(app)
+    assert fingerprint(app, root, FTQSConfig(max_schedules=4)) == (
+        "490b3a79d463354058e741590206a81f334729e710aa2199166b20ff1ff6791a"
+    )
+    assert application_tag(app) == "87394131665d92d9"
+    assert checkpoint_fingerprint(
+        "fig9a", {"apps": 1, "seed": 3, "execution": "kernel"}
+    ) == "b959d816f48ceed1ede3fa927d62af14470e0a0d16d1ad998133b4834878140f"
+    journal = JournalingEvaluator(
+        None, app, lambda: None, n_scenarios=20, fault_counts=None, seed=5
+    )
+    assert journal.key_for({"FTSS": root, "FTQS": QSTree(root)}) == (
+        "2b08134221623c2d21d56142da3f0ca98ca0f2fb243ebd061edce22e2b0c7740"
+    )
 
 
 def _mixed_utility_app():
@@ -225,37 +305,72 @@ def test_cache_counts_compile_then_hits(fig1_app, kernel_cache):
     assert second.engine_used == "kernel"
     assert kernel_stats().compiles == 1
     assert kernel_stats().cache_hits == 1
-    # Memo cleared, disk warm: the tables come from the .npz, not
-    # from lowering again.
+    # Memo cleared: the plan is lowered again, nothing is built.
     dispatch._TABLES.clear()
     third = KernelSimulator(fig1_app, tree)
     assert third.engine_used == "kernel"
     assert kernel_stats().compiles == 1
+    assert kernel_stats().cache_hits == 1
+    # The cache holds the core and its source, for debugging; no
+    # plan's tables.
+    assert sorted(p.suffix for p in kernel_cache.iterdir()) == [".c", ".so"]
+    assert all(p.name.startswith("core-") for p in kernel_cache.iterdir())
+
+
+def test_table_memo_is_least_recently_used(fig1_app, kernel_cache,
+                                           monkeypatch):
+    """Capacity + 1 distinct plans evict the least recently used one;
+    a plan re-used in between stays a hit."""
+    _needs_compiler()
+    import repro.runtime.engine.kernel.dispatch as dispatch
+    from repro.scheduling.fschedule import FSchedule
+
+    lowered = []
+    lower_plan = dispatch.lower_plan
+
+    def counting(app, tree):
+        lowered.append(tree.root.schedule.start_time)
+        return lower_plan(app, tree)
+
+    monkeypatch.setattr(dispatch, "lower_plan", counting)
+    root = ftss_reference(fig1_app)
+    capacity = dispatch.TABLES_CAPACITY
+    plans = [
+        FSchedule(fig1_app, root.entries, start_time=start,
+                  fault_budget=root.fault_budget)
+        for start in range(capacity + 1)
+    ]
+    for plan in plans[:capacity]:
+        assert KernelSimulator(fig1_app, plan).engine_used == "kernel"
+    assert KernelSimulator(fig1_app, plans[0]).engine_used == "kernel"
+    assert kernel_stats().cache_hits == 1
+    KernelSimulator(fig1_app, plans[capacity])
+    assert len(dispatch._TABLES) == capacity
+    KernelSimulator(fig1_app, plans[0])
     assert kernel_stats().cache_hits == 2
-    # The cache holds the core (and its source, for debugging) and
-    # the plan's tables.
-    assert len(list(kernel_cache.glob("*.so"))) == 1
-    assert len(list(kernel_cache.glob("*.c"))) == 1
-    assert len(list(kernel_cache.glob("*.npz"))) == 1
+    KernelSimulator(fig1_app, plans[1])
+    assert kernel_stats().cache_hits == 2
+    assert lowered == list(range(capacity + 1)) + [1]
+    assert kernel_stats().fallbacks == {}
 
 
 def test_one_core_serves_every_plan_across_processes(kernel_cache):
-    """One build for three plans; a second process builds and lowers
-    nothing and reproduces every result."""
+    """One build for three plans; a second process builds nothing,
+    lowers its own plans and reproduces every result."""
     _needs_compiler()
     first = _serve_plans()
     assert first["engines"] == ["kernel"] * 3
     assert first["compiles"] == 1
     assert first["cache_hits"] == 0
-    assert len(list(kernel_cache.glob("*.so"))) == 1
-    assert len(list(kernel_cache.glob("*.npz"))) == 3
+    assert len(list(kernel_cache.glob("core-*.so"))) == 1
+    assert len(list(kernel_cache.iterdir())) == 2
 
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; "
         f"sys.path[:0] = [{str(src)!r}, {str(Path(__file__).parent)!r}]; "
         "import test_kernel_engine as t; "
-        "t._serve_plans_without_lowering()"
+        "t._serve_plans_in_fresh_process()"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -268,32 +383,11 @@ def test_one_core_serves_every_plan_across_processes(kernel_cache):
     second = json.loads(proc.stdout.strip().splitlines()[-1])
     assert second["engines"] == ["kernel"] * 3
     assert second["compiles"] == 0
-    assert second["cache_hits"] == 3
+    assert second["cache_hits"] == 0
+    assert second["lowered"] == 3
     assert second["fallbacks"] == {}
     assert second["digest"] == first["digest"]
-
-
-def test_truncated_tables_are_relowered(fig1_app, kernel_cache):
-    """A torn ``.npz`` reads as absent: the plan is lowered again, the
-    file rewritten, and the results are unchanged."""
-    _needs_compiler()
-    import repro.runtime.engine.kernel.dispatch as dispatch
-
-    tree = _tree(fig1_app)
-    KernelSimulator(fig1_app, tree)
-    (npz,) = kernel_cache.glob("*.npz")
-    whole = npz.read_bytes()
-    npz.write_bytes(whole[: len(whole) // 2])
-    dispatch._TABLES.clear()
-    simulator = KernelSimulator(fig1_app, tree)
-    assert simulator.engine_used == "kernel"
-    assert kernel_stats().cache_hits == 0
-    assert kernel_stats().fallbacks == {}
-    assert len(npz.read_bytes()) == len(whole)
-    dispatch._TABLES.clear()
-    assert KernelSimulator(fig1_app, tree).engine_used == "kernel"
-    assert kernel_stats().cache_hits == 1
-    _assert_same_results(fig1_app, tree, simulator)
+    assert len(list(kernel_cache.iterdir())) == 2
 
 
 # ----------------------------------------------------------------------
@@ -359,6 +453,31 @@ def test_unusable_cache_degrades_to_the_oracle(
     assert simulator.engine_used == "reference"
     assert simulator.fallback_reason == "cache-unavailable"
     _assert_same_results(fig1_app, root, simulator)
+
+
+def test_failed_build_runs_the_compiler_once(
+    fig1_app, kernel_cache, monkeypatch, tmp_path
+):
+    """A compiler that fails is run once per process: two simulators
+    and two ``ftss()`` calls each still count a ``compile-failed``
+    fallback, and answer like the oracle."""
+    from repro.scheduling.fschedule import FSchedule
+
+    calls = tmp_path / "cc-calls"
+    script = tmp_path / "failing-cc"
+    script.write_text(f"#!/bin/sh\necho run >> '{calls}'\nexit 1\n")
+    script.chmod(0o755)
+    monkeypatch.setenv("REPRO_CC", str(script))
+    root = ftss_reference(fig1_app)
+    simulators = [KernelSimulator(fig1_app, root) for _ in range(2)]
+    schedules = [ftss(fig1_app) for _ in range(2)]
+    assert calls.read_text().splitlines() == ["run"]
+    assert [s.fallback_reason for s in simulators] == ["compile-failed"] * 2
+    assert all(isinstance(s, FSchedule) for s in schedules)
+    assert [s.entries for s in schedules] == [root.entries] * 2
+    assert kernel_stats().fallbacks == {"compile-failed": 4}
+    assert kernel_stats().compiles == 0
+    _assert_same_results(fig1_app, root, simulators[1])
 
 
 def test_chaos_forces_compile_failure_deterministically(
