@@ -493,10 +493,12 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from repro.io.c_export import write_c_tables
 
     app, tree = _load_inputs(args)
+    stats = _synthesis_stats()
     with _input_errors():
         paths = write_c_tables(app, tree, args.directory, symbol=args.symbol)
     for path in paths:
         print(f"wrote {path}")
+    _print_synthesis_line(stats)
     return 0
 
 

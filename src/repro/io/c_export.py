@@ -7,7 +7,9 @@ package's files, byte for byte), ``<prefix>_plan.h`` (``extern const
 rk_plan <prefix>_plan;``, the process ids, and size macros for static
 scratch) and ``<prefix>_plan.c`` (the tables of
 :func:`~repro.runtime.engine.kernel.lower.lower_plan` as static const
-arrays, then the ``rk_plan`` initializer).  The files are C99 without
+arrays, then the ``rk_plan`` initializer).  The §2.2 thresholds are
+lowered through the loaded core where one can be had, else by the
+Python oracle, to the same bytes.  The files are C99 without
 variable-length arrays or allocation; floats are hex literals and
 64-bit integers go through ``INT64_C``/``UINT64_C``, so every constant
 reaches the target bit for bit.
@@ -27,6 +29,7 @@ from repro.model.application import Application
 from repro.quasistatic.tree import QSTree
 from repro.runtime.engine.kernel import lower
 from repro.runtime.engine.kernel.build import CORE_HEADER, CORE_SOURCE
+from repro.runtime.engine.kernel.dispatch import prepare_core
 
 
 def _sanitize(symbol: str) -> str:
@@ -78,7 +81,7 @@ def export_tree_to_c(
     prefix = _sanitize(symbol)
     macro = prefix.upper()
     try:
-        arrays = lower.lower_plan(app, tree)
+        arrays = lower.lower_plan(app, tree, prepare_core())
     except lower.KernelUnsupported as exc:
         raise SerializationError(
             f"the C core cannot run this plan ({exc.reason}): {exc}"

@@ -15,12 +15,16 @@ corpus):
   ``rk_ftss`` call through
   :func:`~repro.scheduling.ftss.ftss_compiled` — never through
   ``ftss``.  Whole tails are memoized per ``(budget, start, completed
-  mask, dropped mask)``.
+  mask, dropped mask)``, each with its latest schedulable start.
 
 * **Interval partitioning in the C core** — the safety bound t_ic
   falls out of a closed form (worst-case completions are ``start +
   const``, so feasibility flips at ``min(deadline_i - const_i, period
-  - const_last)``; no bisection), and each side's expected-utility
+  - const_last)``; no bisection), which ``rk_ftss`` reports with the
+  tail from its final schedulability check (a tail built by
+  ``ftss_reference`` takes it from
+  :meth:`~repro.scheduling.compiled.SchedulingContext.latest_start`),
+  and each side's expected-utility
   profile is evaluated at *all* critical points in one
   ``rk_expected`` call, the scalar path's float operations per point,
   so every float is bit-identical.  Where the C path cannot run, the
@@ -136,26 +140,6 @@ class SynthesisStats:
         )
 
 
-# ----------------------------------------------------------------------
-# Interval partitioning
-# ----------------------------------------------------------------------
-def fast_latest_safe_start(
-    schedule: FSchedule, lo: int, hi: int, ctx: SchedulingContext
-) -> Optional[int]:
-    """Closed-form :func:`repro.quasistatic.intervals.latest_safe_start`.
-
-    Every worst-case completion of a rebased schedule is ``start +
-    const`` with the constant independent of the start time, so
-    :func:`~repro.scheduling.feasibility.latest_start` gives the bound
-    directly — no bisection needed.  ``ctx`` holds the application's
-    tables.
-    """
-    limit = ctx.latest_start(schedule)
-    if limit is None or lo > limit:
-        return None  # (a missing hard process is infeasible at any start)
-    return min(hi, limit)
-
-
 @dataclass
 class _CandidateResult:
     """One admissible candidate, ready for deterministic admission."""
@@ -186,7 +170,9 @@ class SynthesisEngine:
         self.config = config
         self.ctx = SchedulingContext(app)
         self.stats = stats if stats is not None else SynthesisStats()
-        self._tail_memo: Dict[Tuple, Optional[FSchedule]] = {}
+        self._tail_memo: Dict[
+            Tuple, Tuple[Optional[FSchedule], Optional[int]]
+        ] = {}
         self._profile_cache: Dict[Tuple, Tuple[TailProfile, object]] = {}
         self._best_similarity: Dict[int, float] = {}
         self._expected_utility: Dict[int, float] = {}
@@ -201,11 +187,14 @@ class SynthesisEngine:
         start: int,
         prior_completed: int,
         prior_dropped: int,
-    ) -> Optional[FSchedule]:
+    ) -> Tuple[Optional[FSchedule], Optional[int]]:
+        """The tail schedule and its latest schedulable start (t_ic),
+        or ``(None, None)``."""
         key = (fault_budget, start, prior_completed, prior_dropped)
-        if key in self._tail_memo:
+        hit = self._tail_memo.get(key)
+        if hit is not None:
             self.stats.memo_hits += 1
-            return self._tail_memo[key]
+            return hit
         self.stats.tails_scheduled += 1
         if not self.config.ftss.fast_paths:
             # The reference slow probes differ from the fast ones in
@@ -219,13 +208,15 @@ class SynthesisEngine:
                 prior_dropped=self.ctx.names_of(prior_dropped),
                 config=self.config.ftss,
             )
+            limit = None if tail is None else self.ctx.latest_start(tail)
+            found = (tail, limit)
         else:
-            tail = ftss_compiled(
+            found = ftss_compiled(
                 self.ctx, self.config.ftss, fault_budget, start,
                 prior_completed, prior_dropped,
             )
-        self._tail_memo[key] = tail
-        return tail
+        self._tail_memo[key] = found
+        return found
 
     # ------------------------------------------------------------------
     # Candidate evaluation
@@ -318,22 +309,21 @@ class SynthesisEngine:
         parent: FSchedule,
         parent_position: int,
         child: FSchedule,
+        limit: int,
         lo: int,
         hi: int,
     ) -> PartitionResult:
         """Clone of :func:`repro.quasistatic.intervals.partition` with
-        the closed-form safety bound and one expectation call per
-        profile."""
+        one expectation call per profile.  Its safety bound,
+        :func:`~repro.quasistatic.intervals.latest_safe_start`, is the
+        child's latest schedulable start ``limit`` clamped to ``[lo,
+        hi]``: every worst-case completion of a rebased schedule is
+        ``start + const``, so no bisection is needed."""
         stride = self.config.interval_stride
-        if lo > hi:
+        if lo > hi or lo > limit:
             return PartitionResult(intervals=(), improvement=0.0)
         trace_span = hi - lo + 1
-        safe_hi = fast_latest_safe_start(child, lo, hi, self.ctx)
-        if safe_hi is None:
-            return PartitionResult(intervals=(), improvement=0.0)
-        hi = min(hi, safe_hi)
-        if lo > hi:
-            return PartitionResult(intervals=(), improvement=0.0)
+        hi = min(hi, limit)
         parent_profile, parent_terms = self._profile(
             parent, parent_position + 1
         )
@@ -386,7 +376,7 @@ class SynthesisEngine:
         the tail starts."""
         config = self.config
         self.stats.candidates_evaluated += 1
-        tail = self._tail(
+        tail, limit = self._tail(
             schedule.fault_budget - faults,
             start,
             prefix_completed,
@@ -397,13 +387,14 @@ class SynthesisEngine:
         if faults == 0 and tail.signature() == parent_signature:
             return None
         if config.use_interval_partitioning:
-            result = self._partition(schedule, position, tail, start, hi)
+            result = self._partition(
+                schedule, position, tail, limit, start, hi
+            )
         else:
-            safe_hi = fast_latest_safe_start(tail, start, hi, self.ctx)
-            if safe_hi is None:
+            if start > limit:
                 return None
             result = PartitionResult(
-                intervals=((start, safe_hi),), improvement=1.0
+                intervals=((start, min(hi, limit)),), improvement=1.0
             )
         if not result.beneficial:
             return None

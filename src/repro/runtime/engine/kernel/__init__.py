@@ -22,7 +22,9 @@ The same shared object carries the design-time entry points of
 ``rk_ftss.c`` — one FTSS run per ``rk_ftss`` call, expected-utility
 profiles per ``rk_expected`` call — which
 :mod:`~repro.runtime.engine.kernel.design` runs for
-:mod:`repro.scheduling` and :mod:`repro.quasistatic`.
+:mod:`repro.scheduling` and :mod:`repro.quasistatic`, and
+``rk_thresholds``, which fills a plan's §2.2 threshold table in one
+call while it is lowered.
 """
 
 from repro.runtime.engine.kernel.build import (

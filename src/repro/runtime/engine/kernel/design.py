@@ -10,9 +10,13 @@ core and lowers the context's application once
 (:func:`~repro.runtime.engine.kernel.lower.lower_scheduling`), then
 
 * :meth:`DesignCore.ftss` is one whole FTSS run in one ``rk_ftss``
-  call, and
+  call, which also reports the schedule's latest schedulable start
+  (its t_ic, what interval partitioning clamps to), and
 * :meth:`DesignCore.expected` is ``TailProfile.expected`` at every
   switch time of one profile in one ``rk_expected`` call.
+
+The third entry point of ``rk_ftss.c``, ``rk_thresholds``, serves
+plan lowering instead (``dispatch.Core.fill_thresholds``).
 
 Both release the GIL, keep every buffer on the caller's side and are
 bit-identical to their oracles (``tests/test_ftss_differential.py``,
@@ -38,6 +42,7 @@ from repro.runtime.engine.kernel.dispatch import (
     c_address,
     kernel_stats,
     load_core,
+    top_slots,
 )
 from repro.runtime.engine.kernel.lower import (
     APP_ARRAYS,
@@ -113,13 +118,16 @@ class DesignCore:
     def ftss(
         self, config, fault_budget: int, start_time: int,
         prior_completed: int, prior_dropped: int,
-    ) -> Optional[FSchedule]:
+    ) -> Tuple[Optional[FSchedule], Optional[int]]:
         """One FTSS run (prior sets as masks) in one ``rk_ftss`` call:
-        the f-schedule, or ``None`` when unschedulable.  Check
+        the f-schedule and the latest start at which it stays
+        schedulable (its t_ic, what
+        :meth:`~repro.scheduling.compiled.SchedulingContext.latest_start`
+        computes), or ``(None, None)`` when unschedulable.  Check
         :meth:`ftss_fallback` first."""
         ctx = self.ctx
         n, nw = len(ctx.names), self._nw
-        slots = min(max(fault_budget, 1), n) + 2  # RK_TOP_SLOTS
+        slots = top_slots(n, fault_budget)
         flags = np.array(
             [config.drop_heuristic, config.soft_reexecution,
              config.slack_sharing, config.optimize_for == "wcet"],
@@ -131,7 +139,8 @@ class DesignCore:
         work_i = np.empty(2 * n + 8 * slots, dtype=np.int64)
         work_d = np.empty(2 * n, dtype=np.float64)
         work_m = np.empty(16 * nw, dtype=np.uint64)
-        picks = np.empty(2 * n + 1, dtype=np.int64)  # pids, caps, count
+        # pids, caps, count, latest start
+        picks = np.empty(2 * n + 2, dtype=np.int64)
         at = picks.ctypes.data
         status = self._core.ftss(
             ctypes.byref(self._plan), ctypes.byref(self._sched),
@@ -139,7 +148,7 @@ class DesignCore:
             SUCCESSOR_WEIGHT, fault_budget, start_time,
             sets.ctypes.data, sets.ctypes.data + 8 * nw,
             work_i.ctypes.data, work_d.ctypes.data, work_m.ctypes.data,
-            at, at + 8 * n, at + 16 * n,
+            at, at + 8 * n, at + 16 * n, at + 16 * n + 8,
         )
         if status not in (FTSS_OK, FTSS_UNSCHEDULABLE, FTSS_LATE):
             raise RuntimeError(f"rk_ftss rejected its arguments ({status})")
@@ -153,7 +162,7 @@ class DesignCore:
             )
         ]
         if status == FTSS_UNSCHEDULABLE:
-            return None
+            return None, None
         schedule = FSchedule(
             ctx.app,
             entries,
@@ -163,7 +172,9 @@ class DesignCore:
             prior_dropped=ctx.names_of(prior_dropped),
             slack_sharing=config.slack_sharing,
         )
-        return schedule if status == FTSS_OK else None
+        if status != FTSS_OK:
+            return None, None
+        return schedule, int(picks[2 * n + 1])
 
     # ------------------------------------------------------------------
     # Expected-utility profiles

@@ -8,7 +8,8 @@ loaded at most once per process, and a failed build is not retried
 for the life of the process — and fetches the plan's lowered tables:
 from the in-process memo, a least-recently-used map of at most
 :data:`TABLES_CAPACITY` plans keyed by :func:`plan_key` (the content
-of the application and plan documents), else by lowering the plan.
+of the application and plan documents), else by lowering the plan on
+the loaded core (its §2.2 thresholds in one ``rk_thresholds`` call).
 Anything that prevents that — no compiler, a failed build, an
 unusable cache directory, a plan the core cannot express, injected
 chaos — degrades to replaying every scenario on the reference oracle,
@@ -153,6 +154,31 @@ class Core:
     run: Any
     ftss: Any
     expected: Any
+    thresholds: Any
+
+    def fill_thresholds(
+        self, arrays: Dict[str, np.ndarray], wcet: np.ndarray,
+        need: np.ndarray, sharing: np.ndarray, bad: np.ndarray,
+    ) -> None:
+        """Fill ``arrays["thr"]``, the §2.2 table of a plan lowered
+        up to it, in one ``rk_thresholds`` call: per-pid WCET and
+        recovery need (int64), per-node slack sharing and per-entry
+        probe rejection flags (uint8)."""
+        plan = LoweredPlan(arrays).struct
+        if (len(wcet), len(need), len(sharing), len(bad)) != (
+            plan.n_proc, plan.n_proc, plan.n_nodes, len(arrays["entries"])
+        ):
+            raise ValueError("rk_thresholds columns do not match the plan")
+        work = np.empty(2 * top_slots(plan.n_proc, plan.k), dtype=np.int64)
+        columns = ((wcet, np.int64), (need, np.int64), (sharing, np.uint8),
+                   (bad, np.uint8), (work, np.int64),
+                   (arrays["thr"], np.int64))
+        rc = self.thresholds(
+            ctypes.byref(plan),
+            *(c_address(array, dtype) for array, dtype in columns),
+        )
+        if rc != 0:
+            raise RuntimeError(f"rk_thresholds rejected its arguments ({rc})")
 
 
 #: The loaded :class:`Core`, once per process.
@@ -208,6 +234,12 @@ def c_address(array: np.ndarray, dtype) -> int:
     return array.ctypes.data
 
 
+def top_slots(n_proc: int, budget: int) -> int:
+    """``RK_TOP_SLOTS`` of ``rk_ftss.c``: the slots of one recovery
+    top-list."""
+    return min(max(budget, 1), n_proc) + 2
+
+
 def bind_core(lib: ctypes.CDLL):
     """``lib``'s ``rk_run`` with its ctypes signature, once the
     library's ``rk_plan`` is checked to be :class:`RkPlan`'s size."""
@@ -229,8 +261,8 @@ def bind_core(lib: ctypes.CDLL):
 
 
 def bind_design(lib: ctypes.CDLL):
-    """``lib``'s ``rk_ftss`` and ``rk_expected`` with their ctypes
-    signatures."""
+    """``lib``'s ``rk_ftss``, ``rk_expected`` and ``rk_thresholds``
+    with their ctypes signatures."""
     ftss = lib.rk_ftss
     ftss.restype = _I64
     ftss.argtypes = [
@@ -240,14 +272,17 @@ def bind_design(lib: ctypes.CDLL):
         _I64, _I64,  # budget, start
         _PTR, _PTR,  # completed, dropped
         _PTR, _PTR, _PTR,  # work buffers
-        _PTR, _PTR, _PTR,  # pids, caps, count
+        _PTR, _PTR, _PTR, _PTR,  # pids, caps, count, latest start
     ]
     expected = lib.rk_expected
     expected.restype = _I64
     expected.argtypes = [
         ctypes.POINTER(RkPlan), _PTR, _I64, _PTR, _I64, _PTR,
     ]
-    return ftss, expected
+    thresholds = lib.rk_thresholds
+    thresholds.restype = _I64
+    thresholds.argtypes = [ctypes.POINTER(RkPlan)] + [_PTR] * 6
+    return ftss, expected, thresholds
 
 
 def run_core(run, plan: RkPlan, batch: ScenarioBatch) -> BatchResult:
@@ -322,13 +357,15 @@ def load_core() -> Core:
         return _load_core()
 
 
-def prepare_core() -> None:
-    """Load the core ahead of a fan-out, so forked workers inherit it;
-    a core that cannot be had is counted as a fallback here, once."""
+def prepare_core() -> Optional[Core]:
+    """The core, loaded now (ahead of a fan-out, forked workers
+    inherit it), or ``None`` when it cannot be had, counted as a
+    fallback here, once."""
     try:
-        load_core()
+        return load_core()
     except KernelBuildError as exc:
         kernel_stats().count_fallback(exc.reason)
+        return None
 
 
 def plan_key(app: Application, tree: QSTree) -> str:
@@ -353,15 +390,16 @@ def plan_key(app: Application, tree: QSTree) -> str:
     )
 
 
-def _plan_tables(app: Application, tree: QSTree) -> LoweredPlan:
-    """The lowered tables of ``tree``, from the memo or lowered now."""
+def _plan_tables(app: Application, tree: QSTree, core: Core) -> LoweredPlan:
+    """The lowered tables of ``tree``, from the memo or lowered now
+    on ``core``."""
     key = plan_key(app, tree)
     lowered = _TABLES.get(key)
     if lowered is not None:
         _TABLES.move_to_end(key)
         kernel_stats().add("cache_hits")
         return lowered
-    lowered = _TABLES[key] = LoweredPlan(lower_plan(app, tree))
+    lowered = _TABLES[key] = LoweredPlan(lower_plan(app, tree, core))
     while len(_TABLES) > TABLES_CAPACITY:
         _TABLES.popitem(last=False)
     return lowered
@@ -383,9 +421,11 @@ class KernelSimulator(BatchSimulator):
         self.fallback_reason: Optional[str] = None
         try:
             with _LOCK:
-                run = _load_core().run
-                self._lowered = _plan_tables(self.app, self.tree)
-            self._run = run
+                # Lowered on this core: _LOCK is not reentrant, so
+                # lowering never loads one itself.
+                core = _load_core()
+                self._lowered = _plan_tables(self.app, self.tree, core)
+            self._run = core.run
         except (KernelUnsupported, KernelBuildError) as exc:
             self.fallback_reason = exc.reason
             kernel_stats().count_fallback(exc.reason)

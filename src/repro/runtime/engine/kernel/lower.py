@@ -10,8 +10,11 @@ tables and the bit masks of process sets.  Processes are numbered in
 application order; arcs evaluated at one completion are stored sorted
 by ``(-required_faults, target)``, so the core's first match is
 ``OnlineScheduler._matching_arc``'s ``min`` over all matches.  The
-§2.2 schedulability thresholds come out in closed form
-(:func:`node_thresholds`).  The record dtypes and :class:`RkPlan`
+§2.2 schedulability thresholds come out in closed form: with the
+loaded core, one ``rk_thresholds`` call fills the whole table once the
+records are built (the probe-rejection pre-pass and each node's slack
+sharing stay here); without one, :func:`node_thresholds`, its oracle,
+fills the same bytes.  The record dtypes and :class:`RkPlan`
 mirror the structs of ``rk_core.h``, and :class:`LoweredPlan` points
 one ``rk_plan`` at a set of arrays.  The kernel engine hands the core
 these arrays as they are; :mod:`repro.io.c_export` writes them as C
@@ -173,6 +176,25 @@ def _utility_spec(utility) -> Tuple:
 # ----------------------------------------------------------------------
 # §2.2 check (b): the S_iH probe
 # ----------------------------------------------------------------------
+def _rejected_probes(app: Application, names: Sequence[str]) -> List[bool]:
+    """Per position of a schedule's entry ``names``: would the
+    oracle's validation reject the S_iH probe from there on?  The
+    probe from position ``p`` is rejected iff some entry ``q >= p``
+    repeats a later entry or has a predecessor at or after it."""
+    graph = app.graph
+    bad = [False] * (len(names) + 1)
+    later = set()
+    for q in range(len(names) - 1, -1, -1):
+        repeated = names[q] in later
+        later.add(names[q])
+        bad[q] = (
+            bad[q + 1]
+            or repeated
+            or any(pred in later for pred in graph.predecessors(names[q]))
+        )
+    return bad[:-1]
+
+
 def node_thresholds(
     app: Application, schedule: FSchedule
 ) -> List[List[List[int]]]:
@@ -189,26 +211,16 @@ def node_thresholds(
     arithmetic.  A probe whose construction the oracle would reject
     gives ``NEVER - µ``.  Hard positions (always re-executed) and soft
     positions with no re-execution have no attempts.
+
+    The oracle of ``rk_thresholds``, which fills the same cells in C
+    (:func:`lower_plan` with a core); it runs where no core can be had.
     """
     k = int(app.k)
-    graph = app.graph
     names = [e.name for e in schedule.entries]
     procs = [app.process(name) for name in names]
     caps = [e.reexecutions for e in schedule.entries]
     length = len(names)
-    # bad[q]: the probe's validation fails at entry q — it repeats a
-    # later entry, or a predecessor runs at or after it.  A probe from
-    # position p is rejected iff some bad[q] holds for q >= p.
-    bad = [False] * (length + 1)
-    later = set()
-    for q in range(length - 1, -1, -1):
-        repeated = names[q] in later
-        later.add(names[q])
-        bad[q] = (
-            bad[q + 1]
-            or repeated
-            or any(pred in later for pred in graph.predecessors(names[q]))
-        )
+    bad = _rejected_probes(app, names)
     needs = [app.recovery_need(name) for name in names]
     # rows[b][q]: entry q as a probe row under budget b.
     rows = [
@@ -327,14 +339,17 @@ def lower_application(app, names: Sequence[str]) -> Dict[str, list]:
 
 
 def lower_plan(
-    app: Application, plan: Union[QSTree, FSchedule]
+    app: Application, plan: Union[QSTree, FSchedule], core=None
 ) -> Dict[str, np.ndarray]:
     """The ``rk_plan`` tables of one plan, by field name.
 
     Includes every schedulability threshold the core can consult
     (attempts ``0..min(cap, k)-1`` per soft position, budgets
-    ``0..k``; see :func:`node_thresholds`).  The dispatcher's memo
-    amortizes lowering across constructions and runs of one process.
+    ``0..k``): filled by one ``rk_thresholds`` call of ``core``, the
+    loaded :class:`~repro.runtime.engine.kernel.dispatch.Core`, or,
+    without one, by :func:`node_thresholds` — the same bytes either
+    way.  The dispatcher's memo amortizes lowering across
+    constructions and runs of one process.
     """
     tree = QSTree(plan) if isinstance(plan, FSchedule) else plan
     names = [p.name for p in app.processes]
@@ -348,6 +363,9 @@ def lower_plan(
     dense = {node.node_id: i for i, node in enumerate(nodes)}
     col: Dict[str, list] = {name: [] for name, *_ in ARRAYS}
     col.update(lower_application(app, names))
+    n_thr = 0
+    sharing: List[bool] = []  # per node, for rk_thresholds
+    bad: List[bool] = []      # per entry, for rk_thresholds
 
     # ---- per-node / per-entry records ----
     for node in nodes:
@@ -360,15 +378,20 @@ def lower_plan(
         col["node_sdrop"] += _mask_words(
             (index[n] for n in schedule.all_dropped), n_words
         )
-        thresholds = node_thresholds(app, schedule)
+        if core is None:
+            for cells in node_thresholds(app, schedule):
+                for cell in cells:
+                    col["thr"] += cell
+        else:
+            sharing.append(schedule.slack_sharing)
+            bad += _rejected_probes(app, [e.name for e in entries])
         probes = probe_info(app, schedule)
         for pos, (entry, pid) in enumerate(zip(entries, pids)):
             soft = not hard[pid]
-            natt = len(thresholds[pos])
-            thr_lo, arc_lo = len(col["thr"]), len(col["arcs"])
+            natt = min(entry.reexecutions, k) if soft else 0
+            thr_lo, arc_lo = n_thr, len(col["arcs"])
             keep_lo, drop_lo = len(col["keep"]), len(col["drop"])
-            for cell in thresholds[pos]:
-                col["thr"] += cell
+            n_thr += natt * (k + 1)
             arcs = sorted(
                 (a for a in node.arcs if a.process == entry.name),
                 key=lambda a: (-a.required_faults, a.target),
@@ -409,6 +432,15 @@ def lower_plan(
     arrays = {"header": np.array(header, dtype=_I8)}
     for name, dtype, _ in ARRAYS:
         arrays[name] = np.array(col[name], dtype=dtype)
+    if core is not None:
+        arrays["thr"] = np.empty(n_thr, dtype=_I8)
+        core.fill_thresholds(
+            arrays,
+            wcet=np.array([p.wcet for p in app.processes], dtype=_I8),
+            need=np.array([app.recovery_need(n) for n in names], dtype=_I8),
+            sharing=np.array(sharing, dtype=np.uint8),
+            bad=np.array(bad, dtype=np.uint8),
+        )
     return arrays
 
 

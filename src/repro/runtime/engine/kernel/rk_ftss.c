@@ -1,26 +1,33 @@
 /*
  * The design-time entry points of the scheduler core: one whole FTSS
- * run (paper section 5.2, Fig. 8) and the expected-utility profile of
- * interval partitioning (section 5.1).
+ * run (paper section 5.2, Fig. 8), the expected-utility profile of
+ * interval partitioning (section 5.1) and the section 2.2 threshold
+ * table of a lowered plan.
  *
  * This file is compiled appended to rk_core.c, as one translation
  * unit (repro.runtime.engine.kernel.build), so it reads an
  * application through the same rk_plan records and evaluates it with
  * the same rk_util and rk_alphas; `repro export` ships rk_core.{h,c}
- * without it.  The application part of the rk_plan (procs, graph,
- * pred, ubound, uval, hard_mask, soft_mask) is numbered in
- * sorted-name order here, so every smallest-name tie-break of the
- * oracle is a smallest-pid one.
+ * without it.  For rk_ftss and rk_expected the application part of
+ * the rk_plan (procs, graph, pred, ubound, uval, hard_mask, soft_mask)
+ * is numbered in sorted-name order, so every smallest-name tie-break
+ * of the oracle is a smallest-pid one; rk_thresholds reads a plan as
+ * lower_plan numbers it, in application order.
  *
  * rk_ftss is an exact clone of repro.scheduling.ftss.ftss_reference
  * with fast_paths semantics: the same list-scheduling loop, the same
  * integer S_iH probes (with the hard-tail walk collapsed to one bound:
  * a full-budget cap absorbs every fault no strictly costlier entry
  * claims, so of the hard entries appended only the costliest matters)
- * and every float operation in the oracle's order.  rk_expected is
+ * and every float operation in the oracle's order; it also reports the
+ * latest start of its final schedulability check, the schedule's t_ic
+ * (SchedulingContext.latest_start).  rk_expected is
  * TailProfile.expected at a list of switch times, with libm's erf.
- * Both are bit-identical to their oracles as long as the build keeps
- * -ffp-contract=off.  The caller owns every buffer.
+ * rk_thresholds fills a plan's thr table as lower.node_thresholds
+ * does, each cell one feasibility.latest_start walk (rk_walk, which
+ * rk_ftss's final check walks too).  All are bit-identical to their
+ * oracles as long as the build keeps -ffp-contract=off.  The caller
+ * owns every buffer.
  */
 #include <math.h>
 
@@ -195,11 +202,11 @@ typedef struct rk_frun {
 } rk_frun;
 
 /* ---- TopNeeds ---- */
-static void rk_top_add(const rk_frun *f, rk_oracle *o, int64_t cost,
+static void rk_top_add(rk_oracle *o, int64_t budget, int64_t cost,
                        int64_t cap)
 {
     int64_t i, j, total;
-    if (cap <= 0 || f->budget == 0) {
+    if (cap <= 0 || budget == 0) {
         return;
     }
     i = 0;
@@ -211,12 +218,12 @@ static void rk_top_add(const rk_frun *f, rk_oracle *o, int64_t cost,
         o->top_cap[j] = o->top_cap[j - 1];
     }
     o->top_cost[i] = cost;
-    o->top_cap[i] = rk_min(cap, f->budget);
+    o->top_cap[i] = rk_min(cap, budget);
     o->n_top++;
     total = 0;
     for (j = 0; j < o->n_top; j++) {
         total += o->top_cap[j];
-        if (total >= f->budget) {
+        if (total >= budget) {
             o->n_top = j + 1;
             break;
         }
@@ -225,13 +232,13 @@ static void rk_top_add(const rk_frun *f, rk_oracle *o, int64_t cost,
 
 /* The worst-case recovery demand, with one extra (cost, cap) entry
  * (cap 0: none). */
-static int64_t rk_top_demand(const rk_frun *f, const rk_oracle *o,
+static int64_t rk_top_demand(const rk_oracle *o, int64_t budget,
                              int64_t extra_cost, int64_t extra_cap)
 {
-    int64_t remaining = f->budget;
+    int64_t remaining = budget;
     int64_t total = 0;
     int64_t i, take;
-    extra_cap = rk_min(extra_cap, f->budget);
+    extra_cap = rk_min(extra_cap, budget);
     for (i = 0; i < o->n_top; i++) {
         if (remaining <= 0) {
             return total;
@@ -321,7 +328,8 @@ static int64_t rk_soft_limit(const rk_frun *f, rk_oracle *o)
     if (!o->has_soft_limit) {
         o->soft_limit = rk_tail_limit(
             f, o, o->top_cost, o->top_cap, o->n_top,
-            f->sharing ? rk_top_demand(f, o, -1, 0) : o->private_demand,
+            f->sharing ? rk_top_demand(o, f->budget, -1, 0)
+                       : o->private_demand,
             -1);
         o->has_soft_limit = 1;
     }
@@ -349,7 +357,7 @@ static int rk_check(rk_frun *f, rk_oracle *o, int64_t q, int64_t r)
     if (!f->sharing) {
         demand = o->private_demand + need * rk_min(r, f->budget);
     } else if (r > 0) {
-        demand = rk_top_demand(f, o, need, r);
+        demand = rk_top_demand(o, f->budget, need, r);
         /* The prefix items with this one inserted, costs descending
          * (the order among equal costs does not change a demand). */
         i = 0;
@@ -368,7 +376,7 @@ static int rk_check(rk_frun *f, rk_oracle *o, int64_t q, int64_t r)
         cap = f->merge_cap;
         n++;
     } else {
-        demand = rk_top_demand(f, o, -1, 0);
+        demand = rk_top_demand(o, f->budget, -1, 0);
     }
     if (hard && clock + demand > f->p->procs[q].deadline) {
         return 0;
@@ -416,7 +424,7 @@ static void rk_on_schedule(const rk_frun *f, rk_oracle *o, int64_t q,
     if (r > 0) {
         o->has_soft_limit = 0;
         if (f->sharing) {
-            rk_top_add(f, o, sp[q].need, r);
+            rk_top_add(o, f->budget, sp[q].need, r);
         } else {
             o->private_demand += sp[q].need * rk_min(r, f->budget);
         }
@@ -424,7 +432,8 @@ static void rk_on_schedule(const rk_frun *f, rk_oracle *o, int64_t q,
     if (f->p->procs[q].is_hard) {
         o->hard_done[q >> 6] |= RK_BIT(q);
         o->has_soft_limit = 0;
-        demand = f->sharing ? rk_top_demand(f, o, -1, 0) : o->private_demand;
+        demand = f->sharing ? rk_top_demand(o, f->budget, -1, 0)
+                            : o->private_demand;
         if (f->start + o->prefix_wcet + demand > f->p->procs[q].deadline) {
             o->infeasible = 1;
         }
@@ -752,6 +761,66 @@ static int64_t rk_allotment(rk_frun *f, int64_t q, int64_t soft_reexec)
     return granted;
 }
 
+/* A run of entries walked as feasibility.latest_start walks it: the
+ * clock and worst-case total so far, their recovery demand in an
+ * oracle's top-list (or its private demand), and the least slack to a
+ * hard deadline. */
+typedef struct rk_walk {
+    rk_oracle *o;
+    int64_t budget;
+    int64_t sharing;
+    int64_t clock;
+    int64_t total;
+    int64_t limit;
+    int64_t has_limit;
+} rk_walk;
+
+static void rk_walk_start(rk_walk *w, rk_oracle *o, int64_t budget,
+                          int64_t sharing)
+{
+    w->o = o;
+    w->budget = budget;
+    w->sharing = sharing;
+    w->clock = 0;
+    w->total = 0;
+    w->limit = 0;
+    w->has_limit = 0;
+    o->n_top = 0;
+    o->private_demand = 0;
+}
+
+/* Appends one entry with cap re-executions to the walk. */
+static void rk_walk_add(rk_walk *w, int64_t wcet, int64_t need, int64_t cap,
+                        const rk_proc *proc)
+{
+    int64_t slack;
+    w->clock += wcet;
+    if (cap > 0) {
+        if (w->sharing) {
+            rk_top_add(w->o, w->budget, need, cap);
+        } else {
+            w->o->private_demand += need * rk_min(cap, w->budget);
+        }
+    }
+    w->total = w->clock
+        + (w->sharing ? rk_top_demand(w->o, w->budget, -1, 0)
+                      : w->o->private_demand);
+    if (proc->is_hard) {
+        slack = proc->deadline - w->total;
+        if (!w->has_limit || slack < w->limit) {
+            w->limit = slack;
+            w->has_limit = 1;
+        }
+    }
+}
+
+/* The walk's latest start: its least slack, the period's included. */
+static int64_t rk_walk_limit(const rk_walk *w, int64_t period)
+{
+    const int64_t slack = period - w->total;
+    return !w->has_limit || slack < w->limit ? slack : w->limit;
+}
+
 /* The latest start at which entries (after completed) stay
  * schedulable, or the period's slack; *missing when a hard process
  * is neither completed nor scheduled. */
@@ -760,38 +829,19 @@ static int64_t rk_latest_start(rk_frun *f, const int64_t *pids,
                                int *missing)
 {
     const rk_sproc *sp = f->s->sprocs;
-    rk_oracle *o = &f->x0;
-    int64_t clock = 0, total = 0, limit = 0, has_limit = 0;
-    int64_t i, q, w, slack;
+    rk_walk walk;
+    int64_t i, q, w;
     for (w = 0; w < f->nw; w++) {
         f->pool[w] = f->completed[w];
     }
-    o->n_top = 0;
-    o->private_demand = 0;
+    rk_walk_start(&walk, &f->x0, f->budget, f->sharing);
     for (i = 0; i < n; i++) {
         q = pids[i];
         f->pool[q >> 6] |= RK_BIT(q);
-        clock += sp[q].wcet;
-        if (caps[i] > 0) {
-            if (f->sharing) {
-                rk_top_add(f, o, sp[q].need, caps[i]);
-            } else {
-                o->private_demand += sp[q].need * rk_min(caps[i], f->budget);
-            }
-        }
-        total = clock
-            + (f->sharing ? rk_top_demand(f, o, -1, 0) : o->private_demand);
-        if (f->p->procs[q].is_hard) {
-            slack = f->p->procs[q].deadline - total;
-            if (!has_limit || slack < limit) {
-                limit = slack;
-                has_limit = 1;
-            }
-        }
+        rk_walk_add(&walk, sp[q].wcet, sp[q].need, caps[i], f->p->procs + q);
     }
     *missing = rk_outside(f->p->hard_mask, f->pool, f->nw);
-    slack = f->p->period - total;
-    return !has_limit || slack < limit ? slack : limit;
+    return rk_walk_limit(&walk, f->p->period);
 }
 
 static void rk_oracle_init(rk_oracle *o, int64_t *ints, int64_t slots,
@@ -816,16 +866,17 @@ static void rk_oracle_init(rk_oracle *o, int64_t *ints, int64_t slots,
  * completed and dropped sets (nw words each).  flags: drop heuristic,
  * soft re-execution, slack sharing, WCET decision times.  Writes the
  * scheduled pids and re-execution caps (n_proc slots each) and their
- * count, and returns an RK_FTSS_* outcome, or -1 for out-of-range
- * arguments.  The caller's work buffers hold 2 n_proc + 8
- * RK_TOP_SLOTS(n_proc, budget) ints, 2 n_proc doubles and 16 nw mask
- * words. */
+ * count, and, unless the loop found the run unschedulable, the latest
+ * start of the final check (the schedule's t_ic), and returns an
+ * RK_FTSS_* outcome, or -1 for out-of-range arguments.  The caller's
+ * work buffers hold 2 n_proc + 8 RK_TOP_SLOTS(n_proc, budget) ints,
+ * 2 n_proc doubles and 16 nw mask words. */
 int64_t rk_ftss(const rk_plan *plan, const rk_sched *sched,
                 const int64_t *flags, double weight, double greedy_weight,
                 int64_t budget, int64_t start, const uint64_t *completed,
                 const uint64_t *dropped, int64_t *work_i, double *work_d,
                 uint64_t *work_m, int64_t *out_pid, int64_t *out_cap,
-                int64_t *out_n)
+                int64_t *out_n, int64_t *out_latest)
 {
     const int64_t n_proc = plan->n_proc;
     const int64_t nw = plan->nw;
@@ -926,8 +977,76 @@ int64_t rk_ftss(const rk_plan *plan, const rk_sched *sched,
         rk_settle(f, q);
     }
     *out_n = n;
-    q = rk_latest_start(f, out_pid, out_cap, n, &missing);
-    return missing || start > q ? RK_FTSS_LATE : RK_FTSS_OK;
+    *out_latest = rk_latest_start(f, out_pid, out_cap, n, &missing);
+    return missing || start > *out_latest ? RK_FTSS_LATE : RK_FTSS_OK;
+}
+
+/* ---- the section 2.2 thresholds of a lowered plan ---- */
+
+/* lower.NEVER: the start bound of a probe the oracle rejects. */
+#define RK_NEVER (-((int64_t)1 << 62))
+
+/* The latest start of the S_iH probe from entry e of a node whose
+ * entries end at hi, on a started walk: e with head re-executions,
+ * then every later entry with hard caps the walk's budget and soft
+ * caps their own (the walk clamps every cap to its budget). */
+static int64_t rk_probe_start(const rk_plan *p, const int64_t *wcet,
+                              const int64_t *need, rk_walk *walk,
+                              int64_t e, int64_t hi, int64_t head)
+{
+    int64_t q, pid, cap;
+    for (q = e; q < hi; q++) {
+        pid = p->entries[q].pid;
+        cap = q == e ? head
+            : p->procs[pid].is_hard ? walk->budget : p->decisions[q].cap;
+        rk_walk_add(walk, wcet[pid], need[pid], cap, p->procs + pid);
+    }
+    return rk_walk_limit(walk, p->period);
+}
+
+/* Fills thr, the table rk_decision indexes, as
+ * repro.runtime.engine.kernel.lower.node_thresholds does: the cell of
+ * a soft entry's attempt a under budget b is the latest start of its
+ * probe with min(cap - a - 1, b) head re-executions, minus the entry's
+ * mu -- or RK_NEVER - mu where bad flags a probe the oracle rejects.
+ * wcet and need are per pid, sharing per node and bad per entry; work
+ * holds 2 RK_TOP_SLOTS(n_proc, k) ints.  Returns 0, or -1 for
+ * out-of-range arguments. */
+int64_t rk_thresholds(const rk_plan *plan, const int64_t *wcet,
+                      const int64_t *need, const uint8_t *sharing,
+                      const uint8_t *bad, int64_t *work, int64_t *thr)
+{
+    const int64_t k = plan->k;
+    rk_oracle o;
+    rk_walk walk;
+    int64_t node, e, a, b, hi;
+    int64_t *cell;
+    if (plan->n_proc < 1 || k < 0) {
+        return -1;
+    }
+    o.top_cost = work;
+    o.top_cap = work + RK_TOP_SLOTS(plan->n_proc, k);
+    for (node = 0; node < plan->n_nodes; node++) {
+        hi = plan->nodes[node].ent_hi;
+        for (e = plan->nodes[node].ent_lo; e < hi; e++) {
+            const rk_decision *dec = plan->decisions + e;
+            const int64_t mu = plan->entries[e].mu;
+            cell = thr + dec->thr_lo;
+            for (a = 0; a < dec->natt; a++) {
+                for (b = 0; b <= k; b++, cell++) {
+                    if (bad[e]) {
+                        *cell = RK_NEVER - mu;
+                        continue;
+                    }
+                    rk_walk_start(&walk, &o, b, sharing[node]);
+                    *cell = rk_probe_start(plan, wcet, need, &walk, e, hi,
+                                           rk_min(dec->cap - a - 1, b))
+                        - mu;
+                }
+            }
+        }
+    }
+    return 0;
 }
 
 /* ---- the expected-utility profile ---- */

@@ -155,7 +155,8 @@ class SchedulingContext:
         """The latest start at which ``schedule`` stays schedulable
         (:func:`~repro.scheduling.feasibility.latest_start` over the
         tables), or ``None`` when a hard process is neither in it nor
-        completed before it."""
+        completed before it: the oracle of the value ``rk_ftss``
+        reports with each schedule it builds."""
         pid, wcet, need, deadline = self.pid, self.wcet, self.need, self.deadline
         picks = [(pid[e.name], e.reexecutions) for e in schedule.entries]
         covered = self.mask(schedule.prior_completed)

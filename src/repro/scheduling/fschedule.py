@@ -142,10 +142,12 @@ class FSchedule:
         names = [e.name for e in self.entries]
         if len(set(names)) != len(names):
             raise SchedulingError(f"duplicate process in schedule: {names}")
+        prior = self.prior_completed | self.prior_dropped
+        dropped: Optional[FrozenSet[str]] = None  # computed on first need
         for entry in self.entries:
             if entry.name not in graph:
                 raise SchedulingError(f"unknown process {entry.name!r}")
-            if entry.name in self.prior_completed | self.prior_dropped:
+            if entry.name in prior:
                 raise SchedulingError(
                     f"{entry.name!r} already completed/dropped before start"
                 )
@@ -156,7 +158,9 @@ class FSchedule:
                     # the successor may still run (paper §2.1); an
                     # unscheduled, undropped predecessor is an ordering
                     # violation.
-                    if pred not in self._dropped_names(names):
+                    if dropped is None:
+                        dropped = self._dropped_names(names)
+                    if pred not in dropped:
                         raise SchedulingError(
                             f"{entry.name!r} scheduled before its "
                             f"predecessor {pred!r}"

@@ -39,7 +39,7 @@ identical f-schedules (``tests/test_ftss_differential.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.model.application import Application
 from repro.scheduling.compiled import SchedulingContext
@@ -218,7 +218,10 @@ def ftss(
     budget = app.k if fault_budget is None else int(fault_budget)
     ctx = SchedulingContext(app)
     completed, dropped = ctx.prior_masks(prior_completed, prior_dropped)
-    return ftss_compiled(ctx, config, budget, start_time, completed, dropped)
+    schedule, _ = ftss_compiled(
+        ctx, config, budget, start_time, completed, dropped
+    )
+    return schedule
 
 
 def ftss_compiled(
@@ -228,14 +231,16 @@ def ftss_compiled(
     start_time: int,
     prior_completed: int,
     prior_dropped: int,
-) -> Optional[FSchedule]:
+) -> Tuple[Optional[FSchedule], Optional[int]]:
     """One ``fast_paths`` FTSS run on ``ctx``'s tables, the prior sets
-    as masks: one ``rk_ftss`` call of the C core, or
-    :func:`ftss_reference` where the C path cannot run (the reason is
-    counted in ``kernel_stats()``)."""
+    as masks: the f-schedule and the latest start at which it stays
+    schedulable (its t_ic), or ``(None, None)``.  One ``rk_ftss`` call
+    of the C core gives both; where the C path cannot run (the reason
+    is counted in ``kernel_stats()``), :func:`ftss_reference` and
+    :meth:`SchedulingContext.latest_start` do."""
     core = ctx.core
     if core.ftss_fallback(start_time, prior_dropped):
-        return ftss_reference(
+        schedule = ftss_reference(
             ctx.app,
             fault_budget,
             start_time,
@@ -243,6 +248,9 @@ def ftss_compiled(
             ctx.names_of(prior_dropped),
             config,
         )
+        if schedule is None:
+            return None, None
+        return schedule, ctx.latest_start(schedule)
     return core.ftss(
         config, fault_budget, start_time, prior_completed, prior_dropped
     )

@@ -73,6 +73,43 @@ def test_export_c_tables(tmp_path, capsys, fig1_app):
         assert (tmp_path / name).exists()
 
 
+def test_export_reports_kernel_fallbacks(
+    tmp_path, capsys, fig1_app, kernel_cache, monkeypatch
+):
+    """Without a compiler, export lowers the §2.2 thresholds with the
+    Python oracle: a ``kernel:`` line names the fallback, and the files
+    are the bytes an export through the core writes."""
+    import repro.runtime.engine.kernel.dispatch as dispatch
+
+    app_path = str(tmp_path / "app.json")
+    save_json(application_to_dict(fig1_app), app_path)
+    assert main(["schedule", app_path, "--schedules", "4"]) == 0
+    tree_path = app_path.replace(".json", ".tree.json")
+    capsys.readouterr()
+    with monkeypatch.context() as patched:
+        patched.setenv("REPRO_CC", "definitely-not-a-compiler")
+        patched.setattr(dispatch, "_CORE", None)
+        assert main(["export", app_path, tree_path,
+                     str(tmp_path / "oracle")]) == 0
+    degraded = capsys.readouterr().out.splitlines()
+    assert degraded[-1] == (
+        "kernel: 0 compile(s), 0 cache hit(s), 1 fallback(s) "
+        "[no-compiler x1]"
+    )
+    if dispatch.prepare_core() is None:
+        pytest.skip("kernel engine unavailable (no core)")
+    with_core, oracle = str(tmp_path / "cc"), str(tmp_path / "oracle")
+    assert main(["export", app_path, tree_path, with_core]) == 0
+    normal = capsys.readouterr().out.splitlines()
+    assert [line.replace(with_core, oracle) for line in normal] == (
+        degraded[:-1]
+    )
+    for path in (tmp_path / "cc").iterdir():
+        assert path.read_bytes() == (
+            (tmp_path / "oracle" / path.name).read_bytes()
+        )
+
+
 def test_report_command(tmp_path, capsys, fig1_app):
     app_path = str(tmp_path / "app.json")
     save_json(application_to_dict(fig1_app), app_path)

@@ -8,8 +8,10 @@ examples, the cruise controller, and seeded random DAGs), plans
 counts, these tests assert that the per-scenario utility, deadline-
 miss flag, switch chain and observed fault count are *bit-identical* —
 not approximately equal — between both engines.  The §2.2
-schedulability thresholds the kernel's tables carry are checked cell
-by cell against the oracle's own ``FSchedule`` probe.
+schedulability thresholds the core fills into a plan's tables
+(``rk_thresholds``) are checked cell by cell against the oracle's own
+``FSchedule`` probe and against :func:`node_thresholds`, which lowers
+them where no core can be had, to the same bytes.
 
 By default a tier-1-safe smoke slice runs (small scenario counts, the
 ``engine_smoke`` marker); ``pytest --engine-full`` opts into the full
@@ -34,7 +36,11 @@ from repro.quasistatic.ftqs import FTQSConfig, ftqs
 from repro.quasistatic.tree import QSTree
 from repro.runtime.engine import ScenarioBatch
 from repro.runtime.engine.kernel import KernelSimulator, kernel_stats
-from repro.runtime.engine.kernel.lower import NEVER, node_thresholds
+from repro.runtime.engine.kernel.lower import (
+    NEVER,
+    lower_plan,
+    node_thresholds,
+)
 from repro.runtime.online import OnlineScheduler
 from repro.scheduling.fschedule import FSchedule, ScheduledEntry
 from repro.scheduling.ftss import ftss
@@ -128,6 +134,17 @@ def _dense_apps(full: bool):
         (label, generate_application(spec, seed=seed))
         for label, spec, seed in specs
     ]
+
+
+def _core():
+    """The loaded C core; skips when none can be had."""
+    from repro.runtime.engine.kernel import KernelBuildError
+    from repro.runtime.engine.kernel.dispatch import load_core
+
+    try:
+        return load_core()
+    except KernelBuildError as exc:
+        pytest.skip(f"kernel engine unavailable ({exc.reason})")
 
 
 def _kernel(app, plan):
@@ -729,20 +746,30 @@ def _max_start(app, schedule, position, attempt, budget):
     return min(bounds)
 
 
-def _assert_thresholds_match_probe(app, plan):
-    """Every cell of every node's thresholds equals the probe's; returns
-    the number of cells checked."""
+def _assert_thresholds_match_probe(app, plan, core):
+    """Every cell of the ``thr`` table ``lower_plan`` fills through the
+    core equals :func:`node_thresholds`'s and the probe's; returns the
+    number of cells checked."""
     tree = QSTree(plan) if isinstance(plan, FSchedule) else plan
+    arrays = lower_plan(app, tree, core)
+    stride = app.k + 1
     cells = 0
-    for node in tree:
+    for dense, node in enumerate(sorted(tree, key=lambda n: n.node_id)):
         entries = node.schedule.entries
+        ent_lo = int(arrays["nodes"][dense]["ent_lo"])
         thresholds = node_thresholds(app, node.schedule)
         assert len(thresholds) == len(entries)
         for position, per_attempt in enumerate(thresholds):
             proc = app.process(entries[position].name)
             cap = entries[position].reexecutions
             natt = 0 if proc.is_hard else min(cap, app.k)
-            assert len(per_attempt) == natt
+            decision = arrays["decisions"][ent_lo + position]
+            assert len(per_attempt) == natt == decision["natt"]
+            lo = int(decision["thr_lo"])
+            table = arrays["thr"][lo : lo + natt * stride]
+            assert table.reshape(natt, stride).tolist() == per_attempt, (
+                node.node_id, position,
+            )
             mu = app.recovery_overhead(proc.name)
             for attempt, per_budget in enumerate(per_attempt):
                 assert per_budget == [
@@ -750,39 +777,81 @@ def _assert_thresholds_match_probe(app, plan):
                     for b in range(app.k + 1)
                 ], (node.node_id, position, attempt)
                 cells += len(per_budget)
+    assert cells == len(arrays["thr"])
     return cells
 
 
-@engine_smoke
-def test_thresholds_match_the_probe_on_the_corpus(engine_full):
-    """The closed-form §2.2 thresholds equal the oracle's ``FSchedule``
-    probe on every soft cell of the engine corpus: the differential,
-    fault-heavy and decision-point-dense applications, under every
-    plan those tests run."""
-    apps = (
-        _corpus_apps(engine_full)
-        + _fault_heavy_apps()
-        + _dense_apps(engine_full)
+def _late_deadline_app():
+    """Soft A → hard H (deadline 290) → soft S, T = 300, k = 2: the
+    period binds the S_iH probe from A on before H's deadline does, and
+    FTSS re-executes both soft processes with private slack too."""
+    from repro.model.application import Application
+    from repro.model.graph import ProcessGraph
+    from repro.model.process import hard_process, soft_process
+    from repro.utility.functions import StepUtility
+
+    a = soft_process(
+        "A", bcet=20, wcet=40, utility=StepUtility(30, [(150, 10)]), aet=30
     )
-    cells = 0
+    h = hard_process("H", bcet=20, wcet=40, deadline=290, aet=30)
+    s = soft_process(
+        "S", bcet=10, wcet=20, utility=StepUtility(40, [(200, 20)]), aet=15
+    )
+    graph = ProcessGraph(
+        [a, h, s], [("A", "H"), ("H", "S")], name="late", period=300
+    )
+    return Application(graph, period=300, k=2, mu=10)
+
+
+def _threshold_corpus(full: bool):
+    """``(label, app, plan)`` over the engine corpus — the differential,
+    fault-heavy and decision-point-dense applications, under every
+    plan those tests run — and the late-deadline application's plans
+    with shared and with private slack."""
+    from repro.scheduling.ftss import FTSSConfig
+
+    apps = _corpus_apps(full) + _fault_heavy_apps() + _dense_apps(full)
     for label, app in apps:
-        plans = _plans(app, engine_full)
+        plans = _plans(app, full)
         assert plans, label
         plans.append(
             ("ftqs-6", ftqs(app, plans[0][1], FTQSConfig(max_schedules=6)))
         )
-        for _, plan in plans:
-            cells += _assert_thresholds_match_probe(app, plan)
+        for plan_label, plan in plans:
+            yield f"{label}/{plan_label}", app, plan
+    app = _late_deadline_app()
+    for sharing in (True, False):
+        config = FTSSConfig(slack_sharing=sharing)
+        root = ftss(app, config=config)
+        assert root is not None and root.slack_sharing == sharing
+        tree = ftqs(app, root, FTQSConfig(max_schedules=4, ftss=config))
+        yield f"late/sharing={sharing}/ftss", app, root
+        yield f"late/sharing={sharing}/ftqs-4", app, tree
+
+
+@engine_smoke
+def test_thresholds_match_the_probe_on_the_corpus(engine_full):
+    """The §2.2 thresholds ``rk_thresholds`` fills equal
+    :func:`node_thresholds` and the oracle's ``FSchedule`` probe on
+    every soft cell of every plan of the engine corpus."""
+    core = _core()
+    cells = sum(
+        _assert_thresholds_match_probe(app, plan, core)
+        for _, app, plan in _threshold_corpus(engine_full)
+    )
     assert cells > 0
 
 
+@engine_smoke
 def test_malformed_schedule_threshold_is_never():
     """A probe the oracle would reject gives ``NEVER`` (minus µ).
 
     S scheduled before its predecessor H: every probe that contains
     both is rejected, while the probe from A on, after the violation,
-    keeps its bound — both exactly as the ``FSchedule`` probe says.
+    keeps its bound — both exactly as the ``FSchedule`` probe says, in
+    the core's table as in :func:`node_thresholds`.
     """
+    core = _core()
     app = _hard_pred_app()
     schedule = FSchedule(
         app,
@@ -796,8 +865,47 @@ def test_malformed_schedule_threshold_is_never():
     assert thresholds[0] == [[NEVER - mu] * (app.k + 1)]
     assert thresholds[1] == []
     assert min(thresholds[2][0]) > 0
-    for position in (0, 2):
-        assert thresholds[position][0] == [
-            _max_start(app, schedule, position, 0, b) - mu
-            for b in range(app.k + 1)
-        ]
+    assert _assert_thresholds_match_probe(app, schedule, core) == 2 * (
+        app.k + 1
+    )
+
+
+@engine_smoke
+def test_lowering_without_a_compiler_is_byte_identical(
+    engine_full, tmp_path, monkeypatch
+):
+    """Where no core can be had, :func:`node_thresholds` fills the
+    ``thr`` table instead of ``rk_thresholds``: every array of every
+    corpus plan keeps its dtype, shape and bytes, ``repro export``
+    writes the same files, and each lowering counts its
+    ``no-compiler`` fallback."""
+    import repro.runtime.engine.kernel.dispatch as dispatch
+    from repro.io.c_export import write_c_tables
+
+    core = _core()
+    corpus = list(_threshold_corpus(engine_full))
+    lowered = [lower_plan(app, plan, core) for _, app, plan in corpus]
+    for i, (_, app, plan) in enumerate(corpus):
+        write_c_tables(app, plan, str(tmp_path / "core" / str(i)))
+
+    monkeypatch.setenv("REPRO_CC", "definitely-not-a-compiler")
+    monkeypatch.setattr(dispatch, "_CORE", None)
+    monkeypatch.setattr(dispatch, "_FAILED", {})
+    monkeypatch.setattr(dispatch, "_GLOBAL_STATS", dispatch.KernelStats())
+    for (label, app, plan), arrays in zip(corpus, lowered):
+        oracle = lower_plan(app, plan, dispatch.prepare_core())
+        assert sorted(oracle) == sorted(arrays), label
+        for name, array in arrays.items():
+            assert (
+                (oracle[name].dtype, oracle[name].shape, oracle[name].tobytes())
+                == (array.dtype, array.shape, array.tobytes())
+            ), (label, name)
+    for i, (label, app, plan) in enumerate(corpus):
+        paths = write_c_tables(app, plan, str(tmp_path / "oracle" / str(i)))
+        for path in paths:
+            name = path.rsplit("/", 1)[1]
+            with_core = tmp_path / "core" / str(i) / name
+            assert open(path, "rb").read() == with_core.read_bytes(), (
+                label, name,
+            )
+    assert kernel_stats().fallbacks == {"no-compiler": 2 * len(corpus)}

@@ -1,5 +1,7 @@
 """Unit tests for f-schedules and the shared-slack timing analysis."""
 
+import re
+
 import pytest
 
 from repro.errors import SchedulingError
@@ -110,6 +112,123 @@ class TestFScheduleConstruction:
     def test_negative_reexecutions_rejected(self):
         with pytest.raises(SchedulingError):
             ScheduledEntry("P", -1)
+
+
+def _joined_app():
+    """A (soft) ∥ H (hard) → S (soft), k = 1: S's predecessors are A,
+    then H."""
+    graph = ProcessGraph(
+        [
+            soft_process("A", 10, 20, ConstantUtility(5)),
+            hard_process("H", 10, 20, 200),
+            soft_process("S", 10, 20, ConstantUtility(5)),
+        ],
+        [("A", "S"), ("H", "S")],
+        period=300,
+    )
+    return Application(graph, period=300, k=1, mu=5)
+
+
+def _raises(message):
+    return pytest.raises(SchedulingError, match=f"^{re.escape(message)}$")
+
+
+class TestValidationMessages:
+    """Every check of ``FSchedule`` validation, with its exact message,
+    and which check speaks first when several fail."""
+
+    def test_negative_budget(self):
+        with _raises("fault budget must be non-negative"):
+            FSchedule(_joined_app(), [], fault_budget=-1)
+
+    @pytest.mark.parametrize("label", ["prior_completed", "prior_dropped"])
+    def test_unknown_prior(self, label):
+        with _raises(f"unknown process(es) ['X', 'Y'] in {label}"):
+            FSchedule(_joined_app(), [], **{label: {"Y", "X"}})
+
+    def test_unknown_prior_completed_is_reported_first(self):
+        with _raises("unknown process(es) ['X'] in prior_completed"):
+            FSchedule(_joined_app(), [], prior_completed={"X"},
+                      prior_dropped={"Y"})
+
+    def test_completed_and_dropped(self):
+        with _raises(
+            "processes both completed and dropped before start: ['A']"
+        ):
+            FSchedule(_joined_app(), [], prior_completed={"A", "H"},
+                      prior_dropped={"A"})
+
+    def test_duplicate_entry(self):
+        with _raises("duplicate process in schedule: ['X', 'H', 'X']"):
+            FSchedule(
+                _joined_app(),
+                [ScheduledEntry("X", 0), ScheduledEntry("H", 1),
+                 ScheduledEntry("X", 0)],
+            )
+
+    def test_unknown_entry(self):
+        with _raises("unknown process 'X'"):
+            FSchedule(
+                _joined_app(), [ScheduledEntry("H", 1), ScheduledEntry("X", 0)]
+            )
+
+    @pytest.mark.parametrize("label", ["prior_completed", "prior_dropped"])
+    def test_entry_already_settled(self, label):
+        with _raises("'A' already completed/dropped before start"):
+            FSchedule(
+                _joined_app(),
+                [ScheduledEntry("H", 1), ScheduledEntry("A", 0)],
+                **{label: {"A"}},
+            )
+
+    def test_settled_entry_is_reported_before_its_cap(self):
+        with _raises("'H' already completed/dropped before start"):
+            FSchedule(
+                _joined_app(), [ScheduledEntry("H", 0)],
+                prior_completed={"H"},
+            )
+
+    def test_dropped_predecessor_is_allowed(self):
+        """A soft predecessor this schedule leaves out is dropped."""
+        schedule = FSchedule(
+            _joined_app(), [ScheduledEntry("H", 1), ScheduledEntry("S", 0)]
+        )
+        assert schedule.dropped == frozenset({"A"})
+
+    def test_prior_predecessors_are_allowed(self):
+        app = _joined_app()
+        FSchedule(app, [ScheduledEntry("H", 1), ScheduledEntry("S", 0)],
+                  prior_dropped={"A"})
+        FSchedule(app, [ScheduledEntry("S", 0)],
+                  prior_completed={"A", "H"})
+
+    def test_predecessor_neither_scheduled_nor_dropped(self):
+        """H is hard, so left out it is not dropped: A (dropped) passes,
+        H raises."""
+        with _raises("'S' scheduled before its predecessor 'H'"):
+            FSchedule(_joined_app(), [ScheduledEntry("S", 0)])
+
+    def test_predecessor_scheduled_later(self):
+        with _raises("'S' scheduled before its predecessor 'A'"):
+            FSchedule(
+                _joined_app(),
+                [ScheduledEntry("H", 1), ScheduledEntry("S", 0),
+                 ScheduledEntry("A", 0)],
+            )
+
+    def test_predecessor_is_reported_before_a_cap(self):
+        with _raises("'S' scheduled before its predecessor 'H'"):
+            FSchedule(
+                _joined_app(),
+                [ScheduledEntry("S", 0), ScheduledEntry("H", 0)],
+            )
+
+    def test_hard_cap(self):
+        with _raises(
+            "hard process 'H' must be allotted exactly 1 re-executions, "
+            "got 0"
+        ):
+            FSchedule(_joined_app(), [ScheduledEntry("H", 0)])
 
 
 class TestWorstCaseAnalysis:

@@ -351,13 +351,16 @@ def test_one_context_serves_every_config(c_path):
     ]
     for config, budget, start, completed in runs + runs[::-1]:
         fresh = SchedulingContext(app)
-        expected = ftss_compiled(
+        expected, expected_latest = ftss_compiled(
             fresh, config, budget, start, fresh.mask(completed), 0
         )
-        got = ftss_compiled(
+        got, latest = ftss_compiled(
             shared, config, budget, start, shared.mask(completed), 0
         )
         assert schedule_fingerprint(got) == schedule_fingerprint(expected)
+        assert latest == expected_latest == (
+            None if got is None else shared.latest_start(got)
+        )
         assert schedule_fingerprint(got) == schedule_fingerprint(
             ftss_reference(
                 app,

@@ -328,9 +328,9 @@ def test_table_memo_is_least_recently_used(fig1_app, kernel_cache,
     lowered = []
     lower_plan = dispatch.lower_plan
 
-    def counting(app, tree):
+    def counting(app, tree, core):
         lowered.append(tree.root.schedule.start_time)
-        return lower_plan(app, tree)
+        return lower_plan(app, tree, core)
 
     monkeypatch.setattr(dispatch, "lower_plan", counting)
     root = ftss_reference(fig1_app)

@@ -12,9 +12,13 @@ The fast engine schedules its tails with ``rk_ftss`` and evaluates its
 interval partitioning with ``rk_expected`` in the C core; the
 comparisons take the ``c_path`` fixture, so a test skips with ``kernel
 engine unavailable`` when no core loads and fails when the C path
-falls back.  ``rk_expected`` is also compared with
-``TailProfile.expected`` directly, bit for bit, at every critical point
-the corpus evaluates and on every branch of the survival model.
+falls back.  The tree tests also take the ``tails`` fixture: the
+latest start ``rk_ftss`` reports with every tail (the t_ic interval
+partitioning clamps to) must equal
+``SchedulingContext.latest_start(tail)``.  ``rk_expected`` is also
+compared with ``TailProfile.expected`` directly, bit for bit, at every
+critical point the corpus evaluates and on every branch of the
+survival model.
 
 A tier-1-safe smoke slice runs by default;
 ``pytest tests/test_synthesis_differential.py --synthesis-full`` runs
@@ -93,6 +97,29 @@ def assert_trees_identical(reference, fast, label=""):
     )
 
 
+@pytest.fixture
+def tails(monkeypatch):
+    """Every tail the fast engine schedules, checked as it arrives:
+    the latest start ``rk_ftss`` reports with it must equal
+    ``SchedulingContext.latest_start`` over the tail.  Yields the
+    tails checked."""
+    import repro.quasistatic.synthesis as synthesis
+
+    checked = []
+    compiled = synthesis.ftss_compiled
+
+    def checking(ctx, *args):
+        tail, latest = compiled(ctx, *args)
+        assert latest == (
+            None if tail is None else ctx.latest_start(tail)
+        ), args
+        checked.append(tail)
+        return tail, latest
+
+    monkeypatch.setattr(synthesis, "ftss_compiled", checking)
+    yield checked
+
+
 def scheduled_app(spec: WorkloadSpec, seed: int, attempts: int = 8):
     """A generated application with a feasible root, or None."""
     rng = np.random.default_rng(seed)
@@ -124,7 +151,8 @@ CORPUS = [
     ids=[f"n{n}k{k}M{m}s{s}" for n, k, m, s, _ in CORPUS],
 )
 def test_corpus_trees_identical(
-    n_processes, k, max_schedules, seed, smoke, synthesis_full, c_path
+    n_processes, k, max_schedules, seed, smoke, synthesis_full, c_path,
+    tails,
 ):
     if not smoke and not synthesis_full:
         pytest.skip("full corpus runs with --synthesis-full")
@@ -140,9 +168,10 @@ def test_corpus_trees_identical(
     assert_trees_identical(
         reference, fast, f"n={n_processes} k={k} M={max_schedules}"
     )
+    assert tails
 
 
-def test_ftqs_builds_the_reference_tree(fig1_app, c_path):
+def test_ftqs_builds_the_reference_tree(fig1_app, c_path, tails):
     """``ftqs`` is the one FTQS entry point: the fast engine, building
     the oracle's tree.  The engine and worker selections it used to
     take are gone, so passing one is a ``TypeError``."""
@@ -153,6 +182,7 @@ def test_ftqs_builds_the_reference_tree(fig1_app, c_path):
         ftqs(fig1_app, root, config),
         "fig1",
     )
+    assert tails
     for retired in ({"synthesis": "reference"}, {"jobs": 2}, {"pool": None}):
         with pytest.raises(TypeError, match=next(iter(retired))):
             ftqs(fig1_app, root, config, **retired)
@@ -182,7 +212,7 @@ def test_pipeline_rejects_retired_synthesis_keywords():
         synthesis_report(None, synthesis_jobs=2)
 
 
-def test_paper_fig8_tree_identical(fig8_app, c_path):
+def test_paper_fig8_tree_identical(fig8_app, c_path, tails):
     root = ftss(fig8_app)
     config = FTQSConfig(max_schedules=8)
     assert_trees_identical(
@@ -190,9 +220,10 @@ def test_paper_fig8_tree_identical(fig8_app, c_path):
         ftqs(fig8_app, root, config),
         "fig8",
     )
+    assert tails
 
 
-def test_cruise_controller_tree_identical(synthesis_full, c_path):
+def test_cruise_controller_tree_identical(synthesis_full, c_path, tails):
     app = cruise_controller()
     root = ftss(app)
     max_schedules = 39 if synthesis_full else 8
@@ -202,6 +233,27 @@ def test_cruise_controller_tree_identical(synthesis_full, c_path):
         ftqs(app, root, config),
         "cruise controller",
     )
+    assert tails
+
+
+def test_two_mask_words_tree(synthesis_full, c_path, tails):
+    """More than 64 processes, so every set takes two mask words:
+    every tail's latest start is checked, and under
+    ``--synthesis-full`` the tree is the reference's (whose build takes
+    seconds at this size)."""
+    app = generate_application(
+        WorkloadSpec(n_processes=70, k=2, mu=15),
+        rng=np.random.default_rng(70),
+    )
+    assert len(app.processes) > 64
+    root = ftss(app)
+    config = FTQSConfig(max_schedules=8)
+    fast = ftqs(app, root, config)
+    assert len(tails) > len(root)
+    if synthesis_full:
+        assert_trees_identical(
+            ftqs_reference(app, root, config), fast, "n=70 k=2"
+        )
 
 
 @pytest.mark.parametrize(
@@ -243,7 +295,7 @@ def test_cruise_controller_tree_identical(synthesis_full, c_path):
         ),
     ],
 )
-def test_ablation_configs_identical(label, config, c_path):
+def test_ablation_configs_identical(label, config, c_path, tails):
     # Some configurations cannot schedule every generated application —
     # private slack in particular only fits lightly loaded, k=1 apps
     # (reserving per-process recovery time is exactly what the paper's
@@ -273,9 +325,11 @@ def test_ablation_configs_identical(label, config, c_path):
         ftqs(app, root, config),
         label,
     )
+    # The slow-paths ablation builds its tails with ftss_reference.
+    assert bool(tails) == config.ftss.fast_paths
 
 
-def test_engine_reuse_across_builds_is_stable(c_path):
+def test_engine_reuse_across_builds_is_stable(c_path, tails):
     """A persistent engine (memos warm) still emits identical trees."""
     produced = scheduled_app(WorkloadSpec(n_processes=14, k=2, mu=15), 2024)
     assert produced is not None
@@ -289,6 +343,7 @@ def test_engine_reuse_across_builds_is_stable(c_path):
         second,
         "persistent engine vs reference",
     )
+    assert tails
 
 
 def test_profiles_with_linear_utilities_run_the_oracle(c_path):
