@@ -10,19 +10,23 @@ sets are sampled straight into arrays, one
 :class:`~repro.runtime.engine.batch.ScenarioBatch` per fault count,
 all sharing one execution-time array.
 
-Two interchangeable engines execute the replay:
+Every engine replays a scenario set the same way: one simulator per
+plan, whose ``run_batch`` resolves a whole
+:class:`~repro.runtime.engine.batch.ScenarioBatch` per fault count.
+The engine picks the simulator (:func:`simulator_for`):
 
-* ``reference`` — the pure-Python
-  :class:`~repro.runtime.online.OnlineScheduler` event loop, one
-  scenario at a time (the behavioral oracle), each scenario built from
-  the batch arrays on access;
+* ``reference`` — a
+  :class:`~repro.runtime.engine.simulator.BatchSimulator`, which
+  replays each scenario on the pure-Python
+  :class:`~repro.runtime.online.OnlineScheduler` event loop (the
+  behavioral oracle), building it from the batch arrays on access;
 * ``kernel`` — the
   :class:`~repro.runtime.engine.kernel.KernelSimulator`, which runs
   the plan's lowered decision tables through one prebuilt C core over
   whole batches and is bit-identical to the oracle (see
   ``tests/test_engine_differential.py``) while orders of magnitude
-  faster; without a C compiler or a usable artifact cache it replays
-  on the oracle, with a counted reason.
+  faster; without a C compiler or a usable artifact cache it falls
+  back to that same oracle replay, with a counted reason.
 
 Engine and parallelism are routed by one
 :class:`~repro.execution.ExecutionConfig` (``execution=`` — an
@@ -31,41 +35,38 @@ instance or a spec string like ``"kernel@threads:8"``):
 ``multiprocessing`` workers via
 :class:`~repro.runtime.engine.parallel.ParallelEvaluator`,
 ``mode="threads"`` across a GIL-free thread pool via
-:class:`~repro.runtime.engine.threads.ThreadedEvaluator`.  Sharding is
-deterministic and outcome-preserving for any mode and worker count.
+:class:`~repro.runtime.engine.threads.ThreadedEvaluator`.  Each shard
+builds the plan's simulator and runs its rows through ``run_batch``
+like an inline evaluation, so sharding is deterministic and
+outcome-preserving for any mode and worker count.  No layer here
+caches a plan: a plan's lowered tables outlive an evaluation only in
+the kernel's in-process memo, keyed by the plan's content.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import ModelError, RuntimeModelError
 from repro.execution import ExecutionConfig
-from repro.faults.injection import ExecutionScenario
 from repro.model.application import Application
 from repro.quasistatic.tree import QSTree
 from repro.runtime.engine.batch import ScenarioBatch
-from repro.runtime.online import OnlineScheduler
+from repro.runtime.engine.simulator import BatchSimulator
 from repro.scheduling.fschedule import FSchedule
 
 Plan = Union[QSTree, FSchedule]
 
-#: Raw simulation of one scenario set: (per-scenario utilities,
-#: deadline misses, total switches, total faults, oracle fallbacks).
-#: ``fallbacks`` counts scenarios the kernel engine routed through
-#: the reference loop (the whole set, for ``engine="reference"``).
-RawOutcome = Tuple[List[float], int, int, int, int]
 
-
-def simulator_for(engine: str, app: Application, plan: Plan):
+def simulator_for(engine: str, app: Application, plan: Plan) -> BatchSimulator:
     """The simulator replaying ``plan`` on ``engine``: the oracle
-    :class:`OnlineScheduler` for ``reference``, else the kernel's
-    ``run_batch`` engine (which degrades to the oracle on its own)."""
+    replay of :class:`BatchSimulator` for ``reference``, else the
+    kernel's (which degrades to that replay on its own)."""
     if engine == "reference":
-        return OnlineScheduler(app, plan, record_events=False)
+        return BatchSimulator(app, plan)
     from repro.runtime.engine.kernel import KernelSimulator
 
     return KernelSimulator(app, plan)
@@ -213,7 +214,7 @@ class MonteCarloEvaluator:
         # drops by x% under one fault") are then paired rather than
         # independent, which removes most of the sampling noise.  The
         # batches are the only store of the scenario sets: every engine
-        # reads their arrays, the reference loop builds scenarios from
+        # reads their arrays, the oracle replay builds scenarios from
         # them on access.
         self.scenarios: Dict[int, ScenarioBatch] = ScenarioBatch.draw(
             app, self.n_scenarios, self.fault_counts,
@@ -224,26 +225,6 @@ class MonteCarloEvaluator:
         # segments survive across evaluate()/compare() calls (see
         # ParallelEvaluator and ThreadedEvaluator).
         self._executors: Dict[ExecutionConfig, object] = {}
-
-    # ------------------------------------------------------------------
-    # Simulation primitives (shared by in-process and sharded paths)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _reference_raw(
-        scheduler: OnlineScheduler, scenarios: Sequence[ExecutionScenario]
-    ) -> RawOutcome:
-        utilities: List[float] = []
-        misses = 0
-        switches = 0
-        observed = 0
-        for scenario in scenarios:
-            result = scheduler.run(scenario)
-            utilities.append(result.utility)
-            if not result.met_all_hard_deadlines:
-                misses += 1
-            switches += len(result.switches)
-            observed += result.faults_observed
-        return utilities, misses, switches, observed, len(utilities)
 
     # ------------------------------------------------------------------
     # Public evaluation API
@@ -270,8 +251,8 @@ class MonteCarloEvaluator:
                 # Build the core parent-side, so every worker inherits
                 # it (or loads it from the artifact cache) instead of
                 # racing to build it; each worker lowers the plan
-                # itself.  (The threaded executor builds its shard
-                # simulators in-process itself.)
+                # itself.  (The threaded executor builds the plan's
+                # one simulator in the calling thread.)
                 from repro.runtime.engine.kernel.dispatch import (
                     prepare_core,
                 )
@@ -279,15 +260,12 @@ class MonteCarloEvaluator:
                 prepare_core()
             return self.executor(config).evaluate(plan)
         simulator = simulator_for(config.engine, self.app, plan)
-        outcomes: Dict[int, EvaluationOutcome] = {}
-        for faults in self.fault_counts:
-            batch = self.scenarios[faults]
-            if config.engine == "reference":
-                raw = self._reference_raw(simulator, batch)
-            else:
-                raw = simulator.run_batch(batch).raw_outcome()
-            outcomes[faults] = EvaluationOutcome.aggregate(*raw)
-        return outcomes
+        return {
+            faults: EvaluationOutcome.aggregate(
+                *simulator.run_batch(self.scenarios[faults]).raw_outcome()
+            )
+            for faults in self.fault_counts
+        }
 
     def compare(
         self, plans: Mapping[str, Plan]

@@ -18,15 +18,17 @@ The pool is *persistent*: it is acquired lazily on the first
 for the executor's lifetime, so comparing many plans pays the
 fork/attach cost once.  It is either spawned by the executor or
 borrowed from a :class:`~repro.pipeline.resources.ResourceManager`;
-both run the same context-carrying tasks.  Each worker compiles a
-plan's simulator once — the reference ``OnlineScheduler`` or the C
-kernel core over the plan's lowered tables — and reuses it across
-that plan's fault counts
-(``tests/test_parallel_pool.py`` pins the pool reuse).  For the
-kernel engine the parent builds the core before fanning out, so
-workers inherit it (or load it from the shared artifact cache)
-instead of racing to build it, and each worker lowers the plan
-itself.
+both run the same context-carrying tasks
+(``tests/test_parallel_pool.py`` pins the pool reuse).  A task
+carries the plan and its scenario range; the worker builds the plan's
+simulator for it and runs every fault count's rows through
+``run_batch`` (:func:`simulate_rows`, the shard task the thread
+executor runs too).  Nothing keeps a plan past its evaluation, on
+either side: for the kernel engine a worker finds a plan's tables in
+its own content-keyed table memo when it has lowered that plan
+before.  The parent builds the core before fanning out, so workers
+inherit it (or load it from the shared artifact cache) instead of
+racing to build it.
 """
 
 from __future__ import annotations
@@ -109,24 +111,11 @@ _ShardRaw = Dict[int, Tuple[List[float], int, int, int, int]]
 
 
 def simulate_rows(simulator, batches, lo: int, hi: int) -> _ShardRaw:
-    """Simulate scenarios ``[lo, hi)`` of every scenario set — the
-    shard task of both executors.
-
-    ``simulator`` is the kernel's ``run_batch`` engine or, for the
-    reference engine, an
-    :class:`~repro.runtime.online.OnlineScheduler`.
-    """
-    if hasattr(simulator, "run_batch"):
-        return {
-            faults: simulator.run_batch(batch.rows(lo, hi)).raw_outcome()
-            for faults, batch in batches.items()
-        }
-    from repro.evaluation.montecarlo import MonteCarloEvaluator
-
+    """Simulate scenarios ``[lo, hi)`` of every scenario set with one
+    plan's :class:`~repro.runtime.engine.simulator.BatchSimulator` —
+    the shard task of both executors."""
     return {
-        faults: MonteCarloEvaluator._reference_raw(
-            simulator, batch.rows(lo, hi)
-        )
+        faults: simulator.run_batch(batch.rows(lo, hi)).raw_outcome()
         for faults, batch in batches.items()
     }
 
@@ -181,8 +170,8 @@ def _shared_array(segment: shared_memory.SharedMemory, shape) -> np.ndarray:
 
 class _EvaluationWorker:
     """A pool worker's state for one evaluator (its
-    :class:`WorkerContext`): the attached shared-memory scenario sets
-    plus the simulator of the plan it saw last."""
+    :class:`WorkerContext`): the attached shared-memory scenario
+    sets."""
 
     def __init__(self, app, spec: _ScenarioSpec, engine):
         from repro.runtime.engine.batch import ScenarioBatch
@@ -204,18 +193,6 @@ class _EvaluationWorker:
             faults: ScenarioBatch(names, durations, counts[i])
             for i, faults in enumerate(fault_counts)
         }
-        self._plan_key = None
-        self._simulator = None
-
-    def simulator(self, plan_key: int, plan):
-        """The plan's simulator, built on first sight and reused for
-        every fault count of the same plan."""
-        if plan_key != self._plan_key:
-            from repro.evaluation.montecarlo import simulator_for
-
-            self._simulator = simulator_for(self.engine, self.app, plan)
-            self._plan_key = plan_key
-        return self._simulator
 
     def close(self) -> None:
         """Drop the segment attachments (the parent owns the unlink)."""
@@ -226,15 +203,13 @@ class _EvaluationWorker:
 
 
 def _simulate_slice(state: _EvaluationWorker, task) -> _ShardRaw:
-    """Worker entry point: simulate scenarios ``[lo, hi)`` of each set.
+    """Worker entry point: build the plan's simulator and simulate
+    scenarios ``[lo, hi)`` of each set with it."""
+    from repro.evaluation.montecarlo import simulator_for
 
-    ``plan_key`` identifies the plan across a fan-out, so the compiled
-    simulator (decision tables included) is reused for every fault
-    count of the same plan.
-    """
-    plan_key, plan, lo, hi = task
+    plan, lo, hi = task
     return simulate_rows(
-        state.simulator(plan_key, plan), state.batches, lo, hi
+        simulator_for(state.engine, state.app, plan), state.batches, lo, hi
     )
 
 
@@ -791,8 +766,9 @@ class ShardedExecutor:
     the executor, so the executor holds it weakly: a strong
     back-reference would form a cycle that delays pool/segment release
     until a cyclic GC pass instead of freeing promptly by refcount.
-    ``evaluate`` returns the same ``{fault count: EvaluationOutcome}``
-    mapping an inline run produces.
+    ``evaluate`` builds the plan's simulator, runs the shards and
+    merges them into the same ``{fault count: EvaluationOutcome}``
+    mapping an inline run produces; it keeps no plan afterwards.
     """
 
     def __init__(self, source, execution) -> None:
@@ -801,8 +777,6 @@ class ShardedExecutor:
         self.n_scenarios = source.n_scenarios
         self.fault_counts = list(source.fault_counts)
         self._source_ref = weakref.ref(source)
-        self._plan_keys: Dict[int, Tuple[object, int]] = {}
-        self._plan_counter = 0
 
     def _source(self):
         source = self._source_ref()
@@ -819,20 +793,6 @@ class ShardedExecutor:
         return self._source().evaluate(
             plan, execution=self.execution.engine
         )
-
-    def _plan_key(self, plan) -> int:
-        """A stable identity for ``plan``, so re-evaluating the same
-        plan object reuses the compiled simulators.
-
-        The plan is held strongly alongside its key: ``id()`` alone
-        could be recycled after a plan is garbage-collected.
-        """
-        entry = self._plan_keys.get(id(plan))
-        if entry is None or entry[0] is not plan:
-            self._plan_counter += 1
-            entry = (plan, self._plan_counter)
-            self._plan_keys[id(plan)] = entry
-        return entry[1]
 
     def compare(self, plans) -> Dict[str, Dict[int, "EvaluationOutcome"]]:
         """Evaluate several named plans over the persistent pool."""
@@ -932,7 +892,6 @@ class ParallelEvaluator(ShardedExecutor):
         self._pool = self._borrowed_pool
         self._context = None
         self._segments = []
-        self._plan_keys.clear()
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -943,10 +902,9 @@ class ParallelEvaluator(ShardedExecutor):
         if len(bounds) == 1:
             return self._inline(plan)
         self._ensure_context(len(bounds))
-        plan_key = self._plan_key(plan)
         shards = self._pool.map(
             _simulate_slice,
-            [(plan_key, plan, lo, hi) for lo, hi in bounds],
+            [(plan, lo, hi) for lo, hi in bounds],
             self._context,
         )
         return merge_shard_outcomes(self.fault_counts, shards)

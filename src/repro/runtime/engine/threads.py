@@ -30,12 +30,14 @@ with a counted reason (:func:`thread_stats`):
 * ``chaos`` — an injected ``thread-fail@N`` fault from the chaos DSL
   (:mod:`repro.pipeline.chaos`).
 
-Every shard thread runs the plan's one :class:`KernelSimulator`: the
-C core is re-entrant and only reads the plan's lowered tables, and the
-oracle replay of residual scenarios keeps its state in locals and
-writes only into the calling shard's own result.  The simulator is
-built once, in the calling thread, which keeps the kernel engine's
-compile/cache-hit counters deterministic.
+Each ``evaluate`` builds the plan's one :class:`KernelSimulator` in
+the calling thread, which keeps the kernel engine's compile/cache-hit
+counters deterministic, and every shard thread runs it: the C core is
+re-entrant and only reads the plan's lowered tables, and the oracle
+replay of residual scenarios keeps its state in locals and writes only
+into the calling shard's own result.  The executor keeps no plan and
+no simulator between evaluations; re-evaluating a plan finds its
+tables in the kernel's content-keyed table memo.
 """
 
 from __future__ import annotations
@@ -163,9 +165,6 @@ class ThreadedEvaluator(ShardedExecutor):
                 f"{self.execution.spec()!r}"
             )
         self._pool: Optional[ThreadPoolExecutor] = None
-        #: plan key → the plan's kernel simulator, or None when the
-        #: kernel could not materialize for that plan (sticky fallback).
-        self._plan_sims: Dict[int, Optional[object]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -179,29 +178,14 @@ class ThreadedEvaluator(ShardedExecutor):
         return self._pool
 
     def close(self) -> None:
-        """Shut the thread pool down and drop the plans' simulators."""
+        """Shut the thread pool down."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        self._plan_sims.clear()
-        self._plan_keys.clear()
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _simulator_for(self, plan):
-        """The plan's :class:`KernelSimulator`, shared by every shard
-        thread, or ``None`` when the kernel cannot materialize for it."""
-        key = self._plan_key(plan)
-        if key not in self._plan_sims:
-            from repro.runtime.engine.kernel import KernelSimulator
-
-            simulator = KernelSimulator(self.app, plan)
-            self._plan_sims[key] = (
-                simulator if simulator.engine_used == "kernel" else None
-            )
-        return self._plan_sims[key]
-
     def _process_fallback(self, plan) -> Dict[int, "EvaluationOutcome"]:
         """Re-route one evaluation through process sharding (the
         source caches that executor alongside this one)."""
@@ -222,12 +206,14 @@ class ThreadedEvaluator(ShardedExecutor):
             stats.count_fallback("engine-not-kernel")
             return self._process_fallback(plan)
         bounds = shard_bounds(self.n_scenarios, self.execution.workers)
-        simulator = self._simulator_for(plan)
-        if simulator is None:
-            stats.count_fallback("kernel-unavailable")
-            return self._process_fallback(plan)
         if len(bounds) == 1:
             return self._inline(plan)
+        from repro.runtime.engine.kernel import KernelSimulator
+
+        simulator = KernelSimulator(self.app, plan)
+        if simulator.engine_used != "kernel":
+            stats.count_fallback("kernel-unavailable")
+            return self._process_fallback(plan)
         batches = self._source().scenarios
         stats.count_evaluation(len(bounds))
         pool = self._ensure_pool()

@@ -491,6 +491,45 @@ def test_parallel_reference_engine_matches_too(fig1_app):
 
 
 @engine_smoke
+@pytest.mark.parametrize(
+    "execution", ["reference", "reference@processes:2", "reference@threads:2"]
+)
+def test_reference_engine_is_the_oracle_loop(execution):
+    """The reference engine aggregates a plain oracle loop.
+
+    Every other engine is checked against ``reference``, so it is
+    pinned here against an independent loop: one
+    :class:`OnlineScheduler` run per scenario of each set, in order —
+    inline, process-sharded and re-routed from threads alike.  The
+    cruise-controller tree switches, so the switch means are not
+    vacuously zero.
+    """
+    app = cruise_controller()
+    plan = ftqs(app, ftss(app), FTQSConfig(max_schedules=8))
+    with MonteCarloEvaluator(app, n_scenarios=30, seed=11) as evaluator:
+        outcomes = evaluator.evaluate(plan, execution=execution)
+        oracle = OnlineScheduler(app, plan, record_events=False)
+        switched = 0
+        for faults, batch in evaluator.scenarios.items():
+            runs = [oracle.run(scenario) for scenario in batch]
+            outcome = outcomes[faults]
+            assert outcome.utilities == [run.utility for run in runs]
+            assert outcome.deadline_misses == sum(
+                not run.met_all_hard_deadlines for run in runs
+            )
+            switches = sum(len(run.switches) for run in runs)
+            assert outcome.mean_switches == switches / len(runs)
+            assert outcome.mean_faults == (
+                sum(run.faults_observed for run in runs) / len(runs)
+            )
+            assert outcome.fallbacks == outcome.n_scenarios == 30
+            assert outcome.fast_path_share == 0.0
+            switched += switches
+    assert set(outcomes) == set(evaluator.scenarios)
+    assert switched > 0
+
+
+@engine_smoke
 def test_decision_point_dense_corpus(engine_full, kernel_cache):
     """Every scheduled position a decision point: still zero fallback.
 

@@ -9,8 +9,11 @@ evaluator can be used again.
 
 from __future__ import annotations
 
+import gc
 import os
+import time
 import warnings
+import weakref
 
 import pytest
 
@@ -122,6 +125,31 @@ def test_executor_needs_its_evaluator(fig1_app):
     with pytest.raises(RuntimeModelError, match="garbage-collected"):
         executor.evaluate(ftss(fig1_app))
     executor.close()
+
+
+@pytest.mark.parametrize("spec", ["kernel@threads:2", "kernel@processes:2"])
+def test_open_executor_keeps_no_plan(fig1_app, spec):
+    """An evaluated plan is garbage once its caller drops it, while
+    the executor stays open: only the kernel's content-keyed table
+    memo outlives an evaluation, and it holds tables, not plans."""
+    plan = ftss(fig1_app)
+    with MonteCarloEvaluator(
+        fig1_app, n_scenarios=12, fault_counts=[0, 1], seed=3
+    ) as evaluator:
+        executor = evaluator.executor(spec)
+        outcomes = executor.evaluate(plan)
+        assert all(o.n_scenarios == 12 for o in outcomes.values())
+        ref = weakref.ref(plan)
+        del plan
+        # A shard thread drops its task's arguments just after handing
+        # its result over; give it a moment, not a reason to pass.
+        for _ in range(100):
+            gc.collect()
+            if ref() is None:
+                break
+            time.sleep(0.01)
+        assert ref() is None, f"{spec} keeps an evaluated plan alive"
+        assert executor.evaluate(ftss(fig1_app)) == outcomes
 
 
 @pytest.fixture

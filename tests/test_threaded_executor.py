@@ -14,6 +14,7 @@ import pytest
 
 from repro.evaluation.montecarlo import MonteCarloEvaluator
 from repro.quasistatic.ftqs import FTQSConfig, ftqs
+from repro.runtime.engine.kernel import kernel_stats
 from repro.runtime.engine.threads import (
     ThreadedEvaluator,
     reset_thread_stats,
@@ -109,17 +110,28 @@ def test_kernel_unavailable_falls_back_counted(
     fig1_app, kernel_cache, monkeypatch
 ):
     """No compiler: threads re-route to process sharding, results
-    unchanged, the reason counted."""
+    unchanged, the reason counted — and the kernel's degradation
+    counted once in this process, by the simulator the threaded
+    attempt builds, not again by the re-route (its workers count
+    their own)."""
     monkeypatch.setenv("REPRO_CC", "definitely-not-a-compiler")
     plan = ftss(fig1_app)
     with MonteCarloEvaluator(
         fig1_app, n_scenarios=16, fault_counts=[0, 1], seed=3
     ) as evaluator:
         inline = evaluator.evaluate(plan, execution="reference")
+        before = kernel_stats().snapshot().fallbacks
         threaded = evaluator.evaluate(plan, execution="kernel@threads:2")
+        after = kernel_stats().snapshot().fallbacks
     assert_outcomes_identical(threaded, inline)
     assert thread_stats().evaluations == 0
     assert thread_stats().fallbacks == {"kernel-unavailable": 1}
+    gained = {
+        reason: count - before.get(reason, 0)
+        for reason, count in after.items()
+        if count != before.get(reason, 0)
+    }
+    assert gained == {"no-compiler": 1}
 
 
 @engine_smoke
@@ -166,7 +178,8 @@ def test_threaded_evaluator_rejects_non_thread_modes(fig1_app):
 
 @engine_smoke
 def test_single_thread_runs_inline(fig1_app, kernel_cache):
-    """workers=1 (or one scenario) never pays for a thread pool."""
+    """workers=1 (or one scenario) never pays for a thread pool, nor
+    for a second simulator: the inline run builds the only one."""
     plan = ftss(fig1_app)
     with MonteCarloEvaluator(
         fig1_app, n_scenarios=10, fault_counts=[0], seed=3
@@ -176,6 +189,8 @@ def test_single_thread_runs_inline(fig1_app, kernel_cache):
         assert_outcomes_identical(executor.evaluate(plan), inline)
         assert executor._pool is None
     assert thread_stats().evaluations == 0
+    # The first construction lowered the plan, the second hit the memo.
+    assert kernel_stats().cache_hits == 1
 
 
 @engine_smoke
