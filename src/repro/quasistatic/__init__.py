@@ -15,7 +15,6 @@ from repro.quasistatic.ftqs import (
 from repro.quasistatic.synthesis import SynthesisEngine, SynthesisStats
 from repro.quasistatic.intervals import (
     TailProfile,
-    beneficial_intervals,
     latest_safe_start,
     tail_profile,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "SchedulingStrategyResult",
     "SwitchArc",
     "TailProfile",
-    "beneficial_intervals",
     "best_case_completion",
     "create_subschedules",
     "find_most_similar_unexpanded",

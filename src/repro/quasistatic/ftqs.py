@@ -63,8 +63,9 @@ class FTQSConfig:
         (1 generates only the single-fault child, etc.); bounds the
         construction cost for large k.
     interval_stride:
-        Sampling stride forwarded to interval partitioning for
-        non-piecewise-constant utility functions (0 = automatic).
+        Stride of the uniform grid of switch times that interval
+        partitioning evaluates besides every profile's critical points
+        (0 = automatic: a 48th of the traced range, at least 1).
     ftss:
         Configuration for the embedded FTSS runs.
     use_interval_partitioning:
@@ -85,6 +86,8 @@ class FTQSConfig:
             raise ValueError("max_schedules must be at least 1")
         if self.max_fault_variants < 0:
             raise ValueError("max_fault_variants must be non-negative")
+        if self.interval_stride < 0:
+            raise ValueError("interval_stride must be non-negative")
 
 
 DEFAULT_FTQS_CONFIG = FTQSConfig()

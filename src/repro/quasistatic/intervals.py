@@ -10,18 +10,21 @@ to the latest completion time t_ic at which SS_i still guarantees the
 hard deadlines.
 
 For the piecewise-constant utility functions the paper uses, the
-utility-vs-completion-time curves of both tails are step functions, so
-the comparison only changes value at a bounded set of *critical
-points* (utility breakpoints shifted by each process's offset in the
-tail, plus period-overrun points).  We therefore evaluate the
-difference once per critical segment, which is exact and much cheaper
-than evaluating every integer tick; when a non-piecewise-constant
-utility function is present, a sampling fallback with a configurable
-stride is mixed in.
+average-case utility of both tails only changes value at a bounded set
+of *critical points* (utility breakpoints shifted by each process's
+mean offset in the tail, plus period-overrun points).  The expected
+utility the comparison uses is smooth in the switch time, so every
+profile also adds a uniform grid of switch times (stride
+``FTQSConfig.interval_stride``, or a 48th of the traced range) — the
+grid, not the breakpoints, is what locates sign changes between them.
+The difference is evaluated once per point and held over the segment
+up to the next one, far cheaper than evaluating every integer tick.
 
 The safety bound t_ic is found by bisection: the rebased sub-schedule's
 worst-case analysis is monotone in its start time, so feasibility flips
-exactly once.
+exactly once.  This module is the oracle: the FTQS engine runs the
+same partition in one ``rk_partition`` call of the C core, with t_ic
+in closed form (:mod:`repro.quasistatic.synthesis`).
 """
 
 from __future__ import annotations
@@ -340,18 +343,3 @@ def partition(
         improvement=gain_integral / trace_span,
     )
 
-
-def beneficial_intervals(
-    app: Application,
-    parent: FSchedule,
-    parent_position: int,
-    child: FSchedule,
-    lo: int,
-    hi: int,
-    stride: int = 0,
-) -> List[Tuple[int, int]]:
-    """Compatibility wrapper: just the winning windows of
-    :func:`partition`."""
-    return list(
-        partition(app, parent, parent_position, child, lo, hi, stride).intervals
-    )

@@ -14,21 +14,24 @@ corpus):
   sets), lowered once for the C core, and every tail is one
   ``rk_ftss`` call through
   :func:`~repro.scheduling.ftss.ftss_compiled` — never through
-  ``ftss``.  Whole tails are memoized per ``(budget, start, completed
-  mask, dropped mask)``, each with its latest schedulable start.
+  ``ftss``.  A tail stays raw (a
+  :class:`~repro.scheduling.compiled.RawTail`: pids, caps and its
+  latest schedulable start t_ic, which ``rk_ftss`` reports from its
+  final schedulability check), memoized per ``(budget, start,
+  completed mask, dropped mask)``; the engine builds, and so
+  validates, an :class:`~repro.scheduling.fschedule.FSchedule` only
+  for a candidate it admits to the tree.
 
-* **Interval partitioning in the C core** — the safety bound t_ic
-  falls out of a closed form (worst-case completions are ``start +
-  const``, so feasibility flips at ``min(deadline_i - const_i, period
-  - const_last)``; no bisection), which ``rk_ftss`` reports with the
-  tail from its final schedulability check (a tail built by
-  ``ftss_reference`` takes it from
-  :meth:`~repro.scheduling.compiled.SchedulingContext.latest_start`),
-  and each side's expected-utility
-  profile is evaluated at *all* critical points in one
-  ``rk_expected`` call, the scalar path's float operations per point,
-  so every float is bit-identical.  Where the C path cannot run, the
-  oracles run instead (see
+* **Interval partitioning in the C core** — each candidate is one
+  ``rk_partition`` call
+  (:meth:`~repro.runtime.engine.kernel.design.DesignCore.partition`),
+  :func:`~repro.quasistatic.intervals.partition` clamped at the
+  tail's t_ic (worst-case completions are ``start + const``, so no
+  bisection): both tails' expected-utility profiles, their critical
+  points and the gain scan, with every float bit-identical.  Where the
+  C path cannot run — no usable core, or a profile term that is not
+  piecewise constant — the engine builds the tail's f-schedule and
+  runs that oracle, with the reason counted (see
   :mod:`repro.runtime.engine.kernel.design`).  Schedule similarity is
   maintained incrementally (a per-node running maximum updated on
   insertion) instead of O(tree) per query.
@@ -38,18 +41,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.quasistatic.ftqs import DEFAULT_FTQS_CONFIG, FTQSConfig
-from repro.quasistatic.intervals import PartitionResult, TailProfile, TailTerm
+from repro.quasistatic.intervals import partition
 from repro.quasistatic.similarity import schedule_similarity
 from repro.quasistatic.tree import QSNode, QSTree, SwitchArc
-from repro.scheduling.compiled import SchedulingContext
+from repro.scheduling.compiled import RawTail, SchedulingContext
 from repro.scheduling.feasibility import TopNeeds
 from repro.scheduling.fschedule import FSchedule
 from repro.scheduling.ftss import ftss_compiled, ftss_reference
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.runtime.engine.kernel.design import Side
 
 
 @dataclass
@@ -140,24 +144,60 @@ class SynthesisStats:
         )
 
 
+class _Tail(NamedTuple):
+    """A memoized tail: one FTSS run, raw, with the arguments it ran
+    with (the prior sets as masks), and the tail as ``rk_partition``
+    reads it."""
+
+    raw: RawTail
+    budget: int
+    start: int
+    completed: int
+    dropped: int
+    side: "Side"
+
+
+class _NodeData(NamedTuple):
+    """What every candidate of one node reads, computed once per
+    expansion: cumulative best/worst-case data and prefix masks per
+    position, the entries as pids and caps, the prior-dropped mask and
+    the schedule as ``rk_partition`` reads it."""
+
+    prefix_best: List[int]
+    worst_completion: List[int]
+    prefix_sets: List[int]
+    pids: Tuple[int, ...]
+    caps: Tuple[int, ...]
+    dropped: int
+    side: "Side"
+
+
 @dataclass
 class _CandidateResult:
-    """One admissible candidate, ready for deterministic admission."""
+    """One admissible candidate, ready for deterministic admission;
+    ``schedule`` is its tail's f-schedule when the oracle partition
+    needed one."""
 
     position: int
     assumed_faults: int
     switch_process: str
-    tail: FSchedule
+    tail: _Tail
     intervals: Tuple[Tuple[int, int], ...]
     improvement: float
+    schedule: Optional[FSchedule] = None
+
+
+#: A tail-memo miss (``None`` is a memoized "no tail").
+_MISS = object()
 
 
 class SynthesisEngine:
     """The fast FTQS tree builder (see the module docstring).
 
-    One engine instance holds the compiled tables and memos;
-    ``build()`` may be called repeatedly — e.g. once per M of a Table 1
-    sweep — and later builds reuse every memoized tail.
+    One engine instance holds the compiled tables and the tail memo;
+    :func:`~repro.quasistatic.ftqs.ftqs` builds a fresh engine per
+    tree.  ``build()`` may be called repeatedly on one engine, and
+    later builds reuse every memoized tail.
     """
 
     def __init__(
@@ -170,10 +210,7 @@ class SynthesisEngine:
         self.config = config
         self.ctx = SchedulingContext(app)
         self.stats = stats if stats is not None else SynthesisStats()
-        self._tail_memo: Dict[
-            Tuple, Tuple[Optional[FSchedule], Optional[int]]
-        ] = {}
-        self._profile_cache: Dict[Tuple, Tuple[TailProfile, object]] = {}
+        self._tail_memo: Dict[Tuple, Optional[_Tail]] = {}
         self._best_similarity: Dict[int, float] = {}
         self._expected_utility: Dict[int, float] = {}
         self._signatures: Set[Tuple] = set()
@@ -182,238 +219,139 @@ class SynthesisEngine:
     # Memoized tail scheduling
     # ------------------------------------------------------------------
     def _tail(
-        self,
-        fault_budget: int,
-        start: int,
-        prior_completed: int,
-        prior_dropped: int,
-    ) -> Tuple[Optional[FSchedule], Optional[int]]:
-        """The tail schedule and its latest schedulable start (t_ic),
-        or ``(None, None)``."""
-        key = (fault_budget, start, prior_completed, prior_dropped)
-        hit = self._tail_memo.get(key)
-        if hit is not None:
+        self, budget: int, start: int, completed: int, dropped: int
+    ) -> Optional[_Tail]:
+        """The tail of one FTSS run, or ``None`` when it yields no
+        schedulable, non-empty schedule."""
+        key = (budget, start, completed, dropped)
+        hit = self._tail_memo.get(key, _MISS)
+        if hit is not _MISS:
             self.stats.memo_hits += 1
             return hit
         self.stats.tails_scheduled += 1
+        ctx = self.ctx
         if not self.config.ftss.fast_paths:
             # The reference slow probes differ from the fast ones in
             # second-order greedy effects; honour the ablation by
             # delegating (memoization still applies).
-            tail = ftss_reference(
+            schedule = ftss_reference(
                 self.app,
-                fault_budget=fault_budget,
+                fault_budget=budget,
                 start_time=start,
-                prior_completed=self.ctx.names_of(prior_completed),
-                prior_dropped=self.ctx.names_of(prior_dropped),
+                prior_completed=ctx.names_of(completed),
+                prior_dropped=ctx.names_of(dropped),
                 config=self.config.ftss,
             )
-            limit = None if tail is None else self.ctx.latest_start(tail)
-            found = (tail, limit)
+            raw = None if schedule is None else ctx.raw_tail(schedule)
         else:
-            found = ftss_compiled(
-                self.ctx, self.config.ftss, fault_budget, start,
-                prior_completed, prior_dropped,
+            raw = ftss_compiled(
+                ctx, self.config.ftss, budget, start, completed, dropped
             )
-        self._tail_memo[key] = found
-        return found
+        tail = None
+        if raw is not None and raw.latest is not None and raw.pids:
+            settled = completed
+            for p in raw.pids:
+                settled |= 1 << p
+            # FSchedule.all_dropped: the soft processes the tail leaves
+            # out, plus the ones dropped before its start.
+            side = ctx.core.side(
+                raw.pids, ctx.soft_mask & ~(settled | dropped) | dropped
+            )
+            tail = _Tail(raw, budget, start, completed, dropped, side)
+        self._tail_memo[key] = tail
+        return tail
+
+    def _schedule(self, tail: _Tail) -> FSchedule:
+        """The validated f-schedule of ``tail``."""
+        return self.ctx.schedule(
+            tail.raw, tail.budget, tail.start, tail.completed, tail.dropped,
+            self.config.ftss.slack_sharing,
+        )
 
     # ------------------------------------------------------------------
     # Candidate evaluation
     # ------------------------------------------------------------------
-    def _profile(
-        self, schedule: FSchedule, from_position: int
-    ) -> Tuple[TailProfile, object]:
-        """Clone of :func:`repro.quasistatic.intervals.tail_profile`
-        with memoized stale coefficients, cached by schedule value, and
-        its terms as the C core reads them (``None`` when a term's
-        utility is not piecewise constant).
-
-        The profile reads only the entry list, the dropped sets derived
-        from it and the priors — not the start time — so the key is the
-        value identity of those inputs (an ``id()``-based key could be
-        recycled across builds of a persistent engine)."""
-        key = (
-            schedule.signature(),
-            schedule.prior_completed,
-            schedule.prior_dropped,
-            from_position,
-        )
-        hit = self._profile_cache.get(key)
-        if hit is not None:
-            return hit
-        ctx = self.ctx
-        entry_pids = [ctx.pid[e.name] for e in schedule.entries]
-        settled = ctx.mask(schedule.prior_completed)
-        for p in entry_pids:
-            settled |= 1 << p
-        prior_dropped = ctx.mask(schedule.prior_dropped)
-        # schedule.all_dropped: the soft processes it leaves out, plus
-        # the ones dropped before its start.
-        alphas = ctx.alphas(
-            ctx.soft_mask & ~(settled | prior_dropped) | prior_dropped
-        )
-        terms = []
-        rows = []
-        mean = 0.0
-        variance = 0.0
-        lo_sum = 0
-        hi_sum = 0
-        count = 0
-        for p in entry_pids[from_position:]:
-            mean += ctx.aet[p]
-            span = ctx.wcet[p] - ctx.bcet[p]
-            variance += (span * span) / 12.0
-            lo_sum += ctx.bcet[p]
-            hi_sum += ctx.wcet[p]
-            count += 1
-            if not ctx.is_hard[p]:
-                terms.append(
-                    TailTerm(
-                        alpha=alphas[p],
-                        fn=ctx.utilities[p],
-                        mean=mean,
-                        variance=variance,
-                        lo_sum=lo_sum,
-                        hi_sum=hi_sum,
-                        count=count,
-                    )
-                )
-                rows.append(
-                    (p, count, lo_sum, hi_sum, alphas[p], mean, variance)
-                )
-        profile = TailProfile(terms=tuple(terms), period=ctx.period)
-        c_terms = (
-            ctx.core.tail_terms(rows)
-            if all(term.fn.is_piecewise_constant() for term in terms)
-            else None
-        )
-        self._profile_cache[key] = (profile, c_terms)
-        return profile, c_terms
-
-    def _expectations(
-        self, profile: TailProfile, c_terms, points: List[int]
-    ) -> np.ndarray:
-        """``profile.expected`` at every one of ``points``: one
-        ``rk_expected`` call, or the oracle point by point where the C
-        path cannot run."""
-        values = self.ctx.core.expected(c_terms, points)
-        if values is None:
-            values = np.array(
-                [profile.expected(tc) for tc in points], dtype=np.float64
-            )
-        return values
-
-    def _partition(
-        self,
-        parent: FSchedule,
-        parent_position: int,
-        child: FSchedule,
-        limit: int,
-        lo: int,
-        hi: int,
-    ) -> PartitionResult:
-        """Clone of :func:`repro.quasistatic.intervals.partition` with
-        one expectation call per profile.  Its safety bound,
-        :func:`~repro.quasistatic.intervals.latest_safe_start`, is the
-        child's latest schedulable start ``limit`` clamped to ``[lo,
-        hi]``: every worst-case completion of a rebased schedule is
-        ``start + const``, so no bisection is needed."""
-        stride = self.config.interval_stride
-        if lo > hi or lo > limit:
-            return PartitionResult(intervals=(), improvement=0.0)
-        trace_span = hi - lo + 1
-        hi = min(hi, limit)
-        parent_profile, parent_terms = self._profile(
-            parent, parent_position + 1
-        )
-        child_profile, child_terms = self._profile(child, 0)
-        points = sorted(
-            set(parent_profile.critical_points(lo, hi, stride))
-            | set(child_profile.critical_points(lo, hi, stride))
-        )
-        gains = (
-            self._expectations(child_profile, child_terms, points)
-            - self._expectations(parent_profile, parent_terms, points)
-        ).tolist()
-        margin = 1e-6
-        intervals: List[Tuple[int, int]] = []
-        gain_integral = 0.0
-        current_start: Optional[int] = None
-        n_points = len(points)
-        for idx, point in enumerate(points):
-            gain = gains[idx]
-            seg_end = points[idx + 1] - 1 if idx + 1 < n_points else hi
-            wins = gain > margin
-            if wins:
-                gain_integral += gain * (seg_end - point + 1)
-            if wins and current_start is None:
-                current_start = point
-            if not wins and current_start is not None:
-                intervals.append((current_start, point - 1))
-                current_start = None
-            if wins and idx + 1 == n_points:
-                intervals.append((current_start, seg_end))
-                current_start = None
-        valid = tuple((a, b) for a, b in intervals if a <= b)
-        return PartitionResult(
-            intervals=valid, improvement=gain_integral / trace_span
-        )
-
     def _evaluate(
         self,
-        schedule: FSchedule,
+        node: QSNode,
+        data: _NodeData,
         position: int,
         switch_process: str,
         faults: int,
         start: int,
         hi: int,
-        prefix_completed: int,
-        parent_signature: Tuple,
     ) -> Optional[_CandidateResult]:
-        """Tail + partition of one (position, faults) candidate;
-        ``prefix_completed`` is the mask of the processes done before
-        the tail starts."""
+        """Tail + interval partitioning of one (position, faults)
+        candidate, switching at completion times in ``[start, hi]``."""
         config = self.config
         self.stats.candidates_evaluated += 1
-        tail, limit = self._tail(
-            schedule.fault_budget - faults,
+        tail = self._tail(
+            node.schedule.fault_budget - faults,
             start,
-            prefix_completed,
-            self.ctx.mask(schedule.prior_dropped),
+            data.prefix_sets[position],
+            data.dropped,
         )
-        if tail is None or len(tail) == 0:
+        if tail is None:
             return None
-        if faults == 0 and tail.signature() == parent_signature:
-            return None
+        raw = tail.raw
+        rest = position + 1
+        if faults == 0 and raw.pids == data.pids[rest:] and (
+            raw.caps == data.caps[rest:]
+        ):
+            return None  # switching would be a no-op
         if config.use_interval_partitioning:
-            result = self._partition(
-                schedule, position, tail, limit, start, hi
+            intervals, improvement, schedule = self._switch_intervals(
+                node, data, position, tail, start, hi
             )
         else:
-            if start > limit:
+            if start > raw.latest:
                 return None
-            result = PartitionResult(
-                intervals=((start, min(hi, limit)),), improvement=1.0
-            )
-        if not result.beneficial:
+            intervals, improvement = ((start, min(hi, raw.latest)),), 1.0
+            schedule = None
+        if not (intervals and improvement > 0):
             return None
         return _CandidateResult(
             position=position,
             assumed_faults=faults,
             switch_process=switch_process,
             tail=tail,
-            intervals=result.intervals,
-            improvement=result.improvement,
+            intervals=intervals,
+            improvement=improvement,
+            schedule=schedule,
         )
+
+    def _switch_intervals(
+        self,
+        node: QSNode,
+        data: _NodeData,
+        position: int,
+        tail: _Tail,
+        start: int,
+        hi: int,
+    ) -> Tuple[Tuple[Tuple[int, int], ...], float, Optional[FSchedule]]:
+        """Interval partitioning of switching from ``node`` after
+        ``position`` to ``tail``: ``(intervals, improvement, None)``
+        from one ``rk_partition`` call, or, where that cannot run, the
+        oracle's on the tail's f-schedule, returned third."""
+        stride = self.config.interval_stride
+        found = self.ctx.core.partition(
+            data.side, position + 1, tail.side, start, hi, tail.raw.latest,
+            stride,
+        )
+        if found is not None:
+            return found + (None,)
+        schedule = self._schedule(tail)
+        oracle = partition(
+            self.app, node.schedule, position, schedule, start, hi, stride
+        )
+        return oracle.intervals, oracle.improvement, schedule
 
     # ------------------------------------------------------------------
     # Per-node candidate generation
     # ------------------------------------------------------------------
-    def _node_prefix_data(self, schedule: FSchedule):
-        """Cumulative best/worst-case data per position, computed once
-        per node instead of O(n) per candidate; the prefix sets are
-        masks."""
+    def _node_data(self, schedule: FSchedule) -> _NodeData:
+        """The :class:`_NodeData` of ``schedule``, computed once per
+        node instead of O(n) per candidate."""
         ctx = self.ctx
         k = self.app.k
         completed = [ctx.pid[n] for n in schedule.prior_completed]
@@ -427,8 +365,12 @@ class SynthesisEngine:
         prefix_best: List[int] = []
         worst_completion: List[int] = []
         prefix_sets: List[int] = []
+        pids: List[int] = []
+        caps: List[int] = []
         for entry in schedule.entries:
             p = ctx.pid[entry.name]
+            pids.append(p)
+            caps.append(entry.reexecutions)
             prefix_best.append(best_clock)
             best_clock += ctx.bcet[p]
             worst_clock += ctx.wcet[p]
@@ -440,7 +382,12 @@ class SynthesisEngine:
             )
             done |= 1 << p
             prefix_sets.append(done)
-        return prefix_best, worst_completion, prefix_sets
+        dropped = ctx.mask(schedule.prior_dropped)
+        side = ctx.core.side(pids, ctx.soft_mask & ~(done | dropped) | dropped)
+        return _NodeData(
+            prefix_best, worst_completion, prefix_sets, tuple(pids),
+            tuple(caps), dropped, side,
+        )
 
     def _candidates(self, node: QSNode) -> List[_CandidateResult]:
         ctx = self.ctx
@@ -450,9 +397,7 @@ class SynthesisEngine:
         budget = schedule.fault_budget
         if len(entries) < 2:
             return []
-        prefix_best, worst_completion, prefix_sets = self._node_prefix_data(
-            schedule
-        )
+        data = self._node_data(schedule)
         results: List[_CandidateResult] = []
         for position in range(len(entries) - 1):
             entry = entries[position]
@@ -462,28 +407,18 @@ class SynthesisEngine:
                     entry.reexecutions, budget, config.max_fault_variants
                 )
                 fault_range += list(range(1, max_f + 1))
-            hi = worst_completion[position]
-            parent_signature = tuple(
-                (e.name, e.reexecutions) for e in entries[position + 1 :]
-            )
-            p = ctx.pid[entry.name]
+            hi = data.worst_completion[position]
+            p = data.pids[position]
             for faults in fault_range:
                 start = (
-                    prefix_best[position]
+                    data.prefix_best[position]
                     + (faults + 1) * ctx.bcet[p]
                     + faults * ctx.mu[p]
                 )
                 if start > hi:
                     continue
                 candidate = self._evaluate(
-                    schedule,
-                    position,
-                    entry.name,
-                    faults,
-                    start,
-                    hi,
-                    prefix_sets[position],
-                    parent_signature,
+                    node, data, position, entry.name, faults, start, hi
                 )
                 if candidate is not None:
                     results.append(candidate)
@@ -544,15 +479,18 @@ class SynthesisEngine:
         for candidate in candidates:
             if len(self._signatures) >= self.config.max_schedules:
                 break
+            schedule = candidate.schedule
+            if schedule is None:
+                schedule = self._schedule(candidate.tail)
             child = tree.add_child(
                 node.node_id,
-                candidate.tail,
+                schedule,
                 switch_process=candidate.switch_process,
                 assumed_faults=candidate.assumed_faults,
                 layer=layer,
             )
-            self._signatures.add(candidate.tail.signature())
-            required = app_k - candidate.tail.fault_budget
+            self._signatures.add(schedule.signature())
+            required = app_k - schedule.fault_budget
             for lo, hi in candidate.intervals:
                 tree.add_arc(
                     node.node_id,

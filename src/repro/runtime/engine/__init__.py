@@ -14,8 +14,8 @@ sets through one C core on top of it:
   builds the oracle's scenario objects on access;
 * :mod:`repro.runtime.engine.simulator` — :class:`BatchResult`, the
   per-scenario outcome arrays, and :class:`BatchSimulator`, a plan
-  with its oracle, whose per-scenario replay is the kernel's
-  degradation path;
+  with its oracle, whose per-scenario replay is the ``reference``
+  engine and the kernel's degradation and residual path;
 * :mod:`repro.runtime.engine.kernel` — :class:`KernelSimulator`
   lowers the plan's tree into tables and runs whole batches through
   one prebuilt C core;

@@ -1,4 +1,5 @@
-"""The C core's design-time entry points: FTSS runs and tail profiles.
+"""The C core's design-time entry points: FTSS runs and interval
+partitioning.
 
 The paper's design-time half — FTSS list scheduling (§5.2, Fig. 8),
 run once per FTQS candidate, and interval partitioning (§5.1) — runs
@@ -6,22 +7,33 @@ in the same C core as the simulator: ``rk_ftss.c`` is compiled
 appended to ``rk_core.c``, so there is one build, cache entry and load
 per (sources, compiler, flags).  :class:`DesignCore` serves one
 :class:`~repro.scheduling.compiled.SchedulingContext`: it loads the
-core and lowers the context's application once
-(:func:`~repro.runtime.engine.kernel.lower.lower_scheduling`), then
+core, lowers the context's application once
+(:func:`~repro.runtime.engine.kernel.lower.lower_scheduling`) and
+allocates every work buffer once, then
 
 * :meth:`DesignCore.ftss` is one whole FTSS run in one ``rk_ftss``
-  call, which also reports the schedule's latest schedulable start
-  (its t_ic, what interval partitioning clamps to), and
-* :meth:`DesignCore.expected` is ``TailProfile.expected`` at every
-  switch time of one profile in one ``rk_expected`` call.
+  call, returned raw (a :class:`~repro.scheduling.compiled.RawTail`
+  of pids, caps and the schedule's latest schedulable start, its
+  t_ic, what interval partitioning clamps to): the caller builds the
+  f-schedule only if it needs one;
+* :meth:`DesignCore.partition` is
+  :func:`~repro.quasistatic.intervals.partition` of one FTQS
+  candidate in one ``rk_partition`` call: both tails' expected-utility
+  profiles, their critical points and the gain scan, clamped at the
+  child's t_ic;
+* :meth:`DesignCore.expected` is ``TailProfile.expected`` at a list
+  of switch times in one ``rk_expected`` call, the profile evaluation
+  ``rk_partition`` runs, kept as its probe.
 
-The third entry point of ``rk_ftss.c``, ``rk_thresholds``, serves
+The fourth entry point of ``rk_ftss.c``, ``rk_thresholds``, serves
 plan lowering instead (``dispatch.Core.fill_thresholds``).
 
-Both release the GIL, keep every buffer on the caller's side and are
+All release the GIL, keep every buffer on the caller's side and are
 bit-identical to their oracles (``tests/test_ftss_differential.py``,
-``tests/test_synthesis_differential.py``).  Where the C path cannot
-run, the caller runs the oracle instead and the reason is counted in
+``tests/test_synthesis_differential.py``); the buffers make one
+instance serve one thread at a time, as a context does.  Where the C
+path cannot run, the caller runs the oracle instead and the reason is
+counted in
 :func:`~repro.runtime.engine.kernel.dispatch.kernel_stats`: the core's
 build or load reason, ``"unsupported-utility"`` (a utility without a
 kernel lowering), ``"negative-start"`` (the oracle's utility calls
@@ -33,7 +45,7 @@ profile term the oracle evaluates by quantiles).
 from __future__ import annotations
 
 import ctypes
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +54,6 @@ from repro.runtime.engine.kernel.dispatch import (
     c_address,
     kernel_stats,
     load_core,
-    top_slots,
 )
 from repro.runtime.engine.kernel.lower import (
     APP_ARRAYS,
@@ -53,17 +64,33 @@ from repro.runtime.engine.kernel.lower import (
     RkSched,
     lower_scheduling,
 )
-from repro.scheduling.fschedule import FSchedule, ScheduledEntry
+from repro.scheduling.compiled import RawTail
+from repro.scheduling.fschedule import ScheduledEntry
 from repro.scheduling.priority import SUCCESSOR_WEIGHT
 
 #: ``rk_ftss`` outcomes (``RK_FTSS_*`` of ``rk_ftss.c``).
 FTSS_OK, FTSS_UNSCHEDULABLE, FTSS_LATE = 0, 1, 2
 
+#: ``rk_partition`` outcomes (``RK_PARTITION_*``).
+PARTITION_OK, PARTITION_NONCONSTANT = 0, 1
+
 _WORD = (1 << 64) - 1
 
 
+class Side(NamedTuple):
+    """One schedule as ``rk_partition`` reads it: its ``n`` pids (never
+    negative, so the core reads them as int64), then the words of its
+    all-dropped mask, in one buffer kept alive here, at address
+    ``at``."""
+
+    buffer: np.ndarray
+    at: int
+    n: int
+
+
 class DesignCore:
-    """``rk_ftss`` and ``rk_expected`` over one scheduling context.
+    """``rk_ftss``, ``rk_partition`` and ``rk_expected`` over one
+    scheduling context.
 
     ``reason`` is ``None`` when the C path can run on this context,
     else the counter label of why not.
@@ -72,7 +99,9 @@ class DesignCore:
     def __init__(self, ctx):
         self.ctx = ctx
         self.reason: Optional[str] = None
-        self._nw = (len(ctx.names) + 63) // 64
+        n = len(ctx.names)
+        self._n = n
+        self._nw = nw = (n + 63) // 64
         try:
             self._core = load_core()
             self._arrays = lower_scheduling(ctx)
@@ -80,14 +109,45 @@ class DesignCore:
             self.reason = exc.reason
             return
         arrays = self._arrays
-        self._plan = RkPlan(n_proc=len(ctx.names), nw=self._nw,
-                            period=ctx.period)
+        self._plan = RkPlan(n_proc=n, nw=nw, period=ctx.period)
         for name in APP_ARRAYS:
             setattr(self._plan, name, arrays[name].ctypes.data)
         self._sched = RkSched(
             *(arrays[name].ctypes.data for name, _ in SCHED_ARRAYS),
             len(arrays["edf"]),
         )
+        self._tables = (ctypes.byref(self._plan), ctypes.byref(self._sched))
+        # rk_ftss: prior sets, work buffers sized for any budget
+        # (RK_TOP_SLOTS <= n + 2), pids, caps, count and latest start,
+        # and the config's flags.
+        self._sets = np.empty(2 * nw, dtype=np.uint64)
+        self._sets_at = self._sets.ctypes.data
+        self._picks = np.empty(2 * n + 2, dtype=np.int64)
+        self._ftss_buffers = (
+            np.empty(2 * n + 8 * (n + 2), dtype=np.int64),
+            np.empty(2 * n, dtype=np.float64),
+            np.empty(16 * nw, dtype=np.uint64),
+        )
+        at = self._picks.ctypes.data
+        self._ftss_out = (at, at + 8 * n, at + 16 * n, at + 16 * n + 8)
+        self._ftss_work = tuple(a.ctypes.data for a in self._ftss_buffers)
+        self._flags = np.empty(4, dtype=np.int64)
+        self._flags_at = self._flags.ctypes.data
+        # rk_partition: both profiles' terms, alphas, critical points
+        # (lo, hi and each term's breakpoints and period overrun), the
+        # winning intervals (grown on demand) and the count and gain.
+        self._partition_buffers = (
+            np.empty(2 * n, dtype=TTERM),
+            np.empty(n, dtype=np.float64),
+            np.empty(2 + 2 * len(arrays["ubound"]), dtype=np.int64),
+        )
+        self._partition_work = tuple(
+            a.ctypes.data for a in self._partition_buffers
+        )
+        self._count = np.empty(1, dtype=np.int64)
+        self._gain = np.empty(1, dtype=np.float64)
+        self._result_at = (self._count.ctypes.data, self._gain.ctypes.data)
+        self._grow_intervals(8)
 
     def _fallback(self, reason: Optional[str]) -> bool:
         """Count ``reason`` (or this context's) if there is one."""
@@ -95,12 +155,6 @@ class DesignCore:
         if reason is not None:
             kernel_stats().count_fallback(reason)
         return reason is not None
-
-    def _words(self, mask: int) -> np.ndarray:
-        return np.array(
-            [mask >> (64 * w) & _WORD for w in range(self._nw)],
-            dtype=np.uint64,
-        )
 
     # ------------------------------------------------------------------
     # FTSS
@@ -118,85 +172,114 @@ class DesignCore:
     def ftss(
         self, config, fault_budget: int, start_time: int,
         prior_completed: int, prior_dropped: int,
-    ) -> Tuple[Optional[FSchedule], Optional[int]]:
-        """One FTSS run (prior sets as masks) in one ``rk_ftss`` call:
-        the f-schedule and the latest start at which it stays
-        schedulable (its t_ic, what
+    ) -> Optional[RawTail]:
+        """One FTSS run (prior sets as masks) in one ``rk_ftss`` call,
+        raw: the scheduled pids and caps and the latest start at which
+        the schedule stays schedulable (its t_ic, what
         :meth:`~repro.scheduling.compiled.SchedulingContext.latest_start`
-        computes), or ``(None, None)`` when unschedulable.  Check
+        computes; ``None`` when the final check rejects the schedule),
+        or ``None`` when the run finds no schedule.  Check
         :meth:`ftss_fallback` first."""
-        ctx = self.ctx
-        n, nw = len(ctx.names), self._nw
-        slots = top_slots(n, fault_budget)
-        flags = np.array(
-            [config.drop_heuristic, config.soft_reexecution,
-             config.slack_sharing, config.optimize_for == "wcet"],
-            dtype=np.int64,
+        n, nw = self._n, self._nw
+        self._flags[:] = (
+            config.drop_heuristic, config.soft_reexecution,
+            config.slack_sharing, config.optimize_for == "wcet",
         )
-        sets = np.concatenate(
-            (self._words(prior_completed), self._words(prior_dropped))
-        )
-        work_i = np.empty(2 * n + 8 * slots, dtype=np.int64)
-        work_d = np.empty(2 * n, dtype=np.float64)
-        work_m = np.empty(16 * nw, dtype=np.uint64)
-        # pids, caps, count, latest start
-        picks = np.empty(2 * n + 2, dtype=np.int64)
-        at = picks.ctypes.data
+        sets = self._sets
+        for w in range(nw):
+            sets[w] = prior_completed >> (64 * w) & _WORD
+            sets[nw + w] = prior_dropped >> (64 * w) & _WORD
         status = self._core.ftss(
-            ctypes.byref(self._plan), ctypes.byref(self._sched),
-            flags.ctypes.data, float(config.successor_weight),
-            SUCCESSOR_WEIGHT, fault_budget, start_time,
-            sets.ctypes.data, sets.ctypes.data + 8 * nw,
-            work_i.ctypes.data, work_d.ctypes.data, work_m.ctypes.data,
-            at, at + 8 * n, at + 16 * n, at + 16 * n + 8,
+            *self._tables, self._flags_at,
+            float(config.successor_weight), SUCCESSOR_WEIGHT, fault_budget,
+            start_time, self._sets_at, self._sets_at + 8 * nw,
+            *self._ftss_work, *self._ftss_out,
         )
         if status not in (FTSS_OK, FTSS_UNSCHEDULABLE, FTSS_LATE):
             raise RuntimeError(f"rk_ftss rejected its arguments ({status})")
-        count = int(picks[2 * n])
-        # Entries first: a negative cap raises like the oracle's
-        # ScheduledEntry at scheduling time.
-        entries = [
-            ScheduledEntry(ctx.names[p], cap)
-            for p, cap in zip(
-                picks[:count].tolist(), picks[n : n + count].tolist()
-            )
-        ]
+        picks = self._picks.tolist()
+        count = picks[2 * n]
+        pids, caps = tuple(picks[:count]), tuple(picks[n : n + count])
+        if fault_budget < 0:
+            # A hard cap is then negative: raise like the oracle's
+            # ScheduledEntry, as it schedules the entry.
+            for p, cap in zip(pids, caps):
+                ScheduledEntry(self.ctx.names[p], cap)
         if status == FTSS_UNSCHEDULABLE:
-            return None, None
-        schedule = FSchedule(
-            ctx.app,
-            entries,
-            start_time=start_time,
-            fault_budget=fault_budget,
-            prior_completed=ctx.names_of(prior_completed),
-            prior_dropped=ctx.names_of(prior_dropped),
-            slack_sharing=config.slack_sharing,
+            return None
+        return RawTail(
+            pids, caps, picks[2 * n + 1] if status == FTSS_OK else None
         )
-        if status != FTSS_OK:
-            return None, None
-        return schedule, int(picks[2 * n + 1])
+
+    # ------------------------------------------------------------------
+    # Interval partitioning
+    # ------------------------------------------------------------------
+    def side(self, pids: Sequence[int], all_dropped: int) -> Side:
+        """A schedule with entries ``pids`` and all-dropped mask
+        ``all_dropped`` (``FSchedule.all_dropped``), as
+        :meth:`partition` reads it."""
+        buffer = np.array(
+            [*pids, *(all_dropped >> (64 * w) & _WORD
+                      for w in range(self._nw))],
+            dtype=np.uint64,
+        )
+        return Side(buffer, buffer.ctypes.data, len(pids))
+
+    def _grow_intervals(self, capacity: int) -> None:
+        self._intervals = np.empty(2 * capacity, dtype=np.int64)
+        self._intervals_at = (self._intervals.ctypes.data, capacity)
+
+    def partition(
+        self, parent: Side, first: int, child: Side, lo: int, hi: int,
+        latest: int, stride: int,
+    ) -> Optional[Tuple[Tuple[Tuple[int, int], ...], float]]:
+        """:func:`~repro.quasistatic.intervals.partition` of switching
+        from ``parent``, whose remaining tail is its entries from
+        position ``first`` on, to ``child``, whose latest schedulable
+        start is ``latest``, for completion times in ``[lo, hi]``:
+        ``(intervals, improvement)`` in one ``rk_partition`` call, or
+        ``None`` with the reason counted when a profile term is not
+        piecewise constant or the C path cannot run here."""
+        if self._fallback(None):
+            return None
+        while True:
+            status = self._core.partition(
+                *self._tables,
+                parent.at + 8 * first, parent.n - first,
+                parent.at + 8 * parent.n,
+                child.at, child.n, child.at + 8 * child.n,
+                lo, hi, latest, stride,
+                *self._partition_work, *self._intervals_at,
+                *self._result_at,
+            )
+            if status == PARTITION_NONCONSTANT:
+                kernel_stats().count_fallback("nonconstant-utility")
+                return None
+            if status != PARTITION_OK:
+                raise RuntimeError(
+                    f"rk_partition rejected its arguments ({status})"
+                )
+            count = int(self._count[0])
+            if count <= self._intervals_at[1]:
+                break
+            self._grow_intervals(count)
+        bounds = self._intervals[: 2 * count].tolist()
+        return (
+            tuple(zip(bounds[::2], bounds[1::2])),
+            float(self._gain[0]),
+        )
 
     # ------------------------------------------------------------------
     # Expected-utility profiles
     # ------------------------------------------------------------------
-    @staticmethod
-    def tail_terms(
-        rows: Sequence[Tuple[int, int, int, int, float, float, float]],
-    ) -> np.ndarray:
-        """A profile's soft terms as ``rk_tterm`` records: ``(pid,
-        count, lo_sum, hi_sum, alpha, mean, variance)`` each."""
-        return np.array(rows, dtype=TTERM)
-
     def expected(
-        self, terms: Optional[np.ndarray], points: List[int]
+        self, terms: np.ndarray, points: List[int]
     ) -> Optional[np.ndarray]:
-        """``TailProfile.expected`` of the profile with ``terms`` (see
-        :meth:`tail_terms`; ``None`` for a profile with a term that is
-        not piecewise constant) at every one of ``points``, in one
+        """``TailProfile.expected`` of the profile with ``terms`` (a
+        :data:`~repro.runtime.engine.kernel.lower.TTERM` array, every
+        utility piecewise constant) at every one of ``points``, in one
         ``rk_expected`` call, or ``None`` with the reason counted."""
-        if self._fallback(
-            None if terms is not None else "nonconstant-utility"
-        ):
+        if self._fallback(None):
             return None
         pts = np.array(points, dtype=np.int64)
         out = np.empty(len(pts), dtype=np.float64)

@@ -72,7 +72,7 @@ class KernelStats:
     ``"unsupported-plan"``, ``"chaos"``, and for the design-time entry
     points ``"negative-start"``, ``"hard-dropped"`` and
     ``"nonconstant-utility"``) to how many simulator constructions,
-    FTSS runs and expected-utility profiles degraded to their oracle
+    FTSS runs and interval partitionings degraded to their oracle
     for it (see :mod:`~repro.runtime.engine.kernel.design`).
     ``oracle_scenarios`` counts per-scenario oracle replays out of
     otherwise kernel-run batches (the residual a batch reports as
@@ -155,6 +155,7 @@ class Core:
     ftss: Any
     expected: Any
     thresholds: Any
+    partition: Any
 
     def fill_thresholds(
         self, arrays: Dict[str, np.ndarray], wcet: np.ndarray,
@@ -261,8 +262,8 @@ def bind_core(lib: ctypes.CDLL):
 
 
 def bind_design(lib: ctypes.CDLL):
-    """``lib``'s ``rk_ftss``, ``rk_expected`` and ``rk_thresholds``
-    with their ctypes signatures."""
+    """``lib``'s ``rk_ftss``, ``rk_expected``, ``rk_thresholds`` and
+    ``rk_partition`` with their ctypes signatures."""
     ftss = lib.rk_ftss
     ftss.restype = _I64
     ftss.argtypes = [
@@ -282,7 +283,17 @@ def bind_design(lib: ctypes.CDLL):
     thresholds = lib.rk_thresholds
     thresholds.restype = _I64
     thresholds.argtypes = [ctypes.POINTER(RkPlan)] + [_PTR] * 6
-    return ftss, expected, thresholds
+    partition = lib.rk_partition
+    partition.restype = _I64
+    partition.argtypes = [
+        ctypes.POINTER(RkPlan), ctypes.POINTER(RkSched),
+        _PTR, _I64, _PTR,  # parent pids, count, all-dropped mask
+        _PTR, _I64, _PTR,  # child pids, count, all-dropped mask
+        _I64, _I64, _I64, _I64,  # lo, hi, latest start, stride
+        _PTR, _PTR, _PTR,  # work buffers
+        _PTR, _I64, _PTR, _PTR,  # intervals, their capacity, count, gain
+    ]
+    return ftss, expected, thresholds, partition
 
 
 def run_core(run, plan: RkPlan, batch: ScenarioBatch) -> BatchResult:

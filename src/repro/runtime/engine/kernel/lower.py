@@ -78,7 +78,7 @@ TERM = _record("pid", "delay")
 
 #: The design-time records of ``rk_ftss.c``: per-process FTSS columns
 #: and one soft term of a schedule tail's utility profile.
-SPROC = _record("aet", "wcet", "need", "mu", "succ_lo", "succ_hi")
+SPROC = _record("aet", "bcet", "wcet", "need", "mu", "succ_lo", "succ_hi")
 TTERM = _record(
     "pid", "count", "lo_sum", "hi_sum", "alpha", "mean", "variance",
     floats=("alpha", "mean", "variance"),
@@ -460,12 +460,12 @@ class LoweredPlan:
 
 
 def lower_scheduling(ctx) -> Dict[str, np.ndarray]:
-    """The tables ``rk_ftss`` and ``rk_expected`` read for one
-    :class:`~repro.scheduling.compiled.SchedulingContext`, by field
-    name: the :data:`APP_ARRAYS` of an ``rk_plan`` in the context's
-    pid order, then the :data:`SCHED_ARRAYS` — per-process FTSS
-    columns, successors in graph order, predecessor masks and the
-    modified-deadline EDF order of the hard processes."""
+    """The tables ``rk_ftss``, ``rk_partition`` and ``rk_expected``
+    read for one :class:`~repro.scheduling.compiled.SchedulingContext`,
+    by field name: the :data:`APP_ARRAYS` of an ``rk_plan`` in the
+    context's pid order, then the :data:`SCHED_ARRAYS` — per-process
+    FTSS and profile columns, successors in graph order, predecessor
+    masks and the modified-deadline EDF order of the hard processes."""
     n_words = (len(ctx.names) + 63) // 64
     col: Dict[str, list] = lower_application(ctx.app, ctx.names)
     col.update(sprocs=[], succ=[], pred_mask=[], edf=list(ctx.edf_hard))
@@ -473,8 +473,8 @@ def lower_scheduling(ctx) -> Dict[str, np.ndarray]:
         lo = len(col["succ"])
         col["succ"] += successors
         col["sprocs"].append(
-            (ctx.aet[p], ctx.wcet[p], ctx.need[p], ctx.mu[p], lo,
-             len(col["succ"]))
+            (ctx.aet[p], ctx.bcet[p], ctx.wcet[p], ctx.need[p], ctx.mu[p],
+             lo, len(col["succ"]))
         )
         col["pred_mask"] += _mask_words(ctx.pred_list[p], n_words)
     dtypes = dict((name, t) for name, t, _ in ARRAYS)

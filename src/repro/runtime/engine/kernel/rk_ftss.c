@@ -1,18 +1,19 @@
 /*
  * The design-time entry points of the scheduler core: one whole FTSS
- * run (paper section 5.2, Fig. 8), the expected-utility profile of
- * interval partitioning (section 5.1) and the section 2.2 threshold
- * table of a lowered plan.
+ * run (paper section 5.2, Fig. 8), the interval partitioning of one
+ * FTQS candidate and its expected-utility profiles (section 5.1) and
+ * the section 2.2 threshold table of a lowered plan.
  *
  * This file is compiled appended to rk_core.c, as one translation
  * unit (repro.runtime.engine.kernel.build), so it reads an
  * application through the same rk_plan records and evaluates it with
  * the same rk_util and rk_alphas; `repro export` ships rk_core.{h,c}
- * without it.  For rk_ftss and rk_expected the application part of
- * the rk_plan (procs, graph, pred, ubound, uval, hard_mask, soft_mask)
- * is numbered in sorted-name order, so every smallest-name tie-break
- * of the oracle is a smallest-pid one; rk_thresholds reads a plan as
- * lower_plan numbers it, in application order.
+ * without it.  For rk_ftss, rk_partition and rk_expected the
+ * application part of the rk_plan (procs, graph, pred, ubound, uval,
+ * hard_mask, soft_mask) is numbered in sorted-name order, so every
+ * smallest-name tie-break of the oracle is a smallest-pid one;
+ * rk_thresholds reads a plan as lower_plan numbers it, in application
+ * order.
  *
  * rk_ftss is an exact clone of repro.scheduling.ftss.ftss_reference
  * with fast_paths semantics: the same list-scheduling loop, the same
@@ -21,8 +22,11 @@
  * claims, so of the hard entries appended only the costliest matters)
  * and every float operation in the oracle's order; it also reports the
  * latest start of its final schedulability check, the schedule's t_ic
- * (SchedulingContext.latest_start).  rk_expected is
- * TailProfile.expected at a list of switch times, with libm's erf.
+ * (SchedulingContext.latest_start).  rk_partition is
+ * repro.quasistatic.intervals.partition of one candidate clamped at
+ * the child's t_ic: both tails' profiles, their critical points and
+ * the gain scan, each profile evaluated as rk_expected evaluates it
+ * (TailProfile.expected at a list of switch times, with libm's erf).
  * rk_thresholds fills a plan's thr table as lower.node_thresholds
  * does, each cell one feasibility.latest_start walk (rk_walk, which
  * rk_ftss's final check walks too).  All are bit-identical to their
@@ -34,6 +38,7 @@
 /* Per-process columns beside the rk_plan, pid-indexed. */
 typedef struct rk_sproc {
     int64_t aet;
+    int64_t bcet;
     int64_t wcet;
     int64_t need;     /* cost of one recovery: WCET + mu */
     int64_t mu;
@@ -1109,27 +1114,236 @@ static double rk_expected_term(const rk_plan *p, const rk_tterm *t,
     return expected;
 }
 
-/* TailProfile.expected at each of n points: terms in profile order,
- * accumulated per point in the oracle's order.  Every term's utility
+/* TailProfile.expected at tc: terms in profile order, accumulated in
+ * the oracle's order. */
+static double rk_profile_expected(const rk_plan *p, const rk_tterm *terms,
+                                  int64_t n_terms, int64_t tc)
+{
+    double total = 0.0;
+    int64_t j;
+    for (j = 0; j < n_terms; j++) {
+        total = total + terms[j].alpha * rk_expected_term(p, terms + j, tc);
+    }
+    return total;
+}
+
+/* TailProfile.expected at each of n points.  Every term's utility
  * must be a step table (not linear).  Returns 0, or -1 for
  * out-of-range arguments. */
 int64_t rk_expected(const rk_plan *plan, const rk_tterm *terms,
                     int64_t n_terms, const int64_t *points, int64_t n,
                     double *out)
 {
-    int64_t i, j;
-    double total;
+    int64_t i;
     if (n_terms < 0 || n < 0) {
         return -1;
     }
     for (i = 0; i < n; i++) {
-        total = 0.0;
-        for (j = 0; j < n_terms; j++) {
-            total = total
-                + terms[j].alpha * rk_expected_term(plan, terms + j,
-                                                    points[i]);
-        }
-        out[i] = total;
+        out[i] = rk_profile_expected(plan, terms, n_terms, points[i]);
     }
     return 0;
+}
+
+/* ---- interval partitioning ---- */
+
+/* rk_partition outcomes: the switch intervals, or a profile term whose
+ * utility is linear (TailProfile.expected samples those at quantiles,
+ * which the core does not). */
+#define RK_PARTITION_OK 0
+#define RK_PARTITION_NONCONSTANT 1
+
+/* A child wins where its expected utility beats the parent's by more
+ * than this (intervals.partition's margin). */
+#define RK_MARGIN 1e-6
+
+/* The soft terms of the profile of pids[0 .. n) under the dropped set,
+ * as intervals.tail_profile accumulates them, into terms; returns
+ * their count, or -1 when one's utility is linear. */
+static int64_t rk_profile(const rk_plan *p, const rk_sched *s,
+                          const int64_t *pids, int64_t n,
+                          const uint64_t *dropped, double *alpha,
+                          rk_tterm *terms)
+{
+    const rk_sproc *sp = s->sprocs;
+    double mean = 0.0;
+    double variance = 0.0;
+    int64_t lo_sum = 0;
+    int64_t hi_sum = 0;
+    int64_t n_terms = 0;
+    int64_t i, q, span;
+    rk_alphas(p, dropped, alpha);
+    for (i = 0; i < n; i++) {
+        q = pids[i];
+        span = sp[q].wcet - sp[q].bcet;
+        mean = mean + (double)sp[q].aet;
+        variance = variance + (double)(span * span) / 12.0;
+        lo_sum += sp[q].bcet;
+        hi_sum += sp[q].wcet;
+        if (p->procs[q].is_hard) {
+            continue;
+        }
+        if (p->procs[q].linear) {
+            return -1;
+        }
+        terms[n_terms].pid = q;
+        terms[n_terms].count = i + 1;
+        terms[n_terms].lo_sum = lo_sum;
+        terms[n_terms].hi_sum = hi_sum;
+        terms[n_terms].alpha = alpha[q];
+        terms[n_terms].mean = mean;
+        terms[n_terms].variance = variance;
+        n_terms++;
+    }
+    return n_terms;
+}
+
+/* Adds x to pts[0 .. *n), kept sorted and free of duplicates, when
+ * lo <= x <= hi. */
+static void rk_add_point(int64_t *pts, int64_t *n, int64_t x, int64_t lo,
+                         int64_t hi)
+{
+    int64_t i, j;
+    if (x < lo || x > hi) {
+        return;
+    }
+    i = *n;
+    while (i > 0 && pts[i - 1] > x) {
+        i--;
+    }
+    if (i > 0 && pts[i - 1] == x) {
+        return;
+    }
+    for (j = *n; j > i; j--) {
+        pts[j] = pts[j - 1];
+    }
+    pts[i] = x;
+    (*n)++;
+}
+
+/* TailProfile.critical_points in [lo, hi] without the grid: each
+ * term's utility breakpoints and the period, shifted by the term's
+ * mean completion offset int(round(mean)) -- half to even, as
+ * nearbyint rounds in the default mode.  A tabulated utility's sample
+ * at 0 lowers to breakpoint -1, which is no breakpoint. */
+static void rk_critical(const rk_plan *p, const rk_tterm *terms,
+                        int64_t n_terms, int64_t lo, int64_t hi,
+                        int64_t *pts, int64_t *n)
+{
+    const int64_t *b;
+    int64_t j, offset;
+    for (j = 0; j < n_terms; j++) {
+        offset = (int64_t)nearbyint(terms[j].mean);
+        for (b = p->ubound + p->procs[terms[j].pid].ulo; *b != INT64_MAX;
+             b++) {
+            if (*b >= 0) {
+                rk_add_point(pts, n, *b - offset + 1, lo, hi);
+            }
+        }
+        rk_add_point(pts, n, p->period - offset + 1, lo, hi);
+    }
+}
+
+/* Interval partitioning of one FTQS candidate, as
+ * repro.quasistatic.intervals.partition computes it with the child's
+ * safety bound given (latest, its t_ic): the expected utility of
+ * continuing the parent's tail parent[0 .. n_parent) against starting
+ * the child child[0 .. n_child), each profile's alphas from its
+ * schedule's all-dropped set, at every critical point of [lo,
+ * min(hi, latest)] and on the grid of stride (0: automatic).  Writes
+ * the winning windows as (first, last) pairs into iv, at most cap of
+ * them, their count into *out_n and the improvement (the gain
+ * integrated over the traced range [lo, hi]) into *out_improvement;
+ * returns an RK_PARTITION_* outcome, or -1 for out-of-range
+ * arguments.  Each side's pids are distinct, as in any f-schedule.
+ * The caller's work buffers hold 2 n_proc terms, n_proc doubles and
+ * 2 + 2 len(ubound) points. */
+int64_t rk_partition(const rk_plan *plan, const rk_sched *sched,
+                     const int64_t *parent, int64_t n_parent,
+                     const uint64_t *parent_dropped, const int64_t *child,
+                     int64_t n_child, const uint64_t *child_dropped,
+                     int64_t lo, int64_t hi, int64_t latest, int64_t stride,
+                     rk_tterm *terms, double *alpha, int64_t *points,
+                     int64_t *iv, int64_t cap, int64_t *out_n,
+                     double *out_improvement)
+{
+    const int64_t traced = hi - lo + 1;
+    rk_tterm *pterms = terms;
+    rk_tterm *cterms = terms + plan->n_proc;
+    double integral = 0.0;
+    double gain, prev_gain = 0.0;
+    int64_t n_pt, n_ct, step, next, point, i;
+    int64_t prev = 0, first = 0, n_pts = 0, count = 0;
+    int wins, prev_wins = 0, open = 0;
+    *out_n = 0;
+    *out_improvement = 0.0;
+    if (n_parent < 0 || n_child < 0 || n_parent > plan->n_proc
+        || n_child > plan->n_proc || stride < 0 || cap < 0) {
+        return -1;
+    }
+    if (lo > hi || lo > latest) {
+        return RK_PARTITION_OK;
+    }
+    hi = rk_min(hi, latest);
+    n_pt = rk_profile(plan, sched, parent, n_parent, parent_dropped, alpha,
+                      pterms);
+    n_ct = rk_profile(plan, sched, child, n_child, child_dropped, alpha,
+                      cterms);
+    if (n_pt < 0 || n_ct < 0) {
+        return RK_PARTITION_NONCONSTANT;
+    }
+    rk_add_point(points, &n_pts, lo, lo, hi);
+    rk_add_point(points, &n_pts, hi, lo, hi);
+    rk_critical(plan, pterms, n_pt, lo, hi, points, &n_pts);
+    rk_critical(plan, cterms, n_ct, lo, hi, points, &n_pts);
+    step = stride > 0 ? stride : (hi - lo) / 48 > 1 ? (hi - lo) / 48 : 1;
+    /* The points in order: the grid merged into the sorted critical
+     * points.  A point's segment runs to the next point, so its gain
+     * is integrated one point late; the last point is hi. */
+    next = lo;
+    i = 0;
+    while (i < n_pts || next <= hi) {
+        if (next <= hi && (i >= n_pts || next <= points[i])) {
+            point = next;
+            next += step;
+            if (i < n_pts && points[i] == point) {
+                i++;
+            }
+        } else {
+            point = points[i++];
+        }
+        gain = rk_profile_expected(plan, cterms, n_ct, point)
+            - rk_profile_expected(plan, pterms, n_pt, point);
+        if (prev_wins) {
+            integral = integral + prev_gain * (double)(point - prev);
+        }
+        wins = gain > RK_MARGIN;
+        if (wins && !open) {
+            first = point;
+            open = 1;
+        }
+        if (!wins && open) {
+            if (count < cap) {
+                iv[2 * count] = first;
+                iv[2 * count + 1] = point - 1;
+            }
+            count++;
+            open = 0;
+        }
+        prev = point;
+        prev_gain = gain;
+        prev_wins = wins;
+    }
+    if (prev_wins) {
+        integral = integral + prev_gain * (double)(hi - prev + 1);
+    }
+    if (open) {
+        if (count < cap) {
+            iv[2 * count] = first;
+            iv[2 * count + 1] = hi;
+        }
+        count++;
+    }
+    *out_n = count;
+    *out_improvement = integral / (double)traced;
+    return RK_PARTITION_OK;
 }

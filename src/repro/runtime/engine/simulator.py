@@ -10,7 +10,10 @@ a tree, its behavioral oracle
 path a subclass readies in :meth:`~BatchSimulator.prepare` — the
 kernel engine fetches or lowers the plan's tables there, so they are
 part of construction.  Its :meth:`~BatchSimulator.run_batch` replays
-every scenario of a batch on the oracle.  That replay is the kernel
+every scenario of a batch on the oracle.  That replay is the whole
+``reference`` engine
+(:func:`~repro.evaluation.montecarlo.simulator_for` returns a plain
+:class:`BatchSimulator` for it, inline and in every shard), the kernel
 engine's degradation path — when no core or no tables can be had —
 and, per scenario, its residual path for scenarios the C walk flags as
 outside its state model.

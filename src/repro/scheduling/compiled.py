@@ -12,25 +12,27 @@ lowers the context's tables once
 (:class:`~repro.runtime.engine.kernel.design.DesignCore`):
 :func:`repro.scheduling.ftss.ftss_compiled` runs one whole FTSS there
 in one ``rk_ftss`` call, and the FTQS engine
-(:mod:`repro.quasistatic.synthesis`) evaluates its interval
-partitioning there with ``rk_expected``.  Both are exact clones of
-their oracles, :func:`~repro.scheduling.ftss.ftss_reference` and
-:meth:`~repro.quasistatic.intervals.TailProfile.expected`, which run
-instead, with a counted reason, where the C path cannot
+(:mod:`repro.quasistatic.synthesis`) partitions each candidate's
+switch intervals there in one ``rk_partition`` call.  Both are exact
+clones of their oracles, :func:`~repro.scheduling.ftss.ftss_reference`
+and :func:`~repro.quasistatic.intervals.partition`, which run instead,
+with a counted reason, where the C path cannot
 (``tests/test_ftss_differential.py`` compares every field of the
-result, ``tests/test_synthesis_differential.py`` whole trees).
+result, ``tests/test_synthesis_differential.py`` whole trees and every
+partition).
 
 Names are converted only at the boundary: prior sets in
-(:meth:`SchedulingContext.prior_masks`), the f-schedule out.
+(:meth:`SchedulingContext.prior_masks`), the f-schedule out
+(:meth:`SchedulingContext.schedule` of a :class:`RawTail`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ModelError, SchedulingError
 from repro.scheduling.feasibility import latest_start
-from repro.scheduling.fschedule import FSchedule
+from repro.scheduling.fschedule import FSchedule, ScheduledEntry
 from repro.scheduling.schedulability import edf_hard_order
 
 
@@ -40,6 +42,18 @@ def pids(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+class RawTail(NamedTuple):
+    """One FTSS run before it becomes an f-schedule
+    (:meth:`SchedulingContext.schedule`): the scheduled pids and their
+    re-execution caps, in order, and the latest start at which the
+    schedule stays schedulable (its t_ic), ``None`` when the run's
+    final check rejected it."""
+
+    pids: Tuple[int, ...]
+    caps: Tuple[int, ...]
+    latest: Optional[int]
 
 
 class SchedulingContext:
@@ -94,6 +108,36 @@ class SchedulingContext:
     def names_of(self, mask: int) -> List[str]:
         names = self.names
         return [names[p] for p in pids(mask)]
+
+    def schedule(
+        self, raw: RawTail, fault_budget: int, start_time: int,
+        prior_completed: int, prior_dropped: int, slack_sharing: bool,
+    ) -> FSchedule:
+        """The validated f-schedule of ``raw``, an FTSS run with these
+        arguments (prior sets as masks)."""
+        names = self.names
+        return FSchedule(
+            self.app,
+            [
+                ScheduledEntry(names[p], cap)
+                for p, cap in zip(raw.pids, raw.caps)
+            ],
+            start_time=start_time,
+            fault_budget=fault_budget,
+            prior_completed=self.names_of(prior_completed),
+            prior_dropped=self.names_of(prior_dropped),
+            slack_sharing=slack_sharing,
+        )
+
+    def raw_tail(self, schedule: FSchedule) -> RawTail:
+        """``schedule``, an f-schedule the oracle built, as a
+        :class:`RawTail`."""
+        pid = self.pid
+        return RawTail(
+            tuple(pid[e.name] for e in schedule.entries),
+            tuple(e.reexecutions for e in schedule.entries),
+            self.latest_start(schedule),
+        )
 
     def prior_masks(
         self, completed: Iterable[str], dropped: Iterable[str]

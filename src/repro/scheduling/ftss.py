@@ -28,7 +28,8 @@ configurations (the default) in the C core: :func:`ftss_compiled`
 makes one ``rk_ftss`` call per run over a
 :class:`~repro.scheduling.compiled.SchedulingContext`'s lowered tables
 (see :mod:`repro.runtime.engine.kernel.design`), and the FTQS engine
-runs its tails through it too.  :func:`ftss_reference` is the loop
+runs its tails through it too, keeping them raw (pids and caps) until
+one is admitted to the tree.  :func:`ftss_reference` is the loop
 below, followed literally: the oracle, which also serves
 ``fast_paths=False`` and runs, with a counted reason, wherever the C
 path cannot (no usable core, a negative start time, a utility without
@@ -39,10 +40,10 @@ identical f-schedules (``tests/test_ftss_differential.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.model.application import Application
-from repro.scheduling.compiled import SchedulingContext
+from repro.scheduling.compiled import RawTail, SchedulingContext
 from repro.scheduling.dropping import (
     determine_dropping,
     determine_dropping_fast,
@@ -218,10 +219,15 @@ def ftss(
     budget = app.k if fault_budget is None else int(fault_budget)
     ctx = SchedulingContext(app)
     completed, dropped = ctx.prior_masks(prior_completed, prior_dropped)
-    schedule, _ = ftss_compiled(
-        ctx, config, budget, start_time, completed, dropped
+    raw = ftss_compiled(ctx, config, budget, start_time, completed, dropped)
+    if raw is None:
+        return None
+    # Built, and so validated, even when the final check rejects it:
+    # the oracle's validation raises on malformed prior sets first.
+    schedule = ctx.schedule(
+        raw, budget, start_time, completed, dropped, config.slack_sharing
     )
-    return schedule
+    return None if raw.latest is None else schedule
 
 
 def ftss_compiled(
@@ -231,13 +237,16 @@ def ftss_compiled(
     start_time: int,
     prior_completed: int,
     prior_dropped: int,
-) -> Tuple[Optional[FSchedule], Optional[int]]:
+) -> Optional[RawTail]:
     """One ``fast_paths`` FTSS run on ``ctx``'s tables, the prior sets
-    as masks: the f-schedule and the latest start at which it stays
-    schedulable (its t_ic), or ``(None, None)``.  One ``rk_ftss`` call
-    of the C core gives both; where the C path cannot run (the reason
-    is counted in ``kernel_stats()``), :func:`ftss_reference` and
-    :meth:`SchedulingContext.latest_start` do."""
+    as masks, raw: the scheduled pids and caps and the latest start at
+    which the schedule stays schedulable (its t_ic; ``None`` when the
+    final check rejects it), or ``None`` when the run finds no
+    schedule.  :meth:`SchedulingContext.schedule` builds the
+    f-schedule.  One ``rk_ftss`` call of the C core gives it; where the
+    C path cannot run (the reason is counted in ``kernel_stats()``),
+    :func:`ftss_reference` and :meth:`SchedulingContext.latest_start`
+    do."""
     core = ctx.core
     if core.ftss_fallback(start_time, prior_dropped):
         schedule = ftss_reference(
@@ -248,9 +257,7 @@ def ftss_compiled(
             ctx.names_of(prior_dropped),
             config,
         )
-        if schedule is None:
-            return None, None
-        return schedule, ctx.latest_start(schedule)
+        return None if schedule is None else ctx.raw_tail(schedule)
     return core.ftss(
         config, fault_budget, start_time, prior_completed, prior_dropped
     )

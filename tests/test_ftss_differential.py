@@ -351,16 +351,20 @@ def test_one_context_serves_every_config(c_path):
     ]
     for config, budget, start, completed in runs + runs[::-1]:
         fresh = SchedulingContext(app)
-        expected, expected_latest = ftss_compiled(
+        expected = ftss_compiled(
             fresh, config, budget, start, fresh.mask(completed), 0
         )
-        got, latest = ftss_compiled(
+        raw = ftss_compiled(
             shared, config, budget, start, shared.mask(completed), 0
         )
-        assert schedule_fingerprint(got) == schedule_fingerprint(expected)
-        assert latest == expected_latest == (
-            None if got is None else shared.latest_start(got)
-        )
+        assert raw == expected
+        got = None
+        if raw is not None and raw.latest is not None:
+            got = shared.schedule(
+                raw, budget, start, shared.mask(completed), 0,
+                config.slack_sharing,
+            )
+            assert raw.latest == shared.latest_start(got)
         assert schedule_fingerprint(got) == schedule_fingerprint(
             ftss_reference(
                 app,

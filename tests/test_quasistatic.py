@@ -269,6 +269,8 @@ class TestFTQS:
             FTQSConfig(max_schedules=0)
         with pytest.raises(ValueError):
             FTQSConfig(max_fault_variants=-1)
+        with pytest.raises(ValueError, match="interval_stride"):
+            FTQSConfig(interval_stride=-1)
 
 
 class TestSchedulingStrategy:

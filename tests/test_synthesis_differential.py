@@ -8,17 +8,20 @@ requirements) and schedules (order, re-execution caps, start times,
 contexts) — over randomized applications × tree sizes × fault
 budgets.
 
-The fast engine schedules its tails with ``rk_ftss`` and evaluates its
-interval partitioning with ``rk_expected`` in the C core; the
-comparisons take the ``c_path`` fixture, so a test skips with ``kernel
-engine unavailable`` when no core loads and fails when the C path
-falls back.  The tree tests also take the ``tails`` fixture: the
-latest start ``rk_ftss`` reports with every tail (the t_ic interval
-partitioning clamps to) must equal
-``SchedulingContext.latest_start(tail)``.  ``rk_expected`` is also
-compared with ``TailProfile.expected`` directly, bit for bit, at every
-critical point the corpus evaluates and on every branch of the
-survival model.
+The fast engine schedules its tails with ``rk_ftss`` and partitions
+each candidate's switch intervals with ``rk_partition`` in the C core;
+the comparisons take the ``c_path`` fixture, so a test skips with
+``kernel engine unavailable`` when no core loads and fails when the C
+path falls back.  The tree tests also take the ``tails`` fixture: an
+f-schedule must build from every raw tail ``rk_ftss`` returns, and the
+latest start reported with it (the t_ic interval partitioning clamps
+to) must equal ``SchedulingContext.latest_start`` of that schedule.
+``rk_partition`` is also compared with ``intervals.partition``
+directly — intervals equal, improvement bit for bit — on every
+candidate the corpus evaluates and on hand-built cases of every
+piecewise-constant utility kind, and ``rk_expected``, the profile
+evaluation it runs, with ``TailProfile.expected`` on every branch of
+the survival model.
 
 A tier-1-safe smoke slice runs by default;
 ``pytest tests/test_synthesis_differential.py --synthesis-full`` runs
@@ -40,9 +43,17 @@ from repro.quasistatic.ftqs import (
     ftqs_reference,
     schedule_application,
 )
-from repro.quasistatic.intervals import TailProfile, TailTerm
+from repro.quasistatic.intervals import (
+    TailProfile,
+    TailTerm,
+    latest_safe_start,
+    partition,
+)
 from repro.quasistatic.synthesis import SynthesisEngine, SynthesisStats
+from repro.quasistatic.tree import QSTree
+from repro.runtime.engine.kernel.lower import TTERM
 from repro.scheduling.compiled import SchedulingContext
+from repro.scheduling.fschedule import FSchedule, ScheduledEntry
 from repro.scheduling.ftss import FTSSConfig, ftss
 from repro.utility.functions import (
     ConstantUtility,
@@ -99,22 +110,30 @@ def assert_trees_identical(reference, fast, label=""):
 
 @pytest.fixture
 def tails(monkeypatch):
-    """Every tail the fast engine schedules, checked as it arrives:
-    the latest start ``rk_ftss`` reports with it must equal
-    ``SchedulingContext.latest_start`` over the tail.  Yields the
-    tails checked."""
+    """Every tail the fast engine schedules, checked as it arrives: an
+    f-schedule builds (and validates) from the raw tail, and the latest
+    start ``rk_ftss`` reports with it must equal
+    ``SchedulingContext.latest_start`` over that schedule — or, for a
+    tail the run's final check rejects, lie before its start.  Yields
+    the raw tails checked."""
     import repro.quasistatic.synthesis as synthesis
 
     checked = []
     compiled = synthesis.ftss_compiled
 
-    def checking(ctx, *args):
-        tail, latest = compiled(ctx, *args)
-        assert latest == (
-            None if tail is None else ctx.latest_start(tail)
-        ), args
-        checked.append(tail)
-        return tail, latest
+    def checking(ctx, config, budget, start, completed, dropped):
+        raw = compiled(ctx, config, budget, start, completed, dropped)
+        if raw is not None:
+            schedule = ctx.schedule(
+                raw, budget, start, completed, dropped, config.slack_sharing
+            )
+            latest = ctx.latest_start(schedule)
+            if raw.latest is None:
+                assert latest is None or latest < start, (budget, start)
+            else:
+                assert raw.latest == latest, (budget, start)
+        checked.append(raw)
+        return raw
 
     monkeypatch.setattr(synthesis, "ftss_compiled", checking)
     yield checked
@@ -293,6 +312,10 @@ def test_two_mask_words_tree(synthesis_full, c_path, tails):
             "slow-paths",
             FTQSConfig(max_schedules=8, ftss=FTSSConfig(fast_paths=False)),
         ),
+        # Explicit interval-partitioning grids, against the automatic
+        # one every other case runs.
+        ("stride-1", FTQSConfig(max_schedules=8, interval_stride=1)),
+        ("stride-7", FTQSConfig(max_schedules=8, interval_stride=7)),
     ],
 )
 def test_ablation_configs_identical(label, config, c_path, tails):
@@ -347,10 +370,10 @@ def test_engine_reuse_across_builds_is_stable(c_path, tails):
 
 
 def test_profiles_with_linear_utilities_run_the_oracle(c_path):
-    """A profile with a term that is not piecewise constant runs
-    ``TailProfile.expected`` instead of ``rk_expected``, counted as
-    ``nonconstant-utility``; the tails still run in C, and the tree
-    equals the reference one."""
+    """A candidate whose profiles have a term that is not piecewise
+    constant runs ``intervals.partition`` instead of ``rk_partition``,
+    counted as ``nonconstant-utility``; the tails still run in C, and
+    the tree equals the reference one."""
     from repro.runtime.engine.kernel import kernel_stats
     from test_ftss_differential import mixed_utility_app
 
@@ -395,31 +418,87 @@ def test_stats_counters_accumulate():
     assert "tree(s)" in merged.summary_line()
 
 
-# ----------------------------------------------------------------------
-# rk_expected against TailProfile.expected
-# ----------------------------------------------------------------------
-def assert_expected_bits(core, profile, rows, points, label):
-    """``rk_expected`` over ``rows`` equals ``profile.expected`` at
-    every one of ``points``, bit for bit."""
-    got = core.expected(core.tail_terms(rows), points)
-    want = np.array([profile.expected(tc) for tc in points])
-    assert got.tobytes() == want.tobytes(), label
+def test_fschedules_only_for_admitted_children(c_path, monkeypatch):
+    """A build keeps its tails raw: it constructs one f-schedule per
+    child it admits to the tree and none for the candidates it
+    rejects."""
+    produced = scheduled_app(WorkloadSpec(n_processes=16, k=3, mu=15), 303)
+    assert produced is not None
+    app, root = produced
+    built, admitted = [], []
+    construct, add_child = FSchedule.__init__, QSTree.add_child
+
+    def counting_construct(schedule, *args, **kwargs):
+        built.append(schedule)
+        construct(schedule, *args, **kwargs)
+
+    def counting_add_child(tree, parent_id, schedule, **kwargs):
+        admitted.append(schedule)
+        return add_child(tree, parent_id, schedule, **kwargs)
+
+    monkeypatch.setattr(FSchedule, "__init__", counting_construct)
+    monkeypatch.setattr(QSTree, "add_child", counting_add_child)
+    stats = SynthesisStats()
+    ftqs(app, root, FTQSConfig(max_schedules=8), stats=stats)
+    assert admitted and built == admitted
+    assert stats.tails_scheduled > len(admitted)
+    assert (
+        stats.tails_scheduled + stats.memo_hits == stats.candidates_evaluated
+    )
 
 
-def test_rk_expected_on_every_corpus_profile(synthesis_full, c_path,
-                                            monkeypatch):
-    """Every profile the fast engine evaluates across the corpus and
-    the cruise controller, at every critical point it evaluates."""
+# ----------------------------------------------------------------------
+# rk_partition against intervals.partition
+# ----------------------------------------------------------------------
+def assert_partition_bits(ctx, parent, position, child, lo, hi, stride,
+                          label):
+    """``rk_partition`` of the candidate equals ``intervals.partition``:
+    the same intervals and the improvement's float bits.  Returns the
+    intervals."""
+    want = partition(ctx.app, parent, position, child, lo, hi, stride)
+    latest = ctx.latest_start(child)
+    if lo <= hi:
+        assert latest_safe_start(child, lo, hi) == (
+            None if lo > latest else min(hi, latest)
+        ), label
+
+    def side(schedule):
+        pids = [ctx.pid[e.name] for e in schedule.entries]
+        return ctx.core.side(pids, ctx.mask(schedule.all_dropped))
+
+    intervals, improvement = ctx.core.partition(
+        side(parent), position + 1, side(child), lo, hi, latest, stride
+    )
+    assert intervals == want.intervals, label
+    assert improvement.hex() == want.improvement.hex(), label
+    return intervals
+
+
+def test_rk_partition_on_every_corpus_candidate(synthesis_full, c_path,
+                                                monkeypatch):
+    """Every candidate the fast engine partitions across the corpus and
+    the cruise controller: ``rk_partition``'s intervals equal
+    ``intervals.partition``'s on the candidate's f-schedules, and its
+    improvement has the same float bits."""
     checked = []
+    switch_intervals = SynthesisEngine._switch_intervals
 
-    def compare(engine, profile, c_terms, points):
-        values = engine.ctx.core.expected(c_terms, points)
-        want = np.array([profile.expected(tc) for tc in points])
-        assert values.tobytes() == want.tobytes(), points
-        checked.append(len(points))
-        return values
+    def compare(engine, node, data, position, tail, start, hi):
+        found = switch_intervals(engine, node, data, position, tail, start,
+                                 hi)
+        intervals, improvement, schedule = found
+        assert schedule is None  # rk_partition ran
+        want = partition(
+            engine.app, node.schedule, position, engine._schedule(tail),
+            start, hi, engine.config.interval_stride,
+        )
+        label = (node.node_id, position, start, hi)
+        assert intervals == want.intervals, label
+        assert improvement.hex() == want.improvement.hex(), label
+        checked.append(intervals)
+        return found
 
-    monkeypatch.setattr(SynthesisEngine, "_expectations", compare)
+    monkeypatch.setattr(SynthesisEngine, "_switch_intervals", compare)
     builds = [
         (scheduled_app(WorkloadSpec(n_processes=n, k=k, mu=15), seed),
          max_schedules)
@@ -432,7 +511,101 @@ def test_rk_expected_on_every_corpus_profile(synthesis_full, c_path,
         if produced is not None:
             app, root = produced
             ftqs(app, root, FTQSConfig(max_schedules=max_schedules))
-    assert len(checked) > 10 and sum(checked) > 100
+    assert len(checked) > 50
+    assert sum(map(bool, checked)) > 10 and not all(checked)
+
+
+#: One soft utility of each piecewise-constant kind.  The tabulated
+#: one has a sample at t=0, which lowers to breakpoint -1: no critical
+#: point, although from a negative switch time it would fall inside
+#: the traced range.
+UTILITY_KINDS = {
+    "step": StepUtility(40, [(30, 25), (90, 10), (150, 5), (400, 1)]),
+    "constant": ConstantUtility(12.5),
+    "constant-cutoff": ConstantUtility(30, cutoff=70),
+    "tabulated": TabulatedUtility(
+        [(0, 35.5), (60, 20.25), (150, 3.0), (170, 0.0)]
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UTILITY_KINDS))
+def test_rk_partition_on_every_utility_kind(kind, c_path):
+    """Hand-built candidates around soft processes with one utility
+    kind: the child reorders, drops or keeps the parent's tail, over
+    traced ranges that start before zero, cross the period, collapse
+    to one point or are empty, on the automatic grid and strides 1 and
+    7."""
+    utility = UTILITY_KINDS[kind]
+    period = 150
+    processes = [
+        soft_process("S0", 5, 15, StepUtility(20, [(40, 5)])),
+        soft_process("S1", 10, 40, utility),
+        soft_process("S2", 8, 30, StepUtility(30, [(30, 12), (120, 2)])),
+        soft_process("S3", 6, 21, utility),
+    ]
+    app = Application(
+        ProcessGraph(processes, [("S0", "S2"), ("S1", "S3")], period=period),
+        period=period, k=1, mu=5,
+    )
+    ctx = SchedulingContext(app)
+
+    def schedule(names, completed=()):
+        return FSchedule(
+            app, [ScheduledEntry(name, 0) for name in names],
+            prior_completed=completed,
+        )
+
+    parent = schedule(["S0", "S1", "S2", "S3"])
+    children = [
+        schedule(["S2", "S1", "S3"], {"S0"}),
+        schedule(["S1", "S3"], {"S0"}),
+        schedule(["S1", "S2"], {"S0"}),
+        schedule(["S2"], {"S0"}),
+        schedule(["S1", "S2", "S3"], {"S0"}),
+    ]
+    windows = [(0, 150), (20, 90), (-40, 60), (-90, -10), (100, 100),
+               (140, 200), (60, 50)]
+    wins = 0
+    for c, child in enumerate(children):
+        for lo, hi in windows:
+            for stride in (0, 1, 7):
+                wins += bool(assert_partition_bits(
+                    ctx, parent, 0, child, lo, hi, stride,
+                    f"{kind} child {c} [{lo}, {hi}] stride {stride}",
+                ))
+    assert wins
+
+
+def test_rk_partition_margin_is_strict(c_path):
+    """A child that gains exactly the margin, 1e-6, everywhere does not
+    win: a constant utility of 1e-6 against a parent tail with
+    nothing left to earn."""
+    processes = [
+        soft_process("A", 10, 20, StepUtility(10, [(50, 1)])),
+        soft_process("X", 10, 20, ConstantUtility(1e-6)),
+    ]
+    app = Application(
+        ProcessGraph(processes, [], period=100), period=100, k=1, mu=5
+    )
+    ctx = SchedulingContext(app)
+    parent = FSchedule(app, [ScheduledEntry("A", 0)])
+    child = FSchedule(app, [ScheduledEntry("X", 0)], prior_completed={"A"})
+    for lo, hi in ((0, 80), (15, 30)):
+        assert assert_partition_bits(
+            ctx, parent, 0, child, lo, hi, 0, f"[{lo}, {hi}]"
+        ) == ()
+
+
+# ----------------------------------------------------------------------
+# rk_expected against TailProfile.expected
+# ----------------------------------------------------------------------
+def assert_expected_bits(core, profile, rows, points, label):
+    """``rk_expected`` over ``rows`` equals ``profile.expected`` at
+    every one of ``points``, bit for bit."""
+    got = core.expected(np.array(rows, dtype=TTERM), points)
+    want = np.array([profile.expected(tc) for tc in points])
+    assert got.tobytes() == want.tobytes(), label
 
 
 def test_rk_expected_on_every_branch(c_path):
