@@ -12,10 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 from typing import Optional
 
 from repro.errors import TimingError, UtilityError
 from repro.utility.functions import UtilityFunction
+
+
+#: The timing fields, in integer ticks; all but BCET and WCET may be
+#: left ``None``.
+_TICK_FIELDS = ("bcet", "wcet", "aet", "deadline", "recovery_overhead")
 
 
 class ProcessKind(Enum):
@@ -37,7 +43,9 @@ class Process:
     name:
         Unique identifier within the application (e.g. ``"P1"``).
     bcet, wcet:
-        Best-/worst-case execution times in integer ticks.  The error
+        Best-/worst-case execution times in integer ticks.  Every
+        timing field must be an integer (NumPy's included); a float
+        or a bool raises :class:`~repro.errors.TimingError`.  The error
         detection overhead is included in these numbers (paper §2.2).
     kind:
         :attr:`ProcessKind.HARD` or :attr:`ProcessKind.SOFT`.
@@ -70,6 +78,15 @@ class Process:
     def __post_init__(self) -> None:
         if not self.name:
             raise TimingError("process name must be non-empty")
+        for label in _TICK_FIELDS:
+            value = getattr(self, label)
+            if value is None and label not in ("bcet", "wcet"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise TimingError(
+                    f"{self.name}: {label} must be an integer number of "
+                    f"ticks, got {value!r}"
+                )
         if self.bcet < 0 or self.wcet <= 0:
             raise TimingError(
                 f"{self.name}: execution times must be positive "

@@ -21,10 +21,23 @@ utility, then lower node id (determinism).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+import operator
+from typing import (
+    AbstractSet,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.quasistatic.tree import QSNode, QSTree
 from repro.scheduling.fschedule import FSchedule
+
+#: What the similarity compares of a schedule: its order and its
+#: executed process set (:func:`shape`).
+Shape = Tuple[List[str], FrozenSet[str]]
 
 
 def order_similarity(a: Sequence[str], b: Sequence[str]) -> float:
@@ -34,19 +47,32 @@ def order_similarity(a: Sequence[str], b: Sequence[str]) -> float:
     common = min(len(a), len(b))
     if common == 0:
         return 0.0
-    matches = sum(1 for x, y in zip(a, b) if x == y)
+    matches = sum(map(operator.eq, a, b))
     return matches / max(len(a), len(b))
 
 
 def set_similarity(a: Iterable[str], b: Iterable[str]) -> float:
     """Jaccard index of the executed process sets, in [0, 1]."""
-    set_a, set_b = set(a), set(b)
+    return _jaccard(set(a), set(b))
+
+
+def _jaccard(set_a: AbstractSet[str], set_b: AbstractSet[str]) -> float:
     if not set_a and not set_b:
         return 1.0
-    union = set_a | set_b
-    if not union:
-        return 1.0
-    return len(set_a & set_b) / len(union)
+    shared = len(set_a & set_b)
+    return shared / (len(set_a) + len(set_b) - shared)
+
+
+def shape(schedule: FSchedule) -> Shape:
+    """The :data:`Shape` of ``schedule``, taken once per schedule by
+    callers that compare it many times."""
+    order = schedule.order
+    return order, frozenset(order)
+
+
+def shape_similarity(a: Shape, b: Shape) -> float:
+    """:func:`schedule_similarity` of two schedules' shapes."""
+    return 0.5 * (order_similarity(a[0], b[0]) + _jaccard(a[1], b[1]))
 
 
 def schedule_similarity(a: FSchedule, b: FSchedule) -> float:
@@ -55,9 +81,7 @@ def schedule_similarity(a: FSchedule, b: FSchedule) -> float:
     Average of the positional and set agreements; 1.0 means identical
     order and process selection.
     """
-    return 0.5 * (
-        order_similarity(a.order, b.order) + set_similarity(a.order, b.order)
-    )
+    return shape_similarity(shape(a), shape(b))
 
 
 def similarity_to_tree(tree: QSTree, node: QSNode) -> float:

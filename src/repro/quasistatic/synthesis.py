@@ -34,7 +34,8 @@ corpus):
   runs that oracle, with the reason counted (see
   :mod:`repro.runtime.engine.kernel.design`).  Schedule similarity is
   maintained incrementally (a per-node running maximum updated on
-  insertion) instead of O(tree) per query.
+  insertion, against each node's order and process set taken once)
+  instead of O(tree) per query.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.quasistatic.ftqs import DEFAULT_FTQS_CONFIG, FTQSConfig
 from repro.quasistatic.intervals import partition
-from repro.quasistatic.similarity import schedule_similarity
+from repro.quasistatic.similarity import Shape, shape, shape_similarity
 from repro.quasistatic.tree import QSNode, QSTree, SwitchArc
 from repro.scheduling.compiled import RawTail, SchedulingContext
 from repro.scheduling.feasibility import TopNeeds
@@ -212,6 +213,7 @@ class SynthesisEngine:
         self.stats = stats if stats is not None else SynthesisStats()
         self._tail_memo: Dict[Tuple, Optional[_Tail]] = {}
         self._best_similarity: Dict[int, float] = {}
+        self._shapes: Dict[int, Shape] = {}
         self._expected_utility: Dict[int, float] = {}
         self._signatures: Set[Tuple] = set()
 
@@ -427,23 +429,25 @@ class SynthesisEngine:
     # ------------------------------------------------------------------
     # Tree growth
     # ------------------------------------------------------------------
-    def _register(self, tree: QSTree, node: QSNode) -> None:
+    def _register(self, node: QSNode) -> None:
         """Incremental similarity bookkeeping on node insertion.
 
-        Updates the running per-node maxima on both sides, so a later
-        ``similarity_to_tree`` query is a dict lookup; max over the
-        same float set as the reference's full scan, hence identical.
+        Takes the node's :func:`~repro.quasistatic.similarity.shape`
+        once and updates the running per-node maxima on both sides, so
+        a later ``similarity_to_tree`` query is a dict lookup; max over
+        the same float set as the reference's full scan, hence
+        identical.
         """
+        mine = shape(node.schedule)
         best = 0.0
-        for other in tree:
-            if other.node_id == node.node_id:
-                continue
-            value = schedule_similarity(node.schedule, other.schedule)
+        for other_id, theirs in self._shapes.items():
+            value = shape_similarity(mine, theirs)
             if value > best:
                 best = value
-            if value > self._best_similarity.get(other.node_id, 0.0):
-                self._best_similarity[other.node_id] = value
+            if value > self._best_similarity[other_id]:
+                self._best_similarity[other_id] = value
         self._best_similarity[node.node_id] = best
+        self._shapes[node.node_id] = mine
 
     def _expected(self, node: QSNode) -> float:
         hit = self._expected_utility.get(node.node_id)
@@ -502,18 +506,18 @@ class SynthesisEngine:
                         target=child.node_id,
                     ),
                 )
-            self._register(tree, child)
+            self._register(child)
 
     def build(self, root_schedule: FSchedule) -> QSTree:
         """Grow the quasi-static tree Φ — fast twin of
         :func:`repro.quasistatic.ftqs.ftqs_reference`."""
         started = time.perf_counter()
         config = self.config
-        self._best_similarity = {}
         self._expected_utility = {}
         self._signatures = {root_schedule.signature()}
         tree = QSTree(root_schedule)
-        self._best_similarity[tree.root_id] = 0.0
+        self._best_similarity = {tree.root_id: 0.0}
+        self._shapes = {tree.root_id: shape(root_schedule)}
         try:
             if config.max_schedules == 1 or len(root_schedule) <= 1:
                 return tree

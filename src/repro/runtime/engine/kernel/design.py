@@ -8,8 +8,10 @@ appended to ``rk_core.c``, so there is one build, cache entry and load
 per (sources, compiler, flags).  :class:`DesignCore` serves one
 :class:`~repro.scheduling.compiled.SchedulingContext`: it loads the
 core, lowers the context's application once
-(:func:`~repro.runtime.engine.kernel.lower.lower_scheduling`) and
-allocates every work buffer once, then
+(:func:`~repro.runtime.engine.kernel.lower.lower_scheduling`: the
+``rk_plan`` process records, which hold every timing constant the
+entry points read, and the graph's successor ranges, predecessor
+masks and EDF order) and allocates every work buffer once, then
 
 * :meth:`DesignCore.ftss` is one whole FTSS run in one ``rk_ftss``
   call, returned raw (a :class:`~repro.scheduling.compiled.RawTail`
@@ -116,7 +118,8 @@ class DesignCore:
             *(arrays[name].ctypes.data for name, _ in SCHED_ARRAYS),
             len(arrays["edf"]),
         )
-        self._tables = (ctypes.byref(self._plan), ctypes.byref(self._sched))
+        self._plan_ref = ctypes.byref(self._plan)
+        self._tables = (self._plan_ref, ctypes.byref(self._sched))
         # rk_ftss: prior sets, work buffers sized for any budget
         # (RK_TOP_SLOTS <= n + 2), pids, caps, count and latest start,
         # and the config's flags.
@@ -244,7 +247,7 @@ class DesignCore:
             return None
         while True:
             status = self._core.partition(
-                *self._tables,
+                self._plan_ref,
                 parent.at + 8 * first, parent.n - first,
                 parent.at + 8 * parent.n,
                 child.at, child.n, child.at + 8 * child.n,
@@ -284,7 +287,7 @@ class DesignCore:
         pts = np.array(points, dtype=np.int64)
         out = np.empty(len(pts), dtype=np.float64)
         self._core.expected(
-            ctypes.byref(self._plan), c_address(terms, TTERM), len(terms),
+            self._plan_ref, c_address(terms, TTERM), len(terms),
             c_address(pts, np.int64), len(pts), c_address(out, np.float64),
         )
         return out

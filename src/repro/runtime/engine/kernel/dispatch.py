@@ -158,21 +158,17 @@ class Core:
     partition: Any
 
     def fill_thresholds(
-        self, arrays: Dict[str, np.ndarray], wcet: np.ndarray,
-        need: np.ndarray, sharing: np.ndarray, bad: np.ndarray,
+        self, arrays: Dict[str, np.ndarray], sharing: np.ndarray,
+        bad: np.ndarray,
     ) -> None:
         """Fill ``arrays["thr"]``, the §2.2 table of a plan lowered
-        up to it, in one ``rk_thresholds`` call: per-pid WCET and
-        recovery need (int64), per-node slack sharing and per-entry
-        probe rejection flags (uint8)."""
+        up to it, in one ``rk_thresholds`` call: per-node slack
+        sharing and per-entry probe rejection flags (uint8)."""
         plan = LoweredPlan(arrays).struct
-        if (len(wcet), len(need), len(sharing), len(bad)) != (
-            plan.n_proc, plan.n_proc, plan.n_nodes, len(arrays["entries"])
-        ):
+        if (len(sharing), len(bad)) != (plan.n_nodes, len(arrays["entries"])):
             raise ValueError("rk_thresholds columns do not match the plan")
         work = np.empty(2 * top_slots(plan.n_proc, plan.k), dtype=np.int64)
-        columns = ((wcet, np.int64), (need, np.int64), (sharing, np.uint8),
-                   (bad, np.uint8), (work, np.int64),
+        columns = ((sharing, np.uint8), (bad, np.uint8), (work, np.int64),
                    (arrays["thr"], np.int64))
         rc = self.thresholds(
             ctypes.byref(plan),
@@ -282,11 +278,11 @@ def bind_design(lib: ctypes.CDLL):
     ]
     thresholds = lib.rk_thresholds
     thresholds.restype = _I64
-    thresholds.argtypes = [ctypes.POINTER(RkPlan)] + [_PTR] * 6
+    thresholds.argtypes = [ctypes.POINTER(RkPlan)] + [_PTR] * 4
     partition = lib.rk_partition
     partition.restype = _I64
     partition.argtypes = [
-        ctypes.POINTER(RkPlan), ctypes.POINTER(RkSched),
+        ctypes.POINTER(RkPlan),
         _PTR, _I64, _PTR,  # parent pids, count, all-dropped mask
         _PTR, _I64, _PTR,  # child pids, count, all-dropped mask
         _I64, _I64, _I64, _I64,  # lo, hi, latest start, stride

@@ -5,11 +5,13 @@ reads.
 :class:`~repro.quasistatic.tree.QSTree` (or a single
 :class:`~repro.scheduling.fschedule.FSchedule`, a one-node tree as the
 oracle treats it) into NumPy arrays: one record per process, graph
-vertex, tree node and schedule entry, flat arc/threshold/benefit-term
-tables and the bit masks of process sets.  Processes are numbered in
+vertex, tree node and schedule entry, flat arc and threshold tables
+and the bit masks of process sets.  Processes are numbered in
 application order; arcs evaluated at one completion are stored sorted
 by ``(-required_faults, target)``, so the core's first match is
 ``OnlineScheduler._matching_arc``'s ``min`` over all matches.  The
+§2.2 keep-vs-drop benefit needs no table: the core derives its terms
+from the node's later entries and their processes' records.  The
 §2.2 schedulability thresholds come out in closed form: with the
 loaded core, one ``rk_thresholds`` call fills the whole table once the
 records are built (the probe-rejection pre-pass and each node's slack
@@ -22,12 +24,13 @@ arrays of the C types :data:`ARRAYS` names.  Plans outside what the
 core expresses raise :class:`KernelUnsupported` (the dispatcher then
 degrades to the reference oracle, the export refuses them).
 
-:func:`lower_application` is the application part of a plan — process,
-graph and utility records in a given process order — which
-:func:`lower_plan` numbers in application order and
+:func:`lower_application` is the application part of a plan — the
+process records (every timing constant and utility the core reads of
+a process), the graph and the utility tables in a given process order
+— which :func:`lower_plan` numbers in application order and
 :func:`lower_scheduling` like a
 :class:`~repro.scheduling.compiled.SchedulingContext`, adding the
-columns the design-time entry points of ``rk_ftss.c`` read.
+graph columns the design-time entry points of ``rk_ftss.c`` read.
 """
 
 from __future__ import annotations
@@ -64,21 +67,18 @@ def _record(*fields: str, floats: Sequence[str] = ()) -> np.dtype:
 #: Record dtypes, field for field the structs of ``rk_core.h`` (all
 #: fields are 8 bytes wide, so neither side pads).
 PROC = _record(
-    "is_hard", "deadline", "linear", "ulo", "u0", "slope",
-    floats=("u0", "slope"),
+    "is_hard", "deadline", "aet", "bcet", "wcet", "mu", "linear", "ulo",
+    "u0", "slope", floats=("u0", "slope"),
 )
 VERTEX = _record("pid", "pred_lo", "pred_hi", "pred_div", floats=("pred_div",))
 NODE = _record("orig", "ent_lo", "ent_hi")
-ENTRY = _record("pid", "mu", "arc_lo", "arc_hi")
-DECISION = _record(
-    "cap", "natt", "thr_lo", "keep_lo", "keep_hi", "drop_lo", "drop_hi"
-)
+ENTRY = _record("pid", "arc_lo", "arc_hi")
+DECISION = _record("cap", "natt", "thr_lo")
 ARC = _record("lo", "hi", "required", "target")
-TERM = _record("pid", "delay")
 
-#: The design-time records of ``rk_ftss.c``: per-process FTSS columns
-#: and one soft term of a schedule tail's utility profile.
-SPROC = _record("aet", "bcet", "wcet", "need", "mu", "succ_lo", "succ_hi")
+#: The design-time records of ``rk_ftss.c``: per-process successor
+#: ranges and one soft term of a schedule tail's utility profile.
+SPROC = _record("succ_lo", "succ_hi")
 TTERM = _record(
     "pid", "count", "lo_sum", "hi_sum", "alpha", "mean", "variance",
     floats=("alpha", "mean", "variance"),
@@ -106,8 +106,6 @@ ARRAYS: Tuple[Tuple[str, np.dtype, str], ...] = (
     ("ent_ext", _U8, "uint64_t"),
     ("thr", _I8, "int64_t"),
     ("arcs", ARC, "rk_arc"),
-    ("keep", TERM, "rk_term"),
-    ("drop", TERM, "rk_term"),
 )
 
 
@@ -306,10 +304,11 @@ def _mask_words(pids: Iterable[int], n_words: int) -> List[int]:
 
 def lower_application(app, names: Sequence[str]) -> Dict[str, list]:
     """The :data:`APP_ARRAYS` columns of ``app`` with process ``i``
-    named ``names[i]``: utility records, the dependence graph in its
-    topological order with predecessors in graph order, and the hard
-    and soft masks.  An unknown utility subclass raises
-    :class:`KernelUnsupported`."""
+    named ``names[i]``: process records (criticality; deadline, the
+    period for a soft process; AET, BCET, WCET and recovery overhead;
+    utility), the dependence graph in its topological order with
+    predecessors in graph order, and the hard and soft masks.  An
+    unknown utility subclass raises :class:`KernelUnsupported`."""
     index = {name: i for i, name in enumerate(names)}
     n_words = (len(names) + 63) // 64
     col: Dict[str, list] = {name: [] for name in APP_ARRAYS}
@@ -320,7 +319,8 @@ def lower_application(app, names: Sequence[str]) -> Dict[str, list]:
         linear, bounds, values, u0, slope = _utility_spec(proc.utility)
         col["procs"].append(
             (int(proc.is_hard),
-             int(proc.deadline if proc.is_hard else app.period), linear,
+             int(proc.deadline if proc.is_hard else app.period), proc.aet,
+             proc.bcet, proc.wcet, app.recovery_overhead(name), linear,
              len(col["ubound"]), u0, slope)
         )
         col["ubound"] += bounds + (_SENTINEL,)
@@ -355,8 +355,6 @@ def lower_plan(
     names = [p.name for p in app.processes]
     index = {name: pid for pid, name in enumerate(names)}
     hard = [p.is_hard for p in app.processes]
-    aet = [p.aet for p in app.processes]
-    mu = [app.recovery_overhead(name) for name in names]
     n_words = (len(names) + 63) // 64
     k = int(app.k)
     nodes = sorted(tree, key=lambda node: node.node_id)
@@ -390,7 +388,6 @@ def lower_plan(
             soft = not hard[pid]
             natt = min(entry.reexecutions, k) if soft else 0
             thr_lo, arc_lo = n_thr, len(col["arcs"])
-            keep_lo, drop_lo = len(col["keep"]), len(col["drop"])
             n_thr += natt * (k + 1)
             arcs = sorted(
                 (a for a in node.arcs if a.process == entry.name),
@@ -412,20 +409,8 @@ def lower_plan(
             col["ent_ext"] += _mask_words(
                 (index[n] for n in external), n_words
             )
-            if soft:
-                first = mu[pid] + aet[pid]
-                col["keep"].append((pid, first))
-                tail = 0
-                for later in pids[pos + 1 :]:
-                    tail += aet[later]
-                    if not hard[later]:
-                        col["keep"].append((later, first + tail))
-                        col["drop"].append((later, tail))
-            col["entries"].append((pid, mu[pid], arc_lo, len(col["arcs"])))
-            col["decisions"].append(
-                (entry.reexecutions, natt, thr_lo, keep_lo, len(col["keep"]),
-                 drop_lo, len(col["drop"]))
-            )
+            col["entries"].append((pid, arc_lo, len(col["arcs"])))
+            col["decisions"].append((entry.reexecutions, natt, thr_lo))
 
     header = (len(names), len(nodes), n_words, k, int(app.period),
               dense[tree.root_id])
@@ -436,8 +421,6 @@ def lower_plan(
         arrays["thr"] = np.empty(n_thr, dtype=_I8)
         core.fill_thresholds(
             arrays,
-            wcet=np.array([p.wcet for p in app.processes], dtype=_I8),
-            need=np.array([app.recovery_need(n) for n in names], dtype=_I8),
             sharing=np.array(sharing, dtype=np.uint8),
             bad=np.array(bad, dtype=np.uint8),
         )
@@ -464,7 +447,7 @@ def lower_scheduling(ctx) -> Dict[str, np.ndarray]:
     read for one :class:`~repro.scheduling.compiled.SchedulingContext`,
     by field name: the :data:`APP_ARRAYS` of an ``rk_plan`` in the
     context's pid order, then the :data:`SCHED_ARRAYS` — per-process
-    FTSS and profile columns, successors in graph order, predecessor
+    successor ranges into the successors in graph order, predecessor
     masks and the modified-deadline EDF order of the hard processes."""
     n_words = (len(ctx.names) + 63) // 64
     col: Dict[str, list] = lower_application(ctx.app, ctx.names)
@@ -472,10 +455,7 @@ def lower_scheduling(ctx) -> Dict[str, np.ndarray]:
     for p, successors in enumerate(ctx.succs):
         lo = len(col["succ"])
         col["succ"] += successors
-        col["sprocs"].append(
-            (ctx.aet[p], ctx.bcet[p], ctx.wcet[p], ctx.need[p], ctx.mu[p],
-             lo, len(col["succ"]))
-        )
+        col["sprocs"].append((lo, len(col["succ"])))
         col["pred_mask"] += _mask_words(ctx.pred_list[p], n_words)
     dtypes = dict((name, t) for name, t, _ in ARRAYS)
     dtypes.update(SCHED_ARRAYS)

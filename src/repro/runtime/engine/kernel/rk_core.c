@@ -14,7 +14,8 @@
  *   oracle's most-fault-specific tie-break;
  * - the section 2.2 drop/re-execute decision steps attempt by attempt
  *   against the compiled integer thresholds and evaluates the
- *   keep-vs-drop benefit directly, utility terms in the oracle's order.
+ *   keep-vs-drop benefit directly from the node's later entries,
+ *   utility terms in the oracle's order.
  *
  * All integer arithmetic is exact int64 and every float operation runs
  * in the oracle's order, so results are bit-identical to the reference
@@ -80,32 +81,41 @@ static void rk_alphas(const rk_plan *p, const uint64_t *dropped,
     }
 }
 
-/* The keep-vs-drop benefit comparison at one fault clock: terms in the
+/* The keep-vs-drop benefit comparison for entry e, whose node's
+ * entries end at hi, faulted at clock.  Kept, e completes at clock + mu
+ * + AET; dropped, the rest starts at clock; each later soft entry
+ * completes after the AETs of the entries up to it.  Terms in the
  * oracle's order, each gated by the period, accumulated with the
  * oracle's operation sequence.  alpha is a 2 * n_proc work buffer. */
-static int rk_benefit(const rk_plan *p, const rk_decision *dec,
+static int rk_benefit(const rk_plan *p, int64_t e, int64_t hi,
                       const uint64_t *keepm, const uint64_t *dropm,
                       double *alpha, int64_t clock)
 {
+    const rk_proc *procs = p->procs;
     double *ka = alpha;
     double *da = alpha + p->n_proc;
     double keep_total = 0.0;
     double drop_total = 0.0;
-    int64_t j, t;
+    int64_t pid = p->entries[e].pid;
+    int64_t keep_t = clock + procs[pid].mu + procs[pid].aet;
+    int64_t drop_t = clock;
     rk_alphas(p, keepm, ka);
     rk_alphas(p, dropm, da);
-    for (j = dec->keep_lo; j < dec->keep_hi; j++) {
-        t = clock + p->keep[j].delay;
-        if (t <= p->period) {
-            keep_total = keep_total
-                + ka[p->keep[j].pid] * rk_util(p, p->keep[j].pid, t);
-        }
+    if (keep_t <= p->period) {
+        keep_total = keep_total + ka[pid] * rk_util(p, pid, keep_t);
     }
-    for (j = dec->drop_lo; j < dec->drop_hi; j++) {
-        t = clock + p->drop[j].delay;
-        if (t <= p->period) {
-            drop_total = drop_total
-                + da[p->drop[j].pid] * rk_util(p, p->drop[j].pid, t);
+    for (e++; e < hi; e++) {
+        pid = p->entries[e].pid;
+        keep_t += procs[pid].aet;
+        drop_t += procs[pid].aet;
+        if (procs[pid].is_hard) {
+            continue;
+        }
+        if (keep_t <= p->period) {
+            keep_total = keep_total + ka[pid] * rk_util(p, pid, keep_t);
+        }
+        if (drop_t <= p->period) {
+            drop_total = drop_total + da[pid] * rk_util(p, pid, drop_t);
         }
     }
     return keep_total > drop_total;
@@ -160,7 +170,7 @@ RK_INLINE void rk_run_one(const rk_plan *p, const int64_t nw,
         }
         for (e = p->nodes[node].ent_lo; e < ent_hi; e++) {
             const int64_t pid = entries[e].pid;
-            const int64_t mu = entries[e].mu;
+            const int64_t mu = procs[pid].mu;
             const int64_t f = faults[pid];
             const int64_t *d = dur + pid * width;
             int64_t j, arc_hi;
@@ -211,8 +221,8 @@ RK_INLINE void rk_run_one(const rk_plan *p, const int64_t nw,
                                 dropm[w] = keepm[w];
                             }
                             dropm[pid >> 6] |= RK_BIT(pid);
-                            keep = rk_benefit(p, dec, keepm, dropm, alpha,
-                                              clock_a);
+                            keep = rk_benefit(p, e, ent_hi, keepm, dropm,
+                                              alpha, clock_a);
                         }
                     }
                     if (!keep) {

@@ -7,13 +7,19 @@
 
 #include <stdint.h>
 
-/* One record per process id.  A utility is either linear,
- * max(0, u0 - slope * t), or a step table: uval[ulo + i] for the
- * count i of breakpoints ubound[ulo ..] strictly below t, the table
- * ending in an INT64_MAX sentinel. */
+/* One record per process id: every constant the core reads of it.
+ * Execution times are the average, best and worst case; one recovery
+ * costs wcet + mu.  A utility is either linear, max(0, u0 - slope * t),
+ * or a step table: uval[ulo + i] for the count i of breakpoints
+ * ubound[ulo ..] strictly below t, the table ending in an INT64_MAX
+ * sentinel. */
 typedef struct rk_proc {
     int64_t is_hard;
     int64_t deadline;
+    int64_t aet;
+    int64_t bcet;
+    int64_t wcet;
+    int64_t mu;       /* recovery overhead */
     int64_t linear;
     int64_t ulo;
     double u0;
@@ -39,20 +45,16 @@ typedef struct rk_node {
  * reads ... */
 typedef struct rk_entry {
     int64_t pid;
-    int64_t mu;       /* recovery overhead */
     int64_t arc_lo;   /* arcs[arc_lo .. arc_hi) */
     int64_t arc_hi;
 } rk_entry;
 
-/* ... and, at the same index, what a section 2.2 decision reads. */
+/* ... and, at the same index, what a section 2.2 decision reads
+ * besides the node's later entries. */
 typedef struct rk_decision {
     int64_t cap;      /* re-execution allotment */
     int64_t natt;     /* attempts with compiled thresholds */
     int64_t thr_lo;   /* thr[thr_lo + attempt * (k + 1) + budget] */
-    int64_t keep_lo;  /* keep[keep_lo .. keep_hi) */
-    int64_t keep_hi;
-    int64_t drop_lo;  /* drop[drop_lo .. drop_hi) */
-    int64_t drop_hi;
 } rk_decision;
 
 typedef struct rk_arc {
@@ -61,12 +63,6 @@ typedef struct rk_arc {
     int64_t required;
     int64_t target;   /* dense node id */
 } rk_arc;
-
-/* A benefit term: utility of pid at the fault clock plus delay. */
-typedef struct rk_term {
-    int64_t pid;
-    int64_t delay;
-} rk_term;
 
 /* Bit masks are nw words per set, process pid at bit pid of the set. */
 typedef struct rk_plan {
@@ -92,8 +88,6 @@ typedef struct rk_plan {
     const uint64_t *ent_ext;        /* per entry: external hard preds */
     const int64_t *thr;
     const rk_arc *arcs;
-    const rk_term *keep;
-    const rk_term *drop;
 } rk_plan;
 
 /* Element counts of rk_run's work buffers, owned by the caller. */

@@ -6,14 +6,14 @@
  *
  * This file is compiled appended to rk_core.c, as one translation
  * unit (repro.runtime.engine.kernel.build), so it reads an
- * application through the same rk_plan records and evaluates it with
- * the same rk_util and rk_alphas; `repro export` ships rk_core.{h,c}
- * without it.  For rk_ftss, rk_partition and rk_expected the
- * application part of the rk_plan (procs, graph, pred, ubound, uval,
- * hard_mask, soft_mask) is numbered in sorted-name order, so every
- * smallest-name tie-break of the oracle is a smallest-pid one;
- * rk_thresholds reads a plan as lower_plan numbers it, in application
- * order.
+ * application through the same rk_plan records, every per-process
+ * constant from its rk_proc, and evaluates it with the same rk_util
+ * and rk_alphas; `repro export` ships rk_core.{h,c} without it.  For
+ * rk_ftss, rk_partition and rk_expected the application part of the
+ * rk_plan (procs, graph, pred, ubound, uval, hard_mask, soft_mask) is
+ * numbered in sorted-name order, so every smallest-name tie-break of
+ * the oracle is a smallest-pid one; rk_thresholds reads a plan as
+ * lower_plan numbers it, in application order.
  *
  * rk_ftss is an exact clone of repro.scheduling.ftss.ftss_reference
  * with fast_paths semantics: the same list-scheduling loop, the same
@@ -35,13 +35,8 @@
  */
 #include <math.h>
 
-/* Per-process columns beside the rk_plan, pid-indexed. */
+/* Per-process graph columns beside the rk_plan, pid-indexed. */
 typedef struct rk_sproc {
-    int64_t aet;
-    int64_t bcet;
-    int64_t wcet;
-    int64_t need;     /* cost of one recovery: WCET + mu */
-    int64_t mu;
     int64_t succ_lo;  /* successors: succ[succ_lo .. succ_hi) */
     int64_t succ_hi;
 } rk_sproc;
@@ -152,6 +147,12 @@ static int rk_meets(const uint64_t *a, const uint64_t *b, int64_t nw)
 static int64_t rk_min(int64_t a, int64_t b)
 {
     return a < b ? a : b;
+}
+
+/* The cost of one recovery of a process. */
+RK_INLINE int64_t rk_need(const rk_proc *proc)
+{
+    return proc->wcet + proc->mu;
 }
 
 /* The incremental S_iH state of a schedule prefix: the recovery
@@ -299,26 +300,27 @@ static int64_t rk_tail_limit(const rk_frun *f, const rk_oracle *o,
                              const int64_t *cost, const int64_t *cap,
                              int64_t n, int64_t demand, int64_t skip)
 {
-    const rk_sproc *sp = f->s->sprocs;
+    const rk_proc *procs = f->p->procs;
     int64_t cum = 0;
     int64_t limit = 0;
     int64_t has_limit = 0;
     int64_t running_max = -1;
-    int64_t i, q, slack;
+    int64_t i, q, need, slack;
     for (i = 0; i < f->s->n_edf; i++) {
         q = f->s->edf[i];
         if (q == skip || RK_HAS(f->completed, q) || RK_HAS(o->hard_done, q)) {
             continue;
         }
-        cum += sp[q].wcet;
+        cum += procs[q].wcet;
+        need = rk_need(procs + q);
         if (!f->sharing) {
-            demand += sp[q].need * f->budget;
-        } else if (sp[q].need > running_max) {
-            running_max = sp[q].need;
+            demand += need * f->budget;
+        } else if (need > running_max) {
+            running_max = need;
             demand = rk_demand_with_max(cost, cap, n, running_max,
                                         f->budget);
         }
-        slack = f->p->procs[q].deadline - cum - demand;
+        slack = procs[q].deadline - cum - demand;
         if (!has_limit || slack < limit) {
             limit = slack;
             has_limit = 1;
@@ -345,10 +347,10 @@ static int64_t rk_soft_limit(const rk_frun *f, rk_oracle *o)
  * stay schedulable? */
 static int rk_check(rk_frun *f, rk_oracle *o, int64_t q, int64_t r)
 {
-    const rk_sproc *sp = f->s->sprocs;
-    const int64_t hard = f->p->procs[q].is_hard;
-    const int64_t clock = f->start + o->prefix_wcet + sp[q].wcet;
-    const int64_t need = sp[q].need;
+    const rk_proc *proc = f->p->procs + q;
+    const int64_t hard = proc->is_hard;
+    const int64_t clock = f->start + o->prefix_wcet + proc->wcet;
+    const int64_t need = rk_need(proc);
     const int64_t *cost = o->top_cost;
     const int64_t *cap = o->top_cap;
     int64_t n = o->n_top;
@@ -383,7 +385,7 @@ static int rk_check(rk_frun *f, rk_oracle *o, int64_t q, int64_t r)
     } else {
         demand = rk_top_demand(o, f->budget, -1, 0);
     }
-    if (hard && clock + demand > f->p->procs[q].deadline) {
+    if (hard && clock + demand > proc->deadline) {
         return 0;
     }
     return clock <= rk_tail_limit(f, o, cost, cap, n, demand, q);
@@ -408,7 +410,7 @@ static void rk_schedulable(rk_frun *f, rk_oracle *o, const uint64_t *cand,
         limit = rk_soft_limit(f, o);
         RK_EACH(q, cand, nw) {
             if (!f->p->procs[q].is_hard
-                && base + f->s->sprocs[q].wcet <= limit) {
+                && base + f->p->procs[q].wcet <= limit) {
                 out[q >> 6] |= RK_BIT(q);
             }
         }
@@ -423,23 +425,23 @@ static void rk_schedulable(rk_frun *f, rk_oracle *o, const uint64_t *cand,
 static void rk_on_schedule(const rk_frun *f, rk_oracle *o, int64_t q,
                            int64_t r)
 {
-    const rk_sproc *sp = f->s->sprocs;
+    const rk_proc *proc = f->p->procs + q;
     int64_t demand;
-    o->prefix_wcet += sp[q].wcet;
+    o->prefix_wcet += proc->wcet;
     if (r > 0) {
         o->has_soft_limit = 0;
         if (f->sharing) {
-            rk_top_add(o, f->budget, sp[q].need, r);
+            rk_top_add(o, f->budget, rk_need(proc), r);
         } else {
-            o->private_demand += sp[q].need * rk_min(r, f->budget);
+            o->private_demand += rk_need(proc) * rk_min(r, f->budget);
         }
     }
-    if (f->p->procs[q].is_hard) {
+    if (proc->is_hard) {
         o->hard_done[q >> 6] |= RK_BIT(q);
         o->has_soft_limit = 0;
         demand = f->sharing ? rk_top_demand(o, f->budget, -1, 0)
                             : o->private_demand;
-        if (f->start + o->prefix_wcet + demand > f->p->procs[q].deadline) {
+        if (f->start + o->prefix_wcet + demand > proc->deadline) {
             o->infeasible = 1;
         }
     }
@@ -480,7 +482,7 @@ static int64_t rk_best_soft(const rk_frun *f, const uint64_t *cand,
     int64_t q, j, s, done, completion;
     double own, look, value;
     RK_EACH(q, cand, f->nw) {
-        completion = clock + sp[q].aet;
+        completion = clock + p->procs[q].aet;
         own = completion > p->period
             ? 0.0 : alpha[q] * rk_util(p, q, completion);
         look = 0.0;
@@ -489,14 +491,14 @@ static int64_t rk_best_soft(const rk_frun *f, const uint64_t *cand,
             if (p->procs[s].is_hard || RK_HAS(dropped, s)) {
                 continue;
             }
-            done = completion + sp[s].aet;
+            done = completion + p->procs[s].aet;
             if (done > p->period) {
                 continue;
             }
             look = look + alpha[s] * rk_util(p, s, done);
         }
         value = (own + weight * look)
-            / (double)(sp[q].aet > 1 ? sp[q].aet : 1);
+            / (double)(p->procs[q].aet > 1 ? p->procs[q].aet : 1);
         if (pick < 0 || value > best) {
             best = value;
             pick = q;
@@ -537,7 +539,7 @@ static int64_t rk_greedy(rk_frun *f, const uint64_t *pool, int64_t now,
                 f->avail[s >> 6] |= RK_BIT(s);
             }
         }
-        now += sp[q].aet;
+        now += f->p->procs[q].aet;
     }
     return n;
 }
@@ -550,7 +552,6 @@ static double rk_hyp(rk_frun *f, int64_t lead, const int64_t *order,
                      const uint64_t *dropped)
 {
     const rk_plan *p = f->p;
-    const rk_sproc *sp = f->s->sprocs;
     double total = 0.0;
     int64_t i, q, w;
     for (w = 0; w < f->nw; w++) {
@@ -569,7 +570,7 @@ static double rk_hyp(rk_frun *f, int64_t lead, const int64_t *order,
     }
     rk_alphas(p, f->hdrop, f->halpha);
     if (lead >= 0) {
-        now += sp[lead].aet;
+        now += p->procs[lead].aet;
         if (now <= p->period) {
             total = total + f->halpha[lead] * rk_util(p, lead, now);
         }
@@ -579,7 +580,7 @@ static double rk_hyp(rk_frun *f, int64_t lead, const int64_t *order,
         if (q == skip) {
             continue;
         }
-        now += sp[q].aet;
+        now += p->procs[q].aet;
         if (now > p->period) {
             continue;
         }
@@ -705,9 +706,9 @@ static int64_t rk_best_process(rk_frun *f, const uint64_t *cand)
  * r-th fault? rest: the other unsettled soft processes. */
 static int rk_beneficial(rk_frun *f, int64_t q, int64_t r)
 {
-    const rk_sproc *sp = f->s->sprocs;
-    const int64_t t = f->wcet_opt ? sp[q].wcet : sp[q].aet;
-    const int64_t mu = sp[q].mu;
+    const rk_proc *proc = f->p->procs + q;
+    const int64_t t = f->wcet_opt ? proc->wcet : proc->aet;
+    const int64_t mu = proc->mu;
     const int64_t clock = f->clock;
     const int64_t giveup = r > 0 ? clock + r * t + (r - 1) * mu : clock;
     double keep, drop;
@@ -794,17 +795,16 @@ static void rk_walk_start(rk_walk *w, rk_oracle *o, int64_t budget,
     o->private_demand = 0;
 }
 
-/* Appends one entry with cap re-executions to the walk. */
-static void rk_walk_add(rk_walk *w, int64_t wcet, int64_t need, int64_t cap,
-                        const rk_proc *proc)
+/* Appends one entry, proc with cap re-executions, to the walk. */
+static void rk_walk_add(rk_walk *w, const rk_proc *proc, int64_t cap)
 {
     int64_t slack;
-    w->clock += wcet;
+    w->clock += proc->wcet;
     if (cap > 0) {
         if (w->sharing) {
-            rk_top_add(w->o, w->budget, need, cap);
+            rk_top_add(w->o, w->budget, rk_need(proc), cap);
         } else {
-            w->o->private_demand += need * rk_min(cap, w->budget);
+            w->o->private_demand += rk_need(proc) * rk_min(cap, w->budget);
         }
     }
     w->total = w->clock
@@ -833,7 +833,6 @@ static int64_t rk_latest_start(rk_frun *f, const int64_t *pids,
                                const int64_t *caps, int64_t n,
                                int *missing)
 {
-    const rk_sproc *sp = f->s->sprocs;
     rk_walk walk;
     int64_t i, q, w;
     for (w = 0; w < f->nw; w++) {
@@ -843,7 +842,7 @@ static int64_t rk_latest_start(rk_frun *f, const int64_t *pids,
     for (i = 0; i < n; i++) {
         q = pids[i];
         f->pool[q >> 6] |= RK_BIT(q);
-        rk_walk_add(&walk, sp[q].wcet, sp[q].need, caps[i], f->p->procs + q);
+        rk_walk_add(&walk, f->p->procs + q, caps[i]);
     }
     *missing = rk_outside(f->p->hard_mask, f->pool, f->nw);
     return rk_walk_limit(&walk, f->p->period);
@@ -976,8 +975,7 @@ int64_t rk_ftss(const rk_plan *plan, const rk_sched *sched,
         out_pid[n] = q;
         out_cap[n] = r;
         n++;
-        f->clock += f->wcet_opt ? sched->sprocs[q].wcet
-                                : sched->sprocs[q].aet;
+        f->clock += f->wcet_opt ? plan->procs[q].wcet : plan->procs[q].aet;
         rk_on_schedule(f, &f->o, q, r);
         rk_settle(f, q);
     }
@@ -995,16 +993,15 @@ int64_t rk_ftss(const rk_plan *plan, const rk_sched *sched,
  * entries end at hi, on a started walk: e with head re-executions,
  * then every later entry with hard caps the walk's budget and soft
  * caps their own (the walk clamps every cap to its budget). */
-static int64_t rk_probe_start(const rk_plan *p, const int64_t *wcet,
-                              const int64_t *need, rk_walk *walk,
-                              int64_t e, int64_t hi, int64_t head)
+static int64_t rk_probe_start(const rk_plan *p, rk_walk *walk, int64_t e,
+                              int64_t hi, int64_t head)
 {
     int64_t q, pid, cap;
     for (q = e; q < hi; q++) {
         pid = p->entries[q].pid;
         cap = q == e ? head
             : p->procs[pid].is_hard ? walk->budget : p->decisions[q].cap;
-        rk_walk_add(walk, wcet[pid], need[pid], cap, p->procs + pid);
+        rk_walk_add(walk, p->procs + pid, cap);
     }
     return rk_walk_limit(walk, p->period);
 }
@@ -1014,11 +1011,10 @@ static int64_t rk_probe_start(const rk_plan *p, const int64_t *wcet,
  * a soft entry's attempt a under budget b is the latest start of its
  * probe with min(cap - a - 1, b) head re-executions, minus the entry's
  * mu -- or RK_NEVER - mu where bad flags a probe the oracle rejects.
- * wcet and need are per pid, sharing per node and bad per entry; work
- * holds 2 RK_TOP_SLOTS(n_proc, k) ints.  Returns 0, or -1 for
- * out-of-range arguments. */
-int64_t rk_thresholds(const rk_plan *plan, const int64_t *wcet,
-                      const int64_t *need, const uint8_t *sharing,
+ * sharing is per node and bad per entry; work holds 2
+ * RK_TOP_SLOTS(n_proc, k) ints.  Returns 0, or -1 for out-of-range
+ * arguments. */
+int64_t rk_thresholds(const rk_plan *plan, const uint8_t *sharing,
                       const uint8_t *bad, int64_t *work, int64_t *thr)
 {
     const int64_t k = plan->k;
@@ -1035,7 +1031,7 @@ int64_t rk_thresholds(const rk_plan *plan, const int64_t *wcet,
         hi = plan->nodes[node].ent_hi;
         for (e = plan->nodes[node].ent_lo; e < hi; e++) {
             const rk_decision *dec = plan->decisions + e;
-            const int64_t mu = plan->entries[e].mu;
+            const int64_t mu = plan->procs[plan->entries[e].pid].mu;
             cell = thr + dec->thr_lo;
             for (a = 0; a < dec->natt; a++) {
                 for (b = 0; b <= k; b++, cell++) {
@@ -1044,7 +1040,7 @@ int64_t rk_thresholds(const rk_plan *plan, const int64_t *wcet,
                         continue;
                     }
                     rk_walk_start(&walk, &o, b, sharing[node]);
-                    *cell = rk_probe_start(plan, wcet, need, &walk, e, hi,
+                    *cell = rk_probe_start(plan, &walk, e, hi,
                                            rk_min(dec->cap - a - 1, b))
                         - mu;
                 }
@@ -1159,12 +1155,11 @@ int64_t rk_expected(const rk_plan *plan, const rk_tterm *terms,
 /* The soft terms of the profile of pids[0 .. n) under the dropped set,
  * as intervals.tail_profile accumulates them, into terms; returns
  * their count, or -1 when one's utility is linear. */
-static int64_t rk_profile(const rk_plan *p, const rk_sched *s,
-                          const int64_t *pids, int64_t n,
+static int64_t rk_profile(const rk_plan *p, const int64_t *pids, int64_t n,
                           const uint64_t *dropped, double *alpha,
                           rk_tterm *terms)
 {
-    const rk_sproc *sp = s->sprocs;
+    const rk_proc *procs = p->procs;
     double mean = 0.0;
     double variance = 0.0;
     int64_t lo_sum = 0;
@@ -1174,15 +1169,15 @@ static int64_t rk_profile(const rk_plan *p, const rk_sched *s,
     rk_alphas(p, dropped, alpha);
     for (i = 0; i < n; i++) {
         q = pids[i];
-        span = sp[q].wcet - sp[q].bcet;
-        mean = mean + (double)sp[q].aet;
+        span = procs[q].wcet - procs[q].bcet;
+        mean = mean + (double)procs[q].aet;
         variance = variance + (double)(span * span) / 12.0;
-        lo_sum += sp[q].bcet;
-        hi_sum += sp[q].wcet;
-        if (p->procs[q].is_hard) {
+        lo_sum += procs[q].bcet;
+        hi_sum += procs[q].wcet;
+        if (procs[q].is_hard) {
             continue;
         }
-        if (p->procs[q].linear) {
+        if (procs[q].linear) {
             return -1;
         }
         terms[n_terms].pid = q;
@@ -1257,10 +1252,10 @@ static void rk_critical(const rk_plan *p, const rk_tterm *terms,
  * arguments.  Each side's pids are distinct, as in any f-schedule.
  * The caller's work buffers hold 2 n_proc terms, n_proc doubles and
  * 2 + 2 len(ubound) points. */
-int64_t rk_partition(const rk_plan *plan, const rk_sched *sched,
-                     const int64_t *parent, int64_t n_parent,
-                     const uint64_t *parent_dropped, const int64_t *child,
-                     int64_t n_child, const uint64_t *child_dropped,
+int64_t rk_partition(const rk_plan *plan, const int64_t *parent,
+                     int64_t n_parent, const uint64_t *parent_dropped,
+                     const int64_t *child, int64_t n_child,
+                     const uint64_t *child_dropped,
                      int64_t lo, int64_t hi, int64_t latest, int64_t stride,
                      rk_tterm *terms, double *alpha, int64_t *points,
                      int64_t *iv, int64_t cap, int64_t *out_n,
@@ -1284,10 +1279,8 @@ int64_t rk_partition(const rk_plan *plan, const rk_sched *sched,
         return RK_PARTITION_OK;
     }
     hi = rk_min(hi, latest);
-    n_pt = rk_profile(plan, sched, parent, n_parent, parent_dropped, alpha,
-                      pterms);
-    n_ct = rk_profile(plan, sched, child, n_child, child_dropped, alpha,
-                      cterms);
+    n_pt = rk_profile(plan, parent, n_parent, parent_dropped, alpha, pterms);
+    n_ct = rk_profile(plan, child, n_child, child_dropped, alpha, cterms);
     if (n_pt < 0 || n_ct < 0) {
         return RK_PARTITION_NONCONSTANT;
     }

@@ -3,9 +3,8 @@
 :class:`SchedulingContext` numbers the processes of one application in
 sorted-name order, so every ``sorted(...)`` and every smallest-name
 tie-break of the oracle is pid order; per-process tables are
-pid-indexed lists, sets are int bitmasks, and stale coefficients are
-memoized per dropped mask.  It holds no FTSS config, so one context
-serves runs of any config.
+pid-indexed lists and sets are int bitmasks.  It holds no FTSS config,
+so one context serves runs of any config.
 
 The runs themselves happen in the C core.  :attr:`SchedulingContext.core`
 lowers the context's tables once
@@ -28,7 +27,7 @@ Names are converted only at the boundary: prior sets in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ModelError, SchedulingError
 from repro.scheduling.feasibility import latest_start
@@ -57,8 +56,8 @@ class RawTail(NamedTuple):
 
 
 class SchedulingContext:
-    """One application compiled to pid tables, plus the stale
-    coefficients memo and, on first use, the C core's tables."""
+    """One application compiled to pid tables, plus, on first use, the
+    C core's tables."""
 
     def __init__(self, app):
         graph = app.graph
@@ -71,7 +70,6 @@ class SchedulingContext:
         self.period = app.period
         self.wcet = [p.wcet for p in procs]
         self.bcet = [p.bcet for p in procs]
-        self.aet = [p.aet for p in procs]
         self.deadline = [p.deadline for p in procs]
         self.need = [app.recovery_need(name) for name in names]
         self.mu = [app.recovery_overhead(name) for name in names]
@@ -84,7 +82,6 @@ class SchedulingContext:
         self.succs = [
             tuple(pid[s] for s in graph.successors(name)) for name in names
         ]
-        self.topo = tuple(pid[name] for name in graph.topological_order())
         self.utilities = [p.utility for p in procs]
         # The modified-deadline EDF order of every hard process: a
         # static sort, so the remaining-hard order of any prefix is
@@ -92,7 +89,6 @@ class SchedulingContext:
         self.edf_hard = tuple(
             pid[name] for name in edf_hard_order(app, [p.name for p in app.hard])
         )
-        self._alphas: Dict[int, List[float]] = {}
         self._core = None
 
     # ------------------------------------------------------------------
@@ -168,32 +164,6 @@ class SchedulingContext:
 
             self._core = DesignCore(self)
         return self._core
-
-    def alphas(self, dropped: int) -> List[float]:
-        """Stale coefficients per dropped mask: an exact clone of
-        :func:`repro.utility.stale.stale_coefficients`, same sums in
-        the same order."""
-        hit = self._alphas.get(dropped)
-        if hit is not None:
-            return hit
-        if dropped & self.hard_mask:
-            name = self.names_of(dropped & self.hard_mask)[0]
-            raise ModelError(f"hard process {name!r} cannot be dropped")
-        alphas = [0.0] * len(self.names)
-        pred_list = self.pred_list
-        for p in self.topo:
-            if dropped >> p & 1:
-                continue
-            preds = pred_list[p]
-            if not preds:
-                alphas[p] = 1.0
-                continue
-            total = 0.0
-            for q in preds:
-                total += alphas[q]
-            alphas[p] = (1.0 + total) / (1.0 + len(preds))
-        self._alphas[dropped] = alphas
-        return alphas
 
     def latest_start(self, schedule: FSchedule) -> Optional[int]:
         """The latest start at which ``schedule`` stays schedulable

@@ -1,10 +1,5 @@
-"""Time/utility functions, stale-value propagation and aggregation."""
+"""Time/utility functions and stale-value propagation."""
 
-from repro.utility.aggregate import (
-    UtilityAccumulator,
-    completion_times_for_order,
-    schedule_expected_utility,
-)
 from repro.utility.functions import (
     ConstantUtility,
     LinearUtility,
@@ -24,11 +19,8 @@ __all__ = [
     "LinearUtility",
     "StepUtility",
     "TabulatedUtility",
-    "UtilityAccumulator",
     "UtilityFunction",
-    "completion_times_for_order",
     "degraded_utility",
-    "schedule_expected_utility",
     "stale_coefficient",
     "stale_coefficients",
     "utility_from_dict",

@@ -215,7 +215,7 @@ def test_all_hard_application(tmp_path):
     app = _all_hard_app()
     plan = QSTree(ftss(app))
     arrays = lower_plan(app, plan)
-    for name in ("thr", "keep", "drop", "pred"):
+    for name in ("thr", "pred"):
         assert len(arrays[name]) == 0, name
     lib, run = _build(tmp_path, [("hard", app, plan)])
     _assert_matches_oracle(lib, run, "hard", app, plan, 100, 2)

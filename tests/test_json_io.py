@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import SerializationError
+from repro.errors import SerializationError, TimingError
 from repro.io.json_io import (
     application_from_dict,
     application_to_dict,
@@ -36,6 +36,15 @@ class TestProcessRoundTrip:
     def test_missing_field(self):
         with pytest.raises(SerializationError):
             process_from_dict({"name": "P"})
+
+    def test_fractional_aet_rejected(self, fig1_app):
+        """A document with a fractional AET is no application: lowering
+        would truncate it, so the C core and the oracles would decide
+        on different AETs."""
+        document = application_to_dict(fig1_app)
+        document["graph"]["processes"][0]["aet"] = 17.5
+        with pytest.raises(TimingError, match="aet"):
+            application_from_dict(document)
 
 
 class TestApplicationRoundTrip:

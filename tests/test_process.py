@@ -106,6 +106,28 @@ def test_negative_recovery_overhead_rejected():
         hard_process("P", bcet=1, wcet=2, deadline=5, recovery_overhead=-1)
 
 
+@pytest.mark.parametrize(
+    "field", ["bcet", "wcet", "aet", "deadline", "recovery_overhead"]
+)
+@pytest.mark.parametrize("value", [17.5, 17.0, True])
+def test_non_integer_timing_rejected(field, value):
+    """A fractional, float or bool timing is no tick count: the
+    simulator's and the C core's clocks would disagree on it."""
+    timings = dict(bcet=10, wcet=30, deadline=50, aet=20, recovery_overhead=5)
+    timings[field] = value
+    with pytest.raises(TimingError, match=field):
+        hard_process("P", **timings)
+
+
+def test_numpy_integer_timings_accepted():
+    np = pytest.importorskip("numpy")
+    proc = hard_process(
+        "P", bcet=np.int64(10), wcet=np.int32(30), deadline=np.int64(50),
+        aet=np.int64(20), recovery_overhead=np.int16(5),
+    )
+    assert (proc.bcet, proc.aet, proc.wcet) == (10, 20, 30)
+
+
 def test_hard_utility_at_is_zero():
     proc = hard_process("P", bcet=1, wcet=2, deadline=5)
     assert proc.utility_at(3) == 0.0

@@ -180,6 +180,17 @@ def test_error_taxonomy_stable_codes(fig1_payload):
         assert http_get(url + "/healthz")[0] == 200
 
 
+def test_fractional_timing_is_invalid_application(fig1_payload):
+    """A process with a fractional AET fails the model checks: 400
+    ``invalid-application``, naming the field."""
+    broken = copy.deepcopy(fig1_payload)
+    broken["application"]["graph"]["processes"][0]["aet"] = 17.5
+    with service() as handle:
+        status, body, _ = http_post(handle.url + "/v1/schedule", broken)
+    assert (status, error_code(body)) == (400, "invalid-application")
+    assert "aet" in json.loads(body)["error"]["message"]
+
+
 # ----------------------------------------------------------------------
 # Caching: the second identical request is 100% store hits, zero
 # rebuilds, and the bytes are identical.
