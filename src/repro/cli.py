@@ -295,6 +295,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                     if args.paper_scale
                     else Table1Config()
                 )
+                if args.apps is not None:
+                    config = replace(config, n_apps=args.apps)
                 config = replace(config, **routing)
                 checkpoint = _open_checkpoint(args, name, config)
                 pipeline["checkpoint"] = checkpoint
@@ -615,7 +617,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="full §6 sizes (50 apps/size, 20k scenarios) — slow",
     )
     exp.add_argument(
-        "--apps", type=_positive_int, default=None, help="apps per size"
+        "--apps",
+        type=_positive_int,
+        default=None,
+        help="applications per size (fig9a, fig9b) or in all (table1); "
+        "the other experiments have fixed inputs",
     )
     _add_cache_options(exp)
     exp.add_argument(
@@ -732,9 +738,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The experiments ``--apps`` sizes; the others have fixed inputs.
+_APPS_EXPERIMENTS = ("fig9a", "fig9b", "table1")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "experiment" and args.apps is not None and (
+        args.name not in _APPS_EXPERIMENTS
+    ):
+        parser.error(
+            f"argument --apps: experiment {args.name} has fixed inputs "
+            f"(--apps applies to {', '.join(_APPS_EXPERIMENTS)})"
+        )
     return args.func(args)
 
 

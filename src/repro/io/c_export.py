@@ -4,7 +4,9 @@ The target only walks the tree's tables and makes the §2.2
 drop/re-execute decision online, with the kernel engine's own core.
 :func:`write_c_tables` writes ``rk_core.h`` and ``rk_core.c`` (the
 package's files, byte for byte), ``<prefix>_plan.h`` (``extern const
-rk_plan <prefix>_plan;``, the process ids, and size macros for static
+rk_plan <prefix>_plan;``, the process ids — sorted-name order, the
+kernel's one numbering — with each process's column in a scenario's
+arrays, which keep application order, and size macros for static
 scratch) and ``<prefix>_plan.c`` (the tables of
 :func:`~repro.runtime.engine.kernel.lower.lower_plan` as static const
 arrays, then the ``rk_plan`` initializer).  The §2.2 thresholds are
@@ -87,14 +89,18 @@ def export_tree_to_c(
             f"the C core cannot run this plan ({exc.reason}): {exc}"
         ) from exc
     scalars = dict(zip(lower.SCALARS, arrays["header"].tolist()))
+    processes = app.processes
     pids = "".join(
-        f" *   {pid:4d}  {p.name.replace('*/', '* /')}"
-        f"{' (hard)' if p.is_hard else ''}\n"
-        for pid, p in enumerate(app.processes)
+        f" *   {pid:4d}  {col:4d}  "
+        f"{processes[col].name.replace('*/', '* /')}"
+        f"{' (hard)' if processes[col].is_hard else ''}\n"
+        for pid, col in enumerate(arrays["procs"]["col"].tolist())
     )
     plan_h = f"""/* Generated by repro.io.c_export; do not edit by hand.
  * A quasi-static plan for rk_core.c: period {app.period}, k = {app.k}.
- * Process ids, the row of a scenario's durations and fault_counts:
+ * Process ids (by sorted name) and each process's column in a
+ * scenario's durations and fault_counts rows (application order):
+ *    pid   col  name
 {pids} */
 #ifndef {macro}_PLAN_H
 #define {macro}_PLAN_H

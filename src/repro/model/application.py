@@ -12,6 +12,7 @@ periods) are first merged into one hyper-period graph by
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ModelError, TimingError
@@ -34,9 +35,24 @@ class Application:
     mu:
         Default recovery overhead µ, applied to processes without a
         per-process override.
+
+    ``period``, ``k`` and ``mu`` must be integers (NumPy's included); a
+    float or a bool raises, like a process's timings do.  An
+    application is immutable: assigning an attribute raises
+    :class:`AttributeError`, so what is derived from it once — its
+    :class:`~repro.scheduling.compiled.SchedulingContext`, which
+    :meth:`~repro.scheduling.compiled.SchedulingContext.of` keeps in
+    the private ``_context`` slot (left out of pickles) — stays valid.
     """
 
     def __init__(self, graph: ProcessGraph, period: int, k: int, mu: int):
+        for label, value, error in (
+            ("period", period, TimingError),
+            ("fault budget k", k, ModelError),
+            ("recovery overhead", mu, TimingError),
+        ):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise error(f"{label} must be an integer, got {value!r}")
         if period <= 0:
             raise TimingError(f"period must be positive, got {period}")
         if k < 0:
@@ -51,10 +67,19 @@ class Application:
                     f"{proc.name}: deadline {proc.deadline} exceeds period "
                     f"{period}"
                 )
-        self.graph = graph
-        self.period = int(period)
-        self.k = int(k)
-        self.mu = int(mu)
+        vars(self).update(
+            graph=graph, period=int(period), k=int(k), mu=int(mu),
+            _context=None,
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Application is immutable (setting {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Application is immutable (deleting {name!r})")
+
+    def __getstate__(self) -> Dict:
+        return {**vars(self), "_context": None}
 
     # ------------------------------------------------------------------
     # Convenience accessors

@@ -41,13 +41,13 @@ class ProcessGraph:
         self._succ: Dict[str, List[str]] = {n: [] for n in self._procs}
         self._pred: Dict[str, List[str]] = {n: [] for n in self._procs}
         for src, dst in edges:
-            self.add_edge(src, dst, _validate=False)
+            self._add_edge(src, dst)
         self._check_acyclic()
 
     # ------------------------------------------------------------------
-    # Construction / mutation
+    # Construction: a graph is fixed once built
     # ------------------------------------------------------------------
-    def add_edge(self, src: str, dst: str, _validate: bool = True) -> None:
+    def _add_edge(self, src: str, dst: str) -> None:
         """Add the dependency ``src -> dst`` (output of src feeds dst)."""
         if src not in self._procs:
             raise GraphError(f"unknown process {src!r}")
@@ -59,8 +59,6 @@ class ProcessGraph:
             raise GraphError(f"duplicate edge {src!r} -> {dst!r}")
         self._succ[src].append(dst)
         self._pred[dst].append(src)
-        if _validate:
-            self._check_acyclic()
 
     def _check_acyclic(self) -> None:
         order = self._topological_order_or_none()

@@ -8,10 +8,11 @@ module rebuilds that hot path for paper-scale sweeps while producing
 asserts node, arc, interval and schedule equality over a randomized
 corpus):
 
-* **Tails in the C core** — one
-  :class:`~repro.scheduling.compiled.SchedulingContext` per build
-  holds the application's integer tables (pid-indexed lists, bitmask
-  sets), lowered once for the C core, and every tail is one
+* **Tails in the C core** — the application's one
+  :class:`~repro.scheduling.compiled.SchedulingContext`, shared with
+  root admission and the kernel engine, holds its integer tables
+  (pid-indexed lists, bitmask sets), lowered once for the C core, and
+  every tail is one
   ``rk_ftss`` call through
   :func:`~repro.scheduling.ftss.ftss_compiled` — never through
   ``ftss``.  A tail stays raw (a
@@ -195,7 +196,8 @@ _MISS = object()
 class SynthesisEngine:
     """The fast FTQS tree builder (see the module docstring).
 
-    One engine instance holds the compiled tables and the tail memo;
+    One engine instance holds the tail memo, over the application's
+    one context (:meth:`SchedulingContext.of`);
     :func:`~repro.quasistatic.ftqs.ftqs` builds a fresh engine per
     tree.  ``build()`` may be called repeatedly on one engine, and
     later builds reuse every memoized tail.
@@ -209,7 +211,7 @@ class SynthesisEngine:
     ):
         self.app = app
         self.config = config
-        self.ctx = SchedulingContext(app)
+        self.ctx = SchedulingContext.of(app)
         self.stats = stats if stats is not None else SynthesisStats()
         self._tail_memo: Dict[Tuple, Optional[_Tail]] = {}
         self._best_similarity: Dict[int, float] = {}

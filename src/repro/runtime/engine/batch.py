@@ -4,7 +4,8 @@ A :class:`ScenarioBatch` is a scenario set in structure-of-arrays
 form: one ``(scenarios, processes, attempts)`` integer array of
 execution times and one ``(scenarios, processes)`` array of
 per-process fault counts.  Process columns follow ``app.processes``
-order, so a compiled plan can address them by integer id.  The batch
+order, the order the draw's RNG stream fixes; the C core finds a
+process's column through its record's ``col``.  The batch
 is also a read-only sequence of
 :class:`~repro.faults.injection.ExecutionScenario` objects, built on
 access, which is how the reference engine reads it.

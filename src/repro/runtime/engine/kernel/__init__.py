@@ -4,9 +4,10 @@ One static C99 core replays whole scenario batches against a plan's
 lowered tables.  ``rk_core.c`` is plan-independent: it reads every
 plan through one ``rk_plan`` struct (``rk_core.h``), reproducing
 the oracle's integer arithmetic and IEEE-754 accumulation order
-exactly.  :mod:`~repro.runtime.engine.kernel.lower` lowers each plan
-straight from its tree into the NumPy tables behind that struct,
-§2.2 thresholds in closed form;
+exactly.  :mod:`~repro.runtime.engine.kernel.lower` lowers each
+application once, on its one scheduling context, and each plan's tree
+into the NumPy tables behind that struct, §2.2 thresholds in closed
+form;
 :mod:`~repro.runtime.engine.kernel.build` builds the core once per
 (source, compiler, flags) into a content-addressed artifact cache
 that holds nothing else; and

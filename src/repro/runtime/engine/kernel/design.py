@@ -7,11 +7,14 @@ in the same C core as the simulator: ``rk_ftss.c`` is compiled
 appended to ``rk_core.c``, so there is one build, cache entry and load
 per (sources, compiler, flags).  :class:`DesignCore` serves one
 :class:`~repro.scheduling.compiled.SchedulingContext`: it loads the
-core, lowers the context's application once
+core, points an ``rk_plan`` at the context's application tables
+(:attr:`~repro.scheduling.compiled.SchedulingContext.lowered`, the
+process records, which hold every timing constant the entry points
+read, shared with every plan of the application), adds the
+``rk_sched`` columns
 (:func:`~repro.runtime.engine.kernel.lower.lower_scheduling`: the
-``rk_plan`` process records, which hold every timing constant the
-entry points read, and the graph's successor ranges, predecessor
-masks and EDF order) and allocates every work buffer once, then
+graph's successor ranges, predecessor masks and EDF order) and
+allocates every work buffer once, then
 
 * :meth:`DesignCore.ftss` is one whole FTSS run in one ``rk_ftss``
   call, returned raw (a :class:`~repro.scheduling.compiled.RawTail`
@@ -32,8 +35,8 @@ plan lowering instead (``dispatch.Core.fill_thresholds``).
 
 All release the GIL, keep every buffer on the caller's side and are
 bit-identical to their oracles (``tests/test_ftss_differential.py``,
-``tests/test_synthesis_differential.py``); the buffers make one
-instance serve one thread at a time, as a context does.  Where the C
+``tests/test_synthesis_differential.py``); the context's lock guards
+the buffers, so threads sharing an application take turns.  Where the C
 path cannot run, the caller runs the oracle instead and the reason is
 counted in
 :func:`~repro.runtime.engine.kernel.dispatch.kernel_stats`: the core's
@@ -104,8 +107,10 @@ class DesignCore:
         n = len(ctx.names)
         self._n = n
         self._nw = nw = (n + 63) // 64
+        self._lock = ctx.lock
         try:
             self._core = load_core()
+            tables = ctx.lowered.arrays
             self._arrays = lower_scheduling(ctx)
         except (KernelBuildError, KernelUnsupported) as exc:
             self.reason = exc.reason
@@ -113,7 +118,7 @@ class DesignCore:
         arrays = self._arrays
         self._plan = RkPlan(n_proc=n, nw=nw, period=ctx.period)
         for name in APP_ARRAYS:
-            setattr(self._plan, name, arrays[name].ctypes.data)
+            setattr(self._plan, name, tables[name].ctypes.data)
         self._sched = RkSched(
             *(arrays[name].ctypes.data for name, _ in SCHED_ARRAYS),
             len(arrays["edf"]),
@@ -142,7 +147,7 @@ class DesignCore:
         self._partition_buffers = (
             np.empty(2 * n, dtype=TTERM),
             np.empty(n, dtype=np.float64),
-            np.empty(2 + 2 * len(arrays["ubound"]), dtype=np.int64),
+            np.empty(2 + 2 * len(tables["ubound"]), dtype=np.int64),
         )
         self._partition_work = tuple(
             a.ctypes.data for a in self._partition_buffers
@@ -184,23 +189,24 @@ class DesignCore:
         or ``None`` when the run finds no schedule.  Check
         :meth:`ftss_fallback` first."""
         n, nw = self._n, self._nw
-        self._flags[:] = (
-            config.drop_heuristic, config.soft_reexecution,
-            config.slack_sharing, config.optimize_for == "wcet",
-        )
-        sets = self._sets
-        for w in range(nw):
-            sets[w] = prior_completed >> (64 * w) & _WORD
-            sets[nw + w] = prior_dropped >> (64 * w) & _WORD
-        status = self._core.ftss(
-            *self._tables, self._flags_at,
-            float(config.successor_weight), SUCCESSOR_WEIGHT, fault_budget,
-            start_time, self._sets_at, self._sets_at + 8 * nw,
-            *self._ftss_work, *self._ftss_out,
-        )
+        with self._lock:
+            self._flags[:] = (
+                config.drop_heuristic, config.soft_reexecution,
+                config.slack_sharing, config.optimize_for == "wcet",
+            )
+            sets = self._sets
+            for w in range(nw):
+                sets[w] = prior_completed >> (64 * w) & _WORD
+                sets[nw + w] = prior_dropped >> (64 * w) & _WORD
+            status = self._core.ftss(
+                *self._tables, self._flags_at,
+                float(config.successor_weight), SUCCESSOR_WEIGHT,
+                fault_budget, start_time, self._sets_at,
+                self._sets_at + 8 * nw, *self._ftss_work, *self._ftss_out,
+            )
+            picks = self._picks.tolist()
         if status not in (FTSS_OK, FTSS_UNSCHEDULABLE, FTSS_LATE):
             raise RuntimeError(f"rk_ftss rejected its arguments ({status})")
-        picks = self._picks.tolist()
         count = picks[2 * n]
         pids, caps = tuple(picks[:count]), tuple(picks[n : n + count])
         if fault_budget < 0:
@@ -245,32 +251,33 @@ class DesignCore:
         piecewise constant or the C path cannot run here."""
         if self._fallback(None):
             return None
-        while True:
-            status = self._core.partition(
-                self._plan_ref,
-                parent.at + 8 * first, parent.n - first,
-                parent.at + 8 * parent.n,
-                child.at, child.n, child.at + 8 * child.n,
-                lo, hi, latest, stride,
-                *self._partition_work, *self._intervals_at,
-                *self._result_at,
-            )
-            if status == PARTITION_NONCONSTANT:
-                kernel_stats().count_fallback("nonconstant-utility")
-                return None
-            if status != PARTITION_OK:
-                raise RuntimeError(
-                    f"rk_partition rejected its arguments ({status})"
+        with self._lock:
+            while True:
+                status = self._core.partition(
+                    self._plan_ref,
+                    parent.at + 8 * first, parent.n - first,
+                    parent.at + 8 * parent.n,
+                    child.at, child.n, child.at + 8 * child.n,
+                    lo, hi, latest, stride,
+                    *self._partition_work, *self._intervals_at,
+                    *self._result_at,
                 )
-            count = int(self._count[0])
-            if count <= self._intervals_at[1]:
-                break
-            self._grow_intervals(count)
-        bounds = self._intervals[: 2 * count].tolist()
-        return (
-            tuple(zip(bounds[::2], bounds[1::2])),
-            float(self._gain[0]),
-        )
+                if status != PARTITION_OK:
+                    break
+                count = int(self._count[0])
+                if count <= self._intervals_at[1]:
+                    bounds = self._intervals[: 2 * count].tolist()
+                    gain = float(self._gain[0])
+                    break
+                self._grow_intervals(count)
+        if status == PARTITION_NONCONSTANT:
+            kernel_stats().count_fallback("nonconstant-utility")
+            return None
+        if status != PARTITION_OK:
+            raise RuntimeError(
+                f"rk_partition rejected its arguments ({status})"
+            )
+        return tuple(zip(bounds[::2], bounds[1::2])), gain
 
     # ------------------------------------------------------------------
     # Expected-utility profiles

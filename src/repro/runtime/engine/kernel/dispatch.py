@@ -7,10 +7,14 @@ makes sure the one C core is loaded — built at most once per cache,
 loaded at most once per process, and a failed build is not retried
 for the life of the process — and fetches the plan's lowered tables:
 from the in-process memo, a least-recently-used map of at most
-:data:`TABLES_CAPACITY` plans keyed by :func:`plan_key` (the content
-of the application and plan documents), else by lowering the plan on
-the loaded core (its §2.2 thresholds in one ``rk_thresholds`` call).
-Anything that prevents that — no compiler, a failed build, an
+:data:`TABLES_CAPACITY` plans keyed by :func:`plan_key` (a SHA-256
+over the application's lowered records and the plan's flattened tree,
+no JSON), else by lowering the plan on the loaded core (its §2.2
+thresholds in one ``rk_thresholds`` call).  The application's records
+come from its one
+:class:`~repro.scheduling.compiled.SchedulingContext`, lowered once
+per application and shared with synthesis, so a plan lowers only its
+tree.  Anything that prevents that — no compiler, a failed build, an
 unusable cache directory, a plan the core cannot express, injected
 chaos — degrades to replaying every scenario on the reference oracle,
 with a counted reason; results are identical either way, so
@@ -54,9 +58,12 @@ from repro.runtime.engine.kernel.lower import (
     LoweredPlan,
     RkPlan,
     RkSched,
+    flatten_plan,
     lower_plan,
+    reusing,
 )
 from repro.runtime.engine.simulator import BatchResult, BatchSimulator
+from repro.scheduling.compiled import SchedulingContext
 
 
 @dataclass
@@ -376,37 +383,31 @@ def prepare_core() -> Optional[Core]:
 
 
 def plan_key(app: Application, tree: QSTree) -> str:
-    """The memo key of ``tree``'s tables: the content digest of the
-    application and plan documents plus each process's predecessor
-    order, which the stale-coefficient sums follow and the
-    source-major edge list does not pin."""
-    from repro.io.json_io import (
-        application_to_dict,
-        content_digest,
-        tree_to_dict,
-    )
-
-    return content_digest(
-        {
-            "application": application_to_dict(app),
-            "predecessors": [
-                app.graph.predecessors(p.name) for p in app.processes
-            ],
-            "plan": tree_to_dict(tree),
-        }
-    )
+    """The memo key of ``tree``'s tables: the SHA-256 of the
+    application's lowered records (in its context's numbering, so each
+    process's predecessor order, which the stale-coefficient sums
+    follow, is part of it) and of the flattened tree
+    (:meth:`~repro.runtime.engine.kernel.lower.FlatPlan.key`): equal
+    for equal content, whatever the objects, JSON round trips
+    included."""
+    return flatten_plan(SchedulingContext.of(app), tree).key()
 
 
-def _plan_tables(app: Application, tree: QSTree, core: Core) -> LoweredPlan:
+def _plan_tables(
+    ctx: SchedulingContext, tree: QSTree, core: Core
+) -> LoweredPlan:
     """The lowered tables of ``tree``, from the memo or lowered now
-    on ``core``."""
-    key = plan_key(app, tree)
+    on ``core`` from the flattening that keyed it.  Reads only what
+    ``ctx`` already built: it runs under :data:`_LOCK`."""
+    flat = flatten_plan(ctx, tree)
+    key = flat.key()
     lowered = _TABLES.get(key)
     if lowered is not None:
         _TABLES.move_to_end(key)
         kernel_stats().add("cache_hits")
         return lowered
-    lowered = _TABLES[key] = LoweredPlan(lower_plan(app, tree, core))
+    with reusing(flat):
+        lowered = _TABLES[key] = LoweredPlan(lower_plan(ctx.app, tree, core))
     while len(_TABLES) > TABLES_CAPACITY:
         _TABLES.popitem(last=False)
     return lowered
@@ -427,11 +428,16 @@ class KernelSimulator(BatchSimulator):
         self._lowered: Optional[LoweredPlan] = None
         self.fallback_reason: Optional[str] = None
         try:
+            core = load_core()
+            # The application's records, built (once per application)
+            # before _LOCK: the context's own lock is never taken
+            # under it.
+            ctx = SchedulingContext.of(self.app)
+            ctx.lowered
             with _LOCK:
                 # Lowered on this core: _LOCK is not reentrant, so
                 # lowering never loads one itself.
-                core = _load_core()
-                self._lowered = _plan_tables(self.app, self.tree, core)
+                self._lowered = _plan_tables(ctx, self.tree, core)
             self._run = core.run
         except (KernelUnsupported, KernelBuildError) as exc:
             self.fallback_reason = exc.reason

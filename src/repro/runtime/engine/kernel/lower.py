@@ -1,47 +1,58 @@
 """Lower one plan, or one application, into the tables the C core
 reads.
 
-:func:`lower_plan` turns an application and a
-:class:`~repro.quasistatic.tree.QSTree` (or a single
-:class:`~repro.scheduling.fschedule.FSchedule`, a one-node tree as the
-oracle treats it) into NumPy arrays: one record per process, graph
-vertex, tree node and schedule entry, flat arc and threshold tables
-and the bit masks of process sets.  Processes are numbered in
-application order; arcs evaluated at one completion are stored sorted
-by ``(-required_faults, target)``, so the core's first match is
-``OnlineScheduler._matching_arc``'s ``min`` over all matches.  The
+Every table is numbered like the application's one
+:class:`~repro.scheduling.compiled.SchedulingContext`: process ``i``
+is the ``i``-th name in sorted order.  The application part of an
+``rk_plan`` — one record per process (every timing constant and
+utility the core reads of it, and ``col``, its column in a scenario's
+arrays, which keep application order), the dependence graph and the
+utility tables — is lowered once per application, on its context
+(:class:`LoweredApplication`), and shared by its plans and the
+design-time entry points of ``rk_ftss.c``.  So :func:`lower_plan`
+lowers only the tree, in two steps:
+
+* *flatten* (:func:`flatten_plan`): node ids and schedule headers,
+  entries with their pids, caps and attempt counts, all-dropped masks
+  and arcs, as int64 arrays — the arcs evaluated at one completion
+  sorted by ``(-required_faults, target)``, so the core's first match
+  is ``OnlineScheduler._matching_arc``'s ``min`` over all matches;
+* *derive*: each node's process mask and, in one backward pass over
+  its entries on the context's integer masks, what each S_iH probe
+  needs of the completed set (``ent_hardprobe``, ``ent_ext``) and
+  whether the oracle's constructor would reject it (the oracles:
+  :func:`probe_info`, :func:`_rejected_probes`); then the §2.2
+  schedulability thresholds in closed form — one ``rk_thresholds``
+  call of the loaded core, or, without one, :func:`node_thresholds`,
+  its oracle, to the same bytes.
+
+The kernel engine's plan memo keys a plan by :meth:`FlatPlan.key`, a
+SHA-256 over the application's records and the flattened arrays, and
+on a miss derives from the flattening it keyed (:func:`reusing`).  The
 §2.2 keep-vs-drop benefit needs no table: the core derives its terms
 from the node's later entries and their processes' records.  The
-§2.2 schedulability thresholds come out in closed form: with the
-loaded core, one ``rk_thresholds`` call fills the whole table once the
-records are built (the probe-rejection pre-pass and each node's slack
-sharing stay here); without one, :func:`node_thresholds`, its oracle,
-fills the same bytes.  The record dtypes and :class:`RkPlan`
-mirror the structs of ``rk_core.h``, and :class:`LoweredPlan` points
-one ``rk_plan`` at a set of arrays.  The kernel engine hands the core
-these arrays as they are; :mod:`repro.io.c_export` writes them as C
-arrays of the C types :data:`ARRAYS` names.  Plans outside what the
-core expresses raise :class:`KernelUnsupported` (the dispatcher then
-degrades to the reference oracle, the export refuses them).
-
-:func:`lower_application` is the application part of a plan — the
-process records (every timing constant and utility the core reads of
-a process), the graph and the utility tables in a given process order
-— which :func:`lower_plan` numbers in application order and
-:func:`lower_scheduling` like a
-:class:`~repro.scheduling.compiled.SchedulingContext`, adding the
-graph columns the design-time entry points of ``rk_ftss.c`` read.
+record dtypes and :class:`RkPlan` mirror the structs of
+``rk_core.h``, and :class:`LoweredPlan` points one ``rk_plan`` at a
+set of arrays.  The kernel engine hands the core these arrays as they
+are; :mod:`repro.io.c_export` writes them as C arrays of the C types
+:data:`ARRAYS` names.  Plans outside what the core expresses raise
+:class:`KernelUnsupported` (the dispatcher then degrades to the
+reference oracle, the export refuses them).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
+import hashlib
+import threading
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.model.application import Application
 from repro.quasistatic.tree import QSTree
+from repro.scheduling.compiled import SchedulingContext
 from repro.scheduling.feasibility import latest_start
 from repro.scheduling.fschedule import FSchedule
 from repro.utility.functions import LinearUtility, utility_steps
@@ -57,6 +68,8 @@ _I8 = np.dtype("<i8")
 _F8 = np.dtype("<f8")
 _U8 = np.dtype("<u8")
 
+_WORD = (1 << 64) - 1
+
 
 def _record(*fields: str, floats: Sequence[str] = ()) -> np.dtype:
     return np.dtype(
@@ -67,8 +80,8 @@ def _record(*fields: str, floats: Sequence[str] = ()) -> np.dtype:
 #: Record dtypes, field for field the structs of ``rk_core.h`` (all
 #: fields are 8 bytes wide, so neither side pads).
 PROC = _record(
-    "is_hard", "deadline", "aet", "bcet", "wcet", "mu", "linear", "ulo",
-    "u0", "slope", floats=("u0", "slope"),
+    "is_hard", "col", "deadline", "aet", "bcet", "wcet", "mu", "linear",
+    "ulo", "u0", "slope", floats=("u0", "slope"),
 )
 VERTEX = _record("pid", "pred_lo", "pred_hi", "pred_div", floats=("pred_div",))
 NODE = _record("orig", "ent_lo", "ent_hi")
@@ -178,7 +191,9 @@ def _rejected_probes(app: Application, names: Sequence[str]) -> List[bool]:
     """Per position of a schedule's entry ``names``: would the
     oracle's validation reject the S_iH probe from there on?  The
     probe from position ``p`` is rejected iff some entry ``q >= p``
-    repeats a later entry or has a predecessor at or after it."""
+    repeats a later entry or has a predecessor at or after it.  The
+    oracle of the flags :func:`lower_plan` derives on integer masks
+    for ``rk_thresholds``; :func:`node_thresholds` reads it."""
     graph = app.graph
     bad = [False] * (len(names) + 1)
     later = set()
@@ -274,6 +289,10 @@ def probe_info(
     oracle's probe constructor raises, so the core flags the scenario
     for the oracle.  One backward pass: a probe from position ``p`` is
     the one from ``p + 1`` with entry ``p`` in front.
+
+    The oracle of :func:`lower_plan`'s pass over integer masks
+    (``ent_hardprobe``, ``ent_ext``), which
+    ``tests/test_engine_differential.py`` holds to it.
     """
     graph = app.graph
     hard_in_probe: FrozenSet[str] = frozenset()
@@ -293,55 +312,237 @@ def probe_info(
 
 
 # ----------------------------------------------------------------------
-# Lowering
+# The application part: once per application
 # ----------------------------------------------------------------------
-def _mask_words(pids: Iterable[int], n_words: int) -> List[int]:
-    words = [0] * n_words
-    for pid in map(int, pids):
-        words[pid >> 6] |= 1 << (pid & 63)
-    return words
+def _words(masks: Sequence[int], n_words: int) -> np.ndarray:
+    """Integer bit masks as ``n_words`` uint64 words each."""
+    if n_words == 1:
+        return np.array(masks, dtype=_U8)
+    return np.array(
+        [m >> (64 * w) & _WORD for m in masks for w in range(n_words)],
+        dtype=_U8,
+    )
 
 
-def lower_application(app, names: Sequence[str]) -> Dict[str, list]:
-    """The :data:`APP_ARRAYS` columns of ``app`` with process ``i``
-    named ``names[i]``: process records (criticality; deadline, the
-    period for a soft process; AET, BCET, WCET and recovery overhead;
-    utility), the dependence graph in its topological order with
-    predecessors in graph order, and the hard and soft masks.  An
-    unknown utility subclass raises :class:`KernelUnsupported`."""
+def lower_application(app, names: Sequence[str]) -> Dict[str, np.ndarray]:
+    """The :data:`APP_ARRAYS` tables of ``app`` with process ``i``
+    named ``names[i]``: process records (criticality; ``col``, its
+    index in ``app.processes``, which is its column in a scenario's
+    arrays; deadline, the period for a soft process; AET, BCET, WCET
+    and recovery overhead; utility), the dependence graph in its
+    topological order with predecessors in graph order, and the hard
+    and soft masks.  An unknown utility subclass raises
+    :class:`KernelUnsupported`."""
     index = {name: i for i, name in enumerate(names)}
-    n_words = (len(names) + 63) // 64
-    col: Dict[str, list] = {name: [] for name in APP_ARRAYS}
-    hard: List[int] = []
-    soft: List[int] = []
+    column = {p.name: c for c, p in enumerate(app.processes)}
+    procs: List[tuple] = []
+    ubound: List[int] = []
+    uval: List[float] = []
+    hard = soft = 0
     for pid, name in enumerate(names):
         proc = app.process(name)
+        is_hard = proc.is_hard
         linear, bounds, values, u0, slope = _utility_spec(proc.utility)
-        col["procs"].append(
-            (int(proc.is_hard),
-             int(proc.deadline if proc.is_hard else app.period), proc.aet,
+        procs.append(
+            (int(is_hard), column[name],
+             int(proc.deadline if is_hard else app.period), proc.aet,
              proc.bcet, proc.wcet, app.recovery_overhead(name), linear,
-             len(col["ubound"]), u0, slope)
+             len(ubound), u0, slope)
         )
-        col["ubound"] += bounds + (_SENTINEL,)
-        col["uval"] += values
-        (hard if proc.is_hard else soft).append(pid)
+        ubound += bounds + (_SENTINEL,)
+        uval += values
+        if is_hard:
+            hard |= 1 << pid
+        else:
+            soft |= 1 << pid
+    graph: List[tuple] = []
+    pred: List[int] = []
     for name in app.graph.topological_order():
         preds = [index[p] for p in app.graph.predecessors(name)]
-        lo = len(col["pred"])
-        col["graph"].append(
-            (index[name], lo, lo + len(preds), float(1 + len(preds)))
+        graph.append(
+            (index[name], len(pred), len(pred) + len(preds),
+             float(1 + len(preds)))
         )
-        col["pred"] += preds
-    col["hard_mask"] = _mask_words(hard, n_words)
-    col["soft_mask"] = _mask_words(soft, n_words)
-    return col
+        pred += preds
+    n_words = (len(names) + 63) // 64
+    return {
+        "procs": np.array(procs, dtype=PROC),
+        "graph": np.array(graph, dtype=VERTEX),
+        "pred": np.array(pred, dtype=_I8),
+        "ubound": np.array(ubound, dtype=_I8),
+        "uval": np.array(uval, dtype=_F8),
+        "hard_mask": _words([hard], n_words),
+        "soft_mask": _words([soft], n_words),
+    }
+
+
+class LoweredApplication:
+    """One application's :func:`lower_application` tables in its
+    context's pid order, read-only, built once per application
+    (:attr:`~repro.scheduling.compiled.SchedulingContext.lowered`),
+    with what lowering a plan reads besides them: the header scalars,
+    each process's predecessor and hard-predecessor masks, and
+    :attr:`digest`, the SHA-256 state of the header and tables, which
+    every plan key of the application extends."""
+
+    def __init__(self, ctx: SchedulingContext):
+        app = ctx.app
+        self.arrays = lower_application(app, ctx.names)
+        for array in self.arrays.values():
+            array.flags.writeable = False
+        self.n_proc = n = len(ctx.names)
+        self.nw = (n + 63) // 64
+        self.k = int(app.k)
+        self.period = int(app.period)
+        self.pred_mask = [
+            sum(1 << q for q in preds) for preds in ctx.pred_list
+        ]
+        self.hard_preds = [
+            sum(1 << q for q in preds if ctx.is_hard[q])
+            for preds in ctx.pred_list
+        ]
+        header = [n, self.k, self.period] + [
+            len(self.arrays[name]) for name in APP_ARRAYS
+        ]
+        self.digest = hashlib.sha256(np.array(header, dtype=_I8))
+        for name in APP_ARRAYS:
+            self.digest.update(self.arrays[name])
+
+
+# ----------------------------------------------------------------------
+# One plan: flatten, then derive
+# ----------------------------------------------------------------------
+class FlatPlan(NamedTuple):
+    """A plan's tree in its application's pid order: the final
+    ``nodes``, ``entries``, ``decisions``, ``node_sdrop`` and ``arcs``
+    tables, each node's schedule header (start time, fault budget,
+    slack sharing), and, for the derive step, each node's entry range,
+    the entries' pids and the size of the threshold table."""
+
+    tree: QSTree
+    ctx: SchedulingContext
+    root: int
+    nodes: np.ndarray
+    heads: np.ndarray
+    entries: np.ndarray
+    decisions: np.ndarray
+    node_sdrop: np.ndarray
+    arcs: np.ndarray
+    bounds: List[Tuple[int, int]]
+    pids: List[int]
+    n_thr: int
+
+    def key(self) -> str:
+        """The plan memo's key: the SHA-256 of the application's
+        records and header scalars (:class:`LoweredApplication`) and
+        of the flattened arrays — everything the derive step reads,
+        and the nodes' start times and budgets — whatever the objects
+        behind them."""
+        digest = self.ctx.lowered.digest.copy()
+        digest.update(np.array(
+            [self.root, len(self.nodes), len(self.entries), len(self.arcs)],
+            dtype=_I8,
+        ))
+        for array in (self.nodes, self.heads, self.entries, self.decisions,
+                      self.node_sdrop, self.arcs):
+            digest.update(array)
+        return digest.hexdigest()
+
+
+def flatten_plan(
+    ctx: SchedulingContext, plan: Union[QSTree, FSchedule]
+) -> FlatPlan:
+    """The :class:`FlatPlan` of ``plan`` (a single
+    :class:`~repro.scheduling.fschedule.FSchedule` is a one-node tree,
+    as the oracle treats it); an arc to a node outside the tree raises
+    :class:`KernelUnsupported`."""
+    tree = QSTree(plan) if isinstance(plan, FSchedule) else plan
+    pid, is_hard, k = ctx.pid, ctx.is_hard, int(ctx.app.k)
+    nodes = sorted(tree, key=lambda node: node.node_id)
+    dense = {node.node_id: i for i, node in enumerate(nodes)}
+    rows: Dict[str, List[int]] = {
+        name: [] for name in ("nodes", "heads", "entries", "decisions",
+                              "arcs")
+    }
+    arcs = rows["arcs"]
+    bounds: List[Tuple[int, int]] = []
+    pids: List[int] = []
+    sdrop: List[int] = []
+    n_thr = 0
+    for node in nodes:
+        schedule = node.schedule
+        by_process: Dict[str, list] = {}
+        for arc in node.arcs:
+            by_process.setdefault(arc.process, []).append(arc)
+        lo = len(pids)
+        settled = ctx.mask(schedule.prior_completed)
+        dropped = ctx.mask(schedule.prior_dropped)
+        for entry in schedule.entries:
+            p = pid[entry.name]
+            settled |= 1 << p
+            arc_lo = len(arcs) // 4
+            for arc in sorted(
+                by_process.get(entry.name, ()),
+                key=lambda a: (-a.required_faults, a.target),
+            ):
+                if arc.target not in dense:
+                    raise KernelUnsupported(
+                        "unsupported-plan",
+                        f"arc targets node {arc.target} outside the tree",
+                    )
+                arcs += (arc.lo, arc.hi, arc.required_faults,
+                         dense[arc.target])
+            rows["entries"] += (p, arc_lo, len(arcs) // 4)
+            cap = entry.reexecutions
+            natt = 0 if is_hard[p] else min(cap, k)
+            rows["decisions"] += (cap, natt, n_thr)
+            n_thr += natt * (k + 1)
+            pids.append(p)
+        rows["nodes"] += (node.node_id, lo, len(pids))
+        rows["heads"] += (schedule.start_time, schedule.fault_budget,
+                          int(schedule.slack_sharing))
+        bounds.append((lo, len(pids)))
+        # FSchedule.all_dropped: the soft processes neither scheduled
+        # nor settled before the start, plus the ones dropped before.
+        sdrop.append(ctx.soft_mask & ~(settled | dropped) | dropped)
+    dtypes = {"nodes": NODE, "heads": _I8, "entries": ENTRY,
+              "decisions": DECISION, "arcs": ARC}
+    tables = {
+        name: np.array(rows[name], dtype=_I8).view(dtypes[name])
+        for name in dtypes
+    }
+    return FlatPlan(
+        tree, ctx, dense[tree.root_id], tables["nodes"], tables["heads"],
+        tables["entries"], tables["decisions"],
+        _words(sdrop, (len(ctx.names) + 63) // 64), tables["arcs"], bounds,
+        pids, n_thr,
+    )
+
+
+#: Per thread, the flattening a caller hands the next :func:`lower_plan`
+#: of its tree (:func:`reusing`).
+_REUSE = threading.local()
+
+
+@contextlib.contextmanager
+def reusing(flat: FlatPlan):
+    """Within the block, :func:`lower_plan` of ``flat``'s tree and
+    application, in this thread, derives from ``flat`` instead of
+    flattening the tree again: the plan memo keys a plan by its
+    flattening and lowers it on a miss."""
+    _REUSE.flat = flat
+    try:
+        yield
+    finally:
+        _REUSE.flat = None
 
 
 def lower_plan(
     app: Application, plan: Union[QSTree, FSchedule], core=None
 ) -> Dict[str, np.ndarray]:
-    """The ``rk_plan`` tables of one plan, by field name.
+    """The ``rk_plan`` tables of one plan, by field name: the
+    application's tables from its context, shared, and the tree's,
+    flattened (:func:`flatten_plan`) and derived.
 
     Includes every schedulability threshold the core can consult
     (attempts ``0..min(cap, k)-1`` per soft position, budgets
@@ -351,77 +552,68 @@ def lower_plan(
     way.  The dispatcher's memo amortizes lowering across
     constructions and runs of one process.
     """
-    tree = QSTree(plan) if isinstance(plan, FSchedule) else plan
-    names = [p.name for p in app.processes]
-    index = {name: pid for pid, name in enumerate(names)}
-    hard = [p.is_hard for p in app.processes]
-    n_words = (len(names) + 63) // 64
-    k = int(app.k)
-    nodes = sorted(tree, key=lambda node: node.node_id)
-    dense = {node.node_id: i for i, node in enumerate(nodes)}
-    col: Dict[str, list] = {name: [] for name, *_ in ARRAYS}
-    col.update(lower_application(app, names))
-    n_thr = 0
-    sharing: List[bool] = []  # per node, for rk_thresholds
-    bad: List[bool] = []      # per entry, for rk_thresholds
-
-    # ---- per-node / per-entry records ----
-    for node in nodes:
-        schedule = node.schedule
-        entries = schedule.entries
-        pids = [index[e.name] for e in entries]
-        lo = len(col["entries"])
-        col["nodes"].append((node.node_id, lo, lo + len(entries)))
-        col["node_mask"] += _mask_words(pids, n_words)
-        col["node_sdrop"] += _mask_words(
-            (index[n] for n in schedule.all_dropped), n_words
+    ctx = SchedulingContext.of(app)
+    lowered = ctx.lowered
+    flat = getattr(_REUSE, "flat", None)
+    if flat is None or flat.tree is not plan or flat.ctx is not ctx:
+        flat = flatten_plan(ctx, plan)
+    is_hard, pids = ctx.is_hard, flat.pids
+    pred_mask, hard_preds = lowered.pred_mask, lowered.hard_preds
+    node_mask: List[int] = []
+    hardprobe = [0] * len(pids)
+    external = [0] * len(pids)
+    bad = [0] * len(pids)
+    for lo, hi in flat.bounds:
+        # Backward: the probe from position q is the one from q + 1
+        # with entry q in front (probe_info, _rejected_probes).
+        later = probed = ext = rejected = 0
+        for q in range(hi - 1, lo - 1, -1):
+            p = pids[q]
+            bit = 1 << p
+            rejected = rejected or later & bit or pred_mask[p] & (later | bit)
+            later |= bit
+            ext = ext & ~bit | hard_preds[p]
+            if is_hard[p]:
+                probed |= bit
+            else:
+                hardprobe[q], external[q] = probed, ext
+            bad[q] = 1 if rejected else 0
+        node_mask.append(later)
+    if core is None:
+        thr = np.array(
+            [
+                cell
+                for node in sorted(flat.tree, key=lambda node: node.node_id)
+                for cells in node_thresholds(app, node.schedule)
+                for row in cells
+                for cell in row
+            ],
+            dtype=_I8,
         )
-        if core is None:
-            for cells in node_thresholds(app, schedule):
-                for cell in cells:
-                    col["thr"] += cell
-        else:
-            sharing.append(schedule.slack_sharing)
-            bad += _rejected_probes(app, [e.name for e in entries])
-        probes = probe_info(app, schedule)
-        for pos, (entry, pid) in enumerate(zip(entries, pids)):
-            soft = not hard[pid]
-            natt = min(entry.reexecutions, k) if soft else 0
-            thr_lo, arc_lo = n_thr, len(col["arcs"])
-            n_thr += natt * (k + 1)
-            arcs = sorted(
-                (a for a in node.arcs if a.process == entry.name),
-                key=lambda a: (-a.required_faults, a.target),
-            )
-            for arc in arcs:
-                if arc.target not in dense:
-                    raise KernelUnsupported(
-                        "unsupported-plan",
-                        f"arc targets node {arc.target} outside the tree",
-                    )
-                col["arcs"].append(
-                    (arc.lo, arc.hi, arc.required_faults, dense[arc.target])
-                )
-            hard_in_probe, external = probes[pos] if soft else ((), ())
-            col["ent_hardprobe"] += _mask_words(
-                (index[n] for n in hard_in_probe), n_words
-            )
-            col["ent_ext"] += _mask_words(
-                (index[n] for n in external), n_words
-            )
-            col["entries"].append((pid, arc_lo, len(col["arcs"])))
-            col["decisions"].append((entry.reexecutions, natt, thr_lo))
-
-    header = (len(names), len(nodes), n_words, k, int(app.period),
-              dense[tree.root_id])
-    arrays = {"header": np.array(header, dtype=_I8)}
-    for name, dtype, _ in ARRAYS:
-        arrays[name] = np.array(col[name], dtype=dtype)
+    else:
+        thr = np.empty(flat.n_thr, dtype=_I8)
+    nw = lowered.nw
+    arrays = {
+        "header": np.array(
+            (lowered.n_proc, len(flat.nodes), nw, lowered.k,
+             lowered.period, flat.root),
+            dtype=_I8,
+        ),
+        **lowered.arrays,
+        "nodes": flat.nodes,
+        "node_mask": _words(node_mask, nw),
+        "node_sdrop": flat.node_sdrop,
+        "entries": flat.entries,
+        "decisions": flat.decisions,
+        "ent_hardprobe": _words(hardprobe, nw),
+        "ent_ext": _words(external, nw),
+        "thr": thr,
+        "arcs": flat.arcs,
+    }
     if core is not None:
-        arrays["thr"] = np.empty(n_thr, dtype=_I8)
         core.fill_thresholds(
             arrays,
-            sharing=np.array(sharing, dtype=np.uint8),
+            sharing=flat.heads[2::3].astype(np.uint8),
             bad=np.array(bad, dtype=np.uint8),
         )
     return arrays
@@ -442,21 +634,23 @@ class LoweredPlan:
         )
 
 
-def lower_scheduling(ctx) -> Dict[str, np.ndarray]:
+def lower_scheduling(ctx: SchedulingContext) -> Dict[str, np.ndarray]:
     """The tables ``rk_ftss``, ``rk_partition`` and ``rk_expected``
-    read for one :class:`~repro.scheduling.compiled.SchedulingContext`,
-    by field name: the :data:`APP_ARRAYS` of an ``rk_plan`` in the
-    context's pid order, then the :data:`SCHED_ARRAYS` — per-process
-    successor ranges into the successors in graph order, predecessor
-    masks and the modified-deadline EDF order of the hard processes."""
+    read for one context besides its
+    :attr:`~repro.scheduling.compiled.SchedulingContext.lowered`
+    application tables, by field name: the :data:`SCHED_ARRAYS` —
+    per-process successor ranges into the successors in graph order,
+    predecessor masks and the modified-deadline EDF order of the hard
+    processes."""
     n_words = (len(ctx.names) + 63) // 64
-    col: Dict[str, list] = lower_application(ctx.app, ctx.names)
-    col.update(sprocs=[], succ=[], pred_mask=[], edf=list(ctx.edf_hard))
-    for p, successors in enumerate(ctx.succs):
-        lo = len(col["succ"])
-        col["succ"] += successors
-        col["sprocs"].append((lo, len(col["succ"])))
-        col["pred_mask"] += _mask_words(ctx.pred_list[p], n_words)
-    dtypes = dict((name, t) for name, t, _ in ARRAYS)
-    dtypes.update(SCHED_ARRAYS)
-    return {name: np.array(col[name], dtype=dtypes[name]) for name in col}
+    sprocs: List[int] = []
+    succ: List[int] = []
+    for successors in ctx.succs:
+        sprocs += (len(succ), len(succ) + len(successors))
+        succ += successors
+    return {
+        "sprocs": np.array(sprocs, dtype=_I8).view(SPROC),
+        "succ": np.array(succ, dtype=_I8),
+        "pred_mask": _words(ctx.lowered.pred_mask, n_words),
+        "edf": np.array(ctx.edf_hard, dtype=_I8),
+    }

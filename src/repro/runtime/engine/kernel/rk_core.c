@@ -170,9 +170,10 @@ RK_INLINE void rk_run_one(const rk_plan *p, const int64_t nw,
         }
         for (e = p->nodes[node].ent_lo; e < ent_hi; e++) {
             const int64_t pid = entries[e].pid;
+            const int64_t col = procs[pid].col;
             const int64_t mu = procs[pid].mu;
-            const int64_t f = faults[pid];
-            const int64_t *d = dur + pid * width;
+            const int64_t f = faults[col];
+            const int64_t *d = dur + col * width;
             int64_t j, arc_hi;
             if (f > 0 && !procs[pid].is_hard) {
                 /* ---- section 2.2 decision stepping ---- */

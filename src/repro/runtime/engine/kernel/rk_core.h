@@ -8,13 +8,16 @@
 #include <stdint.h>
 
 /* One record per process id: every constant the core reads of it.
- * Execution times are the average, best and worst case; one recovery
- * costs wcet + mu.  A utility is either linear, max(0, u0 - slope * t),
- * or a step table: uval[ulo + i] for the count i of breakpoints
- * ubound[ulo ..] strictly below t, the table ending in an INT64_MAX
- * sentinel. */
+ * Process ids number the processes by sorted name; col is the
+ * process's column in a scenario's durations and fault_counts rows,
+ * which keep the application's own order.  Execution times are the
+ * average, best and worst case; one recovery costs wcet + mu.  A
+ * utility is either linear, max(0, u0 - slope * t), or a step table:
+ * uval[ulo + i] for the count i of breakpoints ubound[ulo ..] strictly
+ * below t, the table ending in an INT64_MAX sentinel. */
 typedef struct rk_proc {
     int64_t is_hard;
+    int64_t col;      /* column in the scenario arrays */
     int64_t deadline;
     int64_t aet;
     int64_t bcet;
@@ -98,7 +101,8 @@ typedef struct rk_plan {
 int64_t rk_plan_size(void);
 
 /* Replay n scenarios, row-major: per scenario n_proc * width attempt
- * durations and n_proc fault counts in; one utility, miss flag, switch
+ * durations and n_proc fault counts in, process pid's in column
+ * procs[pid].col; one utility, miss flag, switch
  * count, observed fault count and fallback flag out, and the switch
  * chain (tree node ids) in n_nodes + 1 slots of chains.  A set
  * fallback flag means the scenario left the core's model (a malformed

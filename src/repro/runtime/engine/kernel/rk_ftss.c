@@ -8,12 +8,12 @@
  * unit (repro.runtime.engine.kernel.build), so it reads an
  * application through the same rk_plan records, every per-process
  * constant from its rk_proc, and evaluates it with the same rk_util
- * and rk_alphas; `repro export` ships rk_core.{h,c} without it.  For
- * rk_ftss, rk_partition and rk_expected the application part of the
- * rk_plan (procs, graph, pred, ubound, uval, hard_mask, soft_mask) is
- * numbered in sorted-name order, so every smallest-name tie-break of
- * the oracle is a smallest-pid one; rk_thresholds reads a plan as
- * lower_plan numbers it, in application order.
+ * and rk_alphas; `repro export` ships rk_core.{h,c} without it.  The
+ * application part of every rk_plan (procs, graph, pred, ubound, uval,
+ * hard_mask, soft_mask) is numbered in sorted-name order, plans
+ * included, so every smallest-name tie-break of the oracle is a
+ * smallest-pid one, and rk_ftss, rk_partition, rk_expected and
+ * rk_thresholds read the same records of one application.
  *
  * rk_ftss is an exact clone of repro.scheduling.ftss.ftss_reference
  * with fast_paths semantics: the same list-scheduling loop, the same

@@ -1,4 +1,4 @@
-"""One application compiled for FTSS and FTQS (paper §5).
+"""One application compiled for FTSS, FTQS and the C core (paper §5).
 
 :class:`SchedulingContext` numbers the processes of one application in
 sorted-name order, so every ``sorted(...)`` and every smallest-name
@@ -6,8 +6,15 @@ tie-break of the oracle is pid order; per-process tables are
 pid-indexed lists and sets are int bitmasks.  It holds no FTSS config,
 so one context serves runs of any config.
 
-The runs themselves happen in the C core.  :attr:`SchedulingContext.core`
-lowers the context's tables once
+An application has one context: :meth:`SchedulingContext.of` builds it
+on first use and keeps it on the (immutable) application, so root
+admission, FTSF's NFT stage, the FTQS engine and the kernel engine's
+plan lowering all share it.  Its C-core tables are built lazily, once:
+:attr:`SchedulingContext.lowered` is the application part of every
+``rk_plan`` (:func:`~repro.runtime.engine.kernel.lower.lower_application`:
+process records, graph and utility tables, in the context's pid order,
+which every plan of the application uses too), and
+:attr:`SchedulingContext.core` the design-time entry points over them
 (:class:`~repro.runtime.engine.kernel.design.DesignCore`):
 :func:`repro.scheduling.ftss.ftss_compiled` runs one whole FTSS there
 in one ``rk_ftss`` call, and the FTQS engine
@@ -18,7 +25,8 @@ and :func:`~repro.quasistatic.intervals.partition`, which run instead,
 with a counted reason, where the C path cannot
 (``tests/test_ftss_differential.py`` compares every field of the
 result, ``tests/test_synthesis_differential.py`` whole trees and every
-partition).
+partition).  A per-context lock guards the lazy builds and the core's
+work buffers, so threads may share an application.
 
 Names are converted only at the boundary: prior sets in
 (:meth:`SchedulingContext.prior_masks`), the f-schedule out
@@ -27,6 +35,8 @@ Names are converted only at the boundary: prior sets in
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ModelError, SchedulingError
@@ -55,9 +65,37 @@ class RawTail(NamedTuple):
     latest: Optional[int]
 
 
+#: Serializes the first :meth:`SchedulingContext.of` of an application.
+_OF_LOCK = threading.Lock()
+
+
+def _reset_lock() -> None:
+    """Give a forked child a fresh lock: one another parent thread
+    held at the fork would never be released in the child."""
+    global _OF_LOCK
+    _OF_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_lock)
+
+
 class SchedulingContext:
     """One application compiled to pid tables, plus, on first use, the
-    C core's tables."""
+    C core's tables.  :meth:`of` is an application's one context."""
+
+    @classmethod
+    def of(cls, app) -> "SchedulingContext":
+        """``app``'s context: built on first use, then the same one."""
+        ctx = app._context
+        if ctx is None:
+            with _OF_LOCK:
+                ctx = app._context
+                if ctx is None:
+                    ctx = cls(app)
+                    # The application is immutable; this slot is the
+                    # one it keeps for its context.
+                    object.__setattr__(app, "_context", ctx)
+        return ctx
 
     def __init__(self, app):
         graph = app.graph
@@ -82,13 +120,15 @@ class SchedulingContext:
         self.succs = [
             tuple(pid[s] for s in graph.successors(name)) for name in names
         ]
-        self.utilities = [p.utility for p in procs]
         # The modified-deadline EDF order of every hard process: a
         # static sort, so the remaining-hard order of any prefix is
         # this tuple filtered (see schedulability.py).
         self.edf_hard = tuple(
             pid[name] for name in edf_hard_order(app, [p.name for p in app.hard])
         )
+        #: Guards the lazy builds below and the core's work buffers.
+        self.lock = threading.Lock()
+        self._lowered = None
         self._core = None
 
     # ------------------------------------------------------------------
@@ -154,16 +194,47 @@ class SchedulingContext:
         return self.mask(completed), self.mask(dropped)
 
     @property
+    def lowered(self):
+        """The application part of every ``rk_plan`` of this
+        application, in pid order
+        (:class:`~repro.runtime.engine.kernel.lower.LoweredApplication`),
+        built on first use; raises
+        :class:`~repro.runtime.engine.kernel.lower.KernelUnsupported`,
+        every time, for an application the core cannot express."""
+        # Imported here: the runtime layer imports this one.
+        from repro.runtime.engine.kernel import lower
+
+        lowered = self._lowered
+        if lowered is None:
+            with self.lock:
+                if self._lowered is None:
+                    try:
+                        self._lowered = lower.LoweredApplication(self)
+                    except lower.KernelUnsupported as exc:
+                        self._lowered = (exc.reason, str(exc))
+                lowered = self._lowered
+        if isinstance(lowered, tuple):
+            raise lower.KernelUnsupported(*lowered)
+        return lowered
+
+    @property
     def core(self):
         """The C core's design-time entry points over this context
         (:class:`~repro.runtime.engine.kernel.design.DesignCore`),
-        lowered on first use."""
-        if self._core is None:
-            # Imported here: the runtime layer imports this one.
+        built on first use; when the core could not be had then, its
+        reason stands for the context's life."""
+        core = self._core
+        if core is None:
             from repro.runtime.engine.kernel.design import DesignCore
 
-            self._core = DesignCore(self)
-        return self._core
+            # Built outside the lock: loading the core takes the
+            # kernel's lock, and this one is never held around another.
+            built = DesignCore(self)
+            with self.lock:
+                if self._core is None:
+                    self._core = built
+                core = self._core
+        return core
 
     def latest_start(self, schedule: FSchedule) -> Optional[int]:
         """The latest start at which ``schedule`` stays schedulable

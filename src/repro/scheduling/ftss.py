@@ -25,8 +25,9 @@ times (the decisions in steps 1, 4 and 5 all use AETs).
 
 :func:`ftss`, which every caller uses, runs ``fast_paths=True``
 configurations (the default) in the C core: :func:`ftss_compiled`
-makes one ``rk_ftss`` call per run over a
-:class:`~repro.scheduling.compiled.SchedulingContext`'s lowered tables
+makes one ``rk_ftss`` call per run over the lowered tables of the
+application's one
+:class:`~repro.scheduling.compiled.SchedulingContext`
 (see :mod:`repro.runtime.engine.kernel.design`), and the FTQS engine
 runs its tails through it too, keeping them raw (pids and caps) until
 one is admitted to the tree.  :func:`ftss_reference` is the loop
@@ -208,7 +209,8 @@ def ftss(
     ``prior_completed``, ``prior_dropped`` and ``fault_budget``
     describe an intermediate execution state instead (the online
     re-planner's).  ``fast_paths=True`` configurations run
-    :func:`ftss_compiled` on a context built for this call;
+    :func:`ftss_compiled` on the application's one context
+    (:meth:`SchedulingContext.of`, built and lowered on first use);
     ``fast_paths=False`` ones run :func:`ftss_reference`.  Both return
     the same f-schedule (``tests/test_ftss_differential.py``).
     """
@@ -217,7 +219,7 @@ def ftss(
             app, fault_budget, start_time, prior_completed, prior_dropped, config
         )
     budget = app.k if fault_budget is None else int(fault_budget)
-    ctx = SchedulingContext(app)
+    ctx = SchedulingContext.of(app)
     completed, dropped = ctx.prior_masks(prior_completed, prior_dropped)
     raw = ftss_compiled(ctx, config, budget, start_time, completed, dropped)
     if raw is None:

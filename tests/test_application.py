@@ -79,6 +79,51 @@ def test_invalid_parameters_rejected():
         Application(graph, period=100, k=1, mu=-5)
 
 
+@pytest.mark.parametrize(
+    "field,value,error",
+    [
+        ("period", 300.7, TimingError),
+        ("period", 200.0, TimingError),
+        ("period", True, TimingError),
+        ("k", 1.9, ModelError),
+        ("k", True, ModelError),
+        ("mu", 2.5, TimingError),
+        ("mu", False, TimingError),
+    ],
+)
+def test_non_integer_parameters_rejected(field, value, error):
+    """A fractional, float or bool period, k or µ raises instead of
+    being truncated to an integer."""
+    graph = ProcessGraph([_soft("S")], [], period=200)
+    params = dict(period=200, k=1, mu=5)
+    params[field] = value
+    with pytest.raises(error, match="must be an integer"):
+        Application(graph, **params)
+
+
+def test_numpy_integer_parameters_accepted():
+    np = pytest.importorskip("numpy")
+    graph = ProcessGraph([_soft("S")], [], period=200)
+    app = Application(
+        graph, period=np.int64(200), k=np.int32(1), mu=np.int16(5)
+    )
+    assert (app.period, app.k, app.mu) == (200, 1, 5)
+    assert all(type(v) is int for v in (app.period, app.k, app.mu))
+
+
+def test_application_is_immutable():
+    """Attributes cannot be assigned or deleted after construction, so
+    what is derived from an application once stays valid."""
+    app = _simple_app()
+    for name, value in (("k", 2), ("period", 400), ("mu", 1),
+                        ("graph", app.graph), ("extra", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(app, name, value)
+    with pytest.raises(AttributeError, match="immutable"):
+        del app.k
+    assert (app.period, app.k, app.mu) == (200, 1, 5)
+
+
 def test_empty_graph_rejected():
     graph = ProcessGraph([], [], period=100)
     with pytest.raises(ModelError):

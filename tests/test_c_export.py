@@ -58,11 +58,12 @@ class TestGeneration:
 
     def test_soft_processes_marked(self, fig1_app, fig1_tree):
         header, source = export_tree_to_c(fig1_app, fig1_tree)
-        # The header lists the process ids; P1 is hard, P2/P3 soft,
-        # and the per-process records carry the same flag first.
-        assert " *      0  P1 (hard)\n" in header
-        assert " *      1  P2\n" in header
-        assert " *      2  P3\n" in header
+        # The header lists the process ids with their scenario
+        # columns; P1 is hard, P2/P3 soft, and the per-process records
+        # carry the same flag first.
+        assert " *      0     0  P1 (hard)\n" in header
+        assert " *      1     1  P2\n" in header
+        assert " *      2     2  P3\n" in header
         procs = source.split("static const rk_proc app_procs[3] = {\n")[1]
         flags = [row.split(",")[0] for row in procs.split("\n")[:3]]
         assert flags == ["    {INT64_C(1)", "    {INT64_C(0)", "    {INT64_C(0)"]

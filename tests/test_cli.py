@@ -186,6 +186,24 @@ class TestArgumentValidation:
         err = capsys.readouterr().err
         assert f"argument {argv[-2]}: must be at least 1" in err
 
+    @pytest.mark.parametrize("name", ["cc", "ablations", "sweeps"])
+    def test_apps_rejected_where_inputs_are_fixed(self, capsys, name):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", name, "--apps", "3"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == (
+            f"repro: error: argument --apps: experiment {name} has fixed "
+            "inputs (--apps applies to fig9a, fig9b, table1)"
+        )
+
+    def test_apps_sizes_table1(self, capsys):
+        """``table1 --apps 1`` evaluates one application: one tree per
+        tree size above 1, not the default five applications' worth."""
+        assert main(["experiment", "table1", "--apps", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "synthesis: 7 tree(s)," in out
+
     def test_demo_fault_count_beyond_k_is_one_line(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["demo", "--faults", "9"])

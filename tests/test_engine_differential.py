@@ -40,6 +40,7 @@ from repro.runtime.engine.kernel.lower import (
     NEVER,
     lower_plan,
     node_thresholds,
+    probe_info,
 )
 from repro.runtime.online import OnlineScheduler
 from repro.scheduling.fschedule import FSchedule, ScheduledEntry
@@ -879,6 +880,66 @@ def test_thresholds_match_the_probe_on_the_corpus(engine_full):
         for _, app, plan in _threshold_corpus(engine_full)
     )
     assert cells > 0
+
+
+def _assert_masks_match_probe_info(app, plan):
+    """Every node's process and all-dropped masks and every entry's
+    probe masks ``lower_plan`` derives from the context's integer masks
+    equal the name-set oracles' (:func:`probe_info`,
+    ``FSchedule.all_dropped``); returns the number of soft entries
+    checked."""
+    from repro.scheduling.compiled import SchedulingContext
+
+    ctx = SchedulingContext.of(app)
+    nw = (len(ctx.names) + 63) // 64
+    tree = QSTree(plan) if isinstance(plan, FSchedule) else plan
+    arrays = lower_plan(app, tree, _core())
+
+    def words(names):
+        mask = ctx.mask(names)
+        return [mask >> (64 * w) & ((1 << 64) - 1) for w in range(nw)]
+
+    def row(name, i):
+        return arrays[name][i * nw : (i + 1) * nw].tolist()
+
+    soft = 0
+    for dense, node in enumerate(sorted(tree, key=lambda n: n.node_id)):
+        schedule = node.schedule
+        assert row("node_mask", dense) == words(schedule.order)
+        assert row("node_sdrop", dense) == words(schedule.all_dropped)
+        ent_lo = int(arrays["nodes"][dense]["ent_lo"])
+        for pos, (entry, (probed, external)) in enumerate(
+            zip(schedule.entries, probe_info(app, schedule))
+        ):
+            if app.process(entry.name).is_hard:
+                probed = external = ()
+            else:
+                soft += 1
+            e = ent_lo + pos
+            assert row("ent_hardprobe", e) == words(probed), (dense, pos)
+            assert row("ent_ext", e) == words(external), (dense, pos)
+    return soft
+
+
+@engine_smoke
+def test_probe_masks_match_probe_info_on_the_corpus(engine_full):
+    """The backward pass of ``lower_plan`` over integer masks gives
+    :func:`probe_info`'s sets on every plan of the engine corpus and
+    on a schedule that runs a process before its hard predecessor."""
+    checked = sum(
+        _assert_masks_match_probe_info(app, plan)
+        for _, app, plan in _threshold_corpus(engine_full)
+    )
+    assert checked > 0
+    app = _hard_pred_app()
+    schedule = FSchedule(
+        app,
+        [ScheduledEntry("A", 1), ScheduledEntry("H", 1), ScheduledEntry("S", 1)],
+        fault_budget=1,
+    )
+    # Bypass validation to reorder the entries: S, H, A.
+    schedule.entries = tuple(schedule.entries[i] for i in (2, 1, 0))
+    assert _assert_masks_match_probe_info(app, schedule) == 2
 
 
 @engine_smoke

@@ -327,6 +327,51 @@ def test_slow_paths_route_to_the_reference(fig8_app, monkeypatch):
 # ----------------------------------------------------------------------
 # The compiled context
 # ----------------------------------------------------------------------
+def test_threads_sharing_an_application_match_a_serial_run(c_path):
+    """Eight threads running ``ftss`` on one application — so on its
+    one context and the core's work buffers behind it — each in its own
+    order, give exactly what a serial run on a separate copy gives."""
+    import pickle
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(2024)
+    app = generate_application(
+        WorkloadSpec(n_processes=24, k=3, mu=15), rng=rng
+    )
+    root = ftss_reference(app)
+    assert root is not None
+    prefix = [e.name for e in root.entries[:4]]
+    clock = sum(app.process(name).wcet for name in prefix)
+    runs = [
+        (config, budget, start, completed)
+        for config in CONFIGS.values()
+        for budget, start, completed in (
+            (app.k, 0, ()), (1, 0, ()), (app.k - 1, clock, prefix),
+        )
+    ]
+
+    def run(target, order):
+        return [
+            schedule_fingerprint(
+                ftss(target, fault_budget=budget, start_time=start,
+                     prior_completed=completed, config=config)
+            )
+            for config, budget, start, completed in (runs[i] for i in order)
+        ]
+
+    serial = run(pickle.loads(pickle.dumps(app)), range(len(runs)))
+    orders = [
+        np.random.default_rng(seed).permutation(len(runs)).tolist()
+        for seed in range(8)
+    ]
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        results = list(
+            pool.map(lambda order: (order, run(app, order * 20)), orders)
+        )
+    for order, fingerprints in results:
+        assert fingerprints == [serial[i] for i in order * 20]
+
+
 def test_one_context_serves_every_config(c_path):
     """A context holds nothing of the FTSS config: runs of different
     configs on one context, in any order, give what a fresh context

@@ -80,22 +80,29 @@ def test_cycle_rejected_at_construction():
         )
 
 
-def test_cycle_rejected_on_add_edge():
-    graph = ProcessGraph([_soft("A"), _soft("B")], [("A", "B")])
+def test_cycle_closing_edge_rejected():
     with pytest.raises(GraphError):
-        graph.add_edge("B", "A")
+        ProcessGraph(
+            [_soft("A"), _soft("B"), _soft("C")],
+            [("A", "B"), ("B", "C"), ("C", "A")],
+        )
+
+
+def test_graph_has_no_add_edge():
+    """A process graph is fixed at construction: edges go through the
+    constructor, which checks them all."""
+    graph = ProcessGraph([_soft("A"), _soft("B")], [("A", "B")])
+    assert not hasattr(graph, "add_edge")
 
 
 def test_self_loop_rejected():
-    graph = ProcessGraph([_soft("A")], [])
     with pytest.raises(GraphError):
-        graph.add_edge("A", "A")
+        ProcessGraph([_soft("A")], [("A", "A")])
 
 
 def test_duplicate_edge_rejected():
-    graph = ProcessGraph([_soft("A"), _soft("B")], [("A", "B")])
     with pytest.raises(GraphError):
-        graph.add_edge("A", "B")
+        ProcessGraph([_soft("A"), _soft("B")], [("A", "B"), ("A", "B")])
 
 
 def test_duplicate_process_rejected():

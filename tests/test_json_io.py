@@ -37,6 +37,25 @@ class TestProcessRoundTrip:
         with pytest.raises(SerializationError):
             process_from_dict({"name": "P"})
 
+    def test_fractional_application_fields_rejected(self, fig1_app):
+        """The Fig. 1 document with a fractional µ, k and period is no
+        application: each raises instead of being truncated."""
+        from repro.errors import ModelError
+
+        for field, value, error in (
+            ("mu", 2.5, TimingError),
+            ("k", 1.9, ModelError),
+            ("period", 300.7, TimingError),
+        ):
+            document = application_to_dict(fig1_app)
+            document[field] = value
+            with pytest.raises(error, match="must be an integer"):
+                application_from_dict(document)
+        document = application_to_dict(fig1_app)
+        document.update(mu=2.5, k=1.9, period=300.7)
+        with pytest.raises(TimingError, match="period"):
+            application_from_dict(document)
+
     def test_fractional_aet_rejected(self, fig1_app):
         """A document with a fractional AET is no application: lowering
         would truncate it, so the C core and the oracles would decide

@@ -211,6 +211,196 @@ def test_plan_key_follows_predecessor_order():
     assert plan_key(first, trees[0]) != plan_key(second, trees[1])
 
 
+def _fig1_variants(app, tree):
+    """``(label, application, tree)`` of Fig. 1's plan with one thing
+    the lowered tables read changed each, every pair rebound from
+    edited documents."""
+    from repro.io.json_io import (
+        application_from_dict,
+        application_to_dict,
+        tree_from_dict,
+        tree_to_dict,
+    )
+
+    def edited(edit_app=None, edit_tree=None):
+        app_doc, tree_doc = application_to_dict(app), tree_to_dict(tree)
+        if edit_app is not None:
+            edit_app(app_doc)
+        if edit_tree is not None:
+            edit_tree(tree_doc)
+        twin = application_from_dict(app_doc)
+        return twin, tree_from_dict(twin, tree_doc)
+
+    processes = lambda doc: doc["graph"]["processes"]  # noqa: E731
+    root = lambda doc: doc["nodes"][0]  # noqa: E731
+    entries = root(tree_to_dict(tree))["schedule"]["entries"]
+    soft = next(
+        i for i, e in enumerate(entries) if app.process(e["name"]).is_soft
+    )
+
+    def set_cap(doc):
+        root(doc)["schedule"]["entries"][soft]["reexecutions"] += 1
+
+    def flip_sharing(doc):
+        schedule = root(doc)["schedule"]
+        schedule["slack_sharing"] = not schedule["slack_sharing"]
+
+    def widen_arc(doc):
+        root(doc)["arcs"][0]["hi"] += 1
+
+    def move_breakpoint(doc):
+        processes(doc)[1]["utility"]["steps"][0][0] += 1
+
+    return [
+        ("k", *edited(edit_app=lambda doc: doc.update(k=doc["k"] + 1))),
+        ("period", *edited(
+            edit_app=lambda doc: doc.update(period=doc["period"] + 1)
+        )),
+        ("wcet", *edited(
+            edit_app=lambda doc: processes(doc)[0].update(wcet=71)
+        )),
+        ("breakpoint", *edited(edit_app=move_breakpoint)),
+        ("cap", *edited(edit_tree=set_cap)),
+        ("slack sharing", *edited(edit_tree=flip_sharing)),
+        ("arc bound", *edited(edit_tree=widen_arc)),
+    ]
+
+
+def test_plan_key_covers_what_lowering_reads(fig1_app):
+    """The memo key changes with every input of the lowered tables —
+    k, the period, a WCET, a utility breakpoint, a cap, a node's slack
+    sharing, an arc bound; the predecessor order is
+    ``test_plan_key_follows_predecessor_order``'s — and survives a JSON
+    round trip."""
+    from repro.io.json_io import (
+        application_from_dict,
+        application_to_dict,
+        tree_from_dict,
+        tree_to_dict,
+    )
+    from repro.quasistatic.ftqs import ftqs
+    from repro.runtime.engine.kernel.dispatch import plan_key
+
+    root = ftss_reference(fig1_app)
+    tree = ftqs(fig1_app, root, FTQSConfig(max_schedules=6))
+    assert tree.root.arcs
+    key = plan_key(fig1_app, tree)
+    twin = application_from_dict(application_to_dict(fig1_app))
+    assert plan_key(twin, tree_from_dict(twin, tree_to_dict(tree))) == key
+    keys = {key}
+    for label, app, variant in _fig1_variants(fig1_app, tree):
+        changed = plan_key(app, variant)
+        assert changed not in keys, label
+        keys.add(changed)
+
+
+def test_round_tripped_plan_hits_the_memo(fig1_app, kernel_cache,
+                                          monkeypatch):
+    """A second simulator on a JSON round trip of the application and
+    the tree counts a memo hit and lowers nothing, and its plan key
+    builds no JSON document."""
+    _needs_compiler()
+    import repro.io.json_io as json_io
+    import repro.runtime.engine.kernel.dispatch as dispatch
+
+    tree = _tree(fig1_app)
+    twin = json_io.application_from_dict(json_io.application_to_dict(fig1_app))
+    twin_tree = json_io.tree_from_dict(twin, json_io.tree_to_dict(tree))
+    lowered, documents = [], []
+    lower_plan = dispatch.lower_plan
+
+    def counting(app, plan, core):
+        lowered.append(plan)
+        return lower_plan(app, plan, core)
+
+    def no_documents(*args, **kwargs):
+        documents.append(args)
+        raise AssertionError("the plan key built a JSON document")
+
+    monkeypatch.setattr(dispatch, "lower_plan", counting)
+    for name in ("application_to_dict", "tree_to_dict", "content_digest"):
+        monkeypatch.setattr(json_io, name, no_documents)
+    first = KernelSimulator(fig1_app, tree)
+    second = KernelSimulator(twin, twin_tree)
+    assert [first.engine_used, second.engine_used] == ["kernel"] * 2
+    assert len(lowered) == 1 and documents == []
+    assert kernel_stats().cache_hits == 1
+    assert second._lowered is first._lowered
+    _assert_same_results(twin, twin_tree, second)
+
+
+def test_one_context_and_one_lowering_per_application(kernel_cache,
+                                                      monkeypatch):
+    """A one-application Fig. 9 run — FTSS admission, FTSF, FTQS and
+    the kernel evaluation of three plans — builds one scheduling
+    context and lowers the application's records once per application
+    object it draws."""
+    _needs_compiler()
+    from repro.evaluation.experiments.fig9 import Fig9Config, Fig9Runner
+    from repro.runtime.engine.kernel import lower
+    from repro.scheduling.compiled import SchedulingContext
+
+    contexts, lowerings = [], []
+    init = SchedulingContext.__init__
+    lower_application = lower.lower_application
+
+    def counting_init(self, app):
+        contexts.append(app)
+        init(self, app)
+
+    def counting_lower(app, names):
+        lowerings.append(app)
+        return lower_application(app, names)
+
+    monkeypatch.setattr(SchedulingContext, "__init__", counting_init)
+    monkeypatch.setattr(lower, "lower_application", counting_lower)
+    config = Fig9Config(
+        sizes=(20,), apps_per_size=1, n_scenarios=30, max_schedules=8,
+        k=3, mu=15, seed=5, execution="kernel",
+    )
+    rows = Fig9Runner(config).run()
+    assert rows
+    assert len(contexts) == len({id(app) for app in contexts}) == 1
+    assert [id(app) for app in lowerings] == [id(app) for app in contexts]
+    assert kernel_stats().fallbacks == {}
+
+
+def test_application_and_context_are_freed_together():
+    """The application → context → application cycle is collectable:
+    once nothing else holds the application, it and its context (with
+    the core's tables) are freed, while lowered plans stay memoized."""
+    import gc
+    import weakref
+
+    from repro.scheduling.compiled import SchedulingContext
+
+    app = paper_fig8_application()
+    tree = _tree(app)
+    ftss(app)
+    KernelSimulator(app, tree).run_batch(_batch(app, n=4)[0])
+    ctx = SchedulingContext.of(app)
+    assert SchedulingContext.of(app) is ctx
+    refs = [weakref.ref(app), weakref.ref(ctx), weakref.ref(ctx.core)]
+    del app, tree, ctx
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_pickled_application_leaves_its_context_behind(fig1_app):
+    """Process workers receive pickled applications: the context (it
+    holds ctypes pointers) is not part of the pickle, and the copy
+    builds its own."""
+    import pickle
+
+    from repro.scheduling.compiled import SchedulingContext
+
+    ctx = SchedulingContext.of(fig1_app)
+    copy = pickle.loads(pickle.dumps(fig1_app))
+    assert copy._context is None and fig1_app._context is ctx
+    assert SchedulingContext.of(copy) is not ctx
+    assert ftss(copy).entries == ftss(fig1_app).entries
+
+
 def test_content_digests_are_pinned():
     """The tree store's fingerprint and application tag and the
     checkpoint's workload and unit keys of one fixed input keep their

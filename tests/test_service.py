@@ -191,6 +191,26 @@ def test_fractional_timing_is_invalid_application(fig1_payload):
     assert "aet" in json.loads(body)["error"]["message"]
 
 
+def test_fractional_application_field_is_invalid_application(fig1_payload):
+    """A fractional µ, k or period fails the model checks too: 400
+    ``invalid-application``, naming the field."""
+    with service() as handle:
+        for field, value, label in (
+            ("mu", 2.5, "recovery overhead"),
+            ("k", 1.9, "fault budget k"),
+            ("period", 300.7, "period"),
+        ):
+            broken = copy.deepcopy(fig1_payload)
+            broken["application"][field] = value
+            status, body, _ = http_post(
+                handle.url + "/v1/schedule", broken
+            )
+            assert (status, error_code(body)) == (
+                400, "invalid-application"
+            ), field
+            assert label in json.loads(body)["error"]["message"]
+
+
 # ----------------------------------------------------------------------
 # Caching: the second identical request is 100% store hits, zero
 # rebuilds, and the bytes are identical.

@@ -642,7 +642,7 @@ def test_rk_expected_on_every_branch(c_path):
     for pid in range(len(ctx.names)):
         for count, variance, lo, hi in shapes:
             term = TailTerm(
-                alpha=0.37 + pid / 8, fn=ctx.utilities[pid],
+                alpha=0.37 + pid / 8, fn=utilities[pid],
                 mean=(lo + hi) / 2 + 0.25, variance=variance,
                 lo_sum=lo, hi_sum=hi, count=count,
             )
