@@ -105,7 +105,7 @@ def _kernel_vs_reference(evaluator, plan):
     by_kernel, t_ker = _time_engine(evaluator, plan, "kernel")
     for faults, outcome in by_kernel.items():
         expected = by_reference[faults]
-        assert outcome.utilities == expected.utilities
+        assert outcome.utilities.tobytes() == expected.utilities.tobytes()
         assert outcome.mean_utility == expected.mean_utility
         assert outcome.deadline_misses == expected.deadline_misses
         assert outcome.fallbacks == 0
@@ -228,8 +228,8 @@ def test_parallel_compare_workload(cc_setup, full_scale, trajectory):
     for name in plans:
         for faults in (0, 1, 2):
             assert (
-                serial[name][faults].utilities
-                == sharded[name][faults].utilities
+                serial[name][faults].utilities.tobytes()
+                == sharded[name][faults].utilities.tobytes()
             )
     total = n * 3 * len(plans)
     print(
@@ -318,8 +318,8 @@ def test_kernel_threads_beat_processes_compare_workload(
     for name in plans:
         for faults in (0, 1, 2):
             assert (
-                by_threads[name][faults].utilities
-                == by_processes[name][faults].utilities
+                by_threads[name][faults].utilities.tobytes()
+                == by_processes[name][faults].utilities.tobytes()
             )
     total = n * 3 * len(plans)
     print(

@@ -12,7 +12,8 @@ all sharing one execution-time array.
 
 Every engine replays a scenario set the same way: one simulator per
 plan, whose ``run_batch`` resolves a whole
-:class:`~repro.runtime.engine.batch.ScenarioBatch` per fault count.
+:class:`~repro.runtime.engine.batch.ScenarioBatch` per fault count
+into arrays, which :meth:`EvaluationOutcome.of` aggregates as they are.
 The engine picks the simulator (:func:`simulator_for`):
 
 * ``reference`` — a
@@ -37,16 +38,18 @@ instance or a spec string like ``"kernel@threads:8"``):
 ``mode="threads"`` across a GIL-free thread pool via
 :class:`~repro.runtime.engine.threads.ThreadedEvaluator`.  Each shard
 builds the plan's simulator and runs its rows through ``run_batch``
-like an inline evaluation, so sharding is deterministic and
-outcome-preserving for any mode and worker count.  No layer here
-caches a plan: a plan's lowered tables outlive an evaluation only in
-the kernel's in-process memo, keyed by the plan's content.
+like an inline evaluation, and the shards' arrays are concatenated in
+range order, so sharding is deterministic and outcome-preserving for
+any mode and worker count.  No layer here caches a plan: a plan's
+lowered tables outlive an evaluation only in the kernel's in-process
+memo, keyed by the plan's content.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from numbers import Integral
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,10 +58,15 @@ from repro.execution import ExecutionConfig
 from repro.model.application import Application
 from repro.quasistatic.tree import QSTree
 from repro.runtime.engine.batch import ScenarioBatch
-from repro.runtime.engine.simulator import BatchSimulator
+from repro.runtime.engine.simulator import BatchSimulator, BatchTotals
 from repro.scheduling.fschedule import FSchedule
 
 Plan = Union[QSTree, FSchedule]
+
+
+def _whole(value) -> bool:
+    """An integer, NumPy's included, and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def simulator_for(engine: str, app: Application, plan: Plan) -> BatchSimulator:
@@ -74,23 +82,25 @@ def simulator_for(engine: str, app: Application, plan: Plan) -> BatchSimulator:
 
 @dataclass
 class EvaluationOutcome:
-    """Aggregated simulation results of one plan on one scenario set."""
+    """Aggregated simulation results of one plan on one scenario set (the
+    fields outcomes compare by), and ``utilities``, the per-scenario
+    utilities as a read-only float64 array — ``None`` when decoded from
+    a checkpoint journal, which stores the aggregates only."""
 
     mean_utility: float
-    utilities: List[float] = field(repr=False, default_factory=list)
-    deadline_misses: int = 0
-    mean_switches: float = 0.0
-    mean_faults: float = 0.0
-    fallbacks: int = 0
+    n_scenarios: int
+    deadline_misses: int
+    mean_switches: float
+    mean_faults: float
+    fallbacks: int
+    utilities: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:
         """True when no simulated cycle missed a hard deadline."""
         return self.deadline_misses == 0
-
-    @property
-    def n_scenarios(self) -> int:
-        return len(self.utilities)
 
     @property
     def fast_path_share(self) -> float:
@@ -100,38 +110,35 @@ class EvaluationOutcome:
         reference engine or a degraded kernel; drops in between flag
         fast-path coverage regressions.
         """
-        if not self.utilities:
-            return 0.0
-        return 1.0 - self.fallbacks / len(self.utilities)
+        return 1.0 - self.fallbacks / self.n_scenarios
 
     @classmethod
-    def aggregate(
-        cls,
-        utilities: Sequence[float],
-        deadline_misses: int,
-        total_switches: int,
-        total_faults: int,
-        fallbacks: int = 0,
-    ) -> "EvaluationOutcome":
-        """Aggregate per-scenario results into one outcome.
+    def of(cls, parts: Sequence[BatchTotals]) -> "EvaluationOutcome":
+        """The outcome of one fault count's scenario set, run as
+        ``parts`` in scenario order (one batch inline, one per shard).
 
         Raises :class:`RuntimeModelError` on an empty scenario set —
-        the per-scenario means are undefined, and silently returning
-        zeros would poison every normalization downstream.
+        the means are undefined, and zeros would poison every
+        normalization downstream.
         """
-        count = len(utilities)
+        count = sum(len(part.utilities) for part in parts)
         if count == 0:
             raise RuntimeModelError(
                 "cannot aggregate an empty scenario set; every fault "
                 "count needs at least one scenario"
             )
+        utilities = parts[0].utilities if len(parts) == 1 else (
+            np.concatenate([part.utilities for part in parts])
+        )
+        utilities.flags.writeable = False
         return cls(
             mean_utility=float(np.mean(utilities)),
-            utilities=list(utilities),
-            deadline_misses=deadline_misses,
-            mean_switches=total_switches / count,
-            mean_faults=total_faults / count,
-            fallbacks=fallbacks,
+            n_scenarios=count,
+            deadline_misses=sum(part.deadline_misses for part in parts),
+            mean_switches=sum(part.switches for part in parts) / count,
+            mean_faults=sum(part.faults for part in parts) / count,
+            fallbacks=sum(part.fallbacks for part in parts),
+            utilities=utilities,
         )
 
 
@@ -177,8 +184,11 @@ class MonteCarloEvaluator:
         execution: Union[None, str, ExecutionConfig] = None,
         resources=None,
     ):
-        if n_scenarios < 1:
-            raise RuntimeModelError("need at least one scenario")
+        if not _whole(n_scenarios) or n_scenarios < 1:
+            raise RuntimeModelError(
+                "need at least one scenario; the scenario count must be an "
+                f"integer, got {n_scenarios!r}"
+            )
         self.app = app
         self.n_scenarios = int(n_scenarios)
         self.seed = seed
@@ -197,16 +207,17 @@ class MonteCarloEvaluator:
             raise RuntimeModelError(
                 "need at least one fault count to evaluate"
             )
+        for faults in self.fault_counts:
+            if not _whole(faults) or faults < 0:
+                raise ModelError(
+                    "fault count must be an integer and non-negative, "
+                    f"got {faults!r}"
+                )
         if len(set(self.fault_counts)) != len(self.fault_counts):
             # A repeated count would be sampled twice, the second draw
             # silently replacing the first under the same key.
             raise RuntimeModelError(
                 f"duplicate fault counts in {self.fault_counts}"
-            )
-        negative = [f for f in self.fault_counts if f < 0]
-        if negative:
-            raise ModelError(
-                f"fault count must be non-negative, got {negative[0]}"
             )
         # Couple the fault-count axes: the i-th scenario of every fault
         # count shares the same execution-time draws, differing only in
@@ -261,8 +272,8 @@ class MonteCarloEvaluator:
             return self.executor(config).evaluate(plan)
         simulator = simulator_for(config.engine, self.app, plan)
         return {
-            faults: EvaluationOutcome.aggregate(
-                *simulator.run_batch(self.scenarios[faults]).raw_outcome()
+            faults: EvaluationOutcome.of(
+                [simulator.run_batch(self.scenarios[faults]).totals()]
             )
             for faults in self.fault_counts
         }

@@ -18,7 +18,9 @@ Layout under the checkpoint directory:
   manifest does not match, so rows of different workloads can never be
   mixed;
 * ``journal.jsonl`` — one JSON line per completed unit:
-  ``{"key": <unit fingerprint>, "value": <encoded outcomes>}``.  Each
+  ``{"key": <unit fingerprint>, "value": <encoded outcomes>}``, an
+  outcome being its :data:`AGGREGATES` (format 2; format 1, which
+  ``--resume`` refuses, held every per-scenario utility).  Each
   line is flushed and fsynced before the run moves on, so a kill
   between rows loses nothing; a kill *mid-write* leaves at most one
   torn trailing line, which the loader tolerates (everything before it
@@ -29,11 +31,11 @@ The journaled unit is one evaluator call — ``compare(plans)`` or
 parameters and the plans' canonical JSON forms.
 :class:`JournalingEvaluator` wraps the runner's Monte-Carlo evaluator:
 a journal hit decodes the stored
-:class:`~repro.evaluation.montecarlo.EvaluationOutcome` values without
-constructing the real evaluator at all (skipping its eager scenario
-sampling — the expensive part at paper scale), and floats round-trip
-exactly through JSON (``repr`` shortest-form, the same guarantee the
-golden differential suite relies on).
+:class:`~repro.evaluation.montecarlo.EvaluationOutcome` aggregates
+without constructing the real evaluator at all (skipping its eager
+scenario sampling — the expensive part at paper scale), and floats
+round-trip exactly through JSON (``repr`` shortest-form, the same
+guarantee the golden differential suite relies on).
 """
 
 from __future__ import annotations
@@ -48,7 +50,11 @@ from repro.io.json_io import content_digest
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: What a journaled outcome stores: its aggregates (ints and floats).
+AGGREGATES = ("mean_utility", "n_scenarios", "deadline_misses",
+              "mean_switches", "mean_faults", "fallbacks")
 
 #: Config knobs masked out of the workload fingerprint: pure routing,
 #: proven result-neutral by the differential suites.
@@ -189,6 +195,12 @@ class ExperimentCheckpoint:
                 f"cannot resume: unreadable checkpoint manifest at "
                 f"{path}: {exc}"
             ) from exc
+        if manifest.get("format") != FORMAT_VERSION:
+            raise RuntimeModelError(
+                f"cannot resume: the checkpoint at {self.directory} is in "
+                f"format {manifest.get('format')!r}, this version reads "
+                f"format {FORMAT_VERSION} (use a fresh --checkpoint directory)"
+            )
         if manifest.get("fingerprint") != self.fingerprint:
             if manifest.get("experiment") != self.experiment:
                 what = (
@@ -288,31 +300,26 @@ class ExperimentCheckpoint:
 # ----------------------------------------------------------------------
 # Outcome (de)serialization
 # ----------------------------------------------------------------------
-def _encode_outcomes(outcomes) -> Dict[str, Any]:
-    """``{fault count: EvaluationOutcome}`` → JSON-safe dict."""
-    return {str(faults): asdict(out) for faults, out in outcomes.items()}
-
-
-def _decode_outcomes(data: Dict[str, Any]):
-    from repro.evaluation.montecarlo import EvaluationOutcome
-
-    return {
-        int(faults): EvaluationOutcome(**fields)
-        for faults, fields in data.items()
-    }
-
-
 def _encode_results(results) -> Dict[str, Any]:
-    """``compare()``'s ``{name: {faults: outcome}}`` → JSON-safe."""
+    """``compare()``'s ``{name: {faults: outcome}}`` → JSON-safe, each
+    outcome its :data:`AGGREGATES`."""
     return {
-        name: _encode_outcomes(outcomes)
+        name: {
+            str(faults): {field: getattr(out, field) for field in AGGREGATES}
+            for faults, out in outcomes.items()
+        }
         for name, outcomes in results.items()
     }
 
 
 def _decode_results(data: Dict[str, Any]):
+    from repro.evaluation.montecarlo import EvaluationOutcome
+
     return {
-        name: _decode_outcomes(outcomes)
+        name: {
+            int(faults): EvaluationOutcome(**fields)
+            for faults, fields in outcomes.items()
+        }
         for name, outcomes in data.items()
     }
 
@@ -395,15 +402,7 @@ class JournalingEvaluator:
         return results
 
     def evaluate(self, plan):
-        key = self.key_for({"plan": plan})
-        cached = self._checkpoint.lookup(key)
-        if cached is not None:
-            return _decode_outcomes(cached["plan"])
-        outcomes = self._ensure_inner().evaluate(plan)
-        self._checkpoint.record(
-            key, _encode_results({"plan": outcomes})
-        )
-        return outcomes
+        return self.compare({"plan": plan})["plan"]
 
     def close(self) -> None:
         if self._inner is not None:

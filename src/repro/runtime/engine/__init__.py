@@ -13,9 +13,10 @@ sets through one C core on top of it:
   straight into them, on the per-scenario sampler's RNG stream) and
   builds the oracle's scenario objects on access;
 * :mod:`repro.runtime.engine.simulator` — :class:`BatchResult`, the
-  per-scenario outcome arrays, and :class:`BatchSimulator`, a plan
-  with its oracle, whose per-scenario replay is the ``reference``
-  engine and the kernel's degradation and residual path;
+  per-scenario outcome arrays (chains too), and
+  :class:`BatchSimulator`, a plan with its oracle, whose per-scenario
+  replay is the ``reference`` engine and the kernel's degradation and
+  residual path;
 * :mod:`repro.runtime.engine.kernel` — :class:`KernelSimulator`
   lowers the plan's tree into tables and runs whole batches through
   one prebuilt C core;
@@ -23,7 +24,7 @@ sets through one C core on top of it:
   shards an evaluator's scenario sets across a persistent pool of
   ``multiprocessing`` workers that attach the batch arrays via shared
   memory (shipped once per worker as a :class:`WorkerContext` of the
-  general-purpose :class:`TaskPool`), and merges the outcomes;
+  general-purpose :class:`TaskPool`), and merges the shards' arrays;
 * :mod:`repro.runtime.engine.threads` — :class:`ThreadedEvaluator`
   shards the same ranges across a thread pool against the C kernel
   core's GIL-releasing call (``ExecutionConfig`` mode

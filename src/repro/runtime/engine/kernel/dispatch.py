@@ -21,9 +21,10 @@ with a counted reason; results are identical either way, so
 degradation is a performance event, never a correctness one.
 
 Per batch, the core executes every scenario in one C call
-(:func:`run_core`; the GIL is released for its duration); scenarios
-the C walk flags as outside its state model are replayed on the oracle
-afterwards — including reproducing the oracle's raises.
+(:func:`run_core`; the GIL is released for its duration) writing
+into the result's arrays; scenarios the C walk flags as outside its
+state model are replayed on the oracle afterwards into the same
+arrays — including reproducing the oracle's raises.
 
 The module-global :class:`KernelStats` mirrors the parallel pool's
 ``pool_recovery()`` idiom: core builds, table memo hits and
@@ -60,7 +61,6 @@ from repro.runtime.engine.kernel.lower import (
     RkSched,
     flatten_plan,
     lower_plan,
-    reusing,
 )
 from repro.runtime.engine.simulator import BatchResult, BatchSimulator
 from repro.scheduling.compiled import SchedulingContext
@@ -300,12 +300,12 @@ def bind_design(lib: ctypes.CDLL):
 
 
 def run_core(run, plan: RkPlan, batch: ScenarioBatch) -> BatchResult:
-    """Every scenario of ``batch`` through one ``rk_run`` call; the
-    scenarios the core flags have ``fast_path`` unset, for the caller
-    to replay (a rejected call flags them all)."""
+    """Every scenario of ``batch`` through one ``rk_run`` call, into
+    the result's arrays; the scenarios the core flags have
+    ``fast_path`` unset, for the caller to replay (a rejected call
+    flags them all)."""
     n = batch.n_scenarios
-    result = BatchResult.empty(n)
-    chains = np.zeros((n, plan.n_nodes + 1), dtype=np.int64)
+    result = BatchResult.empty(n, plan.n_nodes + 1)
     flagged = np.zeros(n, dtype=np.uint8)
     # Work buffers of the RK_*_LEN sizes, per call: threads shards run
     # one plan concurrently.  The tuples keep every array alive while
@@ -322,7 +322,7 @@ def run_core(run, plan: RkPlan, batch: ScenarioBatch) -> BatchResult:
         (result.deadline_miss.view(np.uint8), np.uint8),
         (result.switch_counts, np.int64),
         (result.faults_observed, np.int64),
-        (chains, np.int64),
+        (result.chains, np.int64),
         (flagged, np.uint8),
     )
     rc = run(
@@ -335,9 +335,6 @@ def run_core(run, plan: RkPlan, batch: ScenarioBatch) -> BatchResult:
     if rc != 0:  # pragma: no cover - guarded by ScenarioBatch
         flagged[:] = 1
     result.fast_path[:] = flagged == 0
-    counts = result.switch_counts.tolist()
-    for i in np.flatnonzero(result.switch_counts).tolist():
-        result.switch_chains[i] = tuple(chains[i, : counts[i]].tolist())
     return result
 
 
@@ -406,8 +403,7 @@ def _plan_tables(
         _TABLES.move_to_end(key)
         kernel_stats().add("cache_hits")
         return lowered
-    with reusing(flat):
-        lowered = _TABLES[key] = LoweredPlan(lower_plan(ctx.app, tree, core))
+    lowered = _TABLES[key] = LoweredPlan(lower_plan(ctx.app, flat, core))
     while len(_TABLES) > TABLES_CAPACITY:
         _TABLES.popitem(last=False)
     return lowered

@@ -28,7 +28,7 @@ lowers only the tree, in two steps:
 
 The kernel engine's plan memo keys a plan by :meth:`FlatPlan.key`, a
 SHA-256 over the application's records and the flattened arrays, and
-on a miss derives from the flattening it keyed (:func:`reusing`).  The
+on a miss hands that flattening to :func:`lower_plan`.  The
 §2.2 keep-vs-drop benefit needs no table: the core derives its terms
 from the node's later entries and their processes' records.  The
 record dtypes and :class:`RkPlan` mirror the structs of
@@ -42,10 +42,8 @@ reference oracle, the export refuses them).
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import hashlib
-import threading
 from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
@@ -324,55 +322,51 @@ def _words(masks: Sequence[int], n_words: int) -> np.ndarray:
     )
 
 
-def lower_application(app, names: Sequence[str]) -> Dict[str, np.ndarray]:
-    """The :data:`APP_ARRAYS` tables of ``app`` with process ``i``
-    named ``names[i]``: process records (criticality; ``col``, its
-    index in ``app.processes``, which is its column in a scenario's
-    arrays; deadline, the period for a soft process; AET, BCET, WCET
-    and recovery overhead; utility), the dependence graph in its
+def lower_application(ctx: SchedulingContext) -> Dict[str, np.ndarray]:
+    """The :data:`APP_ARRAYS` tables of ``ctx``'s application in its
+    pid order: process records (criticality; ``col``, its index in
+    ``app.processes``, which is its column in a scenario's arrays;
+    deadline, the period for a soft process; AET, BCET, WCET and
+    recovery overhead; utility), the dependence graph in its
     topological order with predecessors in graph order, and the hard
-    and soft masks.  An unknown utility subclass raises
+    and soft masks.  Reads the context's columns, and each process's
+    AET and utility once.  An unknown utility subclass raises
     :class:`KernelUnsupported`."""
-    index = {name: i for i, name in enumerate(names)}
+    app = ctx.app
     column = {p.name: c for c, p in enumerate(app.processes)}
     procs: List[tuple] = []
     ubound: List[int] = []
     uval: List[float] = []
-    hard = soft = 0
-    for pid, name in enumerate(names):
+    for pid, name in enumerate(ctx.names):
         proc = app.process(name)
-        is_hard = proc.is_hard
+        is_hard = ctx.is_hard[pid]
         linear, bounds, values, u0, slope = _utility_spec(proc.utility)
         procs.append(
             (int(is_hard), column[name],
-             int(proc.deadline if is_hard else app.period), proc.aet,
-             proc.bcet, proc.wcet, app.recovery_overhead(name), linear,
+             ctx.deadline[pid] if is_hard else ctx.period, proc.aet,
+             ctx.bcet[pid], ctx.wcet[pid], ctx.mu[pid], linear,
              len(ubound), u0, slope)
         )
         ubound += bounds + (_SENTINEL,)
         uval += values
-        if is_hard:
-            hard |= 1 << pid
-        else:
-            soft |= 1 << pid
     graph: List[tuple] = []
     pred: List[int] = []
     for name in app.graph.topological_order():
-        preds = [index[p] for p in app.graph.predecessors(name)]
+        p = ctx.pid[name]
+        preds = ctx.pred_list[p]
         graph.append(
-            (index[name], len(pred), len(pred) + len(preds),
-             float(1 + len(preds)))
+            (p, len(pred), len(pred) + len(preds), float(1 + len(preds)))
         )
         pred += preds
-    n_words = (len(names) + 63) // 64
+    n_words = (len(ctx.names) + 63) // 64
     return {
         "procs": np.array(procs, dtype=PROC),
         "graph": np.array(graph, dtype=VERTEX),
         "pred": np.array(pred, dtype=_I8),
         "ubound": np.array(ubound, dtype=_I8),
         "uval": np.array(uval, dtype=_F8),
-        "hard_mask": _words([hard], n_words),
-        "soft_mask": _words([soft], n_words),
+        "hard_mask": _words([ctx.hard_mask], n_words),
+        "soft_mask": _words([ctx.soft_mask], n_words),
     }
 
 
@@ -387,7 +381,7 @@ class LoweredApplication:
 
     def __init__(self, ctx: SchedulingContext):
         app = ctx.app
-        self.arrays = lower_application(app, ctx.names)
+        self.arrays = lower_application(ctx)
         for array in self.arrays.values():
             array.flags.writeable = False
         self.n_proc = n = len(ctx.names)
@@ -519,30 +513,14 @@ def flatten_plan(
     )
 
 
-#: Per thread, the flattening a caller hands the next :func:`lower_plan`
-#: of its tree (:func:`reusing`).
-_REUSE = threading.local()
-
-
-@contextlib.contextmanager
-def reusing(flat: FlatPlan):
-    """Within the block, :func:`lower_plan` of ``flat``'s tree and
-    application, in this thread, derives from ``flat`` instead of
-    flattening the tree again: the plan memo keys a plan by its
-    flattening and lowers it on a miss."""
-    _REUSE.flat = flat
-    try:
-        yield
-    finally:
-        _REUSE.flat = None
-
-
 def lower_plan(
-    app: Application, plan: Union[QSTree, FSchedule], core=None
+    app: Application, plan: Union[QSTree, FSchedule, FlatPlan], core=None
 ) -> Dict[str, np.ndarray]:
     """The ``rk_plan`` tables of one plan, by field name: the
     application's tables from its context, shared, and the tree's,
-    flattened (:func:`flatten_plan`) and derived.
+    flattened (:func:`flatten_plan`, unless ``plan`` is already a
+    :class:`FlatPlan` of ``app``'s context — one flattened on another
+    context raises :class:`ValueError`) and derived.
 
     Includes every schedulability threshold the core can consult
     (attempts ``0..min(cap, k)-1`` per soft position, budgets
@@ -554,9 +532,9 @@ def lower_plan(
     """
     ctx = SchedulingContext.of(app)
     lowered = ctx.lowered
-    flat = getattr(_REUSE, "flat", None)
-    if flat is None or flat.tree is not plan or flat.ctx is not ctx:
-        flat = flatten_plan(ctx, plan)
+    flat = plan if isinstance(plan, FlatPlan) else flatten_plan(ctx, plan)
+    if flat.ctx is not ctx:
+        raise ValueError("the plan was flattened on another application")
     is_hard, pids = ctx.is_hard, flat.pids
     pred_mask, hard_preds = lowered.pred_mask, lowered.hard_preds
     node_mask: List[int] = []

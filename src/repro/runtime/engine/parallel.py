@@ -23,10 +23,11 @@ both run the same context-carrying tasks
 carries the plan and its scenario range; the worker builds the plan's
 simulator for it and runs every fault count's rows through
 ``run_batch`` (:func:`simulate_rows`, the shard task the thread
-executor runs too).  Nothing keeps a plan past its evaluation, on
-either side: for the kernel engine a worker finds a plan's tables in
-its own content-keyed table memo when it has lowered that plan
-before.  The parent builds the core before fanning out, so workers
+executor runs too), sending back only each set's utilities array and
+integer sums (:class:`BatchTotals`).  Nothing keeps a plan past its
+evaluation, on either side: for the kernel engine a worker finds a
+plan's tables in its own content-keyed table memo when it has lowered
+that plan before.  The parent builds the core before fanning out, so workers
 inherit it (or load it from the shared artifact cache) instead of
 racing to build it.
 """
@@ -51,6 +52,7 @@ import numpy as np
 
 from repro.errors import RuntimeModelError
 from repro.execution import ExecutionConfig
+from repro.runtime.engine.simulator import BatchTotals
 
 #: Parent-side source of unique :class:`WorkerContext` tokens.
 _CONTEXT_TOKENS = itertools.count(1)
@@ -105,25 +107,22 @@ def shard_bounds(n_scenarios: int, workers: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-#: One shard's raw result per fault count: (utilities, misses, total
-#: switches, total observed faults, oracle fallbacks).
-_ShardRaw = Dict[int, Tuple[List[float], int, int, int, int]]
-
-
-def simulate_rows(simulator, batches, lo: int, hi: int) -> _ShardRaw:
+def simulate_rows(
+    simulator, batches, lo: int, hi: int
+) -> Dict[int, BatchTotals]:
     """Simulate scenarios ``[lo, hi)`` of every scenario set with one
     plan's :class:`~repro.runtime.engine.simulator.BatchSimulator` —
-    the shard task of both executors."""
+    the shard task of both executors; no chains go back."""
     return {
-        faults: simulator.run_batch(batch.rows(lo, hi)).raw_outcome()
+        faults: simulator.run_batch(batch.rows(lo, hi)).totals()
         for faults, batch in batches.items()
     }
 
 
 def merge_shard_outcomes(
-    fault_counts: Sequence[int], shards: Sequence[_ShardRaw]
+    fault_counts: Sequence[int], shards: Sequence[Dict[int, BatchTotals]]
 ) -> Dict[int, "EvaluationOutcome"]:
-    """Merge per-shard raw results in shard (= scenario range) order.
+    """Merge per-shard results in shard (= scenario range) order.
 
     Per-scenario results are independent of the slicing, so merging the
     shards of :func:`shard_bounds` reproduces a single in-process run
@@ -132,27 +131,10 @@ def merge_shard_outcomes(
     """
     from repro.evaluation.montecarlo import EvaluationOutcome
 
-    outcomes: Dict[int, EvaluationOutcome] = {}
-    for faults in fault_counts:
-        utilities: List[float] = []
-        misses = switches = observed = fallbacks = 0
-        for shard in shards:
-            (
-                shard_utilities,
-                shard_misses,
-                shard_switches,
-                shard_observed,
-                shard_fallbacks,
-            ) = shard[faults]
-            utilities.extend(shard_utilities)
-            misses += shard_misses
-            switches += shard_switches
-            observed += shard_observed
-            fallbacks += shard_fallbacks
-        outcomes[faults] = EvaluationOutcome.aggregate(
-            utilities, misses, switches, observed, fallbacks
-        )
-    return outcomes
+    return {
+        faults: EvaluationOutcome.of([shard[faults] for shard in shards])
+        for faults in fault_counts
+    }
 
 
 #: The published scenario sets: (process names, fault counts in set
@@ -202,7 +184,7 @@ class _EvaluationWorker:
         self._segments = []
 
 
-def _simulate_slice(state: _EvaluationWorker, task) -> _ShardRaw:
+def _simulate_slice(state: _EvaluationWorker, task):
     """Worker entry point: build the plan's simulator and simulate
     scenarios ``[lo, hi)`` of each set with it."""
     from repro.evaluation.montecarlo import simulator_for

@@ -1,8 +1,9 @@
 """Per-scenario batch results and the plan the C core wraps.
 
 :class:`BatchResult` holds the per-scenario outcomes of one batch run
-in array form — what the evaluation layer aggregates and what the
-differential suite compares against the oracle.
+in array form — what the evaluation layer aggregates (as
+:class:`BatchTotals`) and what the differential suite compares against
+the oracle; switch chains become tuples only when read.
 
 :class:`BatchSimulator` prepares one plan for execution: the plan as
 a tree, its behavioral oracle
@@ -22,7 +23,8 @@ outside its state model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple, Union
+from functools import cached_property
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,31 +36,44 @@ from repro.runtime.online import OnlineScheduler
 from repro.scheduling.fschedule import FSchedule
 
 
+class BatchTotals(NamedTuple):
+    """A batch run as an evaluation outcome reads it: the utilities
+    array and integer sums, no chains (what a process shard sends)."""
+
+    utilities: np.ndarray  # (S,) float64
+    deadline_misses: int
+    switches: int
+    faults: int
+    fallbacks: int
+
+
 @dataclass
 class BatchResult:
     """Per-scenario outcomes of one batch run.
 
     The four quantities the evaluation layer aggregates (and the
     differential harness compares against the oracle), plus the switch
-    chains and a mask of which scenarios the C core resolved itself.
+    chains (row ``i`` of ``chains`` up to ``switch_counts[i]``) and a
+    mask of which scenarios the C core resolved itself.
     """
 
     utilities: np.ndarray        # (S,) float64
     deadline_miss: np.ndarray    # (S,) bool
     switch_counts: np.ndarray    # (S,) int64
     faults_observed: np.ndarray  # (S,) int64
-    switch_chains: List[Tuple[int, ...]] = field(repr=False)
-    fast_path: np.ndarray = field(repr=False)
+    chains: np.ndarray = field(repr=False)     # (S, width) int64
+    fast_path: np.ndarray = field(repr=False)  # (S,) bool
 
     @classmethod
-    def empty(cls, n: int) -> "BatchResult":
-        """Zeroed outcomes for ``n`` scenarios, none on the fast path."""
+    def empty(cls, n: int, width: int) -> "BatchResult":
+        """Zeroed outcomes for ``n`` scenarios with room for chains of
+        ``width`` switches, none on the fast path."""
         return cls(
             utilities=np.zeros(n, dtype=np.float64),
             deadline_miss=np.zeros(n, dtype=bool),
             switch_counts=np.zeros(n, dtype=np.int64),
             faults_observed=np.zeros(n, dtype=np.int64),
-            switch_chains=[()] * n,
+            chains=np.zeros((n, width), dtype=np.int64),
             fast_path=np.zeros(n, dtype=bool),
         )
 
@@ -74,12 +89,28 @@ class BatchResult:
     def n_fallback(self) -> int:
         return self.n_scenarios - self.n_fast
 
-    def raw_outcome(self) -> Tuple[List[float], int, int, int, int]:
-        """The evaluation layer's raw tuple: (per-scenario utilities,
-        deadline misses, total switches, total observed faults, oracle
-        fallbacks)."""
-        return (
-            [float(u) for u in self.utilities],
+    @cached_property
+    def switch_chains(self) -> List[Tuple[int, ...]]:
+        """Every scenario's switch chain as a tuple of node ids (``()``
+        when it never switched), built on first access."""
+        counts = self.switch_counts.tolist()
+        return [tuple(row[:n]) for row, n in zip(self.chains.tolist(), counts)]
+
+    def set_chain(self, i: int, chain: Sequence[int]) -> None:
+        """Record scenario ``i``'s switch chain and count, widening the
+        chain matrix for a chain longer than a row (an oracle replay of
+        a tree whose arcs cycle)."""
+        extra = len(chain) - self.chains.shape[1]
+        if extra > 0:
+            self.chains = np.pad(self.chains, ((0, 0), (0, extra)))
+        self.chains[i, : len(chain)] = chain
+        self.switch_counts[i] = len(chain)
+        self.__dict__.pop("switch_chains", None)  # a stale cache
+
+    def totals(self) -> BatchTotals:
+        """The utilities array and integer sums an outcome reads."""
+        return BatchTotals(
+            self.utilities,
             int(self.deadline_miss.sum()),
             int(self.switch_counts.sum()),
             int(self.faults_observed.sum()),
@@ -121,7 +152,7 @@ class BatchSimulator:
     def run_batch(self, batch: ScenarioBatch) -> BatchResult:
         """Replay every scenario of ``batch`` on the oracle."""
         self.check_columns(batch)
-        result = BatchResult.empty(batch.n_scenarios)
+        result = BatchResult.empty(batch.n_scenarios, len(self.tree) + 1)
         for i in range(batch.n_scenarios):
             self._run_oracle(batch, i, result)
         return result
@@ -132,6 +163,5 @@ class BatchSimulator:
         outcome = self._oracle.run(batch.scenario(i))
         result.utilities[i] = outcome.utility
         result.deadline_miss[i] = not outcome.met_all_hard_deadlines
-        result.switch_counts[i] = len(outcome.switches)
         result.faults_observed[i] = outcome.faults_observed
-        result.switch_chains[i] = outcome.switches
+        result.set_chain(i, outcome.switches)

@@ -109,10 +109,10 @@ class SchedulingContext:
         self.wcet = [p.wcet for p in procs]
         self.bcet = [p.bcet for p in procs]
         self.deadline = [p.deadline for p in procs]
-        self.need = [app.recovery_need(name) for name in names]
         self.mu = [app.recovery_overhead(name) for name in names]
+        self.need = [w + m for w, m in zip(self.wcet, self.mu)]
         self.is_hard = [p.is_hard for p in procs]
-        self.hard_mask = self.mask(p.name for p in procs if p.is_hard)
+        self.hard_mask = sum(1 << i for i, h in enumerate(self.is_hard) if h)
         self.soft_mask = ((1 << len(names)) - 1) & ~self.hard_mask
         self.pred_list = [
             tuple(pid[q] for q in graph.predecessors(name)) for name in names
@@ -123,9 +123,8 @@ class SchedulingContext:
         # The modified-deadline EDF order of every hard process: a
         # static sort, so the remaining-hard order of any prefix is
         # this tuple filtered (see schedulability.py).
-        self.edf_hard = tuple(
-            pid[name] for name in edf_hard_order(app, [p.name for p in app.hard])
-        )
+        hard = self.names_of(self.hard_mask)
+        self.edf_hard = tuple(pid[name] for name in edf_hard_order(app, hard))
         #: Guards the lazy builds below and the core's work buffers.
         self.lock = threading.Lock()
         self._lowered = None

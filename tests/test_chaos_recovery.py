@@ -226,6 +226,108 @@ class TestCheckpoint:
             assert ckpt.lookup("a") == {"x": 1.5}  # it reached disk
 
 
+def _lists(node):
+    """Every list inside a decoded JSON document."""
+    if isinstance(node, list):
+        return [node]
+    if isinstance(node, dict):
+        return [found for value in node.values() for found in _lists(value)]
+    return []
+
+
+def _format_1(directory):
+    """Rewrite a checkpoint directory the way format 1 wrote it: the
+    manifest's format, and every journaled outcome with its
+    per-scenario ``utilities`` list and no ``n_scenarios``."""
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path) as handle:
+        manifest = json.load(handle)
+    manifest["format"] = 1
+    with open(manifest_path, "w") as handle:
+        json.dump(manifest, handle)
+    journal = os.path.join(directory, "journal.jsonl")
+    with open(journal) as handle:
+        entries = [json.loads(line) for line in handle]
+    with open(journal, "w") as handle:
+        for entry in entries:
+            for outcomes in entry["value"].values():
+                for fields in outcomes.values():
+                    fields["utilities"] = [0.5] * fields.pop("n_scenarios")
+            handle.write(json.dumps(entry) + "\n")
+
+
+class TestJournalFormat:
+    def test_journaled_unit_holds_aggregates_only(self, tmp_path, fig1_app):
+        """A journaled unit stores each outcome's aggregates and no
+        list; decoding it gives every aggregate and ``n_scenarios`` of
+        the live outcome, bit for bit, and no per-scenario array."""
+        from repro.pipeline.checkpoint import AGGREGATES, JournalingEvaluator
+
+        directory = str(tmp_path / "ckpt")
+        plans = {"root": ftss(fig1_app)}
+
+        def journaling(ckpt, factory):
+            return JournalingEvaluator(
+                ckpt, fig1_app, factory, n_scenarios=30, fault_counts=None,
+                seed=3,
+            )
+
+        with ExperimentCheckpoint(directory, experiment="unit") as ckpt:
+            with journaling(ckpt, lambda: MonteCarloEvaluator(
+                fig1_app, n_scenarios=30, seed=3, execution="kernel"
+            )) as evaluator:
+                live = evaluator.compare(plans)
+        with open(os.path.join(directory, "journal.jsonl")) as handle:
+            (line,) = handle.read().splitlines()
+        value = json.loads(line)["value"]
+        assert _lists(value) == []
+        assert all(
+            sorted(fields) == sorted(AGGREGATES)
+            for outcomes in value.values()
+            for fields in outcomes.values()
+        )
+
+        def unused():
+            raise AssertionError("a journal hit built the evaluator")
+
+        with ExperimentCheckpoint(
+            directory, experiment="unit", resume=True
+        ) as ckpt:
+            with journaling(ckpt, unused) as evaluator:
+                decoded = evaluator.compare(plans)
+            assert ckpt.reused == 1
+        assert decoded.keys() == live.keys()
+        for name, outcomes in live.items():
+            assert decoded[name].keys() == outcomes.keys()
+            for faults, outcome in outcomes.items():
+                restored = decoded[name][faults]
+                assert restored.utilities is None
+                assert restored.n_scenarios == len(outcome.utilities) == 30
+                for field in AGGREGATES:
+                    ours, theirs = (
+                        getattr(restored, field), getattr(outcome, field)
+                    )
+                    assert type(ours) is type(theirs), field
+                    assert repr(ours) == repr(theirs), field
+
+    def test_resume_refuses_a_format_1_directory(self, tmp_path):
+        """A format-1 directory (per-scenario utilities in the journal)
+        is refused before its fingerprint is even compared."""
+        directory = str(tmp_path / "ckpt")
+        with ExperimentCheckpoint(directory, experiment="unit") as ckpt:
+            ckpt.record("k", {"plan": {"0": {
+                "mean_utility": 1.5, "n_scenarios": 2, "deadline_misses": 0,
+                "mean_switches": 0.0, "mean_faults": 0.0, "fallbacks": 0,
+            }}})
+        _format_1(directory)
+        with pytest.raises(RuntimeModelError) as excinfo:
+            ExperimentCheckpoint(directory, experiment="unit", resume=True)
+        message = str(excinfo.value)
+        assert message.startswith("cannot resume")
+        assert directory in message
+        assert "format 1" in message and "format 2" in message
+
+
 class TestKilledSweepResumesByteIdentical:
     def test_fig9_killed_then_resumed_matches_golden(self, tmp_path):
         """The acceptance run: a fig9 sweep killed by chaos after two
@@ -283,6 +385,29 @@ class TestCLI:
         assert "checkpoint: 0 unit(s) journaled, 1 reused" in resumed
         # Identical rows, byte for byte, before the summary lines.
         assert resumed.split("synthesis:")[0] == clean.split("synthesis:")[0]
+
+    def test_resume_refuses_a_format_1_directory(self, tmp_path, capsys):
+        """``--resume`` on a directory an older version journaled in
+        format 1 ends with one ``error: cannot resume`` line naming
+        both formats and the directory, with no traceback."""
+        from repro.cli import main
+
+        directory = str(tmp_path / "ckpt")
+        assert main([
+            "experiment", "cc",
+            "--checkpoint", directory, "--chaos", "kill-run@1",
+        ]) == 75
+        capsys.readouterr()
+        _format_1(directory)
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "experiment", "cc", "--checkpoint", directory, "--resume",
+            ])
+        message = str(excinfo.value)
+        assert message.startswith("error: cannot resume")
+        assert directory in message
+        assert "format 1" in message and "format 2" in message
+        assert "\n" not in message
 
     def test_worker_kill_chaos_reports_resilience_line(self, capsys):
         from repro.cli import main

@@ -209,7 +209,10 @@ def test_differential_corpus(engine_full, kernel_cache):
             for faults, outcome in actual.items():
                 label = f"{app_label}/{plan_label}/f={faults}"
                 reference = expected[faults]
-                assert outcome.utilities == reference.utilities, label
+                assert (
+                    outcome.utilities.tobytes()
+                    == reference.utilities.tobytes()
+                ), label
                 assert outcome.mean_utility == reference.mean_utility, label
                 assert (
                     outcome.deadline_misses == reference.deadline_misses
@@ -333,7 +336,7 @@ def test_kernel_evaluator_outcomes_identical(fig8_app, kernel_cache):
     assert set(by_reference) == set(by_kernel)
     for faults in by_reference:
         ref, ker = by_reference[faults], by_kernel[faults]
-        assert ref.utilities == ker.utilities
+        assert ref.utilities.tobytes() == ker.utilities.tobytes()
         assert ref.mean_utility == ker.mean_utility
         assert ref.deadline_misses == ker.deadline_misses
         assert ref.mean_switches == ker.mean_switches
@@ -350,13 +353,17 @@ def test_kernel_parallel_sharding_is_outcome_preserving(
         fig1_app, n_scenarios=25, fault_counts=[0, 1], seed=4
     )
     plan = ftss(fig1_app)
+    _kernel(fig1_app, plan)
     with evaluator:
         serial = evaluator.evaluate(plan, execution="kernel")
         sharded = evaluator.evaluate(
             plan, execution="kernel@processes:2"
         )
     for faults in serial:
-        assert sharded[faults].utilities == serial[faults].utilities
+        assert (
+            sharded[faults].utilities.tobytes()
+            == serial[faults].utilities.tobytes()
+        )
 
 
 @engine_smoke
@@ -447,7 +454,10 @@ def test_evaluator_outcomes_identical_across_engines(fig1_app, kernel_cache):
     for engine, outcomes in by_engine.items():
         assert set(outcomes) == set(ref), engine
         for faults, outcome in outcomes.items():
-            assert outcome.utilities == ref[faults].utilities, engine
+            assert (
+                outcome.utilities.tobytes()
+                == ref[faults].utilities.tobytes()
+            ), engine
             assert outcome.mean_utility == ref[faults].mean_utility
             assert outcome.deadline_misses == ref[faults].deadline_misses
             assert outcome.mean_switches == ref[faults].mean_switches
@@ -467,7 +477,10 @@ def test_parallel_sharding_is_outcome_preserving(fig1_app, kernel_cache):
             plan, execution=f"kernel@processes:{jobs}"
         )
         for faults in serial:
-            assert sharded[faults].utilities == serial[faults].utilities
+            assert (
+                sharded[faults].utilities.tobytes()
+                == serial[faults].utilities.tobytes()
+            )
             assert (
                 sharded[faults].mean_utility == serial[faults].mean_utility
             )
@@ -488,7 +501,7 @@ def test_parallel_reference_engine_matches_too(fig1_app):
     sharded = evaluator.evaluate(
         plan, execution="reference@processes:2"
     )
-    assert sharded[0].utilities == serial[0].utilities
+    assert sharded[0].utilities.tobytes() == serial[0].utilities.tobytes()
 
 
 @engine_smoke
@@ -514,7 +527,9 @@ def test_reference_engine_is_the_oracle_loop(execution):
         for faults, batch in evaluator.scenarios.items():
             runs = [oracle.run(scenario) for scenario in batch]
             outcome = outcomes[faults]
-            assert outcome.utilities == [run.utility for run in runs]
+            assert outcome.utilities.tobytes() == np.array(
+                [run.utility for run in runs]
+            ).tobytes()
             assert outcome.deadline_misses == sum(
                 not run.met_all_hard_deadlines for run in runs
             )
@@ -657,6 +672,53 @@ def _probe_raise_tree():
     return app, _tree_switching_after_a(app, child)
 
 
+def _cyclic_tree():
+    """A two-node tree whose A-arcs point at each other: each node runs
+    A, H, S, and every completion of A before 150 switches to the other
+    node, so a chain runs to 3-7 switches — longer than the ``n_nodes +
+    1 = 3`` chain columns the core writes."""
+    from repro.quasistatic.tree import QSTree, SwitchArc
+
+    app = _hard_pred_app()
+
+    def schedule():
+        return FSchedule(
+            app,
+            [ScheduledEntry(name, 1) for name in ("A", "H", "S")],
+            fault_budget=1,
+        )
+
+    tree = QSTree(schedule())
+    child = tree.add_child(tree.root_id, schedule(), "A", 0, layer=1)
+    for source, target in (
+        (tree.root_id, child.node_id), (child.node_id, tree.root_id)
+    ):
+        tree.add_arc(
+            source,
+            SwitchArc(
+                process="A", lo=0, hi=150, required_faults=0, target=target
+            ),
+        )
+    return app, tree
+
+
+def test_kernel_chains_wider_than_the_core_match_the_oracle(kernel_cache):
+    """Oracle replays write their chains into the result's chain matrix,
+    widening it past the core's ``n_nodes + 1`` columns: on a tree whose
+    arcs cycle, every scenario leaves the core, and the kernel's switch
+    chains equal the oracle's."""
+    app, tree = _cyclic_tree()
+    batch = MonteCarloEvaluator(
+        app, n_scenarios=40, fault_counts=[0], seed=5
+    ).scenarios[0]
+    result = _assert_identical(app, tree, batch)
+    assert result.n_fallback == batch.n_scenarios
+    assert kernel_stats().oracle_scenarios == batch.n_scenarios
+    lengths = set(map(len, result.switch_chains))
+    assert max(lengths) > len(tree) + 1, lengths
+    assert result.chains.shape == (batch.n_scenarios, max(lengths))
+
+
 def test_malformed_tree_counts_fallback(kernel_cache):
     """Arcs revisiting an executed process stay on (and count) the oracle.
 
@@ -673,7 +735,10 @@ def test_malformed_tree_counts_fallback(kernel_cache):
     expected = evaluator.evaluate(tree, execution="reference")
     actual = evaluator.evaluate(tree, execution="kernel")
     for faults, outcome in actual.items():
-        assert outcome.utilities == expected[faults].utilities
+        assert (
+            outcome.utilities.tobytes()
+            == expected[faults].utilities.tobytes()
+        )
         assert outcome.fallbacks == outcome.n_scenarios, (
             "every scenario switches into the malformed child and must be "
             f"counted as fallback, got {outcome.fallbacks}"

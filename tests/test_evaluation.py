@@ -11,6 +11,7 @@ from repro.evaluation.montecarlo import (
     normalized_to,
 )
 from repro.execution import ENGINES
+from repro.runtime.engine.simulator import BatchTotals
 from repro.quasistatic.ftqs import FTQSConfig, ftqs
 from repro.runtime.replanner import run_replanning
 from repro.scheduling.ftsf import ftsf
@@ -84,13 +85,81 @@ class TestMonteCarloEvaluator:
             normalized_to(results, "A", reference_faults=7)
 
     def test_normalized_to_non_positive_base(self):
-        results = {"A": {0: EvaluationOutcome(mean_utility=0.0)}}
+        zero = BatchTotals(np.zeros(1), 0, 0, 0, 0)
+        results = {"A": {0: EvaluationOutcome.of([zero])}}
         with pytest.raises(RuntimeModelError):
             normalized_to(results, "A")
 
     def test_aggregate_empty_scenario_set_rejected(self):
         with pytest.raises(RuntimeModelError):
-            EvaluationOutcome.aggregate([], 0, 0, 0)
+            EvaluationOutcome.of([BatchTotals(np.zeros(0), 0, 0, 0, 0)])
+
+    @pytest.mark.parametrize("execution", ["kernel", "kernel@threads:2"])
+    def test_outcome_utilities_are_a_read_only_array(
+        self, fig1_app, execution
+    ):
+        """An outcome holds its per-scenario utilities as one read-only
+        float64 array, never a list: inline the batch's own, sharded
+        the shards' concatenated in range order."""
+        with MonteCarloEvaluator(
+            fig1_app, n_scenarios=9, fault_counts=[0, 1], seed=2
+        ) as evaluator:
+            outcomes = evaluator.evaluate(ftss(fig1_app), execution=execution)
+        for outcome in outcomes.values():
+            utilities = outcome.utilities
+            assert isinstance(utilities, np.ndarray)
+            assert utilities.dtype == np.float64
+            assert utilities.flags.c_contiguous
+            assert outcome.n_scenarios == len(utilities) == 9
+            assert outcome.mean_utility == float(np.mean(utilities))
+            assert type(outcome.mean_utility) is float
+            assert type(outcome.deadline_misses) is int
+            assert type(outcome.fallbacks) is int
+            with pytest.raises(ValueError, match="read-only"):
+                utilities[0] = 1.0
+
+    def test_outcome_of_shards_is_the_outcome_of_their_union(self):
+        """Concatenating shards in range order and adding their
+        integer sums gives the bits of one batch over all of them."""
+        rng = np.random.default_rng(4)
+        values = rng.random(10)
+        whole = EvaluationOutcome.of([BatchTotals(values.copy(), 3, 7, 5, 2)])
+        shards = EvaluationOutcome.of([
+            BatchTotals(values[:4].copy(), 1, 3, 2, 0),
+            BatchTotals(values[4:].copy(), 2, 4, 3, 2),
+        ])
+        assert shards == whole
+        assert shards.utilities.tobytes() == whole.utilities.tobytes()
+        assert whole.mean_switches == 7 / 10 and whole.mean_faults == 5 / 10
+        assert whole.fast_path_share == 1.0 - 2 / 10
+
+    @pytest.mark.parametrize("n_scenarios", [2.5, 3.0, True, False, "4"])
+    def test_non_integral_scenario_count_rejected(
+        self, fig1_app, n_scenarios
+    ):
+        """``2.5`` used to evaluate 2 scenarios per fault count and
+        ``True`` one."""
+        with pytest.raises(RuntimeModelError, match="must be an integer"):
+            MonteCarloEvaluator(fig1_app, n_scenarios=n_scenarios)
+
+    @pytest.mark.parametrize(
+        "fault_counts", [[1.0], [True, 0], [0, 1.5], [np.float64(1)]]
+    )
+    def test_non_integral_fault_count_rejected(self, fig1_app, fault_counts):
+        """A float or bool fault count used to fail inside NumPy with a
+        bare ``TypeError``, or count as 1."""
+        with pytest.raises(ModelError, match="must be an integer"):
+            MonteCarloEvaluator(
+                fig1_app, n_scenarios=5, fault_counts=fault_counts
+            )
+
+    def test_numpy_integer_sizes_accepted(self, fig1_app):
+        evaluator = MonteCarloEvaluator(
+            fig1_app, n_scenarios=np.int64(6),
+            fault_counts=[np.int32(0), np.int64(1)], seed=3,
+        )
+        outcomes = evaluator.evaluate(ftss(fig1_app))
+        assert [o.n_scenarios for o in outcomes.values()] == [6, 6]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_compare_deterministic_and_non_mutating(self, fig1_app, engine):
@@ -116,7 +185,7 @@ class TestMonteCarloEvaluator:
         for name in first:
             for faults in first[name]:
                 a, b = first[name][faults], second[name][faults]
-                assert a.utilities == b.utilities
+                assert a.utilities.tobytes() == b.utilities.tobytes()
                 assert a.mean_utility == b.mean_utility
                 assert a.deadline_misses == b.deadline_misses
                 assert a.mean_switches == b.mean_switches

@@ -348,9 +348,9 @@ def test_one_context_and_one_lowering_per_application(kernel_cache,
         contexts.append(app)
         init(self, app)
 
-    def counting_lower(app, names):
-        lowerings.append(app)
-        return lower_application(app, names)
+    def counting_lower(ctx):
+        lowerings.append(ctx.app)
+        return lower_application(ctx)
 
     monkeypatch.setattr(SchedulingContext, "__init__", counting_init)
     monkeypatch.setattr(lower, "lower_application", counting_lower)
@@ -507,6 +507,55 @@ def test_cache_counts_compile_then_hits(fig1_app, kernel_cache):
     assert all(p.name.startswith("core-") for p in kernel_cache.iterdir())
 
 
+@pytest.mark.parametrize("engine", ["kernel", "reference"])
+def test_evaluation_never_builds_switch_chains(engine, kernel_cache,
+                                               monkeypatch):
+    """An evaluation reads the batch's arrays only: evaluating the
+    cruise controller's M=39 tree on 1,000 scenarios per fault count
+    never builds a switch-chain tuple, on either engine, although the
+    tree switches."""
+    from repro.runtime.engine.simulator import BatchResult
+
+    if engine == "kernel":
+        _needs_compiler()
+    built = []
+
+    def chains(self):
+        built.append(self.n_scenarios)
+        return []
+
+    monkeypatch.setattr(BatchResult, "switch_chains", property(chains))
+    app = cruise_controller()
+    plan = ftqs_reference(app, ftss_reference(app),
+                          FTQSConfig(max_schedules=39))
+    with MonteCarloEvaluator(
+        app, n_scenarios=1000, fault_counts=[0, 1, 2], seed=1,
+        execution=engine,
+    ) as evaluator:
+        outcomes = evaluator.evaluate(plan)
+    assert built == []
+    assert all(outcome.mean_switches > 0 for outcome in outcomes.values())
+    assert kernel_stats().fallbacks == {}
+
+
+def test_lower_plan_rejects_a_plan_flattened_on_another_application():
+    """``lower_plan`` derives from a :class:`FlatPlan` of its own
+    application's context only."""
+    from repro.runtime.engine.kernel.lower import flatten_plan, lower_plan
+    from repro.scheduling.compiled import SchedulingContext
+
+    app, twin = paper_fig1_application(), paper_fig1_application()
+    plan = ftss_reference(app)
+    flat = flatten_plan(SchedulingContext.of(app), plan)
+    expected = lower_plan(app, plan)
+    lowered = lower_plan(app, flat)
+    assert lowered.keys() == expected.keys()
+    for name, array in expected.items():
+        assert lowered[name].tobytes() == array.tobytes(), name
+    with pytest.raises(ValueError, match="another application"):
+        lower_plan(twin, flat)
+
+
 def test_table_memo_is_least_recently_used(fig1_app, kernel_cache,
                                            monkeypatch):
     """Capacity + 1 distinct plans evict the least recently used one;
@@ -518,9 +567,9 @@ def test_table_memo_is_least_recently_used(fig1_app, kernel_cache,
     lowered = []
     lower_plan = dispatch.lower_plan
 
-    def counting(app, tree, core):
-        lowered.append(tree.root.schedule.start_time)
-        return lower_plan(app, tree, core)
+    def counting(app, flat, core):
+        lowered.append(flat.tree.root.schedule.start_time)
+        return lower_plan(app, flat, core)
 
     monkeypatch.setattr(dispatch, "lower_plan", counting)
     root = ftss_reference(fig1_app)
@@ -615,8 +664,14 @@ def test_no_compiler_evaluator_and_jobs_still_complete(
         )
     for faults in by_reference:
         expected = by_reference[faults]
-        assert by_kernel[faults].utilities == expected.utilities
-        assert sharded[faults].utilities == expected.utilities
+        assert (
+            by_kernel[faults].utilities.tobytes()
+            == expected.utilities.tobytes()
+        )
+        assert (
+            sharded[faults].utilities.tobytes()
+            == expected.utilities.tobytes()
+        )
         assert by_kernel[faults].fallbacks == expected.n_scenarios
     assert kernel_stats().fallbacks.get("no-compiler", 0) >= 1
 
@@ -636,7 +691,10 @@ def test_unusable_cache_degrades_to_the_oracle(
     by_kernel = evaluator.evaluate(root, execution="kernel")
     by_reference = evaluator.evaluate(root, execution="reference")
     for faults in by_reference:
-        assert by_kernel[faults].utilities == by_reference[faults].utilities
+        assert (
+            by_kernel[faults].utilities.tobytes()
+            == by_reference[faults].utilities.tobytes()
+        )
     assert kernel_stats().fallbacks == {"cache-unavailable": 1}
     assert kernel_stats().compiles == 0
     simulator = KernelSimulator(fig1_app, root)

@@ -60,8 +60,14 @@ def test_pool_spawned_once_across_evaluates(fig1_app, counted_spawns):
         f"expected exactly one 2-worker pool spawn, saw {counted_spawns}"
     )
     for faults in (0, 1):
-        assert first[faults].utilities == second[faults].utilities
-        assert compared["a"][faults].utilities == first[faults].utilities
+        assert (
+            first[faults].utilities.tobytes()
+            == second[faults].utilities.tobytes()
+        )
+        assert (
+            compared["a"][faults].utilities.tobytes()
+            == first[faults].utilities.tobytes()
+        )
 
 
 def test_montecarlo_caches_executors(fig1_app):
@@ -110,7 +116,7 @@ def test_close_releases_and_respawns(fig1_app, counted_spawns):
         assert executor._segments == []
         after = executor.evaluate(plan)
         assert counted_spawns == [2, 2]
-        assert before[0].utilities == after[0].utilities
+        assert before[0].utilities.tobytes() == after[0].utilities.tobytes()
 
 
 def test_executor_needs_its_evaluator(fig1_app):
@@ -204,7 +210,8 @@ def test_one_evaluation_pool_across_applications(counted_manager_spawns):
                 single = evaluator.evaluate(root)
             for faults in (0, 1):
                 assert (
-                    shared[faults].utilities == single[faults].utilities
+                    shared[faults].utilities.tobytes()
+                    == single[faults].utilities.tobytes()
                 )
     assert counted_manager_spawns == [2], (
         f"expected one 2-worker evaluation pool for the whole sweep, "
@@ -262,6 +269,16 @@ def test_outcomes_carry_fallback_counts(fig1_app):
 # ----------------------------------------------------------------------
 # Worker contexts
 # ----------------------------------------------------------------------
+def _assert_same_outcomes(actual, expected):
+    """Equal aggregates (outcomes compare by them) and the same
+    per-scenario utility bits, per fault count."""
+    assert actual == expected
+    for faults, outcome in expected.items():
+        assert (
+            actual[faults].utilities.tobytes() == outcome.utilities.tobytes()
+        )
+
+
 def _logged_builds(path):
     """The pids that built a context, one line per build."""
     if not os.path.exists(path):
@@ -302,10 +319,10 @@ def test_workers_build_each_context_once_per_token(
             assert len(builds) == 2 and len(set(builds)) == 2
             assert os.getpid() not in map(int, builds)
             with active(ChaosPlan(kill_worker={0: 1}, kill_budget=1)):
-                assert evaluator.evaluate(plan) == first
+                _assert_same_outcomes(evaluator.evaluate(plan), first)
             # Both workers get a shard of the next map, so the
             # respawned one has built the context by now at the latest.
-            assert evaluator.evaluate(plan) == first
+            _assert_same_outcomes(evaluator.evaluate(plan), first)
             rebuilt = _logged_builds(log)
             assert len(rebuilt) == 3 and rebuilt[:2] == builds
             assert rebuilt[2] not in builds

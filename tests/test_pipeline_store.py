@@ -297,8 +297,8 @@ class TestBackendConformance:
             results = evaluator.compare({"fresh": fresh, "cached": cached})
         for faults in (0, 1):
             assert (
-                results["cached"][faults].utilities
-                == results["fresh"][faults].utilities
+                results["cached"][faults].utilities.tobytes()
+                == results["fresh"][faults].utilities.tobytes()
             )
             assert (
                 results["cached"][faults].mean_switches

@@ -36,7 +36,7 @@ def assert_outcomes_identical(actual, expected):
     assert set(actual) == set(expected)
     for faults in expected:
         a, b = actual[faults], expected[faults]
-        assert a.utilities == b.utilities
+        assert a.utilities.tobytes() == b.utilities.tobytes()
         assert a.mean_utility == b.mean_utility
         assert a.deadline_misses == b.deadline_misses
         assert a.mean_switches == b.mean_switches
