@@ -47,8 +47,7 @@ memo, keyed by the plan's content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from numbers import Integral
+from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -56,17 +55,13 @@ import numpy as np
 from repro.errors import ModelError, RuntimeModelError
 from repro.execution import ExecutionConfig
 from repro.model.application import Application
+from repro.model.process import is_integer
 from repro.quasistatic.tree import QSTree
 from repro.runtime.engine.batch import ScenarioBatch
 from repro.runtime.engine.simulator import BatchSimulator, BatchTotals
 from repro.scheduling.fschedule import FSchedule
 
 Plan = Union[QSTree, FSchedule]
-
-
-def _whole(value) -> bool:
-    """An integer, NumPy's included, and not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def simulator_for(engine: str, app: Application, plan: Plan) -> BatchSimulator:
@@ -82,10 +77,9 @@ def simulator_for(engine: str, app: Application, plan: Plan) -> BatchSimulator:
 
 @dataclass
 class EvaluationOutcome:
-    """Aggregated simulation results of one plan on one scenario set (the
-    fields outcomes compare by), and ``utilities``, the per-scenario
-    utilities as a read-only float64 array — ``None`` when decoded from
-    a checkpoint journal, which stores the aggregates only."""
+    """One plan's results on one scenario set: its :data:`AGGREGATES`
+    and ``utilities``, a read-only float64 array of the per-scenario
+    utilities (``None`` when decoded from a checkpoint journal)."""
 
     mean_utility: float
     n_scenarios: int
@@ -93,9 +87,18 @@ class EvaluationOutcome:
     mean_switches: float
     mean_faults: float
     fallbacks: int
-    utilities: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
+    utilities: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __eq__(self, other) -> bool:
+        """Equal aggregates and bit-identical ``utilities`` (``None``
+        equals only ``None``)."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def _identity(self) -> tuple:
+        bits = None if self.utilities is None else self.utilities.tobytes()
+        return tuple(getattr(self, name) for name in AGGREGATES) + (bits,)
 
     @property
     def ok(self) -> bool:
@@ -142,6 +145,13 @@ class EvaluationOutcome:
         )
 
 
+#: Every outcome field but ``utilities`` (ints and floats; all a
+#: checkpoint journal stores).
+AGGREGATES = tuple(
+    f.name for f in fields(EvaluationOutcome) if f.name != "utilities"
+)
+
+
 class MonteCarloEvaluator:
     """Paired Monte-Carlo comparison of scheduling approaches.
 
@@ -184,7 +194,7 @@ class MonteCarloEvaluator:
         execution: Union[None, str, ExecutionConfig] = None,
         resources=None,
     ):
-        if not _whole(n_scenarios) or n_scenarios < 1:
+        if not is_integer(n_scenarios) or n_scenarios < 1:
             raise RuntimeModelError(
                 "need at least one scenario; the scenario count must be an "
                 f"integer, got {n_scenarios!r}"
@@ -208,7 +218,7 @@ class MonteCarloEvaluator:
                 "need at least one fault count to evaluate"
             )
         for faults in self.fault_counts:
-            if not _whole(faults) or faults < 0:
+            if not is_integer(faults) or faults < 0:
                 raise ModelError(
                     "fault count must be an integer and non-negative, "
                     f"got {faults!r}"

@@ -12,12 +12,11 @@ periods) are first merged into one hyper-period graph by
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ModelError, TimingError
 from repro.model.graph import ProcessGraph
-from repro.model.process import Process
+from repro.model.process import Process, is_integer
 
 
 class Application:
@@ -51,7 +50,7 @@ class Application:
             ("fault budget k", k, ModelError),
             ("recovery overhead", mu, TimingError),
         ):
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not is_integer(value):
                 raise error(f"{label} must be an integer, got {value!r}")
         if period <= 0:
             raise TimingError(f"period must be positive, got {period}")

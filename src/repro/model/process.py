@@ -24,6 +24,11 @@ from repro.utility.functions import UtilityFunction
 _TICK_FIELDS = ("bcet", "wcet", "aet", "deadline", "recovery_overhead")
 
 
+def is_integer(value) -> bool:
+    """An integer, NumPy's included, and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 class ProcessKind(Enum):
     """Criticality class of a process (paper §2.1)."""
 
@@ -82,7 +87,7 @@ class Process:
             value = getattr(self, label)
             if value is None and label not in ("bcet", "wcet"):
                 continue
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not is_integer(value):
                 raise TimingError(
                     f"{self.name}: {label} must be an integer number of "
                     f"ticks, got {value!r}"

@@ -19,12 +19,13 @@ Layout under the checkpoint directory:
   mixed;
 * ``journal.jsonl`` — one JSON line per completed unit:
   ``{"key": <unit fingerprint>, "value": <encoded outcomes>}``, an
-  outcome being its :data:`AGGREGATES` (format 2; format 1, which
-  ``--resume`` refuses, held every per-scenario utility).  Each
-  line is flushed and fsynced before the run moves on, so a kill
-  between rows loses nothing; a kill *mid-write* leaves at most one
-  torn trailing line, which the loader tolerates (everything before it
-  is reused, the torn unit is recomputed).
+  outcome being its :data:`~repro.evaluation.montecarlo.AGGREGATES`
+  (format 2; format 1, which ``--resume`` refuses, held every
+  per-scenario utility).  Each line is flushed and fsynced before the
+  run moves on, so a kill between rows loses nothing; a kill
+  *mid-write* leaves at most one torn trailing line, which the loader
+  tolerates (everything before it is reused, the torn unit is
+  recomputed).
 
 The journaled unit is one evaluator call — ``compare(plans)`` or
 ``evaluate(plan)`` — keyed by the application, the evaluation
@@ -46,15 +47,12 @@ from dataclasses import asdict, is_dataclass
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.errors import RuntimeModelError
+from repro.evaluation.montecarlo import AGGREGATES, EvaluationOutcome
 from repro.io.json_io import content_digest
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
 FORMAT_VERSION = 2
-
-#: What a journaled outcome stores: its aggregates (ints and floats).
-AGGREGATES = ("mean_utility", "n_scenarios", "deadline_misses",
-              "mean_switches", "mean_faults", "fallbacks")
 
 #: Config knobs masked out of the workload fingerprint: pure routing,
 #: proven result-neutral by the differential suites.
@@ -302,7 +300,7 @@ class ExperimentCheckpoint:
 # ----------------------------------------------------------------------
 def _encode_results(results) -> Dict[str, Any]:
     """``compare()``'s ``{name: {faults: outcome}}`` → JSON-safe, each
-    outcome its :data:`AGGREGATES`."""
+    outcome its :data:`~repro.evaluation.montecarlo.AGGREGATES`."""
     return {
         name: {
             str(faults): {field: getattr(out, field) for field in AGGREGATES}
@@ -313,8 +311,6 @@ def _encode_results(results) -> Dict[str, Any]:
 
 
 def _decode_results(data: Dict[str, Any]):
-    from repro.evaluation.montecarlo import EvaluationOutcome
-
     return {
         name: {
             int(faults): EvaluationOutcome(**fields)

@@ -300,10 +300,9 @@ def bind_design(lib: ctypes.CDLL):
 
 
 def run_core(run, plan: RkPlan, batch: ScenarioBatch) -> BatchResult:
-    """Every scenario of ``batch`` through one ``rk_run`` call, into
-    the result's arrays; the scenarios the core flags have
-    ``fast_path`` unset, for the caller to replay (a rejected call
-    flags them all)."""
+    """Every scenario of ``batch`` through one ``rk_run`` call into the
+    result's arrays; the scenarios the core flags have ``fast_path``
+    unset, for the caller to replay (a rejected call flags them all)."""
     n = batch.n_scenarios
     result = BatchResult.empty(n, plan.n_nodes + 1)
     flagged = np.zeros(n, dtype=np.uint8)

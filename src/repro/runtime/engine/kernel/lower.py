@@ -518,9 +518,9 @@ def lower_plan(
 ) -> Dict[str, np.ndarray]:
     """The ``rk_plan`` tables of one plan, by field name: the
     application's tables from its context, shared, and the tree's,
-    flattened (:func:`flatten_plan`, unless ``plan`` is already a
-    :class:`FlatPlan` of ``app``'s context — one flattened on another
-    context raises :class:`ValueError`) and derived.
+    flattened (:func:`flatten_plan`, unless ``plan`` is a
+    :class:`FlatPlan` already; one of another context raises
+    :class:`ValueError`) and derived.
 
     Includes every schedulability threshold the core can consult
     (attempts ``0..min(cap, k)-1`` per soft position, budgets

@@ -27,9 +27,9 @@ executor runs too), sending back only each set's utilities array and
 integer sums (:class:`BatchTotals`).  Nothing keeps a plan past its
 evaluation, on either side: for the kernel engine a worker finds a
 plan's tables in its own content-keyed table memo when it has lowered
-that plan before.  The parent builds the core before fanning out, so workers
-inherit it (or load it from the shared artifact cache) instead of
-racing to build it.
+that plan before.  The parent builds the core before fanning out, so
+workers inherit it (or load it from the shared artifact cache) instead
+of racing to build it.
 """
 
 from __future__ import annotations
@@ -107,12 +107,10 @@ def shard_bounds(n_scenarios: int, workers: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def simulate_rows(
-    simulator, batches, lo: int, hi: int
-) -> Dict[int, BatchTotals]:
+def simulate_rows(simulator, batches, lo: int, hi: int):
     """Simulate scenarios ``[lo, hi)`` of every scenario set with one
     plan's :class:`~repro.runtime.engine.simulator.BatchSimulator` —
-    the shard task of both executors; no chains go back."""
+    the shard task of both executors: each set's :class:`BatchTotals`."""
     return {
         faults: simulator.run_batch(batch.rows(lo, hi)).totals()
         for faults, batch in batches.items()

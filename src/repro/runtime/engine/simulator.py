@@ -1,9 +1,8 @@
 """Per-scenario batch results and the plan the C core wraps.
 
-:class:`BatchResult` holds the per-scenario outcomes of one batch run
-in array form — what the evaluation layer aggregates (as
-:class:`BatchTotals`) and what the differential suite compares against
-the oracle; switch chains become tuples only when read.
+:class:`BatchResult` holds one batch run's per-scenario outcomes as
+arrays (switch chains become tuples only when read): what the
+differential suite compares, and what :class:`BatchTotals` sums.
 
 :class:`BatchSimulator` prepares one plan for execution: the plan as
 a tree, its behavioral oracle
@@ -37,8 +36,7 @@ from repro.scheduling.fschedule import FSchedule
 
 
 class BatchTotals(NamedTuple):
-    """A batch run as an evaluation outcome reads it: the utilities
-    array and integer sums, no chains (what a process shard sends)."""
+    """A batch run's utilities array and integer sums, no chains."""
 
     utilities: np.ndarray  # (S,) float64
     deadline_misses: int
@@ -65,9 +63,8 @@ class BatchResult:
     fast_path: np.ndarray = field(repr=False)  # (S,) bool
 
     @classmethod
-    def empty(cls, n: int, width: int) -> "BatchResult":
-        """Zeroed outcomes for ``n`` scenarios with room for chains of
-        ``width`` switches, none on the fast path."""
+    def empty(cls, n: int, width: int = 0) -> "BatchResult":
+        """Zeroed outcomes for ``n`` scenarios, none on the fast path."""
         return cls(
             utilities=np.zeros(n, dtype=np.float64),
             deadline_miss=np.zeros(n, dtype=bool),
@@ -98,8 +95,7 @@ class BatchResult:
 
     def set_chain(self, i: int, chain: Sequence[int]) -> None:
         """Record scenario ``i``'s switch chain and count, widening the
-        chain matrix for a chain longer than a row (an oracle replay of
-        a tree whose arcs cycle)."""
+        chain matrix for a chain longer than a row."""
         extra = len(chain) - self.chains.shape[1]
         if extra > 0:
             self.chains = np.pad(self.chains, ((0, 0), (0, extra)))
@@ -152,7 +148,7 @@ class BatchSimulator:
     def run_batch(self, batch: ScenarioBatch) -> BatchResult:
         """Replay every scenario of ``batch`` on the oracle."""
         self.check_columns(batch)
-        result = BatchResult.empty(batch.n_scenarios, len(self.tree) + 1)
+        result = BatchResult.empty(batch.n_scenarios)
         for i in range(batch.n_scenarios):
             self._run_oracle(batch, i, result)
         return result

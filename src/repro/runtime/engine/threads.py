@@ -12,11 +12,11 @@ publication, no pickling): threads slice the parent's packed
 :class:`ScenarioBatch` arrays as views.
 
 Shard tasks and the range-order merge are the process executor's own
-(:func:`~repro.runtime.engine.parallel.simulate_rows`,
-:func:`~repro.runtime.engine.parallel.merge_shard_outcomes`), so
+(:func:`~repro.runtime.engine.parallel.simulate_rows`: a shard's
+utilities arrays and integer sums, which
+:func:`~repro.runtime.engine.parallel.merge_shard_outcomes` joins), so
 outcomes are **bit-identical** to an inline ``workers=1`` run for any
-thread count (``tests/test_threaded_executor.py`` gates this
-differentially).
+thread count (``tests/test_threaded_executor.py`` gates it).
 
 Threading only pays off when the GIL is actually released, so every
 evaluation that cannot run threaded **falls back to process sharding**

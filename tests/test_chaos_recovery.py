@@ -261,7 +261,8 @@ class TestJournalFormat:
         """A journaled unit stores each outcome's aggregates and no
         list; decoding it gives every aggregate and ``n_scenarios`` of
         the live outcome, bit for bit, and no per-scenario array."""
-        from repro.pipeline.checkpoint import AGGREGATES, JournalingEvaluator
+        from repro.evaluation.montecarlo import AGGREGATES
+        from repro.pipeline.checkpoint import JournalingEvaluator
 
         directory = str(tmp_path / "ckpt")
         plans = {"root": ftss(fig1_app)}

@@ -1,5 +1,7 @@
 """Tests for the Monte-Carlo evaluator, metrics and the replanner."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,25 @@ class TestMonteCarloEvaluator:
         assert shards.utilities.tobytes() == whole.utilities.tobytes()
         assert whole.mean_switches == 7 / 10 and whole.mean_faults == 5 / 10
         assert whole.fast_path_share == 1.0 - 2 / 10
+
+    def test_outcome_equality_compares_per_scenario_bits(self):
+        """Outcomes with equal aggregates differ when one scenario's
+        utility does (a reordered shard merge has the same mean), and
+        an outcome without utilities equals only another without."""
+        values = np.array([0.25, 0.5, 0.75, 1.0])
+        outcome = EvaluationOutcome.of([BatchTotals(values, 0, 2, 1, 0)])
+        swapped = EvaluationOutcome.of([
+            BatchTotals(values[[1, 0, 2, 3]], 0, 2, 1, 0)
+        ])
+        assert swapped.mean_utility == outcome.mean_utility
+        assert swapped != outcome
+        assert outcome == EvaluationOutcome.of(
+            [BatchTotals(values.copy(), 0, 2, 1, 0)]
+        )
+        decoded = replace(outcome, utilities=None)
+        assert decoded != outcome and outcome != decoded
+        assert decoded == replace(outcome, utilities=None)
+        assert replace(outcome, fallbacks=1) != outcome
 
     @pytest.mark.parametrize("n_scenarios", [2.5, 3.0, True, False, "4"])
     def test_non_integral_scenario_count_rejected(
