@@ -83,7 +83,7 @@ def export_tree_to_c(
     prefix = _sanitize(symbol)
     macro = prefix.upper()
     try:
-        arrays = lower.lower_plan(app, tree, prepare_core())
+        arrays = lower.lower_plan(app, tree, prepare_core()).arrays
     except lower.KernelUnsupported as exc:
         raise SerializationError(
             f"the C core cannot run this plan ({exc.reason}): {exc}"

@@ -6,16 +6,15 @@ single sink; the paper uses polarity only as a modelling convention, so
 :class:`ProcessGraph` checks acyclicity always and polarity only on
 request (:meth:`ProcessGraph.is_polar`, :meth:`ProcessGraph.polarized`).
 
-The class stores its own adjacency maps (plain dicts) so the hot
-scheduling loops never touch networkx; conversion helpers to/from
-:class:`networkx.DiGraph` are provided for generators and analysis.
+The class keeps its own adjacency maps (plain dicts of lists, in edge
+insertion order, which fixes each process's predecessor order) and
+needs no graph library: the workload generators hand it plain edge
+lists (:mod:`repro.workloads.random_dags`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from repro.errors import GraphError
 from repro.model.process import Process
@@ -228,38 +227,6 @@ class ProcessGraph:
             (mapping.get(s, s), mapping.get(d, d)) for s, d in self.edges
         ]
         return ProcessGraph(procs, edges, name=self.name, period=self.period)
-
-    # ------------------------------------------------------------------
-    # networkx bridge
-    # ------------------------------------------------------------------
-    def to_networkx(self) -> "nx.DiGraph":
-        """Export as a networkx DiGraph with ``process`` node attributes."""
-        graph = nx.DiGraph(name=self.name)
-        for proc in self._procs.values():
-            graph.add_node(proc.name, process=proc)
-        graph.add_edges_from(self.edges)
-        return graph
-
-    @classmethod
-    def from_networkx(
-        cls,
-        graph: "nx.DiGraph",
-        name: str = "G",
-        period: Optional[int] = None,
-    ) -> "ProcessGraph":
-        """Import from a networkx DiGraph carrying ``process`` attributes."""
-        procs = []
-        for node, data in graph.nodes(data=True):
-            proc = data.get("process")
-            if proc is None:
-                raise GraphError(f"node {node!r} lacks a 'process' attribute")
-            if proc.name != node:
-                raise GraphError(
-                    f"node key {node!r} does not match process name "
-                    f"{proc.name!r}"
-                )
-            procs.append(proc)
-        return cls(procs, graph.edges(), name=name, period=period)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -165,13 +165,13 @@ class Core:
     partition: Any
 
     def fill_thresholds(
-        self, arrays: Dict[str, np.ndarray], sharing: np.ndarray,
-        bad: np.ndarray,
+        self, lowered: LoweredPlan, sharing: np.ndarray, bad: np.ndarray,
     ) -> None:
-        """Fill ``arrays["thr"]``, the §2.2 table of a plan lowered
-        up to it, in one ``rk_thresholds`` call: per-node slack
-        sharing and per-entry probe rejection flags (uint8)."""
-        plan = LoweredPlan(arrays).struct
+        """Fill the ``thr`` array, the §2.2 table of a plan lowered up
+        to it, in one ``rk_thresholds`` call through ``lowered``'s
+        struct: per-node slack sharing and per-entry probe rejection
+        flags (uint8)."""
+        plan, arrays = lowered.struct, lowered.arrays
         if (len(sharing), len(bad)) != (plan.n_nodes, len(arrays["entries"])):
             raise ValueError("rk_thresholds columns do not match the plan")
         work = np.empty(2 * top_slots(plan.n_proc, plan.k), dtype=np.int64)
@@ -402,7 +402,7 @@ def _plan_tables(
         _TABLES.move_to_end(key)
         kernel_stats().add("cache_hits")
         return lowered
-    lowered = _TABLES[key] = LoweredPlan(lower_plan(ctx.app, flat, core))
+    lowered = _TABLES[key] = lower_plan(ctx.app, flat, core)
     while len(_TABLES) > TABLES_CAPACITY:
         _TABLES.popitem(last=False)
     return lowered

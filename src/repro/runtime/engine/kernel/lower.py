@@ -32,10 +32,11 @@ on a miss hands that flattening to :func:`lower_plan`.  The
 §2.2 keep-vs-drop benefit needs no table: the core derives its terms
 from the node's later entries and their processes' records.  The
 record dtypes and :class:`RkPlan` mirror the structs of
-``rk_core.h``, and :class:`LoweredPlan` points one ``rk_plan`` at a
-set of arrays.  The kernel engine hands the core these arrays as they
-are; :mod:`repro.io.c_export` writes them as C arrays of the C types
-:data:`ARRAYS` names.  Plans outside what the core expresses raise
+``rk_core.h``, and :func:`lower_plan` returns a :class:`LoweredPlan`:
+the arrays and the one ``rk_plan`` pointing into them, through which
+``rk_thresholds`` fills the thresholds and the kernel engine runs the
+plan.  :mod:`repro.io.c_export` writes the arrays as C arrays of the C
+types :data:`ARRAYS` names.  Plans outside what the core expresses raise
 :class:`KernelUnsupported` (the dispatcher then degrades to the
 reference oracle, the export refuses them).
 """
@@ -515,12 +516,12 @@ def flatten_plan(
 
 def lower_plan(
     app: Application, plan: Union[QSTree, FSchedule, FlatPlan], core=None
-) -> Dict[str, np.ndarray]:
-    """The ``rk_plan`` tables of one plan, by field name: the
-    application's tables from its context, shared, and the tree's,
-    flattened (:func:`flatten_plan`, unless ``plan`` is a
-    :class:`FlatPlan` already; one of another context raises
-    :class:`ValueError`) and derived.
+) -> "LoweredPlan":
+    """The ``rk_plan`` tables of one plan, by field name, and the
+    struct pointing into them: the application's tables from its
+    context, shared, and the tree's, flattened (:func:`flatten_plan`,
+    unless ``plan`` is a :class:`FlatPlan` already; one of another
+    context raises :class:`ValueError`) and derived.
 
     Includes every schedulability threshold the core can consult
     (attempts ``0..min(cap, k)-1`` per soft position, budgets
@@ -588,17 +589,20 @@ def lower_plan(
         "thr": thr,
         "arcs": flat.arcs,
     }
+    lowered_plan = LoweredPlan(arrays)
     if core is not None:
         core.fill_thresholds(
-            arrays,
+            lowered_plan,
             sharing=flat.heads[2::3].astype(np.uint8),
             bad=np.array(bad, dtype=np.uint8),
         )
-    return arrays
+    return lowered_plan
 
 
 class LoweredPlan:
-    """One plan's tables and the ``rk_plan`` pointing into them.
+    """One plan's tables and the ``rk_plan`` pointing into them, built
+    once per lowering: ``rk_thresholds`` fills the ``thr`` table
+    through this struct, and the kernel engine runs the plan on it.
 
     The struct holds raw pointers, so it lives exactly as long as the
     arrays it points into: whoever runs the core holds this object.

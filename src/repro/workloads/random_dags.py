@@ -11,16 +11,18 @@ standard structures of the embedded-scheduling literature:
   attach a fan-out of new nodes to a random frontier node, or join
   several frontier nodes into a fan-in node.
 
-Both return a :class:`networkx.DiGraph` of anonymous node ids in
-topological order; :mod:`repro.workloads.suite` attaches processes,
-timing and utility to them.
+Both return successor lists over anonymous node ids ``0..n-1``:
+``succ[u]`` lists u's successors in the order the edges were added,
+and every edge goes from a lower to a higher id.
+:func:`topological_order` gives the order the deadlines are derived
+in; :mod:`repro.workloads.suite` attaches processes, timing and
+utility to the nodes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ModelError
@@ -31,7 +33,7 @@ def layered_dag(
     rng: np.random.Generator,
     n_layers: Optional[int] = None,
     edge_probability: float = 0.3,
-) -> nx.DiGraph:
+) -> List[List[int]]:
     """A layered random DAG with ``n_nodes`` nodes.
 
     Nodes are split into layers (roughly sqrt(n) layers by default);
@@ -45,36 +47,29 @@ def layered_dag(
         raise ModelError("edge probability must be in [0, 1]")
     if n_layers is None:
         n_layers = max(1, int(round(float(np.sqrt(n_nodes)))))
+    if n_layers < 1:
+        raise ModelError("need at least one layer")
     n_layers = min(n_layers, n_nodes)
 
-    # Distribute nodes over layers (every layer non-empty).
-    layer_of: List[int] = []
-    base = n_nodes // n_layers
-    extra = n_nodes % n_layers
-    for layer in range(n_layers):
-        count = base + (1 if layer < extra else 0)
-        layer_of.extend([layer] * count)
-
-    graph = nx.DiGraph()
-    layers: List[List[int]] = [[] for _ in range(n_layers)]
-    for node in range(n_nodes):
-        graph.add_node(node, layer=layer_of[node])
-        layers[layer_of[node]].append(node)
-
-    for node in range(n_nodes):
-        layer = layer_of[node]
-        if layer == 0:
-            continue
-        prev = layers[layer - 1]
-        parent = int(rng.choice(prev))
-        graph.add_edge(parent, node)
-        earlier = [m for m in range(n_nodes) if layer_of[m] < layer]
-        for candidate in earlier:
-            if candidate == parent:
-                continue
-            if rng.random() < edge_probability / max(1, layer):
-                graph.add_edge(candidate, node)
-    return graph
+    # Consecutive node ids per layer, every layer non-empty (the first
+    # n_nodes % n_layers layers hold one node more).
+    layers = [
+        part.tolist()
+        for part in np.array_split(np.arange(n_nodes), n_layers)
+    ]
+    succ: List[List[int]] = [[] for _ in range(n_nodes)]
+    for layer in range(1, n_layers):
+        for node in layers[layer]:
+            parent = int(rng.choice(layers[layer - 1]))
+            succ[parent].append(node)
+            # The earlier layers are the ids below this layer's first.
+            for candidate in range(layers[layer][0]):
+                if (
+                    candidate != parent
+                    and rng.random() < edge_probability / layer
+                ):
+                    succ[candidate].append(node)
+    return succ
 
 
 def fanin_fanout_dag(
@@ -82,44 +77,39 @@ def fanin_fanout_dag(
     rng: np.random.Generator,
     max_fan_out: int = 3,
     max_fan_in: int = 3,
-) -> nx.DiGraph:
+) -> List[List[int]]:
     """TGFF-style fan-in/fan-out growth to ``n_nodes`` nodes."""
     if n_nodes < 1:
         raise ModelError("need at least one node")
-    graph = nx.DiGraph()
-    graph.add_node(0)
+    if max_fan_out < 1:
+        raise ModelError("max_fan_out must be at least 1")
+    if max_fan_in < 2:
+        raise ModelError("max_fan_in must be at least 2")
+    succ: List[List[int]] = [[]]
     frontier: List[int] = [0]
-    next_id = 1
-    while next_id < n_nodes:
+    while len(succ) < n_nodes:
         if len(frontier) >= 2 and rng.random() < 0.4:
             # Fan-in: join several frontier nodes into a new node.
             count = int(rng.integers(2, min(max_fan_in, len(frontier)) + 1))
             picks = rng.choice(len(frontier), size=count, replace=False)
             parents = [frontier[int(i)] for i in picks]
-            node = next_id
-            next_id += 1
-            graph.add_node(node)
+            node = len(succ)
+            succ.append([])
             for parent in parents:
-                graph.add_edge(parent, node)
+                succ[parent].append(node)
             frontier = [f for f in frontier if f not in parents]
             frontier.append(node)
         else:
             # Fan-out: sprout children from a random frontier node.
             parent = frontier[int(rng.integers(len(frontier)))]
             count = int(rng.integers(1, max_fan_out + 1))
-            count = min(count, n_nodes - next_id)
-            new_nodes = []
-            for _ in range(count):
-                node = next_id
-                next_id += 1
-                graph.add_node(node)
-                graph.add_edge(parent, node)
-                new_nodes.append(node)
+            count = min(count, n_nodes - len(succ))
+            children = list(range(len(succ), len(succ) + count))
+            succ[parent].extend(children)
+            succ.extend([] for _ in children)
             frontier.remove(parent)
-            frontier.extend(new_nodes)
-        if not frontier:  # pragma: no cover - defensive
-            frontier = [next_id - 1]
-    return graph
+            frontier.extend(children)
+    return succ
 
 
 def random_dag(
@@ -127,10 +117,30 @@ def random_dag(
     rng: np.random.Generator,
     structure: str = "layered",
     **kwargs,
-) -> nx.DiGraph:
+) -> List[List[int]]:
     """Dispatch on ``structure`` ('layered' or 'fanin_fanout')."""
     if structure == "layered":
         return layered_dag(n_nodes, rng, **kwargs)
     if structure == "fanin_fanout":
         return fanin_fanout_dag(n_nodes, rng, **kwargs)
     raise ModelError(f"unknown DAG structure {structure!r}")
+
+
+def topological_order(succ: Sequence[Sequence[int]]) -> List[int]:
+    """The nodes of the DAG ``succ`` in Kahn's order: a FIFO queue
+    seeded with the sources in node order, each node's successors
+    released in list order."""
+    in_degree = [0] * len(succ)
+    for children in succ:
+        for child in children:
+            in_degree[child] += 1
+    order = [node for node, degree in enumerate(in_degree) if degree == 0]
+    # ``order`` is the queue too: the loop reaches what it appends.
+    for node in order:
+        for child in succ[node]:
+            in_degree[child] -= 1
+            if in_degree[child] == 0:
+                order.append(child)
+    if len(order) != len(succ):
+        raise ModelError("the graph contains a cycle")
+    return order

@@ -24,7 +24,7 @@ from repro.workloads.deadlines import (
     hard_only_bounds,
 )
 from repro.workloads.exec_times import TimingSpec, draw_execution_times
-from repro.workloads.random_dags import random_dag
+from repro.workloads.random_dags import random_dag, topological_order
 from repro.workloads.utility_gen import step_utility_for_range
 
 
@@ -69,8 +69,9 @@ def generate_application(
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    dag = random_dag(spec.n_processes, rng, structure=spec.structure)
+    succ = random_dag(spec.n_processes, rng, structure=spec.structure)
     node_order = list(range(spec.n_processes))
+    topo_nodes = topological_order(succ)
     times = draw_execution_times(node_order, rng, spec.timing)
 
     # Hard/soft split: sample without replacement.
@@ -86,9 +87,7 @@ def generate_application(
     bcet = {names[n]: times[n][0] for n in node_order}
     recovery_need = {names[n]: wcet[names[n]] + spec.mu for n in node_order}
 
-    import networkx as nx
-
-    topo = [names[n] for n in nx.topological_sort(dag)]
+    topo = [names[n] for n in topo_nodes]
     hard_names = [names[n] for n in node_order if n not in soft_nodes]
 
     bounds = hard_only_bounds(topo, hard_names, wcet, recovery_need, spec.k)
@@ -110,11 +109,12 @@ def generate_application(
     # path into the process; latest = sum of AETs (everything runs at
     # average before it) clipped to the period.
     earliest: Dict[str, int] = {}
-    for node in nx.topological_sort(dag):
+    ready = [0] * spec.n_processes
+    for node in topo_nodes:
         name = names[node]
-        preds = [names[p] for p in dag.predecessors(node)]
-        start = max((earliest[p] for p in preds), default=0)
-        earliest[name] = start + bcet[name]
+        earliest[name] = ready[node] + bcet[name]
+        for child in succ[node]:
+            ready[child] = max(ready[child], earliest[name])
     total_aet = sum((bcet[n] + wcet[n]) // 2 for n in wcet)
 
     processes: List[Process] = []
@@ -136,7 +136,9 @@ def generate_application(
                 hard_process(name, bcet[name], wcet[name], deadlines[name])
             )
 
-    edges = [(names[u], names[v]) for u, v in dag.edges()]
+    # Edges by source, each source's in the order they were added:
+    # this order fixes every process's predecessor order.
+    edges = [(names[u], names[v]) for u in node_order for v in succ[u]]
     graph = ProcessGraph(processes, edges, name=f"G{spec.n_processes}")
     app = Application(graph, period=period, k=spec.k, mu=spec.mu)
     app.validate()

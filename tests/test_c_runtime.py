@@ -195,7 +195,7 @@ def test_one_node_tree(tmp_path, fig1_app):
     """A static schedule has no switch arcs: the empty ``arcs`` table
     becomes a placeholder that is never read."""
     plan = QSTree(ftss(fig1_app))
-    assert len(lower_plan(fig1_app, plan)["arcs"]) == 0
+    assert len(lower_plan(fig1_app, plan).arrays["arcs"]) == 0
     lib, run = _build(tmp_path, [("single", fig1_app, plan)])
     _assert_matches_oracle(lib, run, "single", fig1_app, plan, 100, 1)
 
@@ -214,7 +214,7 @@ def _all_hard_app():
 def test_all_hard_application(tmp_path):
     app = _all_hard_app()
     plan = QSTree(ftss(app))
-    arrays = lower_plan(app, plan)
+    arrays = lower_plan(app, plan).arrays
     for name in ("thr", "pred"):
         assert len(arrays[name]) == 0, name
     lib, run = _build(tmp_path, [("hard", app, plan)])
@@ -240,7 +240,7 @@ def test_exported_tables_equal_lower_plan(tmp_path, cc_app):
     """The tables read back through ``<symbol>_plan`` are
     ``lower_plan``'s arrays byte for byte."""
     plan = _tree(cc_app, 8)
-    arrays = lower_plan(cc_app, plan)
+    arrays = lower_plan(cc_app, plan).arrays
     lib, _ = _build(tmp_path, [("cruise", cc_app, plan)])
     exported = RkPlan.in_dll(lib, "cruise_plan")
     assert [getattr(exported, name) for name in SCALARS] == (

@@ -856,7 +856,7 @@ def _assert_thresholds_match_probe(app, plan, core):
     core equals :func:`node_thresholds`'s and the probe's; returns the
     number of cells checked."""
     tree = QSTree(plan) if isinstance(plan, FSchedule) else plan
-    arrays = lower_plan(app, tree, core)
+    arrays = lower_plan(app, tree, core).arrays
     stride = app.k + 1
     cells = 0
     for dense, node in enumerate(sorted(tree, key=lambda n: n.node_id)):
@@ -958,7 +958,7 @@ def _assert_masks_match_probe_info(app, plan):
     ctx = SchedulingContext.of(app)
     nw = (len(ctx.names) + 63) // 64
     tree = QSTree(plan) if isinstance(plan, FSchedule) else plan
-    arrays = lower_plan(app, tree, _core())
+    arrays = lower_plan(app, tree, _core()).arrays
 
     def words(names):
         mask = ctx.mask(names)
@@ -1049,7 +1049,7 @@ def test_lowering_without_a_compiler_is_byte_identical(
 
     core = _core()
     corpus = list(_threshold_corpus(engine_full))
-    lowered = [lower_plan(app, plan, core) for _, app, plan in corpus]
+    lowered = [lower_plan(app, plan, core).arrays for _, app, plan in corpus]
     for i, (_, app, plan) in enumerate(corpus):
         write_c_tables(app, plan, str(tmp_path / "core" / str(i)))
 
@@ -1058,7 +1058,7 @@ def test_lowering_without_a_compiler_is_byte_identical(
     monkeypatch.setattr(dispatch, "_FAILED", {})
     monkeypatch.setattr(dispatch, "_GLOBAL_STATS", dispatch.KernelStats())
     for (label, app, plan), arrays in zip(corpus, lowered):
-        oracle = lower_plan(app, plan, dispatch.prepare_core())
+        oracle = lower_plan(app, plan, dispatch.prepare_core()).arrays
         assert sorted(oracle) == sorted(arrays), label
         for name, array in arrays.items():
             assert (

@@ -1,6 +1,5 @@
 """Unit tests for the process graph substrate."""
 
-import networkx as nx
 import pytest
 
 from repro.errors import GraphError
@@ -149,19 +148,3 @@ def test_relabelled():
     renamed = graph.relabelled({"P1": "Q1"})
     assert "Q1" in renamed and "P1" not in renamed
     assert sorted(renamed.successors("Q1")) == ["P2", "P3"]
-
-
-def test_networkx_round_trip():
-    graph = _diamond()
-    nx_graph = graph.to_networkx()
-    assert isinstance(nx_graph, nx.DiGraph)
-    back = ProcessGraph.from_networkx(nx_graph, name="diamond")
-    assert sorted(back.process_names) == sorted(graph.process_names)
-    assert sorted(back.edges) == sorted(graph.edges)
-
-
-def test_from_networkx_requires_process_attribute():
-    bad = nx.DiGraph()
-    bad.add_node("X")
-    with pytest.raises(GraphError):
-        ProcessGraph.from_networkx(bad)

@@ -205,8 +205,8 @@ def test_plan_key_follows_predecessor_order():
     assert first.graph.predecessors("S") != second.graph.predecessors("S")
     trees = [QSTree(_hard_pred_root(app)) for app in (first, second)]
     assert (
-        lower_plan(first, trees[0])["pred"].tobytes()
-        != lower_plan(second, trees[1])["pred"].tobytes()
+        lower_plan(first, trees[0]).arrays["pred"].tobytes()
+        != lower_plan(second, trees[1]).arrays["pred"].tobytes()
     )
     assert plan_key(first, trees[0]) != plan_key(second, trees[1])
 
@@ -298,7 +298,8 @@ def test_round_tripped_plan_hits_the_memo(fig1_app, kernel_cache,
                                           monkeypatch):
     """A second simulator on a JSON round trip of the application and
     the tree counts a memo hit and lowers nothing, and its plan key
-    builds no JSON document."""
+    builds no JSON document.  The memo keeps the one ``LoweredPlan``
+    whose struct ``rk_thresholds`` filled through."""
     _needs_compiler()
     import repro.io.json_io as json_io
     import repro.runtime.engine.kernel.dispatch as dispatch
@@ -306,24 +307,31 @@ def test_round_tripped_plan_hits_the_memo(fig1_app, kernel_cache,
     tree = _tree(fig1_app)
     twin = json_io.application_from_dict(json_io.application_to_dict(fig1_app))
     twin_tree = json_io.tree_from_dict(twin, json_io.tree_to_dict(tree))
-    lowered, documents = [], []
+    lowered, filled, documents = [], [], []
     lower_plan = dispatch.lower_plan
+    fill_thresholds = dispatch.Core.fill_thresholds
 
     def counting(app, plan, core):
         lowered.append(plan)
         return lower_plan(app, plan, core)
+
+    def recording_fill(core, plan, sharing, bad):
+        filled.append(plan)
+        fill_thresholds(core, plan, sharing, bad)
 
     def no_documents(*args, **kwargs):
         documents.append(args)
         raise AssertionError("the plan key built a JSON document")
 
     monkeypatch.setattr(dispatch, "lower_plan", counting)
+    monkeypatch.setattr(dispatch.Core, "fill_thresholds", recording_fill)
     for name in ("application_to_dict", "tree_to_dict", "content_digest"):
         monkeypatch.setattr(json_io, name, no_documents)
     first = KernelSimulator(fig1_app, tree)
     second = KernelSimulator(twin, twin_tree)
     assert [first.engine_used, second.engine_used] == ["kernel"] * 2
     assert len(lowered) == 1 and documents == []
+    assert len(filled) == 1 and filled[0] is first._lowered
     assert kernel_stats().cache_hits == 1
     assert second._lowered is first._lowered
     _assert_same_results(twin, twin_tree, second)
@@ -547,8 +555,8 @@ def test_lower_plan_rejects_a_plan_flattened_on_another_application():
     app, twin = paper_fig1_application(), paper_fig1_application()
     plan = ftss_reference(app)
     flat = flatten_plan(SchedulingContext.of(app), plan)
-    expected = lower_plan(app, plan)
-    lowered = lower_plan(app, flat)
+    expected = lower_plan(app, plan).arrays
+    lowered = lower_plan(app, flat).arrays
     assert lowered.keys() == expected.keys()
     for name, array in expected.items():
         assert lowered[name].tobytes() == array.tobytes(), name
