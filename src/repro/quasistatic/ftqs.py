@@ -40,7 +40,9 @@ from repro.quasistatic.intervals import (
 from repro.quasistatic.similarity import find_most_similar_unexpanded
 from repro.quasistatic.tree import QSNode, QSTree, SwitchArc
 from repro.scheduling.fschedule import FSchedule, shared_recovery_demand
-from repro.scheduling.ftss import FTSSConfig, ftss, ftss_reference
+from repro.scheduling.ftss import (
+    FTSSConfig, check_fields, ftss, ftss_reference,
+)
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,11 @@ class FTQSConfig:
     use_interval_partitioning: bool = True
 
     def __post_init__(self) -> None:
+        check_fields(
+            self,
+            ("fault_children", "use_interval_partitioning"),
+            ("max_schedules", "max_fault_variants", "interval_stride"),
+        )
         if self.max_schedules < 1:
             raise ValueError("max_schedules must be at least 1")
         if self.max_fault_variants < 0:

@@ -12,8 +12,7 @@ corpus):
   :class:`~repro.scheduling.compiled.SchedulingContext`, shared with
   root admission and the kernel engine, holds its integer tables
   (pid-indexed lists, bitmask sets), lowered once for the C core, and
-  every tail is one
-  ``rk_ftss`` call through
+  every tail, under every FTSS config, is one ``rk_ftss`` call through
   :func:`~repro.scheduling.ftss.ftss_compiled` — never through
   ``ftss``.  A tail stays raw (a
   :class:`~repro.scheduling.compiled.RawTail`: pids, caps and its
@@ -52,7 +51,7 @@ from repro.quasistatic.tree import QSNode, QSTree, SwitchArc
 from repro.scheduling.compiled import RawTail, SchedulingContext
 from repro.scheduling.feasibility import TopNeeds
 from repro.scheduling.fschedule import FSchedule
-from repro.scheduling.ftss import ftss_compiled, ftss_reference
+from repro.scheduling.ftss import ftss_compiled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.engine.kernel.design import Side
@@ -234,23 +233,9 @@ class SynthesisEngine:
             return hit
         self.stats.tails_scheduled += 1
         ctx = self.ctx
-        if not self.config.ftss.fast_paths:
-            # The reference slow probes differ from the fast ones in
-            # second-order greedy effects; honour the ablation by
-            # delegating (memoization still applies).
-            schedule = ftss_reference(
-                self.app,
-                fault_budget=budget,
-                start_time=start,
-                prior_completed=ctx.names_of(completed),
-                prior_dropped=ctx.names_of(dropped),
-                config=self.config.ftss,
-            )
-            raw = None if schedule is None else ctx.raw_tail(schedule)
-        else:
-            raw = ftss_compiled(
-                ctx, self.config.ftss, budget, start, completed, dropped
-            )
+        raw = ftss_compiled(
+            ctx, self.config.ftss, budget, start, completed, dropped
+        )
         tail = None
         if raw is not None and raw.latest is not None and raw.pids:
             settled = completed

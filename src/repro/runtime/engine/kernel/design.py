@@ -199,8 +199,7 @@ class DesignCore:
                 sets[w] = prior_completed >> (64 * w) & _WORD
                 sets[nw + w] = prior_dropped >> (64 * w) & _WORD
             status = self._core.ftss(
-                *self._tables, self._flags_at,
-                float(config.successor_weight), SUCCESSOR_WEIGHT,
+                *self._tables, self._flags_at, SUCCESSOR_WEIGHT,
                 fault_budget, start_time, self._sets_at,
                 self._sets_at + 8 * nw, *self._ftss_work, *self._ftss_out,
             )

@@ -272,7 +272,7 @@ def bind_design(lib: ctypes.CDLL):
     ftss.argtypes = [
         ctypes.POINTER(RkPlan), ctypes.POINTER(RkSched),
         _PTR,  # flags
-        ctypes.c_double, ctypes.c_double,  # weights
+        ctypes.c_double,  # MU lookahead weight
         _I64, _I64,  # budget, start
         _PTR, _PTR,  # completed, dropped
         _PTR, _PTR, _PTR,  # work buffers

@@ -15,18 +15,19 @@
  * smallest-pid one, and rk_ftss, rk_partition, rk_expected and
  * rk_thresholds read the same records of one application.
  *
- * rk_ftss is an exact clone of repro.scheduling.ftss.ftss_reference
- * with fast_paths semantics: the same list-scheduling loop, the same
- * integer S_iH probes (with the hard-tail walk collapsed to one bound:
- * a full-budget cap absorbs every fault no strictly costlier entry
- * claims, so of the hard entries appended only the costliest matters)
- * and every float operation in the oracle's order; it also reports the
- * latest start of its final schedulability check, the schedule's t_ic
- * (SchedulingContext.latest_start).  rk_partition is
- * repro.quasistatic.intervals.partition of one candidate clamped at
- * the child's t_ic: both tails' profiles, their critical points and
- * the gain scan, each profile evaluated as rk_expected evaluates it
- * (TailProfile.expected at a list of switch times, with libm's erf).
+ * rk_ftss is an exact clone of repro.scheduling.ftss.ftss_reference:
+ * the same list-scheduling loop, the same removal-scored dropping
+ * heuristic, the same integer S_iH probes (with the hard-tail walk
+ * collapsed to one bound: a full-budget cap absorbs every fault no
+ * strictly costlier entry claims, so of the hard entries appended only
+ * the costliest matters) and every float operation in the oracle's
+ * order; it also reports the latest start of its final schedulability
+ * check, the schedule's t_ic (SchedulingContext.latest_start).
+ * rk_partition is repro.quasistatic.intervals.partition of one
+ * candidate clamped at the child's t_ic: both tails' profiles, their
+ * critical points and the gain scan, each profile evaluated as
+ * rk_expected evaluates it (TailProfile.expected at a list of switch
+ * times, with libm's erf).
  * rk_thresholds fills a plan's thr table as lower.node_thresholds
  * does, each cell one feasibility.latest_start walk (rk_walk, which
  * rk_ftss's final check walks too).  All are bit-identical to their
@@ -180,7 +181,6 @@ typedef struct rk_frun {
     int64_t sharing;
     int64_t wcet_opt;
     double weight;
-    double greedy_weight;
     const uint64_t *completed;
     int64_t clock;
     uint64_t *settled;
@@ -527,8 +527,7 @@ static int64_t rk_greedy(rk_frun *f, const uint64_t *pool, int64_t now,
         }
     }
     while (!rk_none(f->left, nw)) {
-        q = rk_best_soft(f, f->avail, now, dropped, f->galpha,
-                         f->greedy_weight);
+        q = rk_best_soft(f, f->avail, now, dropped, f->galpha, f->weight);
         out[n++] = q;
         f->left[q >> 6] &= ~RK_BIT(q);
         f->avail[q >> 6] &= ~RK_BIT(q);
@@ -868,15 +867,16 @@ static void rk_oracle_init(rk_oracle *o, int64_t *ints, int64_t slots,
 
 /* One FTSS run from start with budget faults to tolerate, after the
  * completed and dropped sets (nw words each).  flags: drop heuristic,
- * soft re-execution, slack sharing, WCET decision times.  Writes the
- * scheduled pids and re-execution caps (n_proc slots each) and their
- * count, and, unless the loop found the run unschedulable, the latest
- * start of the final check (the schedule's t_ic), and returns an
- * RK_FTSS_* outcome, or -1 for out-of-range arguments.  The caller's
- * work buffers hold 2 n_proc + 8 RK_TOP_SLOTS(n_proc, budget) ints,
- * 2 n_proc doubles and 16 nw mask words. */
+ * soft re-execution, slack sharing, WCET decision times; weight: the
+ * MU priority's lookahead weight.  Writes the scheduled pids and
+ * re-execution caps (n_proc slots each) and their count, and, unless
+ * the loop found the run unschedulable, the latest start of the final
+ * check (the schedule's t_ic), and returns an RK_FTSS_* outcome, or
+ * -1 for out-of-range arguments.  The caller's work buffers hold
+ * 2 n_proc + 8 RK_TOP_SLOTS(n_proc, budget) ints, 2 n_proc doubles
+ * and 16 nw mask words. */
 int64_t rk_ftss(const rk_plan *plan, const rk_sched *sched,
-                const int64_t *flags, double weight, double greedy_weight,
+                const int64_t *flags, double weight,
                 int64_t budget, int64_t start, const uint64_t *completed,
                 const uint64_t *dropped, int64_t *work_i, double *work_d,
                 uint64_t *work_m, int64_t *out_pid, int64_t *out_cap,
@@ -901,7 +901,6 @@ int64_t rk_ftss(const rk_plan *plan, const rk_sched *sched,
     f->sharing = flags[2];
     f->wcet_opt = flags[3];
     f->weight = weight;
-    f->greedy_weight = greedy_weight;
     f->completed = completed;
     f->clock = start;
     f->settled = work_m;

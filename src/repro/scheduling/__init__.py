@@ -2,7 +2,6 @@
 
 from repro.scheduling.dropping import (
     determine_dropping,
-    dropping_gain,
     forced_dropping_choice,
     greedy_soft_order,
     hypothetical_utility,
@@ -42,7 +41,6 @@ __all__ = [
     "best_soft",
     "candidate_schedule",
     "determine_dropping",
-    "dropping_gain",
     "earliest_deadline_hard",
     "edf_hard_order",
     "forced_dropping_choice",

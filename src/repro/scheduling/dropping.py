@@ -8,16 +8,19 @@ processes only* — S_i' containing P_i and S_i'' without it (its
 consumers then read a stale value) — and drop P_i when
 U(S_i') ≤ U(S_i'').
 
-The hypothetical schedules order processes greedily by the MU priority
-(recomputed after each pick, since completing one soft process shifts
-the completion times of the rest) and are evaluated with average-case
-execution times starting from the current schedule time, matching the
-worked example of Fig. 8 (S_2' earning 80 vs S_2'' earning 50, so P_2
-is kept).
+S_i' orders the processes greedily by the MU priority (recomputed
+after each pick, since completing one soft process shifts the
+completion times of the rest); it does not depend on the candidate, so
+it is built once per decision.  S_i'' is S_i' with P_i removed — where
+the paper re-orders S_i'' greedily; the two agree on the worked
+example of Fig. 8 (S_2' earning 80 vs S_2'' earning 50, so P_2 is
+kept).  Both are evaluated with average-case execution times starting
+from the current schedule time.
 
-``ForcedDropping`` (lines 5-9) reuses the same machinery: when no ready
-process leads to a schedulable solution, the soft ready process whose
-removal costs the least utility is dropped.
+``ForcedDropping`` (lines 5-9) reuses the same computation
+(:func:`removal_utilities`): when no ready process leads to a
+schedulable solution, the soft ready process whose removal costs the
+least utility is dropped.  ``rk_ftss`` in the C core is its clone.
 """
 
 from __future__ import annotations
@@ -95,29 +98,32 @@ def hypothetical_utility(
     return total
 
 
-def dropping_gain(
+def removal_utilities(
     app: Application,
-    candidate: str,
+    candidates: Iterable[str],
     unscheduled_soft: Iterable[str],
     now: int,
     dropped: Iterable[str],
-) -> Tuple[float, float]:
-    """Utilities (U(S'), U(S'')) of keeping vs dropping ``candidate``.
+) -> Tuple[float, Dict[str, float]]:
+    """U(S') and each candidate's U(S''), both dropping decisions' one
+    computation.
 
-    ``unscheduled_soft`` are all not-yet-scheduled, not-yet-dropped soft
-    processes (including ``candidate``).  ``S'`` schedules all of them,
-    ``S''`` schedules all but ``candidate`` with ``candidate`` dropped.
+    ``unscheduled_soft`` are all not-yet-scheduled, not-yet-dropped
+    soft processes, every candidate among them.  S' is their greedy MU
+    order; a candidate's S'' is S' without it, with it dropped.
     """
-    pool = [n for n in unscheduled_soft]
-    if candidate not in pool:
-        raise ValueError(f"{candidate!r} not among the unscheduled soft set")
+    candidates, pool = list(candidates), list(unscheduled_soft)
+    outside = sorted(set(candidates) - set(pool))
+    if outside:
+        raise ValueError(f"{outside} not among the unscheduled soft set")
     keep_order = greedy_soft_order(app, pool, now, dropped)
     keep_utility = hypothetical_utility(app, keep_order, now, dropped)
-    rest = [n for n in pool if n != candidate]
-    drop_set = set(dropped) | {candidate}
-    drop_order = greedy_soft_order(app, rest, now, drop_set)
-    drop_utility = hypothetical_utility(app, drop_order, now, drop_set)
-    return keep_utility, drop_utility
+    drop_utilities: Dict[str, float] = {}
+    for name in candidates:
+        rest = [n for n in keep_order if n != name]
+        drop_set = set(dropped) | {name}
+        drop_utilities[name] = hypothetical_utility(app, rest, now, drop_set)
+    return keep_utility, drop_utilities
 
 
 def determine_dropping(
@@ -127,74 +133,23 @@ def determine_dropping(
     now: int,
     dropped: Iterable[str],
 ) -> List[str]:
-    """FTSS line 3: soft ready processes whose dropping is beneficial.
+    """FTSS line 3: soft ready processes whose dropping is beneficial,
+    U(S') <= U(S'').
 
-    Returns the subset of ``ready`` to drop (possibly empty).  The
-    comparison for each candidate uses the current dropped set only —
-    candidates are evaluated independently, as in the paper, which
-    avoids the combinatorial explosion of joint dropping decisions.
+    Returns the subset of ``ready`` to drop (possibly empty).  Each
+    candidate is evaluated against the current dropped set only, as
+    in the paper, which avoids the combinatorial explosion of joint
+    dropping decisions.
     """
-    to_drop: List[str] = []
-    for name in ready:
-        if not app.process(name).is_soft:
-            continue
-        keep_u, drop_u = dropping_gain(
-            app, name, unscheduled_soft, now, dropped
-        )
-        if keep_u <= drop_u:
-            to_drop.append(name)
-    return to_drop
-
-
-def determine_dropping_fast(
-    app: Application,
-    ready: Sequence[str],
-    unscheduled_soft: Sequence[str],
-    now: int,
-    dropped: Iterable[str],
-) -> List[str]:
-    """O(s²) variant of :func:`determine_dropping`.
-
-    Builds the greedy keep-order of the full unscheduled soft pool
-    *once*, then scores each candidate by removing it from that order
-    (instead of re-running the greedy construction per candidate).
-    The orders only differ when removing the candidate would reshuffle
-    the greedy choices — a second-order effect; the ablation tests
-    compare both variants.
-    """
-    keep_order = greedy_soft_order(app, unscheduled_soft, now, dropped)
-    keep_utility = hypothetical_utility(app, keep_order, now, dropped)
-    to_drop: List[str] = []
-    for name in ready:
-        if not app.process(name).is_soft:
-            continue
-        rest = [n for n in keep_order if n != name]
-        drop_set = set(dropped) | {name}
-        drop_utility = hypothetical_utility(app, rest, now, drop_set)
-        if keep_utility <= drop_utility:
-            to_drop.append(name)
-    return to_drop
-
-
-def forced_dropping_choice_fast(
-    app: Application,
-    ready_soft: Sequence[str],
-    unscheduled_soft: Sequence[str],
-    now: int,
-    dropped: Iterable[str],
-) -> Optional[str]:
-    """Removal-scored variant of :func:`forced_dropping_choice`."""
-    if not ready_soft:
-        return None
-    keep_order = greedy_soft_order(app, unscheduled_soft, now, dropped)
-    keep_utility = hypothetical_utility(app, keep_order, now, dropped)
-    losses: Dict[str, float] = {}
-    for name in ready_soft:
-        rest = [n for n in keep_order if n != name]
-        drop_set = set(dropped) | {name}
-        drop_utility = hypothetical_utility(app, rest, now, drop_set)
-        losses[name] = keep_utility - drop_utility
-    return min(sorted(losses), key=lambda n: losses[n])
+    soft = [name for name in ready if app.process(name).is_soft]
+    if not soft:
+        return []
+    keep_utility, drop_utilities = removal_utilities(
+        app, soft, unscheduled_soft, now, dropped
+    )
+    return [
+        name for name in soft if keep_utility <= drop_utilities[name]
+    ]
 
 
 def forced_dropping_choice(
@@ -204,17 +159,17 @@ def forced_dropping_choice(
     now: int,
     dropped: Iterable[str],
 ) -> Optional[str]:
-    """FTSS lines 5-9: pick the soft ready process whose dropping hurts
-    the overall utility least.
+    """FTSS lines 5-9: the soft ready process whose dropping hurts the
+    overall utility least, U(S') - U(S''); the smallest name on ties.
 
     Returns ``None`` when there is no soft process to sacrifice.
     """
     if not ready_soft:
         return None
-    losses: Dict[str, float] = {}
-    for name in ready_soft:
-        keep_u, drop_u = dropping_gain(
-            app, name, unscheduled_soft, now, dropped
-        )
-        losses[name] = keep_u - drop_u
+    keep_utility, drop_utilities = removal_utilities(
+        app, ready_soft, unscheduled_soft, now, dropped
+    )
+    losses = {
+        name: keep_utility - drop for name, drop in drop_utilities.items()
+    }
     return min(sorted(losses), key=lambda n: losses[n])

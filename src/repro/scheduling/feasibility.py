@@ -1,4 +1,4 @@
-"""Incremental feasibility oracle — the fast path of FTSS.
+"""Incremental feasibility oracle — the S_iH probes of FTSS.
 
 ``GetSchedulable`` (paper §5.2, line 4) probes, for every ready
 process, whether "prefix + candidate + all remaining hard processes"
@@ -6,11 +6,12 @@ meets the hard deadlines in the worst fault scenario.  Building a full
 :class:`~repro.scheduling.fschedule.FSchedule` for every probe is
 O(n²) per FTSS iteration; this oracle maintains the prefix state
 incrementally and answers each probe in O(#remaining hard) with tiny
-constants, which matters because FTQS runs FTSS once per tree node.
+constants.  :func:`~repro.scheduling.ftss.ftss_reference` probes with
+it, and ``rk_ftss`` in the C core is its clone.
 
-The oracle is an exact re-implementation of the slow path — the test
-suite cross-checks the two on randomized inputs (see
-``tests/test_feasibility.py``).
+The oracle is an exact re-implementation of the literal S_iH probe of
+:mod:`repro.scheduling.schedulability` — the test suite cross-checks
+the two on randomized inputs (see ``tests/test_feasibility.py``).
 
 Key facts exploited:
 

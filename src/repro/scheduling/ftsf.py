@@ -24,39 +24,32 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.model.application import Application
-from repro.scheduling.fschedule import FSchedule, ScheduledEntry
+from repro.scheduling.compiled import RawTail, SchedulingContext
+from repro.scheduling.feasibility import latest_start
+from repro.scheduling.fschedule import FSchedule
 from repro.scheduling.nft import nft_schedule
 from repro.utility.stale import stale_coefficients
 
 
-def _fault_tolerant_entries(
-    app: Application, order: List[str], k: int
-) -> List[ScheduledEntry]:
-    """Step 2: k re-executions for hard processes, none for soft."""
-    entries = []
-    for name in order:
-        rex = k if app.process(name).is_hard else 0
-        entries.append(ScheduledEntry(name, rex))
-    return entries
-
-
-def _cheapest_soft(app: Application, schedule: FSchedule) -> Optional[str]:
-    """The scheduled soft process with the lowest expected utility."""
-    completions = schedule.expected_completions()
-    alphas = stale_coefficients(app.graph, schedule.all_dropped)
+def _cheapest_soft(ctx: SchedulingContext, order: List[int]) -> Optional[int]:
+    """The scheduled soft pid with the lowest expected utility: its
+    α-weighted utility at its AET completion (nothing past the period),
+    the smallest pid — name — on ties."""
+    app, names = ctx.app, ctx.names
+    left_out = ctx.soft_mask & ~sum(1 << p for p in order)
+    alphas = stale_coefficients(app.graph, ctx.names_of(left_out))
     values = {}
-    for entry in schedule.entries:
-        proc = app.process(entry.name)
-        if not proc.is_soft:
-            continue
-        t = completions[entry.name]
-        value = 0.0
-        if t <= app.period:
-            value = alphas[entry.name] * proc.utility_at(t)
-        values[entry.name] = value
+    clock = 0
+    for p in order:
+        proc = app.graph[names[p]]
+        clock += proc.aet
+        if proc.is_soft:
+            values[p] = 0.0
+            if clock <= app.period:
+                values[p] = alphas[names[p]] * proc.utility_at(clock)
     if not values:
         return None
-    return min(sorted(values), key=lambda n: values[n])
+    return min(sorted(values), key=lambda p: values[p])
 
 
 def ftsf(app: Application) -> Optional[FSchedule]:
@@ -64,25 +57,28 @@ def ftsf(app: Application) -> Optional[FSchedule]:
 
     The returned schedule has the same guarantees as an FTSS schedule
     (hard deadlines hold under up to k faults) but typically much lower
-    utility.
+    utility.  The drop loop runs on the application's one
+    :class:`~repro.scheduling.compiled.SchedulingContext`: each check
+    is one worst-case walk from time 0, and the f-schedule is built
+    once, at the end.
     """
     base = nft_schedule(app)
     if base is None:
         return None
-    order = base.order
-    dropped = set(base.all_dropped)
+    ctx = SchedulingContext.of(app)
+    k = app.k
+    order = [ctx.pid[name] for name in base.order]
+    caps = {p: k if ctx.is_hard[p] else 0 for p in order}
     while True:
-        entries = _fault_tolerant_entries(app, order, app.k)
-        schedule = FSchedule(
-            app,
-            entries,
-            fault_budget=app.k,
-            prior_dropped=frozenset(),
+        latest = latest_start(
+            ((ctx.wcet[p], ctx.need[p], caps[p], ctx.deadline[p])
+             for p in order),
+            k, True, ctx.period,
         )
-        if schedule.is_schedulable():
-            return schedule
-        victim = _cheapest_soft(app, schedule)
+        if latest >= 0:
+            raw = RawTail(tuple(order), tuple(caps[p] for p in order), latest)
+            return ctx.schedule(raw, k, 0, 0, 0, True)
+        victim = _cheapest_soft(ctx, order)
         if victim is None:
             return None
-        order = [n for n in order if n != victim]
-        dropped.add(victim)
+        order.remove(victim)

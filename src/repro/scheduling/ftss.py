@@ -23,19 +23,27 @@ The resulting f-schedule guarantees the hard deadlines for worst-case
 execution times while its utility is maximized for average execution
 times (the decisions in steps 1, 4 and 5 all use AETs).
 
-:func:`ftss`, which every caller uses, runs ``fast_paths=True``
-configurations (the default) in the C core: :func:`ftss_compiled`
-makes one ``rk_ftss`` call per run over the lowered tables of the
-application's one
+:func:`ftss`, which every caller uses, runs in the C core:
+:func:`ftss_compiled` makes one ``rk_ftss`` call per run over the
+lowered tables of the application's one
 :class:`~repro.scheduling.compiled.SchedulingContext`
 (see :mod:`repro.runtime.engine.kernel.design`), and the FTQS engine
 runs its tails through it too, keeping them raw (pids and caps) until
 one is admitted to the tree.  :func:`ftss_reference` is the loop
-below, followed literally: the oracle, which also serves
-``fast_paths=False`` and runs, with a counted reason, wherever the C
-path cannot (no usable core, a negative start time, a utility without
-a kernel lowering, a hard process among the prior drops).  Both return
-identical f-schedules (``tests/test_ftss_differential.py``).
+below, followed literally: the oracle, which runs, with a counted
+reason, wherever the C path cannot (no usable core, a negative start
+time, a utility without a kernel lowering, a hard process among the
+prior drops).  Both return identical f-schedules
+(``tests/test_ftss_differential.py``).
+
+The S_iH probes of line 4 and of the re-execution allotment are the
+incremental :class:`~repro.scheduling.feasibility.FeasibilityOracle`,
+which ``tests/test_feasibility.py`` holds to the literal probe of
+:mod:`repro.scheduling.schedulability`.  DetermineDropping and
+ForcedDropping (:mod:`repro.scheduling.dropping`) score each candidate
+by removing it from one greedy MU order of the unscheduled soft
+processes, where the paper re-orders S_i'' greedily; the two agree on
+Fig. 8's worked example.
 """
 
 from __future__ import annotations
@@ -44,12 +52,11 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.model.application import Application
+from repro.model.process import is_integer
 from repro.scheduling.compiled import RawTail, SchedulingContext
 from repro.scheduling.dropping import (
     determine_dropping,
-    determine_dropping_fast,
     forced_dropping_choice,
-    forced_dropping_choice_fast,
     greedy_soft_order,
     hypothetical_utility,
 )
@@ -60,7 +67,22 @@ from repro.scheduling.priority import (
     earliest_deadline_hard,
     soft_priorities,
 )
-from repro.scheduling.schedulability import candidate_schedule, get_schedulable
+
+
+def check_fields(
+    config, switches: Sequence[str], counts: Sequence[str] = ()
+) -> None:
+    """A ``ValueError`` naming the first of ``config``'s ``switches``
+    that is not a bool, or of its ``counts`` that is not an integer (a
+    bool is not one)."""
+    for name in switches:
+        value = getattr(config, name)
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be a bool, got {value!r}")
+    for name in counts:
+        value = getattr(config, name)
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,24 +106,20 @@ class FTSSConfig:
         ``"aet"`` (paper default) evaluates utility decisions at
         average-case times; ``"wcet"`` is the ``ablation-avg-opt``
         configuration that optimizes the pessimistic case instead.
-    successor_weight:
-        Lookahead weight of the MU priority.
-    fast_paths:
-        Use the incremental feasibility oracle and the removal-scored
-        dropping evaluation (exact re-implementations of the slow
-        probes up to greedy-order second-order effects; the test suite
-        cross-checks them), which :func:`ftss` runs in the C core.
-        Off = :func:`ftss_reference` with the slow probes.
+
+    The MU priority's lookahead weight is
+    :data:`~repro.scheduling.priority.SUCCESSOR_WEIGHT`.
     """
 
     drop_heuristic: bool = True
     soft_reexecution: bool = True
     slack_sharing: bool = True
     optimize_for: str = "aet"
-    successor_weight: float = 0.5
-    fast_paths: bool = True
 
     def __post_init__(self) -> None:
+        check_fields(
+            self, ("drop_heuristic", "soft_reexecution", "slack_sharing")
+        )
         if self.optimize_for not in ("aet", "wcet"):
             raise ValueError(
                 f"optimize_for must be 'aet' or 'wcet', got "
@@ -208,16 +226,11 @@ def ftss(
     paper's scheduling strategy (Fig. 6); ``start_time``,
     ``prior_completed``, ``prior_dropped`` and ``fault_budget``
     describe an intermediate execution state instead (the online
-    re-planner's).  ``fast_paths=True`` configurations run
-    :func:`ftss_compiled` on the application's one context
-    (:meth:`SchedulingContext.of`, built and lowered on first use);
-    ``fast_paths=False`` ones run :func:`ftss_reference`.  Both return
-    the same f-schedule (``tests/test_ftss_differential.py``).
+    re-planner's).  It runs :func:`ftss_compiled` on the application's
+    one context (:meth:`SchedulingContext.of`, built and lowered on
+    first use), which returns what :func:`ftss_reference` returns
+    (``tests/test_ftss_differential.py``).
     """
-    if not config.fast_paths:
-        return ftss_reference(
-            app, fault_budget, start_time, prior_completed, prior_dropped, config
-        )
     budget = app.k if fault_budget is None else int(fault_budget)
     ctx = SchedulingContext.of(app)
     completed, dropped = ctx.prior_masks(prior_completed, prior_dropped)
@@ -240,13 +253,13 @@ def ftss_compiled(
     prior_completed: int,
     prior_dropped: int,
 ) -> Optional[RawTail]:
-    """One ``fast_paths`` FTSS run on ``ctx``'s tables, the prior sets
-    as masks, raw: the scheduled pids and caps and the latest start at
-    which the schedule stays schedulable (its t_ic; ``None`` when the
-    final check rejects it), or ``None`` when the run finds no
-    schedule.  :meth:`SchedulingContext.schedule` builds the
-    f-schedule.  One ``rk_ftss`` call of the C core gives it; where the
-    C path cannot run (the reason is counted in ``kernel_stats()``),
+    """One FTSS run on ``ctx``'s tables, the prior sets as masks, raw:
+    the scheduled pids and caps and the latest start at which the
+    schedule stays schedulable (its t_ic; ``None`` when the final check
+    rejects it), or ``None`` when the run finds no schedule.
+    :meth:`SchedulingContext.schedule` builds the f-schedule.  One
+    ``rk_ftss`` call of the C core gives it; where the C path cannot
+    run (the reason is counted in ``kernel_stats()``),
     :func:`ftss_reference` and :meth:`SchedulingContext.latest_start`
     do."""
     core = ctx.core
@@ -274,8 +287,8 @@ def ftss_reference(
     config: FTSSConfig = DEFAULT_CONFIG,
 ) -> Optional[FSchedule]:
     """The behavioral oracle of :func:`ftss`: Fig. 8 over names and
-    sets, with the probes of :mod:`repro.scheduling.feasibility` (or,
-    with ``fast_paths=False``, :mod:`repro.scheduling.schedulability`)."""
+    sets, with the probes of :mod:`repro.scheduling.feasibility` and
+    the dropping heuristic of :mod:`repro.scheduling.dropping`."""
     budget = app.k if fault_budget is None else int(fault_budget)
     state = _FTSSState(
         app, budget, start_time, prior_completed, prior_dropped, config
@@ -285,12 +298,7 @@ def ftss_reference(
         ready_sorted = sorted(state.ready)
         # Line 3: DetermineDropping over the ready soft processes.
         if config.drop_heuristic:
-            dropper = (
-                determine_dropping_fast
-                if config.fast_paths
-                else determine_dropping
-            )
-            drops = dropper(
+            drops = determine_dropping(
                 app,
                 ready_sorted,
                 state.unscheduled_soft(),
@@ -304,19 +312,14 @@ def ftss_reference(
             ready_sorted = sorted(state.ready)
 
         # Line 4: GetSchedulable.
-        schedulable = _get_schedulable(state, ready_sorted)
+        schedulable = state.oracle.schedulable_subset(ready_sorted)
 
         # Lines 5-9: ForcedDropping until something is schedulable.
         while not schedulable:
             ready_soft = [
                 n for n in sorted(state.ready) if app.process(n).is_soft
             ]
-            forced = (
-                forced_dropping_choice_fast
-                if config.fast_paths
-                else forced_dropping_choice
-            )
-            victim = forced(
+            victim = forced_dropping_choice(
                 app,
                 ready_soft,
                 state.unscheduled_soft(),
@@ -328,7 +331,7 @@ def ftss_reference(
             state.drop(victim)
             if not state.ready:
                 break
-            schedulable = _get_schedulable(state, sorted(state.ready))
+            schedulable = state.oracle.schedulable_subset(sorted(state.ready))
         if not state.ready:
             break
         if not schedulable:
@@ -362,32 +365,13 @@ def ftss_reference(
     return schedule
 
 
-def _get_schedulable(state: _FTSSState, ready: Sequence[str]) -> List[str]:
-    if state.config.fast_paths:
-        return state.oracle.schedulable_subset(ready)
-    return get_schedulable(
-        state.app,
-        state.entries,
-        ready,
-        state.fault_budget,
-        start_time=state.start_time,
-        prior_completed=state.prior_completed,
-        prior_dropped=state.all_dropped,
-        slack_sharing=state.config.slack_sharing,
-    )
-
-
 def _get_best_process(state: _FTSSState, candidates: Sequence[str]) -> str:
     """GetBestProcess: highest-MU soft candidate, else EDF hard."""
     app = state.app
     soft_candidates = [n for n in candidates if app.process(n).is_soft]
     if soft_candidates:
         priorities = soft_priorities(
-            app,
-            soft_candidates,
-            state.clock,
-            state.all_dropped,
-            successor_weight=state.config.successor_weight,
+            app, soft_candidates, state.clock, state.all_dropped
         )
         return best_soft(priorities)
     hard_candidates = [n for n in candidates if app.process(n).is_hard]
@@ -404,28 +388,11 @@ def _soft_reexecution_allotment(state: _FTSSState, name: str) -> int:
     utility (paper §5.2: re-executions are "evaluated with the dropping
     heuristic").
     """
-    app = state.app
-    config = state.config
-    if not config.soft_reexecution or state.fault_budget == 0:
+    if not state.config.soft_reexecution or state.fault_budget == 0:
         return 0
     granted = 0
     for r in range(1, state.fault_budget + 1):
-        if config.fast_paths:
-            feasible = state.oracle.check(name, reexecutions=r)
-        else:  # pragma: no branch - exercised via fast_paths=False tests
-            test = candidate_schedule(
-                app,
-                state.entries,
-                name,
-                state.fault_budget,
-                start_time=state.start_time,
-                prior_completed=state.prior_completed,
-                prior_dropped=state.all_dropped,
-                candidate_reexecutions=r,
-                slack_sharing=config.slack_sharing,
-            )
-            feasible = test.is_schedulable()
-        if not feasible:
+        if not state.oracle.check(name, reexecutions=r):
             break
         if _reexecution_squeezes_soft(state, name, r):
             break

@@ -21,10 +21,7 @@ from repro.model.application import Application
 from repro.scheduling.fschedule import FSchedule
 
 
-def nft_schedule(
-    app: Application,
-    drop_heuristic: bool = True,
-) -> Optional[FSchedule]:
+def nft_schedule(app: Application) -> Optional[FSchedule]:
     """List schedule maximizing value, ignoring faults entirely.
 
     Returns an :class:`FSchedule` with ``fault_budget = 0`` (so its
@@ -33,8 +30,5 @@ def nft_schedule(
     """
     from repro.scheduling.ftss import FTSSConfig, ftss
 
-    config = FTSSConfig(
-        drop_heuristic=drop_heuristic,
-        soft_reexecution=False,
-    )
+    config = FTSSConfig(soft_reexecution=False)
     return ftss(app, fault_budget=0, config=config)

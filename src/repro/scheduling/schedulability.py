@@ -1,4 +1,4 @@
-"""Schedulability tests used inside the FTSS loop (paper §5.2 line 4).
+"""The literal S_iH schedulability test of FTSS (paper §5.2 line 4).
 
 A ready process P_i "leads to a schedulable solution" when the
 schedule S_iH — the already-scheduled prefix, then P_i, then all
@@ -15,8 +15,10 @@ which plain sorting by the modified deadline both respects precedence
 successor's) and is optimal for single-resource, common-release
 deadline scheduling.  Because the order is a *static sort*, any subset
 of hard processes keeps a consistent relative order — the property the
-fast feasibility oracle (:mod:`repro.scheduling.feasibility`) relies
-on to avoid recomputing orders per probe.
+incremental feasibility oracle (:mod:`repro.scheduling.feasibility`),
+which FTSS probes with, relies on to avoid recomputing orders per
+probe.  :func:`get_schedulable` builds S_iH as an f-schedule per probe;
+``tests/test_feasibility.py`` holds the oracle to it.
 
 Only direct hard-to-hard precedence edges constrain the order: a path
 through a soft process imposes nothing once that soft process is
@@ -84,8 +86,10 @@ def candidate_schedule(
     ``candidate`` may be ``None`` to test the prefix alone (used when
     checking whether the already-made decisions are still feasible).
     Hard candidates get the full ``fault_budget`` re-executions; soft
-    candidates get ``candidate_reexecutions`` (default 0) — the FTSS
-    slack-assignment step probes increasing values.
+    candidates get ``candidate_reexecutions`` (default 0) — the probe
+    of FTSS's slack-assignment step, which
+    :meth:`~repro.scheduling.feasibility.FeasibilityOracle.check`
+    answers incrementally.
     """
     entries: List[ScheduledEntry] = list(prefix)
     done = set(prior_completed) | {e.name for e in prefix}

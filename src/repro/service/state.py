@@ -32,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import math
 import threading
 import time
 from dataclasses import dataclass
@@ -46,15 +45,6 @@ from repro.service.errors import (
     from_exception,
 )
 from repro.service.queue import WorkQueue
-
-#: Type checks of the non-integer config fields, by annotation.
-_JSON_TYPES = {
-    "bool": (lambda v: isinstance(v, bool), "a JSON boolean"),
-    "float": (
-        lambda v: type(v) in (int, float) and math.isfinite(v),
-        "a finite JSON number",
-    ),
-}
 
 #: Canonical JSON bytes of ``repro schedule``'s output file — the
 #: byte-identity contract of ``/v1/schedule`` hangs on using exactly
@@ -298,9 +288,9 @@ class ServiceState:
             kind = getattr(spec.type, "__name__", spec.type)
             if kind == "int":
                 cls._integer(value, name, 0, None)
-            elif kind in _JSON_TYPES and not _JSON_TYPES[kind][0](value):
+            elif kind == "bool" and not isinstance(value, bool):
                 raise ValidationFailed(
-                    f"'{name}' must be {_JSON_TYPES[kind][1]}, got "
+                    f"'{name}' must be a JSON boolean, got "
                     f"{json.dumps(value)}"
                 )
 

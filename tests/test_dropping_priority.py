@@ -5,12 +5,10 @@ import pytest
 
 from repro.scheduling.dropping import (
     determine_dropping,
-    determine_dropping_fast,
-    dropping_gain,
     forced_dropping_choice,
-    forced_dropping_choice_fast,
     greedy_soft_order,
     hypothetical_utility,
+    removal_utilities,
 )
 from repro.scheduling.priority import (
     best_soft,
@@ -38,30 +36,21 @@ class TestFig8WorkedExample:
     """Paper §5.2: keeping P2 earns 80, dropping it earns 50."""
 
     def test_keep_utility_is_80(self, fig8_app):
-        keep, drop = dropping_gain(
+        keep, drops = removal_utilities(
             fig8_app,
-            "P2",
+            ["P2"],
             ["P2", "P3", "P4"],
             now=30,           # P1 completed (AET pinned to 30)
             dropped=[],
         )
         assert keep == pytest.approx(80.0)
-        assert drop == pytest.approx(50.0)
+        assert drops == {"P2": pytest.approx(50.0)}
 
     def test_p2_is_not_dropped(self, fig8_app):
         drops = determine_dropping(
             fig8_app, ["P2", "P3"], ["P2", "P3", "P4"], now=30, dropped=[]
         )
         assert "P2" not in drops
-
-    def test_fast_variant_agrees_on_fig8(self, fig8_app):
-        slow = determine_dropping(
-            fig8_app, ["P2", "P3"], ["P2", "P3", "P4"], now=30, dropped=[]
-        )
-        fast = determine_dropping_fast(
-            fig8_app, ["P2", "P3"], ["P2", "P3", "P4"], now=30, dropped=[]
-        )
-        assert slow == fast
 
 
 class TestDroppingDecisions:
@@ -85,11 +74,7 @@ class TestDroppingDecisions:
         victim = forced_dropping_choice(
             fig1_app, ["P2", "P3"], ["P2", "P3"], now=50, dropped=[]
         )
-        fast_victim = forced_dropping_choice_fast(
-            fig1_app, ["P2", "P3"], ["P2", "P3"], now=50, dropped=[]
-        )
-        assert victim == fast_victim
-        assert victim in ("P2", "P3")
+        assert victim == "P2"
 
     def test_forced_dropping_empty_ready(self, fig1_app):
         assert (
@@ -99,7 +84,7 @@ class TestDroppingDecisions:
 
     def test_candidate_must_be_in_pool(self, fig1_app):
         with pytest.raises(ValueError):
-            dropping_gain(fig1_app, "P2", ["P3"], now=0, dropped=[])
+            removal_utilities(fig1_app, ["P2"], ["P3"], now=0, dropped=[])
 
     def test_hypothetical_utility_period_cutoff(self, fig1_app):
         # Starting at 280 pushes completions past T = 300.

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.scheduling.feasibility import FeasibilityOracle, TopNeeds
 from repro.scheduling.fschedule import ScheduledEntry, shared_recovery_demand
-from repro.scheduling.schedulability import get_schedulable
+from repro.scheduling.schedulability import candidate_schedule, get_schedulable
 from repro.workloads.suite import WorkloadSpec, generate_application
 
 
@@ -102,19 +102,29 @@ class TestOracleAgainstReference:
                 for p in app.graph.predecessors(n)
             )
         ]
+        dropped = [
+            n
+            for n in remaining
+            if app.process(n).is_soft and n not in candidates
+        ]
         reference = get_schedulable(
-            app,
-            prefix,
-            candidates,
-            budget,
-            prior_dropped=[
-                n
-                for n in remaining
-                if app.process(n).is_soft and n not in candidates
-            ],
+            app, prefix, candidates, budget, prior_dropped=dropped
         )
         fast = oracle.schedulable_subset(candidates)
         assert fast == reference
+        # The re-execution allotment's probes: a soft candidate with r
+        # re-executions.
+        for name in candidates:
+            if app.process(name).is_hard:
+                continue
+            for r in range(1, budget + 1):
+                literal = candidate_schedule(
+                    app, prefix, name, budget, prior_dropped=dropped,
+                    candidate_reexecutions=r,
+                )
+                assert oracle.check(name, reexecutions=r) == (
+                    literal.is_schedulable()
+                ), (name, r)
 
     def test_private_slack_mode(self, fig1_app):
         oracle = FeasibilityOracle(fig1_app, 1, slack_sharing=False)

@@ -186,6 +186,19 @@ class TestConfigurations:
     def test_invalid_optimize_for_rejected(self):
         with pytest.raises(ValueError):
             FTSSConfig(optimize_for="bcet")
+        # A switch that is not a bool is rejected by name: the C path
+        # and the oracle would read it differently.
+        for field, value in (
+            ("drop_heuristic", "no"),
+            ("soft_reexecution", 1),
+            ("slack_sharing", None),
+        ):
+            with pytest.raises(ValueError, match=field):
+                FTSSConfig(**{field: value})
+        # Retired fields.
+        for field in ("fast_paths", "successor_weight"):
+            with pytest.raises(TypeError, match=field):
+                FTSSConfig(**{field: True})
 
     def test_private_slack_schedules_fewer_or_equal(self, medium_app):
         shared = ftss(medium_app)
@@ -198,12 +211,6 @@ class TestConfigurations:
         schedule = ftss(medium_app, config=FTSSConfig(drop_heuristic=False))
         assert schedule is not None
         assert schedule.is_schedulable()
-
-    def test_fast_and_slow_paths_both_schedulable(self, small_app):
-        fast = ftss(small_app)
-        slow = ftss(small_app, config=FTSSConfig(fast_paths=False))
-        assert fast is not None and slow is not None
-        assert fast.is_schedulable() and slow.is_schedulable()
 
 
 class TestTailScheduling:

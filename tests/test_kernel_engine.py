@@ -413,7 +413,8 @@ def test_content_digests_are_pinned():
     """The tree store's fingerprint and application tag and the
     checkpoint's workload and unit keys of one fixed input keep their
     digests, so existing ``--cache-dir`` stores and checkpoints still
-    hit."""
+    hit.  The fingerprint hashes ``asdict(FTQSConfig)``, so it moves
+    whenever a config field is added or removed."""
     from repro.pipeline.checkpoint import (
         JournalingEvaluator,
         checkpoint_fingerprint,
@@ -424,7 +425,7 @@ def test_content_digests_are_pinned():
     app = _hard_pred_app()
     root = _hard_pred_root(app)
     assert fingerprint(app, root, FTQSConfig(max_schedules=4)) == (
-        "490b3a79d463354058e741590206a81f334729e710aa2199166b20ff1ff6791a"
+        "0cf3d3e9e03f2663003c8d5d2bb615cc32c64e21a78360a8728247e8ec0ce8a4"
     )
     assert application_tag(app) == "87394131665d92d9"
     assert checkpoint_fingerprint(

@@ -17,7 +17,7 @@ from repro.faults.injection import average_case_scenario, scenario_with_times
 from repro.faults.model import FaultScenario
 from repro.quasistatic.ftqs import FTQSConfig, ftqs
 from repro.runtime.online import simulate
-from repro.scheduling.dropping import dropping_gain
+from repro.scheduling.dropping import removal_utilities
 from repro.scheduling.fschedule import (
     FSchedule,
     ScheduledEntry,
@@ -192,11 +192,11 @@ class TestFig8FTSS:
 
     def test_dropping_comparison_80_vs_50(self):
         app = paper_fig8_application()
-        keep, drop = dropping_gain(
-            app, "P2", ["P2", "P3", "P4"], now=30, dropped=[]
+        keep, drops = removal_utilities(
+            app, ["P2"], ["P2", "P3", "P4"], now=30, dropped=[]
         )
         assert keep == pytest.approx(80.0)
-        assert drop == pytest.approx(50.0)
+        assert drops["P2"] == pytest.approx(50.0)
 
     def test_s2h_schedulable_before_220(self):
         app = paper_fig8_application()

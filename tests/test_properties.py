@@ -160,14 +160,12 @@ class TestConfigurationSafety:
             FTSSConfig(slack_sharing=False),
             FTSSConfig(optimize_for="wcet"),
             FTSSConfig(soft_reexecution=False),
-            FTSSConfig(fast_paths=False),
         ],
         ids=[
             "no-dropping",
             "private-slack",
             "wcet-opt",
             "no-soft-rexec",
-            "slow-paths",
         ],
     )
     def test_ablated_ftss_still_safe(self, config):

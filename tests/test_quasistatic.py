@@ -271,6 +271,17 @@ class TestFTQS:
             FTQSConfig(max_fault_variants=-1)
         with pytest.raises(ValueError, match="interval_stride"):
             FTQSConfig(interval_stride=-1)
+        # Counts must be integers (a bool is not one), switches bools.
+        for field, value in (
+            ("max_schedules", 2.5),
+            ("max_schedules", True),
+            ("max_fault_variants", "1"),
+            ("interval_stride", 1.0),
+            ("fault_children", "no"),
+            ("use_interval_partitioning", 0),
+        ):
+            with pytest.raises(ValueError, match=field):
+                FTQSConfig(**{field: value})
 
 
 class TestSchedulingStrategy:

@@ -398,6 +398,11 @@ def _soft_fig1(k):
         ({"engine": "batched"}, "unknown field(s) ['engine']; known:"),
         ({"fault_counts": [0, 200_000]}, "'fault_counts'"),
         ({"application": _soft_fig1(1_000_000)}, "'fault_counts'"),
+        # A retired FTSS config field.
+        (
+            {"config": {"ftss": {"fast_paths": True}}},
+            "unknown ftss config field(s) ['fast_paths']",
+        ),
     ],
 )
 def test_evaluate_rejects_malformed_parameters(
@@ -429,12 +434,8 @@ def test_evaluate_accepts_well_formed_parameters(dispatch_evaluate):
         ("ftss.drop_heuristic", "no"),
         ("ftss.soft_reexecution", 1),
         ("ftss.slack_sharing", None),
-        ("ftss.fast_paths", "true"),
         ("fault_children", 0),
         ("use_interval_partitioning", None),
-        ("ftss.successor_weight", "x"),
-        ("ftss.successor_weight", True),
-        ("ftss.successor_weight", float("nan")),
         ("max_schedules", "7"),
         ("max_schedules", 2.0),
         ("max_fault_variants", -1),

@@ -308,10 +308,6 @@ def test_two_mask_words_tree(synthesis_full, c_path, tails):
                 max_schedules=8, ftss=FTSSConfig(slack_sharing=False)
             ),
         ),
-        (
-            "slow-paths",
-            FTQSConfig(max_schedules=8, ftss=FTSSConfig(fast_paths=False)),
-        ),
         # Explicit interval-partitioning grids, against the automatic
         # one every other case runs.
         ("stride-1", FTQSConfig(max_schedules=8, interval_stride=1)),
@@ -348,8 +344,8 @@ def test_ablation_configs_identical(label, config, c_path, tails):
         ftqs(app, root, config),
         label,
     )
-    # The slow-paths ablation builds its tails with ftss_reference.
-    assert bool(tails) == config.ftss.fast_paths
+    # Every config builds its tails with rk_ftss.
+    assert tails
 
 
 def test_engine_reuse_across_builds_is_stable(c_path, tails):
